@@ -1,17 +1,7 @@
-// Campaign orchestrator scaling + batch-scheduler comparison on the SBST
-// workload. Writes BENCH_campaign.json; CI runs it as a smoke step.
+// Campaign orchestrator scaling on the SBST workload. Writes
+// BENCH_campaign.json; CI runs it as a smoke step.
 //
 // Sections:
-//  * scheduler comparison — the same fault slice graded under the fixed,
-//    cone-aware, and (profile-guided) adaptive batch policies. All three
-//    must produce the bit-identical detection BitVec (the merge is
-//    order-independent); the numbers show whether cone grouping pays on
-//    the event-driven kernel (smaller active sets, more uniform early
-//    exit). Runs single-thread so the comparison measures batch quality,
-//    not scheduling luck.
-//  * cone packing — greedy union-popcount clustering vs the raw
-//    signature sort, with per-batch cone-overlap stats (mean/max union
-//    popcount) and the bit-identical detection cross-check.
 //  * thread scaling — the slice graded at 1/2/4/8 worker threads with the
 //    determinism cross-check (every thread count must produce the same
 //    detections). NOTE: on a 1-core container every speedup degenerates
@@ -28,18 +18,14 @@
 //  * tracing overhead — the same grade with observability off vs fully
 //    on (tracer + metrics), with the side-band cross-check (identical
 //    detections) and the overhead ratio recorded in the JSON.
-//  * result cache — the same campaign cold (miss + store), warm (full
-//    hit: zero shards executed, byte-identical deterministic payload),
-//    and as a partial-hit incremental re-grade, with the
-//    "incremental_detections_identical" splice-correctness flag.
+//  * result cache — the same campaign cold (miss + store) and warm (full
+//    hit: zero shards executed, byte-identical deterministic payload).
 //  * full-universe scaling table — the original whole-suite campaign at
 //    1/2/4/8 threads; minutes of work, so it only runs with
 //    OLFUI_BENCH_FULL=1 (CI smoke skips it).
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -52,7 +38,6 @@
 #include "campaign/executor.hpp"
 #include "campaign/json.hpp"
 #include "campaign/report.hpp"
-#include "campaign/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sbst/sbst.hpp"
@@ -79,171 +64,29 @@ std::vector<FaultId> fault_slice(const FaultUniverse& universe,
   return targets;
 }
 
-struct PolicyRun {
+struct SliceRun {
   double seconds = 0;
-  std::size_t batches = 0;
   BitVec detected;
 };
 
-/// Grades `targets` against every test under one policy, timing the whole
-/// sweep and collecting per-shard times (the adaptive profile input).
-PolicyRun grade_policy(const FaultUniverse& universe,
-                       std::span<const CampaignTest> tests,
-                       std::span<const FaultId> targets,
-                       std::shared_ptr<const BatchScheduler> scheduler,
-                       int threads, CampaignResult* profile_out = nullptr) {
-  CampaignOptions opts;
-  opts.threads = threads;
-  opts.scheduler = std::move(scheduler);
-  const CampaignEngine engine(universe, opts);
-
-  PolicyRun run;
+/// Grades `targets` against every test, timing the whole sweep.
+SliceRun grade_slice(const FaultUniverse& universe,
+                     std::span<const CampaignTest> tests,
+                     std::span<const FaultId> targets, int threads) {
+  const CampaignEngine engine(universe, {.threads = threads});
+  SliceRun run;
   run.detected = BitVec(targets.size());
   const auto t0 = std::chrono::steady_clock::now();
   for (const CampaignTest& test : tests) {
-    std::vector<double> shard_seconds;
-    const BitVec det = engine.grade(targets, test, {}, &shard_seconds);
+    const BitVec det = engine.grade(targets, test);
     for (std::size_t i = det.find_first(); i < det.size();
          i = det.find_next(i + 1))
       run.detected.set(i, true);
-    run.batches += shard_seconds.size();
-    if (profile_out) {
-      CampaignResult::PerTest pt;
-      pt.name = test.name;
-      pt.faults_targeted = targets.size();
-      pt.batches = shard_seconds.size();
-      profile_out->tests.push_back(std::move(pt));
-      profile_out->stats.shard_seconds.insert(
-          profile_out->stats.shard_seconds.end(), shard_seconds.begin(),
-          shard_seconds.end());
-    }
   }
   run.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return run;
-}
-
-void run_scheduler_comparison(const Soc& soc, const FaultUniverse& universe,
-                              Json& doc) {
-  auto suite = build_sbst_suite(soc.config);
-  suite.erase(suite.begin() + 2, suite.end());  // alu_arith + alu_logic
-  const std::vector<CampaignTest> tests =
-      build_sbst_campaign_tests(soc, suite, universe);
-  const std::vector<FaultId> targets = fault_slice(universe, 2048, 5);
-
-  std::printf("== batch-scheduler comparison: %zu faults x %zu programs =====\n",
-              targets.size(), tests.size());
-  std::printf("%10s %10s %10s %10s %10s\n", "policy", "wall [s]", "batches",
-              "detected", "speedup");
-
-  // Fixed first: its shard times are the adaptive profile.
-  CampaignResult profile;
-  const PolicyRun fixed =
-      grade_policy(universe, tests, targets, nullptr, 1, &profile);
-  const PolicyRun cone = grade_policy(
-      universe, tests, targets, std::make_shared<const ConeScheduler>(universe),
-      1);
-  const PolicyRun adaptive = grade_policy(
-      universe, tests, targets,
-      std::make_shared<const AdaptiveScheduler>(profile), 1);
-
-  const bool identical =
-      fixed.detected == cone.detected && fixed.detected == adaptive.detected;
-  Json policies = Json::array();
-  const auto row = [&](const char* name, const PolicyRun& run) {
-    const double speedup =
-        run.seconds > 0 ? fixed.seconds / run.seconds : 0.0;
-    std::printf("%10s %10.3f %10zu %10zu %9.2fx\n", name, run.seconds,
-                run.batches, run.detected.count(), speedup);
-    Json p = Json::object();
-    p.set("policy", name);
-    p.set("wall_seconds", run.seconds);
-    p.set("batches", run.batches);
-    p.set("detected", run.detected.count());
-    p.set("speedup_vs_fixed", speedup);
-    policies.push_back(std::move(p));
-  };
-  row("fixed", fixed);
-  row("cone", cone);
-  row("adaptive", adaptive);
-  std::printf("detection sets %s across policies\n\n",
-              identical ? "bit-identical" : "DIFFER — scheduler bug!");
-
-  doc.set("slice", targets.size());
-  doc.set("policies", std::move(policies));
-  doc.set("policy_detections_identical", identical);
-  doc.set("cone_speedup_vs_fixed",
-          cone.seconds > 0 ? fixed.seconds / cone.seconds : 0.0);
-  // "No slower than default" with a 5% measurement-noise allowance.
-  doc.set("cone_no_slower", cone.seconds <= fixed.seconds * 1.05);
-}
-
-/// Greedy union-popcount cone packing vs the raw signature sort it
-/// replaced. Wall time shows whether tighter batches pay on the event
-/// kernel; the per-batch union-popcount stats (mean/max bits set in the
-/// OR of a batch's cone signatures — lower = the batch shares cones) are
-/// the direct measure of packing quality, independent of timing noise.
-/// Both packings must grade the bit-identical detection set.
-void run_packing_comparison(const Soc& soc, const FaultUniverse& universe,
-                            Json& doc) {
-  auto suite = build_sbst_suite(soc.config);
-  suite.erase(suite.begin() + 2, suite.end());  // alu_arith + alu_logic
-  const std::vector<CampaignTest> tests =
-      build_sbst_campaign_tests(soc, suite, universe);
-  const std::vector<FaultId> targets = fault_slice(universe, 2048, 5);
-
-  const auto greedy = std::make_shared<const ConeScheduler>(universe);
-  const auto raw = std::make_shared<const ConeScheduler>(
-      universe, nullptr, ConePacking::kRawSort);
-
-  std::printf("== cone packing: greedy union-popcount vs raw sort ==========\n");
-  std::printf("%10s %10s %10s %12s %10s\n", "packing", "wall [s]", "batches",
-              "mean union", "max union");
-
-  const PolicyRun greedy_run = grade_policy(universe, tests, targets, greedy, 1);
-  const PolicyRun raw_run = grade_policy(universe, tests, targets, raw, 1);
-  const bool identical = greedy_run.detected == raw_run.detected;
-
-  // Overlap stats straight off each packing's plan (the same numbers
-  // --dump-schedule reports): per batch, popcount of the OR of its
-  // members' cone signatures.
-  const std::vector<ConeSig> sigs = greedy->signatures(targets);
-  const auto overlap_stats = [&](const ConeScheduler& s, const PolicyRun& run,
-                                 const char* label) {
-    const BatchPlan plan =
-        s.plan(targets, {.batch_size = 63, .test_name = "bench"});
-    double mean = 0;
-    int max = 0;
-    for (std::size_t b = 0; b < plan.batches(); ++b) {
-      ConeSig u;
-      for (std::uint32_t i = plan.batch_start[b]; i < plan.batch_start[b + 1];
-           ++i)
-        u |= sigs[plan.order[i]];
-      const int bits = u.popcount();
-      mean += bits;
-      max = std::max(max, bits);
-    }
-    if (plan.batches()) mean /= static_cast<double>(plan.batches());
-    std::printf("%10s %10.3f %10zu %12.1f %10d\n", label, run.seconds,
-                run.batches, mean, max);
-    Json p = Json::object();
-    p.set("wall_seconds", run.seconds);
-    p.set("batches", run.batches);
-    p.set("mean_union_popcount", mean);
-    p.set("max_union_popcount", max);
-    return p;
-  };
-  Json packing = Json::object();
-  packing.set("greedy", overlap_stats(*greedy, greedy_run, "greedy"));
-  packing.set("raw_sort", overlap_stats(*raw, raw_run, "raw-sort"));
-  packing.set("greedy_speedup_vs_raw",
-              greedy_run.seconds > 0 ? raw_run.seconds / greedy_run.seconds
-                                     : 0.0);
-  std::printf("detection sets %s across packings\n\n",
-              identical ? "bit-identical" : "DIFFER — packing bug!");
-  doc.set("packing", std::move(packing));
-  doc.set("packing_detections_identical", identical);
 }
 
 void run_thread_scaling(const Soc& soc, const FaultUniverse& universe,
@@ -263,8 +106,7 @@ void run_thread_scaling(const Soc& soc, const FaultUniverse& universe,
   BitVec reference;
   bool deterministic = true;
   for (const int threads : {1, 2, 4, 8}) {
-    const PolicyRun run = grade_policy(universe, tests, targets, nullptr,
-                                       threads);
+    const SliceRun run = grade_slice(universe, tests, targets, threads);
     if (threads == 1) {
       base_seconds = run.seconds;
       reference = run.detected;
@@ -285,6 +127,7 @@ void run_thread_scaling(const Soc& soc, const FaultUniverse& universe,
                             ? "detection sets bit-identical across all "
                               "thread counts."
                             : "DETERMINISM VIOLATION!");
+  doc.set("slice", targets.size());
   doc.set("threads", std::move(rows));
   doc.set("thread_detections_identical", deterministic);
 }
@@ -498,15 +341,9 @@ void run_tracing_overhead(const Soc& soc, const FaultUniverse& universe,
   doc.set("tracing_detections_identical", identical);
 }
 
-/// Result-cache section: the same campaign graded cold (miss + store),
+/// Result-cache section: the same campaign graded cold (miss + store) and
 /// warm (full hit — zero shards executed, payload byte-identical to the
-/// cold run's deterministic JSON), and as a partial-hit incremental
-/// re-grade seeded from the cold result. The incremental pass runs with
-/// env_feedback off — an open-loop measurement; the netlist is genuinely
-/// unchanged, so the spliced + re-graded detection set must be
-/// bit-identical to the cold one. That flag
-/// ("incremental_detections_identical") is the splice/mask correctness
-/// check CI greps for.
+/// cold run's deterministic JSON).
 void run_cache_comparison(const Soc& soc, const FaultUniverse& universe,
                           Json& doc) {
   auto suite = build_sbst_suite(soc.config);
@@ -519,7 +356,7 @@ void run_cache_comparison(const Soc& soc, const FaultUniverse& universe,
   opts.target_limit = 1024;
   opts.cache = std::make_shared<ResultCache>(8);
 
-  std::printf("== result cache: cold vs warm vs partial ===================\n");
+  std::printf("== result cache: cold vs warm ==============================\n");
   FaultList fl_cold(universe);
   const auto t0 = std::chrono::steady_clock::now();
   const CampaignResult cold =
@@ -540,51 +377,25 @@ void run_cache_comparison(const Soc& soc, const FaultUniverse& universe,
       campaign_result_to_json_string(warm, 2, false) ==
       campaign_result_to_json_string(cold, 2, false);
 
-  CampaignOptions plain = opts;
-  plain.cache = nullptr;
-  FaultList fl_part(universe);
-  const std::vector<NetId> poked{
-      static_cast<NetId>(universe.netlist().num_nets() / 2)};
-  const auto t2 = std::chrono::steady_clock::now();
-  const CampaignResult partial =
-      seed_from_previous(universe, plain, fl_part, tests, cold, poked,
-                         nullptr, /*env_feedback=*/false);
-  const double partial_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t2)
-          .count();
-  const bool incremental_identical = partial.detected == cold.detected;
-
   std::printf("%12s %10.3f s (%s)\n", "cold", cold_seconds,
               cold.stats.cache.c_str());
   std::printf("%12s %10.3f s (%s, %zu batches executed)\n", "warm",
               warm_seconds, warm.stats.cache.c_str(), warm.stats.batches);
-  std::printf("%12s %10.3f s (%zu spliced, %zu re-graded, %.1f%% of "
-              "eligible)\n",
-              "partial", partial_seconds, partial.stats.cache_spliced,
-              partial.stats.regraded_faults,
-              100.0 * partial.stats.regrade_fraction);
-  std::printf("warm speedup %.1fx; payload %s; incremental detections %s\n\n",
+  std::printf("warm speedup %.1fx; payload %s\n\n",
               warm_seconds > 0 ? cold_seconds / warm_seconds : 0.0,
-              byte_identical ? "byte-identical" : "DIFFERS — cache bug!",
-              incremental_identical ? "bit-identical"
-                                    : "DIFFER — splice bug!");
+              byte_identical ? "byte-identical" : "DIFFERS — cache bug!");
 
   const ResultCacheStats cs = opts.cache->stats();
   Json c = Json::object();
   c.set("cold_seconds", cold_seconds);
   c.set("warm_seconds", warm_seconds);
-  c.set("partial_seconds", partial_seconds);
   c.set("warm_speedup", warm_seconds > 0 ? cold_seconds / warm_seconds : 0.0);
   c.set("warm_zero_shards", warm_hit);
   c.set("hits", cs.hits);
   c.set("misses", cs.misses);
   c.set("stores", cs.stores);
-  c.set("spliced", partial.stats.cache_spliced);
-  c.set("regraded_faults", partial.stats.regraded_faults);
-  c.set("regrade_fraction", partial.stats.regrade_fraction);
   doc.set("cache", std::move(c));
   doc.set("cache_payload_identical", byte_identical);
-  doc.set("incremental_detections_identical", incremental_identical);
 }
 
 /// The original whole-suite, whole-universe campaign at every thread
@@ -625,7 +436,7 @@ void print_full_scaling_table() {
 }
 
 /// Microbenchmark: one program's grade() fan-out at a fixed thread count,
-/// so scheduler-level regressions show up without the full campaign.
+/// so orchestration regressions show up without the full campaign.
 void BM_CampaignGrade(benchmark::State& state) {
   const SocConfig cfg = lean_config();
   auto soc = build_soc(cfg);
@@ -654,8 +465,6 @@ int main(int argc, char** argv) {
   const FaultUniverse universe(soc->netlist);
   Json doc = Json::object();
   doc.set("bench", "campaign_scaling");
-  run_scheduler_comparison(*soc, universe, doc);
-  run_packing_comparison(*soc, universe, doc);
   run_thread_scaling(*soc, universe, doc);
   run_kernel_cross_check(*soc, universe, doc);
   run_executor_comparison(doc);

@@ -34,24 +34,17 @@
 //                            identical in both modes, and the choice rides
 //                            each test's wire spec so subprocess fleets
 //                            grade with the coordinator's mode
-//       --schedule P         default | cone | adaptive
 //       --model sa|tdf       fault model (default sa)
 //       --cache-dir DIR      persistent grade-result cache (campaign/
 //                            cache.hpp): a repeat run with identical
-//                            netlist, traces, plan, and options decodes
-//                            the stored deterministic payload and
-//                            executes ZERO shards; any input change
-//                            misses and re-grades. One JSON file per
-//                            entry under DIR, written atomically; a
-//                            corrupt file is detected and re-graded
-//                            around. Prints a "cache: ..." summary line
-//       --seed-from FILE     incremental re-grade: FILE is a previous
-//                            run's --json output; faults whose cones the
-//                            --diff-nets change cannot reach inherit
-//                            their cached detections, only the rest are
-//                            re-graded (bit-identical to a full re-grade)
-//       --diff-nets A,B,..   changed net names for --seed-from (empty =
-//                            nothing changed: everything splices)
+//                            netlist, traces, and options decodes the
+//                            stored deterministic payload and executes
+//                            ZERO shards; any input change misses and
+//                            re-grades. One JSON file per entry under
+//                            DIR (created with its parents), written
+//                            atomically; a corrupt file is detected and
+//                            re-graded around. Prints a "cache: ..."
+//                            summary line
 //       --json FILE          full CampaignResult (runtime stats included)
 //       --json-no-stats FILE deterministic payload only — byte-identical
 //                            across executors/threads/workers, the file
@@ -88,20 +81,13 @@
 //                          parallel campaign orchestrator; needs scan
 //                          chains ("scan_en"/"scan_in*"/"scan_out*" ports)
 //     --threads N          orchestrator worker threads (0 = all cores)
-//     --schedule P         batch-formation policy for --campaign and
-//                          --dump-schedule: default | cone | adaptive
-//                          (adaptive has no profile here, so it plans
-//                          like default until fed a previous run)
-//     --dump-schedule FILE write the computed batch plan over the
-//                          testable universe (shard sizes, cone-overlap
-//                          stats) as JSON for offline inspection
 //     --trace FILE         campaign span trace (see --sbst above)
 //     --metrics FILE       campaign metrics export (see --sbst above)
 //
 // Example:
 //   olfui_cli periph.v --tie test_mode=0 --unobserve dbg_tap --csv out.csv
 //   olfui_cli core_scan.v --campaign --threads 8 --json coverage.json
-//   olfui_cli core_scan.v --schedule cone --dump-schedule plan.json
+//   olfui_cli --sbst --programs 2 --limit 320 --cache-dir cache/sbst
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -116,7 +102,6 @@
 #include "campaign/executor.hpp"
 #include "campaign/json.hpp"
 #include "campaign/report.hpp"
-#include "campaign/scheduler.hpp"
 #include "fault/report.hpp"
 #include "memmap/memmap.hpp"
 #include "netlist/sweep.hpp"
@@ -137,14 +122,12 @@ using namespace olfui;
                "usage: %s <netlist.v> [--tie NET=0|1] [--unobserve PORT] "
                "[--memmap BASE:SIZE] [--model sa|tdf] [--csv FILE] "
                "[--json FILE] [--sweep] [--campaign] [--threads N] "
-               "[--schedule default|cone|adaptive] [--dump-schedule FILE] "
                "[--trace FILE] [--metrics FILE]\n"
                "       %s --sbst [--executor inproc|subprocess] [--workers N] "
                "[--shard-timeout S] [--max-respawns N] [--min-workers N] "
                "[--chaos SPEC] [--programs N] [--limit N] [--threads N] "
                "[--lanes 64|128|256] [--clocking full|incremental] "
-               "[--schedule default|cone|adaptive] [--model sa|tdf] "
-               "[--cache-dir DIR] [--seed-from FILE] [--diff-nets A,B,..] "
+               "[--model sa|tdf] [--cache-dir DIR] "
                "[--json FILE] [--json-no-stats FILE] [--trace FILE] "
                "[--metrics FILE] [--progress]\n"
                "       %s --worker [--chaos SPEC]\n",
@@ -330,9 +313,8 @@ int run_sbst_mode(int argc, char** argv) {
   double shard_timeout = 0;
   bool subprocess = false, transition = false, progress = false;
   bool incremental_clocking = true;
-  std::string schedule = "default", json_path, json_no_stats_path;
+  std::string json_path, json_no_stats_path, cache_dir;
   std::string trace_path, metrics_path, chaos_spec;
-  std::string cache_dir, seed_from_path, diff_nets_spec;
 
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -382,20 +364,12 @@ int run_sbst_mode(int argc, char** argv) {
       const std::string mode = next();
       if (mode != "full" && mode != "incremental") usage(argv[0]);
       incremental_clocking = mode == "incremental";
-    } else if (arg == "--schedule") {
-      schedule = next();
-      if (schedule != "default" && schedule != "cone" && schedule != "adaptive")
-        usage(argv[0]);
     } else if (arg == "--model") {
       const std::string model = next();
       if (model != "sa" && model != "tdf") usage(argv[0]);
       transition = model == "tdf";
     } else if (arg == "--cache-dir") {
       cache_dir = next();
-    } else if (arg == "--seed-from") {
-      seed_from_path = next();
-    } else if (arg == "--diff-nets") {
-      diff_nets_spec = next();
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--json-no-stats") {
@@ -433,10 +407,6 @@ int run_sbst_mode(int argc, char** argv) {
                  "note: this build has no %d-lane kernel; grading with the "
                  "scalar 64-lane path\n",
                  lanes);
-  if (schedule == "cone")
-    opts.scheduler = std::make_shared<const ConeScheduler>(universe);
-  else if (schedule == "adaptive")
-    opts.scheduler = std::make_shared<const AdaptiveScheduler>();
   if (subprocess) {
     fleet.workers = workers;
     std::vector<std::string> worker_cmd{argv[0], "--worker"};
@@ -447,14 +417,20 @@ int run_sbst_mode(int argc, char** argv) {
     opts.executor =
         std::make_shared<SubprocessExecutor>(std::move(worker_cmd), fleet);
   }
-  if (!cache_dir.empty())
-    opts.cache = std::make_shared<ResultCache>(64, cache_dir);
+  if (!cache_dir.empty()) {
+    try {
+      opts.cache = std::make_shared<ResultCache>(64, cache_dir);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
+  }
 
   std::printf("sbst campaign: %zu programs, %zu faults%s, model %s,\n"
-              "  %d lanes, %s clocking, schedule %s, executor %s",
+              "  %d lanes, %s clocking, executor %s",
               suite.size(), universe.size(), limit ? " (sliced)" : "",
               transition ? "tdf" : "sa", resolve_lane_width(lanes),
-              incremental_clocking ? "incremental" : "full", schedule.c_str(),
+              incremental_clocking ? "incremental" : "full",
               subprocess ? "subprocess" : "inproc");
   if (subprocess) std::printf(" (%d workers)", workers);
   std::printf("\n");
@@ -462,52 +438,8 @@ int run_sbst_mode(int argc, char** argv) {
   const CampaignProgress heartbeat =
       progress ? make_progress_heartbeat(resolve_lane_width(lanes))
                : CampaignProgress{};
-  SbstCampaignResult result;
-  if (!seed_from_path.empty()) {
-    // Incremental re-grade: splice the previous run's detections for
-    // every fault the diff cannot reach, re-grade only the rest.
-    CampaignResult previous;
-    try {
-      previous = campaign_result_from_json_string(read_file(seed_from_path));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: cannot parse '%s': %s\n",
-                   seed_from_path.c_str(), e.what());
-      return 1;
-    }
-    std::vector<NetId> changed;
-    for (std::string_view name : split(diff_nets_spec, ",")) {
-      const NetId n = soc->netlist.find_net(std::string(trim(name)));
-      if (n == kInvalidId) {
-        std::fprintf(stderr, "error: --diff-nets: no net '%.*s'\n",
-                     static_cast<int>(name.size()), name.data());
-        return 1;
-      }
-      changed.push_back(n);
-    }
-    const std::vector<CampaignTest> tests = build_sbst_campaign_tests(
-        *soc, suite, universe, kSbstCampaignMargin, /*event_driven=*/true,
-        opts.fault_model, resolve_lane_width(opts.lane_width),
-        opts.incremental_clocking);
-    try {
-      // The SoC environment is closed-loop (the memory model reads the
-      // bus), so env_feedback stays on: a diff reaching the bus outputs
-      // soundly falls back to a full re-grade.
-      CampaignResult seeded =
-          seed_from_previous(universe, opts, fl, tests, previous, changed,
-                             nullptr, /*env_feedback=*/true, heartbeat);
-      for (const CampaignResult::PerTest& pt : seeded.tests) {
-        result.programs.push_back({pt.name, pt.good_cycles,
-                                   pt.new_detections});
-        result.total_detected += pt.new_detections;
-      }
-      result.campaign = std::move(seeded);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "error: --seed-from: %s\n", e.what());
-      return 1;
-    }
-  } else {
-    result = run_sbst_campaign(*soc, suite, fl, heartbeat, opts);
-  }
+  const SbstCampaignResult result =
+      run_sbst_campaign(*soc, suite, fl, heartbeat, opts);
   for (const auto& pp : result.programs)
     std::printf("  %-12s %6d cycles %8zu new detections\n", pp.name.c_str(),
                 pp.cycles, pp.new_detections);
@@ -528,11 +460,6 @@ int run_sbst_mode(int argc, char** argv) {
     std::printf("cache: %s (hits %zu, misses %zu, stores %zu)\n",
                 stats.cache.c_str(), cs.hits, cs.misses, cs.stores);
   }
-  if (stats.cache == "partial")
-    std::printf("incremental: %zu detection(s) spliced, %zu fault(s) "
-                "re-graded (%.1f%% of eligible)\n",
-                stats.cache_spliced, stats.regraded_faults,
-                100.0 * stats.regrade_fraction);
 
   if (!json_path.empty())
     write_file(json_path,
@@ -559,7 +486,7 @@ int main(int argc, char** argv) {
   MemoryMap map;
   bool use_memmap = false, sweep = false, transition = false, campaign = false;
   int threads = 0;
-  std::string csv_path, json_path, schedule = "default", dump_schedule_path;
+  std::string csv_path, json_path;
   std::string trace_path, metrics_path;
 
   for (int i = 2; i < argc; ++i) {
@@ -599,12 +526,6 @@ int main(int argc, char** argv) {
       const auto n = parse_uint(next());
       if (!n) usage(argv[0]);
       threads = static_cast<int>(*n);
-    } else if (arg == "--schedule") {
-      schedule = next();
-      if (schedule != "default" && schedule != "cone" && schedule != "adaptive")
-        usage(argv[0]);
-    } else if (arg == "--dump-schedule") {
-      dump_schedule_path = next();
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--metrics") {
@@ -668,48 +589,6 @@ int main(int argc, char** argv) {
                   : 0.0);
   std::printf("\n%s", module_breakdown_table(faults).c_str());
 
-  // Batch-formation policy shared by --dump-schedule and --campaign.
-  // Null means the engine's built-in fixed policy; "adaptive" with no
-  // previous run to profile also plans fixed (documented cold start).
-  // Built only when a consumer exists — cone analysis walks the whole
-  // netlist and a plain analysis run should not pay for it.
-  std::shared_ptr<const BatchScheduler> scheduler;
-  std::shared_ptr<const ConeScheduler> cone_scheduler;
-  if (campaign || !dump_schedule_path.empty()) {
-    if (schedule == "cone") {
-      cone_scheduler = std::make_shared<const ConeScheduler>(universe);
-      scheduler = cone_scheduler;
-    } else if (schedule == "adaptive") {
-      scheduler = std::make_shared<const AdaptiveScheduler>();
-    }
-  }
-
-  if (!dump_schedule_path.empty()) {
-    // Plan the testable universe exactly as a campaign's first test would
-    // see it (untestable faults never enter the queue).
-    std::vector<FaultId> targets;
-    for (FaultId f = 0; f < universe.size(); ++f)
-      if (faults.untestable_kind(f) == UntestableKind::kNone)
-        targets.push_back(f);
-    const FixedScheduler fixed;
-    const BatchScheduler& policy = scheduler ? *scheduler : fixed;
-    const BatchPlan plan =
-        policy.plan(targets, {.batch_size = 63, .test_name = "dump"});
-    // The dump reads signatures out of the scheduler's own ConeAnalysis
-    // (built once at construction) — recomputing them here could silently
-    // disagree with the plan it annotates.
-    std::vector<ConeSig> sigs;
-    if (cone_scheduler) sigs = cone_scheduler->signatures(targets);
-    Json doc = batch_plan_to_json(plan, policy.name(), sigs);
-    // Per-width Bloom saturation of this plan (64/128/256): how many
-    // batches drive their filter to all-ones at each width — the measure
-    // behind the --schedule cone width tradeoff.
-    doc.set("saturation",
-            cone_saturation_to_json(plan, targets, universe,
-                                    *PackedTopology::build(nl)));
-    write_file(dump_schedule_path, doc.dump(2) + "\n");
-  }
-
   Json manuf_json;  // filled by --campaign, merged into --json output
   if (campaign) {
     if (transition) {
@@ -729,7 +608,6 @@ int main(int argc, char** argv) {
     }
     ScanAtpgOptions atpg_opts;
     atpg_opts.campaign.threads = threads;
-    atpg_opts.campaign.scheduler = scheduler;
     // Mission-constant nets keep their values during test application.
     for (const auto& [name, value] : ties)
       atpg_opts.pin_constraints.emplace_back(nl.find_net(name), value);

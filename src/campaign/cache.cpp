@@ -1,15 +1,12 @@
 #include "campaign/cache.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <bit>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
-#include <vector>
+#include <system_error>
 
 #include "campaign/report.hpp"
-#include "campaign/scheduler.hpp"
 #include "obs/metrics.hpp"
 
 namespace olfui {
@@ -135,7 +132,7 @@ std::uint64_t campaign_tests_fingerprint(std::span<const CampaignTest> tests) {
 }
 
 std::string CacheKey::canonical() const {
-  std::string out = "cache_key/v1";
+  std::string out = "cache_key/v2";
   const auto field = [&out](std::string_view key, const std::string& value) {
     out += '|';
     out += key;
@@ -144,7 +141,6 @@ std::string CacheKey::canonical() const {
   };
   field("universe", word_to_hex(universe_fp));
   field("trace", word_to_hex(trace_fp));
-  field("plan", word_to_hex(plan_hash));
   field("options", word_to_hex(options_hash));
   field("model", fault_model);
   field("lanes", std::to_string(lane_width));
@@ -155,7 +151,12 @@ std::uint64_t CacheKey::digest() const { return fnv1a64(canonical()); }
 
 ResultCache::ResultCache(std::size_t capacity, std::string dir)
     : capacity_(std::max<std::size_t>(capacity, 1)), dir_(std::move(dir)) {
-  if (!dir_.empty()) ::mkdir(dir_.c_str(), 0777);  // EEXIST is fine
+  if (dir_.empty()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  if (ec || !std::filesystem::is_directory(dir_, ec))
+    throw std::runtime_error("result cache: cannot create directory '" + dir_ +
+                             "'" + (ec ? ": " + ec.message() : std::string()));
 }
 
 void ResultCache::insert_locked(const std::string& canonical,
@@ -182,8 +183,9 @@ std::optional<std::string> ResultCache::disk_load_locked(const CacheKey& key) {
   if (!text) return std::nullopt;  // absent: a plain miss, not corruption
   try {
     const Json doc = Json::parse(*text);
-    if (doc.at("key").as_string() != key.canonical())
-      throw JsonError("cache entry: key mismatch", 0);
+    const Json& stored = doc.at("key");
+    if (stored.as_string() != key.canonical())
+      throw JsonError("cache entry: key mismatch", stored.source_offset());
     return doc.at("payload").as_string();
   } catch (const std::exception&) {
     ++stats_.corrupt;
@@ -192,13 +194,13 @@ std::optional<std::string> ResultCache::disk_load_locked(const CacheKey& key) {
   }
 }
 
-void ResultCache::disk_store_locked(const CacheKey& key,
+bool ResultCache::disk_store_locked(const CacheKey& key,
                                     const std::string& payload) {
   Json doc = Json::object();
   doc.set("key", key.canonical());
   doc.set("payload", payload);
   const std::string path = dir_ + "/" + word_to_hex(key.digest()) + ".json";
-  write_file_atomic(path, doc.dump(0));
+  return write_file_atomic(path, doc.dump(0));
 }
 
 std::optional<CampaignResult> ResultCache::lookup(const CacheKey& key) {
@@ -253,7 +255,7 @@ void ResultCache::store(const CacheKey& key, const CampaignResult& result) {
   std::string payload = campaign_result_to_json_string(result, 2, false);
   std::lock_guard lock(mu_);
   insert_locked(key.canonical(), payload);
-  if (!dir_.empty()) disk_store_locked(key, payload);
+  if (!dir_.empty() && !disk_store_locked(key, payload)) return;
   ++stats_.stores;
   bump("cache.stores");
 }
@@ -266,115 +268,6 @@ ResultCacheStats ResultCache::stats() const {
 std::size_t ResultCache::size() const {
   std::lock_guard lock(mu_);
   return lru_.size();
-}
-
-IncrementalPlan plan_incremental_regrade(const FaultUniverse& universe,
-                                         const ConeAnalysis& cones,
-                                         std::span<const NetId> changed_nets,
-                                         bool env_feedback) {
-  const Netlist& nl = universe.netlist();
-  if (cones.net_sig.size() != nl.num_nets())
-    throw std::invalid_argument(
-        "plan_incremental_regrade: cone analysis is for a different netlist");
-  IncrementalPlan out;
-  out.regrade.resize(universe.size());
-  out.diff_sig = changed_net_signature(cones, nl, changed_nets);
-  if (!out.diff_sig.any()) return out;  // empty diff: splice everything
-
-  if (env_feedback) {
-    // Closed-loop environment: stimulus is a function of observed
-    // outputs, so a diff that reaches any output port can re-enter the
-    // circuit through the environment — a path the cone analysis cannot
-    // see. Output-port bits are seeded into every signature they are
-    // reachable from, so this is exactly detectable (up to conservative
-    // Bloom collisions).
-    for (const CellId oc : nl.output_cells()) {
-      if (out.diff_sig.intersects(ConeAnalysis::cone_bit(oc, cones.sig_bits))) {
-        out.full = true;
-        for (FaultId f = 0; f < universe.size(); ++f) out.regrade.set(f, true);
-        return out;
-      }
-    }
-  }
-
-  for (FaultId f = 0; f < universe.size(); ++f) {
-    // Propagation: the diff touches the fault's cone (including the side
-    // inputs of cells on its propagation paths — any such cell is in both
-    // cones). Activation: the diff reaches the fault's own cell, changing
-    // the values at its fan-in.
-    const NetId net = universe.effect_net(f);
-    const CellId cell = universe.fault(f).pin.cell;
-    if ((net != kInvalidId && cones.net_sig[net].intersects(out.diff_sig)) ||
-        out.diff_sig.intersects(ConeAnalysis::cone_bit(cell, cones.sig_bits)))
-      out.regrade.set(f, true);
-  }
-  return out;
-}
-
-CampaignResult seed_from_previous(
-    const FaultUniverse& universe, CampaignOptions opts, FaultList& fl,
-    std::span<const CampaignTest> tests, const CampaignResult& previous,
-    std::span<const NetId> changed_nets,
-    std::shared_ptr<const PackedTopology> topo, bool env_feedback,
-    const CampaignProgress& progress) {
-  if (previous.universe != universe.size())
-    throw std::invalid_argument(
-        "seed_from_previous: previous result is for a different universe");
-  if (previous.fault_model != opts.fault_model)
-    throw std::invalid_argument(
-        "seed_from_previous: previous result graded a different fault model");
-  if (topo && topo->nl != &universe.netlist())
-    throw std::invalid_argument(
-        "seed_from_previous: topology is for a different netlist");
-  if (!topo) topo = PackedTopology::build(universe.netlist());
-
-  // The widest filter: collisions only cost re-grades, and 256 buckets
-  // keep CPU-wide cones from degenerating to "re-grade everything".
-  const ConeAnalysis cones = ConeAnalysis::build(*topo, 256);
-  const IncrementalPlan iplan =
-      plan_incremental_regrade(universe, cones, changed_nets, env_feedback);
-
-  // regrade_fraction is measured over the faults this campaign would have
-  // graded anyway (testable; undetected when dropping), before splicing.
-  std::size_t eligible = 0, regraded = 0;
-  for (FaultId f = 0; f < fl.size(); ++f) {
-    if (fl.untestable_kind(f) != UntestableKind::kNone) continue;
-    if (opts.fault_dropping && fl.detect_state(f) == DetectState::kDetected)
-      continue;
-    ++eligible;
-    if (iplan.full || iplan.regrade.get(f)) ++regraded;
-  }
-
-  // Splice: every unaffected fault keeps its previous outcome — detected
-  // faults are marked without simulating, undetected ones simply stay out
-  // of the masked target list.
-  std::size_t spliced = 0;
-  if (!iplan.full) {
-    for (FaultId f = 0; f < fl.size(); ++f) {
-      if (iplan.regrade.get(f)) continue;
-      if (fl.untestable_kind(f) != UntestableKind::kNone) continue;
-      if (!previous.detected.get(f)) continue;
-      if (fl.detect_state(f) == DetectState::kDetected) continue;
-      fl.set_detected(f);
-      ++spliced;
-    }
-  }
-
-  CampaignOptions run_opts = std::move(opts);
-  run_opts.cache = nullptr;  // a masked partial re-grade is never cacheable
-  if (!iplan.full)
-    run_opts.target_mask = std::make_shared<const BitVec>(iplan.regrade);
-  const CampaignEngine engine(universe, std::move(run_opts));
-  CampaignResult result = engine.run(fl, tests, progress);
-  result.total_new_detections += spliced;
-  result.stats.cache = "partial";
-  result.stats.cache_spliced = spliced;
-  result.stats.regraded_faults = regraded;
-  result.stats.regrade_fraction =
-      eligible ? static_cast<double>(regraded) / static_cast<double>(eligible)
-               : 0.0;
-  bump("cache.spliced", spliced);
-  return result;
 }
 
 }  // namespace olfui

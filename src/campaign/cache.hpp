@@ -1,15 +1,15 @@
-// olfui/campaign: the grade-result cache + incremental re-grade.
+// olfui/campaign: the grade-result cache.
 //
 // The paper's grading flow is rerun constantly in practice — same SBST
 // programs, same netlist, tweaked options — and every fingerprint a
 // repeat run needs to prove "this is the same work" already exists on the
 // executor seam: the universe/netlist structure, each test's
-// ReferenceTrace fingerprint (riding in CampaignTest::spec), the
-// scheduler's plan fingerprint, and a canonical options hash. ResultCache
-// keys the deterministic CampaignResult JSON payload on exactly those:
+// ReferenceTrace fingerprint (riding in CampaignTest::spec), and a
+// canonical options hash (which covers batch_size and lane_width, the
+// only inputs of batch formation). ResultCache keys the deterministic
+// CampaignResult JSON payload on exactly those:
 //
-//   CacheKey{universe_fp, trace_fp, plan_hash, options_hash,
-//            fault_model, lane_width}
+//   CacheKey{universe_fp, trace_fp, options_hash, fault_model, lane_width}
 //
 // CampaignEngine::run consults the cache before planning anything: a full
 // hit decodes the stored payload and returns it with ZERO shards executed
@@ -24,21 +24,6 @@
 // the key digest, written tmp-file + atomic rename, full canonical key
 // verified on load). A corrupt or mismatched disk entry is counted, never
 // trusted: the lookup falls back to a clean re-grade which overwrites it.
-//
-// Partial hit — incremental re-grade: seed_from_previous() takes a
-// previous CampaignResult plus the set of changed nets, plans the
-// affected fault set with wide ConeAnalysis signatures
-// (changed_net_signature in sim/packed.hpp: a fault re-grades iff the
-// diff cone intersects its propagation cone or reaches its own cell —
-// Bloom collisions only widen the set), splices the previous detections
-// for every unaffected fault, and re-grades only the rest through a
-// target-masked engine. When the environment is closed-loop
-// (env_feedback: stimulus depends on outputs, as in the SoC bus
-// environment) a diff that reaches any output port forces a full
-// re-grade — the change could re-enter anywhere, so nothing can be
-// spliced soundly. The spliced + re-graded detection set is bit-identical
-// to a full re-grade by construction (asserted in tests/cache_test.cpp
-// against a genuinely perturbed netlist).
 #pragma once
 
 #include <cstdint>
@@ -52,7 +37,6 @@
 #include <unordered_map>
 
 #include "campaign/campaign.hpp"
-#include "sim/packed.hpp"
 
 namespace olfui {
 
@@ -108,12 +92,11 @@ std::uint64_t campaign_tests_fingerprint(std::span<const CampaignTest> tests);
 struct CacheKey {
   std::uint64_t universe_fp = 0;  ///< netlist structure + fault-list state
   std::uint64_t trace_fp = 0;     ///< tests incl. ReferenceTrace fingerprints
-  std::uint64_t plan_hash = 0;    ///< BatchScheduler::fingerprint()
   std::uint64_t options_hash = 0; ///< campaign_options_hash()
   std::string fault_model = "stuck_at";
   int lane_width = 64;
 
-  /// Self-describing canonical form ("v1|universe=..|trace=..|..") —
+  /// Self-describing canonical form ("cache_key/v2|universe=..|..") —
   /// stored verbatim inside each disk entry and verified on load, so a
   /// digest collision can never serve the wrong payload.
   std::string canonical() const;
@@ -125,7 +108,7 @@ struct CacheKey {
 struct ResultCacheStats {
   std::size_t hits = 0;       ///< lookups served (memory or disk)
   std::size_t misses = 0;     ///< lookups that found nothing usable
-  std::size_t stores = 0;     ///< payloads written
+  std::size_t stores = 0;     ///< payloads stored (to disk, when configured)
   std::size_t evictions = 0;  ///< LRU entries dropped at capacity
   std::size_t disk_hits = 0;  ///< hits that came off the disk tier
   std::size_t corrupt = 0;    ///< disk entries rejected (parse/key/payload)
@@ -141,15 +124,17 @@ class ResultCache {
  public:
   /// `capacity` bounds the in-memory LRU tier (clamped to >= 1).
   /// `dir`, when nonempty, enables the disk tier: one
-  /// "<digest16hex>.json" file per entry under it (the directory is
-  /// created if missing, one level deep).
+  /// "<digest16hex>.json" file per entry under it. The directory and any
+  /// missing parents are created; throws std::runtime_error naming the
+  /// path if that fails.
   explicit ResultCache(std::size_t capacity = 64, std::string dir = {});
 
   /// Full-hit lookup: decoded result, or nullopt on miss/corruption.
   std::optional<CampaignResult> lookup(const CacheKey& key);
   /// Encodes and stores (memory always; disk too when configured) —
   /// overwrites any existing entry, which is how a corrupt disk file
-  /// heals after the fallback re-grade.
+  /// heals after the fallback re-grade. With a disk tier, only a
+  /// successful disk write counts as a store.
   void store(const CacheKey& key, const CampaignResult& result);
 
   ResultCacheStats stats() const;
@@ -162,7 +147,7 @@ class ResultCache {
 
   void insert_locked(const std::string& canonical, std::string payload);
   std::optional<std::string> disk_load_locked(const CacheKey& key);
-  void disk_store_locked(const CacheKey& key, const std::string& payload);
+  bool disk_store_locked(const CacheKey& key, const std::string& payload);
 
   mutable std::mutex mu_;
   std::size_t capacity_;
@@ -171,47 +156,5 @@ class ResultCache {
   std::unordered_map<std::string_view, LruList::iterator> index_;
   ResultCacheStats stats_;
 };
-
-// ---------------------------------------------------------------------------
-// Incremental re-grade (the partial-hit path).
-
-struct IncrementalPlan {
-  /// Per-fault: must be re-graded (its outcome may differ after the diff).
-  BitVec regrade;
-  /// The diff reached an output port under a closed-loop environment (or
-  /// the caller asked for it): nothing can be spliced, re-grade all.
-  bool full = false;
-  /// changed_net_signature() of the diff, for diagnostics/dumps.
-  ConeSig diff_sig;
-};
-
-/// Plans which faults a netlist diff can affect. `cones` must be built
-/// over the (new) universe's topology; wider sig_bits means fewer Bloom
-/// collisions and a tighter re-grade set. With `env_feedback` (the sound
-/// default for closed-loop test environments, e.g. a SoC whose memory
-/// model reads bus outputs), a diff whose cone reaches any output port
-/// forces full = true.
-IncrementalPlan plan_incremental_regrade(const FaultUniverse& universe,
-                                         const ConeAnalysis& cones,
-                                         std::span<const NetId> changed_nets,
-                                         bool env_feedback = true);
-
-/// The partial-hit path: splices `previous`'s detections for every fault
-/// the diff cannot affect (marking them in `fl` without simulating), then
-/// re-grades only the affected set through a target-masked engine over
-/// `opts`. The combined detection state is bit-identical to a full
-/// re-grade. Returns the masked run's result with full-universe detection
-/// state/coverage/classes (those are derived from `fl` at run end) and
-/// stats.cache = "partial" carrying cache_spliced / regraded_faults /
-/// regrade_fraction. Throws std::invalid_argument on a universe-size or
-/// fault-model mismatch with `previous`, or a topology for a different
-/// netlist. `topo` may be null (one is built); signatures are computed at
-/// the widest (256-bit) filter.
-CampaignResult seed_from_previous(
-    const FaultUniverse& universe, CampaignOptions opts, FaultList& fl,
-    std::span<const CampaignTest> tests, const CampaignResult& previous,
-    std::span<const NetId> changed_nets,
-    std::shared_ptr<const PackedTopology> topo = nullptr,
-    bool env_feedback = true, const CampaignProgress& progress = {});
 
 }  // namespace olfui

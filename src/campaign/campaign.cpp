@@ -9,7 +9,6 @@
 
 #include "campaign/cache.hpp"
 #include "campaign/executor.hpp"
-#include "campaign/scheduler.hpp"
 #include "fault/tdf.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/trace.hpp"
@@ -19,13 +18,11 @@ namespace olfui {
 namespace {
 
 /// Undetected (unless dropping is off), testable faults in id order,
-/// filtered to `mask`'s set bits when given and truncated to `limit` when
-/// nonzero (the smoke-slicing knob).
+/// truncated to `limit` when nonzero (the smoke-slicing knob).
 std::vector<FaultId> campaign_targets(const FaultList& fl, bool drop_detected,
-                                      std::size_t limit, const BitVec* mask) {
+                                      std::size_t limit) {
   std::vector<FaultId> targets;
   for (FaultId f = 0; f < fl.size(); ++f) {
-    if (mask && !mask->get(f)) continue;
     if (fl.untestable_kind(f) != UntestableKind::kNone) continue;
     if (drop_detected && fl.detect_state(f) == DetectState::kDetected) continue;
     targets.push_back(f);
@@ -48,6 +45,17 @@ class FunctionBatchRunner final : public FaultBatchRunner {
 };
 
 }  // namespace
+
+std::size_t shard_count(std::size_t targets, std::size_t batch_size) {
+  return (targets + batch_size - 1) / batch_size;
+}
+
+std::span<const FaultId> shard_span(std::span<const FaultId> targets,
+                                    std::size_t batch_size,
+                                    std::uint32_t shard) {
+  const std::size_t lo = static_cast<std::size_t>(shard) * batch_size;
+  return targets.subspan(lo, std::min(batch_size, targets.size() - lo));
+}
 
 CampaignTest make_function_test(
     std::string name,
@@ -89,11 +97,6 @@ int CampaignEngine::resolved_threads() const {
   return hw ? static_cast<int>(hw) : 1;
 }
 
-const BatchScheduler& CampaignEngine::scheduler() const {
-  static const FixedScheduler kFixed;
-  return opts_.scheduler ? *opts_.scheduler : kFixed;
-}
-
 ShardExecutor& CampaignEngine::executor() const {
   if (opts_.executor) return *opts_.executor;
   std::lock_guard lock(exec_mu_);
@@ -110,24 +113,15 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
   if (targets.empty()) return detected;
 
   // --- plan ---------------------------------------------------------------
-  // Batch formation is the scheduler's: the plan permutes the targets and
-  // draws the batch boundaries; everything below (execution, merge,
-  // timings) is plan-shaped. A malformed plan throws here rather than
-  // silently dropping faults.
+  // Contiguous batch_size spans in target order: shard s grades
+  // targets[s*B, min(n, (s+1)*B)), so the plan is just the shard count.
   auto plan_span = obs::tracer().span("plan", "campaign");
   plan_span.arg("test", Json(test.name));
   plan_span.arg("targets", Json(targets.size()));
-  const ScheduleContext ctx{static_cast<std::size_t>(opts_.batch_size),
-                            test.name};
-  const BatchPlan plan = scheduler().plan(targets, ctx);
-  plan.validate(targets.size(),
-                static_cast<std::size_t>(opts_.lane_width - 1));
-  std::vector<FaultId> planned(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i)
-    planned[i] = targets[plan.order[i]];
-  std::vector<std::uint32_t> shard_ids(plan.batches());
+  const std::size_t batch = static_cast<std::size_t>(opts_.batch_size);
+  std::vector<std::uint32_t> shard_ids(shard_count(targets.size(), batch));
   std::iota(shard_ids.begin(), shard_ids.end(), 0u);
-  plan_span.arg("shards", Json(plan.batches()));
+  plan_span.arg("shards", Json(shard_ids.size()));
   plan_span.end();
 
   // --- execute ------------------------------------------------------------
@@ -135,10 +129,11 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
   // failed shard throws out of execute(), never shrinks the merge.
   std::mutex progress_mu;
   std::size_t graded = 0;
-  ShardWork work{plan,       targets,           planned,
-                 shard_ids,  test,              opts_.fault_model,
-                 universe_->size(),             {},
-                 opts_.shard_timeout,           opts_.lane_width};
+  ShardWork work{targets,           batch,
+                 shard_ids,         test,
+                 opts_.fault_model, universe_->size(),
+                 {},                opts_.shard_timeout,
+                 opts_.lane_width};
   if (progress)
     work.progress = [&](std::size_t n) {
       std::lock_guard lock(progress_mu);
@@ -147,24 +142,24 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
     };
   auto exec_span = obs::tracer().span("execute", "campaign");
   exec_span.arg("test", Json(test.name));
-  exec_span.arg("shards", Json(plan.batches()));
+  exec_span.arg("shards", Json(shard_ids.size()));
   const std::vector<ShardResult> results = executor().execute(work);
   exec_span.end();
 
   // --- merge --------------------------------------------------------------
-  // Deterministic: shard order, then lane order within the shard, mapped
-  // back through the plan's permutation — so any partition of the targets,
-  // run anywhere, yields the same detection flags in target order.
+  // Deterministic: shard order, then lane order within the shard — so the
+  // shards, run anywhere, yield the same detection flags in target order.
   // Timings stay slot-indexed by shard id (never completion order), so
   // the report's layout is thread- and placement-independent too.
   auto merge_span = obs::tracer().span("merge", "campaign");
   merge_span.arg("test", Json(test.name));
-  for (std::size_t shard = 0; shard < plan.batches(); ++shard) {
-    const std::size_t lo = plan.batch_start[shard];
-    const std::size_t n = plan.batch_size(shard);
+  for (std::size_t shard = 0; shard < results.size(); ++shard) {
+    const std::size_t lo = shard * batch;
+    const std::size_t n =
+        shard_span(targets, batch, static_cast<std::uint32_t>(shard)).size();
     for (std::size_t j = 0; j < n; ++j)
       if (results[shard].mask.bit(static_cast<int>(j)))
-        detected.set(plan.order[lo + j], true);
+        detected.set(lo + j, true);
   }
   if (shard_seconds)
     for (const ShardResult& r : results) shard_seconds->push_back(r.seconds);
@@ -177,7 +172,6 @@ CampaignResult CampaignEngine::run(FaultList& fl,
   CampaignResult result;
   result.universe = universe_->size();
   result.fault_model = opts_.fault_model;
-  result.stats.schedule_policy = std::string(scheduler().name());
   result.stats.executor = std::string(executor().name());
   result.stats.options_hash = campaign_options_hash(opts_);
 
@@ -185,19 +179,18 @@ CampaignResult CampaignEngine::run(FaultList& fl,
   // Ahead of any planning or execution: a full hit decodes the stored
   // deterministic payload and returns with zero shards executed — no plan,
   // no executor work, no worker spawn (SubprocessExecutor spawns lazily on
-  // its first execute(), which a hit never reaches). Masked or spec-less
-  // campaigns are not cacheable and bypass the lookup entirely.
+  // its first execute(), which a hit never reaches). Spec-less campaigns
+  // are not cacheable and bypass the lookup entirely.
   CacheKey cache_key;
   bool cacheable = false;
   if (opts_.cache) {
     result.stats.cache = "bypass";
     const std::uint64_t tests_fp = campaign_tests_fingerprint(tests);
-    if (!opts_.target_mask && tests_fp != 0) {
+    if (tests_fp != 0) {
       cacheable = true;
       cache_key.universe_fp =
           fnv1a64_word(fault_list_fingerprint(fl), universe_fingerprint(*universe_));
       cache_key.trace_fp = tests_fp;
-      cache_key.plan_hash = scheduler().fingerprint();
       cache_key.options_hash = result.stats.options_hash;
       cache_key.fault_model = std::string(to_string(opts_.fault_model));
       cache_key.lane_width = opts_.lane_width;
@@ -216,7 +209,6 @@ CampaignResult CampaignEngine::run(FaultList& fl,
               DetectState::kUndetected)
             fl.set_detected(static_cast<FaultId>(f));
         // The payload carries no stats; label this run's own context.
-        cached.stats.schedule_policy = result.stats.schedule_policy;
         cached.stats.executor = result.stats.executor;
         cached.stats.threads = resolved_threads();
         cached.stats.options_hash = result.stats.options_hash;
@@ -232,15 +224,15 @@ CampaignResult CampaignEngine::run(FaultList& fl,
   const ExecutorHealth health0 = executor().health();
 
   for (const CampaignTest& test : tests) {
-    const std::vector<FaultId> targets = campaign_targets(
-        fl, opts_.fault_dropping, opts_.target_limit, opts_.target_mask.get());
+    const std::vector<FaultId> targets =
+        campaign_targets(fl, opts_.fault_dropping, opts_.target_limit);
     CampaignResult::PerTest pt;
     pt.name = test.name;
     pt.good_cycles = test.good_cycles;
     pt.faults_targeted = targets.size();
 
-    // One timing slot lands per shard, so the scheduler's actual batch
-    // count (policies may split or regroup) is the timing delta.
+    // One timing slot lands per shard, so the batch count is the timing
+    // delta.
     const std::size_t shards_before = result.stats.shard_seconds.size();
     // wall_seconds is the sum of per-grade() monotonic clock pairs — each
     // bracket encloses exactly one plan/execute/merge pass, so every

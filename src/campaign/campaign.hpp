@@ -8,12 +8,11 @@
 // over 63-fault batches; this engine is the single entry point for all of
 // them:
 //
-//  * scheduling — the target fault list is cut into up-to-(lanes-1)-fault
-//    batches (one parallel-fault simulator pass each; 63 at the default
-//    64-lane width) by a pluggable
-//    BatchScheduler (scheduler.hpp: fixed spans by default, cone-aware
-//    grouping, profile-guided adaptive splitting);
-//  * execution — the planned shards run on a pluggable ShardExecutor
+//  * batching — the target fault list is cut into contiguous spans of
+//    batch_size faults in target order (one parallel-fault simulator pass
+//    each; 63 at the default 64-lane width): shard s grades
+//    targets[s*B, min(n, (s+1)*B));
+//  * execution — the shards run on a pluggable ShardExecutor
 //    (executor.hpp: the in-process work-stealing worker pool by default,
 //    or subprocess workers speaking a JSON line protocol — the seam any
 //    future socket/multi-host backend plugs into);
@@ -49,7 +48,6 @@
 
 namespace olfui {
 
-class BatchScheduler;  // campaign/scheduler.hpp
 class ShardExecutor;   // campaign/executor.hpp
 class ResultCache;     // campaign/cache.hpp
 
@@ -103,13 +101,8 @@ struct CampaignOptions {
   /// runners must grade the matching model — the engine only shards and
   /// merges, it never reinterprets a batch.
   FaultModel fault_model = FaultModel::kStuckAt;
-  /// Batch-formation policy (scheduler.hpp); null grades with the fixed
-  /// contiguous-span policy. Policies only regroup and resize batches —
-  /// every policy produces the identical detection set (the merge is
-  /// order-independent), so this is purely a performance knob.
-  std::shared_ptr<const BatchScheduler> scheduler;
   /// Shard-execution backend (executor.hpp); null runs shards on the
-  /// engine's in-process worker pool. Executors only decide where planned
+  /// engine's in-process worker pool. Executors only decide where the
   /// shards run — the merge is slot-indexed by shard id, so every backend
   /// produces the identical detection set.
   std::shared_ptr<ShardExecutor> executor;
@@ -128,24 +121,18 @@ struct CampaignOptions {
   /// Grade-result cache (cache.hpp). Before planning anything, run()
   /// looks the whole campaign up by CacheKey — a hit decodes the stored
   /// deterministic payload and returns with ZERO shards executed; a miss
-  /// grades normally and stores. Null = off. Runs that are not cacheable
-  /// (a target_mask is set, or any test lacks a wire spec) bypass the
-  /// cache (stats.cache = "bypass").
+  /// grades normally and stores. Null = off. A run in which any test lacks
+  /// a wire spec is not cacheable and bypasses the cache
+  /// (stats.cache = "bypass").
   std::shared_ptr<ResultCache> cache;
-  /// Restricts grading to the set bits of this fault mask (on top of the
-  /// usual testable/undetected filtering) — the incremental re-grade
-  /// seam: seed_from_previous splices unaffected detections and re-grades
-  /// only the masked set. Null = all faults. Masked runs bypass the cache
-  /// (their result does not describe the full campaign).
-  std::shared_ptr<const BitVec> target_mask;
 };
 
 /// Campaign-wide outcome. Everything except `stats` is a pure function of
-/// (universe, fault list, tests, batch_size, scheduling policy) — thread
-/// count never shows through, which operator== checks (it deliberately
-/// ignores the nondeterministic runtime stats). The scheduling policy
-/// shows through only via tests[].batches (policies regroup work); the
-/// detection payload (`detected`, classes, coverage) is policy-invariant.
+/// (universe, fault list, tests, batch_size) — thread count never shows
+/// through, which operator== checks (it deliberately ignores the
+/// nondeterministic runtime stats). The batch size shows through only via
+/// tests[].batches; the detection payload (`detected`, classes, coverage)
+/// is invariant under it.
 struct CampaignResult {
   struct PerTest {
     std::string name;
@@ -181,14 +168,11 @@ struct CampaignResult {
     std::size_t faults_simulated = 0;  ///< fault x test pairs graded
     std::size_t batches = 0;
     double faults_per_second = 0;
-    /// BatchScheduler::name() of the policy that formed the batches.
-    std::string schedule_policy = "fixed";
     /// ShardExecutor::name() of the backend that ran the shards.
     std::string executor = "inproc";
     /// Wall time of every shard, all tests concatenated in shard index
-    /// order (test boundaries recoverable from tests[].batches). Early
-    /// exit skews shard cost, so this is the profile input for
-    /// AdaptiveScheduler's hot-shard splitting (scheduler.hpp).
+    /// order (test boundaries recoverable from tests[].batches): where the
+    /// grading time went, shard by shard.
     std::vector<double> shard_seconds;
     // Executor recovery odometer for this run (ExecutorHealth delta
     // around run()): how the result was obtained, never what it is — all
@@ -198,20 +182,13 @@ struct CampaignResult {
     std::size_t timeouts = 0;        ///< deadline/progress-rule expiries
     std::size_t degraded_shards = 0; ///< shards graded by the fallback
     /// Result-cache disposition of this run: "off" (no cache configured),
-    /// "bypass" (cache configured but the run is not cacheable: masked
-    /// targets or a spec-less test), "miss" (graded and stored), "hit"
-    /// (decoded from the cache, zero shards executed), or "partial"
-    /// (incremental re-grade via seed_from_previous).
+    /// "bypass" (cache configured but a test has no spec), "miss" (graded
+    /// and stored), or "hit" (decoded from the cache, zero shards
+    /// executed).
     std::string cache = "off";
     /// campaign_options_hash() of the payload-affecting options (also the
     /// cache key's options component).
     std::uint64_t options_hash = 0;
-    /// Partial-hit bookkeeping (zero outside "partial" runs): detections
-    /// spliced from the previous result without simulating, faults
-    /// re-graded, and re-graded share of the eligible universe.
-    std::size_t cache_spliced = 0;
-    std::size_t regraded_faults = 0;
-    double regrade_fraction = 0;
   };
 
   std::size_t universe = 0;
@@ -229,6 +206,15 @@ struct CampaignResult {
 
   bool operator==(const CampaignResult& o) const;
 };
+
+/// Batch arithmetic shared by the engine, the executors and the worker:
+/// `targets` faults cut into spans of `batch_size` make
+/// ceil(targets / batch_size) shards, and shard s is
+/// targets[s*B, min(n, (s+1)*B)).
+std::size_t shard_count(std::size_t targets, std::size_t batch_size);
+std::span<const FaultId> shard_span(std::span<const FaultId> targets,
+                                    std::size_t batch_size,
+                                    std::uint32_t shard);
 
 /// Wraps a stateless, thread-safe grading function (e.g. a const
 /// ScanTestRunner kernel) as a CampaignTest: every worker's runner calls
@@ -253,13 +239,13 @@ class CampaignEngine {
   int resolved_threads() const;
 
   /// The deterministic parallel grading primitive, an explicit
-  /// plan -> execute -> merge pipeline: forms batches through the
-  /// configured BatchScheduler, hands the validated plan and every shard
-  /// id to the configured ShardExecutor, and merges the returned masks
-  /// back to target order, returning per-target detection flags (aligned
-  /// with `targets`). Flows with their own between-test bookkeeping
-  /// (e.g. scan ATPG's equivalence-class propagation) build on this
-  /// directly. With `shard_seconds`, each shard's wall time is appended
+  /// plan -> execute -> merge pipeline: cuts `targets` into batch_size
+  /// spans in target order, hands every shard id to the configured
+  /// ShardExecutor, and merges the returned masks back, returning
+  /// per-target detection flags (aligned with `targets`). A caller that
+  /// wants batch-mates grouped by some key sorts `targets` first. Flows
+  /// with their own between-test bookkeeping (e.g. scan ATPG's
+  /// equivalence-class propagation) build on this directly. With `shard_seconds`, each shard's wall time is appended
   /// in shard index order.
   BitVec grade(std::span<const FaultId> targets, const CampaignTest& test,
                const CampaignProgress& progress = {},
@@ -272,7 +258,6 @@ class CampaignEngine {
                      const CampaignProgress& progress = {}) const;
 
  private:
-  const BatchScheduler& scheduler() const;
   ShardExecutor& executor() const;
 
   const FaultUniverse* universe_;

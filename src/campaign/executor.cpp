@@ -154,16 +154,15 @@ std::vector<ShardResult> InProcessExecutor::execute(const ShardWork& work) {
     std::size_t idx;
     while (queue.pop(w, idx)) {
       const std::uint32_t shard = work.shards[idx];
-      const std::size_t lo = work.plan.batch_start[shard];
-      const std::size_t n = work.plan.batch_size(shard);
+      const std::span<const FaultId> faults = work.shard_faults(shard);
+      const std::size_t n = faults.size();
       try {
         // Runner construction stays outside the timed span: shard_seconds
-        // is the adaptive scheduler's profile input and must measure
-        // grading cost, not one-time per-worker setup.
+        // reports grading cost, not one-time per-worker setup.
         if (!runner) runner = work.test.make_runner();
         const std::int64_t s0 = tracing ? obs::tracer().now_us() : 0;
         const auto t0 = std::chrono::steady_clock::now();
-        results[idx].mask = runner->run_batch(work.planned.subspan(lo, n));
+        results[idx].mask = runner->run_batch(faults);
         results[idx].seconds = seconds_since(t0);
         if (obs::metrics().enabled())
           obs::metrics()
@@ -222,18 +221,12 @@ Json shard_request_to_json(const ShardWork& work) {
   doc.set("test", work.test.name);
   doc.set("fault_model", std::string(fault_model_name(work.fault_model)));
   doc.set("spec", work.test.spec);
-  // The default width stays implicit so width-64 requests are readable by
-  // pre-width workers unchanged.
   if (work.lane_width != 64) doc.set("lanes", work.lane_width);
-  doc.set("plan", batch_plan_to_json(work.plan, "wire"));
+  doc.set("batch_size", work.batch_size);
   Json targets = Json::array();
   for (FaultId f : work.targets)
     targets.push_back(static_cast<std::size_t>(f));
   doc.set("targets", std::move(targets));
-  Json shards = Json::array();
-  for (std::uint32_t s : work.shards)
-    shards.push_back(static_cast<std::size_t>(s));
-  doc.set("shards", std::move(shards));
   return doc;
 }
 
@@ -247,29 +240,32 @@ ShardRequest shard_request_from_json(const Json& doc) {
   ShardRequest req;
   req.test = doc.at("test").as_string();
   req.telemetry = doc.contains("telemetry") && doc.at("telemetry").as_bool();
-  req.dynamic = doc.contains("dynamic") && doc.at("dynamic").as_bool();
   req.heartbeat = doc.contains("heartbeat") && doc.at("heartbeat").as_bool();
   req.fault_model = fault_model_from_name(doc.at("fault_model"));
   req.spec = doc.at("spec");
-  if (doc.contains("lanes")) {  // absent = 64, the pre-width protocol
+  if (doc.contains("lanes")) {  // absent = 64
     const Json& lanes = doc.at("lanes");
     req.lanes = lanes.as_int();
     if (req.lanes != 64 && req.lanes != 128 && req.lanes != 256)
       throw JsonError("shard request: lanes must be 64, 128 or 256",
                       lanes.source_offset());
     // A request wider than this build instantiates is deterministic
-    // misconfiguration — refuse it before touching the plan, mirroring
+    // misconfiguration — refuse it before grading anything, mirroring
     // the coordinator-side max_lanes check at hello.
     if (!lane_width_supported(req.lanes))
       throw JsonError("shard request: lanes exceed this worker's widest "
                       "kernel (" + std::to_string(kMaxLaneWidth) + ")",
                       lanes.source_offset());
   }
-  // The plan is validated against the request's width: a batch over
-  // lanes - 1 faults cannot be graded in one pass and must be refused,
-  // never truncated.
-  req.plan = batch_plan_from_json(
-      doc.at("plan"), static_cast<std::size_t>(req.lanes - 1));
+  // A span over lanes - 1 faults cannot be graded in one pass and must be
+  // refused, never truncated.
+  const Json& batch = doc.at("batch_size");
+  req.batch_size = batch.as_size();
+  if (req.batch_size < 1 ||
+      req.batch_size > static_cast<std::size_t>(req.lanes - 1))
+    throw JsonError("shard request: batch_size must be in [1, " +
+                        std::to_string(req.lanes - 1) + "]",
+                    batch.source_offset());
   const Json& targets = doc.at("targets");
   req.targets.reserve(targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -280,24 +276,6 @@ ShardRequest shard_request_from_json(const Json& doc) {
                       node.source_offset());
     req.targets.push_back(static_cast<FaultId>(f));
   }
-  if (req.plan.order.size() != req.targets.size())
-    throw JsonError("shard request: plan does not cover the targets",
-                    doc.at("plan").source_offset());
-  const Json& shards = doc.at("shards");
-  req.shards.reserve(shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const Json& node = shards.at(i);
-    const std::size_t s = node.as_size();
-    if (s >= req.plan.batches())
-      throw JsonError("shard request: shard id out of plan range",
-                      node.source_offset());
-    req.shards.push_back(static_cast<std::uint32_t>(s));
-  }
-  // Gather once here (the plan is validated above, inside
-  // batch_plan_from_json): every consumer grades plan-ordered spans.
-  req.planned.resize(req.targets.size());
-  for (std::size_t i = 0; i < req.targets.size(); ++i)
-    req.planned[i] = req.targets[req.plan.order[i]];
   return req;
 }
 
@@ -432,21 +410,19 @@ int serve_worker(std::FILE* in, std::FILE* out, WorkerWorkload& workload,
           break;
       }
     }
-    const std::size_t lo = req.plan.batch_start[shard];
-    const std::size_t n = req.plan.batch_size(shard);
-    auto shard_span = obs::tracer().span("shard", "worker");
-    shard_span.arg("shard", Json(static_cast<std::size_t>(shard)));
-    shard_span.arg("test", Json(req.test));
-    shard_span.arg("faults", Json(n));
+    const std::span<const FaultId> faults = req.shard_faults(shard);
+    auto span = obs::tracer().span("shard", "worker");
+    span.arg("shard", Json(static_cast<std::size_t>(shard)));
+    span.arg("test", Json(req.test));
+    span.arg("faults", Json(faults.size()));
     const auto t0 = std::chrono::steady_clock::now();
-    const LaneMask mask =
-        workload.run_batch(req, std::span(req.planned).subspan(lo, n));
+    const LaneMask mask = workload.run_batch(req, faults);
     Json reply = Json::object();
     reply.set("type", "shard");
     reply.set("shard", static_cast<std::size_t>(shard));
     reply.set("mask", lane_mask_to_json(mask));
     reply.set("seconds", seconds_since(t0));
-    shard_span.end();
+    span.end();
     return write_line(out, reply);
   };
 
@@ -463,38 +439,35 @@ int serve_worker(std::FILE* in, std::FILE* out, WorkerWorkload& workload,
       }
       // Fingerprinting first forces the workload's one-time state rebuild
       // (netlist, reference trace) before any shard is timed: the
-      // per-shard seconds are the adaptive scheduler's profile input and
-      // must measure grading, not setup.
+      // per-shard seconds measure grading, not setup.
       auto rebuild_span = obs::tracer().span("rebuild_state", "worker");
       rebuild_span.arg("test", Json(req.test));
       const std::uint64_t state_fp = workload.state_fingerprint(req);
       rebuild_span.end();
-      for (std::uint32_t shard : req.shards)
-        if (!grade_one(req, shard)) return 1;
-      if (req.dynamic) {
-        // Pull dispatch: keep draining grant lines until the final one.
-        // EOF here is a coordinator gone mid-request — clean shutdown,
-        // same as EOF between requests.
-        bool final_grant = false;
-        while (!final_grant) {
-          if (!read_line(in, line)) return 0;
-          if (line.find_first_not_of(" \t") == std::string::npos) continue;
-          const Json grant = Json::parse(line);
-          const std::string gtype = grant.at("type").as_string();
-          if (gtype != "grant")
-            throw JsonError("worker: expected a grant, got '" + gtype + "'",
-                            grant.at("type").source_offset());
-          const Json& granted = grant.at("shards");
-          for (std::size_t i = 0; i < granted.size(); ++i) {
-            const Json& node = granted.at(i);
-            const std::size_t s = node.as_size();
-            if (s >= req.plan.batches())
-              throw JsonError("grant: shard id out of plan range",
-                              node.source_offset());
-            if (!grade_one(req, static_cast<std::uint32_t>(s))) return 1;
-          }
-          final_grant = grant.contains("final") && grant.at("final").as_bool();
+      // Pull dispatch: drain grant lines until the final one. EOF here is
+      // a coordinator gone mid-request — clean shutdown, same as EOF
+      // between requests.
+      bool final_grant = false;
+      while (!final_grant) {
+        if (!read_line(in, line)) return 0;
+        if (line.find_first_not_of(" \t") == std::string::npos) continue;
+        const Json grant = Json::parse(line);
+        const std::string gtype = grant.at("type").as_string();
+        if (gtype != "grant")
+          throw JsonError("worker: expected a grant, got '" + gtype + "'",
+                          grant.at("type").source_offset());
+        const Json& granted = grant.at("shards");
+        for (std::size_t i = 0; i < granted.size(); ++i) {
+          const Json& node = granted.at(i);
+          const std::size_t s = node.as_size();
+          if (s >= req.num_shards())
+            throw JsonError("grant: shard id " + std::to_string(s) +
+                                " out of range (" +
+                                std::to_string(req.num_shards()) + " shards)",
+                            node.source_offset());
+          if (!grade_one(req, static_cast<std::uint32_t>(s))) return 1;
         }
+        final_grant = grant.contains("final") && grant.at("final").as_bool();
       }
       Json done = Json::object();
       done.set("type", "done");
@@ -837,11 +810,9 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
   std::vector<char> answered(work.shards.size(), 0);
   std::size_t unanswered = work.shards.size();
 
-  // One preamble per worker per execute(): the full O(targets) request
-  // with an empty initial grant — all work flows through grant lines.
+  // One preamble per worker per execute(): the full O(targets) request;
+  // all work flows through grant lines.
   Json request = shard_request_to_json(work);
-  request.set("shards", Json::array());
-  request.set("dynamic", Json(true));
   request.set("heartbeat", Json(true));
   // Side-band spans/counters only when someone is listening; the field's
   // absence keeps the wire bytes identical to pre-telemetry runs.
@@ -855,8 +826,7 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
   };
   // Every greeted worker gets the preamble, granted work or not: it
   // rebuilds state and replies done, so fingerprint cross-checks (and
-  // telemetry lanes) cover the whole fleet exactly as v1's static
-  // striping did.
+  // telemetry lanes) cover the whole fleet.
   const auto send_preamble = [&](std::size_t i) {
     Worker& w = procs_[i];
     if (w.preamble_sent) return true;
@@ -901,14 +871,12 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
           w.clock_offset_us =
               obs::tracer().now_us() -
               static_cast<std::int64_t>(reply.at("ts_us").as_number());
-        // Widest kernel the worker binary instantiates (absent = 64, the
-        // pre-width protocol). A worker too narrow for this campaign's
-        // lane width is deterministic misconfiguration — every respawn
-        // of the same binary would fail the same way, so reject the
-        // fleet now, exactly like a universe-size mismatch.
-        w.max_lanes = reply.contains("max_lanes")
-                          ? reply.at("max_lanes").as_int()
-                          : 64;
+        // Widest kernel the worker binary instantiates. A worker too
+        // narrow for this campaign's lane width is deterministic
+        // misconfiguration — every respawn of the same binary would fail
+        // the same way, so reject the fleet now, exactly like a
+        // universe-size mismatch.
+        w.max_lanes = reply.at("max_lanes").as_int();
         if (w.max_lanes < work.lane_width)
           fatal(i, "instantiates at most " + std::to_string(w.max_lanes) +
                        " lanes, campaign needs " +
@@ -971,7 +939,7 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
         w.deadline_armed = false;
       else
         w.deadline = Clock::now() + duration_from_seconds(timeout);
-      if (work.progress) work.progress(work.plan.batch_size(shard));
+      if (work.progress) work.progress(work.shard_faults(shard).size());
       return;
     }
     if (type == "done") {
@@ -1103,9 +1071,8 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
       auto span = obs::tracer().span("degrade", "executor");
       span.arg("shards", Json(remaining.size()));
       if (!fallback_) fallback_ = std::make_unique<InProcessExecutor>(0);
-      const ShardWork sub{work.plan,
-                          work.targets,
-                          work.planned,
+      const ShardWork sub{work.targets,
+                          work.batch_size,
                           std::span<const std::uint32_t>(remaining),
                           work.test,
                           work.fault_model,

@@ -1,18 +1,17 @@
 // olfui/campaign: the shard-execution seam (plan -> execute -> merge).
 //
 // CampaignEngine::grade used to hard-wire shard execution onto its own
-// worker pool; the executor turns "who runs a planned shard, where" into a
-// policy behind one interface, the same move the scheduler made for batch
-// formation. The engine plans (BatchScheduler), hands the validated plan
-// plus shard ids to a ShardExecutor, and merges the returned per-shard
-// detection masks (LaneMask — up to kMaxLaneWidth-1 faults per shard)
-// back to target order — the merge is slot-indexed by shard id, so the
-// result is bit-identical no matter where (or in what order) the shards
-// actually ran.
+// worker pool; the executor turns "who runs a shard, where" into a policy
+// behind one interface. The engine cuts the targets into contiguous
+// batch_size spans, hands the shard ids to a ShardExecutor, and merges
+// the returned per-shard detection masks (LaneMask — up to
+// kMaxLaneWidth-1 faults per shard) back to target order — the merge is
+// slot-indexed by shard id, so the result is bit-identical no matter
+// where (or in what order) the shards actually ran.
 //
 // Two executors ship:
-//  * InProcessExecutor — the pre-seam behaviour: a persistent CV-parked
-//    WorkerPool draining a work-stealing ShardQueue in this process;
+//  * InProcessExecutor — a persistent CV-parked WorkerPool draining a
+//    work-stealing ShardQueue in this process;
 //  * SubprocessExecutor — a *supervised* fleet of worker child processes
 //    (olfui_cli --worker) speaking a JSON line protocol over their
 //    stdin/stdout. Shards are dispatched pull-based from a
@@ -29,64 +28,61 @@
 //    FleetOptions::min_workers the remaining shards degrade to an
 //    in-process fallback with a loud warning. Because the merge is
 //    placement-independent, every recovery path is bit-identical to an
-//    undisturbed run by construction. This is the coordinator shape any
-//    future socket/multi-host backend plugs into: the wire format is the
-//    executor's, not the transport's.
+//    undisturbed run by construction.
 //
-// Wire protocol v2 (one JSON document per line, both directions):
+// Wire protocol v3 (one JSON document per line, both directions).
+// Coordinator and worker are always the same binary, so the protocol
+// carries no back-compat forms:
 //
 //   worker -> coordinator on spawn:
-//     {"type":"hello","protocol":2,"ts_us":T,"max_lanes":W?}
+//     {"type":"hello","protocol":3,"ts_us":T,"max_lanes":W}
 //   coordinator -> worker, once per grade() call per worker:
-//     {"type":"grade","test":NAME,"fault_model":"stuck_at"|"transition",
-//      "spec":<CampaignTest::spec>,"plan":<batch_plan_to_json>,
-//      "targets":[fault ids in target order],"shards":[initial grant],
-//      "lanes":W?,"dynamic":true?,"heartbeat":true?,"telemetry":true?}
-//   coordinator -> worker while dynamic (pull dispatch):
+//     {"type":"grade","protocol":3,"test":NAME,
+//      "fault_model":"stuck_at"|"transition","spec":<CampaignTest::spec>,
+//      "lanes":W?,"batch_size":B,"targets":[fault ids in target order],
+//      "heartbeat":true?,"telemetry":true?}
+//   coordinator -> worker (pull dispatch):
 //     {"type":"grant","shards":[shard ids]}        more work
 //     {"type":"grant","shards":[],"final":true}    no more work -> reply done
 //   worker -> coordinator per granted shard (heartbeat first when asked):
 //     {"type":"heartbeat","shard":ID}
 //     {"type":"shard","shard":ID,"mask":["16-hex-word",...],"seconds":S}
-//   worker -> coordinator once per grade request, after the final grant
-//   (immediately, in non-dynamic mode):
+//   worker -> coordinator once per grade request, after the final grant:
 //     {"type":"done","test":NAME,"universe":N,"state_fp":"16-hex-word",
 //      "telemetry":{"spans":[...],"counters":{...}}?}
 //   worker -> coordinator on any failure (the worker then exits 1):
 //     {"type":"error","message":TEXT}
 //
-// Fields marked "?" are optional. "max_lanes" is the widest packed kernel
-// the worker binary instantiates (absent = 64, the pre-width build);
-// "lanes" is the width the coordinator graded its plan for (absent = 64) —
-// a coordinator rejects, as deterministic misconfiguration, any worker
-// whose max_lanes is below the campaign's lane width, exactly like a
-// universe-size mismatch, and a worker rejects a request whose lanes
-// exceed what it instantiates or whose plan carries batches over lanes-1
-// faults. "mask" is a fixed-order array of 16-hex-digit words, least
-// significant word first, LaneMask::kWords long (a lone string is
-// accepted on parse for pre-width senders). "dynamic" switches the request to
-// grant-driven dispatch; absent, the request is self-contained v1 style
-// (grade the listed shards, reply done) — tests and one-shot tools keep
-// that simpler shape. "heartbeat" asks the worker to announce each shard
-// before grading it, which is what lets the coordinator tell "slow shard,
-// still alive" from "wedged"; "telemetry" asks for side-band
-// spans/counters on done; "ts_us" is the worker's monotonic clock at
-// hello (the coordinator derives a per-worker clock offset so merged
-// spans share its timeline). None of the optional fields ever influences
-// grading, so the detection payload is bit-identical with them on or off.
+// Fields marked "?" are optional. Shard s of a request is
+// targets[s*B, min(n, (s+1)*B)) — the same spans the engine cut, so the
+// request carries B, never a per-target layout. "max_lanes" is the widest
+// packed kernel the worker binary instantiates; "lanes" is the width the
+// coordinator cut its spans for (absent = 64). A coordinator rejects, as
+// deterministic misconfiguration, any worker whose max_lanes is below the
+// campaign's lane width, exactly like a universe-size mismatch; a worker
+// rejects a request whose lanes exceed what it instantiates, whose
+// batch_size is outside [1, lanes-1], or a grant naming a shard at or
+// past ceil(n/B). "mask" is a fixed-order array of 16-hex-digit words,
+// least significant word first, LaneMask::kWords long. "heartbeat" asks
+// the worker to announce each shard before grading it, which is what lets
+// the coordinator tell "slow shard, still alive" from "wedged";
+// "telemetry" asks for side-band spans/counters on done; "ts_us" is the
+// worker's monotonic clock at hello (the coordinator derives a per-worker
+// clock offset so merged spans share its timeline). None of the optional
+// fields ever influences grading, so the detection payload is
+// bit-identical with them on or off.
 //
-// Determinism contract: a worker grades exactly the fault spans the plan
-// dictates (it re-gathers targets through batch_plan_from_json), lane
-// semantics are the runner's, and the coordinator re-merges by shard id —
-// so coordinator + N subprocess workers produce the same detection set as
-// the in-process pool, bit for bit, *including* runs where workers
-// crashed, stalled, or were killed mid-shard: a re-executed shard grades
-// the same faults with the same kernel and lands in the same slot. The
-// "done" line carries the worker's rebuilt universe size (and state
-// fingerprint, cross-checked against spec.state_fp on the worker) so a
-// workload mismatch fails loudly instead of grading garbage — that class
-// of error is deterministic misconfiguration, not an infrastructure
-// fault, and is never retried.
+// Determinism contract: a worker grades exactly the spans the request's
+// batch_size dictates, lane semantics are the runner's, and the
+// coordinator re-merges by shard id — so coordinator + N subprocess
+// workers produce the same detection set as the in-process pool, bit for
+// bit, *including* runs where workers crashed, stalled, or were killed
+// mid-shard: a re-executed shard grades the same faults with the same
+// kernel and lands in the same slot. The "done" line carries the worker's
+// rebuilt universe size (and state fingerprint, cross-checked against
+// spec.state_fp on the worker) so a workload mismatch fails loudly
+// instead of grading garbage — that class of error is deterministic
+// misconfiguration, not an infrastructure fault, and is never retried.
 #pragma once
 
 #include <chrono>
@@ -102,17 +98,18 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "campaign/scheduler.hpp"
 #include "campaign/worker_pool.hpp"
 
 namespace olfui {
 
 /// Wire-format revision; bumped on any incompatible protocol change.
-/// v2 added pull-based dispatch (dynamic grants) and heartbeats.
-inline constexpr int kWorkerProtocolVersion = 2;
+/// v3 replaced the plan object with batch_size and made grants the only
+/// dispatch path.
+inline constexpr int kWorkerProtocolVersion = 3;
 
 /// One shard's outcome: detection mask (bit i = i-th fault of the batch
-/// detected) plus the grading wall time (the adaptive-profile input).
+/// detected) plus the grading wall time (reported per shard, and the
+/// input of the subprocess fleet's derived deadline).
 struct ShardResult {
   LaneMask mask;
   double seconds = 0;
@@ -121,9 +118,10 @@ struct ShardResult {
 /// Everything one grade() call hands its executor. References and spans
 /// point into the engine's frame and stay valid for the execute() call.
 struct ShardWork {
-  const BatchPlan& plan;              ///< validated by the engine
-  std::span<const FaultId> targets;   ///< in original target order
-  std::span<const FaultId> planned;   ///< planned[i] = targets[plan.order[i]]
+  std::span<const FaultId> targets;  ///< in target order
+  /// Faults per shard (the engine's clamped CampaignOptions value): shard
+  /// s grades shard_span(targets, batch_size, s).
+  std::size_t batch_size = 63;
   std::span<const std::uint32_t> shards;  ///< shard ids to execute
   const CampaignTest& test;
   FaultModel fault_model = FaultModel::kStuckAt;
@@ -138,10 +136,14 @@ struct ShardWork {
   /// SubprocessExecutor. Strictly a liveness knob: results are
   /// bit-identical whatever deadline fires.
   double shard_timeout = 0;
-  /// Packed kernel width the plan was formed for (CampaignOptions::
-  /// lane_width, already resolved). Bounds batch sizes at lane_width - 1
+  /// Packed kernel width the spans were cut for (CampaignOptions::
+  /// lane_width, already resolved). Bounds batch_size at lane_width - 1
   /// and is forwarded to remote workers as the request's "lanes" field.
   int lane_width = 64;
+
+  std::span<const FaultId> shard_faults(std::uint32_t shard) const {
+    return shard_span(targets, batch_size, shard);
+  }
 };
 
 /// Recovery-path odometer, cumulative over an executor's lifetime. The
@@ -288,8 +290,8 @@ class SubprocessExecutor final : public ShardExecutor {
     int failures = 0;        ///< consecutive failures (backoff exponent)
     Clock::time_point respawn_at{};
     bool respawn_scheduled = false;
-    /// Widest packed kernel the worker announced at hello (absent = 64).
-    /// A worker narrower than the campaign's lane width is rejected as
+    /// Widest packed kernel the worker announced at hello. A worker
+    /// narrower than the campaign's lane width is rejected as
     /// deterministic misconfiguration before any grant.
     int max_lanes = 64;
   };
@@ -340,31 +342,32 @@ struct ShardRequest {
   std::string test;
   FaultModel fault_model = FaultModel::kStuckAt;
   Json spec;  ///< CampaignTest::spec, opaque to the protocol
-  BatchPlan plan;
-  std::vector<FaultId> targets;          ///< original target order
-  std::vector<std::uint32_t> shards;     ///< shard ids to grade (first grant)
-  /// Targets gathered through the plan (filled by shard_request_from_json
-  /// after validating the plan): planned[i] = targets[plan.order[i]].
-  std::vector<FaultId> planned;
+  /// Faults per shard; validated to [1, lanes - 1].
+  std::size_t batch_size = 63;
+  std::vector<FaultId> targets;  ///< target order
   /// Coordinator asked for spans/counters on the done reply (side-band;
   /// never influences grading).
   bool telemetry = false;
-  /// Pull dispatch: after the initial shards, await grant lines until a
-  /// final one, then reply done.
-  bool dynamic = false;
   /// Announce each shard with a heartbeat line before grading it.
   bool heartbeat = false;
-  /// Packed width the coordinator graded its plan for (absent = 64). The
-  /// parse rejects requests wider than this build instantiates and plans
-  /// whose batches exceed lanes - 1 faults.
+  /// Packed width the coordinator cut its spans for (absent = 64). The
+  /// parse rejects requests wider than this build instantiates.
   int lanes = 64;
+
+  std::size_t num_shards() const {
+    return shard_count(targets.size(), batch_size);
+  }
+  std::span<const FaultId> shard_faults(std::uint32_t shard) const {
+    return shard_span(targets, batch_size, shard);
+  }
 };
 
+/// The request preamble for `work` (its shard ids travel as grants).
 Json shard_request_to_json(const ShardWork& work);
-/// Parses and validates a grade request (plan validated against the
-/// target count, shard ids bounds-checked); fills `planned`. Throws
-/// JsonError on malformed documents, with the offending field's byte
-/// offset in the request line.
+/// Parses and validates a grade request (protocol version, lanes,
+/// batch_size in [1, lanes - 1], fault ids). Throws JsonError on
+/// malformed documents, with the offending field's byte offset in the
+/// request line.
 ShardRequest shard_request_from_json(const Json& doc);
 
 // ---------------------------------------------------------------------------
@@ -414,8 +417,8 @@ class WorkerWorkload {
   /// the coordinator can reject a mismatched worker).
   virtual std::size_t universe_size() = 0;
   /// Grades one batch of the request's test; bit i = faults[i] detected.
-  /// Batches arrive gathered in plan order. Implementations should cache
-  /// per-test state across requests — workers are persistent.
+  /// Implementations should cache per-test state across requests —
+  /// workers are persistent.
   virtual LaneMask run_batch(const ShardRequest& request,
                              std::span<const FaultId> faults) = 0;
   /// Fingerprint of the rebuilt per-test state (e.g.
@@ -425,8 +428,8 @@ class WorkerWorkload {
 };
 
 /// Serves the worker half of the protocol on (in, out) until EOF: hello,
-/// then one reply stream per request (grant-driven when the request is
-/// dynamic). Returns 0 on clean shutdown, 1 after answering a failure
+/// then per request one reply per granted shard and a done after the
+/// final grant. Returns 0 on clean shutdown, 1 after answering a failure
 /// with an "error" document. `chaos` injects deterministic failures (see
 /// ChaosSpec); null reads OLFUI_CHAOS from the environment, so chaos
 /// reaches subprocess workers without any argv plumbing. olfui_cli

@@ -1,7 +1,5 @@
 #include "campaign/report.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -93,18 +91,8 @@ Json lane_mask_to_json(const LaneMask& mask) {
 
 LaneMask lane_mask_from_json(const Json& doc) {
   LaneMask mask;
-  if (doc.kind() == Json::Kind::kString) {
-    // Legacy single-word form: the low word only (a 63-fault shard).
-    const std::string& text = doc.as_string();
-    if (text.size() != 16)
-      throw JsonError("lane mask: bad word length", doc.source_offset());
-    std::uint64_t w = 0;
-    for (std::size_t i = 0; i < text.size(); ++i)
-      w = (w << 4) | hex_nibble(text[i], doc.source_offset() + i);
-    mask.set_word(0, w);
-    return mask;
-  }
-  if (doc.size() != static_cast<std::size_t>(LaneMask::kWords))
+  if (!doc.is_array() ||
+      doc.size() != static_cast<std::size_t>(LaneMask::kWords))
     throw JsonError("lane mask: expected " +
                         std::to_string(LaneMask::kWords) + " hex words",
                     doc.source_offset());
@@ -160,7 +148,6 @@ Json campaign_result_to_json(const CampaignResult& result,
     stats.set("faults_simulated", result.stats.faults_simulated);
     stats.set("batches", result.stats.batches);
     stats.set("faults_per_second", result.stats.faults_per_second);
-    stats.set("schedule_policy", result.stats.schedule_policy);
     stats.set("executor", result.stats.executor);
     stats.set("respawns", result.stats.respawns);
     stats.set("shard_reissues", result.stats.shard_reissues);
@@ -170,15 +157,10 @@ Json campaign_result_to_json(const CampaignResult& result,
     for (double s : result.stats.shard_seconds) shard_seconds.push_back(s);
     stats.set("shard_seconds", std::move(shard_seconds));
     // Cache provenance: how this result was produced ("off" / "bypass" /
-    // "miss" / "hit" / "partial"), the canonical options hash it was keyed
-    // under, and — for partial (incremental) runs — the splice/regrade
-    // accounting.
+    // "miss" / "hit") and the canonical options hash it was keyed under.
     Json cache = Json::object();
     cache.set("state", result.stats.cache);
     cache.set("options_hash", word_to_hex(result.stats.options_hash));
-    cache.set("spliced", result.stats.cache_spliced);
-    cache.set("regraded_faults", result.stats.regraded_faults);
-    cache.set("regrade_fraction", result.stats.regrade_fraction);
     stats.set("cache", std::move(cache));
     doc.set("stats", std::move(stats));
   }
@@ -194,11 +176,13 @@ CampaignResult campaign_result_from_json(const Json& doc) {
   CampaignResult result;
   result.universe = doc.at("universe").as_size();
   if (doc.contains("fault_model")) {  // absent in pre-TDF dumps: stuck-at
-    const std::string model = doc.at("fault_model").as_string();
+    const Json& node = doc.at("fault_model");
+    const std::string& model = node.as_string();
     if (model == to_string(FaultModel::kTransition))
       result.fault_model = FaultModel::kTransition;
     else if (model != to_string(FaultModel::kStuckAt))
-      throw JsonError("campaign: unknown fault_model '" + model + "'", 0);
+      throw JsonError("campaign: unknown fault_model '" + model + "'",
+                      node.source_offset());
   }
   result.total_new_detections = doc.at("total_new_detections").as_size();
   result.raw_coverage = doc.at("raw_coverage").as_number();
@@ -234,8 +218,6 @@ CampaignResult campaign_result_from_json(const Json& doc) {
     result.stats.faults_simulated = stats.at("faults_simulated").as_size();
     result.stats.batches = stats.at("batches").as_size();
     result.stats.faults_per_second = stats.at("faults_per_second").as_number();
-    if (stats.contains("schedule_policy"))  // absent in pre-scheduler dumps
-      result.stats.schedule_policy = stats.at("schedule_policy").as_string();
     if (stats.contains("executor"))  // absent in pre-executor dumps
       result.stats.executor = stats.at("executor").as_string();
     // Recovery counters: absent in pre-supervision dumps.
@@ -257,9 +239,6 @@ CampaignResult campaign_result_from_json(const Json& doc) {
       result.stats.cache = cache.at("state").as_string();
       result.stats.options_hash =
           word_from_hex(cache.at("options_hash").as_string());
-      result.stats.cache_spliced = cache.at("spliced").as_size();
-      result.stats.regraded_faults = cache.at("regraded_faults").as_size();
-      result.stats.regrade_fraction = cache.at("regrade_fraction").as_number();
     }
   }
   return result;
@@ -300,12 +279,15 @@ ReferenceTrace reference_trace_from_json(const Json& doc) {
     const Json& cycles = c.at("cycle");
     const Json& values = c.at("value");
     if (cycles.size() != values.size())
-      throw JsonError("reference_trace: run arrays disagree", 0);
+      throw JsonError("reference_trace: run arrays disagree",
+                      values.source_offset());
     ReferenceTrace::Column col;
     for (std::size_t i = 0; i < cycles.size(); ++i) {
-      const std::size_t start = cycles.at(i).as_size();
+      const Json& node = cycles.at(i);
+      const std::size_t start = node.as_size();
       if (start > 0xFFFFFFFFull)
-        throw JsonError("reference_trace: run start overflows", 0);
+        throw JsonError("reference_trace: run start overflows",
+                        node.source_offset());
       col.cycle.push_back(static_cast<std::uint32_t>(start));
       col.value.push_back(word_from_hex(values.at(i).as_string()));
     }
@@ -313,129 +295,6 @@ ReferenceTrace reference_trace_from_json(const Json& doc) {
   }
   trace.validate();  // column count, run ordering and range
   return trace;
-}
-
-namespace {
-
-/// Per-batch signature-union popcounts under `plan` — the shared core of
-/// the cone-overlap dump and the per-width saturation view.
-std::vector<std::size_t> batch_union_bits(const BatchPlan& plan,
-                                          std::span<const ConeSig> sigs) {
-  std::vector<std::size_t> unions;
-  unions.reserve(plan.batches());
-  for (std::size_t b = 0; b < plan.batches(); ++b) {
-    ConeSig u;
-    for (std::size_t i = plan.batch_start[b]; i < plan.batch_start[b + 1]; ++i)
-      u |= sigs[plan.order[i]];
-    unions.push_back(static_cast<std::size_t>(u.popcount()));
-  }
-  return unions;
-}
-
-}  // namespace
-
-Json batch_plan_to_json(const BatchPlan& plan, std::string_view policy,
-                        std::span<const ConeSig> cone_sigs) {
-  Json doc = Json::object();
-  doc.set("policy", std::string(policy));
-  doc.set("targets", plan.order.size());
-  doc.set("batches", plan.batches());
-  Json order = Json::array();
-  for (std::uint32_t idx : plan.order)
-    order.push_back(static_cast<std::size_t>(idx));
-  doc.set("order", std::move(order));
-  Json sizes = Json::array();
-  for (std::size_t b = 0; b < plan.batches(); ++b)
-    sizes.push_back(plan.batch_size(b));
-  doc.set("batch_sizes", std::move(sizes));
-  if (!cone_sigs.empty()) {
-    // Cone-overlap view: the union popcount is (a Bloom estimate of) how
-    // many of the filter's cone buckets one simulator pass activates —
-    // lower is a tighter batch.
-    const std::vector<std::size_t> unions = batch_union_bits(plan, cone_sigs);
-    Json per_batch = Json::array();
-    double total_bits = 0;
-    std::size_t max_bits = 0;
-    for (std::size_t bits : unions) {
-      per_batch.push_back(bits);
-      total_bits += static_cast<double>(bits);
-      max_bits = std::max(max_bits, bits);
-    }
-    Json cone = Json::object();
-    cone.set("mean_union_bits",
-             plan.batches() ? total_bits / static_cast<double>(plan.batches())
-                            : 0.0);
-    cone.set("max_union_bits", max_bits);
-    cone.set("per_batch_union_bits", std::move(per_batch));
-    doc.set("cone", std::move(cone));
-  }
-  return doc;
-}
-
-Json cone_saturation_to_json(const BatchPlan& plan,
-                             std::span<const FaultId> targets,
-                             const FaultUniverse& universe,
-                             const PackedTopology& topo) {
-  Json doc = Json::object();
-  for (const int width : {64, 128, 256}) {
-    const ConeAnalysis cones = ConeAnalysis::build(topo, width);
-    std::vector<ConeSig> sigs(targets.size());
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      const NetId net = universe.effect_net(targets[i]);
-      if (net != kInvalidId) sigs[i] = cones.net_sig[net];
-    }
-    const std::vector<std::size_t> unions = batch_union_bits(plan, sigs);
-    double total_bits = 0;
-    std::size_t max_bits = 0, saturated = 0;
-    for (std::size_t bits : unions) {
-      total_bits += static_cast<double>(bits);
-      max_bits = std::max(max_bits, bits);
-      saturated += bits == static_cast<std::size_t>(width);
-    }
-    Json row = Json::object();
-    row.set("mean_union_bits",
-            unions.empty() ? 0.0
-                           : total_bits / static_cast<double>(unions.size()));
-    row.set("max_union_bits", max_bits);
-    row.set("saturated_batches", saturated);
-    doc.set(std::to_string(width), std::move(row));
-  }
-  return doc;
-}
-
-BatchPlan batch_plan_from_json(const Json& doc, std::size_t max_batch) {
-  BatchPlan plan;
-  const Json& order = doc.at("order");
-  const std::size_t targets = doc.at("targets").as_size();
-  if (order.size() != targets)
-    throw JsonError("batch_plan: order length disagrees with targets", 0);
-  plan.order.reserve(targets);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::size_t idx = order.at(i).as_size();
-    if (idx > 0xFFFFFFFFull)
-      throw JsonError("batch_plan: order index overflows", 0);
-    plan.order.push_back(static_cast<std::uint32_t>(idx));
-  }
-  const Json& sizes = doc.at("batch_sizes");
-  if (doc.at("batches").as_size() != sizes.size())
-    throw JsonError("batch_plan: batches disagrees with batch_sizes", 0);
-  plan.batch_start.push_back(0);
-  std::size_t pos = 0;
-  for (std::size_t b = 0; b < sizes.size(); ++b) {
-    pos += sizes.at(b).as_size();
-    if (pos > targets) throw JsonError("batch_plan: batches overrun targets", 0);
-    plan.batch_start.push_back(static_cast<std::uint32_t>(pos));
-  }
-  try {
-    // Structural validation (full permutation, batches of [1, max_batch]
-    // tiling the targets) — a malformed plan must never reach a grading
-    // loop, and a plan sized for more lanes than the reader has must be
-    // refused, not truncated.
-    plan.validate(targets, max_batch);
-  } catch (const std::invalid_argument& e) {
-    throw JsonError(std::string("batch_plan: ") + e.what(), 0);
-  }
-  return plan;
 }
 
 Json seq_fsim_options_to_json(const SeqFsimOptions& opts) {
@@ -454,9 +313,11 @@ Json seq_fsim_options_to_json(const SeqFsimOptions& opts) {
 
 SeqFsimOptions seq_fsim_options_from_json(const Json& doc) {
   SeqFsimOptions opts;
-  opts.max_cycles = doc.at("max_cycles").as_int();
+  const Json& max_cycles = doc.at("max_cycles");
+  opts.max_cycles = max_cycles.as_int();
   if (opts.max_cycles <= 0)
-    throw JsonError("fsim options: max_cycles must be positive", 0);
+    throw JsonError("fsim options: max_cycles must be positive",
+                    max_cycles.source_offset());
   opts.early_exit = doc.at("early_exit").as_bool();
   opts.event_driven = doc.at("event_driven").as_bool();
   if (doc.contains("lanes")) {  // absent in pre-width specs: 64

@@ -2,21 +2,19 @@
 //
 // A campaign's outcome outlives the process that ran it: CI tracks
 // coverage trends, ablation sweeps diff results between configurations,
-// and an incremental re-grade wants the previous run's detection state as
-// its starting point. Both directions are provided — export and a strict
+// and the result cache stores the deterministic payload on disk. Both
+// directions are provided — export and a strict
 // import that round-trips every deterministic field (the detection BitVec
 // travels as packed hex words, not a fault-id list, so a full-universe
 // result stays compact).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 
 #include "campaign/campaign.hpp"
 #include "campaign/json.hpp"
-#include "campaign/scheduler.hpp"
 #include "fsim/fsim.hpp"
 
 namespace olfui {
@@ -43,18 +41,16 @@ BitVec bitvec_from_hex(std::string_view text);
 
 /// Fixed-width (16 char) lowercase hex of one 64-bit word, and its strict
 /// inverse (throws JsonError on any other shape) — the wire form of
-/// fingerprints (and of legacy single-word masks) throughout the campaign
-/// JSON.
+/// fingerprints throughout the campaign JSON.
 std::string word_to_hex(std::uint64_t w);
 std::uint64_t word_from_hex(std::string_view text);
 
 /// Wire form of a shard detection mask: a fixed-order array of
 /// LaneMask::kWords 16-hex-digit words, least significant first —
 /// width-agnostic, so a 63-fault and a 255-fault shard serialize the same
-/// shape. The strict inverse accepts a lone hex string as the legacy
-/// single-word form (pre-width senders) and throws JsonError anchored at
-/// the malformed word's byte offset otherwise: wrong array length, wrong
-/// digit count, non-hex digits.
+/// shape. The strict inverse throws JsonError anchored at the malformed
+/// node's byte offset: not an array, wrong array length, wrong digit
+/// count, non-hex digits.
 Json lane_mask_to_json(const LaneMask& mask);
 LaneMask lane_mask_from_json(const Json& doc);
 
@@ -65,35 +61,6 @@ LaneMask lane_mask_from_json(const Json& doc);
 /// malformed documents.
 Json reference_trace_to_json(const ReferenceTrace& trace);
 ReferenceTrace reference_trace_from_json(const Json& doc);
-
-/// Batch-plan exchange: policy, the full target permutation ("order"),
-/// batch sizes, and — when per-target cone signatures are supplied —
-/// per-batch cone-overlap stats (popcount of the batch's signature union:
-/// the estimated share of the filter's cone buckets one simulator pass
-/// activates). Doubles as the CLI's --dump-schedule document and as the
-/// subprocess worker protocol's plan payload.
-Json batch_plan_to_json(const BatchPlan& plan, std::string_view policy,
-                        std::span<const ConeSig> cone_sigs = {});
-
-/// Per-width Bloom-saturation view of a plan: for each supported filter
-/// width (64/128/256) the per-batch union popcounts are recomputed from a
-/// fresh ConeAnalysis at that width and summarized as mean/max union bits
-/// plus the count of saturated batches (union popcount == width, i.e. the
-/// filter stopped discriminating). Feeds --dump-schedule's "saturation"
-/// key; the fault→net mapping comes from `universe` (targets with no
-/// effect net contribute an empty signature).
-Json cone_saturation_to_json(const BatchPlan& plan,
-                             std::span<const FaultId> targets,
-                             const FaultUniverse& universe,
-                             const PackedTopology& topo);
-
-/// Inverse of batch_plan_to_json: rebuilds the plan from "order" +
-/// "batch_sizes" and validates it (full permutation, batches tiling the
-/// targets in [1, max_batch] — lanes - 1 for the width the plan rides
-/// with; the default is the scalar 64-lane bound). Throws JsonError on
-/// malformed or inconsistent documents — a worker must refuse a plan that
-/// would drop faults or overflow its lanes.
-BatchPlan batch_plan_from_json(const Json& doc, std::size_t max_batch = 63);
 
 /// Simulator-option exchange (the fsim half of a CampaignTest::spec):
 /// subprocess workers rebuild their grading kernels from the netlist plus

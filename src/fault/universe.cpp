@@ -46,12 +46,6 @@ std::string FaultUniverse::fault_name(FaultId id) const {
                 std::string(pin_name(c.type, f.pin.pin)).c_str(), f.sa1 ? 1 : 0);
 }
 
-NetId FaultUniverse::effect_net(FaultId id) const {
-  const Cell& c = nl_->cell(faults_[id].pin.cell);
-  if (c.out != kInvalidId) return c.out;
-  return c.ins.empty() ? kInvalidId : c.ins[0];
-}
-
 namespace {
 
 class UnionFind {

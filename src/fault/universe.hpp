@@ -38,15 +38,6 @@ class FaultUniverse {
   /// "u_alu/u_sum_3/A s-a-1" style name for reports.
   std::string fault_name(FaultId id) const;
 
-  /// Cone metadata: the net where the fault's effect enters the circuit.
-  /// Stem and branch faults of a cell share it — a branch fault corrupts
-  /// only its own cell's evaluation, so the effect surfaces on the cell's
-  /// output net just like a stem fault's. Output-port cells (which drive
-  /// nothing) map to the net they read; kInvalidId only for a cell with
-  /// neither. The cone-aware batch scheduler keys fault grouping on this
-  /// net's ConeAnalysis signature (sim/packed.hpp).
-  NetId effect_net(FaultId id) const;
-
   const Netlist& netlist() const { return *nl_; }
 
   /// Structural equivalence collapsing (BUF/NOT transparency, AND/NAND/

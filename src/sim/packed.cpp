@@ -100,65 +100,6 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
   return topo;
 }
 
-ConeAnalysis ConeAnalysis::build(const PackedTopology& topo, int sig_bits) {
-  if (!width_supported(sig_bits))
-    throw std::invalid_argument("ConeAnalysis: sig_bits must be 64, 128 or 256");
-  const Netlist& nl = *topo.nl;
-  ConeAnalysis ca;
-  ca.sig_bits = sig_bits;
-  ca.net_sig.assign(nl.num_nets(), ConeSig{});
-
-  // Seed: output ports mark the nets they read (cones end at observation,
-  // and a port's own bit lets faults on the port cell group with its cone).
-  for (CellId oc : nl.output_cells()) {
-    const Cell& c = nl.cell(oc);
-    if (!c.ins.empty()) ca.net_sig[c.ins[0]] |= cone_bit(oc, sig_bits);
-  }
-
-  // Alternate a flop back-propagation pass (D-side nets inherit the Q
-  // cone: fault effects latch across the edge) with a reverse-topological
-  // combinational pass (one pass settles the whole combinational closure
-  // given the current flop/port seeds) until nothing changes. Signatures
-  // only gain bits, so the fixpoint exists and every reachable cell's bit
-  // is present in it.
-  const auto merge = [&](NetId net, const ConeSig& contrib) {
-    const ConeSig merged = ca.net_sig[net] | contrib;
-    if (merged == ca.net_sig[net]) return false;
-    ca.net_sig[net] = merged;
-    return true;
-  };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ++ca.rounds;
-    for (CellId id : topo.flop_cells) {
-      const Cell& c = nl.cell(id);
-      const ConeSig contrib = cone_bit(id, sig_bits) | ca.net_sig[c.out];
-      for (NetId in : c.ins) changed |= merge(in, contrib);
-    }
-    for (std::size_t i = topo.order.size(); i-- > 0;) {
-      const PackedTopology::FlatCell& fc = topo.order[i];
-      const ConeSig contrib = cone_bit(fc.id, sig_bits) | ca.net_sig[fc.out];
-      for (int k = 0; k < fc.n; ++k) changed |= merge(fc.in[k], contrib);
-    }
-  }
-  return ca;
-}
-
-ConeSig changed_net_signature(const ConeAnalysis& cones, const Netlist& nl,
-                              std::span<const NetId> changed_nets) {
-  ConeSig diff;
-  for (const NetId n : changed_nets) {
-    if (n >= nl.num_nets())
-      throw std::invalid_argument("changed_net_signature: net id out of range");
-    diff |= cones.net_sig[n];
-    const CellId driver = nl.net(n).driver;
-    if (driver != kInvalidId)
-      diff |= ConeAnalysis::cone_bit(driver, cones.sig_bits);
-  }
-  return diff;
-}
-
 template <int W>
 PackedSimT<W>::PackedSimT(const Netlist& nl)
     : PackedSimT(PackedTopology::build(nl)) {}

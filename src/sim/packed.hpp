@@ -26,10 +26,8 @@
 // retained as the oracle (PackedClockMode).
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -97,97 +95,6 @@ struct PackedTopology {
   /// Throws std::runtime_error on a combinational loop.
   static std::shared_ptr<const PackedTopology> build(const Netlist& nl);
 };
-
-/// Width-parametric Bloom signature word set: up to kMaxWords x 64 = 256
-/// cone buckets. Width 64 populates only w[0] and reproduces the
-/// historical scalar signature bit for bit (same multiplicative hash, same
-/// bucket for every cell), so existing 64-bit plans are unchanged; 128/256
-/// spread the buckets finer for the CPU-wide cones that saturate the
-/// 64-bit filter (mean union popcount near 64 on the SBST slice).
-struct ConeSig {
-  static constexpr int kMaxWords = 4;
-  std::uint64_t w[kMaxWords]{};
-
-  bool any() const { return (w[0] | w[1] | w[2] | w[3]) != 0; }
-  bool intersects(const ConeSig& o) const {
-    return ((w[0] & o.w[0]) | (w[1] & o.w[1]) | (w[2] & o.w[2]) |
-            (w[3] & o.w[3])) != 0;
-  }
-  int popcount() const {
-    return std::popcount(w[0]) + std::popcount(w[1]) + std::popcount(w[2]) +
-           std::popcount(w[3]);
-  }
-  ConeSig& operator|=(const ConeSig& o) {
-    for (int k = 0; k < kMaxWords; ++k) w[k] |= o.w[k];
-    return *this;
-  }
-  friend ConeSig operator|(ConeSig a, const ConeSig& b) { return a |= b; }
-  friend ConeSig operator&(ConeSig a, const ConeSig& b) {
-    for (int k = 0; k < kMaxWords; ++k) a.w[k] &= b.w[k];
-    return a;
-  }
-  bool operator==(const ConeSig&) const = default;
-  /// Total order matching plain uint64 comparison when only w[0] is
-  /// populated (width 64), so raw-sort cone plans are width-stable.
-  bool operator<(const ConeSig& o) const {
-    for (int k = kMaxWords; k-- > 0;)
-      if (w[k] != o.w[k]) return w[k] < o.w[k];
-    return false;
-  }
-};
-
-/// Static fanout-cone signatures over a topology. `net_sig[n]` is a Bloom
-/// approximation (sig_bits buckets: 64, 128 or 256) of the set of cells
-/// reachable from net `n` — through combinational logic, across flops
-/// (next-cycle propagation), and into output ports. A reachable cell's
-/// cone_bit() is ALWAYS set in the signature (no false negatives, checked
-/// against a brute-force BFS oracle in tests/scheduler_test.cpp);
-/// unrelated cells may collide onto the same bit, which is fine for both
-/// consumers — the cone-aware batch scheduler (groups faults whose
-/// signatures overlap so a batch's event-driven active set stays small)
-/// and the incremental re-grade planner (a collision only widens the
-/// re-grade set, never shrinks it). Built once per topology by iterating a
-/// reverse-topological combinational pass with a flop back-propagation
-/// pass to the sequential fixpoint (signatures grow monotonically, so
-/// termination is guaranteed; rounds scale with sequential depth).
-struct ConeAnalysis {
-  std::vector<ConeSig> net_sig;  ///< per net
-  int sig_bits = 64;  ///< Bloom filter width this analysis was built at
-  int rounds = 0;  ///< passes needed to reach the sequential fixpoint
-
-  static bool width_supported(int bits) {
-    return bits == 64 || bits == 128 || bits == 256;
-  }
-
-  /// The Bloom bit of one cell at signature width `bits` (dense ids mixed
-  /// so neighbours spread across all buckets instead of aliasing onto the
-  /// same few). At 64 the bucket index is the historical high-6-bit value,
-  /// so width-64 signatures equal the pre-width scalar ones exactly.
-  static ConeSig cone_bit(CellId id, int bits = 64) {
-    const std::uint64_t h = id * 0x9E3779B97F4A7C15ULL;
-    const unsigned idx = static_cast<unsigned>(
-        h >> (64 - std::countr_zero(static_cast<unsigned>(bits))));
-    ConeSig sig;
-    sig.w[idx >> 6] = 1ULL << (idx & 63);
-    return sig;
-  }
-
-  /// Throws std::invalid_argument unless width_supported(sig_bits).
-  static ConeAnalysis build(const PackedTopology& topo, int sig_bits = 64);
-};
-
-/// Cone-vs-diff intersection seed for incremental re-grade: the union
-/// signature of everything a set of changed nets can influence — each
-/// changed net contributes its full cone (every cell transitively reading
-/// it, across flops and into output ports) plus its driver cell's own bit
-/// (the changed logic itself). A fault's outcome can differ only if its
-/// effect-net signature intersects this union (the diff reaches the
-/// fault's propagation cone, including side inputs) or the diff reaches
-/// the fault's own cell (activation change) — Bloom collisions only ever
-/// widen the re-grade set. Throws std::invalid_argument on a net id out
-/// of range.
-ConeSig changed_net_signature(const ConeAnalysis& cones, const Netlist& nl,
-                              std::span<const NetId> changed_nets);
 
 /// eval() strategy; both produce bit-identical values.
 enum class PackedEvalMode : std::uint8_t {

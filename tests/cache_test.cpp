@@ -1,17 +1,14 @@
-// Grade-result cache + incremental re-grade suite (campaign/cache.hpp):
-// the LRU/disk tiers and their corruption fallbacks, the canonical
-// options hash and cache-key sensitivity properties, the engine-level
+// Grade-result cache suite (campaign/cache.hpp): the LRU/disk tiers and
+// their corruption fallbacks, disk-tier directory creation, the canonical
+// options hash and cache-key sensitivity properties, and the engine-level
 // guarantee that a warm full hit executes ZERO shards (asserted against
-// kernel counters and an executor whose worker binary does not exist),
-// and the incremental re-grade's bit-identity against a full re-grade of
-// a genuinely perturbed netlist.
+// kernel counters and an executor whose worker binary does not exist).
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -19,13 +16,11 @@
 #include "campaign/campaign.hpp"
 #include "campaign/executor.hpp"
 #include "campaign/report.hpp"
-#include "campaign/scheduler.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/wordops.hpp"
 #include "obs/metrics.hpp"
-#include "sim/packed.hpp"
 
 namespace olfui {
 namespace {
@@ -71,7 +66,6 @@ CacheKey key_n(std::uint64_t n) {
   CacheKey k;
   k.universe_fp = n;
   k.trace_fp = 0x1111;
-  k.plan_hash = 0x2222;
   k.options_hash = 0x3333;
   return k;
 }
@@ -159,6 +153,38 @@ TEST(ResultCache, CorruptDiskEntryCountsAndHeals) {
   EXPECT_EQ(healed.stats().corrupt, 0u);
 }
 
+TEST(ResultCache, NestedDirectoryIsCreatedAndHits) {
+  TempDir dir;
+  const std::string nested = dir.path + "/a/b";
+  {
+    ResultCache writer(4, nested);
+    writer.store(key_n(3), tiny_result(8, 3));
+    EXPECT_EQ(writer.stats().stores, 1u);
+  }
+  ResultCache reader(4, nested);
+  EXPECT_TRUE(reader.lookup(key_n(3)).has_value());
+  EXPECT_EQ(reader.stats().disk_hits, 1u);
+
+  // A store whose disk write fails is not counted: the directory is gone
+  // from under the cache.
+  fs::remove_all(nested);
+  reader.store(key_n(4), tiny_result(8, 4));
+  EXPECT_EQ(reader.stats().stores, 0u);
+}
+
+TEST(ResultCache, DirectoryUnderARegularFileThrows) {
+  TempDir dir;
+  const std::string file = dir.path + "/plain";
+  std::ofstream(file) << "not a directory";
+  try {
+    ResultCache cache(4, file + "/cache");
+    FAIL() << "a cache directory under a regular file was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(file + "/cache"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ResultCache, DiskEntryWithMismatchedKeyIsRejected) {
   TempDir dir;
   ResultCache cache(4, dir.path);
@@ -239,9 +265,6 @@ TEST(CacheKey, EveryComponentMovesTheDigest) {
   k.trace_fp ^= 1;
   EXPECT_NE(k.digest(), base.digest());
   k = base;
-  k.plan_hash ^= 1;
-  EXPECT_NE(k.digest(), base.digest());
-  k = base;
   k.options_hash ^= 1;
   EXPECT_NE(k.digest(), base.digest());
   k = base;
@@ -256,13 +279,12 @@ TEST(CacheKey, EveryComponentMovesTheDigest) {
 // Key-component fingerprints on a real netlist
 
 /// Two-cone test circuit; `variant` flips one gate type (AND <-> OR) in
-/// the first cone, leaving the second cone untouched — the minimal
-/// "netlist perturbation" the incremental re-grade must handle.
+/// the first cone, leaving the second cone untouched — a minimal netlist
+/// perturbation the universe fingerprint must see.
 struct TwoConeDesign {
   Netlist nl{"twocone"};
   std::vector<NetId> inputs;
   std::vector<CellId> outputs;
-  NetId changed_net = kInvalidId;  ///< output net of the variant gate
 
   explicit TwoConeDesign(bool variant) {
     WordOps w(nl, "m");
@@ -272,8 +294,8 @@ struct TwoConeDesign {
     const NetId d = nl.add_input("d");
     inputs = {a, b, c, d};
     // Cone 1: g feeds o1 (g is the perturbation site).
-    changed_net = variant ? w.or2(a, b, "g") : w.and2(a, b, "g");
-    const NetId h = w.xor2(changed_net, c, "h");
+    const NetId g = variant ? w.or2(a, b, "g") : w.and2(a, b, "g");
+    const NetId h = w.xor2(g, c, "h");
     // Cone 2: independent of g entirely.
     const NetId k = w.not_(d, "k");
     const NetId m = w.and2(k, c, "m");
@@ -285,7 +307,7 @@ struct TwoConeDesign {
 };
 
 /// Open-loop environment: inputs follow a fixed per-cycle bit pattern,
-/// never a function of outputs (the env_feedback=false precondition).
+/// never a function of outputs.
 class PatternEnv final : public FsimEnvironment {
  public:
   explicit PatternEnv(std::vector<NetId> inputs)
@@ -424,7 +446,7 @@ TEST(ResultCache, WarmHitExecutesZeroShardsAndIsByteIdentical) {
   EXPECT_EQ(miss.stats.cache, "miss");
 }
 
-TEST(ResultCache, MaskedAndSpecLessRunsBypassTheCache) {
+TEST(ResultCache, SpecLessRunsBypassTheCache) {
   const TwoConeDesign d(false);
   const FaultUniverse u(d.nl);
 
@@ -441,133 +463,13 @@ TEST(ResultCache, MaskedAndSpecLessRunsBypassTheCache) {
   EXPECT_EQ(r1.stats.cache, "bypass");
   EXPECT_EQ(opts.cache->stats().stores, 0u);
 
-  // Target mask set (the incremental path's internal runs): bypass too.
+  // Cache off entirely: the stats label says so.
   std::vector<CampaignTest> tests;
   tests.push_back(make_pattern_test(d, u));
-  BitVec mask(u.size());
-  for (FaultId f = 0; f < u.size(); f += 2) mask.set(f, true);
-  CampaignOptions masked = opts;
-  masked.target_mask = std::make_shared<const BitVec>(std::move(mask));
-  FaultList fl2(u);
-  const CampaignResult r2 = CampaignEngine(u, masked).run(fl2, tests);
-  EXPECT_EQ(r2.stats.cache, "bypass");
-  EXPECT_EQ(opts.cache->stats().stores, 0u);
-  // Cache off entirely: the stats label says so.
   CampaignOptions off;
   off.threads = 1;
   FaultList fl3(u);
   EXPECT_EQ(CampaignEngine(u, off).run(fl3, tests).stats.cache, "off");
-}
-
-// ---------------------------------------------------------------------------
-// Incremental re-grade
-
-TEST(IncrementalRegrade, EmptyDiffSplicesEverything) {
-  const TwoConeDesign d(false);
-  const FaultUniverse u(d.nl);
-  const auto topo = PackedTopology::build(d.nl);
-  const ConeAnalysis cones = ConeAnalysis::build(*topo, 256);
-  const IncrementalPlan plan = plan_incremental_regrade(u, cones, {}, true);
-  EXPECT_FALSE(plan.full);
-  EXPECT_EQ(plan.regrade.count(), 0u);
-  EXPECT_FALSE(plan.diff_sig.any());
-}
-
-TEST(IncrementalRegrade, ClosedLoopDiffReachingOutputsForcesFullRegrade) {
-  const TwoConeDesign d(false);
-  const FaultUniverse u(d.nl);
-  const auto topo = PackedTopology::build(d.nl);
-  const ConeAnalysis cones = ConeAnalysis::build(*topo, 256);
-  // Every net here reaches an output port, so under a closed-loop
-  // environment ANY diff must fall back to a full re-grade...
-  const std::vector<NetId> changed{d.changed_net};
-  const IncrementalPlan closed =
-      plan_incremental_regrade(u, cones, changed, true);
-  EXPECT_TRUE(closed.full);
-  EXPECT_EQ(closed.regrade.count(), u.size());
-  // ...while the open-loop plan keeps cone 2 spliceable.
-  const IncrementalPlan open =
-      plan_incremental_regrade(u, cones, changed, false);
-  EXPECT_FALSE(open.full);
-  EXPECT_GT(open.regrade.count(), 0u);
-  EXPECT_LT(open.regrade.count(), u.size());
-}
-
-TEST(IncrementalRegrade, SeededRegradeIsBitIdenticalToFullRegrade) {
-  // Grade the baseline design, perturb one gate (AND -> OR), then
-  // re-grade incrementally from the baseline result. The splice +
-  // re-grade must land on exactly the detection state a from-scratch
-  // grade of the perturbed design produces.
-  const TwoConeDesign base(false), pert(true);
-  const FaultUniverse u_base(base.nl), u_pert(pert.nl);
-  ASSERT_EQ(u_base.size(), u_pert.size());
-
-  CampaignOptions opts;
-  opts.threads = 1;
-
-  std::vector<CampaignTest> base_tests, pert_tests;
-  base_tests.push_back(make_pattern_test(base, u_base));
-  pert_tests.push_back(make_pattern_test(pert, u_pert));
-
-  FaultList fl_prev(u_base);
-  const CampaignResult previous =
-      CampaignEngine(u_base, opts).run(fl_prev, base_tests);
-  ASSERT_GT(previous.total_new_detections, 0u);
-
-  FaultList fl_full(u_pert);
-  const CampaignResult full =
-      CampaignEngine(u_pert, opts).run(fl_full, pert_tests);
-
-  // The pattern environment is open-loop, so env_feedback=false is sound
-  // and the unchanged cone actually splices.
-  FaultList fl_seeded(u_pert);
-  const std::vector<NetId> changed{pert.changed_net};
-  const CampaignResult seeded =
-      seed_from_previous(u_pert, opts, fl_seeded, pert_tests, previous,
-                         changed, nullptr, /*env_feedback=*/false);
-
-  EXPECT_TRUE(seeded.detected == full.detected)
-      << "incremental re-grade diverged from the full re-grade";
-  EXPECT_EQ(seeded.total_new_detections, full.total_new_detections);
-  EXPECT_TRUE(seeded.classes == full.classes);
-  EXPECT_DOUBLE_EQ(seeded.raw_coverage, full.raw_coverage);
-  EXPECT_DOUBLE_EQ(seeded.pruned_coverage, full.pruned_coverage);
-  EXPECT_EQ(fl_seeded.count_detected(), fl_full.count_detected());
-
-  EXPECT_EQ(seeded.stats.cache, "partial");
-  EXPECT_GT(seeded.stats.regraded_faults, 0u);
-  EXPECT_LT(seeded.stats.regrade_fraction, 1.0);
-  EXPECT_GT(seeded.stats.regrade_fraction, 0.0);
-
-  // Provenance survives the JSON round trip (tolerantly absent in old
-  // dumps, exact in new ones).
-  const CampaignResult back = campaign_result_from_json_string(
-      campaign_result_to_json_string(seeded));
-  EXPECT_EQ(back.stats.cache, "partial");
-  EXPECT_EQ(back.stats.cache_spliced, seeded.stats.cache_spliced);
-  EXPECT_EQ(back.stats.regraded_faults, seeded.stats.regraded_faults);
-  EXPECT_DOUBLE_EQ(back.stats.regrade_fraction,
-                   seeded.stats.regrade_fraction);
-}
-
-TEST(IncrementalRegrade, MismatchedInputsThrow) {
-  const TwoConeDesign d(false);
-  const FaultUniverse u(d.nl);
-  std::vector<CampaignTest> tests;
-  tests.push_back(make_pattern_test(d, u));
-  CampaignOptions opts;
-  opts.threads = 1;
-
-  CampaignResult wrong_universe = tiny_result(3, 1);
-  FaultList fl(u);
-  EXPECT_THROW(seed_from_previous(u, opts, fl, tests, wrong_universe, {}),
-               std::invalid_argument);
-
-  CampaignResult wrong_model = tiny_result(u.size(), 1);
-  wrong_model.universe = u.size();
-  wrong_model.fault_model = FaultModel::kTransition;
-  EXPECT_THROW(seed_from_previous(u, opts, fl, tests, wrong_model, {}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -10,11 +10,11 @@
 #include <set>
 #include <stdexcept>
 
+#include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/executor.hpp"
 #include "campaign/json.hpp"
 #include "campaign/report.hpp"
-#include "campaign/scheduler.hpp"
 #include "campaign/shard_queue.hpp"
 #include "campaign/worker_pool.hpp"
 #include "fault/fault_list.hpp"
@@ -688,51 +688,53 @@ TEST(Campaign, ExceptionsCarryTestAndShardContext) {
   }
 }
 
-TEST(Campaign, GradeEdgeCasesAcrossAllPolicies) {
+TEST(Campaign, GradeEdgeCases) {
   // Empty target list, a single-fault list, and targets == exactly one
-  // full batch, under every scheduling policy: same detections, and the
-  // one-batch shapes really plan one shard.
+  // full batch: the one-batch shapes really plan one shard, and the
+  // single fault grades the same alone as inside the full batch.
   CounterRig rig;
   const FaultUniverse u(rig.nl);
   ASSERT_GE(u.size(), 63u);
   const CampaignTest test = make_rig_test(rig, u, rig.outputs, "all_bits");
   std::vector<FaultId> batch63(63);
   std::iota(batch63.begin(), batch63.end(), 0u);
+  const CampaignEngine engine(u, {.threads = 2});
 
-  const std::vector<std::shared_ptr<const BatchScheduler>> policies = {
-      nullptr, std::make_shared<const ConeScheduler>(u),
-      std::make_shared<const AdaptiveScheduler>()};
-  BitVec expect_single, expect_batch;
-  for (std::size_t p = 0; p < policies.size(); ++p) {
-    const CampaignEngine engine(u, {.threads = 2, .scheduler = policies[p]});
+  EXPECT_EQ(engine.grade({}, test).size(), 0u);
 
-    EXPECT_EQ(engine.grade({}, test).size(), 0u) << p;
+  std::vector<double> single_seconds;
+  const BitVec single =
+      engine.grade(std::span(batch63).first(1), test, {}, &single_seconds);
+  EXPECT_EQ(single_seconds.size(), 1u);
 
-    std::vector<double> single_seconds;
-    const BitVec single = engine.grade(std::span(batch63).first(1), test, {},
-                                       &single_seconds);
-    EXPECT_EQ(single_seconds.size(), 1u) << p;
-
-    std::vector<double> batch_seconds;
-    const BitVec full = engine.grade(batch63, test, {}, &batch_seconds);
-    EXPECT_EQ(batch_seconds.size(), 1u) << p;  // 63 targets = one shard
-    EXPECT_EQ(full.get(0), single.get(0)) << p;
-
-    if (p == 0) {
-      expect_single = single;
-      expect_batch = full;
-      EXPECT_GT(full.count(), 0u);
-    } else {
-      EXPECT_EQ(single, expect_single) << p;
-      EXPECT_EQ(full, expect_batch) << p;
-    }
-  }
+  std::vector<double> batch_seconds;
+  const BitVec full = engine.grade(batch63, test, {}, &batch_seconds);
+  EXPECT_EQ(batch_seconds.size(), 1u);  // 63 targets = one shard
+  EXPECT_EQ(full.get(0), single.get(0));
+  EXPECT_GT(full.count(), 0u);
 }
 
-TEST(Campaign, TinyUniverseRunsIdenticallyUnderEveryPolicy) {
-  // A universe far smaller than one batch: run() must behave across all
-  // policies and thread counts (the degenerate end of the sharding
-  // spectrum, where every plan collapses to a single shard per test).
+TEST(Campaign, ShardSpansTileTheTargetsInOrder) {
+  // Shard s is targets[s*B, min(n, (s+1)*B)): contiguous, in target
+  // order, every span full except the last.
+  std::vector<FaultId> targets(10);
+  std::iota(targets.begin(), targets.end(), 100u);
+  EXPECT_EQ(shard_count(0, 4), 0u);
+  EXPECT_EQ(shard_count(8, 4), 2u);
+  EXPECT_EQ(shard_count(10, 4), 3u);
+  std::vector<FaultId> seen;
+  for (std::uint32_t s = 0; s < shard_count(targets.size(), 4); ++s) {
+    const std::span<const FaultId> span = shard_span(targets, 4, s);
+    EXPECT_EQ(span.size(), s < 2 ? 4u : 2u) << s;
+    seen.insert(seen.end(), span.begin(), span.end());
+  }
+  EXPECT_EQ(seen, targets);
+}
+
+TEST(Campaign, TinyUniverseRunsIdenticallyAtEveryThreadCount) {
+  // A universe far smaller than one batch: run() must behave at every
+  // thread count (the degenerate end of the sharding spectrum, where each
+  // test grades a single shard).
   Netlist nl("t");
   WordOps w(nl, "m");
   const NetId a = nl.add_input("a");
@@ -750,27 +752,17 @@ TEST(Campaign, TinyUniverseRunsIdenticallyUnderEveryPolicy) {
       }));
 
   CampaignResult first;
-  bool have_first = false;
-  for (const auto& policy :
-       {std::shared_ptr<const BatchScheduler>{},
-        std::shared_ptr<const BatchScheduler>{
-            std::make_shared<const ConeScheduler>(u)},
-        std::shared_ptr<const BatchScheduler>{
-            std::make_shared<const AdaptiveScheduler>()}}) {
-    for (const int threads : {1, 2}) {
-      FaultList fl(u);
-      const CampaignResult r =
-          CampaignEngine(u, {.threads = threads, .scheduler = policy})
-              .run(fl, tests);
-      EXPECT_EQ(r.tests.at(0).batches, 1u);
-      EXPECT_GT(r.total_new_detections, 0u);
-      if (!have_first) {
-        first = r;
-        have_first = true;
-      } else {
-        EXPECT_EQ(r, first);
-        EXPECT_EQ(r.detected, first.detected);
-      }
+  for (const int threads : {1, 2}) {
+    FaultList fl(u);
+    const CampaignResult r =
+        CampaignEngine(u, {.threads = threads}).run(fl, tests);
+    EXPECT_EQ(r.tests.at(0).batches, 1u);
+    EXPECT_GT(r.total_new_detections, 0u);
+    if (threads == 1) {
+      first = r;
+    } else {
+      EXPECT_EQ(r, first);
+      EXPECT_EQ(r.detected, first.detected);
     }
   }
 }
@@ -779,48 +771,44 @@ TEST(Campaign, TinyUniverseRunsIdenticallyUnderEveryPolicy) {
 // Worker protocol (campaign/executor.hpp)
 
 TEST(WorkerProtocol, RequestRoundTripsAndValidates) {
-  BatchPlan plan;
-  plan.order = {3, 2, 1, 0};
-  plan.batch_start = {0, 2, 4};
-  const std::vector<FaultId> targets{10, 11, 12, 13};
-  const std::vector<std::uint32_t> shards{1};
+  const std::vector<FaultId> targets{10, 11, 12, 13, 14};
   CampaignTest test;
   test.name = "t";
   test.spec = Json::object();
   test.spec.set("marker", 42);
-  const ShardWork work{plan,  targets,  targets, shards,
-                       test,  FaultModel::kTransition, 99, {}};
+  const ShardWork work{targets, 2, {}, test, FaultModel::kTransition, 99, {}};
 
   const Json doc = shard_request_to_json(work);
   const ShardRequest req = shard_request_from_json(doc);
   EXPECT_EQ(req.test, "t");
   EXPECT_EQ(req.fault_model, FaultModel::kTransition);
   EXPECT_EQ(req.spec.at("marker").as_int(), 42);
-  EXPECT_EQ(req.plan.order, plan.order);
-  EXPECT_EQ(req.plan.batch_start, plan.batch_start);
+  EXPECT_EQ(req.batch_size, 2u);
   EXPECT_EQ(req.targets, targets);
-  EXPECT_EQ(req.shards, shards);
-  // Gathered on import: planned[i] = targets[order[i]].
-  EXPECT_EQ(req.planned, (std::vector<FaultId>{13, 12, 11, 10}));
+  // The worker derives the engine's spans from batch_size: 2/2/1.
+  ASSERT_EQ(req.num_shards(), 3u);
+  EXPECT_EQ(req.shard_faults(1)[0], 12u);
+  EXPECT_EQ(req.shard_faults(2).size(), 1u);
 
   {  // protocol version mismatches are rejected, not guessed at
     Json bad = doc;
     bad.set("protocol", kWorkerProtocolVersion + 1);
     EXPECT_THROW(shard_request_from_json(bad), JsonError);
   }
-  {  // shard ids outside the plan are rejected
+  // batch_size outside [1, lanes - 1] is refused, pointing at the field.
+  for (const std::size_t size : {std::size_t{0}, std::size_t{64}}) {
     Json bad = doc;
-    Json ids = Json::array();
-    ids.push_back(std::size_t{7});
-    bad.set("shards", std::move(ids));
-    EXPECT_THROW(shard_request_from_json(bad), JsonError);
-  }
-  {  // a plan that does not cover the targets is rejected
-    Json bad = doc;
-    Json few = Json::array();
-    few.push_back(std::size_t{10});
-    bad.set("targets", std::move(few));
-    EXPECT_THROW(shard_request_from_json(bad), JsonError);
+    bad.set("batch_size", size);
+    const std::string line = bad.dump();
+    try {
+      shard_request_from_json(Json::parse(line));
+      FAIL() << "batch_size " << size << " was accepted";
+    } catch (const JsonError& e) {
+      const std::size_t end = line.find(',', e.offset());
+      EXPECT_EQ(line.substr(e.offset(), end - e.offset()),
+                std::to_string(size))
+          << e.what();
+    }
   }
 }
 
@@ -862,23 +850,37 @@ std::vector<Json> run_serve_worker(const std::string& input, int expect_exit) {
   return lines;
 }
 
-TEST(WorkerProtocol, ServeWorkerGradesRequestedShardsOnly) {
-  BatchPlan plan = BatchPlan::fixed(10, 4);  // shards of 4/4/2
+/// One grant line for `shards` (final when asked).
+std::string grant_line(std::initializer_list<std::size_t> shards,
+                       bool final = false) {
+  Json grant = Json::object();
+  grant.set("type", "grant");
+  Json ids = Json::array();
+  for (const std::size_t id : shards) ids.push_back(id);
+  grant.set("shards", std::move(ids));
+  if (final) grant.set("final", Json(true));
+  return grant.dump() + "\n";
+}
+
+TEST(WorkerProtocol, ServeWorkerGradesGrantedShardsOnly) {
   std::vector<FaultId> targets(10);
   std::iota(targets.begin(), targets.end(), 100u);
-  const std::vector<std::uint32_t> shards{2, 0};  // shard 1 is not ours
   CampaignTest test;
   test.name = "parity";
   test.spec = Json::object();
-  const ShardWork work{plan, targets, targets, shards,
-                       test, FaultModel::kStuckAt, 77, {}};
+  const ShardWork work{targets, 4, {}, test, FaultModel::kStuckAt, 77, {}};
 
+  // Spans of 4/4/2; shard 1 is never granted.
   const std::vector<Json> lines =
-      run_serve_worker(shard_request_to_json(work).dump() + "\n", 0);
+      run_serve_worker(shard_request_to_json(work).dump() + "\n" +
+                           grant_line({2}) + grant_line({0}) +
+                           grant_line({}, /*final=*/true),
+                       0);
   ASSERT_EQ(lines.size(), 4u);  // hello, 2 shards, done
   EXPECT_EQ(lines[0].at("type").as_string(), "hello");
   EXPECT_EQ(lines[0].at("protocol").as_int(), kWorkerProtocolVersion);
-  // Replies come in request order (2 then 0), slot-tagged by shard id.
+  EXPECT_EQ(lines[0].at("max_lanes").as_int(), kMaxLaneWidth);
+  // Replies come in grant order (2 then 0), slot-tagged by shard id.
   EXPECT_EQ(lines[1].at("type").as_string(), "shard");
   EXPECT_EQ(lines[1].at("shard").as_size(), 2u);
   // Shard 2 grades targets {108, 109}: odd ids detect -> lane 1 only.
@@ -889,6 +891,23 @@ TEST(WorkerProtocol, ServeWorkerGradesRequestedShardsOnly) {
   EXPECT_EQ(lines[3].at("type").as_string(), "done");
   EXPECT_EQ(lines[3].at("universe").as_size(), 77u);
   EXPECT_EQ(word_from_hex(lines[3].at("state_fp").as_string()), 0xfeedfaceull);
+}
+
+TEST(WorkerProtocol, ServeWorkerRefusesAShardPastTheSpans) {
+  // 10 targets in spans of 4 make shards 0..2; a grant for shard 3 is an
+  // error reply naming the range, never a silent empty grade.
+  std::vector<FaultId> targets(10);
+  std::iota(targets.begin(), targets.end(), 100u);
+  CampaignTest test;
+  test.name = "parity";
+  test.spec = Json::object();
+  const ShardWork work{targets, 4, {}, test, FaultModel::kStuckAt, 77, {}};
+  const std::vector<Json> lines = run_serve_worker(
+      shard_request_to_json(work).dump() + "\n" + grant_line({3}), 1);
+  ASSERT_EQ(lines.size(), 2u);  // hello, error
+  EXPECT_EQ(lines[1].at("type").as_string(), "error");
+  const std::string message = lines[1].at("message").as_string();
+  EXPECT_NE(message.find("3 shards"), std::string::npos) << message;
 }
 
 TEST(WorkerProtocol, ServeWorkerAnswersMalformedRequestsWithError) {
@@ -904,13 +923,11 @@ TEST(WorkerProtocol, ServeWorkerAnswersMalformedRequestsWithError) {
 
 TEST(SubprocessExecutor, RejectsTestsWithoutASpec) {
   SubprocessExecutor exec({"/bin/true"}, 1);
-  const BatchPlan plan = BatchPlan::fixed(2, 2);
   const std::vector<FaultId> targets{0, 1};
   const std::vector<std::uint32_t> shards{0};
   CampaignTest test;
   test.name = "local_only";  // spec left null
-  const ShardWork work{plan, targets, targets, shards,
-                       test, FaultModel::kStuckAt, 2, {}};
+  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 2, {}};
   try {
     exec.execute(work);
     FAIL() << "null-spec test must not reach a remote worker";
@@ -927,16 +944,15 @@ TEST(SubprocessExecutor, KilledWorkerIsDetectedAndReported) {
   // silently dropped.
   SubprocessExecutor exec(
       {"/bin/sh", "-c",
-       "printf '{\"type\":\"hello\",\"protocol\":2}\\n'; read -r line; exit 7"},
+       "printf '{\"type\":\"hello\",\"protocol\":3,\"max_lanes\":64}\\n';"
+       " read -r line; exit 7"},
       FleetOptions{.workers = 1, .max_respawns = 0});
-  const BatchPlan plan = BatchPlan::fixed(4, 2);
   const std::vector<FaultId> targets{0, 1, 2, 3};
   const std::vector<std::uint32_t> shards{0, 1};
   CampaignTest test;
   test.name = "sbst_prog";
   test.spec = Json::object();
-  const ShardWork work{plan, targets, targets, shards,
-                       test, FaultModel::kStuckAt, 4, {}};
+  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 4, {}};
   try {
     exec.execute(work);
     FAIL() << "a dead worker's shards must throw";
@@ -956,19 +972,17 @@ TEST(SubprocessExecutor, CrashedWorkerStderrLandsInTheError) {
   // report) instead of just an exit status.
   SubprocessExecutor exec(
       {"/bin/sh", "-c",
-       "printf '{\"type\":\"hello\",\"protocol\":2}\\n';"
+       "printf '{\"type\":\"hello\",\"protocol\":3,\"max_lanes\":64}\\n';"
        " echo 'scratch line' >&2;"
        " echo 'fatal: reference trace fingerprint torched' >&2;"
        " read -r line; exit 9"},
       FleetOptions{.workers = 1, .max_respawns = 0});
-  const BatchPlan plan = BatchPlan::fixed(4, 2);
   const std::vector<FaultId> targets{0, 1, 2, 3};
   const std::vector<std::uint32_t> shards{0, 1};
   CampaignTest test;
   test.name = "sbst_prog";
   test.spec = Json::object();
-  const ShardWork work{plan, targets, targets, shards,
-                       test, FaultModel::kStuckAt, 4, {}};
+  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 4, {}};
   try {
     exec.execute(work);
     FAIL() << "a dead worker's shards must throw";
@@ -986,14 +1000,12 @@ TEST(SubprocessExecutor, CrashedWorkerStderrLandsInTheError) {
 TEST(SubprocessExecutor, WorkerWithoutHelloFailsTheHandshake) {
   SubprocessExecutor exec({"/bin/true"},
                           FleetOptions{.workers = 1, .max_respawns = 0});
-  const BatchPlan plan = BatchPlan::fixed(2, 2);
   const std::vector<FaultId> targets{0, 1};
   const std::vector<std::uint32_t> shards{0};
   CampaignTest test;
   test.name = "t";
   test.spec = Json::object();
-  const ShardWork work{plan, targets, targets, shards,
-                       test, FaultModel::kStuckAt, 2, {}};
+  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 2, {}};
   try {
     exec.execute(work);
     FAIL() << "helloless worker must fail the handshake";
@@ -1006,8 +1018,7 @@ TEST(SubprocessExecutor, WorkerWithoutHelloFailsTheHandshake) {
 TEST(SubprocessExecutor, BitIdenticalToInProcessOnSbstWorkload) {
   // The acceptance check: coordinator + subprocess workers produce the
   // same detection BitVec and the same deterministic CampaignResult JSON
-  // as the in-process pool on the SBST workload, for 1 and 2 workers
-  // under the fixed and cone policies.
+  // as the in-process pool on the SBST workload, for 1 and 2 workers.
   if (::access("./olfui_cli", X_OK) != 0)
     GTEST_SKIP() << "./olfui_cli not in the working directory";
   const std::vector<std::string> worker_cmd{"./olfui_cli", "--worker"};
@@ -1026,50 +1037,43 @@ TEST(SubprocessExecutor, BitIdenticalToInProcessOnSbstWorkload) {
 
   const auto exec1 = std::make_shared<SubprocessExecutor>(worker_cmd, 1);
   const auto exec2 = std::make_shared<SubprocessExecutor>(worker_cmd, 2);
-  const std::vector<std::shared_ptr<const BatchScheduler>> policies = {
-      nullptr, std::make_shared<const ConeScheduler>(u),
-      std::make_shared<const AdaptiveScheduler>()};
 
-  for (const auto& policy : policies) {
-    // grade(): empty, single-fault, one-full-batch, and multi-shard
-    // target lists (the executor-side edge cases).
-    const CampaignEngine inproc(u, {.threads = 2, .scheduler = policy});
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                                std::size_t{63}, slice.size()}) {
-      const auto targets = std::span(slice).first(n);
-      const BitVec expect = inproc.grade(targets, tests[0]);
-      for (const auto& exec : {exec1, exec2}) {
-        CampaignOptions o{.threads = 2, .scheduler = policy, .executor = exec};
-        const BitVec got = CampaignEngine(u, o).grade(targets, tests[0]);
-        EXPECT_EQ(got, expect)
-            << "policy " << (policy ? policy->name() : "fixed") << " workers "
-            << (exec == exec1 ? 1 : 2) << " n " << n;
-      }
+  // grade(): empty, single-fault, one-full-batch, and multi-shard target
+  // lists (the executor-side edge cases).
+  const CampaignEngine inproc(u, {.threads = 2});
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{63}, slice.size()}) {
+    const auto targets = std::span(slice).first(n);
+    const BitVec expect = inproc.grade(targets, tests[0]);
+    for (const auto& exec : {exec1, exec2}) {
+      CampaignOptions o{.threads = 2, .executor = exec};
+      const BitVec got = CampaignEngine(u, o).grade(targets, tests[0]);
+      EXPECT_EQ(got, expect)
+          << "workers " << (exec == exec1 ? 1 : 2) << " n " << n;
     }
-
-    // run(): the merged result (and its deterministic JSON form) must be
-    // byte-identical between executors.
-    CampaignOptions base{.threads = 2, .scheduler = policy,
-                         .target_limit = 200};
-    FaultList fl_in(u);
-    const CampaignResult r_in = CampaignEngine(u, base).run(fl_in, tests);
-    CampaignOptions sub = base;
-    sub.executor = exec2;
-    FaultList fl_sub(u);
-    const CampaignResult r_sub = CampaignEngine(u, sub).run(fl_sub, tests);
-    EXPECT_GT(r_in.total_new_detections, 0u);
-    EXPECT_EQ(r_in, r_sub);
-    EXPECT_EQ(r_in.detected, r_sub.detected);
-    EXPECT_EQ(campaign_result_to_json_string(r_in, 2, false),
-              campaign_result_to_json_string(r_sub, 2, false));
-    EXPECT_EQ(r_in.stats.executor, "inproc");
-    EXPECT_EQ(r_sub.stats.executor, "subprocess");
-    // Worker-reported shard timings land slot-indexed, one per batch.
-    // Shape and parse sanity only — no duration claims in the unit suite
-    // (wall-clock assertions live in bench_runtime).
-    EXPECT_EQ(r_sub.stats.shard_seconds.size(), r_sub.stats.batches);
-    for (double s : r_sub.stats.shard_seconds) EXPECT_GE(s, 0.0);
   }
+
+  // run(): the merged result (and its deterministic JSON form) must be
+  // byte-identical between executors.
+  CampaignOptions base{.threads = 2, .target_limit = 200};
+  FaultList fl_in(u);
+  const CampaignResult r_in = CampaignEngine(u, base).run(fl_in, tests);
+  CampaignOptions sub = base;
+  sub.executor = exec2;
+  FaultList fl_sub(u);
+  const CampaignResult r_sub = CampaignEngine(u, sub).run(fl_sub, tests);
+  EXPECT_GT(r_in.total_new_detections, 0u);
+  EXPECT_EQ(r_in, r_sub);
+  EXPECT_EQ(r_in.detected, r_sub.detected);
+  EXPECT_EQ(campaign_result_to_json_string(r_in, 2, false),
+            campaign_result_to_json_string(r_sub, 2, false));
+  EXPECT_EQ(r_in.stats.executor, "inproc");
+  EXPECT_EQ(r_sub.stats.executor, "subprocess");
+  // Worker-reported shard timings land slot-indexed, one per batch.
+  // Shape and parse sanity only — no duration claims in the unit suite
+  // (wall-clock assertions live in bench_runtime).
+  EXPECT_EQ(r_sub.stats.shard_seconds.size(), r_sub.stats.batches);
+  for (double s : r_sub.stats.shard_seconds) EXPECT_GE(s, 0.0);
 }
 
 TEST(SubprocessExecutor, TracedRunMergesWorkerLanesWithoutPerturbingPayload) {
@@ -1152,6 +1156,42 @@ TEST(Campaign, GradeMatchesLegacySequentialCampaign) {
   EXPECT_EQ(r.total_new_detections, legacy_found);
   for (FaultId f = 0; f < u.size(); ++f)
     ASSERT_EQ(fl.detect_state(f), legacy.detect_state(f)) << f;
+}
+
+TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
+  // The CI slice (olfui_cli --sbst --programs 2 --limit 320) under both
+  // fault models, pinned as data. Every other check compares sibling
+  // execution paths of the same code; these constants catch drift that
+  // moves all of them together. Batch counts are deliberately not
+  // pinned: they follow the lane width.
+  struct Row {
+    FaultModel model;
+    std::uint64_t detected_fnv;  ///< fnv1a64(bitvec_to_hex(detected))
+    std::vector<std::size_t> new_detections;  ///< per test, suite order
+  };
+  const std::vector<Row> rows = {
+      {FaultModel::kStuckAt, 0x71e6ed5a089d103aULL, {200, 137}},
+      {FaultModel::kTransition, 0x4ba9ac3f628fbcbeULL, {139, 77}},
+  };
+  auto soc = build_soc({});
+  auto suite = build_sbst_suite(soc->config);
+  suite.erase(suite.begin() + 2, suite.end());
+  const FaultUniverse u(soc->netlist);
+  for (const Row& row : rows) {
+    FaultList fl(u);
+    const CampaignResult r =
+        run_sbst_campaign(*soc, suite, fl, {},
+                          {.threads = 2,
+                           .fault_model = row.model,
+                           .target_limit = 320})
+            .campaign;
+    const std::string_view model = to_string(row.model);
+    EXPECT_EQ(fnv1a64(bitvec_to_hex(r.detected)), row.detected_fnv) << model;
+    ASSERT_EQ(r.tests.size(), row.new_detections.size()) << model;
+    for (std::size_t t = 0; t < r.tests.size(); ++t)
+      EXPECT_EQ(r.tests[t].new_detections, row.new_detections[t])
+          << model << " " << r.tests[t].name;
+  }
 }
 
 }  // namespace

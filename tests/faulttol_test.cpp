@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "campaign/executor.hpp"
 #include "campaign/json.hpp"
 #include "campaign/report.hpp"
-#include "campaign/scheduler.hpp"
 #include "cpu/soc.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
@@ -74,25 +72,17 @@ TEST(ShardRequestParsing, MalformedFieldErrorsPointIntoTheLine) {
   // Render a well-formed grade request, corrupt one deep field, and check
   // the JsonError names an offset inside the line — a coordinator log
   // quoting "at offset N" must point at the offending bytes, not 0.
-  std::vector<FaultId> targets{10, 11, 12, 13};
-  const BatchPlan plan = BatchPlan::fixed(targets.size(), 2);
-  std::vector<FaultId> planned(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i)
-    planned[i] = targets[plan.order[i]];
-  std::vector<std::uint32_t> shards(plan.batches());
-  std::iota(shards.begin(), shards.end(), 0u);
+  const std::vector<FaultId> targets{10, 11, 12, 13};
   CampaignTest test;
   test.name = "t";
   test.spec = Json::object();
-  const ShardWork work{plan,   targets, planned,
-                       shards, test,    FaultModel::kStuckAt,
-                       100,    {},      0};
+  const ShardWork work{targets, 2, {}, test, FaultModel::kStuckAt, 100, {}};
   const std::string line = shard_request_to_json(work).dump(0);
 
   // The pristine line round-trips.
   const ShardRequest req = shard_request_from_json(Json::parse(line));
   EXPECT_EQ(req.test, "t");
-  EXPECT_EQ(req.planned, planned);
+  EXPECT_EQ(req.targets, targets);
 
   const auto corrupt = [&](const std::string& from, const std::string& to) {
     std::string s = line;
@@ -108,6 +98,7 @@ TEST(ShardRequestParsing, MalformedFieldErrorsPointIntoTheLine) {
   };
   corrupt("\"stuck_at\"", "\"bogus_model\"");  // unknown enum value
   corrupt("\"test\":\"t\"", "\"test\":42");    // type mismatch
+  corrupt("\"batch_size\":2", "\"batch_size\":0");  // empty spans
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@
 // randomized sequential netlists through every instantiated width and
 // compare the per-fault verdict vectors bit for bit, against both the
 // 64-lane baseline and the full-sweep oracle, then push wide widths
-// through the campaign orchestrator across thread counts and scheduling
-// policies.
+// through the campaign orchestrator across thread counts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "campaign/scheduler.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
@@ -196,7 +194,7 @@ TEST(LaneWidth, AllWidthsMatchScalarBaselineAndSweepOracle) {
 
 // ---------------------------------------------------------------------------
 // Campaign-level width equivalence: wide batches flow through the
-// scheduler's plan, the executor, and the multi-word mask merge. The
+// engine's spans, the executor, and the multi-word mask merge. The
 // shard count legitimately shrinks with width, so the comparison is the
 // detection state and coverage, not the per-test batch totals.
 
@@ -237,7 +235,7 @@ CampaignTest make_design_test(const RandomDesign& d, const FaultUniverse& u,
   return test;
 }
 
-TEST(LaneWidth, CampaignDetectionsInvariantAcrossWidthsThreadsAndPolicies) {
+TEST(LaneWidth, CampaignDetectionsInvariantAcrossWidthsAndThreads) {
   Rng rng(41);
   RandomDesign d = random_design(rng, 6, 12, 90);
   const FaultUniverse u(d.nl);
@@ -253,27 +251,20 @@ TEST(LaneWidth, CampaignDetectionsInvariantAcrossWidthsThreadsAndPolicies) {
   for (const int lanes : {64, 128, 256}) {
     if (!lane_width_supported(lanes)) continue;
     std::vector<CampaignTest> tests{make_design_test(d, u, words, lanes)};
-    for (const auto& policy :
-         {std::shared_ptr<const BatchScheduler>{},
-          std::shared_ptr<const BatchScheduler>{
-              std::make_shared<const ConeScheduler>(u)}}) {
-      for (const int threads : {1, 4}) {
-        FaultList fl(u);
-        const CampaignOptions opts{
-            .threads = threads, .lane_width = lanes, .scheduler = policy};
-        const CampaignResult r = CampaignEngine(u, opts).run(fl, tests);
-        if (!have_expect) {
-          expect_detected = r.detected;
-          have_expect = true;
-          EXPECT_GT(r.total_new_detections, 0u);
-        }
-        EXPECT_EQ(r.detected, expect_detected)
-            << lanes << " lanes, " << threads << " threads, "
-            << (policy ? policy->name() : "default");
-        // One wide shard holds what several scalar shards held.
-        if (lanes > 64 && u.size() > 63)
-          EXPECT_LT(r.tests.at(0).batches, (u.size() + 62) / 63);
+    for (const int threads : {1, 4}) {
+      FaultList fl(u);
+      const CampaignOptions opts{.threads = threads, .lane_width = lanes};
+      const CampaignResult r = CampaignEngine(u, opts).run(fl, tests);
+      if (!have_expect) {
+        expect_detected = r.detected;
+        have_expect = true;
+        EXPECT_GT(r.total_new_detections, 0u);
       }
+      EXPECT_EQ(r.detected, expect_detected)
+          << lanes << " lanes, " << threads << " threads";
+      // One wide shard holds what several scalar shards held.
+      if (lanes > 64 && u.size() > 63)
+        EXPECT_LT(r.tests.at(0).batches, (u.size() + 62) / 63);
     }
   }
 }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "campaign/executor.hpp"
 #include "campaign/report.hpp"
-#include "campaign/scheduler.hpp"
 #include "core/analyzer.hpp"
 #include "fault/report.hpp"
 #include "netlist/wordops.hpp"
@@ -96,68 +99,6 @@ TEST(ModuleBreakdown, TableIsAligned) {
   EXPECT_NE(table.find("untestable"), std::string::npos);
 }
 
-TEST(BatchPlanJson, RoundTripsEveryPolicyShape) {
-  // A permuted, ragged plan (the cone/adaptive shape): order reversed,
-  // batches of 3/1/3.
-  BatchPlan plan;
-  plan.order = {6, 5, 4, 3, 2, 1, 0};
-  plan.batch_start = {0, 3, 4, 7};
-  plan.validate(7, 63);
-
-  const Json doc = batch_plan_to_json(plan, "cone");
-  EXPECT_EQ(doc.at("policy").as_string(), "cone");
-  const BatchPlan back = batch_plan_from_json(doc);
-  EXPECT_EQ(back.order, plan.order);
-  EXPECT_EQ(back.batch_start, plan.batch_start);
-
-  // The identity plan (fixed policy) and dump -> parse -> rebuild.
-  const BatchPlan fixed = BatchPlan::fixed(130, 63);
-  const BatchPlan fixed_back =
-      batch_plan_from_json(Json::parse(batch_plan_to_json(fixed, "fixed").dump()));
-  EXPECT_EQ(fixed_back.order, fixed.order);
-  EXPECT_EQ(fixed_back.batch_start, fixed.batch_start);
-
-  // The empty plan round-trips too (grade() never sends one, but the
-  // wire format must not choke on it).
-  BatchPlan empty;
-  empty.batch_start = {0};
-  EXPECT_EQ(batch_plan_from_json(batch_plan_to_json(empty, "fixed")).batches(),
-            0u);
-}
-
-TEST(BatchPlanJson, RejectsMalformedDocuments) {
-  const BatchPlan plan = BatchPlan::fixed(7, 3);
-  const Json good = batch_plan_to_json(plan, "fixed");
-
-  {  // a repeated order index is not a permutation
-    Json bad = good;
-    Json order = Json::array();
-    for (std::size_t i = 0; i < 7; ++i) order.push_back(std::size_t{0});
-    bad.set("order", std::move(order));
-    EXPECT_THROW(batch_plan_from_json(bad), JsonError);
-  }
-  {  // batch sizes that overrun the target count
-    Json bad = good;
-    Json sizes = Json::array();
-    sizes.push_back(std::size_t{100});
-    bad.set("batch_sizes", std::move(sizes));
-    bad.set("batches", std::size_t{1});
-    EXPECT_THROW(batch_plan_from_json(bad), JsonError);
-  }
-  {  // order length disagreeing with the declared target count
-    Json bad = good;
-    bad.set("targets", std::size_t{3});
-    EXPECT_THROW(batch_plan_from_json(bad), JsonError);
-  }
-  {  // batches field disagreeing with batch_sizes
-    Json bad = good;
-    bad.set("batches", std::size_t{1});
-    EXPECT_THROW(batch_plan_from_json(bad), JsonError);
-  }
-  // Missing keys are malformed, not defaulted.
-  EXPECT_THROW(batch_plan_from_json(Json::object()), JsonError);
-}
-
 TEST(SeqFsimOptionsJson, RoundTripsAndRejectsBadBudgets) {
   SeqFsimOptions opts;
   opts.max_cycles = 1234;
@@ -195,7 +136,7 @@ TEST(SeqFsimOptionsJson, ClockingModeRoundTripsNonDefaultOnly) {
   EXPECT_THROW(seq_fsim_options_from_json(bad), JsonError);
 }
 
-TEST(LaneMaskJson, RoundTripsArrayAndLegacyString) {
+TEST(LaneMaskJson, RoundTripsArrayAndRejectsLoneString) {
   LaneMask mask;
   mask.set_word(0, 0x0123456789ABCDEFull);
   mask.set_word(1, 0xFEDCBA9876543210ull);
@@ -211,10 +152,16 @@ TEST(LaneMaskJson, RoundTripsArrayAndLegacyString) {
     EXPECT_EQ(doc.at(static_cast<std::size_t>(k)).as_string().size(), 16u);
   EXPECT_EQ(doc.at(std::size_t{0}).as_string(), "0123456789abcdef");
 
-  // The legacy lone-string form (a pre-width 63-fault shard) still
-  // decodes as the low word.
-  EXPECT_EQ(lane_mask_from_json(Json::parse("\"000000000000000a\"")),
-            LaneMask(0xAull));
+  // A lone hex string is not a mask: coordinator and worker are the same
+  // binary, so there is no older single-word sender to accept. The error
+  // points at the string.
+  const std::string lone = "  \"000000000000000a\"";
+  try {
+    lane_mask_from_json(Json::parse(lone));
+    FAIL() << "lone-string mask accepted";
+  } catch (const JsonError& e) {
+    EXPECT_EQ(e.offset(), lone.find('"')) << e.what();
+  }
 }
 
 TEST(LaneMaskJson, RejectsMalformedWordsWithSourceOffsets) {
@@ -249,18 +196,7 @@ TEST(LaneMaskJson, RejectsMalformedWordsWithSourceOffsets) {
       EXPECT_LE(e.offset(), gpos + 1);
     }
   }
-  // Legacy string form gets the same digit-count strictness.
   EXPECT_THROW(lane_mask_from_json(Json::parse("\"abc\"")), JsonError);
-}
-
-TEST(BatchPlanJson, MaxBatchFollowsNegotiatedWidth) {
-  // A 100-fault batch is over the 64-lane limit (63) but fits 128 lanes
-  // (127): the same document parses or is refused depending on the
-  // max_batch the caller negotiated.
-  const Json doc = batch_plan_to_json(BatchPlan::fixed(200, 100), "fixed");
-  const BatchPlan wide = batch_plan_from_json(doc, /*max_batch=*/127);
-  EXPECT_EQ(wide.batches(), 2u);
-  EXPECT_THROW(batch_plan_from_json(doc), JsonError);  // default: 63
 }
 
 /// Minimal well-formed grade request document for the guard tests.
@@ -271,18 +207,15 @@ Json make_grade_doc(std::size_t targets, std::size_t batch) {
   doc.set("test", "t");
   doc.set("fault_model", std::string(to_string(FaultModel::kStuckAt)));
   doc.set("spec", Json::object());
-  doc.set("plan", batch_plan_to_json(BatchPlan::fixed(targets, batch), "fixed"));
+  doc.set("batch_size", batch);
   Json tg = Json::array();
   for (std::size_t i = 0; i < targets; ++i) tg.push_back(i);
   doc.set("targets", std::move(tg));
-  Json sh = Json::array();
-  sh.push_back(std::size_t{0});
-  doc.set("shards", std::move(sh));
   return doc;
 }
 
-TEST(ShardRequestJson, LanesGateThePlanWidth) {
-  // Absent "lanes" means the pre-width protocol: 64 lanes, 63-fault cap.
+TEST(ShardRequestJson, LanesGateTheBatchSize) {
+  // Absent "lanes" means 64 lanes: a 63-fault cap.
   EXPECT_EQ(shard_request_from_json(make_grade_doc(60, 60)).lanes, 64);
   EXPECT_THROW(shard_request_from_json(make_grade_doc(100, 100)), JsonError);
 
@@ -291,7 +224,7 @@ TEST(ShardRequestJson, LanesGateThePlanWidth) {
     doc.set("lanes", 128);
     const ShardRequest req = shard_request_from_json(doc);
     EXPECT_EQ(req.lanes, 128);
-    EXPECT_EQ(req.plan.batches(), 1u);
+    EXPECT_EQ(req.num_shards(), 1u);
     // ... but 128 lanes still refuse a batch over 127 faults.
     Json over = make_grade_doc(140, 140);
     over.set("lanes", 128);
@@ -309,6 +242,47 @@ TEST(ShardRequestJson, LanesGateThePlanWidth) {
     Json wide = make_grade_doc(10, 10);
     wide.set("lanes", 256);
     EXPECT_THROW(shard_request_from_json(wide), JsonError);
+  }
+}
+
+TEST(UntrustedDecoders, SemanticErrorsPointAtTheOffendingNode) {
+  // Each row is a malformed document and the text its error offset must
+  // point at: a decoder that rejects a value it parsed fine reports where
+  // that value sits, not offset 0.
+  struct Row {
+    const char* what;
+    std::string text;
+    std::function<void(const Json&)> decode;
+    std::string points_at;
+  };
+  const auto campaign = [](const Json& d) { campaign_result_from_json(d); };
+  const auto trace = [](const Json& d) { reference_trace_from_json(d); };
+  const auto fsim = [](const Json& d) { seq_fsim_options_from_json(d); };
+  const std::vector<Row> rows = {
+      {"campaign fault_model", R"({"universe":4,"fault_model":"bogus"})",
+       campaign, R"("bogus")"},
+      {"trace run arrays",
+       R"({"cycles":4,"num_nets":1,"columns":[)"
+       R"({"cycle":[0,2],"value":["0000000000000001"]}]})",
+       trace, R"(["0000000000000001"])"},
+      {"trace run start",
+       R"({"cycles":4,"num_nets":1,"columns":[)"
+       R"({"cycle":[4294967296],"value":["0000000000000001"]}]})",
+       trace, "4294967296"},
+      {"fsim max_cycles",
+       R"({"max_cycles":-5,"early_exit":true,"event_driven":true})", fsim,
+       "-5"},
+  };
+  for (const Row& row : rows) {
+    try {
+      row.decode(Json::parse(row.text));
+      ADD_FAILURE() << row.what << ": accepted";
+    } catch (const JsonError& e) {
+      EXPECT_EQ(row.text.compare(e.offset(), row.points_at.size(),
+                                 row.points_at),
+                0)
+          << row.what << ": offset " << e.offset() << " in " << row.text;
+    }
   }
 }
 
