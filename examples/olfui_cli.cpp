@@ -445,9 +445,11 @@ int run_sbst_mode(int argc, char** argv) {
                 pp.cycles, pp.new_detections);
   const auto& stats = result.campaign.stats;
   std::printf("campaign: %zu new detections, %zu fault-test pairs graded, "
-              "%zu batches, %.2f s, %.0f faults/sec\n",
+              "%zu screened (never activated), %zu batches, %.2f s, "
+              "%.0f faults/sec\n",
               result.campaign.total_new_detections, stats.faults_simulated,
-              stats.batches, stats.wall_seconds, stats.faults_per_second);
+              stats.faults_screened, stats.batches, stats.wall_seconds,
+              stats.faults_per_second);
   if (stats.respawns || stats.shard_reissues || stats.timeouts ||
       stats.degraded_shards)
     std::printf("recovery: %zu respawn(s), %zu shard reissue(s), "

@@ -132,7 +132,7 @@ std::uint64_t campaign_tests_fingerprint(std::span<const CampaignTest> tests) {
 }
 
 std::string CacheKey::canonical() const {
-  std::string out = "cache_key/v2";
+  std::string out = "cache_key/v3";
   const auto field = [&out](std::string_view key, const std::string& value) {
     out += '|';
     out += key;

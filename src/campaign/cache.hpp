@@ -96,9 +96,11 @@ struct CacheKey {
   std::string fault_model = "stuck_at";
   int lane_width = 64;
 
-  /// Self-describing canonical form ("cache_key/v2|universe=..|..") —
+  /// Self-describing canonical form ("cache_key/v3|universe=..|..") —
   /// stored verbatim inside each disk entry and verified on load, so a
-  /// digest collision can never serve the wrong payload.
+  /// digest collision can never serve the wrong payload. The version moves
+  /// whenever the stored payload's meaning does (v3: per-test batches
+  /// count only the pairs left after activation screening).
   std::string canonical() const;
   /// fnv1a64 of canonical(): the disk entry's file name.
   std::uint64_t digest() const;

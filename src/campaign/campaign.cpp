@@ -109,6 +109,14 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
                              const CampaignTest& test,
                              const CampaignProgress& progress,
                              std::vector<double>* shard_seconds) const {
+  return grade_screened(targets, 0, test, progress, shard_seconds);
+}
+
+BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
+                                      std::size_t screened,
+                                      const CampaignTest& test,
+                                      const CampaignProgress& progress,
+                                      std::vector<double>* shard_seconds) const {
   BitVec detected(targets.size());
   if (targets.empty()) return detected;
 
@@ -118,6 +126,7 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
   auto plan_span = obs::tracer().span("plan", "campaign");
   plan_span.arg("test", Json(test.name));
   plan_span.arg("targets", Json(targets.size()));
+  plan_span.arg("screened", Json(screened));
   const std::size_t batch = static_cast<std::size_t>(opts_.batch_size);
   std::vector<std::uint32_t> shard_ids(shard_count(targets.size(), batch));
   std::iota(shard_ids.begin(), shard_ids.end(), 0u);
@@ -226,6 +235,13 @@ CampaignResult CampaignEngine::run(FaultList& fl,
   for (const CampaignTest& test : tests) {
     const std::vector<FaultId> targets =
         campaign_targets(fl, opts_.fault_dropping, opts_.target_limit);
+    // Activation screen, after the target_limit slice so a sliced run
+    // covers the same faults with or without it: an inert fault's faulty
+    // machine equals the good one for the whole test, so simulating it
+    // cannot detect anything.
+    std::vector<FaultId> graded = targets;
+    if (!test.inert.empty())
+      std::erase_if(graded, [&](FaultId f) { return test.inert.get(f); });
     CampaignResult::PerTest pt;
     pt.name = test.name;
     pt.good_cycles = test.good_cycles;
@@ -240,20 +256,22 @@ CampaignResult CampaignEngine::run(FaultList& fl,
     // between tests (class tallies, fault-list updates) never leaks in.
     const auto g0 = std::chrono::steady_clock::now();
     const BitVec det =
-        grade(targets, test, progress, &result.stats.shard_seconds);
+        grade_screened(graded, targets.size() - graded.size(), test, progress,
+                       &result.stats.shard_seconds);
     result.stats.wall_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - g0)
             .count();
     pt.batches = result.stats.shard_seconds.size() - shards_before;
     for (std::size_t i = det.find_first(); i < det.size();
          i = det.find_next(i + 1)) {
-      if (fl.detect_state(targets[i]) == DetectState::kUndetected) {
-        fl.set_detected(targets[i]);
+      if (fl.detect_state(graded[i]) == DetectState::kUndetected) {
+        fl.set_detected(graded[i]);
         ++pt.new_detections;
       }
     }
     result.total_new_detections += pt.new_detections;
-    result.stats.faults_simulated += targets.size();
+    result.stats.faults_simulated += graded.size();
+    result.stats.faults_screened += targets.size() - graded.size();
     result.stats.batches += pt.batches;
     result.tests.push_back(std::move(pt));
   }

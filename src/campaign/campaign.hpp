@@ -18,6 +18,9 @@
 //    future socket/multi-host backend plugs into);
 //  * fault dropping — a fault detected by test k leaves the queue before
 //    test k+1, so late tests grade ever-shrinking target lists;
+//  * activation screening — faults a test's good-machine run proves it
+//    never activates (CampaignTest::inert) leave that test's target list
+//    before batching and cost no simulation;
 //  * good-machine checkpointing — each test's fault-free run is recorded
 //    once (fsim::ReferenceTrace, all nets) and every batch replays the
 //    checkpoint as its reference instead of re-deriving good values from
@@ -77,6 +80,12 @@ struct CampaignTest {
   /// fingerprint — see build_sbst_campaign_tests). Null for local-only
   /// tests; a remote executor handed a null spec fails the campaign.
   Json spec;
+  /// Activation screen over the universe: a set bit marks a fault this
+  /// test provably cannot detect because its good-machine run never
+  /// activates it (see build_sbst_campaign_test). CampaignEngine::run
+  /// drops these from the test's targets before batching. Empty = none
+  /// known (scan and function tests).
+  BitVec inert;
 };
 
 struct CampaignOptions {
@@ -165,7 +174,11 @@ struct CampaignResult {
     /// With a custom executor this is what the default backend would have
     /// used, not what ran the shards — see `executor` for the backend.
     int threads = 0;
-    std::size_t faults_simulated = 0;  ///< fault x test pairs graded
+    /// Fault x test pairs actually graded: targeted minus screened.
+    std::size_t faults_simulated = 0;
+    /// Targeted fault x test pairs dropped by the activation screen
+    /// (CampaignTest::inert) without simulation.
+    std::size_t faults_screened = 0;
     std::size_t batches = 0;
     double faults_per_second = 0;
     /// ShardExecutor::name() of the backend that ran the shards.
@@ -225,7 +238,10 @@ CampaignTest make_function_test(
     std::function<LaneMask(std::span<const FaultId>)> kernel,
     int good_cycles = 0);
 
-/// Progress callback: (test name, faults graded so far, faults targeted).
+/// Progress callback: (test name, faults graded so far, faults to grade).
+/// Both counts are over the pairs the test actually grades: run() passes
+/// the targets left after the activation screen, so a test's final call
+/// reports faults_targeted minus its screened faults.
 using CampaignProgress =
     std::function<void(const std::string&, std::size_t, std::size_t)>;
 
@@ -245,19 +261,27 @@ class CampaignEngine {
   /// per-target detection flags (aligned with `targets`). A caller that
   /// wants batch-mates grouped by some key sorts `targets` first. Flows
   /// with their own between-test bookkeeping (e.g. scan ATPG's
-  /// equivalence-class propagation) build on this directly. With `shard_seconds`, each shard's wall time is appended
-  /// in shard index order.
+  /// equivalence-class propagation) build on this directly. With
+  /// `shard_seconds`, each shard's wall time is appended in shard index
+  /// order. grade() never applies test.inert: every target is simulated.
   BitVec grade(std::span<const FaultId> targets, const CampaignTest& test,
                const CampaignProgress& progress = {},
                std::vector<double>* shard_seconds = nullptr) const;
 
-  /// Runs the full campaign: for each test in order, grades the remaining
-  /// targets (fault dropping permitting), marks detections in `fl`, and
+  /// Runs the full campaign: for each test in order, takes the remaining
+  /// targets (fault dropping and target_limit permitting), drops the
+  /// test's inert faults, grades the rest, marks detections in `fl`, and
   /// accumulates the result.
   CampaignResult run(FaultList& fl, std::span<const CampaignTest> tests,
                      const CampaignProgress& progress = {}) const;
 
  private:
+  /// grade() with the number of targets the caller screened out
+  /// beforehand, reported on the plan span.
+  BitVec grade_screened(std::span<const FaultId> targets,
+                        std::size_t screened, const CampaignTest& test,
+                        const CampaignProgress& progress,
+                        std::vector<double>* shard_seconds) const;
   ShardExecutor& executor() const;
 
   const FaultUniverse* universe_;

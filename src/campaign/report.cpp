@@ -146,6 +146,7 @@ Json campaign_result_to_json(const CampaignResult& result,
     stats.set("wall_seconds", result.stats.wall_seconds);
     stats.set("threads", result.stats.threads);
     stats.set("faults_simulated", result.stats.faults_simulated);
+    stats.set("faults_screened", result.stats.faults_screened);
     stats.set("batches", result.stats.batches);
     stats.set("faults_per_second", result.stats.faults_per_second);
     stats.set("executor", result.stats.executor);
@@ -216,6 +217,8 @@ CampaignResult campaign_result_from_json(const Json& doc) {
     result.stats.wall_seconds = stats.at("wall_seconds").as_number();
     result.stats.threads = stats.at("threads").as_int();
     result.stats.faults_simulated = stats.at("faults_simulated").as_size();
+    if (stats.contains("faults_screened"))  // absent in pre-screening dumps
+      result.stats.faults_screened = stats.at("faults_screened").as_size();
     result.stats.batches = stats.at("batches").as_size();
     result.stats.faults_per_second = stats.at("faults_per_second").as_number();
     if (stats.contains("executor"))  // absent in pre-executor dumps

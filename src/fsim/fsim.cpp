@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "fault/tdf.hpp"
 #include "obs/metrics.hpp"
@@ -10,7 +11,24 @@
 
 namespace olfui {
 
+namespace {
+
+void check_net(const ReferenceTrace& trace, NetId net) {
+  if (net >= trace.num_nets)
+    throw std::out_of_range("ReferenceTrace: net " + std::to_string(net) +
+                            " out of range (" +
+                            std::to_string(trace.num_nets) + " nets)");
+}
+
+}  // namespace
+
 bool ReferenceTrace::net_bit(int cycle, NetId net) const {
+  check_net(*this, net);
+  if (cycle < 0 || cycle >= cycles)
+    throw std::out_of_range("ReferenceTrace: cycle " + std::to_string(cycle) +
+                            " of net " + std::to_string(net) +
+                            " out of range (" + std::to_string(cycles) +
+                            " cycles)");
   const Column& col = columns[net / 64];
   // Last run starting at or before `cycle` (the first run starts at 0).
   const auto it = std::upper_bound(col.cycle.begin(), col.cycle.end(),
@@ -21,6 +39,7 @@ bool ReferenceTrace::net_bit(int cycle, NetId net) const {
 
 void ReferenceTrace::net_history(NetId net,
                                  std::vector<std::uint64_t>& packed) const {
+  check_net(*this, net);
   const std::size_t n = static_cast<std::size_t>(cycles);
   packed.assign((n + 63) / 64, 0);
   const Column& col = columns[net / 64];
@@ -31,6 +50,27 @@ void ReferenceTrace::net_history(NetId net,
     for (std::size_t c = col.cycle[r]; c < hi; ++c)
       packed[c / 64] |= 1ULL << (c % 64);
   }
+}
+
+NetActivation ReferenceTrace::activation() const {
+  NetActivation a;
+  a.seen0.assign(columns.size(), 0);
+  a.seen1.assign(columns.size(), 0);
+  a.rose.assign(columns.size(), 0);
+  a.fell.assign(columns.size(), 0);
+  for (std::size_t o = 0; o < columns.size(); ++o) {
+    const std::vector<std::uint64_t>& v = columns[o].value;
+    for (std::size_t r = 0; r < v.size(); ++r) {
+      a.seen1[o] |= v[r];
+      a.seen0[o] |= ~v[r];
+      if (r == 0) continue;
+      a.rose[o] |= ~v[r - 1] & v[r];
+      a.fell[o] |= v[r - 1] & ~v[r];
+    }
+  }
+  // Padding bits of the last column never hold a net.
+  if (num_nets % 64 != 0) a.seen0.back() &= (1ULL << (num_nets % 64)) - 1;
+  return a;
 }
 
 void ReferenceTrace::reset(std::size_t nets) {
@@ -127,14 +167,22 @@ void SequentialFaultSimulatorT<W>::set_observed(std::vector<CellId> output_cells
 
 template <int W>
 ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
-    Environment& env) {
+    Environment& env, NetActivation* activation) {
   ReferenceTrace trace;
   const std::size_t nets = nl_->num_nets();
   trace.reset(nets);
   std::vector<std::uint64_t> words(trace.columns.size());
   sim_.clear_injections();
   sim_.power_on();
-  env.reset(sim_);
+  SettleLog reset_log;
+  {
+    struct Detach {
+      PackedSimT<W>& sim;
+      ~Detach() { sim.set_settle_log(nullptr); }
+    } detach{sim_};
+    if (activation) sim_.set_settle_log(&reset_log);
+    env.reset(sim_);
+  }
   for (int cycle = 0; cycle < opts_.max_cycles; ++cycle) {
     if (!env.step(sim_, cycle)) break;
     std::fill(words.begin(), words.end(), 0);
@@ -142,6 +190,13 @@ ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
       words[n / 64] |= (word_of(sim_.value(n), 0) & 1ULL) << (n % 64);
     trace.append_cycle(words.data());
     sim_.clock();
+  }
+  if (activation) {
+    *activation = trace.activation();
+    for (std::size_t w = 0; w < reset_log.seen0.size(); ++w) {
+      activation->seen0[w] |= reset_log.seen0[w];
+      activation->seen1[w] |= reset_log.seen1[w];
+    }
   }
   return trace;
 }

@@ -108,6 +108,24 @@ struct SeqFsimOptions {
   int lanes = 64;
 };
 
+/// Lane-0 activity summary of one good-machine run, one bit per net (bit
+/// n % 64 of word n / 64) — what activation screening reads. A stuck-at-v
+/// fault whose site never held !v, or a transition fault whose site never
+/// made its transition, leaves its faulty machine equal to the good one
+/// for the whole run, so it cannot be detected by it.
+struct NetActivation {
+  std::vector<std::uint64_t> seen0;  ///< the net held 0 at some settle
+  std::vector<std::uint64_t> seen1;  ///< the net held 1 at some settle
+  /// The net changed 0 -> 1 (rose) / 1 -> 0 (fell) between two traced
+  /// cycles, so at cycle >= 1: exactly a TDF launch.
+  std::vector<std::uint64_t> rose;
+  std::vector<std::uint64_t> fell;
+
+  static bool test(const std::vector<std::uint64_t>& words, NetId net) {
+    return (words[net / 64] >> (net % 64)) & 1ULL;
+  }
+};
+
 /// Checkpoint of one fault-free run: the executed cycle count plus the
 /// per-cycle lane-0 value of EVERY net. A campaign records the good
 /// machine once per test program; every batch of every worker then reads
@@ -137,12 +155,20 @@ struct ReferenceTrace {
   std::vector<Column> columns;  ///< ceil(num_nets / 64)
 
   /// Lane-0 value of `net` during `cycle` (binary search in the column).
+  /// Throws std::out_of_range, naming both, unless cycle is in
+  /// [0, cycles) and net < num_nets.
   bool net_bit(int cycle, NetId net) const;
 
   /// One net's whole history, packed by cycle (bit c of packed[c / 64]).
   /// Walks the net's column once — the bulk form every per-batch consumer
-  /// uses instead of per-cycle net_bit() scans.
+  /// uses instead of per-cycle net_bit() scans. Throws std::out_of_range
+  /// unless net < num_nets.
   void net_history(NetId net, std::vector<std::uint64_t>& packed) const;
+
+  /// Every net's activity over the traced cycles, derived from the column
+  /// runs in O(runs): seen0/seen1 from the run values, rose/fell from the
+  /// value change at each run boundary (cycle >= 1 by construction).
+  NetActivation activation() const;
 
   /// Clears and sizes the columns for a netlist with `nets` nets.
   void reset(std::size_t nets);
@@ -187,7 +213,19 @@ class SequentialFaultSimulatorT {
   /// to the observed set — it carries all nets, so one recording serves
   /// stuck-at references, TDF launch schedules, and future re-grades).
   /// Lane-0-only, so checkpoints are identical across widths.
-  ReferenceTrace record_reference_trace(Environment& env);
+  ///
+  /// With `activation`, it also receives the run's NetActivation: the
+  /// trace's activation() with every settle inside env.reset() folded into
+  /// seen0/seen1. The reset phase matters — a fault active only while the
+  /// reset input is asserted never shows in the end-of-cycle trace, yet its
+  /// faulty machine leaves reset in a different state. Settles inside
+  /// env.step() before the last one are not sampled: they differ from the
+  /// recorded values only on nets fed combinationally by inputs the
+  /// environment drives mid-step, which is sound as long as no value the
+  /// environment samples mid-step depends combinationally on those inputs
+  /// (true of SocFsimEnvironment; tests/campaign_test.cpp checks it).
+  ReferenceTrace record_reference_trace(Environment& env,
+                                        NetActivation* activation = nullptr);
 
   /// Simulates one batch of up to W-1 faults against the good machine.
   /// Returns a bit per batch entry: detected or not. With `trace`, the

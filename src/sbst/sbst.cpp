@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "campaign/report.hpp"
+#include "fault/tdf.hpp"
 #include "obs/trace.hpp"
 
 namespace olfui {
@@ -358,6 +359,28 @@ class SbstBatchRunnerT final : public FaultBatchRunner {
 
 namespace {
 
+/// The activation screen (CampaignTest::inert): the faults whose faulty
+/// machine provably equals the good machine for the whole run. A
+/// stuck-at-v fault acts only while its site holds !v — at any settle,
+/// reset phase included. run_tdf_batch arms a transition fault only on
+/// the capture cycle after its site makes the fault's transition, so a
+/// site that never does leaves the fault unarmed throughout.
+BitVec inert_faults(const FaultUniverse& universe, const NetActivation& act,
+                    FaultModel fault_model) {
+  const Netlist& nl = universe.netlist();
+  BitVec inert(universe.size());
+  for (FaultId f = 0; f < universe.size(); ++f) {
+    const Fault& fault = universe.fault(f);
+    const NetId site = nl.pin_net(fault.pin);
+    const std::vector<std::uint64_t>& active =
+        fault_model == FaultModel::kTransition
+            ? (tdf_slow_to_rise(fault) ? act.rose : act.fell)
+            : (fault.sa1 ? act.seen0 : act.seen1);
+    if (!NetActivation::test(active, site)) inert.set(f, true);
+  }
+  return inert;
+}
+
 /// Constructs one width instantiation of the runner (the compile-time
 /// half of the opts.lanes dispatch below).
 template <int W>
@@ -395,16 +418,21 @@ SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
   SocFsimEnvironment trace_env(soc, *flash, opts.max_cycles);
   SequentialFaultSimulator tracer(soc.netlist, universe, opts, topo);
   tracer.set_observed(soc.cpu.bus_output_cells);
+  // The same good run yields the activation screen.
   auto trace_span = obs::tracer().span("record_trace", "campaign");
   trace_span.arg("program", Json(program.name));
+  NetActivation activation;
   auto trace = std::make_shared<const ReferenceTrace>(
-      tracer.record_reference_trace(trace_env));
+      tracer.record_reference_trace(trace_env, &activation));
+  BitVec inert = inert_faults(universe, activation, fault_model);
+  trace_span.arg("inert", Json(inert.count()));
   trace_span.end();
 
   SbstCampaignTest out;
   out.trace = trace;
   out.test.name = program.name;
   out.test.good_cycles = good_cycles;
+  out.test.inert = std::move(inert);
   Json spec = Json::object();
   spec.set("workload", "sbst");
   spec.set("program", program.name);

@@ -93,7 +93,10 @@ struct SbstCampaignTest {
 };
 
 /// Builds one program's campaign test: runs the program functionally for
-/// its cycle count, records the reference trace, and wraps the grading
+/// its cycle count, records the reference trace, derives the activation
+/// screen from the same good run (test.inert: stuck-at faults whose site
+/// never leaves the stuck value, reset phase included; transition faults
+/// whose site never makes their transition), and wraps the grading
 /// kernel in per-worker runners (build_sbst_campaign_tests is a loop over
 /// this). The returned test carries a wire spec
 /// ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX}) so a

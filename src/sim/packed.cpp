@@ -427,11 +427,11 @@ template <int W>
 void PackedSimT<W>::eval() {
   ++activity_.evals;
   if (inj_dirty_) prepare_injections();
-  if (mode_ == PackedEvalMode::kFullSweep || needs_full_) {
+  if (mode_ == PackedEvalMode::kFullSweep || needs_full_)
     run_full_sweep();
-    return;
-  }
-  run_event_sweep();
+  else
+    run_event_sweep();
+  if (settle_log_) sample_settle();
 }
 
 template <int W>
@@ -439,6 +439,26 @@ void PackedSimT<W>::full_eval() {
   ++activity_.evals;
   if (inj_dirty_) prepare_injections();
   run_full_sweep();
+  if (settle_log_) sample_settle();
+}
+
+template <int W>
+void PackedSimT<W>::set_settle_log(SettleLog* log) {
+  settle_log_ = log;
+  if (!log) return;
+  const std::size_t words = (values_.size() + 63) / 64;
+  log->seen0.resize(words, 0);
+  log->seen1.resize(words, 0);
+}
+
+template <int W>
+void PackedSimT<W>::sample_settle() {
+  for (std::size_t n = 0; n < values_.size(); ++n) {
+    std::vector<std::uint64_t>& seen = (word_of(values_[n], 0) & 1ULL)
+                                           ? settle_log_->seen1
+                                           : settle_log_->seen0;
+    seen[n / 64] |= 1ULL << (n % 64);
+  }
 }
 
 template <int W>

@@ -134,6 +134,16 @@ struct PackedActivity {
   std::uint64_t flops_skipped = 0;
 };
 
+/// Lane-0 settle accumulator (PackedSimT::set_settle_log): one bit per
+/// net, bit n % 64 of word n / 64. While attached, every eval() ORs each
+/// net's settled lane-0 value into `seen1` and its complement into
+/// `seen0`, so the log records every value the good machine's nets held
+/// at any settle, not just the end-of-cycle ones.
+struct SettleLog {
+  std::vector<std::uint64_t> seen0;
+  std::vector<std::uint64_t> seen1;
+};
+
 template <int W>
 class PackedSimT {
  public:
@@ -184,6 +194,12 @@ class PackedSimT {
   void set_clock_mode(PackedClockMode mode) { clock_mode_ = mode; }
   PackedClockMode clock_mode() const { return clock_mode_; }
 
+  /// Attaches (or, with null, detaches) a lane-0 settle accumulator,
+  /// sized here to the netlist. Costs one pointer test per eval() while
+  /// detached; attached, each eval() adds an O(nets) pass, so attach it
+  /// only around the few settles that need sampling.
+  void set_settle_log(SettleLog* log);
+
   const PackedActivity& activity() const { return activity_; }
   void reset_activity() { activity_ = {}; }
   std::size_t comb_cell_count() const { return topo_->order.size(); }
@@ -211,6 +227,8 @@ class PackedSimT {
   void bump_event_epoch();
   void bump_flop_epoch();
   Word compute_cell(const PackedTopology::FlatCell& fc) const;
+  /// ORs the settled lane-0 net values into settle_log_.
+  void sample_settle();
 
   std::shared_ptr<const PackedTopology> topo_;
   PackedEvalMode mode_ = PackedEvalMode::kEventDriven;
@@ -256,6 +274,7 @@ class PackedSimT {
   bool all_flops_dirty_ = true;
 
   PackedActivity activity_;
+  SettleLog* settle_log_ = nullptr;
 };
 
 /// The scalar 64-lane simulator — the default, and the only width

@@ -215,6 +215,17 @@ TEST(CacheKey, CanonicalOptionsFormIsPinned) {
             "fault_model=stuck_at|lane_width=64|target_limit=0");
 }
 
+TEST(CacheKey, CanonicalKeyFormIsPinned) {
+  // v3: per-test batch counts follow activation screening, so an entry
+  // stored under an older version would replay pre-screen counts.
+  CacheKey k = key_n(0xABCD);
+  k.fault_model = "transition";
+  k.lane_width = 128;
+  EXPECT_EQ(k.canonical(),
+            "cache_key/v3|universe=000000000000abcd|trace=0000000000001111|"
+            "options=0000000000003333|model=transition|lanes=128");
+}
+
 TEST(CacheKey, OptionsHashTracksPayloadAffectingFieldsOnly) {
   const CampaignOptions base;
   const std::uint64_t h = campaign_options_hash(base);

@@ -128,6 +128,22 @@ std::vector<CampaignTest> make_rig_suite(const CounterRig& rig,
   return tests;
 }
 
+/// Enables the global tracer + metrics for one scope and restores the
+/// disabled-and-empty state on exit (pass or fail), so observability
+/// tests can never leak state into the rest of the suite.
+struct ScopedObservability {
+  ScopedObservability() {
+    obs::tracer().set_enabled(true);
+    obs::metrics().set_enabled(true);
+  }
+  ~ScopedObservability() {
+    obs::tracer().set_enabled(false);
+    obs::tracer().clear();
+    obs::metrics().set_enabled(false);
+    obs::metrics().reset_values();
+  }
+};
+
 // ---------------------------------------------------------------------------
 // ShardQueue
 
@@ -363,6 +379,84 @@ TEST(ReferenceTrace, JsonRoundTrips) {
   EXPECT_THROW(reference_trace_from_json(bad), std::exception);
 }
 
+/// The message of the std::out_of_range `f` throws ("" if none).
+template <typename F>
+std::string out_of_range_message(F f) {
+  try {
+    f();
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ReferenceTrace, NetBitRejectsCyclesOutsideTheTrace) {
+  // A zero-cycle trace (which reference_trace_from_json accepts) has no
+  // run to read; past the last cycle there is no value either.
+  ReferenceTrace empty;
+  empty.reset(100);
+  const std::string msg = out_of_range_message([&] { empty.net_bit(0, 7); });
+  EXPECT_NE(msg.find("cycle 0"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("net 7"), std::string::npos) << msg;
+
+  CounterRig rig;
+  const FaultUniverse u(rig.nl);
+  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = kCycles});
+  CounterEnv env(rig.en);
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  EXPECT_NO_THROW(trace.net_bit(kCycles - 1, 0));
+  EXPECT_THROW(trace.net_bit(kCycles, 0), std::out_of_range);
+  EXPECT_THROW(trace.net_bit(-1, 0), std::out_of_range);
+  EXPECT_THROW(trace.net_bit(0, static_cast<NetId>(trace.num_nets)),
+               std::out_of_range);
+}
+
+TEST(ReferenceTrace, NetHistoryRejectsNetsOutsideTheTrace) {
+  ReferenceTrace trace;
+  trace.reset(100);
+  std::vector<std::uint64_t> packed;
+  EXPECT_NO_THROW(trace.net_history(99, packed));
+  const std::string msg =
+      out_of_range_message([&] { trace.net_history(128, packed); });
+  EXPECT_NE(msg.find("net 128"), std::string::npos) << msg;
+}
+
+TEST(ReferenceTrace, ActivationMatchesReplayAndFoldsInTheResetPhase) {
+  CounterRig rig;
+  const FaultUniverse u(rig.nl);
+  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = kCycles});
+  CounterEnv env(rig.en);
+  NetActivation act;
+  const ReferenceTrace trace = fsim.record_reference_trace(env, &act);
+  const NetActivation traced = trace.activation();
+
+  for (NetId n = 0; n < rig.nl.num_nets(); ++n) {
+    bool seen[2] = {false, false}, rose = false, fell = false;
+    for (int c = 0; c < trace.cycles; ++c) {
+      const bool v = trace.net_bit(c, n);
+      seen[v] = true;
+      if (c == 0) continue;
+      const bool prev = trace.net_bit(c - 1, n);
+      rose |= !prev && v;
+      fell |= prev && !v;
+    }
+    ASSERT_EQ(NetActivation::test(traced.seen0, n), seen[0]) << "net " << n;
+    ASSERT_EQ(NetActivation::test(traced.seen1, n), seen[1]) << "net " << n;
+    ASSERT_EQ(NetActivation::test(traced.rose, n), rose) << "net " << n;
+    ASSERT_EQ(NetActivation::test(traced.fell, n), fell) << "net " << n;
+    // The reset phase only adds values.
+    if (seen[0]) ASSERT_TRUE(NetActivation::test(act.seen0, n)) << n;
+    if (seen[1]) ASSERT_TRUE(NetActivation::test(act.seen1, n)) << n;
+  }
+  // Transitions are the trace's alone.
+  EXPECT_EQ(act.rose, traced.rose);
+  EXPECT_EQ(act.fell, traced.fell);
+  // The enable input is low only during reset: only the reset-phase
+  // samples see it at 0.
+  EXPECT_FALSE(NetActivation::test(traced.seen0, rig.en));
+  EXPECT_TRUE(NetActivation::test(act.seen0, rig.en));
+}
+
 // ---------------------------------------------------------------------------
 // CampaignEngine
 
@@ -480,6 +574,53 @@ TEST(Campaign, ProgressCoversEveryTargetedFault) {
   }
 }
 
+TEST(Campaign, RunScreensInertFaultsAfterTheTargetSlice) {
+  // The engine trusts CampaignTest::inert: every third fault is declared
+  // inert, and none of them may reach a batch. The slice is taken first,
+  // so the first 100 ids stay the targets and 34 of them are screened.
+  CounterRig rig;
+  const FaultUniverse u(rig.nl);
+  CampaignTest test = make_rig_test(rig, u, rig.outputs, "all_bits");
+  test.inert = BitVec(u.size());
+  for (FaultId f = 0; f < u.size(); f += 3) test.inert.set(f, true);
+
+  ScopedObservability guard;
+  FaultList fl(u);
+  std::size_t last_done = 0, last_total = 0;
+  const CampaignResult r =
+      CampaignEngine(u, {.threads = 2, .target_limit = 100})
+          .run(fl, std::span(&test, 1),
+               [&](const std::string&, std::size_t done, std::size_t total) {
+                 last_done = std::max(last_done, done);
+                 last_total = total;
+               });
+  ASSERT_EQ(r.tests.size(), 1u);
+  EXPECT_EQ(r.tests[0].faults_targeted, 100u);
+  EXPECT_EQ(r.stats.faults_screened, 34u);
+  EXPECT_EQ(r.stats.faults_simulated, 66u);
+  EXPECT_EQ(r.tests[0].batches, 2u);  // 66 graded pairs in spans of 63
+  EXPECT_EQ(last_done, 66u);          // progress counts graded pairs
+  EXPECT_EQ(last_total, 66u);
+  std::size_t plan_screened = 0;
+  for (const obs::TraceEvent& ev : obs::tracer().drain())
+    if (ev.name == "plan")
+      for (const auto& [key, value] : ev.args)
+        if (key == "screened") plan_screened += value.as_size();
+  EXPECT_EQ(plan_screened, 34u);
+
+  // The graded faults come out exactly as the unscreened primitive grades
+  // them; the screened ones stay undetected.
+  std::vector<FaultId> graded;
+  for (FaultId f = 0; f < 100; ++f)
+    if (!test.inert.get(f)) graded.push_back(f);
+  const BitVec det = CampaignEngine(u, {.threads = 2}).grade(graded, test);
+  BitVec expected(u.size());
+  for (std::size_t i = 0; i < graded.size(); ++i)
+    if (det.get(i)) expected.set(graded[i], true);
+  EXPECT_GT(expected.count(), 0u);
+  EXPECT_EQ(r.detected, expected);
+}
+
 TEST(Campaign, ResultJsonRoundTrips) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
@@ -586,22 +727,6 @@ TEST(Campaign, ShardTimingsCoverEveryShardAtEveryThreadCount) {
           << "threads " << threads << " shard " << s;
   }
 }
-
-/// Enables the global tracer + metrics for one scope and restores the
-/// disabled-and-empty state on exit (pass or fail), so observability
-/// tests can never leak state into the rest of the suite.
-struct ScopedObservability {
-  ScopedObservability() {
-    obs::tracer().set_enabled(true);
-    obs::metrics().set_enabled(true);
-  }
-  ~ScopedObservability() {
-    obs::tracer().set_enabled(false);
-    obs::tracer().clear();
-    obs::metrics().set_enabled(false);
-    obs::metrics().reset_values();
-  }
-};
 
 TEST(Campaign, WallSecondsBoundsTheShardTimes) {
   // RuntimeStats.wall_seconds is a sum of per-test monotonic clock pairs
@@ -1191,6 +1316,116 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
     for (std::size_t t = 0; t < r.tests.size(); ++t)
       EXPECT_EQ(r.tests[t].new_detections, row.new_detections[t])
           << model << " " << r.tests[t].name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Activation screening on the SoC
+
+/// Fault id by FaultUniverse::fault_name, or kInvalidId.
+FaultId find_fault(const FaultUniverse& u, const std::string& name) {
+  for (FaultId f = 0; f < u.size(); ++f)
+    if (u.fault_name(f) == name) return f;
+  return kInvalidId;
+}
+
+TEST(ActivationScreen, ResetPhaseFaultsStayGradedAndDetected) {
+  // alu_arith stuck-at faults whose site leaves the stuck value only while
+  // rstn is low. A screen built from the end-of-cycle trace alone would
+  // drop every one of them, yet the test detects them all: the faulty
+  // machine leaves reset in a different state.
+  static constexpr const char* kResetOnly[] = {
+      // clang-format off
+      "rstn/Y s-a-1",
+      "core/u_rst/Y s-a-0",
+      "core/u_rst/A s-a-1",
+      "core/u_ctl/pc_d_15/S s-a-0",
+      "core/u_ctl/pc_d_16/S s-a-0",
+      "core/u_ctl/pc_d_17/S s-a-0",
+      "core/u_ctl/pc_d_18/S s-a-0",
+      // clang-format on
+  };
+  auto soc = build_soc({});
+  auto suite = build_sbst_suite(soc->config);
+  const FaultUniverse u(soc->netlist);
+  ASSERT_EQ(suite.front().name, "alu_arith");
+  const SbstCampaignTest built = build_sbst_campaign_test(
+      *soc, suite.front(), u, PackedTopology::build(soc->netlist));
+  const NetActivation trace_only = built.trace->activation();
+
+  std::vector<FaultId> ids;
+  for (const char* name : kResetOnly) {
+    const FaultId f = find_fault(u, name);
+    ASSERT_NE(f, kInvalidId) << name;
+    const Fault& fault = u.fault(f);
+    const NetId site = soc->netlist.pin_net(fault.pin);
+    EXPECT_FALSE(NetActivation::test(
+        fault.sa1 ? trace_only.seen0 : trace_only.seen1, site))
+        << name << " is active in the end-of-cycle trace";
+    EXPECT_FALSE(built.test.inert.get(f)) << name;
+    ids.push_back(f);
+  }
+  const BitVec det = CampaignEngine(u, {.threads = 2}).grade(ids, built.test);
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    EXPECT_TRUE(det.get(i)) << kResetOnly[i];
+}
+
+TEST(ActivationScreen, MidStepSampledPortsIgnoreLateInputs) {
+  // record_reference_trace samples only the last settle of each step. The
+  // environment drives instr_in and rdata_in mid-step, so earlier settles
+  // differ from the recorded ones only in those inputs' combinational
+  // fanout. That is sound only if no port the environment reads mid-step
+  // (or at the end) sits in that fanout: walk every such port's fan-in
+  // back to flops and primary inputs.
+  auto soc = build_soc({});
+  const Netlist& nl = soc->netlist;
+  std::set<NetId> late(soc->cpu.instr_in.begin(), soc->cpu.instr_in.end());
+  late.insert(soc->cpu.rdata_in.begin(), soc->cpu.rdata_in.end());
+  std::vector<std::string> ports = {"bwr_o", "brd_o", "halted_o"};
+  for (int i = 0; i < 32; ++i)
+    for (const char* bus : {"iaddr_o", "baddr_o", "bwdata_o"})
+      ports.push_back(bus + std::to_string(i));
+
+  std::vector<bool> visited(nl.num_nets(), false);
+  for (const std::string& port : ports) {
+    const CellId oc = nl.find_output(port);
+    ASSERT_NE(oc, kInvalidId) << port;
+    std::vector<NetId> stack{nl.cell(oc).ins[0]};
+    while (!stack.empty()) {
+      const NetId n = stack.back();
+      stack.pop_back();
+      if (visited[n]) continue;
+      visited[n] = true;
+      ASSERT_FALSE(late.contains(n))
+          << port << " depends combinationally on input net " << n;
+      const CellId drv = nl.net(n).driver;
+      if (drv == kInvalidId || is_sequential(nl.cell(drv).type)) continue;
+      for (const NetId in : nl.cell(drv).ins) stack.push_back(in);
+    }
+  }
+}
+
+TEST(ActivationScreen, InertFaultsAreNeverDetected) {
+  // The screen's soundness, checked the expensive way: grade every fault
+  // each test calls inert through the unscreened primitive.
+  auto soc = build_soc({});
+  auto suite = build_sbst_suite(soc->config);
+  suite.erase(suite.begin() + 2, suite.end());  // alu_arith, alu_logic
+  const FaultUniverse u(soc->netlist);
+  const CampaignEngine engine(u, {.threads = 2});
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition}) {
+    const std::vector<CampaignTest> tests = build_sbst_campaign_tests(
+        *soc, suite, u, kSbstCampaignMargin, true, model);
+    for (const CampaignTest& test : tests) {
+      std::vector<FaultId> inert;
+      for (std::size_t f = test.inert.find_first(); f < test.inert.size();
+           f = test.inert.find_next(f + 1))
+        inert.push_back(static_cast<FaultId>(f));
+      EXPECT_GT(inert.size(), u.size() / 10) << test.name;
+      EXPECT_EQ(engine.grade(inert, test).count(), 0u)
+          << to_string(model) << " " << test.name;
+    }
   }
 }
 

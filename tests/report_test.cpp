@@ -31,6 +31,32 @@ struct SmallRig {
   }
 };
 
+TEST(CampaignStatsJson, PairCountsRoundTrip) {
+  CampaignResult r;
+  r.universe = 8;
+  r.detected = BitVec(8);
+  r.stats.faults_simulated = 5;
+  r.stats.faults_screened = 3;
+  r.stats.batches = 1;
+  const Json doc = campaign_result_to_json(r);
+  EXPECT_EQ(doc.at("stats").at("faults_screened").as_size(), 3u);
+  const CampaignResult back =
+      campaign_result_from_json_string(doc.dump(2));
+  EXPECT_EQ(back.stats.faults_simulated, 5u);
+  EXPECT_EQ(back.stats.faults_screened, 3u);
+  // Dumps from before activation screening carry no screened count.
+  Json old = doc;
+  const Json& stats = doc.at("stats");
+  Json pruned = Json::object();
+  for (std::size_t i = 0; i < stats.size(); ++i)
+    if (stats.key(i) != "faults_screened")
+      pruned.set(stats.key(i), stats.value(i));
+  old.set("stats", std::move(pruned));
+  EXPECT_EQ(campaign_result_from_json(old).stats.faults_screened, 0u);
+  // Deterministic dumps carry no stats at all.
+  EXPECT_FALSE(campaign_result_to_json(r, false).contains("stats"));
+}
+
 TEST(CsvExport, HasHeaderAndOneRowPerFault) {
   SmallRig rig;
   const std::string csv = to_csv(*rig.fl);
