@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "campaign/json.hpp"
@@ -52,11 +53,11 @@ struct KernelRun {
 };
 
 /// Grades `targets` in (W-1)-fault batches with one kernel on one thread.
-template <int W>
-KernelRun run_kernel_w(const Soc& soc, const FaultUniverse& universe,
-                       SbstProgram& program, int good_cycles,
-                       std::span<const FaultId> targets, bool event_driven,
-                       bool incremental) {
+template <int W = 64>
+KernelRun run_kernel(const Soc& soc, const FaultUniverse& universe,
+                     SbstProgram& program, int good_cycles,
+                     std::span<const FaultId> targets, bool event_driven,
+                     bool incremental = true) {
   const int max_cycles = good_cycles + 8;
   FlashImage flash(soc.config.flash_base, soc.config.flash_size);
   flash.load(program.program.base(), program.program.words());
@@ -108,25 +109,6 @@ KernelRun run_kernel_w(const Soc& soc, const FaultUniverse& universe,
                               ? static_cast<double>(batch_cycles) / run.wall_seconds
                               : 0.0;
   return run;
-}
-
-/// Runtime-width front end; `lanes` must be a supported width
-/// (lane_width_supported).
-KernelRun run_kernel(const Soc& soc, const FaultUniverse& universe,
-                     SbstProgram& program, int good_cycles,
-                     std::span<const FaultId> targets, bool event_driven,
-                     bool incremental = true, int lanes = 64) {
-#if OLFUI_HAS_WIDE_LANES
-  if (lanes == 128)
-    return run_kernel_w<128>(soc, universe, program, good_cycles, targets,
-                             event_driven, incremental);
-  if (lanes == 256)
-    return run_kernel_w<256>(soc, universe, program, good_cycles, targets,
-                             event_driven, incremental);
-#endif
-  (void)lanes;
-  return run_kernel_w<64>(soc, universe, program, good_cycles, targets,
-                          event_driven, incremental);
 }
 
 void run_activity_table() {
@@ -189,34 +171,24 @@ void run_activity_table() {
   }
 
   // Per-width throughput + scheduler overhead: the same slice through
-  // every instantiated packed width (event-driven kernel, program 0),
-  // detections cross-checked bit-identical against the 64-lane baseline.
-  // The overhead counters (events drained, arena pushes, flops latched /
-  // skipped) track the per-cell bookkeeping that dominates at the wide
-  // widths — the ROADMAP bottleneck claim — across PRs. Widths the build
-  // did not instantiate are reported as skipped, not silently dropped.
+  // the 64-lane oracle and the 128-lane SBST grading width (event-driven
+  // kernel, program 0), detections cross-checked bit-identical. The
+  // overhead counters (events drained, arena pushes, flops latched /
+  // skipped) track the per-cell bookkeeping that grows with width.
   std::printf("\n%6s %12s %9s %7s %11s %11s %9s %9s\n", "width",
               "cycles/sec", "wall [s]", "vs 64", "drained", "pushes",
               "latched", "skipped");
   Json widths = Json::array();
-  std::vector<bool> baseline;
-  double base_wall = 0;
-  for (const int lanes : {64, 128, 256}) {
+  const KernelRun w64 =
+      run_kernel<64>(*soc, universe, suite[0], cycles[0], targets, true);
+  const KernelRun w128 =
+      run_kernel<128>(*soc, universe, suite[0], cycles[0], targets, true);
+  const double base_wall = w64.wall_seconds;
+  for (const auto& [lanes, r] : {std::pair<int, const KernelRun&>{64, w64},
+                                 {128, w128}}) {
     Json wj = Json::object();
     wj.set("lanes", lanes);
-    if (!lane_width_supported(lanes)) {
-      std::printf("%6d %12s\n", lanes, "(not built)");
-      wj.set("supported", false);
-      widths.push_back(std::move(wj));
-      continue;
-    }
-    const KernelRun r = run_kernel(*soc, universe, suite[0], cycles[0],
-                                   targets, true, true, lanes);
-    if (lanes == 64) {
-      baseline = r.detections;
-      base_wall = r.wall_seconds;
-    }
-    const bool identical = r.detections == baseline;
+    const bool identical = r.detections == w64.detections;
     all_identical &= identical;
     const double vs64 = base_wall > 0 && r.wall_seconds > 0
                             ? base_wall / r.wall_seconds
@@ -228,7 +200,6 @@ void run_activity_table() {
                 static_cast<unsigned long long>(r.flops_latched),
                 static_cast<unsigned long long>(r.flops_skipped),
                 identical ? "[detections identical]" : "[MISMATCH!]");
-    wj.set("supported", true);
     wj.set("cycles_per_second", r.cycles_per_second);
     wj.set("wall_seconds", r.wall_seconds);
     wj.set("speedup_vs_64", vs64);
@@ -289,7 +260,7 @@ void run_activity_table() {
   doc.set("universe", universe.size());
   doc.set("fault_slice", targets.size());
   doc.set("programs", std::move(programs));
-  doc.set("lane_widths", std::move(widths));
+  doc.set("widths", std::move(widths));
   doc.set("clocking", std::move(clocking));
   doc.set("clocking_detections_identical", clocking_identical);
   doc.set("all_detections_identical", all_identical);

@@ -6,7 +6,8 @@
 //     TDF) universe through the campaign orchestrator, on a pluggable
 //     shard executor:
 //       --executor inproc|subprocess   shard backend (default inproc)
-//       --workers N          subprocess worker processes (default 2)
+//       --workers N          subprocess worker processes (default 2;
+//                            at least 1)
 //       --shard-timeout S    per-shard liveness deadline in seconds for
 //                            the subprocess fleet (0 = derive from
 //                            profiled shard times with a generous floor)
@@ -22,18 +23,6 @@
 //       --limit N            grade only the first N eligible faults per
 //                            test (the CI smoke slice; 0 = all)
 //       --threads N          in-process worker threads (0 = all cores)
-//       --lanes W            packed kernel width: 64 (default), 128, or
-//                            256 — builds without vector-extension
-//                            support fall back to 64. Pure throughput
-//                            knob: the graded JSON is identical at every
-//                            width
-//       --clocking M         full | incremental (default incremental) —
-//                            the packed kernel's clock() path; full is the
-//                            every-flop two-pass latch oracle. Pure
-//                            work-skipping knob: the graded JSON is
-//                            identical in both modes, and the choice rides
-//                            each test's wire spec so subprocess fleets
-//                            grade with the coordinator's mode
 //       --model sa|tdf       fault model (default sa)
 //       --cache-dir DIR      persistent grade-result cache (campaign/
 //                            cache.hpp): a repeat run with identical
@@ -126,7 +115,6 @@ using namespace olfui;
                "       %s --sbst [--executor inproc|subprocess] [--workers N] "
                "[--shard-timeout S] [--max-respawns N] [--min-workers N] "
                "[--chaos SPEC] [--programs N] [--limit N] [--threads N] "
-               "[--lanes 64|128|256] [--clocking full|incremental] "
                "[--model sa|tdf] [--cache-dir DIR] "
                "[--json FILE] [--json-no-stats FILE] [--trace FILE] "
                "[--metrics FILE] [--progress]\n"
@@ -175,10 +163,15 @@ class SbstWorkerWorkload final : public WorkerWorkload {
     return entry(request).trace_fp;
   }
 
+  int max_batch(const ShardRequest& request) override {
+    return entry(request).max_batch;
+  }
+
  private:
   struct Entry {
     std::unique_ptr<FaultBatchRunner> runner;
     std::uint64_t trace_fp = 0;
+    int max_batch = 0;
   };
 
   void ensure_soc() {
@@ -200,6 +193,7 @@ class SbstWorkerWorkload final : public WorkerWorkload {
           *soc_, suite_, *universe_, topo_, request.spec, request.fault_model);
       Entry e;
       e.trace_fp = rebuilt.trace->fingerprint();
+      e.max_batch = rebuilt.test.max_batch;
       e.runner = rebuilt.test.make_runner();
       it = cache_.emplace(key, std::move(e)).first;
     }
@@ -262,20 +256,20 @@ void write_observability(const std::string& trace_path,
 }
 
 /// Builds the opt-in stderr heartbeat: one throttled line per completed
-/// shard batch with shards done / a (lanes - 1)-per-shard estimate of the
-/// total, faults graded, rate, and ETA. Progress callbacks arrive
+/// shard batch with shards done / a (kSbstLanes - 1)-per-shard estimate of
+/// the total, faults graded, rate, and ETA. Progress callbacks arrive
 /// serialized (the engine holds a mutex), so the state needs no further
 /// locking.
-CampaignProgress make_progress_heartbeat(int lanes) {
+CampaignProgress make_progress_heartbeat() {
   struct Heartbeat {
     std::string test;
     std::chrono::steady_clock::time_point t0, last;
     std::size_t shards = 0;
   };
-  const std::size_t batch = static_cast<std::size_t>(lanes - 1);
+  constexpr std::size_t batch = kSbstLanes - 1;
   auto hb = std::make_shared<Heartbeat>();
-  return [hb, batch](const std::string& test, std::size_t graded,
-                     std::size_t targeted) {
+  return [hb](const std::string& test, std::size_t graded,
+              std::size_t targeted) {
     const auto now = std::chrono::steady_clock::now();
     if (test != hb->test) {
       hb->test = test;
@@ -308,11 +302,10 @@ CampaignProgress make_progress_heartbeat(int lanes) {
 
 int run_sbst_mode(int argc, char** argv) {
   std::size_t programs = 0, limit = 0;
-  int threads = 0, workers = 2, lanes = 64;
+  int threads = 0, workers = 2;
   FleetOptions fleet;
   double shard_timeout = 0;
   bool subprocess = false, transition = false, progress = false;
-  bool incremental_clocking = true;
   std::string json_path, json_no_stats_path, cache_dir;
   std::string trace_path, metrics_path, chaos_spec;
 
@@ -333,6 +326,7 @@ int run_sbst_mode(int argc, char** argv) {
       else if (kind != "inproc") usage(argv[0]);
     } else if (arg == "--workers") {
       workers = static_cast<int>(next_uint());
+      if (workers < 1) usage(argv[0]);
     } else if (arg == "--shard-timeout") {
       char* end = nullptr;
       const std::string text = next();
@@ -357,13 +351,6 @@ int run_sbst_mode(int argc, char** argv) {
       limit = next_uint();
     } else if (arg == "--threads") {
       threads = static_cast<int>(next_uint());
-    } else if (arg == "--lanes") {
-      lanes = static_cast<int>(next_uint());
-      if (lanes != 64 && lanes != 128 && lanes != 256) usage(argv[0]);
-    } else if (arg == "--clocking") {
-      const std::string mode = next();
-      if (mode != "full" && mode != "incremental") usage(argv[0]);
-      incremental_clocking = mode == "incremental";
     } else if (arg == "--model") {
       const std::string model = next();
       if (model != "sa" && model != "tdf") usage(argv[0]);
@@ -400,13 +387,6 @@ int run_sbst_mode(int argc, char** argv) {
       transition ? FaultModel::kTransition : FaultModel::kStuckAt;
   opts.target_limit = limit;
   opts.shard_timeout = shard_timeout;
-  opts.lane_width = lanes;
-  opts.incremental_clocking = incremental_clocking;
-  if (resolve_lane_width(lanes) != lanes)
-    std::fprintf(stderr,
-                 "note: this build has no %d-lane kernel; grading with the "
-                 "scalar 64-lane path\n",
-                 lanes);
   if (subprocess) {
     fleet.workers = workers;
     std::vector<std::string> worker_cmd{argv[0], "--worker"};
@@ -427,17 +407,15 @@ int run_sbst_mode(int argc, char** argv) {
   }
 
   std::printf("sbst campaign: %zu programs, %zu faults%s, model %s,\n"
-              "  %d lanes, %s clocking, executor %s",
+              "  %d lanes, executor %s",
               suite.size(), universe.size(), limit ? " (sliced)" : "",
-              transition ? "tdf" : "sa", resolve_lane_width(lanes),
-              incremental_clocking ? "incremental" : "full",
+              transition ? "tdf" : "sa", kSbstLanes,
               subprocess ? "subprocess" : "inproc");
   if (subprocess) std::printf(" (%d workers)", workers);
   std::printf("\n");
 
   const CampaignProgress heartbeat =
-      progress ? make_progress_heartbeat(resolve_lane_width(lanes))
-               : CampaignProgress{};
+      progress ? make_progress_heartbeat() : CampaignProgress{};
   const SbstCampaignResult result =
       run_sbst_campaign(*soc, suite, fl, heartbeat, opts);
   for (const auto& pp : result.programs)

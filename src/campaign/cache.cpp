@@ -83,7 +83,6 @@ std::string campaign_options_canonical(const CampaignOptions& opts) {
   field("batch_size", std::to_string(opts.batch_size));
   field("fault_dropping", opts.fault_dropping ? "1" : "0");
   field("fault_model", std::string(to_string(opts.fault_model)));
-  field("lane_width", std::to_string(opts.lane_width));
   field("target_limit", std::to_string(opts.target_limit));
   return out;
 }
@@ -126,13 +125,14 @@ std::uint64_t campaign_tests_fingerprint(std::span<const CampaignTest> tests) {
     if (test.spec.is_null()) return 0;
     h = fnv1a64(test.name, h);
     h = fnv1a64_word(static_cast<std::uint64_t>(test.good_cycles), h);
+    h = fnv1a64_word(static_cast<std::uint64_t>(test.max_batch), h);
     h = fnv1a64(test.spec.dump(), h);
   }
   return h;
 }
 
 std::string CacheKey::canonical() const {
-  std::string out = "cache_key/v3";
+  std::string out = "cache_key/v4";
   const auto field = [&out](std::string_view key, const std::string& value) {
     out += '|';
     out += key;
@@ -143,7 +143,6 @@ std::string CacheKey::canonical() const {
   field("trace", word_to_hex(trace_fp));
   field("options", word_to_hex(options_hash));
   field("model", fault_model);
-  field("lanes", std::to_string(lane_width));
   return out;
 }
 

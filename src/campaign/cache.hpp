@@ -4,12 +4,13 @@
 // programs, same netlist, tweaked options — and every fingerprint a
 // repeat run needs to prove "this is the same work" already exists on the
 // executor seam: the universe/netlist structure, each test's
-// ReferenceTrace fingerprint (riding in CampaignTest::spec), and a
-// canonical options hash (which covers batch_size and lane_width, the
-// only inputs of batch formation). ResultCache keys the deterministic
-// CampaignResult JSON payload on exactly those:
+// ReferenceTrace fingerprint (riding in CampaignTest::spec, next to each
+// test's max_batch), and a canonical options hash (which covers
+// batch_size; with max_batch the only inputs of batch formation).
+// ResultCache keys the deterministic CampaignResult JSON payload on
+// exactly those:
 //
-//   CacheKey{universe_fp, trace_fp, options_hash, fault_model, lane_width}
+//   CacheKey{universe_fp, trace_fp, options_hash, fault_model}
 //
 // CampaignEngine::run consults the cache before planning anything: a full
 // hit decodes the stored payload and returns it with ZERO shards executed
@@ -58,7 +59,7 @@ std::uint64_t fnv1a64_word(std::uint64_t v, std::uint64_t h);
 /// field as sorted "key=value" pairs — defaults included explicitly, so a
 /// changed default changes the hash and field declaration order never
 /// matters. Payload-NEUTRAL knobs (threads, executor backend,
-/// shard_timeout, incremental_clocking, observability) are deliberately
+/// shard_timeout, observability) are deliberately
 /// absent: they never change the deterministic payload, so they must not
 /// fragment the cache.
 std::string campaign_options_canonical(const CampaignOptions& opts);
@@ -79,9 +80,9 @@ std::uint64_t universe_fingerprint(const FaultUniverse& universe);
 /// of the universe component of the key.
 std::uint64_t fault_list_fingerprint(const FaultList& fl);
 
-/// Folds every test's (name, good_cycles, spec) — the spec carries the
-/// fsim options and the ReferenceTrace state fingerprint, so this is the
-/// key's trace component. Returns 0 (not cacheable) if any test has a
+/// Folds every test's (name, good_cycles, max_batch, spec) — the spec
+/// carries the fsim options and the ReferenceTrace state fingerprint, so
+/// this is the key's trace component. Returns 0 (not cacheable) if any test has a
 /// null spec: without a wire description the grading kernel a
 /// make_runner closure captures cannot be fingerprinted.
 std::uint64_t campaign_tests_fingerprint(std::span<const CampaignTest> tests);
@@ -94,13 +95,13 @@ struct CacheKey {
   std::uint64_t trace_fp = 0;     ///< tests incl. ReferenceTrace fingerprints
   std::uint64_t options_hash = 0; ///< campaign_options_hash()
   std::string fault_model = "stuck_at";
-  int lane_width = 64;
 
-  /// Self-describing canonical form ("cache_key/v3|universe=..|..") —
+  /// Self-describing canonical form ("cache_key/v4|universe=..|..") —
   /// stored verbatim inside each disk entry and verified on load, so a
   /// digest collision can never serve the wrong payload. The version moves
   /// whenever the stored payload's meaning does (v3: per-test batches
-  /// count only the pairs left after activation screening).
+  /// count only the pairs left after activation screening; v4: SBST
+  /// batches are 127-fault spans and the key has no lane width).
   std::string canonical() const;
   /// fnv1a64 of canonical(): the disk entry's file name.
   std::uint64_t digest() const;

@@ -79,16 +79,13 @@ bool CampaignResult::operator==(const CampaignResult& o) const {
 
 CampaignEngine::CampaignEngine(const FaultUniverse& universe,
                                CampaignOptions opts)
-    : universe_(&universe), opts_(opts) {
-  // Unsupported widths fall back to the scalar 64-lane kernel, and the
-  // batch size is bounded by the resolved width (lane 0 is the good
-  // machine, so a W-lane pass grades at most W-1 faults). batch_size == 0
-  // asks for the width's natural maximum.
-  opts_.lane_width = resolve_lane_width(opts_.lane_width);
-  const int max_batch = opts_.lane_width - 1;
-  opts_.batch_size = opts_.batch_size == 0
-                         ? max_batch
-                         : std::clamp(opts_.batch_size, 1, max_batch);
+    : universe_(&universe), opts_(std::move(opts)) {}
+
+std::size_t CampaignEngine::batch_size(const CampaignTest& test) const {
+  // A span wider than the detection mask could not be merged back.
+  const int bound = std::clamp(test.max_batch, 1, LaneMask::kWords * 64 - 1);
+  return static_cast<std::size_t>(
+      opts_.batch_size == 0 ? bound : std::clamp(opts_.batch_size, 1, bound));
 }
 
 int CampaignEngine::resolved_threads() const {
@@ -127,7 +124,7 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   plan_span.arg("test", Json(test.name));
   plan_span.arg("targets", Json(targets.size()));
   plan_span.arg("screened", Json(screened));
-  const std::size_t batch = static_cast<std::size_t>(opts_.batch_size);
+  const std::size_t batch = batch_size(test);
   std::vector<std::uint32_t> shard_ids(shard_count(targets.size(), batch));
   std::iota(shard_ids.begin(), shard_ids.end(), 0u);
   plan_span.arg("shards", Json(shard_ids.size()));
@@ -141,8 +138,7 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   ShardWork work{targets,           batch,
                  shard_ids,         test,
                  opts_.fault_model, universe_->size(),
-                 {},                opts_.shard_timeout,
-                 opts_.lane_width};
+                 {},                opts_.shard_timeout};
   if (progress)
     work.progress = [&](std::size_t n) {
       std::lock_guard lock(progress_mu);
@@ -202,7 +198,6 @@ CampaignResult CampaignEngine::run(FaultList& fl,
       cache_key.trace_fp = tests_fp;
       cache_key.options_hash = result.stats.options_hash;
       cache_key.fault_model = std::string(to_string(opts_.fault_model));
-      cache_key.lane_width = opts_.lane_width;
       auto lookup_span = obs::tracer().span("cache_lookup", "campaign");
       std::optional<CampaignResult> hit = opts_.cache->lookup(cache_key);
       lookup_span.arg("outcome", Json(std::string(hit ? "hit" : "miss")));

@@ -10,8 +10,8 @@
 //
 //  * batching — the target fault list is cut into contiguous spans of
 //    batch_size faults in target order (one parallel-fault simulator pass
-//    each; 63 at the default 64-lane width): shard s grades
-//    targets[s*B, min(n, (s+1)*B));
+//    each, at most the test's max_batch: 127 for SBST, 63 for 64-lane
+//    runners): shard s grades targets[s*B, min(n, (s+1)*B));
 //  * execution — the shards run on a pluggable ShardExecutor
 //    (executor.hpp: the in-process work-stealing worker pool by default,
 //    or subprocess workers speaking a JSON line protocol — the seam any
@@ -33,7 +33,7 @@
 // Workloads plug in through FaultBatchRunner: the SBST campaign wraps
 // SequentialFaultSimulator + SocFsimEnvironment, the scan flow wraps
 // ScanTestRunner, and ad-hoc sweeps can wrap anything that grades a
-// 63-fault span.
+// span of up to max_batch faults.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +60,9 @@ class ResultCache;     // campaign/cache.hpp
 class FaultBatchRunner {
  public:
   virtual ~FaultBatchRunner() = default;
-  /// Grades up to lanes-1 faults; bit i of the result = faults[i]
-  /// detected. The mask type holds kMaxLaneWidth-1 faults regardless of
-  /// the runner's actual width.
+  /// Grades up to the test's max_batch faults; bit i of the result =
+  /// faults[i] detected. The mask type holds 127 faults regardless of the
+  /// runner's actual width.
   virtual LaneMask run_batch(std::span<const FaultId> faults) = 0;
 };
 
@@ -74,6 +74,10 @@ struct CampaignTest {
   std::string name;
   int good_cycles = 0;
   std::function<std::unique_ptr<FaultBatchRunner>()> make_runner;
+  /// Widest span one runner pass can grade: its lane count minus the good
+  /// machine's lane 0. The engine never cuts a wider shard for this test
+  /// (nor one wider than LaneMask's 127 faults).
+  int max_batch = 63;
   /// Optional wire description of this test for remote executors: an
   /// opaque JSON document a worker-side workload uses to rebuild the
   /// grading state make_runner captures (program id, fsim options, state
@@ -91,16 +95,8 @@ struct CampaignTest {
 struct CampaignOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   int threads = 0;
-  /// Packed kernel width (64/128/256); unsupported requests fall back to
-  /// 64 (resolve_lane_width). Pure throughput knob: detection sets are
-  /// bit-identical at every width.
-  int lane_width = 64;
-  /// Dirty-D incremental clocking in the packed kernel (false = full
-  /// two-pass latch oracle). Pure work-skipping knob: detection sets are
-  /// bit-identical in both modes.
-  bool incremental_clocking = true;
-  /// Faults per shard; clamped to [1, lane_width - 1] (lane 0 is the good
-  /// machine). The default tracks the resolved width: lanes - 1.
+  /// Faults per shard; clamped per test to [1, CampaignTest::max_batch].
+  /// 0 = each test's max_batch.
   int batch_size = 0;
   /// Detected faults leave the target queue before the next test. Off, every
   /// test grades the full testable universe (the regression baseline).
@@ -253,11 +249,14 @@ class CampaignEngine {
   const CampaignOptions& options() const { return opts_; }
   /// Worker count after resolving threads == 0.
   int resolved_threads() const;
+  /// Faults per shard for `test`: options().batch_size clamped to
+  /// [1, test.max_batch], or test.max_batch when batch_size is 0.
+  std::size_t batch_size(const CampaignTest& test) const;
 
   /// The deterministic parallel grading primitive, an explicit
-  /// plan -> execute -> merge pipeline: cuts `targets` into batch_size
-  /// spans in target order, hands every shard id to the configured
-  /// ShardExecutor, and merges the returned masks back, returning
+  /// plan -> execute -> merge pipeline: cuts `targets` into
+  /// batch_size(test) spans in target order, hands every shard id to the
+  /// configured ShardExecutor, and merges the returned masks back, returning
   /// per-target detection flags (aligned with `targets`). A caller that
   /// wants batch-mates grouped by some key sorts `targets` first. Flows
   /// with their own between-test bookkeeping (e.g. scan ATPG's

@@ -221,7 +221,6 @@ Json shard_request_to_json(const ShardWork& work) {
   doc.set("test", work.test.name);
   doc.set("fault_model", std::string(fault_model_name(work.fault_model)));
   doc.set("spec", work.test.spec);
-  if (work.lane_width != 64) doc.set("lanes", work.lane_width);
   doc.set("batch_size", work.batch_size);
   Json targets = Json::array();
   for (FaultId f : work.targets)
@@ -243,28 +242,11 @@ ShardRequest shard_request_from_json(const Json& doc) {
   req.heartbeat = doc.contains("heartbeat") && doc.at("heartbeat").as_bool();
   req.fault_model = fault_model_from_name(doc.at("fault_model"));
   req.spec = doc.at("spec");
-  if (doc.contains("lanes")) {  // absent = 64
-    const Json& lanes = doc.at("lanes");
-    req.lanes = lanes.as_int();
-    if (req.lanes != 64 && req.lanes != 128 && req.lanes != 256)
-      throw JsonError("shard request: lanes must be 64, 128 or 256",
-                      lanes.source_offset());
-    // A request wider than this build instantiates is deterministic
-    // misconfiguration — refuse it before grading anything, mirroring
-    // the coordinator-side max_lanes check at hello.
-    if (!lane_width_supported(req.lanes))
-      throw JsonError("shard request: lanes exceed this worker's widest "
-                      "kernel (" + std::to_string(kMaxLaneWidth) + ")",
-                      lanes.source_offset());
-  }
-  // A span over lanes - 1 faults cannot be graded in one pass and must be
-  // refused, never truncated.
+  // The upper bound is the rebuilt test's (serve_worker checks it).
   const Json& batch = doc.at("batch_size");
   req.batch_size = batch.as_size();
-  if (req.batch_size < 1 ||
-      req.batch_size > static_cast<std::size_t>(req.lanes - 1))
-    throw JsonError("shard request: batch_size must be in [1, " +
-                        std::to_string(req.lanes - 1) + "]",
+  if (req.batch_size < 1)
+    throw JsonError("shard request: batch_size must be at least 1",
                     batch.source_offset());
   const Json& targets = doc.at("targets");
   req.targets.reserve(targets.size());
@@ -365,10 +347,6 @@ int serve_worker(std::FILE* in, std::FILE* out, WorkerWorkload& workload,
     // Our monotonic clock at hello time: the coordinator pairs it with its
     // own to shift merged telemetry spans onto a common timeline.
     hello.set("ts_us", static_cast<double>(obs::tracer().now_us()));
-    // Widest packed kernel this binary instantiates; the coordinator
-    // rejects us for campaigns wider than this (misconfiguration, like a
-    // universe mismatch — never retried).
-    hello.set("max_lanes", kMaxLaneWidth);
     if (!write_line(out, hello)) return 1;
   }
 
@@ -430,7 +408,8 @@ int serve_worker(std::FILE* in, std::FILE* out, WorkerWorkload& workload,
   while (read_line(in, line)) {
     if (line.find_first_not_of(" \t") == std::string::npos) continue;
     try {
-      const ShardRequest req = shard_request_from_json(Json::parse(line));
+      const Json doc = Json::parse(line);
+      const ShardRequest req = shard_request_from_json(doc);
       // Telemetry is sticky once requested: state rebuilt during an
       // instrumented campaign stays attributable.
       if (req.telemetry) {
@@ -444,6 +423,14 @@ int serve_worker(std::FILE* in, std::FILE* out, WorkerWorkload& workload,
       rebuild_span.arg("test", Json(req.test));
       const std::uint64_t state_fp = workload.state_fingerprint(req);
       rebuild_span.end();
+      // A span wider than the rebuilt runner's lanes cannot be graded in
+      // one pass and must be refused, never truncated.
+      const int bound = workload.max_batch(req);
+      if (req.batch_size > static_cast<std::size_t>(bound))
+        throw JsonError("shard request: batch_size " +
+                            std::to_string(req.batch_size) + " exceeds test '" +
+                            req.test + "' bound of " + std::to_string(bound),
+                        doc.at("batch_size").source_offset());
       // Pull dispatch: drain grant lines until the final one. EOF here is
       // a coordinator gone mid-request — clean shutdown, same as EOF
       // between requests.
@@ -871,16 +858,6 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
           w.clock_offset_us =
               obs::tracer().now_us() -
               static_cast<std::int64_t>(reply.at("ts_us").as_number());
-        // Widest kernel the worker binary instantiates. A worker too
-        // narrow for this campaign's lane width is deterministic
-        // misconfiguration — every respawn of the same binary would fail
-        // the same way, so reject the fleet now, exactly like a
-        // universe-size mismatch.
-        w.max_lanes = reply.at("max_lanes").as_int();
-        if (w.max_lanes < work.lane_width)
-          fatal(i, "instantiates at most " + std::to_string(w.max_lanes) +
-                       " lanes, campaign needs " +
-                       std::to_string(work.lane_width) + context);
       } catch (const JsonError& e) {
         fail_worker(i, std::string("malformed hello: ") + e.what(), false,
                     pending);
@@ -1078,8 +1055,7 @@ std::vector<ShardResult> SubprocessExecutor::execute(const ShardWork& work) {
                           work.fault_model,
                           work.universe,
                           work.progress,
-                          work.shard_timeout,
-                          work.lane_width};
+                          work.shard_timeout};
       const std::vector<ShardResult> sub_results = fallback_->execute(sub);
       for (std::size_t k = 0; k < remaining.size(); ++k) {
         const std::size_t idx = slot.at(remaining[k]);

@@ -4,10 +4,10 @@
 // worker pool; the executor turns "who runs a shard, where" into a policy
 // behind one interface. The engine cuts the targets into contiguous
 // batch_size spans, hands the shard ids to a ShardExecutor, and merges
-// the returned per-shard detection masks (LaneMask — up to
-// kMaxLaneWidth-1 faults per shard) back to target order — the merge is
-// slot-indexed by shard id, so the result is bit-identical no matter
-// where (or in what order) the shards actually ran.
+// the returned per-shard detection masks (LaneMask — up to 127 faults per
+// shard) back to target order — the merge is slot-indexed by shard id, so
+// the result is bit-identical no matter where (or in what order) the
+// shards actually ran.
 //
 // Two executors ship:
 //  * InProcessExecutor — a persistent CV-parked WorkerPool draining a
@@ -30,16 +30,16 @@
 //    placement-independent, every recovery path is bit-identical to an
 //    undisturbed run by construction.
 //
-// Wire protocol v3 (one JSON document per line, both directions).
+// Wire protocol v4 (one JSON document per line, both directions).
 // Coordinator and worker are always the same binary, so the protocol
 // carries no back-compat forms:
 //
 //   worker -> coordinator on spawn:
-//     {"type":"hello","protocol":3,"ts_us":T,"max_lanes":W}
+//     {"type":"hello","protocol":4,"ts_us":T}
 //   coordinator -> worker, once per grade() call per worker:
-//     {"type":"grade","protocol":3,"test":NAME,
+//     {"type":"grade","protocol":4,"test":NAME,
 //      "fault_model":"stuck_at"|"transition","spec":<CampaignTest::spec>,
-//      "lanes":W?,"batch_size":B,"targets":[fault ids in target order],
+//      "batch_size":B,"targets":[fault ids in target order],
 //      "heartbeat":true?,"telemetry":true?}
 //   coordinator -> worker (pull dispatch):
 //     {"type":"grant","shards":[shard ids]}        more work
@@ -55,15 +55,11 @@
 //
 // Fields marked "?" are optional. Shard s of a request is
 // targets[s*B, min(n, (s+1)*B)) — the same spans the engine cut, so the
-// request carries B, never a per-target layout. "max_lanes" is the widest
-// packed kernel the worker binary instantiates; "lanes" is the width the
-// coordinator cut its spans for (absent = 64). A coordinator rejects, as
-// deterministic misconfiguration, any worker whose max_lanes is below the
-// campaign's lane width, exactly like a universe-size mismatch; a worker
-// rejects a request whose lanes exceed what it instantiates, whose
-// batch_size is outside [1, lanes-1], or a grant naming a shard at or
-// past ceil(n/B). "mask" is a fixed-order array of 16-hex-digit words,
-// least significant word first, LaneMask::kWords long. "heartbeat" asks
+// request carries B, never a per-target layout. A worker rejects a
+// request whose batch_size is 0 or exceeds the max_batch of the test it
+// rebuilds from the spec, or a grant naming a shard at or past ceil(n/B).
+// "mask" is a fixed-order array of 16-hex-digit words, least significant
+// word first, LaneMask::kWords long. "heartbeat" asks
 // the worker to announce each shard before grading it, which is what lets
 // the coordinator tell "slow shard, still alive" from "wedged";
 // "telemetry" asks for side-band spans/counters on done; "ts_us" is the
@@ -104,8 +100,9 @@ namespace olfui {
 
 /// Wire-format revision; bumped on any incompatible protocol change.
 /// v3 replaced the plan object with batch_size and made grants the only
-/// dispatch path.
-inline constexpr int kWorkerProtocolVersion = 3;
+/// dispatch path; v4 dropped the lane-width fields of hello and grade —
+/// the test a worker rebuilds bounds batch_size.
+inline constexpr int kWorkerProtocolVersion = 4;
 
 /// One shard's outcome: detection mask (bit i = i-th fault of the batch
 /// detected) plus the grading wall time (reported per shard, and the
@@ -119,8 +116,8 @@ struct ShardResult {
 /// point into the engine's frame and stay valid for the execute() call.
 struct ShardWork {
   std::span<const FaultId> targets;  ///< in target order
-  /// Faults per shard (the engine's clamped CampaignOptions value): shard
-  /// s grades shard_span(targets, batch_size, s).
+  /// Faults per shard (CampaignEngine::batch_size for the test): shard s
+  /// grades shard_span(targets, batch_size, s).
   std::size_t batch_size = 63;
   std::span<const std::uint32_t> shards;  ///< shard ids to execute
   const CampaignTest& test;
@@ -136,10 +133,6 @@ struct ShardWork {
   /// SubprocessExecutor. Strictly a liveness knob: results are
   /// bit-identical whatever deadline fires.
   double shard_timeout = 0;
-  /// Packed kernel width the spans were cut for (CampaignOptions::
-  /// lane_width, already resolved). Bounds batch_size at lane_width - 1
-  /// and is forwarded to remote workers as the request's "lanes" field.
-  int lane_width = 64;
 
   std::span<const FaultId> shard_faults(std::uint32_t shard) const {
     return shard_span(targets, batch_size, shard);
@@ -290,10 +283,6 @@ class SubprocessExecutor final : public ShardExecutor {
     int failures = 0;        ///< consecutive failures (backoff exponent)
     Clock::time_point respawn_at{};
     bool respawn_scheduled = false;
-    /// Widest packed kernel the worker announced at hello. A worker
-    /// narrower than the campaign's lane width is rejected as
-    /// deterministic misconfiguration before any grant.
-    int max_lanes = 64;
   };
 
   // All private methods below run under mu_ (execute() holds it).
@@ -342,7 +331,8 @@ struct ShardRequest {
   std::string test;
   FaultModel fault_model = FaultModel::kStuckAt;
   Json spec;  ///< CampaignTest::spec, opaque to the protocol
-  /// Faults per shard; validated to [1, lanes - 1].
+  /// Faults per shard; at least 1 (serve_worker checks the upper bound
+  /// against the rebuilt test's max_batch).
   std::size_t batch_size = 63;
   std::vector<FaultId> targets;  ///< target order
   /// Coordinator asked for spans/counters on the done reply (side-band;
@@ -350,9 +340,6 @@ struct ShardRequest {
   bool telemetry = false;
   /// Announce each shard with a heartbeat line before grading it.
   bool heartbeat = false;
-  /// Packed width the coordinator cut its spans for (absent = 64). The
-  /// parse rejects requests wider than this build instantiates.
-  int lanes = 64;
 
   std::size_t num_shards() const {
     return shard_count(targets.size(), batch_size);
@@ -364,10 +351,9 @@ struct ShardRequest {
 
 /// The request preamble for `work` (its shard ids travel as grants).
 Json shard_request_to_json(const ShardWork& work);
-/// Parses and validates a grade request (protocol version, lanes,
-/// batch_size in [1, lanes - 1], fault ids). Throws JsonError on
-/// malformed documents, with the offending field's byte offset in the
-/// request line.
+/// Parses and validates a grade request (protocol version, batch_size
+/// >= 1, fault ids). Throws JsonError on malformed documents, with the
+/// offending field's byte offset in the request line.
 ShardRequest shard_request_from_json(const Json& doc);
 
 // ---------------------------------------------------------------------------
@@ -425,6 +411,9 @@ class WorkerWorkload {
   /// ReferenceTrace::fingerprint()); cross-checked against the spec's
   /// state_fp when present. 0 opts out.
   virtual std::uint64_t state_fingerprint(const ShardRequest& request) = 0;
+  /// The rebuilt test's CampaignTest::max_batch: a request whose
+  /// batch_size exceeds it is refused before any shard is graded.
+  virtual int max_batch(const ShardRequest& request) = 0;
 };
 
 /// Serves the worker half of the protocol on (in, out) until EOF: hello,

@@ -305,12 +305,6 @@ Json seq_fsim_options_to_json(const SeqFsimOptions& opts) {
   doc.set("max_cycles", opts.max_cycles);
   doc.set("early_exit", opts.early_exit);
   doc.set("event_driven", opts.event_driven);
-  // The default width is left implicit so pre-width readers keep
-  // accepting specs from width-64 campaigns unchanged.
-  if (opts.lanes != 64) doc.set("lanes", opts.lanes);
-  // Same back-compat rule: the default (incremental) is left implicit so
-  // pre-clocking readers keep accepting default-mode specs.
-  if (!opts.incremental_clocking) doc.set("clocking", "full");
   return doc;
 }
 
@@ -323,20 +317,6 @@ SeqFsimOptions seq_fsim_options_from_json(const Json& doc) {
                     max_cycles.source_offset());
   opts.early_exit = doc.at("early_exit").as_bool();
   opts.event_driven = doc.at("event_driven").as_bool();
-  if (doc.contains("lanes")) {  // absent in pre-width specs: 64
-    opts.lanes = doc.at("lanes").as_int();
-    if (opts.lanes != 64 && opts.lanes != 128 && opts.lanes != 256)
-      throw JsonError("fsim options: lanes must be 64, 128 or 256",
-                      doc.at("lanes").source_offset());
-  }
-  if (doc.contains("clocking")) {  // absent in pre-clocking specs: incremental
-    const std::string& mode = doc.at("clocking").as_string();
-    if (mode == "full")
-      opts.incremental_clocking = false;
-    else if (mode != "incremental")
-      throw JsonError("fsim options: clocking must be full or incremental",
-                      doc.at("clocking").source_offset());
-  }
   return opts;
 }
 

@@ -47,7 +47,7 @@ std::uint64_t word_from_hex(std::string_view text);
 
 /// Wire form of a shard detection mask: a fixed-order array of
 /// LaneMask::kWords 16-hex-digit words, least significant first —
-/// width-agnostic, so a 63-fault and a 255-fault shard serialize the same
+/// width-agnostic, so a 63-fault and a 127-fault shard serialize the same
 /// shape. The strict inverse throws JsonError anchored at the malformed
 /// node's byte offset: not an array, wrong array length, wrong digit
 /// count, non-hex digits.
@@ -65,8 +65,10 @@ ReferenceTrace reference_trace_from_json(const Json& doc);
 /// Simulator-option exchange (the fsim half of a CampaignTest::spec):
 /// subprocess workers rebuild their grading kernels from the netlist plus
 /// these options, so the coordinator's kernel choice travels with the
-/// test instead of being a per-host accident. Import rejects unknown
-/// shapes (JsonError) and nonpositive cycle budgets.
+/// test instead of being a per-host accident. The wire carries
+/// max_cycles, early_exit and event_driven; incremental_clocking is not
+/// serialized, so a rebuilt kernel always clocks incrementally. Import
+/// rejects unknown shapes (JsonError) and nonpositive cycle budgets.
 Json seq_fsim_options_to_json(const SeqFsimOptions& opts);
 SeqFsimOptions seq_fsim_options_from_json(const Json& doc);
 

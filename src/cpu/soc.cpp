@@ -210,9 +210,6 @@ bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
 }
 
 template class SocFsimEnvironmentT<64>;
-#if OLFUI_HAS_WIDE_LANES
 template class SocFsimEnvironmentT<128>;
-template class SocFsimEnvironmentT<256>;
-#endif
 
 }  // namespace olfui

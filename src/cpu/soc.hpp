@@ -12,7 +12,7 @@
 //  * SocSimulator — 4-valued single-machine functional runner (program
 //    bring-up, architectural tests, toggle-activity recording);
 //  * SocFsimEnvironment — the packed W-lane environment for the fault
-//    simulator (64 scalar by default, 128/256 over vector extensions),
+//    simulator (64 scalar, or 128 over vector extensions for grading),
 //    with per-lane RAM so faulty machines that stray to wrong addresses
 //    read what real silicon would read.
 #pragma once

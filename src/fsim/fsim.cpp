@@ -425,15 +425,16 @@ std::size_t SequentialFaultSimulatorT<W>::run_campaign(
 }
 
 template class SequentialFaultSimulatorT<64>;
-#if OLFUI_HAS_WIDE_LANES
 template class SequentialFaultSimulatorT<128>;
-template class SequentialFaultSimulatorT<256>;
-#endif
 
 bool comb_detects(const Netlist& nl, const FaultUniverse& universe, FaultId fault,
                   std::span<const std::vector<std::pair<NetId, bool>>> patterns,
                   const std::vector<CellId>& observed) {
-  assert(patterns.size() <= 64);
+  // One pattern per lane: a 65th would shift past the lane word (UB).
+  if (patterns.size() > 64)
+    throw std::invalid_argument("comb_detects: " +
+                                std::to_string(patterns.size()) +
+                                " patterns exceed the 64 lanes of one pass");
   PackedSim good(nl), bad(nl);
   const Fault& f = universe.fault(fault);
   bad.add_injection({f.pin.cell, f.pin.pin, f.sa1, ~0ULL});

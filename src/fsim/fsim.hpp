@@ -1,7 +1,7 @@
 // olfui/fsim: stuck-at fault simulation.
 //
-// Two engines share the W-lane packed kernel (W = 64 scalar by default;
-// 128/256 over vector extensions — see util/lanes.hpp):
+// Two engines share the W-lane packed kernel (W = 64 scalar or 128 over
+// vector extensions — see util/lanes.hpp):
 //
 //  * SequentialFaultSimulator — parallel-fault: lane 0 runs the good
 //    machine, lanes 1..W-1 run faulty machines, the whole test program is
@@ -98,14 +98,10 @@ struct SeqFsimOptions {
   bool event_driven = true;
   /// Use dirty-D incremental clocking (latch only flops whose D input
   /// changed since their last edge); false forces the full two-pass latch
-  /// oracle. Both produce bit-identical results.
+  /// oracle. Both produce bit-identical results. Tests and benches only:
+  /// the wire spec never carries it, so campaigns always clock
+  /// incrementally.
   bool incremental_clocking = true;
-  /// Requested packed width (64/128/256). The simulator's width is its
-  /// template parameter; this field lets width travel with the options
-  /// through specs and CLI plumbing (resolve_lane_width applies the
-  /// build's fallback rule). Detection sets are bit-identical at every
-  /// width.
-  int lanes = 64;
 };
 
 /// Lane-0 activity summary of one good-machine run, one bit per net (bit
@@ -309,14 +305,13 @@ class SequentialFaultSimulatorT {
   PackedActivity published_activity_;
 };
 
-/// The scalar 64-lane fault simulator — the default, and the only width
-/// guaranteed on every compiler. Wider instantiations (128/256) exist when
-/// OLFUI_HAS_WIDE_LANES is set; see resolve_lane_width().
+/// The scalar 64-lane fault simulator (reference tracing, tests).
 using SequentialFaultSimulator = SequentialFaultSimulatorT<64>;
 
 /// Parallel-pattern single-fault combinational simulation: returns true if
 /// any of the patterns (one per lane, values keyed by controllable net)
 /// detects `fault` on the observed outputs. For pure combinational netlists.
+/// Throws std::invalid_argument for more than 64 patterns.
 bool comb_detects(const Netlist& nl, const FaultUniverse& universe, FaultId fault,
                   std::span<const std::vector<std::pair<NetId, bool>>> patterns,
                   const std::vector<CellId>& observed);

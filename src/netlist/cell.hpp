@@ -85,8 +85,8 @@ inline constexpr int kDffRstn = 1;
 
 /// Two-valued evaluation of a combinational cell given packed input words.
 /// `Word` is a lane word (util/lanes.hpp): std::uint64_t carries 64
-/// independent simulation lanes, the vector-extension words carry 128 or
-/// 256. Pure bitwise logic, so one definition serves every width.
+/// independent simulation lanes, the vector-extension word carries 128.
+/// Pure bitwise logic, so one definition serves every width.
 /// Not valid for sequential/port cells.
 template <class Word>
 Word eval_packed(CellType t, const Word* in, int n) {

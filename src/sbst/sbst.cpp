@@ -322,9 +322,9 @@ namespace {
 /// One worker's private kernel: a packed simulator plus a per-lane memory
 /// environment, grading batches against the program's good-trace
 /// checkpoint. Shared immutable state (flash image, checkpoint) rides on
-/// shared_ptrs so every worker's runner references one copy. The width
-/// parameter picks the packed word (64 = scalar, 128/256 = vector
-/// extensions); the checkpoint is lane-0-only and so width-independent.
+/// shared_ptrs so every worker's runner references one copy. Campaigns
+/// instantiate it at kSbstLanes; the checkpoint is lane-0-only and so
+/// width-independent.
 template <int W>
 class SbstBatchRunnerT final : public FaultBatchRunner {
  public:
@@ -381,19 +381,6 @@ BitVec inert_faults(const FaultUniverse& universe, const NetActivation& act,
   return inert;
 }
 
-/// Constructs one width instantiation of the runner (the compile-time
-/// half of the opts.lanes dispatch below).
-template <int W>
-std::unique_ptr<FaultBatchRunner> make_sbst_runner(
-    const Soc& soc, const FaultUniverse& universe,
-    const std::shared_ptr<const FlashImage>& flash,
-    const std::shared_ptr<const ReferenceTrace>& trace,
-    const std::shared_ptr<const PackedTopology>& topo,
-    const SeqFsimOptions& opts, FaultModel fault_model) {
-  return std::make_unique<SbstBatchRunnerT<W>>(soc, universe, flash, trace,
-                                               topo, opts, fault_model);
-}
-
 /// The shared trailing half of build/rebuild: checkpoint the good machine
 /// under `opts` and wrap the grading kernel in per-worker runners. The
 /// trace is recorded here exactly once per (program, options) — both the
@@ -402,11 +389,9 @@ std::unique_ptr<FaultBatchRunner> make_sbst_runner(
 SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
                                          const FaultUniverse& universe,
                                          std::shared_ptr<const PackedTopology> topo,
-                                         SeqFsimOptions opts, int good_cycles,
+                                         const SeqFsimOptions& opts,
+                                         int good_cycles,
                                          FaultModel fault_model) {
-  // Resolve the width before it lands in the spec, so a worker rebuilds
-  // at exactly the width the coordinator graded with.
-  opts.lanes = resolve_lane_width(opts.lanes);
   auto flash = std::make_shared<FlashImage>(soc.config.flash_base,
                                             soc.config.flash_size);
   flash->load(program.program.base(), program.program.words());
@@ -414,7 +399,7 @@ SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
   // Checkpoint the good machine once; every batch of every worker then
   // replays this trace as its reference (and, under the TDF model, reads
   // its launch schedules from it instead of re-running a good pass). The
-  // trace only sees lane 0, so the scalar tracer serves every width.
+  // trace only sees lane 0, so the scalar tracer serves the wide runners.
   SocFsimEnvironment trace_env(soc, *flash, opts.max_cycles);
   SequentialFaultSimulator tracer(soc.netlist, universe, opts, topo);
   tracer.set_observed(soc.cpu.bus_output_cells);
@@ -433,6 +418,7 @@ SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
   out.test.name = program.name;
   out.test.good_cycles = good_cycles;
   out.test.inert = std::move(inert);
+  out.test.max_batch = kSbstLanes - 1;
   Json spec = Json::object();
   spec.set("workload", "sbst");
   spec.set("program", program.name);
@@ -441,16 +427,8 @@ SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
   out.test.spec = std::move(spec);
   out.test.make_runner = [&soc, &universe, flash = std::move(flash), trace,
                           topo = std::move(topo), opts, fault_model]() {
-#if OLFUI_HAS_WIDE_LANES
-    if (opts.lanes == 128)
-      return make_sbst_runner<128>(soc, universe, flash, trace, topo, opts,
-                                   fault_model);
-    if (opts.lanes == 256)
-      return make_sbst_runner<256>(soc, universe, flash, trace, topo, opts,
-                                   fault_model);
-#endif
-    return make_sbst_runner<64>(soc, universe, flash, trace, topo, opts,
-                                fault_model);
+    return std::make_unique<SbstBatchRunnerT<kSbstLanes>>(
+        soc, universe, flash, trace, topo, opts, fault_model);
   };
   return out;
 }
@@ -460,7 +438,7 @@ SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
 SbstCampaignTest build_sbst_campaign_test(
     const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
     std::shared_ptr<const PackedTopology> topo, int margin, bool event_driven,
-    FaultModel fault_model, int lanes, bool incremental_clocking) {
+    FaultModel fault_model) {
   SocSimulator runner(soc);
   runner.load_program(program.program);
   const int cycles = runner.run(kSbstFunctionalCycleCap);
@@ -468,9 +446,7 @@ SbstCampaignTest build_sbst_campaign_test(
   // diverge on the halted pin; the budget travels in the spec as a plain
   // max_cycles so a worker needs no functional pre-run of its own.
   const SeqFsimOptions opts{.max_cycles = cycles + margin,
-                            .event_driven = event_driven,
-                            .incremental_clocking = incremental_clocking,
-                            .lanes = lanes};
+                            .event_driven = event_driven};
   return make_sbst_campaign_test(soc, program, universe, std::move(topo), opts,
                                  cycles, fault_model);
 }
@@ -505,7 +481,7 @@ SbstCampaignTest rebuild_sbst_campaign_test(
 std::vector<CampaignTest> build_sbst_campaign_tests(
     const Soc& soc, std::vector<SbstProgram>& suite,
     const FaultUniverse& universe, int margin, bool event_driven,
-    FaultModel fault_model, int lanes, bool incremental_clocking) {
+    FaultModel fault_model) {
   // One topology (levelized order + fanout CSR) serves every tracer and
   // every worker's simulator across the whole suite.
   const auto topo = PackedTopology::build(soc.netlist);
@@ -513,8 +489,7 @@ std::vector<CampaignTest> build_sbst_campaign_tests(
   tests.reserve(suite.size());
   for (SbstProgram& sp : suite)
     tests.push_back(build_sbst_campaign_test(soc, sp, universe, topo, margin,
-                                             event_driven, fault_model, lanes,
-                                             incremental_clocking)
+                                             event_driven, fault_model)
                         .test);
   return tests;
 }
@@ -524,12 +499,10 @@ SbstCampaignResult run_sbst_campaign(
     std::function<void(const std::string&, std::size_t, std::size_t)> progress,
     const CampaignOptions& opts) {
   // Always the event kernel here (the fast path; the full-sweep oracle is
-  // reachable through build_sbst_campaign_tests for cross-checks). The
-  // engine resolves the same width below, so kernel and batch bound agree.
+  // reachable through build_sbst_campaign_tests for cross-checks).
   const std::vector<CampaignTest> tests = build_sbst_campaign_tests(
       soc, suite, fl.universe(), kSbstCampaignMargin, /*event_driven=*/true,
-      opts.fault_model, resolve_lane_width(opts.lane_width),
-      opts.incremental_clocking);
+      opts.fault_model);
   const CampaignEngine engine(fl.universe(), opts);
   SbstCampaignResult result;
   result.campaign = engine.run(fl, tests, progress);

@@ -68,20 +68,21 @@ struct SbstCampaignResult {
 /// bit-identical either way — the switch exists for cross-checks and
 /// benches). `fault_model` selects the grading kernel: kStuckAt wraps
 /// run_batch, kTransition wraps the launch/capture run_tdf_batch over the
-/// same fault ids (fault/tdf.hpp). `lanes` selects the packed kernel
-/// width (64/128/256; unsupported widths fall back to 64) — a pure
-/// throughput knob, detection sets are bit-identical at every width.
-/// `incremental_clocking` selects the dirty-D clock path (false = full
-/// two-pass latch oracle; bit-identical either way).
+/// same fault ids (fault/tdf.hpp). Runners grade at kSbstLanes lanes
+/// with incremental clocking, so each test's max_batch is kSbstLanes - 1.
 /// Margin default shared by build_sbst_campaign_tests' declaration and
 /// run_sbst_campaign's explicit call, so the two paths cannot drift.
 inline constexpr int kSbstCampaignMargin = 8;
 
+/// The packed width of every SBST grading runner. 128 lanes grade the
+/// full campaign ~1.3x faster than 64; 256 is no faster and costs a RAM
+/// map per extra lane (README "Kernel width").
+inline constexpr int kSbstLanes = 128;
+
 std::vector<CampaignTest> build_sbst_campaign_tests(
     const Soc& soc, std::vector<SbstProgram>& suite,
     const FaultUniverse& universe, int margin = kSbstCampaignMargin,
-    bool event_driven = true, FaultModel fault_model = FaultModel::kStuckAt,
-    int lanes = 64, bool incremental_clocking = true);
+    bool event_driven = true, FaultModel fault_model = FaultModel::kStuckAt);
 
 /// One program's campaign test plus the recorded good-machine checkpoint
 /// (exposed so subprocess workers can fingerprint their rebuilt state —
@@ -107,8 +108,7 @@ SbstCampaignTest build_sbst_campaign_test(
     const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
     std::shared_ptr<const PackedTopology> topo,
     int margin = kSbstCampaignMargin, bool event_driven = true,
-    FaultModel fault_model = FaultModel::kStuckAt, int lanes = 64,
-    bool incremental_clocking = true);
+    FaultModel fault_model = FaultModel::kStuckAt);
 
 /// The worker half: reconstructs the campaign test a spec (produced by
 /// build_sbst_campaign_test on the coordinator) describes, over the
@@ -126,8 +126,7 @@ SbstCampaignTest rebuild_sbst_campaign_test(
 /// Fault-simulates the suite with system-bus observability through the
 /// campaign orchestrator, updating `fl` (already-detected and untestable
 /// faults are skipped — fault dropping). `opts` controls threading,
-/// sharding, dropping, the packed kernel width (opts.lane_width, threaded
-/// into every runner), and the fault model (opts.fault_model ==
+/// sharding, dropping, and the fault model (opts.fault_model ==
 /// kTransition grades the suite for TDF coverage; pair it with
 /// classify_transition_faults-based pruning in `fl` for the pruned
 /// figures).

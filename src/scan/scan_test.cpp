@@ -1,6 +1,7 @@
 #include "scan/scan_test.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace olfui {
 
@@ -31,7 +32,12 @@ ScanTestRunner::ScanTestRunner(const Netlist& nl, const ScanChains& chains)
 
 void ScanTestRunner::inject(PackedSim& sim, std::span<const FaultId> faults,
                             const FaultUniverse& universe) const {
-  assert(faults.size() <= 63);
+  // Lane 0 is the good machine: a 64th fault would shift past the lane
+  // word (UB) in inject, run_pattern and run_chain_test alike.
+  if (faults.size() > 63)
+    throw std::invalid_argument("scan test: " + std::to_string(faults.size()) +
+                                " faults exceed the 63 faulty lanes of one "
+                                "pass");
   sim.clear_injections();
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const Fault& f = universe.fault(faults[i]);

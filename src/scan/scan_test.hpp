@@ -57,6 +57,7 @@ class ScanTestRunner {
   /// Applies one full-scan pattern to up to 63 faults (lane 0 is the good
   /// machine): shift-in, functional capture with PO observation, shift-out
   /// with scan-out observation. Returns the per-fault detection mask.
+  /// Throws std::invalid_argument for more than 63 faults.
   /// Builds its own PackedSim per call (over the runner's shared
   /// topology), so concurrent calls are safe — which is what lets the
   /// campaign orchestrator fan batches out.

@@ -566,12 +566,7 @@ typename PackedSimT<W>::Word PackedSimT<W>::observed(
   return v;
 }
 
-// The scalar kernel exists everywhere; the wide kernels ride vector
-// extensions and exist only where the compiler provides them.
 template class PackedSimT<64>;
-#if OLFUI_HAS_WIDE_LANES
 template class PackedSimT<128>;
-template class PackedSimT<256>;
-#endif
 
 }  // namespace olfui

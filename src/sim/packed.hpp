@@ -2,8 +2,8 @@
 //
 // Each net carries one packed lane word (util/lanes.hpp) = W independent
 // machines; W is a compile-time parameter instantiated at 64 (scalar
-// uint64_t, the default) and — where the compiler has vector extensions —
-// 128 and 256. The fault simulator (olfui_fsim) packs a good machine plus
+// uint64_t) and 128 (a two-word vector, the SBST grading width). The
+// fault simulator (olfui_fsim) packs a good machine plus
 // up to W-1 faulty machines per pass and injects stuck-at values at
 // (cell, pin) sites per lane — the classic parallel-fault scheme.
 // Simulation is 2-valued: callers must apply an explicit reset sequence
@@ -277,9 +277,7 @@ class PackedSimT {
   SettleLog* settle_log_ = nullptr;
 };
 
-/// The scalar 64-lane simulator — the default, and the only width
-/// guaranteed on every compiler. Wider instantiations (128/256) exist
-/// when OLFUI_HAS_WIDE_LANES is set; see resolve_lane_width().
+/// The scalar 64-lane simulator (scan runners, reference tracing).
 using PackedSim = PackedSimT<64>;
 
 }  // namespace olfui

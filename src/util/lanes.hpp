@@ -1,27 +1,21 @@
 // olfui/util: width-parametric packed lane words.
 //
 // Parallel-pattern fault grading packs one good machine (lane 0) plus
-// W-1 faulty machines into every net value. The packed word was
-// hard-wired to uint64_t; this header makes the width a template
-// parameter so the kernel can be instantiated at 128/256 lanes over
-// GCC/Clang vector extensions while the scalar uint64_t path stays the
-// W=64 specialization (and the only one guaranteed on every compiler).
+// W-1 faulty machines into every net value. Two widths exist: the scalar
+// uint64_t word at W=64 (scan runners, the lane-0 reference tracer, the
+// equivalence baseline) and a GCC/Clang vector of two words at W=128
+// (SBST grading).
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
 
-namespace olfui {
-
-// Vector extensions are a GNU dialect (Clang implements it too). Without
-// them only the scalar 64-lane kernel exists and resolve_lane_width
-// falls back to 64.
-#if defined(__GNUC__) || defined(__clang__)
-#define OLFUI_HAS_WIDE_LANES 1
-#else
-#define OLFUI_HAS_WIDE_LANES 0
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "olfui needs GCC/Clang vector extensions for its 128-lane kernel"
 #endif
+
+namespace olfui {
 
 template <int W>
 struct LaneWordTraits;
@@ -32,23 +26,11 @@ struct LaneWordTraits<64> {
   static constexpr int kWords = 1;
 };
 
-#if OLFUI_HAS_WIDE_LANES
 template <>
 struct LaneWordTraits<128> {
   typedef std::uint64_t Word __attribute__((vector_size(16)));
   static constexpr int kWords = 2;
 };
-
-template <>
-struct LaneWordTraits<256> {
-  typedef std::uint64_t Word __attribute__((vector_size(32)));
-  static constexpr int kWords = 4;
-};
-
-inline constexpr int kMaxLaneWidth = 256;
-#else
-inline constexpr int kMaxLaneWidth = 64;
-#endif
 
 /// The packed word at width W: uint64_t at 64, a vector of W/64 such
 /// words above. Bitwise &,|,^,~ and subscripting work on both; scalar
@@ -56,16 +38,6 @@ inline constexpr int kMaxLaneWidth = 64;
 /// — use the lane_* helpers below.
 template <int W>
 using LaneWord = typename LaneWordTraits<W>::Word;
-
-constexpr bool lane_width_supported(int w) {
-  return w == 64 || ((w == 128 || w == 256) && kMaxLaneWidth >= 256);
-}
-
-/// The width this build will actually grade at: the request when an
-/// instantiated kernel exists for it, else the scalar 64-lane fallback.
-constexpr int resolve_lane_width(int w) {
-  return lane_width_supported(w) ? w : 64;
-}
 
 // --- uniform helpers over scalar and vector words --------------------------
 // The non-template uint64 overloads win overload resolution at W=64, so
@@ -123,18 +95,18 @@ inline bool lane_test(const Word& v, int lane) {
 }
 
 /// Per-batch detection mask: bit i set = fault i of the batch detected.
-/// Storage is fixed at kMaxLaneWidth-capable size (4 x 64 bits, enough
-/// for a 256-lane batch's 255 faults) no matter the active width, so the
+/// Storage is fixed at the widest kernel's size (2 x 64 bits, enough for
+/// a 128-lane batch's 127 faults) no matter the runner's width, so the
 /// campaign merge, wire protocol, and report code stay width-agnostic.
 /// The uint64 constructor is deliberately one-way: legacy 63-lane
 /// kernels (and literals like 0) widen into a mask, but a mask never
 /// narrows back implicitly.
 class LaneMask {
  public:
-  static constexpr int kWords = 4;
+  static constexpr int kWords = 2;
 
   constexpr LaneMask() = default;
-  constexpr LaneMask(std::uint64_t low) : words_{low, 0, 0, 0} {}
+  constexpr LaneMask(std::uint64_t low) : words_{low, 0} {}
 
   constexpr bool bit(int i) const { return (words_[i / 64] >> (i % 64)) & 1ULL; }
   constexpr void set_bit(int i) { words_[i / 64] |= 1ULL << (i % 64); }
@@ -142,7 +114,7 @@ class LaneMask {
   constexpr void set_word(int k, std::uint64_t v) { words_[k] = v; }
 
   constexpr bool any() const {
-    return (words_[0] | words_[1] | words_[2] | words_[3]) != 0;
+    return (words_[0] | words_[1]) != 0;
   }
   constexpr bool none() const { return !any(); }
   constexpr explicit operator bool() const { return any(); }
@@ -185,7 +157,7 @@ class LaneMask {
   }
 
  private:
-  std::uint64_t words_[kWords] = {0, 0, 0, 0};
+  std::uint64_t words_[kWords] = {0, 0};
 };
 
 }  // namespace olfui

@@ -212,18 +212,18 @@ TEST(CacheKey, CanonicalOptionsFormIsPinned) {
   // existing cache — or worse, alias two different configurations.
   EXPECT_EQ(campaign_options_canonical(CampaignOptions{}),
             "campaign_options/v1|batch_size=0|fault_dropping=1|"
-            "fault_model=stuck_at|lane_width=64|target_limit=0");
+            "fault_model=stuck_at|target_limit=0");
 }
 
 TEST(CacheKey, CanonicalKeyFormIsPinned) {
-  // v3: per-test batch counts follow activation screening, so an entry
-  // stored under an older version would replay pre-screen counts.
+  // v4: SBST batch counts follow 127-fault spans and the lane width left
+  // the key, so an entry stored under an older version would replay
+  // 63-fault batch counts.
   CacheKey k = key_n(0xABCD);
   k.fault_model = "transition";
-  k.lane_width = 128;
   EXPECT_EQ(k.canonical(),
-            "cache_key/v3|universe=000000000000abcd|trace=0000000000001111|"
-            "options=0000000000003333|model=transition|lanes=128");
+            "cache_key/v4|universe=000000000000abcd|trace=0000000000001111|"
+            "options=0000000000003333|model=transition");
 }
 
 TEST(CacheKey, OptionsHashTracksPayloadAffectingFieldsOnly) {
@@ -241,22 +241,16 @@ TEST(CacheKey, OptionsHashTracksPayloadAffectingFieldsOnly) {
   o.fault_model = FaultModel::kTransition;
   EXPECT_NE(campaign_options_hash(o), h);
   o = base;
-  o.lane_width = 128;
-  EXPECT_NE(campaign_options_hash(o), h);
-  o = base;
   o.target_limit = 5;
   EXPECT_NE(campaign_options_hash(o), h);
 
   // ...and every payload-neutral knob does not (they must not fragment
-  // the cache across executors, thread counts, or clocking modes).
+  // the cache across executors or thread counts).
   o = base;
   o.threads = 7;
   EXPECT_EQ(campaign_options_hash(o), h);
   o = base;
   o.shard_timeout = 9.5;
-  EXPECT_EQ(campaign_options_hash(o), h);
-  o = base;
-  o.incremental_clocking = false;
   EXPECT_EQ(campaign_options_hash(o), h);
   o = base;
   o.executor = std::make_shared<InProcessExecutor>(1);
@@ -280,9 +274,6 @@ TEST(CacheKey, EveryComponentMovesTheDigest) {
   EXPECT_NE(k.digest(), base.digest());
   k = base;
   k.fault_model = "transition";
-  EXPECT_NE(k.digest(), base.digest());
-  k = base;
-  k.lane_width = 128;
   EXPECT_NE(k.digest(), base.digest());
 }
 
@@ -391,6 +382,11 @@ TEST(CacheKey, FingerprintsTrackTheirInputs) {
   tests[0].good_cycles = kPatternCycles + 1;
   EXPECT_NE(campaign_tests_fingerprint(tests), tests_fp);
   tests[0].good_cycles = kPatternCycles;
+  // The batch bound shapes the per-test batch counts of the payload.
+  tests[0].max_batch = 31;
+  EXPECT_NE(campaign_tests_fingerprint(tests), tests_fp);
+  tests[0].max_batch = 63;
+  EXPECT_EQ(campaign_tests_fingerprint(tests), tests_fp);
   tests[0].spec.set("state_fp", std::string("0000000000000000"));
   EXPECT_NE(campaign_tests_fingerprint(tests), tests_fp);
   // A spec-less test cannot be keyed: the whole list reports 0.

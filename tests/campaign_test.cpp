@@ -920,19 +920,16 @@ TEST(WorkerProtocol, RequestRoundTripsAndValidates) {
     bad.set("protocol", kWorkerProtocolVersion + 1);
     EXPECT_THROW(shard_request_from_json(bad), JsonError);
   }
-  // batch_size outside [1, lanes - 1] is refused, pointing at the field.
-  for (const std::size_t size : {std::size_t{0}, std::size_t{64}}) {
+  {  // an empty span is refused, pointing at the field (the upper bound
+     // is the rebuilt test's: ServeWorkerRefusesABatchOverTheTestsBound)
     Json bad = doc;
-    bad.set("batch_size", size);
+    bad.set("batch_size", std::size_t{0});
     const std::string line = bad.dump();
     try {
       shard_request_from_json(Json::parse(line));
-      FAIL() << "batch_size " << size << " was accepted";
+      FAIL() << "batch_size 0 was accepted";
     } catch (const JsonError& e) {
-      const std::size_t end = line.find(',', e.offset());
-      EXPECT_EQ(line.substr(e.offset(), end - e.offset()),
-                std::to_string(size))
-          << e.what();
+      EXPECT_EQ(line.substr(e.offset(), 2), "0,") << e.what();
     }
   }
 }
@@ -952,6 +949,7 @@ class ParityWorkload final : public WorkerWorkload {
   std::uint64_t state_fingerprint(const ShardRequest&) override {
     return 0xfeedface;
   }
+  int max_batch(const ShardRequest&) override { return 63; }
 };
 
 std::vector<Json> run_serve_worker(const std::string& input, int expect_exit) {
@@ -1004,7 +1002,6 @@ TEST(WorkerProtocol, ServeWorkerGradesGrantedShardsOnly) {
   ASSERT_EQ(lines.size(), 4u);  // hello, 2 shards, done
   EXPECT_EQ(lines[0].at("type").as_string(), "hello");
   EXPECT_EQ(lines[0].at("protocol").as_int(), kWorkerProtocolVersion);
-  EXPECT_EQ(lines[0].at("max_lanes").as_int(), kMaxLaneWidth);
   // Replies come in grant order (2 then 0), slot-tagged by shard id.
   EXPECT_EQ(lines[1].at("type").as_string(), "shard");
   EXPECT_EQ(lines[1].at("shard").as_size(), 2u);
@@ -1033,6 +1030,32 @@ TEST(WorkerProtocol, ServeWorkerRefusesAShardPastTheSpans) {
   EXPECT_EQ(lines[1].at("type").as_string(), "error");
   const std::string message = lines[1].at("message").as_string();
   EXPECT_NE(message.find("3 shards"), std::string::npos) << message;
+}
+
+TEST(WorkerProtocol, ServeWorkerRefusesABatchOverTheTestsBound) {
+  // The parity test's runner grades 63 faults per pass; a request cut
+  // into 64-fault spans is refused before any shard is graded, with an
+  // error located at the request's batch_size value.
+  std::vector<FaultId> targets(100);
+  std::iota(targets.begin(), targets.end(), 0u);
+  CampaignTest test;
+  test.name = "parity";
+  test.spec = Json::object();
+  const ShardWork work{targets, 64, {}, test, FaultModel::kStuckAt, 77, {}};
+  const std::string request = shard_request_to_json(work).dump();
+  const std::vector<Json> lines =
+      run_serve_worker(request + "\n" + grant_line({0}, /*final=*/true), 1);
+  ASSERT_EQ(lines.size(), 2u);  // hello, error — no shard reply
+  EXPECT_EQ(lines[1].at("type").as_string(), "error");
+  const std::string message = lines[1].at("message").as_string();
+  EXPECT_NE(message.find("bound of 63"), std::string::npos) << message;
+  const std::string at = " at offset ";
+  const std::size_t pos = message.rfind(at);
+  ASSERT_NE(pos, std::string::npos) << message;
+  const std::size_t offset = std::stoul(message.substr(pos + at.size()));
+  EXPECT_EQ(request.substr(offset, 3), "64,") << message;
+  EXPECT_EQ(request.rfind("\"batch_size\":", offset),
+            offset - std::string("\"batch_size\":").size());
 }
 
 TEST(WorkerProtocol, ServeWorkerAnswersMalformedRequestsWithError) {
@@ -1069,7 +1092,7 @@ TEST(SubprocessExecutor, KilledWorkerIsDetectedAndReported) {
   // silently dropped.
   SubprocessExecutor exec(
       {"/bin/sh", "-c",
-       "printf '{\"type\":\"hello\",\"protocol\":3,\"max_lanes\":64}\\n';"
+       "printf '{\"type\":\"hello\",\"protocol\":4}\\n';"
        " read -r line; exit 7"},
       FleetOptions{.workers = 1, .max_respawns = 0});
   const std::vector<FaultId> targets{0, 1, 2, 3};
@@ -1097,7 +1120,7 @@ TEST(SubprocessExecutor, CrashedWorkerStderrLandsInTheError) {
   // report) instead of just an exit status.
   SubprocessExecutor exec(
       {"/bin/sh", "-c",
-       "printf '{\"type\":\"hello\",\"protocol\":3,\"max_lanes\":64}\\n';"
+       "printf '{\"type\":\"hello\",\"protocol\":4}\\n';"
        " echo 'scratch line' >&2;"
        " echo 'fatal: reference trace fingerprint torched' >&2;"
        " read -r line; exit 9"},
@@ -1167,7 +1190,7 @@ TEST(SubprocessExecutor, BitIdenticalToInProcessOnSbstWorkload) {
   // lists (the executor-side edge cases).
   const CampaignEngine inproc(u, {.threads = 2});
   for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                              std::size_t{63}, slice.size()}) {
+                              std::size_t{kSbstLanes - 1}, slice.size()}) {
     const auto targets = std::span(slice).first(n);
     const BitVec expect = inproc.grade(targets, tests[0]);
     for (const auto& exec : {exec1, exec2}) {

@@ -5,8 +5,8 @@
 // set they must produce exactly the words the levelized full sweep and
 // the full-latch clock produce on every net. These tests drive
 // randomized netlists and stimuli through an event-mode simulator and a
-// forced-full-sweep oracle in lockstep and compare net-for-net (at every
-// instantiated lane width for the clocking suite), then check campaign
+// forced-full-sweep oracle in lockstep and compare net-for-net (at 64
+// and 128 lanes for the clocking suite), then check campaign
 // determinism across worker-pool sizes with the kernel and the clocking
 // mode switched either way.
 #include <gtest/gtest.h>
@@ -289,16 +289,12 @@ TEST(EventSim, IncrementalClockingMatchesFullLatchAndSweepOracles) {
   EXPECT_GT(skipped, 0u) << "incremental clocking never skipped a latch";
 }
 
-#if OLFUI_HAS_WIDE_LANES
-TEST(EventSim, IncrementalClockingMatchesOraclesAtWideWidths) {
+TEST(EventSim, IncrementalClockingMatchesOraclesAt128Lanes) {
   std::uint64_t skipped = 0;
-  for (std::uint64_t seed = 55; seed <= 56; ++seed) {
+  for (std::uint64_t seed = 55; seed <= 56; ++seed)
     skipped += clocking_lockstep<128>(seed);
-    skipped += clocking_lockstep<256>(seed);
-  }
   EXPECT_GT(skipped, 0u) << "incremental clocking never skipped a latch";
 }
-#endif
 
 // ---------------------------------------------------------------------------
 // Transition-delay batches vs a naive two-cycle oracle. The oracle runs

@@ -1,16 +1,20 @@
-// Width-parametric kernel equivalence suite.
+// Width-parametric kernel equivalence suite, plus the per-test batch
+// bound.
 //
-// The 128/256-lane packed words are pure throughput: for any netlist,
-// stimulus, fault model, kernel, and trace mode, every width must grade
-// every fault exactly as the scalar 64-lane kernel does — lane count only
+// The 128-lane packed word is pure throughput: for any netlist,
+// stimulus, fault model, kernel, and trace mode, it must grade every
+// fault exactly as the scalar 64-lane kernel does — lane count only
 // changes how many faulty machines ride in one pass. These tests drive
-// randomized sequential netlists through every instantiated width and
-// compare the per-fault verdict vectors bit for bit, against both the
-// 64-lane baseline and the full-sweep oracle, then push wide widths
-// through the campaign orchestrator across thread counts.
+// randomized sequential netlists through both widths and compare the
+// per-fault verdict vectors bit for bit, against both the 64-lane
+// baseline and the full-sweep oracle, then push 128-lane batches through
+// the campaign orchestrator across thread counts. The engine cuts each
+// test's spans to that test's CampaignTest::max_batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/netlist.hpp"
+#include "sbst/sbst.hpp"
 #include "sim/packed.hpp"
 #include "util/lanes.hpp"
 #include "util/rng.hpp"
@@ -180,12 +185,8 @@ TEST(LaneWidth, AllWidthsMatchScalarBaselineAndSweepOracle) {
           const GradeConfig cfg{event_driven, tdf, traced};
           EXPECT_EQ(grade_all<64>(d, u, words, cfg), baseline)
               << "seed " << seed << " W=64 " << describe(cfg);
-#if OLFUI_HAS_WIDE_LANES
           EXPECT_EQ(grade_all<128>(d, u, words, cfg), baseline)
               << "seed " << seed << " W=128 " << describe(cfg);
-          EXPECT_EQ(grade_all<256>(d, u, words, cfg), baseline)
-              << "seed " << seed << " W=256 " << describe(cfg);
-#endif
         }
       }
     }
@@ -222,14 +223,11 @@ CampaignTest make_design_test(const RandomDesign& d, const FaultUniverse& u,
   CampaignTest test;
   test.name = "rand";
   test.good_cycles = static_cast<int>(words.size());
+  test.max_batch = lanes - 1;
   test.make_runner = [&d, &u, &words,
                       lanes]() -> std::unique_ptr<FaultBatchRunner> {
-#if OLFUI_HAS_WIDE_LANES
     if (lanes == 128)
       return std::make_unique<DesignBatchRunner<128>>(d, u, words);
-    if (lanes == 256)
-      return std::make_unique<DesignBatchRunner<256>>(d, u, words);
-#endif
     return std::make_unique<DesignBatchRunner<64>>(d, u, words);
   };
   return test;
@@ -248,13 +246,12 @@ TEST(LaneWidth, CampaignDetectionsInvariantAcrossWidthsAndThreads) {
 
   BitVec expect_detected;
   bool have_expect = false;
-  for (const int lanes : {64, 128, 256}) {
-    if (!lane_width_supported(lanes)) continue;
+  for (const int lanes : {64, 128}) {
     std::vector<CampaignTest> tests{make_design_test(d, u, words, lanes)};
     for (const int threads : {1, 4}) {
       FaultList fl(u);
-      const CampaignOptions opts{.threads = threads, .lane_width = lanes};
-      const CampaignResult r = CampaignEngine(u, opts).run(fl, tests);
+      const CampaignResult r =
+          CampaignEngine(u, {.threads = threads}).run(fl, tests);
       if (!have_expect) {
         expect_detected = r.detected;
         have_expect = true;
@@ -269,40 +266,93 @@ TEST(LaneWidth, CampaignDetectionsInvariantAcrossWidthsAndThreads) {
   }
 }
 
-TEST(LaneWidth, ResolveFallsBackToScalar) {
-  EXPECT_EQ(resolve_lane_width(64), 64);
-  EXPECT_EQ(resolve_lane_width(0), 64);
-  EXPECT_EQ(resolve_lane_width(63), 64);
-#if OLFUI_HAS_WIDE_LANES
-  EXPECT_EQ(resolve_lane_width(128), 128);
-  EXPECT_EQ(resolve_lane_width(256), 256);
-  EXPECT_EQ(kMaxLaneWidth, 256);
-#else
-  EXPECT_EQ(resolve_lane_width(128), 64);
-  EXPECT_EQ(resolve_lane_width(256), 64);
-  EXPECT_EQ(kMaxLaneWidth, 64);
-#endif
-  EXPECT_EQ(resolve_lane_width(512), 64);
+// ---------------------------------------------------------------------------
+// The batch bound belongs to the test: the engine clamps batch_size to
+// each test's max_batch, so a 64-lane kernel never sees a 127-fault span.
+
+/// The span sizes a test's runners were handed, across worker threads.
+struct SpanLog {
+  std::mutex mu;
+  std::vector<std::size_t> sizes;
+};
+
+class RecordingRunner final : public FaultBatchRunner {
+ public:
+  RecordingRunner(std::unique_ptr<FaultBatchRunner> inner,
+                  std::shared_ptr<SpanLog> log)
+      : inner_(std::move(inner)), log_(std::move(log)) {}
+  LaneMask run_batch(std::span<const FaultId> faults) override {
+    {
+      std::lock_guard lock(log_->mu);
+      log_->sizes.push_back(faults.size());
+    }
+    return inner_->run_batch(faults);
+  }
+
+ private:
+  std::unique_ptr<FaultBatchRunner> inner_;
+  std::shared_ptr<SpanLog> log_;
+};
+
+/// `test` with every runner wrapped to log its span sizes into `log`.
+CampaignTest recording(CampaignTest test, std::shared_ptr<SpanLog> log) {
+  test.make_runner = [inner = std::move(test.make_runner), log]() {
+    return std::make_unique<RecordingRunner>(inner(), log);
+  };
+  return test;
 }
 
-TEST(LaneWidth, EngineDerivesBatchSizeFromWidth) {
-  // batch_size == 0 asks for the width's natural maximum (lanes - 1);
-  // explicit values clamp into [1, lanes - 1].
+TEST(BatchBound, EngineClampsARequestToTheTestsBound) {
   Rng rng(47);
   RandomDesign d = random_design(rng, 4, 6, 30);
   const FaultUniverse u(d.nl);
+  ASSERT_GT(u.size(), 127u);
   const std::vector<std::vector<bool>> words(
       8, std::vector<bool>(d.input_nets.size(), true));
 
-  for (const int lanes : {64, 128, 256}) {
-    if (!lane_width_supported(lanes)) continue;
-    std::vector<CampaignTest> tests{make_design_test(d, u, words, lanes)};
-    FaultList fl(u);
-    const CampaignResult r =
-        CampaignEngine(u, {.lane_width = lanes}).run(fl, tests);
-    const std::size_t batch = static_cast<std::size_t>(lanes) - 1;
-    EXPECT_EQ(r.tests.at(0).batches, (u.size() + batch - 1) / batch) << lanes;
-  }
+  // A 64-lane test asked for 127-fault spans still gets at most 63.
+  auto log = std::make_shared<SpanLog>();
+  const std::vector<CampaignTest> tests{
+      recording(make_design_test(d, u, words, 64), log)};
+  FaultList fl(u);
+  const CampaignResult r =
+      CampaignEngine(u, {.threads = 2, .batch_size = 127}).run(fl, tests);
+  EXPECT_EQ(r.tests.at(0).batches, (u.size() + 62) / 63);
+  ASSERT_FALSE(log->sizes.empty());
+  EXPECT_EQ(*std::max_element(log->sizes.begin(), log->sizes.end()), 63u);
+
+  // batch_size = 0 means the test's bound; smaller requests are honored.
+  const CampaignTest wide = make_design_test(d, u, words, 128);
+  EXPECT_EQ(CampaignEngine(u).batch_size(tests[0]), 63u);
+  EXPECT_EQ(CampaignEngine(u).batch_size(wide), 127u);
+  EXPECT_EQ(CampaignEngine(u, {.batch_size = 17}).batch_size(wide), 17u);
+  EXPECT_EQ(CampaignEngine(u, {.batch_size = 500}).batch_size(wide), 127u);
+}
+
+TEST(BatchBound, SbstTestsGradeInFullWidthSpans) {
+  auto soc = build_soc({});
+  auto suite = build_sbst_suite(soc->config);
+  suite.erase(suite.begin() + 1, suite.end());  // alu_arith
+  const FaultUniverse u(soc->netlist);
+  std::vector<CampaignTest> tests = build_sbst_campaign_tests(*soc, suite, u);
+  ASSERT_EQ(tests.size(), 1u);
+  EXPECT_EQ(tests[0].max_batch, kSbstLanes - 1);
+  EXPECT_EQ(tests[0].max_batch, 127);
+
+  auto log = std::make_shared<SpanLog>();
+  tests[0] = recording(std::move(tests[0]), log);
+  FaultList fl(u);
+  const CampaignResult r =
+      CampaignEngine(u, {.threads = 2, .target_limit = 600}).run(fl, tests);
+  const std::size_t graded = r.stats.faults_simulated;
+  ASSERT_GT(graded, 127u);
+  EXPECT_EQ(r.tests.at(0).batches, (graded + 126) / 127);
+  // Every span but the last is a full 127-fault span.
+  std::vector<std::size_t>& sizes = log->sizes;
+  ASSERT_EQ(sizes.size(), r.tests.at(0).batches);
+  EXPECT_EQ(*std::max_element(sizes.begin(), sizes.end()), 127u);
+  EXPECT_EQ(std::count(sizes.begin(), sizes.end(), 127u),
+            static_cast<std::ptrdiff_t>(graded / 127));
 }
 
 }  // namespace

@@ -3,6 +3,11 @@
 // scan/debug structures are still accessible.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "atpg/podem.hpp"
 #include "core/analyzer.hpp"
 #include "netlist/wordops.hpp"
@@ -66,6 +71,32 @@ TEST(ScanTest, ChainTestDetectsSerialPathFaults) {
   const std::uint64_t det = runner.run_chain_test(faults, *rig.universe);
   for (std::size_t i = 0; i < faults.size(); ++i)
     EXPECT_TRUE(det & (1ULL << i)) << rig.universe->fault_name(faults[i]);
+}
+
+TEST(ScanTest, SpanWiderThan63FaultsThrows) {
+  // Lane 0 is the good machine: a 64th fault has no lane, so both kernels
+  // refuse the span (naming its size) instead of shifting past the word.
+  Rig rig;
+  ScanTestRunner runner = rig.make_runner();
+  std::vector<FaultId> faults(64);
+  std::iota(faults.begin(), faults.end(), 0u);
+  const ScanPattern pattern =
+      scan_pattern_from_atpg(rig.soc->netlist, rig.chains, AtpgPattern{});
+  for (const bool chain : {true, false}) {
+    try {
+      if (chain)
+        runner.run_chain_test(faults, *rig.universe);
+      else
+        runner.run_pattern(faults, *rig.universe, pattern);
+      ADD_FAILURE() << "64-fault span accepted (chain=" << chain << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("64 faults"), std::string::npos)
+          << e.what();
+    }
+  }
+  // 63 faults still fit one pass.
+  faults.pop_back();
+  EXPECT_NO_THROW(runner.run_chain_test(faults, *rig.universe));
 }
 
 TEST(ScanTest, ChainTestDetectsBufferAndScanOutFaults) {
