@@ -148,9 +148,9 @@ void run_kernel_cross_check(const Soc& soc, const FaultUniverse& universe,
   for (std::size_t p = 0; p < suite.size(); ++p) {
     std::vector<SbstProgram> one{suite[p]};
     const std::vector<CampaignTest> event_tests =
-        build_sbst_campaign_tests(soc, one, universe, 8, /*event_driven=*/true);
+        build_sbst_campaign_tests(soc, one, universe, /*event_driven=*/true);
     const std::vector<CampaignTest> sweep_tests =
-        build_sbst_campaign_tests(soc, one, universe, 8, /*event_driven=*/false);
+        build_sbst_campaign_tests(soc, one, universe, /*event_driven=*/false);
     const BitVec ev = engine.grade(targets, event_tests[0]);
     const BitVec sw = engine.grade(targets, sweep_tests[0]);
     identical &= ev == sw;

@@ -10,7 +10,9 @@
 //
 // Two execution environments drive the netlist:
 //  * SocSimulator — 4-valued single-machine functional runner (program
-//    bring-up, architectural tests, toggle-activity recording);
+//    bring-up, architectural tests, toggle-activity recording). It does
+//    not feed fault-simulation campaigns: those take each program's cycle
+//    count from the packed lane-0 pass that records their checkpoint;
 //  * SocFsimEnvironment — the packed W-lane environment for the fault
 //    simulator (64 scalar, or 128 over vector extensions for grading),
 //    with per-lane RAM so faulty machines that stray to wrong addresses

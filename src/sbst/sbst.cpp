@@ -1,11 +1,14 @@
 #include "sbst/sbst.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "campaign/report.hpp"
+#include "campaign/worker_pool.hpp"
 #include "fault/tdf.hpp"
 #include "obs/trace.hpp"
 
@@ -381,16 +384,22 @@ BitVec inert_faults(const FaultUniverse& universe, const NetActivation& act,
   return inert;
 }
 
-/// The shared trailing half of build/rebuild: checkpoint the good machine
-/// under `opts` and wrap the grading kernel in per-worker runners. The
-/// trace is recorded here exactly once per (program, options) — both the
-/// coordinator and every subprocess worker derive their state through
-/// this one function, so the two sides can only agree or fingerprint-fail.
+/// The shared body of build/rebuild: checkpoint the good machine and wrap
+/// the grading kernel in per-worker runners. The trace is recorded here
+/// exactly once per (program, options), with opts.max_cycles as its
+/// budget — both the coordinator and every subprocess worker derive their
+/// state through this one function, so the two sides can only agree or
+/// fingerprint-fail.
+///
+/// The same pass yields the cycle count. The environment stops one cycle
+/// after lane 0 shows HALT, so a program halting in cycle c records c + 1
+/// cycles; one that has not halted by kSbstFunctionalCycleCap counts as
+/// the cap, exactly what SocSimulator::run(kSbstFunctionalCycleCap)
+/// returns. The test's budget becomes good_cycles + kSbstCampaignMargin.
 SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
                                          const FaultUniverse& universe,
                                          std::shared_ptr<const PackedTopology> topo,
-                                         const SeqFsimOptions& opts,
-                                         int good_cycles,
+                                         SeqFsimOptions opts,
                                          FaultModel fault_model) {
   auto flash = std::make_shared<FlashImage>(soc.config.flash_base,
                                             soc.config.flash_size);
@@ -413,6 +422,8 @@ SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
   trace_span.arg("inert", Json(inert.count()));
   trace_span.end();
 
+  const int good_cycles = std::min(trace->cycles - 1, kSbstFunctionalCycleCap);
+  opts.max_cycles = good_cycles + kSbstCampaignMargin;
   SbstCampaignTest out;
   out.trace = trace;
   out.test.name = program.name;
@@ -437,18 +448,13 @@ SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
 
 SbstCampaignTest build_sbst_campaign_test(
     const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
-    std::shared_ptr<const PackedTopology> topo, int margin, bool event_driven,
+    std::shared_ptr<const PackedTopology> topo, bool event_driven,
     FaultModel fault_model) {
-  SocSimulator runner(soc);
-  runner.load_program(program.program);
-  const int cycles = runner.run(kSbstFunctionalCycleCap);
-  // `margin` cycles past the good machine's HALT let slow faulty lanes
-  // diverge on the halted pin; the budget travels in the spec as a plain
-  // max_cycles so a worker needs no functional pre-run of its own.
-  const SeqFsimOptions opts{.max_cycles = cycles + margin,
-                            .event_driven = event_driven};
-  return make_sbst_campaign_test(soc, program, universe, std::move(topo), opts,
-                                 cycles, fault_model);
+  return make_sbst_campaign_test(
+      soc, program, universe, std::move(topo),
+      {.max_cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin,
+       .event_driven = event_driven},
+      fault_model);
 }
 
 SbstCampaignTest rebuild_sbst_campaign_test(
@@ -466,9 +472,12 @@ SbstCampaignTest rebuild_sbst_campaign_test(
   if (!program)
     throw std::invalid_argument("sbst worker: unknown program '" + name +
                                 "' (SoC configuration mismatch?)");
-  const SeqFsimOptions opts = seq_fsim_options_from_json(spec.at("fsim"));
+  // The spec's budget (the coordinator's good_cycles + margin) covers the
+  // halting cycle, so the rebuild records the same trace and derives the
+  // same good_cycles and budget.
   SbstCampaignTest rebuilt = make_sbst_campaign_test(
-      soc, *program, universe, std::move(topo), opts, 0, fault_model);
+      soc, *program, universe, std::move(topo),
+      seq_fsim_options_from_json(spec.at("fsim")), fault_model);
   if (spec.contains("state_fp") &&
       word_from_hex(spec.at("state_fp").as_string()) !=
           rebuilt.trace->fingerprint())
@@ -480,17 +489,25 @@ SbstCampaignTest rebuild_sbst_campaign_test(
 
 std::vector<CampaignTest> build_sbst_campaign_tests(
     const Soc& soc, std::vector<SbstProgram>& suite,
-    const FaultUniverse& universe, int margin, bool event_driven,
-    FaultModel fault_model) {
+    const FaultUniverse& universe, bool event_driven, FaultModel fault_model,
+    int threads) {
+  auto span = obs::tracer().span("build_tests", "sbst");
   // One topology (levelized order + fanout CSR) serves every tracer and
   // every worker's simulator across the whole suite.
   const auto topo = PackedTopology::build(soc.netlist);
-  std::vector<CampaignTest> tests;
-  tests.reserve(suite.size());
-  for (SbstProgram& sp : suite)
-    tests.push_back(build_sbst_campaign_test(soc, sp, universe, topo, margin,
-                                             event_driven, fault_model)
-                        .test);
+  std::vector<CampaignTest> tests(suite.size());
+  const std::size_t participants = std::min<std::size_t>(
+      std::max(threads, 1), std::max<std::size_t>(suite.size(), 1));
+  span.arg("participants", Json(participants));
+  // Programs are handed out in any order; each lands in its suite slot.
+  std::atomic<std::size_t> next{0};
+  WorkerPool pool(participants - 1);
+  pool.run(participants, [&](std::size_t) {
+    for (std::size_t i = next++; i < suite.size(); i = next++)
+      tests[i] = build_sbst_campaign_test(soc, suite[i], universe, topo,
+                                          event_driven, fault_model)
+                     .test;
+  });
   return tests;
 }
 
@@ -500,10 +517,10 @@ SbstCampaignResult run_sbst_campaign(
     const CampaignOptions& opts) {
   // Always the event kernel here (the fast path; the full-sweep oracle is
   // reachable through build_sbst_campaign_tests for cross-checks).
-  const std::vector<CampaignTest> tests = build_sbst_campaign_tests(
-      soc, suite, fl.universe(), kSbstCampaignMargin, /*event_driven=*/true,
-      opts.fault_model);
   const CampaignEngine engine(fl.universe(), opts);
+  const std::vector<CampaignTest> tests = build_sbst_campaign_tests(
+      soc, suite, fl.universe(), /*event_driven=*/true, opts.fault_model,
+      engine.resolved_threads());
   SbstCampaignResult result;
   result.campaign = engine.run(fl, tests, progress);
   for (const CampaignResult::PerTest& pt : result.campaign.tests) {

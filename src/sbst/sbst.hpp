@@ -7,7 +7,9 @@
 // shifter, register-file march, branch/BTB exercisers, load/store walks),
 // a functional runner that measures each program's cycle count and toggle
 // activity, and the fault-simulation campaign that grades the suite
-// against the stuck-at universe.
+// against the stuck-at universe. The campaign takes its cycle counts from
+// the packed good-machine pass that records each test's checkpoint, not
+// from the functional runner.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +34,11 @@ struct SbstProgram {
 /// Builds the full suite, each program based at the SoC reset vector.
 std::vector<SbstProgram> build_sbst_suite(const SocConfig& cfg);
 
-/// Cycle budget for one program's good-machine functional run, shared by
+/// The cycle cap of one program's good-machine run, shared by
 /// run_suite_functional's default and the campaign-test builders so the
-/// two paths cannot drift.
+/// two paths cannot drift: a campaign test's good_cycles is the program's
+/// HALT cycle, or this cap if it has not halted by then — exactly what
+/// SocSimulator::run(kSbstFunctionalCycleCap) returns.
 inline constexpr int kSbstFunctionalCycleCap = 5000;
 
 /// Functionally runs every program (good machine), returning per-program
@@ -57,32 +61,16 @@ struct SbstCampaignResult {
   CampaignResult campaign;
 };
 
-/// Converts the suite into orchestrator tests: runs each program on the
-/// good machine (cycle counts + the campaign's good-trace checkpoints) and
-/// wraps the system-bus fault-simulation kernel in per-worker runners; all
-/// runners share one PackedTopology of the SoC netlist. `soc` and
-/// `universe` are captured by reference and must outlive every campaign
-/// run over the returned tests. `margin` cycles past the good machine's
-/// HALT let slow faulty lanes diverge on the halted pin. `event_driven`
-/// selects the kernel (false = full-sweep oracle; results are
-/// bit-identical either way — the switch exists for cross-checks and
-/// benches). `fault_model` selects the grading kernel: kStuckAt wraps
-/// run_batch, kTransition wraps the launch/capture run_tdf_batch over the
-/// same fault ids (fault/tdf.hpp). Runners grade at kSbstLanes lanes
-/// with incremental clocking, so each test's max_batch is kSbstLanes - 1.
-/// Margin default shared by build_sbst_campaign_tests' declaration and
-/// run_sbst_campaign's explicit call, so the two paths cannot drift.
+/// Cycles a campaign test's budget runs past its good_cycles. The
+/// environment stops every lane one cycle after lane 0 (the good machine)
+/// shows HALT, so the margin only keeps the budget from cutting off the
+/// halting cycle; grading never runs past it.
 inline constexpr int kSbstCampaignMargin = 8;
 
 /// The packed width of every SBST grading runner. 128 lanes grade the
 /// full campaign ~1.3x faster than 64; 256 is no faster and costs a RAM
 /// map per extra lane (README "Kernel width").
 inline constexpr int kSbstLanes = 128;
-
-std::vector<CampaignTest> build_sbst_campaign_tests(
-    const Soc& soc, std::vector<SbstProgram>& suite,
-    const FaultUniverse& universe, int margin = kSbstCampaignMargin,
-    bool event_driven = true, FaultModel fault_model = FaultModel::kStuckAt);
 
 /// One program's campaign test plus the recorded good-machine checkpoint
 /// (exposed so subprocess workers can fingerprint their rebuilt state —
@@ -93,28 +81,47 @@ struct SbstCampaignTest {
   std::shared_ptr<const ReferenceTrace> trace;
 };
 
-/// Builds one program's campaign test: runs the program functionally for
-/// its cycle count, records the reference trace, derives the activation
-/// screen from the same good run (test.inert: stuck-at faults whose site
-/// never leaves the stuck value, reset phase included; transition faults
-/// whose site never makes their transition), and wraps the grading
-/// kernel in per-worker runners (build_sbst_campaign_tests is a loop over
-/// this). The returned test carries a wire spec
+/// Builds one program's campaign test from one packed good-machine pass
+/// (the lane-0 tracer, budget kSbstFunctionalCycleCap +
+/// kSbstCampaignMargin). That pass records the reference trace, yields
+/// the cycle count (test.good_cycles; the budget is good_cycles +
+/// kSbstCampaignMargin) and the activation screen (test.inert: stuck-at
+/// faults whose site never leaves the stuck value, reset phase included;
+/// transition faults whose site never makes their transition). The
+/// grading kernel is wrapped in per-worker runners at kSbstLanes lanes
+/// with incremental clocking, so test.max_batch is kSbstLanes - 1.
+/// `event_driven` selects the kernel (false = full-sweep oracle; results
+/// are bit-identical either way — the switch exists for cross-checks and
+/// benches). `fault_model` selects the grading kernel: kStuckAt wraps
+/// run_batch, kTransition wraps the launch/capture run_tdf_batch over the
+/// same fault ids (fault/tdf.hpp). The returned test carries a wire spec
 /// ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX}) so a
-/// subprocess worker can rebuild the same state from its own SoC —
-/// see rebuild_sbst_campaign_test. `topo` must be a PackedTopology over
-/// soc.netlist (shared across the suite's tests and workers).
+/// subprocess worker can rebuild the same state from its own SoC — see
+/// rebuild_sbst_campaign_test. `topo` must be a PackedTopology over
+/// soc.netlist (shared across the suite's tests and workers). `soc` and
+/// `universe` are captured by reference and must outlive every campaign
+/// run over the returned test.
 SbstCampaignTest build_sbst_campaign_test(
     const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
-    std::shared_ptr<const PackedTopology> topo,
-    int margin = kSbstCampaignMargin, bool event_driven = true,
+    std::shared_ptr<const PackedTopology> topo, bool event_driven = true,
     FaultModel fault_model = FaultModel::kStuckAt);
+
+/// Converts the suite into orchestrator tests, one build_sbst_campaign_test
+/// per program over one shared PackedTopology. The programs are built
+/// concurrently by `threads` participants (clamped to [1, suite size]);
+/// the tests come back in suite order and are identical for any count.
+std::vector<CampaignTest> build_sbst_campaign_tests(
+    const Soc& soc, std::vector<SbstProgram>& suite,
+    const FaultUniverse& universe, bool event_driven = true,
+    FaultModel fault_model = FaultModel::kStuckAt, int threads = 1);
 
 /// The worker half: reconstructs the campaign test a spec (produced by
 /// build_sbst_campaign_test on the coordinator) describes, over the
 /// worker's own soc/universe. The program is looked up by name in
-/// `suite`, the kernel options come from the spec's "fsim" object, and
-/// the rebuilt trace's fingerprint must match the spec's "state_fp" when
+/// `suite`, the kernel options come from the spec's "fsim" object (its
+/// max_cycles, the coordinator's good_cycles + kSbstCampaignMargin, is
+/// the recording budget, so the rebuild derives the same good_cycles),
+/// and the rebuilt trace's fingerprint must match the spec's "state_fp" when
 /// present — a drifted rebuild (different SoC configuration, changed
 /// program) throws std::runtime_error instead of grading garbage.
 /// Throws std::invalid_argument on unknown programs or malformed specs.
@@ -129,7 +136,7 @@ SbstCampaignTest rebuild_sbst_campaign_test(
 /// sharding, dropping, and the fault model (opts.fault_model ==
 /// kTransition grades the suite for TDF coverage; pair it with
 /// classify_transition_faults-based pruning in `fl` for the pruned
-/// figures).
+/// figures). The tests are built with the engine's resolved thread count.
 SbstCampaignResult run_sbst_campaign(
     const Soc& soc, std::vector<SbstProgram>& suite, FaultList& fl,
     std::function<void(const std::string&, std::size_t, std::size_t)> progress = {},

@@ -1311,21 +1311,44 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
   // fault models, pinned as data. Every other check compares sibling
   // execution paths of the same code; these constants catch drift that
   // moves all of them together. Batch counts are deliberately not
-  // pinned: they follow the lane width.
+  // pinned: they follow the lane width. The cycle counts and the tests
+  // fingerprint are the result cache key's trace component: while they
+  // hold, cache entries written by earlier builds stay hits.
   struct Row {
     FaultModel model;
     std::uint64_t detected_fnv;  ///< fnv1a64(bitvec_to_hex(detected))
     std::vector<std::size_t> new_detections;  ///< per test, suite order
+    std::vector<int> good_cycles;             ///< per test, suite order
+    std::uint64_t tests_fp;  ///< campaign_tests_fingerprint of the tests
   };
   const std::vector<Row> rows = {
-      {FaultModel::kStuckAt, 0x71e6ed5a089d103aULL, {200, 137}},
-      {FaultModel::kTransition, 0x4ba9ac3f628fbcbeULL, {139, 77}},
+      {FaultModel::kStuckAt, 0x71e6ed5a089d103aULL, {200, 137}, {134, 31},
+       0x90849ee151b03b13ULL},
+      {FaultModel::kTransition, 0x4ba9ac3f628fbcbeULL, {139, 77}, {134, 31},
+       0x90849ee151b03b13ULL},
   };
   auto soc = build_soc({});
   auto suite = build_sbst_suite(soc->config);
   suite.erase(suite.begin() + 2, suite.end());
   const FaultUniverse u(soc->netlist);
   for (const Row& row : rows) {
+    const std::string_view model = to_string(row.model);
+    // The concurrent build yields the same tests for any participant count.
+    const auto build = [&](int threads) {
+      return build_sbst_campaign_tests(*soc, suite, u, /*event_driven=*/true,
+                                       row.model, threads);
+    };
+    const std::vector<CampaignTest> serial = build(1), concurrent = build(4);
+    EXPECT_EQ(campaign_tests_fingerprint(serial), row.tests_fp) << model;
+    EXPECT_EQ(campaign_tests_fingerprint(concurrent), row.tests_fp) << model;
+    ASSERT_EQ(serial.size(), row.good_cycles.size()) << model;
+    ASSERT_EQ(concurrent.size(), serial.size()) << model;
+    for (std::size_t t = 0; t < serial.size(); ++t) {
+      EXPECT_EQ(serial[t].good_cycles, row.good_cycles[t])
+          << model << " " << serial[t].name;
+      EXPECT_EQ(concurrent[t].inert, serial[t].inert)
+          << model << " " << serial[t].name;
+    }
     FaultList fl(u);
     const CampaignResult r =
         run_sbst_campaign(*soc, suite, fl, {},
@@ -1333,12 +1356,14 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
                            .fault_model = row.model,
                            .target_limit = 320})
             .campaign;
-    const std::string_view model = to_string(row.model);
     EXPECT_EQ(fnv1a64(bitvec_to_hex(r.detected)), row.detected_fnv) << model;
     ASSERT_EQ(r.tests.size(), row.new_detections.size()) << model;
-    for (std::size_t t = 0; t < r.tests.size(); ++t)
+    for (std::size_t t = 0; t < r.tests.size(); ++t) {
       EXPECT_EQ(r.tests[t].new_detections, row.new_detections[t])
           << model << " " << r.tests[t].name;
+      EXPECT_EQ(r.tests[t].good_cycles, row.good_cycles[t])
+          << model << " " << r.tests[t].name;
+    }
   }
 }
 
@@ -1439,7 +1464,7 @@ TEST(ActivationScreen, InertFaultsAreNeverDetected) {
   for (const FaultModel model :
        {FaultModel::kStuckAt, FaultModel::kTransition}) {
     const std::vector<CampaignTest> tests = build_sbst_campaign_tests(
-        *soc, suite, u, kSbstCampaignMargin, true, model);
+        *soc, suite, u, true, model);
     for (const CampaignTest& test : tests) {
       std::vector<FaultId> inert;
       for (std::size_t f = test.inert.find_first(); f < test.inert.size();

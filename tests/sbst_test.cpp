@@ -14,18 +14,55 @@ SocConfig lean_config() {
 }
 
 TEST(SbstSuite, EveryProgramHaltsOnTheFullSoc) {
-  SocConfig cfg;  // full case-study configuration, multiplier included
-  auto soc = build_soc(cfg);
-  auto suite = build_sbst_suite(cfg);
-  ASSERT_GE(suite.size(), 8u);
-  for (SbstProgram& sp : suite) {
-    SocSimulator sim(*soc);
-    sim.load_program(sp.program);
-    const int cycles = sim.run(5000);
-    EXPECT_TRUE(sim.halted()) << sp.name;
-    EXPECT_GT(cycles, 5) << sp.name;
-    EXPECT_LT(cycles, 5000) << sp.name;
+  // The full case-study configuration (multiplier included) and the lean
+  // one. A campaign test takes its cycle count from the packed pass that
+  // records its checkpoint; it must equal the functional runner's, on the
+  // coordinator and in a worker's rebuild alike.
+  for (const SocConfig& cfg : {SocConfig{}, lean_config()}) {
+    auto soc = build_soc(cfg);
+    auto suite = build_sbst_suite(cfg);
+    ASSERT_GE(suite.size(), cfg.cpu.with_multiplier ? 8u : 7u);
+    const FaultUniverse u(soc->netlist);
+    const auto topo = PackedTopology::build(soc->netlist);
+    for (SbstProgram& sp : suite) {
+      SocSimulator sim(*soc);
+      sim.load_program(sp.program);
+      const int cycles = sim.run(kSbstFunctionalCycleCap);
+      EXPECT_TRUE(sim.halted()) << sp.name;
+      EXPECT_GT(cycles, 5) << sp.name;
+      EXPECT_LT(cycles, kSbstFunctionalCycleCap) << sp.name;
+
+      const SbstCampaignTest built = build_sbst_campaign_test(*soc, sp, u, topo);
+      EXPECT_EQ(built.test.good_cycles, cycles) << sp.name;
+      EXPECT_EQ(built.test.spec.at("fsim").at("max_cycles").as_int(),
+                cycles + kSbstCampaignMargin)
+          << sp.name;
+      const SbstCampaignTest rebuilt = rebuild_sbst_campaign_test(
+          *soc, suite, u, topo, built.test.spec, FaultModel::kStuckAt);
+      EXPECT_EQ(rebuilt.test.good_cycles, cycles) << sp.name;
+      EXPECT_EQ(rebuilt.test.spec.dump(), built.test.spec.dump()) << sp.name;
+    }
   }
+}
+
+TEST(SbstSuite, ProgramThatNeverHaltsCountsTheCycleCap) {
+  const SocConfig cfg = lean_config();
+  auto soc = build_soc(cfg);
+  std::vector<SbstProgram> suite{{"spin", Program(cfg.cpu.reset_vector)}};
+  suite[0].program.label("spin");
+  suite[0].program.beq(0, 0, "spin");
+  const FaultUniverse u(soc->netlist);
+  const auto topo = PackedTopology::build(soc->netlist);
+  const SbstCampaignTest built =
+      build_sbst_campaign_test(*soc, suite[0], u, topo);
+  EXPECT_EQ(built.test.good_cycles, kSbstFunctionalCycleCap);
+  EXPECT_EQ(built.trace->cycles,
+            kSbstFunctionalCycleCap + kSbstCampaignMargin);
+  EXPECT_EQ(built.test.spec.at("fsim").at("max_cycles").as_int(),
+            kSbstFunctionalCycleCap + kSbstCampaignMargin);
+  const SbstCampaignTest rebuilt = rebuild_sbst_campaign_test(
+      *soc, suite, u, topo, built.test.spec, FaultModel::kStuckAt);
+  EXPECT_EQ(rebuilt.test.good_cycles, kSbstFunctionalCycleCap);
 }
 
 TEST(SbstSuite, MulProgramOnlyWithMultiplier) {
@@ -197,8 +234,7 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
   // identical TDF payload (run_sbst_campaign itself always uses the
   // event kernel, so go through build_sbst_campaign_tests directly).
   const auto sweep_tests = build_sbst_campaign_tests(
-      *soc, suite, u, kSbstCampaignMargin, /*event_driven=*/false,
-      FaultModel::kTransition);
+      *soc, suite, u, /*event_driven=*/false, FaultModel::kTransition);
   FaultList fls(u);
   const CampaignResult rs =
       CampaignEngine(u, {.threads = 2, .fault_model = FaultModel::kTransition})
