@@ -7,14 +7,6 @@
 //    detections). NOTE: on a 1-core container every speedup degenerates
 //    to ~1.0x; on an N-core host expect near-linear scaling to min(N, 8).
 //  * kernel cross-check — event-driven vs full-sweep detections.
-//  * executor comparison — the slice graded on the in-process pool vs
-//    coordinator + 2 subprocess workers (olfui_cli --worker), with the
-//    bit-identical cross-check; skipped (and flagged in the JSON) when
-//    ./olfui_cli is not in the working directory. Runs on the default SoC
-//    configuration — the one workers rebuild — not the lean one.
-//  * chaos recovery — the same campaign with deterministically crashing
-//    workers (--chaos); recovery must converge to byte-identical
-//    deterministic JSON, and the wall-time gap is the recovery overhead.
 //  * tracing overhead — the same grade with observability off vs fully
 //    on (tracer + metrics), with the side-band cross-check (identical
 //    detections) and the overhead ratio recorded in the JSON.
@@ -24,7 +16,6 @@
 //    1/2/4/8 threads; minutes of work, so it only runs with
 //    OLFUI_BENCH_FULL=1 (CI smoke skips it).
 #include <benchmark/benchmark.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -35,7 +26,6 @@
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
-#include "campaign/executor.hpp"
 #include "campaign/json.hpp"
 #include "campaign/report.hpp"
 #include "obs/metrics.hpp"
@@ -164,134 +154,7 @@ void run_kernel_cross_check(const Soc& soc, const FaultUniverse& universe,
   doc.set("kernel_detections_identical", identical);
 }
 
-/// Executor comparison: the same slice graded on the in-process pool and
-/// on coordinator + 2 subprocess workers. The wall-time gap is the
-/// protocol + worker-state-rebuild overhead a multi-host deployment pays
-/// once per worker; the detection cross-check is the point.
-void run_executor_comparison(Json& doc) {
-  if (access("./olfui_cli", X_OK) != 0) {
-    std::printf("== executor comparison skipped (./olfui_cli not here) =====\n\n");
-    doc.set("executor_skipped", true);
-    return;
-  }
-  // Workers rebuild the default SoC configuration, so the coordinator
-  // must grade the same one (the lean bench SoC would fingerprint-fail).
-  const auto soc = build_soc({});
-  const FaultUniverse universe(soc->netlist);
-  auto suite = build_sbst_suite(soc->config);
-  suite.erase(suite.begin() + 1, suite.end());
-  const std::vector<CampaignTest> tests =
-      build_sbst_campaign_tests(*soc, suite, universe);
-  const std::vector<FaultId> targets = fault_slice(universe, 1024, 7);
-
-  std::printf("== executor comparison: %zu faults, inproc vs 2 workers ====\n",
-              targets.size());
-  const auto t0 = std::chrono::steady_clock::now();
-  const BitVec inproc =
-      CampaignEngine(universe, {.threads = 2}).grade(targets, tests[0]);
-  const double inproc_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  CampaignOptions opts;
-  opts.threads = 2;
-  opts.executor = std::make_shared<SubprocessExecutor>(
-      std::vector<std::string>{"./olfui_cli", "--worker"}, 2);
-  const CampaignEngine sub_engine(universe, opts);
-  const auto t1 = std::chrono::steady_clock::now();
-  const BitVec cold = sub_engine.grade(targets, tests[0]);
-  const double cold_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
-          .count();
-  // Second pass on the now-warm workers: the steady-state cost once the
-  // per-worker state rebuild is amortized.
-  const auto t2 = std::chrono::steady_clock::now();
-  const BitVec warm = sub_engine.grade(targets, tests[0]);
-  const double warm_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t2)
-          .count();
-
-  const bool identical = inproc == cold && inproc == warm;
-  std::printf("%12s %10.3f s\n%12s %10.3f s (cold: spawn + state rebuild)\n"
-              "%12s %10.3f s (warm workers)\n",
-              "inproc", inproc_seconds, "subprocess", cold_seconds,
-              "subprocess", warm_seconds);
-  std::printf("detection BitVecs %s across executors\n\n",
-              identical ? "bit-identical" : "DIFFER — executor bug!");
-  Json e = Json::object();
-  e.set("inproc_seconds", inproc_seconds);
-  e.set("subprocess_cold_seconds", cold_seconds);
-  e.set("subprocess_warm_seconds", warm_seconds);
-  e.set("workers", 2);
-  doc.set("executor", std::move(e));
-  doc.set("executor_detections_identical", identical);
-}
-
-/// Chaos recovery check: the same campaign run with deterministically
-/// crashing workers (every worker SIGKILLs itself on its second shard;
-/// respawns recover) must converge to the byte-identical deterministic
-/// result. The wall-time gap is the price of one worker generation lost
-/// and rebuilt — the recovery overhead a deployment should budget for.
-void run_chaos_comparison(Json& doc) {
-  if (access("./olfui_cli", X_OK) != 0) {
-    std::printf("== chaos recovery skipped (./olfui_cli not here) ==========\n\n");
-    doc.set("chaos_skipped", true);
-    return;
-  }
-  const auto soc = build_soc({});
-  const FaultUniverse universe(soc->netlist);
-  auto suite = build_sbst_suite(soc->config);
-  suite.erase(suite.begin() + 1, suite.end());
-  const std::vector<CampaignTest> tests =
-      build_sbst_campaign_tests(*soc, suite, universe);
-  const CampaignOptions base{.threads = 2, .target_limit = 1024};
-
-  std::printf("== chaos recovery: crashing workers vs clean campaign ======\n");
-  FaultList fl_clean(universe);
-  const auto t0 = std::chrono::steady_clock::now();
-  const CampaignResult clean =
-      CampaignEngine(universe, base).run(fl_clean, tests);
-  const double clean_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  FleetOptions fleet;
-  fleet.workers = 2;
-  fleet.backoff_base = 0.01;
-  CampaignOptions chaos = base;
-  chaos.executor = std::make_shared<SubprocessExecutor>(
-      std::vector<std::string>{"./olfui_cli", "--worker", "--chaos",
-                               "11:crash@2"},
-      fleet);
-  FaultList fl_chaos(universe);
-  const auto t1 = std::chrono::steady_clock::now();
-  const CampaignResult recovered =
-      CampaignEngine(universe, chaos).run(fl_chaos, tests);
-  const double chaos_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
-          .count();
-
-  const bool identical =
-      recovered == clean &&
-      campaign_result_to_json_string(recovered, 2, false) ==
-          campaign_result_to_json_string(clean, 2, false);
-  std::printf("%12s %10.3f s\n%12s %10.3f s (%zu respawns, %zu shards "
-              "reissued)\n",
-              "clean", clean_seconds, "chaos", chaos_seconds,
-              recovered.stats.respawns, recovered.stats.shard_reissues);
-  std::printf("deterministic JSON %s after recovery\n\n",
-              identical ? "byte-identical" : "DIFFERS — recovery bug!");
-  Json c = Json::object();
-  c.set("clean_seconds", clean_seconds);
-  c.set("chaos_seconds", chaos_seconds);
-  c.set("respawns", recovered.stats.respawns);
-  c.set("shard_reissues", recovered.stats.shard_reissues);
-  c.set("degraded_shards", recovered.stats.degraded_shards);
-  doc.set("chaos", std::move(c));
-  doc.set("chaos_detections_identical", identical);
-}
-
-/// Tracing overhead: the same inproc grade with observability off and
+/// Tracing overhead: the same grade with observability off and
 /// fully on (tracer + metrics). The off run is the hot path shipped to
 /// users — its only cost is the enabled() branch — so the ratio should
 /// hover near 1.0; a regression here means an instrumentation site
@@ -467,8 +330,6 @@ int main(int argc, char** argv) {
   doc.set("bench", "campaign_scaling");
   run_thread_scaling(*soc, universe, doc);
   run_kernel_cross_check(*soc, universe, doc);
-  run_executor_comparison(doc);
-  run_chaos_comparison(doc);
   run_tracing_overhead(*soc, universe, doc);
   run_cache_comparison(*soc, universe, doc);
   std::ofstream("BENCH_campaign.json") << doc.dump(2) << "\n";

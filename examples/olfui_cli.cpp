@@ -1,28 +1,15 @@
-// olfui_cli — command-line front end for third-party netlists, plus the
-// coordinator/worker pair for distributed SBST campaigns.
+// olfui_cli — command-line front end for third-party netlists and for the
+// built-in SBST campaign.
 //
 //   olfui_cli --sbst [options]
 //     Grades the built-in MiniRISC32 SBST suite against the stuck-at (or
-//     TDF) universe through the campaign orchestrator, on a pluggable
-//     shard executor:
-//       --executor inproc|subprocess   shard backend (default inproc)
-//       --workers N          subprocess worker processes (default 2;
-//                            at least 1)
-//       --shard-timeout S    per-shard liveness deadline in seconds for
-//                            the subprocess fleet (0 = derive from
-//                            profiled shard times with a generous floor)
-//       --max-respawns N     fleet-wide respawn budget for crashed
-//                            workers (default 8)
-//       --min-workers N      degrade to in-process grading when fewer
-//                            workers remain live or respawnable
-//                            (default 1)
-//       --chaos SPEC         forward a deterministic fault-injection spec
-//                            (<seed>:crash|stall|trunc[@N][:all]) to the
-//                            spawned workers — the recovery-path smoke
+//     TDF) universe through the campaign orchestrator's in-process worker
+//     pool:
 //       --programs N         grade only the first N suite programs
 //       --limit N            grade only the first N eligible faults per
 //                            test (the CI smoke slice; 0 = all)
-//       --threads N          in-process worker threads (0 = all cores)
+//       --threads N          worker threads (0 = all cores; at most
+//                            INT_MAX)
 //       --model sa|tdf       fault model (default sa)
 //       --cache-dir DIR      persistent grade-result cache (campaign/
 //                            cache.hpp): a repeat run with identical
@@ -36,25 +23,18 @@
 //                            summary line
 //       --json FILE          full CampaignResult (runtime stats included)
 //       --json-no-stats FILE deterministic payload only — byte-identical
-//                            across executors/threads/workers, the file
-//                            the distributed smoke compares
+//                            across thread counts, the file the CI smokes
+//                            compare
 //       --trace FILE         Chrome/Perfetto trace_event JSON of the whole
-//                            campaign — coordinator spans plus, under
-//                            --executor subprocess, every worker's spans
-//                            on its own pid lane (side-band: the grading
-//                            payload is byte-identical with or without it)
+//                            campaign: test building, trace recording,
+//                            plan/execute/merge, and one span per shard on
+//                            the tid lane of the participant that graded
+//                            it (side-band: the grading payload is
+//                            byte-identical with or without it)
 //       --metrics FILE       deterministic-ordered counters/gauges/
 //                            histograms JSON (obs/metrics.hpp catalogue)
 //       --progress           stderr heartbeat per shard batch: shards
 //                            done/estimated, faults graded, faults/s, ETA
-//
-//   olfui_cli --worker [--chaos SPEC]
-//     Runs one campaign worker speaking the JSON line protocol
-//     (campaign/executor.hpp) on stdin/stdout; spawned by
-//     --executor subprocess, rebuilds grading state from each request's
-//     CampaignTest::spec. Not meant for interactive use. --chaos (or the
-//     OLFUI_CHAOS environment variable) injects deterministic failures
-//     for recovery testing.
 //
 //   olfui_cli <netlist.v> [options]
 //     --tie NET=0|1        mission-constant net (repeatable)
@@ -69,7 +49,8 @@
 //                          test + random + PODEM patterns) through the
 //                          parallel campaign orchestrator; needs scan
 //                          chains ("scan_en"/"scan_in*"/"scan_out*" ports)
-//     --threads N          orchestrator worker threads (0 = all cores)
+//     --threads N          orchestrator worker threads (0 = all cores; at
+//                          most INT_MAX)
 //     --trace FILE         campaign span trace (see --sbst above)
 //     --metrics FILE       campaign metrics export (see --sbst above)
 //
@@ -81,14 +62,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/cache.hpp"
-#include "campaign/executor.hpp"
 #include "campaign/json.hpp"
 #include "campaign/report.hpp"
 #include "fault/report.hpp"
@@ -112,15 +92,21 @@ using namespace olfui;
                "[--memmap BASE:SIZE] [--model sa|tdf] [--csv FILE] "
                "[--json FILE] [--sweep] [--campaign] [--threads N] "
                "[--trace FILE] [--metrics FILE]\n"
-               "       %s --sbst [--executor inproc|subprocess] [--workers N] "
-               "[--shard-timeout S] [--max-respawns N] [--min-workers N] "
-               "[--chaos SPEC] [--programs N] [--limit N] [--threads N] "
+               "       %s --sbst [--programs N] [--limit N] [--threads N] "
                "[--model sa|tdf] [--cache-dir DIR] "
                "[--json FILE] [--json-no-stats FILE] [--trace FILE] "
-               "[--metrics FILE] [--progress]\n"
-               "       %s --worker [--chaos SPEC]\n",
-               argv0, argv0, argv0);
+               "[--metrics FILE] [--progress]\n",
+               argv0, argv0);
   std::exit(2);
+}
+
+/// The --threads value: 0 = all cores. A count no int can hold is a
+/// usage error, never a silent wrap-around to some other count.
+int parse_threads(const std::string& text, const char* argv0) {
+  const auto n = parse_uint(text);
+  if (!n || *n > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+    usage(argv0);
+  return static_cast<int>(*n);
 }
 
 std::string read_file(const std::string& path) {
@@ -141,98 +127,6 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 // ---------------------------------------------------------------------------
-// --worker: one subprocess campaign worker over the built-in SBST workload.
-
-/// Rebuilds SBST grading state from each request's CampaignTest::spec.
-/// The SoC, universe, and topology are built lazily on the first request
-/// and shared across tests; per-test runners (simulator + reference
-/// trace) are cached so a persistent worker pays the rebuild once.
-class SbstWorkerWorkload final : public WorkerWorkload {
- public:
-  std::size_t universe_size() override {
-    ensure_soc();
-    return universe_->size();
-  }
-
-  LaneMask run_batch(const ShardRequest& request,
-                     std::span<const FaultId> faults) override {
-    return entry(request).runner->run_batch(faults);
-  }
-
-  std::uint64_t state_fingerprint(const ShardRequest& request) override {
-    return entry(request).trace_fp;
-  }
-
-  int max_batch(const ShardRequest& request) override {
-    return entry(request).max_batch;
-  }
-
- private:
-  struct Entry {
-    std::unique_ptr<FaultBatchRunner> runner;
-    std::uint64_t trace_fp = 0;
-    int max_batch = 0;
-  };
-
-  void ensure_soc() {
-    if (soc_) return;
-    soc_ = build_soc({});  // must match the coordinator's configuration
-    universe_ = std::make_unique<FaultUniverse>(soc_->netlist);
-    topo_ = PackedTopology::build(soc_->netlist);
-    suite_ = build_sbst_suite(soc_->config);
-  }
-
-  Entry& entry(const ShardRequest& request) {
-    ensure_soc();
-    const std::string key = request.test + "|" +
-                            std::string(to_string(request.fault_model)) + "|" +
-                            request.spec.dump();
-    auto it = cache_.find(key);
-    if (it == cache_.end()) {
-      SbstCampaignTest rebuilt = rebuild_sbst_campaign_test(
-          *soc_, suite_, *universe_, topo_, request.spec, request.fault_model);
-      Entry e;
-      e.trace_fp = rebuilt.trace->fingerprint();
-      e.max_batch = rebuilt.test.max_batch;
-      e.runner = rebuilt.test.make_runner();
-      it = cache_.emplace(key, std::move(e)).first;
-    }
-    return it->second;
-  }
-
-  std::unique_ptr<Soc> soc_;
-  std::unique_ptr<FaultUniverse> universe_;
-  std::shared_ptr<const PackedTopology> topo_;
-  std::vector<SbstProgram> suite_;
-  std::map<std::string, Entry> cache_;
-};
-
-int run_worker_mode(int argc, char** argv) {
-  // --chaos SPEC injects deterministic failures (see ChaosSpec); the
-  // OLFUI_CHAOS environment variable reaches workers the coordinator
-  // spawns without any argv plumbing, so the flag is mostly for driving
-  // one worker by hand.
-  ChaosSpec chaos;
-  bool chaos_given = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--chaos" && i + 1 < argc) {
-      try {
-        chaos = chaos_spec_from_string(argv[++i]);
-        chaos_given = true;
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else {
-      usage(argv[0]);
-    }
-  }
-  SbstWorkerWorkload workload;
-  return serve_worker(stdin, stdout, workload, chaos_given ? &chaos : nullptr);
-}
-
-// ---------------------------------------------------------------------------
 // Observability surface shared by the campaign-running modes.
 
 /// Enables the process-wide tracer/metrics before a campaign runs (both
@@ -240,10 +134,7 @@ int run_worker_mode(int argc, char** argv) {
 /// way, asserted in tests and CI).
 void enable_observability(const std::string& trace_path,
                           const std::string& metrics_path) {
-  if (!trace_path.empty()) {
-    obs::tracer().set_enabled(true);
-    obs::tracer().set_process_label(0, "coordinator");
-  }
+  if (!trace_path.empty()) obs::tracer().set_enabled(true);
   if (!metrics_path.empty()) obs::metrics().set_enabled(true);
 }
 
@@ -298,16 +189,14 @@ CampaignProgress make_progress_heartbeat() {
 }
 
 // ---------------------------------------------------------------------------
-// --sbst: campaign coordinator over the built-in SBST workload.
+// --sbst: the campaign over the built-in SBST workload.
 
 int run_sbst_mode(int argc, char** argv) {
   std::size_t programs = 0, limit = 0;
-  int threads = 0, workers = 2;
-  FleetOptions fleet;
-  double shard_timeout = 0;
-  bool subprocess = false, transition = false, progress = false;
+  int threads = 0;
+  bool transition = false, progress = false;
   std::string json_path, json_no_stats_path, cache_dir;
-  std::string trace_path, metrics_path, chaos_spec;
+  std::string trace_path, metrics_path;
 
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -320,37 +209,12 @@ int run_sbst_mode(int argc, char** argv) {
       if (!n) usage(argv[0]);
       return static_cast<std::size_t>(*n);
     };
-    if (arg == "--executor") {
-      const std::string kind = next();
-      if (kind == "subprocess") subprocess = true;
-      else if (kind != "inproc") usage(argv[0]);
-    } else if (arg == "--workers") {
-      workers = static_cast<int>(next_uint());
-      if (workers < 1) usage(argv[0]);
-    } else if (arg == "--shard-timeout") {
-      char* end = nullptr;
-      const std::string text = next();
-      shard_timeout = std::strtod(text.c_str(), &end);
-      if (end != text.c_str() + text.size() || shard_timeout < 0)
-        usage(argv[0]);
-    } else if (arg == "--max-respawns") {
-      fleet.max_respawns = static_cast<int>(next_uint());
-    } else if (arg == "--min-workers") {
-      fleet.min_workers = static_cast<int>(next_uint());
-    } else if (arg == "--chaos") {
-      chaos_spec = next();
-      try {
-        chaos_spec_from_string(chaos_spec);  // validate before spawning
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--programs") {
+    if (arg == "--programs") {
       programs = next_uint();
     } else if (arg == "--limit") {
       limit = next_uint();
     } else if (arg == "--threads") {
-      threads = static_cast<int>(next_uint());
+      threads = parse_threads(next(), argv[0]);
     } else if (arg == "--model") {
       const std::string model = next();
       if (model != "sa" && model != "tdf") usage(argv[0]);
@@ -386,17 +250,6 @@ int run_sbst_mode(int argc, char** argv) {
   opts.fault_model =
       transition ? FaultModel::kTransition : FaultModel::kStuckAt;
   opts.target_limit = limit;
-  opts.shard_timeout = shard_timeout;
-  if (subprocess) {
-    fleet.workers = workers;
-    std::vector<std::string> worker_cmd{argv[0], "--worker"};
-    if (!chaos_spec.empty()) {
-      worker_cmd.push_back("--chaos");
-      worker_cmd.push_back(chaos_spec);
-    }
-    opts.executor =
-        std::make_shared<SubprocessExecutor>(std::move(worker_cmd), fleet);
-  }
   if (!cache_dir.empty()) {
     try {
       opts.cache = std::make_shared<ResultCache>(64, cache_dir);
@@ -407,12 +260,9 @@ int run_sbst_mode(int argc, char** argv) {
   }
 
   std::printf("sbst campaign: %zu programs, %zu faults%s, model %s,\n"
-              "  %d lanes, executor %s",
+              "  %d lanes\n",
               suite.size(), universe.size(), limit ? " (sliced)" : "",
-              transition ? "tdf" : "sa", kSbstLanes,
-              subprocess ? "subprocess" : "inproc");
-  if (subprocess) std::printf(" (%d workers)", workers);
-  std::printf("\n");
+              transition ? "tdf" : "sa", kSbstLanes);
 
   const CampaignProgress heartbeat =
       progress ? make_progress_heartbeat() : CampaignProgress{};
@@ -428,13 +278,6 @@ int run_sbst_mode(int argc, char** argv) {
               result.campaign.total_new_detections, stats.faults_simulated,
               stats.faults_screened, stats.batches, stats.wall_seconds,
               stats.faults_per_second);
-  if (stats.respawns || stats.shard_reissues || stats.timeouts ||
-      stats.degraded_shards)
-    std::printf("recovery: %zu respawn(s), %zu shard reissue(s), "
-                "%zu timeout(s), %zu shard(s) graded by the in-process "
-                "fallback\n",
-                stats.respawns, stats.shard_reissues, stats.timeouts,
-                stats.degraded_shards);
   if (opts.cache) {
     const ResultCacheStats cs = opts.cache->stats();
     std::printf("cache: %s (hits %zu, misses %zu, stores %zu)\n",
@@ -457,9 +300,8 @@ int run_sbst_mode(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
-  if (std::strcmp(argv[1], "--worker") == 0)
-    return run_worker_mode(argc, argv);
   if (std::strcmp(argv[1], "--sbst") == 0) return run_sbst_mode(argc, argv);
+  if (argv[1][0] == '-') usage(argv[0]);  // an unknown mode, not a netlist
   std::string input = argv[1];
   std::vector<std::pair<std::string, bool>> ties;
   std::vector<std::string> unobserved;
@@ -503,9 +345,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--campaign") {
       campaign = true;
     } else if (arg == "--threads") {
-      const auto n = parse_uint(next());
-      if (!n) usage(argv[0]);
-      threads = static_cast<int>(*n);
+      threads = parse_threads(next(), argv[0]);
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--metrics") {

@@ -2,10 +2,10 @@
 //
 // The paper's grading flow is rerun constantly in practice — same SBST
 // programs, same netlist, tweaked options — and every fingerprint a
-// repeat run needs to prove "this is the same work" already exists on the
-// executor seam: the universe/netlist structure, each test's
-// ReferenceTrace fingerprint (riding in CampaignTest::spec, next to each
-// test's max_batch), and a canonical options hash (which covers
+// repeat run needs to prove "this is the same work" already exists: the
+// universe/netlist structure, each test's identity (CampaignTest::spec,
+// which carries its ReferenceTrace fingerprint, next to each test's
+// max_batch), and a canonical options hash (which covers
 // batch_size; with max_batch the only inputs of batch formation).
 // ResultCache keys the deterministic CampaignResult JSON payload on
 // exactly those:
@@ -14,7 +14,7 @@
 //
 // CampaignEngine::run consults the cache before planning anything: a full
 // hit decodes the stored payload and returns it with ZERO shards executed
-// (no worker spawn, no kernel eval — stats.cache = "hit"); a miss grades
+// (no runner built, no kernel eval — stats.cache = "hit"); a miss grades
 // normally and populates the cache. Because the payload is the
 // byte-comparable deterministic JSON (campaign_result_to_json without
 // stats) and Json dump∘parse is byte-stable, a warm re-serialize is
@@ -58,10 +58,9 @@ std::uint64_t fnv1a64_word(std::uint64_t v, std::uint64_t h);
 /// Canonical serialization of every payload-affecting CampaignOptions
 /// field as sorted "key=value" pairs — defaults included explicitly, so a
 /// changed default changes the hash and field declaration order never
-/// matters. Payload-NEUTRAL knobs (threads, executor backend,
-/// shard_timeout, observability) are deliberately
-/// absent: they never change the deterministic payload, so they must not
-/// fragment the cache.
+/// matters. Payload-NEUTRAL knobs (threads, the cache itself,
+/// observability) are deliberately absent: they never change the
+/// deterministic payload, so they must not fragment the cache.
 std::string campaign_options_canonical(const CampaignOptions& opts);
 /// fnv1a64 of campaign_options_canonical().
 std::uint64_t campaign_options_hash(const CampaignOptions& opts);
@@ -82,9 +81,9 @@ std::uint64_t fault_list_fingerprint(const FaultList& fl);
 
 /// Folds every test's (name, good_cycles, max_batch, spec) — the spec
 /// carries the fsim options and the ReferenceTrace state fingerprint, so
-/// this is the key's trace component. Returns 0 (not cacheable) if any test has a
-/// null spec: without a wire description the grading kernel a
-/// make_runner closure captures cannot be fingerprinted.
+/// this is the key's trace component. Returns 0 (not cacheable) if any
+/// test has a null spec: without one the grading kernel a make_runner
+/// closure captures cannot be fingerprinted.
 std::uint64_t campaign_tests_fingerprint(std::span<const CampaignTest> tests);
 
 // ---------------------------------------------------------------------------

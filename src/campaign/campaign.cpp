@@ -4,13 +4,14 @@
 #include <chrono>
 #include <map>
 #include <mutex>
-#include <numeric>
+#include <stdexcept>
 #include <thread>
 
 #include "campaign/cache.hpp"
-#include "campaign/executor.hpp"
+#include "campaign/shard_queue.hpp"
 #include "fault/tdf.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace olfui {
@@ -94,14 +95,6 @@ int CampaignEngine::resolved_threads() const {
   return hw ? static_cast<int>(hw) : 1;
 }
 
-ShardExecutor& CampaignEngine::executor() const {
-  if (opts_.executor) return *opts_.executor;
-  std::lock_guard lock(exec_mu_);
-  if (!default_executor_)
-    default_executor_ = std::make_shared<InProcessExecutor>(opts_.threads);
-  return *default_executor_;
-}
-
 BitVec CampaignEngine::grade(std::span<const FaultId> targets,
                              const CampaignTest& test,
                              const CampaignProgress& progress,
@@ -125,49 +118,101 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   plan_span.arg("targets", Json(targets.size()));
   plan_span.arg("screened", Json(screened));
   const std::size_t batch = batch_size(test);
-  std::vector<std::uint32_t> shard_ids(shard_count(targets.size(), batch));
-  std::iota(shard_ids.begin(), shard_ids.end(), 0u);
-  plan_span.arg("shards", Json(shard_ids.size()));
+  const std::size_t shards = shard_count(targets.size(), batch);
+  plan_span.arg("shards", Json(shards));
   plan_span.end();
 
   // --- execute ------------------------------------------------------------
-  // Where the shards run is the executor's (executor.hpp); a lost or
-  // failed shard throws out of execute(), never shrinks the merge.
+  // Each shard writes only its own slots, so the participants share no
+  // result state; a failed shard throws out of the pool, never shrinks
+  // the merge.
+  std::vector<LaneMask> masks(shards);
+  std::vector<double> seconds(shards);
   std::mutex progress_mu;
   std::size_t graded = 0;
-  ShardWork work{targets,           batch,
-                 shard_ids,         test,
-                 opts_.fault_model, universe_->size(),
-                 {},                opts_.shard_timeout};
-  if (progress)
-    work.progress = [&](std::size_t n) {
-      std::lock_guard lock(progress_mu);
-      graded += n;
-      progress(test.name, graded, targets.size());
-    };
+  const bool tracing = obs::tracer().enabled();
+  const auto worker = [&](ShardQueue& queue, std::size_t w) {
+    std::unique_ptr<FaultBatchRunner> runner;  // created on first shard
+    std::size_t shard;
+    while (queue.pop(w, shard)) {
+      const std::span<const FaultId> faults =
+          shard_span(targets, batch, static_cast<std::uint32_t>(shard));
+      try {
+        // Runner construction stays outside the timed span: shard_seconds
+        // reports grading cost, not one-time per-worker setup.
+        if (!runner) runner = test.make_runner();
+        const std::int64_t s0 = tracing ? obs::tracer().now_us() : 0;
+        const auto t0 = std::chrono::steady_clock::now();
+        masks[shard] = runner->run_batch(faults);
+        seconds[shard] = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        if (obs::metrics().enabled())
+          obs::metrics()
+              .histogram("campaign.shard_seconds",
+                         {0.001, 0.01, 0.1, 1.0, 10.0})
+              .observe(seconds[shard]);
+        if (tracing) {
+          // tid = participant index, so the trace lane matches the worker
+          // that actually ran the shard (steals included).
+          obs::TraceEvent ev;
+          ev.name = "shard";
+          ev.cat = "campaign";
+          ev.ts_us = s0;
+          ev.dur_us = obs::tracer().now_us() - s0;
+          ev.tid = static_cast<std::int64_t>(w);
+          ev.args.emplace_back("shard", Json(shard));
+          ev.args.emplace_back("test", Json(test.name));
+          ev.args.emplace_back("faults", Json(faults.size()));
+          obs::tracer().record(std::move(ev));
+        }
+      } catch (const std::exception& e) {
+        // The runner knows neither which shard it was grading nor for
+        // which test — attach both before the pool rethrows on the
+        // caller, so a campaign failure names the work item that died.
+        throw std::runtime_error("campaign test '" + test.name + "' shard " +
+                                 std::to_string(shard) + ": " + e.what());
+      }
+      if (progress) {
+        std::lock_guard lock(progress_mu);
+        graded += faults.size();
+        progress(test.name, graded, targets.size());
+      }
+    }
+  };
   auto exec_span = obs::tracer().span("execute", "campaign");
   exec_span.arg("test", Json(test.name));
-  exec_span.arg("shards", Json(shard_ids.size()));
-  const std::vector<ShardResult> results = executor().execute(work);
+  exec_span.arg("shards", Json(shards));
+  const std::size_t threads = static_cast<std::size_t>(resolved_threads());
+  const std::size_t workers = std::min(threads, shards);
+  ShardQueue queue(shards, workers);
+  if (workers <= 1) {
+    worker(queue, 0);
+  } else {
+    // The pool captures a throw from any participant and rethrows the
+    // first one here, matching the 1-thread path.
+    std::lock_guard lock(pool_mu_);
+    if (!pool_) pool_ = std::make_unique<WorkerPool>(threads - 1);
+    pool_->run(workers, [&](std::size_t w) { worker(queue, w); });
+  }
   exec_span.end();
 
   // --- merge --------------------------------------------------------------
   // Deterministic: shard order, then lane order within the shard — so the
-  // shards, run anywhere, yield the same detection flags in target order.
-  // Timings stay slot-indexed by shard id (never completion order), so
-  // the report's layout is thread- and placement-independent too.
+  // shards, run by any participant, yield the same detection flags in
+  // target order. Timings stay slot-indexed by shard id (never completion
+  // order), so the report's layout is thread-independent too.
   auto merge_span = obs::tracer().span("merge", "campaign");
   merge_span.arg("test", Json(test.name));
-  for (std::size_t shard = 0; shard < results.size(); ++shard) {
+  for (std::size_t shard = 0; shard < shards; ++shard) {
     const std::size_t lo = shard * batch;
-    const std::size_t n =
-        shard_span(targets, batch, static_cast<std::uint32_t>(shard)).size();
+    const std::size_t n = std::min(batch, targets.size() - lo);
     for (std::size_t j = 0; j < n; ++j)
-      if (results[shard].mask.bit(static_cast<int>(j)))
-        detected.set(lo + j, true);
+      if (masks[shard].bit(static_cast<int>(j))) detected.set(lo + j, true);
   }
   if (shard_seconds)
-    for (const ShardResult& r : results) shard_seconds->push_back(r.seconds);
+    shard_seconds->insert(shard_seconds->end(), seconds.begin(),
+                          seconds.end());
   return detected;
 }
 
@@ -177,15 +222,13 @@ CampaignResult CampaignEngine::run(FaultList& fl,
   CampaignResult result;
   result.universe = universe_->size();
   result.fault_model = opts_.fault_model;
-  result.stats.executor = std::string(executor().name());
   result.stats.options_hash = campaign_options_hash(opts_);
 
   // --- cache lookup -------------------------------------------------------
   // Ahead of any planning or execution: a full hit decodes the stored
   // deterministic payload and returns with zero shards executed — no plan,
-  // no executor work, no worker spawn (SubprocessExecutor spawns lazily on
-  // its first execute(), which a hit never reaches). Spec-less campaigns
-  // are not cacheable and bypass the lookup entirely.
+  // no runner built, no pool started. Spec-less campaigns are not
+  // cacheable and bypass the lookup entirely.
   CacheKey cache_key;
   bool cacheable = false;
   if (opts_.cache) {
@@ -213,7 +256,6 @@ CampaignResult CampaignEngine::run(FaultList& fl,
               DetectState::kUndetected)
             fl.set_detected(static_cast<FaultId>(f));
         // The payload carries no stats; label this run's own context.
-        cached.stats.executor = result.stats.executor;
         cached.stats.threads = resolved_threads();
         cached.stats.options_hash = result.stats.options_hash;
         cached.stats.cache = "hit";
@@ -222,10 +264,6 @@ CampaignResult CampaignEngine::run(FaultList& fl,
       result.stats.cache = "miss";
     }
   }
-
-  // Recovery counters are cumulative on the executor (it outlives runs);
-  // the run reports its own delta.
-  const ExecutorHealth health0 = executor().health();
 
   for (const CampaignTest& test : tests) {
     const std::vector<FaultId> targets =
@@ -305,13 +343,6 @@ CampaignResult CampaignEngine::run(FaultList& fl,
   }
   result.classes.reserve(classes.size());
   for (auto& [key, row] : classes) result.classes.push_back(std::move(row));
-
-  const ExecutorHealth health1 = executor().health();
-  result.stats.respawns = health1.respawns - health0.respawns;
-  result.stats.shard_reissues = health1.shard_reissues - health0.shard_reissues;
-  result.stats.timeouts = health1.timeouts - health0.timeouts;
-  result.stats.degraded_shards =
-      health1.degraded_shards - health0.degraded_shards;
 
   result.stats.threads = resolved_threads();
   result.stats.faults_per_second =

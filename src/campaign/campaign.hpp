@@ -12,10 +12,9 @@
 //    batch_size faults in target order (one parallel-fault simulator pass
 //    each, at most the test's max_batch: 127 for SBST, 63 for 64-lane
 //    runners): shard s grades targets[s*B, min(n, (s+1)*B));
-//  * execution — the shards run on a pluggable ShardExecutor
-//    (executor.hpp: the in-process work-stealing worker pool by default,
-//    or subprocess workers speaking a JSON line protocol — the seam any
-//    future socket/multi-host backend plugs into);
+//  * execution — the shards run on the engine's persistent worker pool
+//    (worker_pool.hpp), drained through a work-stealing ShardQueue
+//    (shard_queue.hpp);
 //  * fault dropping — a fault detected by test k leaves the queue before
 //    test k+1, so late tests grade ever-shrinking target lists;
 //  * activation screening — faults a test's good-machine run proves it
@@ -45,14 +44,14 @@
 #include <vector>
 
 #include "campaign/json.hpp"
+#include "campaign/worker_pool.hpp"
 #include "fault/fault_list.hpp"
 #include "util/bitvec.hpp"
 #include "util/lanes.hpp"
 
 namespace olfui {
 
-class ShardExecutor;   // campaign/executor.hpp
-class ResultCache;     // campaign/cache.hpp
+class ResultCache;  // campaign/cache.hpp
 
 /// One worker's private grading kernel: simulator + environment state.
 /// Instances are confined to a single worker thread; the factory that
@@ -78,11 +77,11 @@ struct CampaignTest {
   /// machine's lane 0. The engine never cuts a wider shard for this test
   /// (nor one wider than LaneMask's 127 faults).
   int max_batch = 63;
-  /// Optional wire description of this test for remote executors: an
-  /// opaque JSON document a worker-side workload uses to rebuild the
-  /// grading state make_runner captures (program id, fsim options, state
-  /// fingerprint — see build_sbst_campaign_tests). Null for local-only
-  /// tests; a remote executor handed a null spec fails the campaign.
+  /// Optional identity of this test for the result cache: a JSON document
+  /// naming the grading state make_runner captures (program, fsim
+  /// options, good-machine trace fingerprint — see
+  /// build_sbst_campaign_test). campaign_tests_fingerprint hashes it, so
+  /// its bytes are part of every cache key. Null = not cacheable.
   Json spec;
   /// Activation screen over the universe: a set bit marks a fault this
   /// test provably cannot detect because its good-machine run never
@@ -106,28 +105,16 @@ struct CampaignOptions {
   /// runners must grade the matching model — the engine only shards and
   /// merges, it never reinterprets a batch.
   FaultModel fault_model = FaultModel::kStuckAt;
-  /// Shard-execution backend (executor.hpp); null runs shards on the
-  /// engine's in-process worker pool. Executors only decide where the
-  /// shards run — the merge is slot-indexed by shard id, so every backend
-  /// produces the identical detection set.
-  std::shared_ptr<ShardExecutor> executor;
   /// Grade only the first N eligible targets per test (0 = all): the
   /// smoke/CI slicing knob. Deterministic — the slice is a prefix of the
   /// id-ordered target list — but coverage figures then describe the
   /// slice, not the universe.
   std::size_t target_limit = 0;
-  /// Per-shard liveness deadline in seconds for distributed executors
-  /// (forwarded as ShardWork::shard_timeout): a worker that neither
-  /// replies nor heartbeats for this long is declared dead and its
-  /// in-flight shards are re-issued. 0 derives a deadline from profiled
-  /// shard times with a generous floor. Purely a liveness knob — the
-  /// detection payload is identical whichever deadline fires.
-  double shard_timeout = 0;
   /// Grade-result cache (cache.hpp). Before planning anything, run()
   /// looks the whole campaign up by CacheKey — a hit decodes the stored
   /// deterministic payload and returns with ZERO shards executed; a miss
   /// grades normally and stores. Null = off. A run in which any test lacks
-  /// a wire spec is not cacheable and bypasses the cache
+  /// a spec is not cacheable and bypasses the cache
   /// (stats.cache = "bypass").
   std::shared_ptr<ResultCache> cache;
 };
@@ -166,9 +153,7 @@ struct CampaignResult {
     /// bookkeeping and final class tallies are excluded, and every
     /// shard_seconds slot nests inside one bracket.
     double wall_seconds = 0;
-    /// The engine's configured in-process parallelism (resolved_threads).
-    /// With a custom executor this is what the default backend would have
-    /// used, not what ran the shards — see `executor` for the backend.
+    /// The engine's worker count (resolved_threads).
     int threads = 0;
     /// Fault x test pairs actually graded: targeted minus screened.
     std::size_t faults_simulated = 0;
@@ -177,19 +162,10 @@ struct CampaignResult {
     std::size_t faults_screened = 0;
     std::size_t batches = 0;
     double faults_per_second = 0;
-    /// ShardExecutor::name() of the backend that ran the shards.
-    std::string executor = "inproc";
     /// Wall time of every shard, all tests concatenated in shard index
     /// order (test boundaries recoverable from tests[].batches): where the
     /// grading time went, shard by shard.
     std::vector<double> shard_seconds;
-    // Executor recovery odometer for this run (ExecutorHealth delta
-    // around run()): how the result was obtained, never what it is — all
-    // zero on an undisturbed campaign.
-    std::size_t respawns = 0;        ///< worker processes relaunched
-    std::size_t shard_reissues = 0;  ///< shards re-queued off dead workers
-    std::size_t timeouts = 0;        ///< deadline/progress-rule expiries
-    std::size_t degraded_shards = 0; ///< shards graded by the fallback
     /// Result-cache disposition of this run: "off" (no cache configured),
     /// "bypass" (cache configured but a test has no spec), "miss" (graded
     /// and stored), or "hit" (decoded from the cache, zero shards
@@ -216,9 +192,8 @@ struct CampaignResult {
   bool operator==(const CampaignResult& o) const;
 };
 
-/// Batch arithmetic shared by the engine, the executors and the worker:
-/// `targets` faults cut into spans of `batch_size` make
-/// ceil(targets / batch_size) shards, and shard s is
+/// The engine's batch arithmetic: `targets` faults cut into spans of
+/// `batch_size` make ceil(targets / batch_size) shards, and shard s is
 /// targets[s*B, min(n, (s+1)*B)).
 std::size_t shard_count(std::size_t targets, std::size_t batch_size);
 std::span<const FaultId> shard_span(std::span<const FaultId> targets,
@@ -255,8 +230,8 @@ class CampaignEngine {
 
   /// The deterministic parallel grading primitive, an explicit
   /// plan -> execute -> merge pipeline: cuts `targets` into
-  /// batch_size(test) spans in target order, hands every shard id to the
-  /// configured ShardExecutor, and merges the returned masks back, returning
+  /// batch_size(test) spans in target order, grades every span on the
+  /// engine's worker pool, and merges the per-shard masks back, returning
   /// per-target detection flags (aligned with `targets`). A caller that
   /// wants batch-mates grouped by some key sorts `targets` first. Flows
   /// with their own between-test bookkeeping (e.g. scan ATPG's
@@ -281,17 +256,16 @@ class CampaignEngine {
                         std::size_t screened, const CampaignTest& test,
                         const CampaignProgress& progress,
                         std::vector<double>* shard_seconds) const;
-  ShardExecutor& executor() const;
 
   const FaultUniverse* universe_;
   CampaignOptions opts_;
-  /// Default backend when opts_.executor is null: an InProcessExecutor
-  /// over the resolved thread count, created lazily under exec_mu_ (its
-  /// worker pool parks between grade() calls — see executor.hpp).
-  /// Executors synchronize execute() internally, so a const engine stays
-  /// safe to share across threads.
-  mutable std::mutex exec_mu_;
-  mutable std::shared_ptr<ShardExecutor> default_executor_;
+  /// resolved_threads() - 1 parked workers (the caller is the extra
+  /// participant), created on the first multi-threaded grade and parked
+  /// between grades. pool_mu_ guards the creation and serializes
+  /// concurrent grades onto the one pool, so a const engine stays safe to
+  /// share across threads.
+  mutable std::mutex pool_mu_;
+  mutable std::unique_ptr<WorkerPool> pool_;
 };
 
 }  // namespace olfui

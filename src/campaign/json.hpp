@@ -83,8 +83,8 @@ class Json {
 
   /// Byte offset of this value in the document it was parsed from (0 for
   /// programmatically built values). Semantic errors raised through
-  /// at()/as_*() carry it, so a protocol validator rejecting one field of
-  /// a long wire line points at the offending bytes, not offset 0.
+  /// at()/as_*() carry it, so a decoder rejecting one field of a long
+  /// document points at the offending bytes, not offset 0.
   std::size_t source_offset() const { return src_offset_; }
 
  private:

@@ -82,33 +82,6 @@ std::uint64_t word_from_hex(std::string_view text) {
   return w;
 }
 
-Json lane_mask_to_json(const LaneMask& mask) {
-  Json arr = Json::array();
-  for (int k = 0; k < LaneMask::kWords; ++k)
-    arr.push_back(word_to_hex(mask.word(k)));
-  return arr;
-}
-
-LaneMask lane_mask_from_json(const Json& doc) {
-  LaneMask mask;
-  if (!doc.is_array() ||
-      doc.size() != static_cast<std::size_t>(LaneMask::kWords))
-    throw JsonError("lane mask: expected " +
-                        std::to_string(LaneMask::kWords) + " hex words",
-                    doc.source_offset());
-  for (int k = 0; k < LaneMask::kWords; ++k) {
-    const Json& wdoc = doc.at(static_cast<std::size_t>(k));
-    const std::string& text = wdoc.as_string();
-    if (text.size() != 16)
-      throw JsonError("lane mask: bad word length", wdoc.source_offset());
-    std::uint64_t w = 0;
-    for (std::size_t i = 0; i < text.size(); ++i)
-      w = (w << 4) | hex_nibble(text[i], wdoc.source_offset() + i);
-    mask.set_word(k, w);
-  }
-  return mask;
-}
-
 Json campaign_result_to_json(const CampaignResult& result,
                              bool include_stats) {
   Json doc = Json::object();
@@ -149,11 +122,6 @@ Json campaign_result_to_json(const CampaignResult& result,
     stats.set("faults_screened", result.stats.faults_screened);
     stats.set("batches", result.stats.batches);
     stats.set("faults_per_second", result.stats.faults_per_second);
-    stats.set("executor", result.stats.executor);
-    stats.set("respawns", result.stats.respawns);
-    stats.set("shard_reissues", result.stats.shard_reissues);
-    stats.set("timeouts", result.stats.timeouts);
-    stats.set("degraded_shards", result.stats.degraded_shards);
     Json shard_seconds = Json::array();
     for (double s : result.stats.shard_seconds) shard_seconds.push_back(s);
     stats.set("shard_seconds", std::move(shard_seconds));
@@ -221,17 +189,6 @@ CampaignResult campaign_result_from_json(const Json& doc) {
       result.stats.faults_screened = stats.at("faults_screened").as_size();
     result.stats.batches = stats.at("batches").as_size();
     result.stats.faults_per_second = stats.at("faults_per_second").as_number();
-    if (stats.contains("executor"))  // absent in pre-executor dumps
-      result.stats.executor = stats.at("executor").as_string();
-    // Recovery counters: absent in pre-supervision dumps.
-    if (stats.contains("respawns"))
-      result.stats.respawns = stats.at("respawns").as_size();
-    if (stats.contains("shard_reissues"))
-      result.stats.shard_reissues = stats.at("shard_reissues").as_size();
-    if (stats.contains("timeouts"))
-      result.stats.timeouts = stats.at("timeouts").as_size();
-    if (stats.contains("degraded_shards"))
-      result.stats.degraded_shards = stats.at("degraded_shards").as_size();
     if (stats.contains("shard_seconds")) {  // absent in pre-shard-stat dumps
       const Json& shard_seconds = stats.at("shard_seconds");
       for (std::size_t i = 0; i < shard_seconds.size(); ++i)
@@ -251,73 +208,12 @@ CampaignResult campaign_result_from_json_string(std::string_view text) {
   return campaign_result_from_json(Json::parse(text));
 }
 
-Json reference_trace_to_json(const ReferenceTrace& trace) {
-  Json doc = Json::object();
-  doc.set("cycles", trace.cycles);
-  doc.set("num_nets", trace.num_nets);
-  Json columns = Json::array();
-  for (const ReferenceTrace::Column& col : trace.columns) {
-    Json c = Json::object();
-    Json cycles = Json::array();
-    for (std::uint32_t s : col.cycle)
-      cycles.push_back(static_cast<std::size_t>(s));
-    c.set("cycle", std::move(cycles));
-    // 64-bit words exceed the exact-double range, so they travel as hex.
-    Json values = Json::array();
-    for (std::uint64_t v : col.value) values.push_back(word_to_hex(v));
-    c.set("value", std::move(values));
-    columns.push_back(std::move(c));
-  }
-  doc.set("columns", std::move(columns));
-  return doc;
-}
-
-ReferenceTrace reference_trace_from_json(const Json& doc) {
-  ReferenceTrace trace;
-  trace.cycles = doc.at("cycles").as_int();
-  trace.num_nets = doc.at("num_nets").as_size();
-  const Json& columns = doc.at("columns");
-  for (std::size_t o = 0; o < columns.size(); ++o) {
-    const Json& c = columns.at(o);
-    const Json& cycles = c.at("cycle");
-    const Json& values = c.at("value");
-    if (cycles.size() != values.size())
-      throw JsonError("reference_trace: run arrays disagree",
-                      values.source_offset());
-    ReferenceTrace::Column col;
-    for (std::size_t i = 0; i < cycles.size(); ++i) {
-      const Json& node = cycles.at(i);
-      const std::size_t start = node.as_size();
-      if (start > 0xFFFFFFFFull)
-        throw JsonError("reference_trace: run start overflows",
-                        node.source_offset());
-      col.cycle.push_back(static_cast<std::uint32_t>(start));
-      col.value.push_back(word_from_hex(values.at(i).as_string()));
-    }
-    trace.columns.push_back(std::move(col));
-  }
-  trace.validate();  // column count, run ordering and range
-  return trace;
-}
-
 Json seq_fsim_options_to_json(const SeqFsimOptions& opts) {
   Json doc = Json::object();
   doc.set("max_cycles", opts.max_cycles);
   doc.set("early_exit", opts.early_exit);
   doc.set("event_driven", opts.event_driven);
   return doc;
-}
-
-SeqFsimOptions seq_fsim_options_from_json(const Json& doc) {
-  SeqFsimOptions opts;
-  const Json& max_cycles = doc.at("max_cycles");
-  opts.max_cycles = max_cycles.as_int();
-  if (opts.max_cycles <= 0)
-    throw JsonError("fsim options: max_cycles must be positive",
-                    max_cycles.source_offset());
-  opts.early_exit = doc.at("early_exit").as_bool();
-  opts.event_driven = doc.at("event_driven").as_bool();
-  return opts;
 }
 
 Json fault_summary_to_json(const FaultList& fl) {

@@ -22,8 +22,8 @@ namespace olfui {
 /// Full document. With include_stats = false the nondeterministic "stats"
 /// object is omitted, leaving exactly the deterministic payload
 /// (operator=='s view) — the form two runs of one campaign can be
-/// byte-compared on, which is how the distributed smoke asserts
-/// subprocess == in-process.
+/// byte-compared on, which is how CI asserts that the thread count never
+/// shows through.
 Json campaign_result_to_json(const CampaignResult& result,
                              bool include_stats = true);
 std::string campaign_result_to_json_string(const CampaignResult& result,
@@ -40,37 +40,15 @@ std::string bitvec_to_hex(const BitVec& bits);
 BitVec bitvec_from_hex(std::string_view text);
 
 /// Fixed-width (16 char) lowercase hex of one 64-bit word, and its strict
-/// inverse (throws JsonError on any other shape) — the wire form of
+/// inverse (throws JsonError on any other shape) — the form of
 /// fingerprints throughout the campaign JSON.
 std::string word_to_hex(std::uint64_t w);
 std::uint64_t word_from_hex(std::string_view text);
 
-/// Wire form of a shard detection mask: a fixed-order array of
-/// LaneMask::kWords 16-hex-digit words, least significant first —
-/// width-agnostic, so a 63-fault and a 127-fault shard serialize the same
-/// shape. The strict inverse throws JsonError anchored at the malformed
-/// node's byte offset: not an array, wrong array length, wrong digit
-/// count, non-hex digits.
-Json lane_mask_to_json(const LaneMask& mask);
-LaneMask lane_mask_from_json(const Json& doc);
-
-/// Reference-trace checkpoint exchange: each 64-net column's RLE runs
-/// travel as (start cycle, hex word) pairs, so a million-cycle checkpoint
-/// serializes in proportion to its net activity, not cycles * nets.
-/// Import validates the runs; throws JsonError / std::runtime_error on
-/// malformed documents.
-Json reference_trace_to_json(const ReferenceTrace& trace);
-ReferenceTrace reference_trace_from_json(const Json& doc);
-
-/// Simulator-option exchange (the fsim half of a CampaignTest::spec):
-/// subprocess workers rebuild their grading kernels from the netlist plus
-/// these options, so the coordinator's kernel choice travels with the
-/// test instead of being a per-host accident. The wire carries
-/// max_cycles, early_exit and event_driven; incremental_clocking is not
-/// serialized, so a rebuilt kernel always clocks incrementally. Import
-/// rejects unknown shapes (JsonError) and nonpositive cycle budgets.
+/// The simulator-option half of an SBST CampaignTest::spec: max_cycles,
+/// early_exit and event_driven (incremental_clocking is not part of the
+/// identity — it never changes a result).
 Json seq_fsim_options_to_json(const SeqFsimOptions& opts);
-SeqFsimOptions seq_fsim_options_from_json(const Json& doc);
 
 /// Classification summary of a fault list — the JSON schema shared with
 /// fault/report.hpp's to_json_summary shim (one schema for both report

@@ -1,6 +1,7 @@
 // olfui/campaign: work-stealing shard distribution.
 //
-// A campaign slices its target fault list into fixed 63-lane shards; the
+// A campaign slices its target fault list into contiguous batch_size
+// shards (127 faults for SBST, a test's max_batch in general); the
 // queue's only job is to hand every shard index to exactly one worker with
 // good load balance. Shards are striped across per-worker deques up front
 // (worker w seeds with shards w, w+W, w+2W, ...), each worker pops from

@@ -13,7 +13,7 @@ namespace {
 
 /// Captures the in-flight exception, prefixing std::exception messages
 /// with the participant index (shard/test context is the dispatcher's —
-/// see InProcessExecutor — but which lane died is only known here).
+/// see CampaignEngine::grade — but which lane died is only known here).
 /// Non-std exceptions are kept as-is rather than losing their type.
 std::exception_ptr capture_with_context(std::size_t participant) {
   try {

@@ -38,7 +38,8 @@ class WorkerPool {
   /// clamped to size() + 1. The first exception thrown by any participant
   /// is rethrown on the caller after all participants finish, its message
   /// prefixed with the throwing participant's index (callers dispatching
-  /// sharded work add the shard/test context — see InProcessExecutor).
+  /// sharded work add the shard/test context — see
+  /// CampaignEngine::grade).
   /// Not re-entrant: one run() at a time per pool.
   void run(std::size_t participants,
            const std::function<void(std::size_t)>& job);

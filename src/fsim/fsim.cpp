@@ -90,29 +90,6 @@ void ReferenceTrace::append_cycle(const std::uint64_t* words) {
   ++cycles;
 }
 
-void ReferenceTrace::validate() const {
-  if (cycles < 0) throw std::runtime_error("ReferenceTrace: negative cycles");
-  if (columns.size() != (num_nets + 63) / 64)
-    throw std::runtime_error("ReferenceTrace: column count mismatch");
-  for (const Column& col : columns) {
-    if (col.cycle.size() != col.value.size())
-      throw std::runtime_error("ReferenceTrace: run arrays disagree");
-    if (cycles == 0) {
-      if (!col.cycle.empty())
-        throw std::runtime_error("ReferenceTrace: runs in an empty trace");
-      continue;
-    }
-    if (col.cycle.empty() || col.cycle[0] != 0)
-      throw std::runtime_error("ReferenceTrace: first run must start at 0");
-    for (std::size_t r = 1; r < col.cycle.size(); ++r) {
-      if (col.cycle[r] <= col.cycle[r - 1] ||
-          col.cycle[r] >= static_cast<std::uint32_t>(cycles))
-        throw std::runtime_error(
-            "ReferenceTrace: run starts not increasing in range");
-    }
-  }
-}
-
 std::size_t ReferenceTrace::run_count() const {
   std::size_t n = 0;
   for (const Column& col : columns) n += col.value.size();

@@ -99,7 +99,7 @@ struct SeqFsimOptions {
   /// Use dirty-D incremental clocking (latch only flops whose D input
   /// changed since their last edge); false forces the full two-pass latch
   /// oracle. Both produce bit-identical results. Tests and benches only:
-  /// the wire spec never carries it, so campaigns always clock
+  /// the SBST test spec never carries it, so campaigns always clock
   /// incrementally.
   bool incremental_clocking = true;
 };
@@ -171,19 +171,14 @@ struct ReferenceTrace {
   /// Appends one cycle's net words (columns.size() of them). Cycles must
   /// be appended in order; increments `cycles`.
   void append_cycle(const std::uint64_t* words);
-  /// Checks the column invariants (after deserialization). Throws
-  /// std::runtime_error on malformed runs.
-  void validate() const;
 
   /// Total stored runs across all columns (the compression measure).
   std::size_t run_count() const;
 
   /// Order-sensitive FNV-1a over the shape and every run: equal
-  /// fingerprints mean bit-identical checkpoints. Subprocess campaign
-  /// workers rebuild their reference traces from the netlist and hash
-  /// them, so the coordinator can reject a worker whose rebuilt state
-  /// drifted (wrong SoC configuration, different program) instead of
-  /// merging garbage masks — see campaign/executor.hpp.
+  /// fingerprints mean bit-identical checkpoints. It is the state_fp of
+  /// an SBST CampaignTest::spec, so the result cache keys on the good
+  /// machine a test grades against (campaign/cache.hpp).
   std::uint64_t fingerprint() const;
 };
 

@@ -87,19 +87,6 @@ Json MetricsRegistry::to_json() const {
   return doc;
 }
 
-Json MetricsRegistry::counters_to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Json counters = Json::object();
-  for (const auto& [name, c] : counters_)
-    counters.set(name, static_cast<double>(c->value()));
-  return counters;
-}
-
-void MetricsRegistry::merge_counters(const Json& counters) {
-  for (std::size_t i = 0; i < counters.size(); ++i)
-    counter(counters.key(i)).add(counters.value(i).as_size());
-}
-
 void MetricsRegistry::reset_values() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();

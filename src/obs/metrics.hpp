@@ -110,15 +110,9 @@ class MetricsRegistry {
   /// {"counters":{...},"gauges":{...},"histograms":{...}} — every section
   /// sorted by metric name, so exports are deterministic documents.
   Json to_json() const;
-  /// Counters only, as a flat name → value object (the worker telemetry
-  /// wire field).
-  Json counters_to_json() const;
-  /// Adds each member of a counters_to_json()-shaped object into this
-  /// registry (coordinator merging worker telemetry).
-  void merge_counters(const Json& counters);
 
   /// Zeroes all values but keeps registrations (cached references stay
-  /// valid). Workers reset between requests so each reply carries deltas.
+  /// valid), so one process can measure several runs separately.
   void reset_values();
 
  private:

@@ -47,26 +47,6 @@ void Tracer::record(TraceEvent ev) {
   events_.push_back(std::move(ev));
 }
 
-void Tracer::merge_foreign(std::vector<TraceEvent> events, std::int64_t pid,
-                           std::int64_t clock_offset_us) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (TraceEvent& ev : events) {
-    ev.ts_us += clock_offset_us;
-    if (ev.ts_us < 0) ev.ts_us = 0;
-    ev.pid = pid;
-    events_.push_back(std::move(ev));
-  }
-}
-
-void Tracer::set_process_label(std::int64_t pid, std::string label) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [p, l] : labels_) {
-    if (p == pid) { l = std::move(label); return; }
-  }
-  labels_.emplace_back(pid, std::move(label));
-}
-
 std::vector<TraceEvent> Tracer::drain() {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<TraceEvent> out;
@@ -77,7 +57,6 @@ std::vector<TraceEvent> Tracer::drain() {
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
-  labels_.clear();
 }
 
 std::size_t Tracer::event_count() const {
@@ -89,17 +68,6 @@ Json Tracer::to_json() const {
   const std::int64_t self = static_cast<std::int64_t>(::getpid());
   Json arr = Json::array();
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [pid, label] : labels_) {
-    Json md = Json::object();
-    md.set("name", "process_name");
-    md.set("ph", "M");
-    md.set("pid", static_cast<double>(pid == 0 ? self : pid));
-    md.set("tid", 0);
-    Json args = Json::object();
-    args.set("name", label);
-    md.set("args", std::move(args));
-    arr.push_back(std::move(md));
-  }
   for (const TraceEvent& ev : events_) {
     Json e = Json::object();
     e.set("name", ev.name);
@@ -107,7 +75,7 @@ Json Tracer::to_json() const {
     e.set("ph", "X");
     e.set("ts", static_cast<double>(ev.ts_us));
     e.set("dur", static_cast<double>(ev.dur_us));
-    e.set("pid", static_cast<double>(ev.pid == 0 ? self : ev.pid));
+    e.set("pid", static_cast<double>(self));
     e.set("tid", static_cast<double>(ev.tid));
     if (!ev.args.empty()) {
       Json args = Json::object();
@@ -120,46 +88,6 @@ Json Tracer::to_json() const {
   doc.set("traceEvents", std::move(arr));
   doc.set("displayTimeUnit", "ms");
   return doc;
-}
-
-Json trace_events_to_json(const std::vector<TraceEvent>& events) {
-  Json arr = Json::array();
-  for (const TraceEvent& ev : events) {
-    Json e = Json::object();
-    e.set("name", ev.name);
-    e.set("cat", ev.cat);
-    e.set("ts", static_cast<double>(ev.ts_us));
-    e.set("dur", static_cast<double>(ev.dur_us));
-    e.set("tid", static_cast<double>(ev.tid));
-    if (!ev.args.empty()) {
-      Json args = Json::object();
-      for (const auto& [k, v] : ev.args) args.set(k, v);
-      e.set("args", std::move(args));
-    }
-    arr.push_back(std::move(e));
-  }
-  return arr;
-}
-
-std::vector<TraceEvent> trace_events_from_json(const Json& arr) {
-  std::vector<TraceEvent> out;
-  out.reserve(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i) {
-    const Json& e = arr.at(i);
-    TraceEvent ev;
-    ev.name = e.at("name").as_string();
-    ev.cat = e.at("cat").as_string();
-    ev.ts_us = static_cast<std::int64_t>(e.at("ts").as_number());
-    ev.dur_us = static_cast<std::int64_t>(e.at("dur").as_number());
-    ev.tid = static_cast<std::int64_t>(e.at("tid").as_number());
-    if (e.contains("args")) {
-      const Json& args = e.at("args");
-      for (std::size_t k = 0; k < args.size(); ++k)
-        ev.args.emplace_back(args.key(k), args.value(k));
-    }
-    out.push_back(std::move(ev));
-  }
-  return out;
 }
 
 Tracer& tracer() {

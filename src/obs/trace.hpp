@@ -1,25 +1,20 @@
 // olfui/obs: thread-safe span tracer emitting Chrome/Perfetto trace_event
 // JSON.
 //
-// The campaign pipeline is instrumented with spans (plan, execute, merge,
-// per-shard grading, worker-side state rebuilds) that render as `ph:"X"`
-// complete events in Perfetto or chrome://tracing. The tracer is a
-// process-wide singleton that is OFF by default: every instrumentation
-// site first checks `enabled()` (one relaxed atomic load), so a build
-// with tracing compiled in but disabled pays a branch and nothing else.
-// Telemetry is strictly side-band — nothing recorded here may ever feed
-// back into fault grading, which stays bit-identical with tracing on or
-// off (asserted in tests and CI).
+// The campaign pipeline is instrumented with spans (test building,
+// trace recording, plan, execute, merge, per-shard grading) that render
+// as `ph:"X"` complete events in Perfetto or chrome://tracing. The tracer
+// is a process-wide singleton that is OFF by default: every
+// instrumentation site first checks `enabled()` (one relaxed atomic
+// load), so a build with tracing compiled in but disabled pays a branch
+// and nothing else. Telemetry is strictly side-band — nothing recorded
+// here may ever feed back into fault grading, which stays bit-identical
+// with tracing on or off (asserted in tests and CI).
 //
-// pid/tid mapping: pid is the operating-system process id (the
-// coordinator and each subprocess worker get their own lane group in the
-// viewer), tid is a small per-thread lane id — worker pools pin lane ==
-// participant index via set_thread_lane() so a span's row matches the
-// worker that ran it. Spans recorded in subprocess workers are shipped
-// back over the wire protocol and merged with merge_foreign(), keeping
-// the child's pid and shifting timestamps by the clock offset measured at
-// the hello handshake, so one trace file shows the whole fleet on a
-// common timeline.
+// pid/tid mapping: every event carries this process's id, so a trace has
+// one pid lane; tid is a small per-thread lane id — worker pools pin
+// lane == participant index via set_thread_lane() so a span's row
+// matches the worker that ran it.
 #pragma once
 
 #include <atomic>
@@ -41,7 +36,6 @@ struct TraceEvent {
   std::string cat;
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;
-  std::int64_t pid = 0;  ///< 0 = "this process" (filled at export)
   std::int64_t tid = 0;
   /// Optional args rendered under the event in the viewer.
   std::vector<std::pair<std::string, Json>> args;
@@ -56,30 +50,18 @@ class Tracer {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Microseconds since this tracer's construction (steady clock). Valid
-  /// whether or not tracing is enabled — the subprocess handshake uses it
-  /// to measure coordinator/worker clock offsets.
+  /// Microseconds since this tracer's construction (steady clock): the
+  /// timeline of every recorded event. Valid whether or not tracing is
+  /// enabled.
   std::int64_t now_us() const;
 
   /// Records a complete event ending now. tid defaults to the calling
   /// thread's lane (see set_thread_lane). No-op when disabled.
   void complete(std::string name, std::string cat, std::int64_t ts_us,
                 std::vector<std::pair<std::string, Json>> args = {});
-  /// Records a fully specified event (explicit tid/pid/dur) — the merge
-  /// path for per-shard spans timed outside the tracer. No-op when
-  /// disabled.
+  /// Records a fully specified event (explicit tid/dur) — the path for
+  /// per-shard spans timed outside the tracer. No-op when disabled.
   void record(TraceEvent ev);
-
-  /// Merges events recorded by another process: timestamps are shifted by
-  /// `clock_offset_us` (coordinator now_us minus worker now_us at the
-  /// same instant) and the given pid is stamped on every event, giving
-  /// the worker its own lane group on the coordinator timeline.
-  void merge_foreign(std::vector<TraceEvent> events, std::int64_t pid,
-                     std::int64_t clock_offset_us);
-
-  /// Labels a pid lane ("coordinator", "worker 3") via a process_name
-  /// metadata event in the export.
-  void set_process_label(std::int64_t pid, std::string label);
 
   /// RAII span: records one complete event from construction to
   /// destruction. Inert (no clock read, no allocation) when the tracer is
@@ -124,16 +106,14 @@ class Tracer {
     return enabled() ? Span(this, name, cat) : Span();
   }
 
-  /// Moves all recorded events out (the subprocess worker ships deltas
-  /// per request). Process labels are kept.
+  /// Moves all recorded events out.
   std::vector<TraceEvent> drain();
-  /// Drops all recorded events and labels.
+  /// Drops all recorded events.
   void clear();
   std::size_t event_count() const;
 
-  /// Full Chrome trace document: {"traceEvents":[...]} with process_name
-  /// metadata first, then events in recorded order. pid 0 is replaced by
-  /// this process's id.
+  /// Full Chrome trace document: {"traceEvents":[...]}, events in
+  /// recorded order, each stamped with this process's id.
   Json to_json() const;
 
  private:
@@ -141,16 +121,10 @@ class Tracer {
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
-  std::vector<std::pair<std::int64_t, std::string>> labels_;
 };
 
 /// The process-wide tracer every instrumentation site uses.
 Tracer& tracer();
-
-/// Serialization of TraceEvent lists for the worker telemetry wire field
-/// (ts/dur/tid/name/cat/args; pid is implied by the sending process).
-Json trace_events_to_json(const std::vector<TraceEvent>& events);
-std::vector<TraceEvent> trace_events_from_json(const Json& arr);
 
 /// Sets the calling thread's tid lane. Worker pools pin lane ==
 /// participant index so trace rows match scheduling decisions; unpinned

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "campaign/report.hpp"
@@ -384,23 +383,21 @@ BitVec inert_faults(const FaultUniverse& universe, const NetActivation& act,
   return inert;
 }
 
-/// The shared body of build/rebuild: checkpoint the good machine and wrap
-/// the grading kernel in per-worker runners. The trace is recorded here
-/// exactly once per (program, options), with opts.max_cycles as its
-/// budget — both the coordinator and every subprocess worker derive their
-/// state through this one function, so the two sides can only agree or
-/// fingerprint-fail.
-///
-/// The same pass yields the cycle count. The environment stops one cycle
-/// after lane 0 shows HALT, so a program halting in cycle c records c + 1
-/// cycles; one that has not halted by kSbstFunctionalCycleCap counts as
-/// the cap, exactly what SocSimulator::run(kSbstFunctionalCycleCap)
-/// returns. The test's budget becomes good_cycles + kSbstCampaignMargin.
-SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
-                                         const FaultUniverse& universe,
-                                         std::shared_ptr<const PackedTopology> topo,
-                                         SeqFsimOptions opts,
-                                         FaultModel fault_model) {
+}  // namespace
+
+// The trace is recorded here exactly once per program, and the same pass
+// yields the cycle count. The environment stops one cycle after lane 0
+// shows HALT, so a program halting in cycle c records c + 1 cycles; one
+// that has not halted by kSbstFunctionalCycleCap counts as the cap,
+// exactly what SocSimulator::run(kSbstFunctionalCycleCap) returns. The
+// test's budget becomes good_cycles + kSbstCampaignMargin.
+SbstCampaignTest build_sbst_campaign_test(
+    const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
+    std::shared_ptr<const PackedTopology> topo, bool event_driven,
+    FaultModel fault_model) {
+  SeqFsimOptions opts{
+      .max_cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin,
+      .event_driven = event_driven};
   auto flash = std::make_shared<FlashImage>(soc.config.flash_base,
                                             soc.config.flash_size);
   flash->load(program.program.base(), program.program.words());
@@ -442,49 +439,6 @@ SbstCampaignTest make_sbst_campaign_test(const Soc& soc, SbstProgram& program,
         soc, universe, flash, trace, topo, opts, fault_model);
   };
   return out;
-}
-
-}  // namespace
-
-SbstCampaignTest build_sbst_campaign_test(
-    const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
-    std::shared_ptr<const PackedTopology> topo, bool event_driven,
-    FaultModel fault_model) {
-  return make_sbst_campaign_test(
-      soc, program, universe, std::move(topo),
-      {.max_cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin,
-       .event_driven = event_driven},
-      fault_model);
-}
-
-SbstCampaignTest rebuild_sbst_campaign_test(
-    const Soc& soc, std::vector<SbstProgram>& suite,
-    const FaultUniverse& universe, std::shared_ptr<const PackedTopology> topo,
-    const Json& spec, FaultModel fault_model) {
-  if (!spec.is_object() || !spec.contains("workload") ||
-      spec.at("workload").as_string() != "sbst")
-    throw std::invalid_argument(
-        "sbst worker: spec does not describe an sbst test");
-  const std::string& name = spec.at("program").as_string();
-  SbstProgram* program = nullptr;
-  for (SbstProgram& sp : suite)
-    if (sp.name == name) program = &sp;
-  if (!program)
-    throw std::invalid_argument("sbst worker: unknown program '" + name +
-                                "' (SoC configuration mismatch?)");
-  // The spec's budget (the coordinator's good_cycles + margin) covers the
-  // halting cycle, so the rebuild records the same trace and derives the
-  // same good_cycles and budget.
-  SbstCampaignTest rebuilt = make_sbst_campaign_test(
-      soc, *program, universe, std::move(topo),
-      seq_fsim_options_from_json(spec.at("fsim")), fault_model);
-  if (spec.contains("state_fp") &&
-      word_from_hex(spec.at("state_fp").as_string()) !=
-          rebuilt.trace->fingerprint())
-    throw std::runtime_error(
-        "sbst worker: rebuilt state for '" + name +
-        "' does not match the coordinator's (SoC configuration drift?)");
-  return rebuilt;
 }
 
 std::vector<CampaignTest> build_sbst_campaign_tests(

@@ -73,9 +73,7 @@ inline constexpr int kSbstCampaignMargin = 8;
 inline constexpr int kSbstLanes = 128;
 
 /// One program's campaign test plus the recorded good-machine checkpoint
-/// (exposed so subprocess workers can fingerprint their rebuilt state —
-/// the trace hash is the strongest cheap witness that two processes built
-/// the same grading state from the same netlist).
+/// (exposed so callers can inspect the trace the test grades against).
 struct SbstCampaignTest {
   CampaignTest test;
   std::shared_ptr<const ReferenceTrace> trace;
@@ -94,13 +92,12 @@ struct SbstCampaignTest {
 /// are bit-identical either way — the switch exists for cross-checks and
 /// benches). `fault_model` selects the grading kernel: kStuckAt wraps
 /// run_batch, kTransition wraps the launch/capture run_tdf_batch over the
-/// same fault ids (fault/tdf.hpp). The returned test carries a wire spec
-/// ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX}) so a
-/// subprocess worker can rebuild the same state from its own SoC — see
-/// rebuild_sbst_campaign_test. `topo` must be a PackedTopology over
-/// soc.netlist (shared across the suite's tests and workers). `soc` and
-/// `universe` are captured by reference and must outlive every campaign
-/// run over the returned test.
+/// same fault ids (fault/tdf.hpp). The returned test carries its identity
+/// spec ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX},
+/// state_fp being the trace fingerprint) for the result cache. `topo`
+/// must be a PackedTopology over soc.netlist (shared across the suite's
+/// tests and workers). `soc` and `universe` are captured by reference and
+/// must outlive every campaign run over the returned test.
 SbstCampaignTest build_sbst_campaign_test(
     const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
     std::shared_ptr<const PackedTopology> topo, bool event_driven = true,
@@ -114,21 +111,6 @@ std::vector<CampaignTest> build_sbst_campaign_tests(
     const Soc& soc, std::vector<SbstProgram>& suite,
     const FaultUniverse& universe, bool event_driven = true,
     FaultModel fault_model = FaultModel::kStuckAt, int threads = 1);
-
-/// The worker half: reconstructs the campaign test a spec (produced by
-/// build_sbst_campaign_test on the coordinator) describes, over the
-/// worker's own soc/universe. The program is looked up by name in
-/// `suite`, the kernel options come from the spec's "fsim" object (its
-/// max_cycles, the coordinator's good_cycles + kSbstCampaignMargin, is
-/// the recording budget, so the rebuild derives the same good_cycles),
-/// and the rebuilt trace's fingerprint must match the spec's "state_fp" when
-/// present — a drifted rebuild (different SoC configuration, changed
-/// program) throws std::runtime_error instead of grading garbage.
-/// Throws std::invalid_argument on unknown programs or malformed specs.
-SbstCampaignTest rebuild_sbst_campaign_test(
-    const Soc& soc, std::vector<SbstProgram>& suite,
-    const FaultUniverse& universe, std::shared_ptr<const PackedTopology> topo,
-    const Json& spec, FaultModel fault_model);
 
 /// Fault-simulates the suite with system-bus observability through the
 /// campaign orchestrator, updating `fl` (already-detected and untestable

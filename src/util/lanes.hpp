@@ -97,7 +97,7 @@ inline bool lane_test(const Word& v, int lane) {
 /// Per-batch detection mask: bit i set = fault i of the batch detected.
 /// Storage is fixed at the widest kernel's size (2 x 64 bits, enough for
 /// a 128-lane batch's 127 faults) no matter the runner's width, so the
-/// campaign merge, wire protocol, and report code stay width-agnostic.
+/// campaign merge and report code stay width-agnostic.
 /// The uint64 constructor is deliberately one-way: legacy 63-lane
 /// kernels (and literals like 0) widen into a mask, but a mask never
 /// narrows back implicitly.

@@ -2,19 +2,19 @@
 // their corruption fallbacks, disk-tier directory creation, the canonical
 // options hash and cache-key sensitivity properties, and the engine-level
 // guarantee that a warm full hit executes ZERO shards (asserted against
-// kernel counters and an executor whose worker binary does not exist).
+// kernel counters and a test whose runner factory throws).
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
-#include "campaign/executor.hpp"
 #include "campaign/report.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
@@ -245,15 +245,9 @@ TEST(CacheKey, OptionsHashTracksPayloadAffectingFieldsOnly) {
   EXPECT_NE(campaign_options_hash(o), h);
 
   // ...and every payload-neutral knob does not (they must not fragment
-  // the cache across executors or thread counts).
+  // the cache across thread counts).
   o = base;
   o.threads = 7;
-  EXPECT_EQ(campaign_options_hash(o), h);
-  o = base;
-  o.shard_timeout = 9.5;
-  EXPECT_EQ(campaign_options_hash(o), h);
-  o = base;
-  o.executor = std::make_shared<InProcessExecutor>(1);
   EXPECT_EQ(campaign_options_hash(o), h);
   o = base;
   o.cache = std::make_shared<ResultCache>(1);
@@ -415,17 +409,18 @@ TEST(ResultCache, WarmHitExecutesZeroShardsAndIsByteIdentical) {
   EXPECT_EQ(opts.cache->stats().stores, 1u);
   EXPECT_NE(cold.stats.options_hash, 0u);
 
-  // The warm run rides an executor whose worker binary does not exist:
-  // if the hit path ever reached execute(), the lazy spawn would throw.
-  // Kernel counters prove no simulation ran either.
-  CampaignOptions warm_opts = opts;
-  warm_opts.executor = std::make_shared<SubprocessExecutor>(
-      std::vector<std::string>{"./no-such-worker-binary"}, 1);
+  // The warm run's test has the same identity (name, spec, batch bound)
+  // but a runner factory that throws: if the hit path ever executed a
+  // shard, the run would fail. Kernel counters prove no simulation ran
+  // either.
+  std::vector<CampaignTest> warm_tests = tests;
+  warm_tests[0].make_runner = []() -> std::unique_ptr<FaultBatchRunner> {
+    throw std::logic_error("a warm cache hit executed a shard");
+  };
   obs::metrics().set_enabled(true);
   obs::metrics().reset_values();
   FaultList fl_warm(u);
-  const CampaignResult warm =
-      CampaignEngine(u, warm_opts).run(fl_warm, tests);
+  const CampaignResult warm = CampaignEngine(u, opts).run(fl_warm, warm_tests);
   const std::uint64_t kernel_evals =
       obs::metrics().counter("kernel.evals").value();
   const std::uint64_t cache_hits =

@@ -1,18 +1,15 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
-#include "campaign/executor.hpp"
 #include "campaign/json.hpp"
 #include "campaign/report.hpp"
 #include "campaign/shard_queue.hpp"
@@ -349,36 +346,6 @@ TEST(ReferenceTrace, ColumnRleMatchesReplayOnEveryNet) {
   EXPECT_GT(trace.run_count(), 0u);
 }
 
-TEST(ReferenceTrace, JsonRoundTrips) {
-  CounterRig rig;
-  const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = kCycles});
-  fsim.set_observed(rig.outputs);
-  CounterEnv env(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
-
-  const Json doc = reference_trace_to_json(trace);
-  const ReferenceTrace back = reference_trace_from_json(doc);
-  EXPECT_EQ(back.cycles, trace.cycles);
-  EXPECT_EQ(back.num_nets, trace.num_nets);
-  ASSERT_EQ(back.columns.size(), trace.columns.size());
-  for (std::size_t o = 0; o < trace.columns.size(); ++o) {
-    EXPECT_EQ(back.columns[o].cycle, trace.columns[o].cycle);
-    EXPECT_EQ(back.columns[o].value, trace.columns[o].value);
-  }
-  // dump -> parse -> import still matches bit-for-bit.
-  const ReferenceTrace reparsed =
-      reference_trace_from_json(Json::parse(doc.dump(2)));
-  for (int cycle = 0; cycle < trace.cycles; ++cycle)
-    for (NetId n = 0; n < rig.nl.num_nets(); ++n)
-      ASSERT_EQ(reparsed.net_bit(cycle, n), trace.net_bit(cycle, n));
-
-  // Corrupt documents must throw, not crash.
-  Json bad = reference_trace_to_json(trace);
-  bad.set("columns", Json::array());
-  EXPECT_THROW(reference_trace_from_json(bad), std::exception);
-}
-
 /// The message of the std::out_of_range `f` throws ("" if none).
 template <typename F>
 std::string out_of_range_message(F f) {
@@ -391,8 +358,8 @@ std::string out_of_range_message(F f) {
 }
 
 TEST(ReferenceTrace, NetBitRejectsCyclesOutsideTheTrace) {
-  // A zero-cycle trace (which reference_trace_from_json accepts) has no
-  // run to read; past the last cycle there is no value either.
+  // A zero-cycle trace has no run to read; past the last cycle there is
+  // no value either.
   ReferenceTrace empty;
   empty.reset(100);
   const std::string msg = out_of_range_message([&] { empty.net_bit(0, 7); });
@@ -487,6 +454,37 @@ TEST(Campaign, SingleAndMultiThreadResultsAreIdentical) {
       CampaignEngine(u, {.threads = 3, .batch_size = 17}).run(fl3, tests);
   EXPECT_EQ(r3.detected, r1.detected);
   EXPECT_GT(r3.stats.batches, r1.stats.batches);
+}
+
+TEST(Campaign, SharedEngineGradesConcurrently) {
+  // A const engine is safe to share across threads: two threads grade
+  // through one 4-thread engine at once (their grades serialize onto the
+  // engine's one pool), and every grade equals the 1-thread grade.
+  CounterRig rig;
+  const FaultUniverse u(rig.nl);
+  const std::vector<CampaignTest> tests = make_rig_suite(rig, u);
+  std::vector<FaultId> targets(u.size());
+  std::iota(targets.begin(), targets.end(), 0u);
+  const CampaignEngine serial(u, {.threads = 1});
+  const BitVec expected[2] = {serial.grade(targets, tests[0]),
+                              serial.grade(targets, tests[1])};
+  ASSERT_GT(expected[0].count(), 0u);
+
+  const CampaignEngine shared(u, {.threads = 4});
+  constexpr int kRounds = 4;
+  BitVec got[2][kRounds];
+  const auto grader = [&](int t) {
+    for (int r = 0; r < kRounds; ++r)
+      got[t][r] = shared.grade(targets, tests[(t + r) % 2]);
+  };
+  std::thread a(grader, 0);
+  std::thread b(grader, 1);
+  a.join();
+  b.join();
+  for (int t = 0; t < 2; ++t)
+    for (int r = 0; r < kRounds; ++r)
+      EXPECT_EQ(got[t][r], expected[(t + r) % 2])
+          << "thread " << t << " round " << r;
 }
 
 TEST(Campaign, FaultDroppingMatchesNoDropBaseline) {
@@ -890,398 +888,6 @@ TEST(Campaign, TinyUniverseRunsIdenticallyAtEveryThreadCount) {
       EXPECT_EQ(r.detected, first.detected);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Worker protocol (campaign/executor.hpp)
-
-TEST(WorkerProtocol, RequestRoundTripsAndValidates) {
-  const std::vector<FaultId> targets{10, 11, 12, 13, 14};
-  CampaignTest test;
-  test.name = "t";
-  test.spec = Json::object();
-  test.spec.set("marker", 42);
-  const ShardWork work{targets, 2, {}, test, FaultModel::kTransition, 99, {}};
-
-  const Json doc = shard_request_to_json(work);
-  const ShardRequest req = shard_request_from_json(doc);
-  EXPECT_EQ(req.test, "t");
-  EXPECT_EQ(req.fault_model, FaultModel::kTransition);
-  EXPECT_EQ(req.spec.at("marker").as_int(), 42);
-  EXPECT_EQ(req.batch_size, 2u);
-  EXPECT_EQ(req.targets, targets);
-  // The worker derives the engine's spans from batch_size: 2/2/1.
-  ASSERT_EQ(req.num_shards(), 3u);
-  EXPECT_EQ(req.shard_faults(1)[0], 12u);
-  EXPECT_EQ(req.shard_faults(2).size(), 1u);
-
-  {  // protocol version mismatches are rejected, not guessed at
-    Json bad = doc;
-    bad.set("protocol", kWorkerProtocolVersion + 1);
-    EXPECT_THROW(shard_request_from_json(bad), JsonError);
-  }
-  {  // an empty span is refused, pointing at the field (the upper bound
-     // is the rebuilt test's: ServeWorkerRefusesABatchOverTheTestsBound)
-    Json bad = doc;
-    bad.set("batch_size", std::size_t{0});
-    const std::string line = bad.dump();
-    try {
-      shard_request_from_json(Json::parse(line));
-      FAIL() << "batch_size 0 was accepted";
-    } catch (const JsonError& e) {
-      EXPECT_EQ(line.substr(e.offset(), 2), "0,") << e.what();
-    }
-  }
-}
-
-/// Grades "fault id is odd" and reports a fixed state fingerprint — just
-/// enough workload to drive serve_worker through memory streams.
-class ParityWorkload final : public WorkerWorkload {
- public:
-  std::size_t universe_size() override { return 77; }
-  LaneMask run_batch(const ShardRequest&,
-                     std::span<const FaultId> faults) override {
-    std::uint64_t mask = 0;
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      if (faults[i] % 2) mask |= 1ULL << i;
-    return mask;
-  }
-  std::uint64_t state_fingerprint(const ShardRequest&) override {
-    return 0xfeedface;
-  }
-  int max_batch(const ShardRequest&) override { return 63; }
-};
-
-std::vector<Json> run_serve_worker(const std::string& input, int expect_exit) {
-  std::string in_buf = input;
-  std::FILE* in = fmemopen(in_buf.data(), in_buf.size(), "r");
-  char* out_buf = nullptr;
-  std::size_t out_len = 0;
-  std::FILE* out = open_memstream(&out_buf, &out_len);
-  ParityWorkload workload;
-  EXPECT_EQ(serve_worker(in, out, workload), expect_exit);
-  std::fclose(in);
-  std::fclose(out);
-  std::vector<Json> lines;
-  std::string text(out_buf, out_len);
-  std::free(out_buf);
-  for (std::size_t pos = 0; pos < text.size();) {
-    const std::size_t end = text.find('\n', pos);
-    lines.push_back(Json::parse(text.substr(pos, end - pos)));
-    pos = end + 1;
-  }
-  return lines;
-}
-
-/// One grant line for `shards` (final when asked).
-std::string grant_line(std::initializer_list<std::size_t> shards,
-                       bool final = false) {
-  Json grant = Json::object();
-  grant.set("type", "grant");
-  Json ids = Json::array();
-  for (const std::size_t id : shards) ids.push_back(id);
-  grant.set("shards", std::move(ids));
-  if (final) grant.set("final", Json(true));
-  return grant.dump() + "\n";
-}
-
-TEST(WorkerProtocol, ServeWorkerGradesGrantedShardsOnly) {
-  std::vector<FaultId> targets(10);
-  std::iota(targets.begin(), targets.end(), 100u);
-  CampaignTest test;
-  test.name = "parity";
-  test.spec = Json::object();
-  const ShardWork work{targets, 4, {}, test, FaultModel::kStuckAt, 77, {}};
-
-  // Spans of 4/4/2; shard 1 is never granted.
-  const std::vector<Json> lines =
-      run_serve_worker(shard_request_to_json(work).dump() + "\n" +
-                           grant_line({2}) + grant_line({0}) +
-                           grant_line({}, /*final=*/true),
-                       0);
-  ASSERT_EQ(lines.size(), 4u);  // hello, 2 shards, done
-  EXPECT_EQ(lines[0].at("type").as_string(), "hello");
-  EXPECT_EQ(lines[0].at("protocol").as_int(), kWorkerProtocolVersion);
-  // Replies come in grant order (2 then 0), slot-tagged by shard id.
-  EXPECT_EQ(lines[1].at("type").as_string(), "shard");
-  EXPECT_EQ(lines[1].at("shard").as_size(), 2u);
-  // Shard 2 grades targets {108, 109}: odd ids detect -> lane 1 only.
-  EXPECT_EQ(lane_mask_from_json(lines[1].at("mask")), LaneMask(0x2ull));
-  EXPECT_EQ(lines[2].at("shard").as_size(), 0u);
-  // Shard 0 grades {100..103}: odd lanes 1 and 3.
-  EXPECT_EQ(lane_mask_from_json(lines[2].at("mask")), LaneMask(0xAull));
-  EXPECT_EQ(lines[3].at("type").as_string(), "done");
-  EXPECT_EQ(lines[3].at("universe").as_size(), 77u);
-  EXPECT_EQ(word_from_hex(lines[3].at("state_fp").as_string()), 0xfeedfaceull);
-}
-
-TEST(WorkerProtocol, ServeWorkerRefusesAShardPastTheSpans) {
-  // 10 targets in spans of 4 make shards 0..2; a grant for shard 3 is an
-  // error reply naming the range, never a silent empty grade.
-  std::vector<FaultId> targets(10);
-  std::iota(targets.begin(), targets.end(), 100u);
-  CampaignTest test;
-  test.name = "parity";
-  test.spec = Json::object();
-  const ShardWork work{targets, 4, {}, test, FaultModel::kStuckAt, 77, {}};
-  const std::vector<Json> lines = run_serve_worker(
-      shard_request_to_json(work).dump() + "\n" + grant_line({3}), 1);
-  ASSERT_EQ(lines.size(), 2u);  // hello, error
-  EXPECT_EQ(lines[1].at("type").as_string(), "error");
-  const std::string message = lines[1].at("message").as_string();
-  EXPECT_NE(message.find("3 shards"), std::string::npos) << message;
-}
-
-TEST(WorkerProtocol, ServeWorkerRefusesABatchOverTheTestsBound) {
-  // The parity test's runner grades 63 faults per pass; a request cut
-  // into 64-fault spans is refused before any shard is graded, with an
-  // error located at the request's batch_size value.
-  std::vector<FaultId> targets(100);
-  std::iota(targets.begin(), targets.end(), 0u);
-  CampaignTest test;
-  test.name = "parity";
-  test.spec = Json::object();
-  const ShardWork work{targets, 64, {}, test, FaultModel::kStuckAt, 77, {}};
-  const std::string request = shard_request_to_json(work).dump();
-  const std::vector<Json> lines =
-      run_serve_worker(request + "\n" + grant_line({0}, /*final=*/true), 1);
-  ASSERT_EQ(lines.size(), 2u);  // hello, error — no shard reply
-  EXPECT_EQ(lines[1].at("type").as_string(), "error");
-  const std::string message = lines[1].at("message").as_string();
-  EXPECT_NE(message.find("bound of 63"), std::string::npos) << message;
-  const std::string at = " at offset ";
-  const std::size_t pos = message.rfind(at);
-  ASSERT_NE(pos, std::string::npos) << message;
-  const std::size_t offset = std::stoul(message.substr(pos + at.size()));
-  EXPECT_EQ(request.substr(offset, 3), "64,") << message;
-  EXPECT_EQ(request.rfind("\"batch_size\":", offset),
-            offset - std::string("\"batch_size\":").size());
-}
-
-TEST(WorkerProtocol, ServeWorkerAnswersMalformedRequestsWithError) {
-  const std::vector<Json> lines = run_serve_worker("{\"type\":\"grade\"}\n", 1);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0].at("type").as_string(), "hello");
-  EXPECT_EQ(lines[1].at("type").as_string(), "error");
-  EXPECT_FALSE(lines[1].at("message").as_string().empty());
-}
-
-// ---------------------------------------------------------------------------
-// SubprocessExecutor
-
-TEST(SubprocessExecutor, RejectsTestsWithoutASpec) {
-  SubprocessExecutor exec({"/bin/true"}, 1);
-  const std::vector<FaultId> targets{0, 1};
-  const std::vector<std::uint32_t> shards{0};
-  CampaignTest test;
-  test.name = "local_only";  // spec left null
-  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 2, {}};
-  try {
-    exec.execute(work);
-    FAIL() << "null-spec test must not reach a remote worker";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("local_only"), std::string::npos);
-  }
-}
-
-TEST(SubprocessExecutor, KilledWorkerIsDetectedAndReported) {
-  // A fake worker that greets correctly, then dies without answering its
-  // shards. With no respawn budget and no in-process fallback (the test
-  // has no make_runner) the fleet collapses, and the thrown error must
-  // name the worker, its exit, and the test — a lost shard is never
-  // silently dropped.
-  SubprocessExecutor exec(
-      {"/bin/sh", "-c",
-       "printf '{\"type\":\"hello\",\"protocol\":4}\\n';"
-       " read -r line; exit 7"},
-      FleetOptions{.workers = 1, .max_respawns = 0});
-  const std::vector<FaultId> targets{0, 1, 2, 3};
-  const std::vector<std::uint32_t> shards{0, 1};
-  CampaignTest test;
-  test.name = "sbst_prog";
-  test.spec = Json::object();
-  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 4, {}};
-  try {
-    exec.execute(work);
-    FAIL() << "a dead worker's shards must throw";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("worker 0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("died"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("exited with status 7"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("sbst_prog"), std::string::npos) << msg;
-  }
-}
-
-TEST(SubprocessExecutor, CrashedWorkerStderrLandsInTheError) {
-  // A worker that prints a diagnostic to stderr and then dies: the thrown
-  // error must carry the worker's last stderr lines, so the operator sees
-  // the child's own words (assert text, exception message, sanitizer
-  // report) instead of just an exit status.
-  SubprocessExecutor exec(
-      {"/bin/sh", "-c",
-       "printf '{\"type\":\"hello\",\"protocol\":4}\\n';"
-       " echo 'scratch line' >&2;"
-       " echo 'fatal: reference trace fingerprint torched' >&2;"
-       " read -r line; exit 9"},
-      FleetOptions{.workers = 1, .max_respawns = 0});
-  const std::vector<FaultId> targets{0, 1, 2, 3};
-  const std::vector<std::uint32_t> shards{0, 1};
-  CampaignTest test;
-  test.name = "sbst_prog";
-  test.spec = Json::object();
-  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 4, {}};
-  try {
-    exec.execute(work);
-    FAIL() << "a dead worker's shards must throw";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("exited with status 9"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("worker stderr"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("reference trace fingerprint torched"),
-              std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("scratch line"), std::string::npos) << msg;
-  }
-}
-
-TEST(SubprocessExecutor, WorkerWithoutHelloFailsTheHandshake) {
-  SubprocessExecutor exec({"/bin/true"},
-                          FleetOptions{.workers = 1, .max_respawns = 0});
-  const std::vector<FaultId> targets{0, 1};
-  const std::vector<std::uint32_t> shards{0};
-  CampaignTest test;
-  test.name = "t";
-  test.spec = Json::object();
-  const ShardWork work{targets, 2, shards, test, FaultModel::kStuckAt, 2, {}};
-  try {
-    exec.execute(work);
-    FAIL() << "helloless worker must fail the handshake";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("hello"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(SubprocessExecutor, BitIdenticalToInProcessOnSbstWorkload) {
-  // The acceptance check: coordinator + subprocess workers produce the
-  // same detection BitVec and the same deterministic CampaignResult JSON
-  // as the in-process pool on the SBST workload, for 1 and 2 workers.
-  if (::access("./olfui_cli", X_OK) != 0)
-    GTEST_SKIP() << "./olfui_cli not in the working directory";
-  const std::vector<std::string> worker_cmd{"./olfui_cli", "--worker"};
-
-  auto soc = build_soc({});
-  auto suite = build_sbst_suite(soc->config);
-  suite.erase(suite.begin() + 2, suite.end());  // alu_arith + alu_logic
-  const FaultUniverse u(soc->netlist);
-  std::vector<CampaignTest> tests = build_sbst_campaign_tests(*soc, suite, u);
-  ASSERT_FALSE(tests[0].spec.is_null());
-
-  // A spread slice of the universe, wide enough for several shards.
-  std::vector<FaultId> slice;
-  for (FaultId f = 0; f < u.size() && slice.size() < 200; f += 301)
-    slice.push_back(f);
-
-  const auto exec1 = std::make_shared<SubprocessExecutor>(worker_cmd, 1);
-  const auto exec2 = std::make_shared<SubprocessExecutor>(worker_cmd, 2);
-
-  // grade(): empty, single-fault, one-full-batch, and multi-shard target
-  // lists (the executor-side edge cases).
-  const CampaignEngine inproc(u, {.threads = 2});
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                              std::size_t{kSbstLanes - 1}, slice.size()}) {
-    const auto targets = std::span(slice).first(n);
-    const BitVec expect = inproc.grade(targets, tests[0]);
-    for (const auto& exec : {exec1, exec2}) {
-      CampaignOptions o{.threads = 2, .executor = exec};
-      const BitVec got = CampaignEngine(u, o).grade(targets, tests[0]);
-      EXPECT_EQ(got, expect)
-          << "workers " << (exec == exec1 ? 1 : 2) << " n " << n;
-    }
-  }
-
-  // run(): the merged result (and its deterministic JSON form) must be
-  // byte-identical between executors.
-  CampaignOptions base{.threads = 2, .target_limit = 200};
-  FaultList fl_in(u);
-  const CampaignResult r_in = CampaignEngine(u, base).run(fl_in, tests);
-  CampaignOptions sub = base;
-  sub.executor = exec2;
-  FaultList fl_sub(u);
-  const CampaignResult r_sub = CampaignEngine(u, sub).run(fl_sub, tests);
-  EXPECT_GT(r_in.total_new_detections, 0u);
-  EXPECT_EQ(r_in, r_sub);
-  EXPECT_EQ(r_in.detected, r_sub.detected);
-  EXPECT_EQ(campaign_result_to_json_string(r_in, 2, false),
-            campaign_result_to_json_string(r_sub, 2, false));
-  EXPECT_EQ(r_in.stats.executor, "inproc");
-  EXPECT_EQ(r_sub.stats.executor, "subprocess");
-  // Worker-reported shard timings land slot-indexed, one per batch.
-  // Shape and parse sanity only — no duration claims in the unit suite
-  // (wall-clock assertions live in bench_runtime).
-  EXPECT_EQ(r_sub.stats.shard_seconds.size(), r_sub.stats.batches);
-  for (double s : r_sub.stats.shard_seconds) EXPECT_GE(s, 0.0);
-}
-
-TEST(SubprocessExecutor, TracedRunMergesWorkerLanesWithoutPerturbingPayload) {
-  // The distributed half of the side-band contract: a traced 2-worker
-  // subprocess grade returns the exact detection mask of an untraced one,
-  // while the coordinator trace gains per-shard spans from both worker
-  // processes on their own pid lanes (clock-shifted by the hello
-  // handshake) and the merged counters include worker kernel activity.
-  if (::access("./olfui_cli", X_OK) != 0)
-    GTEST_SKIP() << "./olfui_cli not in the working directory";
-
-  auto soc = build_soc({});
-  auto suite = build_sbst_suite(soc->config);
-  suite.erase(suite.begin() + 1, suite.end());  // alu_arith only
-  const FaultUniverse u(soc->netlist);
-  std::vector<CampaignTest> tests = build_sbst_campaign_tests(*soc, suite, u);
-  std::vector<FaultId> slice;
-  for (FaultId f = 0; f < u.size() && slice.size() < 200; f += 301)
-    slice.push_back(f);
-
-  const auto exec =
-      std::make_shared<SubprocessExecutor>(
-          std::vector<std::string>{"./olfui_cli", "--worker"}, 2);
-  const CampaignEngine engine(u, {.threads = 2, .executor = exec});
-  const BitVec off = engine.grade(slice, tests[0]);
-
-  BitVec on;
-  Json trace;
-  std::uint64_t worker_evals = 0;
-  {
-    ScopedObservability guard;
-    on = engine.grade(slice, tests[0]);
-    trace = obs::tracer().to_json();
-    worker_evals = obs::metrics().counter("kernel.evals").value();
-  }
-  EXPECT_EQ(on, off);
-
-  // 200 targets = 4 shards, striped shard i -> worker i mod 2: both
-  // workers grade, so the trace shows exactly three pid lanes —
-  // coordinator + two workers — and worker-side shard spans.
-  std::set<int> pids;
-  bool worker_shard_span = false;
-  const Json& events = trace.at("traceEvents");
-  ASSERT_GT(events.size(), 0u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const Json& e = events.at(i);
-    if (e.at("ph").as_string() != "X") continue;
-    pids.insert(e.at("pid").as_int());
-    if (e.at("name").as_string() == "shard" &&
-        e.at("pid").as_int() != ::getpid())
-      worker_shard_span = true;
-    EXPECT_GE(e.at("ts").as_number(), 0.0) << i;
-    EXPECT_GE(e.at("dur").as_number(), 0.0) << i;
-  }
-  EXPECT_EQ(pids.size(), 3u);
-  EXPECT_EQ(pids.count(::getpid()), 1u);
-  EXPECT_TRUE(worker_shard_span);
-  // The coordinator graded nothing itself: every kernel eval it reports
-  // was merged out of worker telemetry.
-  EXPECT_GT(worker_evals, 0u);
 }
 
 TEST(Campaign, GradeMatchesLegacySequentialCampaign) {

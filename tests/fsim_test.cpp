@@ -182,10 +182,10 @@ TEST(CombDetect, MoreThan64PatternsThrow) {
 
 // ---------------------------------------------------------------------------
 // ReferenceTrace::fingerprint — the trace component of the grade-result
-// cache key (campaign/cache.hpp) and the worker-drift check in the
-// subprocess executor. It must move on ANY single-bit divergence of the
-// recorded good machine, and must NOT move with how the trace was
-// recorded (lane width, clocking mode): those are payload-neutral.
+// cache key (campaign/cache.hpp). It must move on ANY single-bit
+// divergence of the recorded good machine, and must NOT move with how the
+// trace was recorded (lane width, clocking mode): those are
+// payload-neutral.
 
 /// CounterEnv at any lane width (the scalar CounterEnv above is 64-only).
 template <int W>

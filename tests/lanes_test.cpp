@@ -195,7 +195,7 @@ TEST(LaneWidth, AllWidthsMatchScalarBaselineAndSweepOracle) {
 
 // ---------------------------------------------------------------------------
 // Campaign-level width equivalence: wide batches flow through the
-// engine's spans, the executor, and the multi-word mask merge. The
+// engine's spans, its worker pool, and the multi-word mask merge. The
 // shard count legitimately shrinks with width, so the comparison is the
 // detection state and coverage, not the per-test batch totals.
 

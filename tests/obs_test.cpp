@@ -59,7 +59,7 @@ TEST(Tracer, SpansBecomeWellFormedCompleteEvents) {
     EXPECT_EQ(e.at("cat").as_string(), "test") << i;
     EXPECT_GE(e.at("ts").as_number(), 0.0) << i;
     EXPECT_GE(e.at("dur").as_number(), 0.0) << i;
-    // pid 0 is replaced by the exporting process's id.
+    // Every event carries the exporting process's id.
     EXPECT_EQ(e.at("pid").as_int(), ::getpid()) << i;
     EXPECT_TRUE(e.contains("tid")) << i;
   }
@@ -92,63 +92,15 @@ TEST(Tracer, ThreadsGetStableDistinctLanes) {
   for (const auto& [lane, n] : per_lane) EXPECT_EQ(n, kSpans) << lane;
 }
 
-TEST(Tracer, MergeForeignShiftsClockAndStampsPid) {
+TEST(Tracer, DrainMovesEventsOut) {
   Tracer t;
   t.set_enabled(true);
-  std::vector<TraceEvent> foreign;
-  foreign.push_back({"w", "worker", 1000, 50, 0, 3, {}});
-  foreign.push_back({"early", "worker", 10, 5, 0, 0, {}});
-  t.set_process_label(4242, "worker 0");
-  t.merge_foreign(std::move(foreign), 4242, 500);
-
-  const Json events = t.to_json().at("traceEvents");
-  // Label first (ph:"M" process_name), then the two shifted events.
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events.at(0).at("ph").as_string(), "M");
-  EXPECT_EQ(events.at(0).at("name").as_string(), "process_name");
-  EXPECT_EQ(events.at(0).at("pid").as_int(), 4242);
-  EXPECT_EQ(events.at(0).at("args").at("name").as_string(), "worker 0");
-  EXPECT_EQ(events.at(1).at("pid").as_int(), 4242);
-  EXPECT_EQ(events.at(1).at("ts").as_number(), 1500.0);
-  // A negative offset can never push a timestamp before the epoch.
-  Tracer t2;
-  t2.set_enabled(true);
-  t2.merge_foreign({{"w", "worker", 10, 5, 0, 0, {}}}, 7, -100);
-  EXPECT_EQ(t2.to_json().at("traceEvents").at(0).at("ts").as_number(), 0.0);
-}
-
-TEST(Tracer, WireRoundTripPreservesEvents) {
-  std::vector<TraceEvent> events;
-  events.push_back({"shard", "worker", 123, 45, 0, 2, {{"shard", Json(std::size_t{9})}}});
-  events.push_back({"rebuild_state", "worker", 7, 1, 0, 0, {}});
-  const Json wire = trace_events_to_json(events);
-  const std::vector<TraceEvent> back =
-      trace_events_from_json(Json::parse(wire.dump()));
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].name, "shard");
-  EXPECT_EQ(back[0].cat, "worker");
-  EXPECT_EQ(back[0].ts_us, 123);
-  EXPECT_EQ(back[0].dur_us, 45);
-  EXPECT_EQ(back[0].tid, 2);
-  ASSERT_EQ(back[0].args.size(), 1u);
-  EXPECT_EQ(back[0].args[0].first, "shard");
-  EXPECT_EQ(back[0].args[0].second.as_size(), 9u);
-  EXPECT_EQ(back[1].name, "rebuild_state");
-}
-
-TEST(Tracer, DrainMovesEventsButKeepsLabels) {
-  Tracer t;
-  t.set_enabled(true);
-  t.set_process_label(0, "coordinator");
   t.span("a", "test");
   const std::vector<TraceEvent> drained = t.drain();
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].name, "a");
   EXPECT_EQ(t.event_count(), 0u);
-  // The label still exports after the drain (workers drain per request).
-  const Json events = t.to_json().at("traceEvents");
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events.at(0).at("name").as_string(), "process_name");
+  EXPECT_EQ(t.to_json().at("traceEvents").size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -217,17 +169,6 @@ TEST(Metrics, ExportIsSortedAndDeterministic) {
   EXPECT_EQ(h.at("buckets").at(1).as_size(), 0u);
   // Same registrations, same values -> byte-identical documents.
   EXPECT_EQ(reg.to_json().dump(2), doc.dump(2));
-}
-
-TEST(Metrics, MergeCountersAddsWorkerDeltas) {
-  MetricsRegistry reg;
-  reg.counter("kernel.evals").add(10);
-  MetricsRegistry worker;
-  worker.counter("kernel.evals").add(5);
-  worker.counter("fsim.trace_cache_hits").add(2);
-  reg.merge_counters(worker.counters_to_json());
-  EXPECT_EQ(reg.counter("kernel.evals").value(), 15u);
-  EXPECT_EQ(reg.counter("fsim.trace_cache_hits").value(), 2u);
 }
 
 TEST(Metrics, ResetValuesKeepsRegistrationsValid) {

@@ -124,82 +124,6 @@ TEST(ModuleBreakdown, TableIsAligned) {
   EXPECT_NE(table.find("untestable"), std::string::npos);
 }
 
-TEST(SeqFsimOptionsJson, RoundTripsAndRejectsBadBudgets) {
-  SeqFsimOptions opts;
-  opts.max_cycles = 1234;
-  opts.early_exit = false;
-  opts.event_driven = false;
-  const SeqFsimOptions back =
-      seq_fsim_options_from_json(seq_fsim_options_to_json(opts));
-  EXPECT_EQ(back.max_cycles, 1234);
-  EXPECT_FALSE(back.early_exit);
-  EXPECT_FALSE(back.event_driven);
-
-  Json bad = seq_fsim_options_to_json(opts);
-  bad.set("max_cycles", 0);
-  EXPECT_THROW(seq_fsim_options_from_json(bad), JsonError);
-  EXPECT_THROW(seq_fsim_options_from_json(Json::object()), JsonError);
-}
-
-TEST(LaneMaskJson, RoundTripsArrayAndRejectsLoneString) {
-  LaneMask mask;
-  mask.set_word(0, 0x0123456789ABCDEFull);
-  mask.set_word(1, 0x8000000000000001ull);
-  // Dump -> parse -> decode, the full wire path.
-  const Json doc = Json::parse(lane_mask_to_json(mask).dump());
-  EXPECT_EQ(lane_mask_from_json(doc), mask);
-  // The wire form is a fixed-order array of kWords 16-digit hex words,
-  // least-significant word first.
-  ASSERT_EQ(doc.size(), static_cast<std::size_t>(LaneMask::kWords));
-  for (int k = 0; k < LaneMask::kWords; ++k)
-    EXPECT_EQ(doc.at(static_cast<std::size_t>(k)).as_string().size(), 16u);
-  EXPECT_EQ(doc.at(std::size_t{0}).as_string(), "0123456789abcdef");
-
-  // A lone hex string is not a mask: coordinator and worker are the same
-  // binary, so there is no older single-word sender to accept. The error
-  // points at the string.
-  const std::string lone = "  \"000000000000000a\"";
-  try {
-    lane_mask_from_json(Json::parse(lone));
-    FAIL() << "lone-string mask accepted";
-  } catch (const JsonError& e) {
-    EXPECT_EQ(e.offset(), lone.find('"')) << e.what();
-  }
-}
-
-TEST(LaneMaskJson, RejectsMalformedWordsWithSourceOffsets) {
-  // Wrong array length: a 1- or 3-word mask is a protocol error, not a
-  // short read to zero-fill or a silent truncation.
-  EXPECT_THROW(lane_mask_from_json(Json::parse("[\"0000000000000000\"]")),
-               JsonError);
-  EXPECT_THROW(lane_mask_from_json(Json::parse(
-                   "[\"0000000000000000\", \"0000000000000000\", "
-                   "\"0000000000000000\"]")),
-               JsonError);
-  {  // a 15-digit word
-    const std::string text = "[\"0000000000000001\", \"000000000000002\"]";
-    try {
-      lane_mask_from_json(Json::parse(text));
-      FAIL() << "15-digit word accepted";
-    } catch (const JsonError& e) {
-      EXPECT_GT(e.offset(), 0u);
-      EXPECT_LT(e.offset(), text.size());
-    }
-  }
-  {  // a non-hex digit: the offset points at the offending character
-    const std::string text = "[\"0000000000000001\", \"00000000000000g0\"]";
-    const std::size_t gpos = text.find('g');
-    try {
-      lane_mask_from_json(Json::parse(text));
-      FAIL() << "non-hex digit accepted";
-    } catch (const JsonError& e) {
-      EXPECT_GE(e.offset() + 1, gpos);
-      EXPECT_LE(e.offset(), gpos + 1);
-    }
-  }
-  EXPECT_THROW(lane_mask_from_json(Json::parse("\"abc\"")), JsonError);
-}
-
 TEST(UntrustedDecoders, SemanticErrorsPointAtTheOffendingNode) {
   // Each row is a malformed document and the text its error offset must
   // point at: a decoder that rejects a value it parsed fine reports where
@@ -211,22 +135,9 @@ TEST(UntrustedDecoders, SemanticErrorsPointAtTheOffendingNode) {
     std::string points_at;
   };
   const auto campaign = [](const Json& d) { campaign_result_from_json(d); };
-  const auto trace = [](const Json& d) { reference_trace_from_json(d); };
-  const auto fsim = [](const Json& d) { seq_fsim_options_from_json(d); };
   const std::vector<Row> rows = {
       {"campaign fault_model", R"({"universe":4,"fault_model":"bogus"})",
        campaign, R"("bogus")"},
-      {"trace run arrays",
-       R"({"cycles":4,"num_nets":1,"columns":[)"
-       R"({"cycle":[0,2],"value":["0000000000000001"]}]})",
-       trace, R"(["0000000000000001"])"},
-      {"trace run start",
-       R"({"cycles":4,"num_nets":1,"columns":[)"
-       R"({"cycle":[4294967296],"value":["0000000000000001"]}]})",
-       trace, "4294967296"},
-      {"fsim max_cycles",
-       R"({"max_cycles":-5,"early_exit":true,"event_driven":true})", fsim,
-       "-5"},
   };
   for (const Row& row : rows) {
     try {

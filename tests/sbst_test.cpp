@@ -16,8 +16,7 @@ SocConfig lean_config() {
 TEST(SbstSuite, EveryProgramHaltsOnTheFullSoc) {
   // The full case-study configuration (multiplier included) and the lean
   // one. A campaign test takes its cycle count from the packed pass that
-  // records its checkpoint; it must equal the functional runner's, on the
-  // coordinator and in a worker's rebuild alike.
+  // records its checkpoint; it must equal the functional runner's.
   for (const SocConfig& cfg : {SocConfig{}, lean_config()}) {
     auto soc = build_soc(cfg);
     auto suite = build_sbst_suite(cfg);
@@ -37,10 +36,6 @@ TEST(SbstSuite, EveryProgramHaltsOnTheFullSoc) {
       EXPECT_EQ(built.test.spec.at("fsim").at("max_cycles").as_int(),
                 cycles + kSbstCampaignMargin)
           << sp.name;
-      const SbstCampaignTest rebuilt = rebuild_sbst_campaign_test(
-          *soc, suite, u, topo, built.test.spec, FaultModel::kStuckAt);
-      EXPECT_EQ(rebuilt.test.good_cycles, cycles) << sp.name;
-      EXPECT_EQ(rebuilt.test.spec.dump(), built.test.spec.dump()) << sp.name;
     }
   }
 }
@@ -60,9 +55,6 @@ TEST(SbstSuite, ProgramThatNeverHaltsCountsTheCycleCap) {
             kSbstFunctionalCycleCap + kSbstCampaignMargin);
   EXPECT_EQ(built.test.spec.at("fsim").at("max_cycles").as_int(),
             kSbstFunctionalCycleCap + kSbstCampaignMargin);
-  const SbstCampaignTest rebuilt = rebuild_sbst_campaign_test(
-      *soc, suite, u, topo, built.test.spec, FaultModel::kStuckAt);
-  EXPECT_EQ(rebuilt.test.good_cycles, kSbstFunctionalCycleCap);
 }
 
 TEST(SbstSuite, MulProgramOnlyWithMultiplier) {
