@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "util/bits.hpp"
 #include "util/strings.hpp"
 
 namespace olfui {
@@ -156,16 +155,61 @@ void SocFsimEnvironmentT<W>::drive_mission_inputs(PackedSimT<W>& sim,
 }
 
 template <int W>
+std::uint64_t SocFsimEnvironmentT<W>::BusRead::value(int lane) const {
+  if (!lane_test(diff, lane)) return v0;
+  std::uint64_t v = 0;
+  for (int b = 0; b < 32; ++b)
+    v |= static_cast<std::uint64_t>(lane_test(bits[b], lane)) << b;
+  return v;
+}
+
+template <int W>
+typename SocFsimEnvironmentT<W>::BusRead SocFsimEnvironmentT<W>::read_bus(
+    const PackedSimT<W>& sim, const std::vector<CellId>& cells) {
+  assert(cells.size() == 32);
+  BusRead r;
+  for (int b = 0; b < 32; ++b) {
+    const Word w = sim.observed(cells[static_cast<std::size_t>(b)]);
+    const bool bit0 = lane_test(w, 0);
+    r.bits[b] = w;
+    r.v0 |= static_cast<std::uint64_t>(bit0) << b;
+    r.diff |= w ^ lane_broadcast<Word>(bit0);
+  }
+  return r;
+}
+
+template <int W>
+void SocFsimEnvironmentT<W>::drive_bus(PackedSimT<W>& sim, const Bus& bus,
+                                       std::uint64_t v0,
+                                       const std::vector<Patch>& patches) {
+  // Answers are 32-bit memory words, and so are both driven buses.
+  assert(bus.size() == 32);
+  std::array<Word, 32> bits;
+  for (int b = 0; b < 32; ++b) bits[b] = lane_broadcast<Word>((v0 >> b) & 1ULL);
+  for (const Patch& p : patches) {
+    const Word lane = lane_bit<Word>(p.lane);
+    for (std::uint64_t x = p.value ^ v0; x != 0; x &= x - 1)
+      bits[static_cast<std::size_t>(__builtin_ctzll(x))] ^= lane;
+  }
+  for (int b = 0; b < 32; ++b)
+    sim.set_input_lanes(bus[static_cast<std::size_t>(b)], bits[b]);
+}
+
+template <int W>
 std::uint64_t SocFsimEnvironmentT<W>::mem_read(int lane,
                                                std::uint64_t addr) const {
-  const auto it = ram_[static_cast<std::size_t>(lane)].find(addr & ~3ULL);
-  if (it != ram_[static_cast<std::size_t>(lane)].end()) return it->second;
+  const auto& ram =
+      ram_[lane_test(private_, lane) ? static_cast<std::size_t>(lane) : 0];
+  const auto it = ram.find(addr & ~3ULL);
+  if (it != ram.end()) return it->second;
   return flash_->read(addr);
 }
 
 template <int W>
 void SocFsimEnvironmentT<W>::reset(PackedSimT<W>& sim) {
-  for (auto& r : ram_) r.clear();
+  // Private lanes' maps are stale from here on; a fork overwrites them.
+  ram_[0].clear();
+  private_ = Word{};
   halt_seen_ = false;
   drive_mission_inputs(sim, false);
   sim.set_input_word(soc_->cpu.instr_in, 0);
@@ -177,32 +221,56 @@ void SocFsimEnvironmentT<W>::reset(PackedSimT<W>& sim) {
 
 template <int W>
 bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
-  using Word = LaneWord<W>;
   if (cycle >= run_cycles_ || halt_seen_) return false;
   drive_mission_inputs(sim, true);
   sim.eval();
-  // Per-lane instruction fetch: a faulty machine that wanders to a wrong
-  // address fetches whatever the flash holds there (NOP outside).
-  const auto iaddr = read_observed_bus_lanes(sim, iaddr_cells_);
-  std::array<std::uint64_t, W> instr{};
-  for (int l = 0; l < W; ++l) instr[l] = flash_->read(iaddr[l]);
-  drive_bus_lanes(sim, soc_->cpu.instr_in, instr);
+  // Instruction fetch: a faulty machine that wanders to a wrong address
+  // fetches whatever the flash holds there (NOP outside).
+  const BusRead iaddr = read_bus(sim, iaddr_cells_);
+  const std::uint64_t instr0 = flash_->read(iaddr.v0);
+  patches_.clear();
+  for_each_lane(iaddr.diff, [&](int l) {
+    const std::uint64_t instr = flash_->read(iaddr.value(l));
+    if (instr != instr0) patches_.push_back({l, instr});
+  });
+  drive_bus(sim, soc_->cpu.instr_in, instr0, patches_);
   sim.eval();
-  // Bus transactions, per lane.
-  const auto baddr = read_observed_bus_lanes(sim, baddr_cells_);
-  const auto bwdata = read_observed_bus_lanes(sim, bwdata_cells_);
+  // Bus transactions.
+  const BusRead baddr = read_bus(sim, baddr_cells_);
+  const BusRead bwdata = read_bus(sim, bwdata_cells_);
   const Word wr = sim.observed(bwr_cell_);
   const Word rd = sim.observed(brd_cell_);
-  std::array<std::uint64_t, W> rdata{};
-  for (int l = 0; l < W; ++l) {
-    if (lane_test(wr, l)) {
-      if (soc_->map.contains(baddr[l]))
-        ram_[static_cast<std::size_t>(l)][baddr[l] & ~3ULL] =
-            static_cast<std::uint32_t>(bwdata[l]);
-    }
-    if (lane_test(rd, l)) rdata[l] = mem_read(l, baddr[l]);
-  }
-  drive_bus_lanes(sim, soc_->cpu.rdata_in, rdata);
+  const bool wr0 = lane_test(wr, 0);
+  const bool rd0 = lane_test(rd, 0);
+  // A shared lane whose write differs from lane 0's forks lane 0's RAM as
+  // it stands before this cycle's writes.
+  const Word fork = ((wr ^ lane_broadcast<Word>(wr0)) |
+                     ((baddr.diff | bwdata.diff) & wr)) &
+                    ~private_;
+  for_each_lane(fork, [&](int l) {
+    ram_[static_cast<std::size_t>(l)] = ram_[0];
+  });
+  private_ |= fork;
+  // Writes: private lanes to their own maps, then lane 0's (which every
+  // shared lane makes too) to ram_[0]. Reads come after, so each lane
+  // reads its own write of this cycle.
+  const auto write = [&](int l, std::uint64_t addr, std::uint64_t data) {
+    if (soc_->map.contains(addr))
+      ram_[static_cast<std::size_t>(l)][addr & ~3ULL] =
+          static_cast<std::uint32_t>(data);
+  };
+  for_each_lane(private_ & wr,
+                [&](int l) { write(l, baddr.value(l), bwdata.value(l)); });
+  if (wr0) write(0, baddr.v0, bwdata.v0);
+  const std::uint64_t rdata0 = rd0 ? mem_read(0, baddr.v0) : 0;
+  patches_.clear();
+  for_each_lane(baddr.diff | (rd ^ lane_broadcast<Word>(rd0)) | private_,
+                [&](int l) {
+                  const std::uint64_t rdata =
+                      lane_test(rd, l) ? mem_read(l, baddr.value(l)) : 0;
+                  if (rdata != rdata0) patches_.push_back({l, rdata});
+                });
+  drive_bus(sim, soc_->cpu.rdata_in, rdata0, patches_);
   sim.eval();
   // Let the comparison see the halting cycle, then stop on the next one.
   if (lane_test(sim.observed(halted_cell_), 0)) halt_seen_ = true;

@@ -14,9 +14,14 @@
 //    not feed fault-simulation campaigns: those take each program's cycle
 //    count from the packed lane-0 pass that records their checkpoint;
 //  * SocFsimEnvironment — the packed W-lane environment for the fault
-//    simulator (64 scalar, or 128 over vector extensions for grading),
-//    with per-lane RAM so faulty machines that stray to wrong addresses
-//    read what real silicon would read.
+//    simulator (64 scalar, or 128 over vector extensions for grading).
+//    Every lane's memory answers for that lane alone, so a faulty machine
+//    that strays to a wrong address reads what real silicon would read.
+//    Lane 0 is the good machine and most faulty lanes show its bus on
+//    most cycles, so each bus is served once for lane 0 and answered
+//    separately only for the lanes whose bus differs; a faulty lane's RAM
+//    is lane 0's until its first write that lane 0 does not make, when it
+//    forks a private copy.
 #pragma once
 
 #include <array>
@@ -104,24 +109,63 @@ class SocSimulator {
   std::unordered_map<std::uint64_t, std::uint32_t> ram_;
 };
 
-/// Packed fault-simulation environment with per-lane data memory.
+/// Packed fault-simulation environment with per-lane data memory, served
+/// from lane 0 (the good machine).
+///
+/// Each step reads every observed bus once as lane 0's value plus the
+/// lanes whose bus differs from it, answers lane 0 once, broadcasts that
+/// answer, and patches only the differing lanes whose own answer differs
+/// — every lane gets exactly the words a per-lane service would drive.
+/// RAM is copy-on-diverge: ram_[0] is lane 0's, and a faulty lane shares
+/// it until the first cycle its write differs from lane 0's (strobe,
+/// address or data), when it takes a copy of ram_[0] as it stood before
+/// that cycle's writes. A shared lane's RAM therefore always equals lane
+/// 0's.
 template <int W>
 class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
  public:
+  using Word = LaneWord<W>;
+
   SocFsimEnvironmentT(const Soc& soc, const FlashImage& flash, int run_cycles);
 
   void reset(PackedSimT<W>& sim) override;
   bool step(PackedSimT<W>& sim, int cycle) override;
 
+  /// Lanes that own a private RAM copy since the last reset().
+  const Word& private_lanes() const { return private_; }
+
  private:
+  /// One observed 32-bit bus: per-bit lane words, lane 0's value, and the
+  /// lanes whose value differs from lane 0's.
+  struct BusRead {
+    std::array<Word, 32> bits;
+    std::uint64_t v0 = 0;
+    Word diff{};
+    /// Lane `lane`'s value (a bit gather only for lanes in `diff`).
+    std::uint64_t value(int lane) const;
+  };
+  /// A lane whose answer differs from lane 0's.
+  struct Patch {
+    int lane;
+    std::uint64_t value;
+  };
+
   void drive_mission_inputs(PackedSimT<W>& sim, bool rstn_value);
+  static BusRead read_bus(const PackedSimT<W>& sim,
+                          const std::vector<CellId>& cells);
+  /// Drives `v0` on every lane of `bus`, then each patch on its lane.
+  static void drive_bus(PackedSimT<W>& sim, const Bus& bus, std::uint64_t v0,
+                        const std::vector<Patch>& patches);
   std::uint64_t mem_read(int lane, std::uint64_t addr) const;
 
   const Soc* soc_;
   const FlashImage* flash_;
   int run_cycles_;
   bool halt_seen_ = false;
+  /// ram_[0] is lane 0's; ram_[l] is lane l's only while l is in private_.
   std::array<std::unordered_map<std::uint64_t, std::uint32_t>, W> ram_;
+  Word private_{};
+  std::vector<Patch> patches_;  // reused across steps
   // Cached port-cell groups for observed reads.
   std::vector<CellId> iaddr_cells_, baddr_cells_, bwdata_cells_;
   CellId bwr_cell_, brd_cell_, halted_cell_;
@@ -129,22 +173,5 @@ class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
 
 /// The scalar 64-lane environment every pre-width-parametric caller uses.
 using SocFsimEnvironment = SocFsimEnvironmentT<64>;
-
-/// Per-lane observed read of a port-cell bus (applies PO-pin injections).
-template <int W>
-std::array<std::uint64_t, W> read_observed_bus_lanes(
-    const PackedSimT<W>& sim, const std::vector<CellId>& cells) {
-  constexpr int K = W / 64;
-  using Word = LaneWord<W>;
-  std::array<std::uint64_t, static_cast<std::size_t>(W) * K> m{};
-  for (std::size_t b = 0; b < cells.size(); ++b) {
-    const Word v = sim.observed(cells[b]);
-    for (int k = 0; k < K; ++k) m[b * K + k] = word_of(v, k);
-  }
-  transpose_bits<W>(m.data());
-  std::array<std::uint64_t, W> out{};
-  for (int l = 0; l < W; ++l) out[l] = m[static_cast<std::size_t>(l) * K];
-  return out;
-}
 
 }  // namespace olfui

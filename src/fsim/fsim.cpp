@@ -1,13 +1,11 @@
 #include "fsim/fsim.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
 #include "fault/tdf.hpp"
 #include "obs/metrics.hpp"
-#include "util/bits.hpp"
 
 namespace olfui {
 
@@ -18,6 +16,16 @@ void check_net(const ReferenceTrace& trace, NetId net) {
     throw std::out_of_range("ReferenceTrace: net " + std::to_string(net) +
                             " out of range (" +
                             std::to_string(trace.num_nets) + " nets)");
+}
+
+/// Fault i rides lane i + 1, so a W-lane pass holds at most W - 1 faults;
+/// one more would shift past the lane word.
+void check_batch_size(const char* what, std::size_t faults, int lanes) {
+  if (faults >= static_cast<std::size_t>(lanes))
+    throw std::invalid_argument(
+        std::string(what) + ": " + std::to_string(faults) +
+        " faults exceed the " + std::to_string(lanes - 1) +
+        " faulty lanes of a " + std::to_string(lanes) + "-lane pass");
 }
 
 }  // namespace
@@ -237,7 +245,7 @@ template <int W>
 LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults,
                                                  Environment& env,
                                                  const ReferenceTrace* trace) {
-  assert(faults.size() < static_cast<std::size_t>(W));
+  check_batch_size("run_batch", faults.size(), W);
   prepare_trace(trace);
   sim_.clear_injections();
   Word fault_lanes{};
@@ -267,7 +275,7 @@ template <int W>
 LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
     std::span<const FaultId> faults, Environment& env,
     const ReferenceTrace* trace) {
-  assert(faults.size() < static_cast<std::size_t>(W));
+  check_batch_size("run_tdf_batch", faults.size(), W);
   prepare_trace(trace);
   const int bound = trace ? trace->cycles : opts_.max_cycles;
 

@@ -12,13 +12,15 @@
 //    obtained by only observing the system bus").
 //    The environment callback makes stimuli reactive: the memory model
 //    answers per-lane, so a faulty machine that issues a wrong address
-//    reads wrong data, exactly as on silicon.
+//    reads wrong data, exactly as on silicon. Environments drive whole
+//    lane words (PackedSim::set_input_lanes); SocFsimEnvironment builds
+//    them from lane 0's answer, patched only on the lanes whose bus
+//    differs, and the kernel skips any eval() that has nothing to settle.
 //
 //  * parallel-pattern combinational simulation (PPSF) — 64 patterns per
 //    pass for one fault; used for ATPG validation and property tests.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,7 +31,6 @@
 #include "fault/universe.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/packed.hpp"
-#include "util/bits.hpp"
 #include "util/bitvec.hpp"
 #include "util/lanes.hpp"
 
@@ -51,43 +52,6 @@ class FsimEnvironmentT {
 
 /// The scalar 64-lane environment interface (the pre-width-parametric name).
 using FsimEnvironment = FsimEnvironmentT<64>;
-
-/// Transposes W per-lane values (buses are at most 64 bits wide) onto the
-/// per-bit lane words of a bus.
-template <int W>
-void drive_bus_lanes(
-    PackedSimT<W>& sim, const Bus& bus,
-    const std::array<std::uint64_t, static_cast<std::size_t>(W)>& lane_values) {
-  // Row l = lane l's value; after the transpose row b bit l = lane l's
-  // bit b, i.e. exactly the per-bit lane word.
-  constexpr int K = W / 64;
-  using Word = LaneWord<W>;
-  std::array<std::uint64_t, static_cast<std::size_t>(W) * K> m{};
-  for (int l = 0; l < W; ++l) m[static_cast<std::size_t>(l) * K] = lane_values[l];
-  transpose_bits<W>(m.data());
-  for (std::size_t b = 0; b < bus.size(); ++b) {
-    Word w{};
-    for (int k = 0; k < K; ++k) set_word_of(w, k, m[b * K + k]);
-    sim.set_input_lanes(bus[b], w);
-  }
-}
-
-/// Reads a bus back into per-lane values.
-template <int W>
-std::array<std::uint64_t, W> read_bus_lanes(const PackedSimT<W>& sim,
-                                            const Bus& bus) {
-  constexpr int K = W / 64;
-  using Word = LaneWord<W>;
-  std::array<std::uint64_t, static_cast<std::size_t>(W) * K> m{};
-  for (std::size_t b = 0; b < bus.size(); ++b) {
-    const Word v = sim.value(bus[b]);
-    for (int k = 0; k < K; ++k) m[b * K + k] = word_of(v, k);
-  }
-  transpose_bits<W>(m.data());
-  std::array<std::uint64_t, W> out{};
-  for (int l = 0; l < W; ++l) out[l] = m[static_cast<std::size_t>(l) * K];
-  return out;
-}
 
 struct SeqFsimOptions {
   int max_cycles = 100000;
@@ -225,6 +189,8 @@ class SequentialFaultSimulatorT {
   /// the checkpoint's cycle count. The trace must stay alive (and
   /// unmodified) across the batches that pass it: the simulator caches
   /// per-observed-output history columns keyed on the trace pointer.
+  /// Throws std::invalid_argument, naming the size and the width, for W
+  /// or more faults.
   LaneMask run_batch(std::span<const FaultId> faults, Environment& env,
                      const ReferenceTrace* trace = nullptr);
 
@@ -246,7 +212,8 @@ class SequentialFaultSimulatorT {
   /// deterministic, kernel-independent, and identical with or without the
   /// trace; the env must replay identical stimulus across passes (true of
   /// every FsimEnvironment whose reset() fully rewinds it, which reuse
-  /// across batches already requires).
+  /// across batches already requires). Throws std::invalid_argument like
+  /// run_batch for W or more faults.
   LaneMask run_tdf_batch(std::span<const FaultId> faults, Environment& env,
                          const ReferenceTrace* trace = nullptr);
 

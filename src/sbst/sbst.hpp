@@ -68,8 +68,8 @@ struct SbstCampaignResult {
 inline constexpr int kSbstCampaignMargin = 8;
 
 /// The packed width of every SBST grading runner. 128 lanes grade the
-/// full campaign ~1.3x faster than 64; 256 is no faster and costs a RAM
-/// map per extra lane (README "Kernel width").
+/// full campaign ~1.3x faster than 64; 256 is no faster and costs more
+/// memory (README "Kernel width").
 inline constexpr int kSbstLanes = 128;
 
 /// One program's campaign test plus the recorded good-machine checkpoint

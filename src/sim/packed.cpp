@@ -128,6 +128,7 @@ void PackedSimT<W>::clear_injections() {
   std::fill(has_inj_.begin(), has_inj_.end(), 0);
   inj_dirty_ = false;
   needs_full_ = true;
+  settled_ = false;
 }
 
 template <int W>
@@ -136,6 +137,7 @@ void PackedSimT<W>::add_injection(const Injection& inj) {
   inj_flat_.push_back(inj);
   inj_dirty_ = true;
   needs_full_ = true;
+  settled_ = false;
 }
 
 template <int W>
@@ -144,6 +146,7 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
   Injection& inj = inj_flat_[inj_pos_[index]];
   if (!lane_neq(inj.lanes, lanes)) return;
   inj.lanes = lanes;
+  settled_ = false;
   // A pending full sweep (or full-sweep mode) re-applies every injection
   // from scratch, so nothing is stale.
   if (needs_full_ || inj_dirty_ || mode_ == PackedEvalMode::kFullSweep) return;
@@ -221,20 +224,29 @@ void PackedSimT<W>::power_on() {
   std::fill(input_hold_.begin(), input_hold_.end(), Word{});
   needs_full_ = true;
   all_flops_dirty_ = true;
+  settled_ = false;
 }
 
 template <int W>
 void PackedSimT<W>::set_input_all(NetId net, bool v) {
   const CellId drv = topo_->nl->net(net).driver;
   assert(drv != kInvalidId && topo_->nl->cell(drv).type == CellType::kInput);
-  input_hold_[drv] = lane_broadcast<Word>(v);
+  set_held(drv, lane_broadcast<Word>(v));
 }
 
 template <int W>
 void PackedSimT<W>::set_input_lanes(NetId net, Word lanes) {
   const CellId drv = topo_->nl->net(net).driver;
   assert(drv != kInvalidId && topo_->nl->cell(drv).type == CellType::kInput);
-  input_hold_[drv] = lanes;
+  set_held(drv, lanes);
+}
+
+template <int W>
+void PackedSimT<W>::set_held(CellId input_cell, const Word& lanes) {
+  Word& held = input_hold_[input_cell];
+  if (!lane_neq(held, lanes)) return;
+  held = lanes;
+  settled_ = false;
 }
 
 template <int W>
@@ -426,11 +438,16 @@ void PackedSimT<W>::run_event_sweep() {
 template <int W>
 void PackedSimT<W>::eval() {
   ++activity_.evals;
-  if (inj_dirty_) prepare_injections();
-  if (mode_ == PackedEvalMode::kFullSweep || needs_full_)
-    run_full_sweep();
-  else
-    run_event_sweep();
+  // A settled event-mode sim skips the drain: nothing changed since the
+  // last settle, so every net already holds the value it would recompute.
+  if (!settled_ || mode_ == PackedEvalMode::kFullSweep) {
+    if (inj_dirty_) prepare_injections();
+    if (mode_ == PackedEvalMode::kFullSweep || needs_full_)
+      run_full_sweep();
+    else
+      run_event_sweep();
+    settled_ = true;
+  }
   if (settle_log_) sample_settle();
 }
 
@@ -439,6 +456,7 @@ void PackedSimT<W>::full_eval() {
   ++activity_.evals;
   if (inj_dirty_) prepare_injections();
   run_full_sweep();
+  settled_ = true;
   if (settle_log_) sample_settle();
 }
 
@@ -463,6 +481,7 @@ void PackedSimT<W>::sample_settle() {
 
 template <int W>
 void PackedSimT<W>::clock() {
+  settled_ = false;
   if (inj_dirty_) prepare_injections();
   const PackedTopology& t = *topo_;
   Word tmp[4];

@@ -23,7 +23,10 @@
 // per-level vectors, and clock() is incremental by default: only flops
 // whose D input changed since their last latch — the dirty-D set seeded
 // by the same event drain — are latched, with the full two-pass latch
-// retained as the oracle (PackedClockMode).
+// retained as the oracle (PackedClockMode). An event-mode eval() with
+// nothing to settle — no held input word, injection or flop changed since
+// the last settle — returns at once; environments that re-drive unchanged
+// inputs and re-settle pay only the call.
 #pragma once
 
 #include <cstdint>
@@ -183,6 +186,8 @@ class PackedSimT {
   /// Settles combinational logic (applies injections). Event-driven unless
   /// the mode is kFullSweep or the state was invalidated (power-on,
   /// injection change), in which case it falls back to one full sweep.
+  /// In event mode, a call with nothing changed since the last settle
+  /// (see settled_) only counts the call and samples the settle log.
   void eval();
   /// Unconditional levelized sweep over every cell — the reference kernel.
   void full_eval();
@@ -214,6 +219,8 @@ class PackedSimT {
 
  private:
   Word apply_inj(CellId id, Word* tmp, Word out_val, bool apply_output) const;
+  /// Holds `lanes` on a primary input; a changed word unsettles the sim.
+  void set_held(CellId input_cell, const Word& lanes);
   void prepare_injections();
   void run_full_sweep();
   void run_event_sweep();
@@ -272,6 +279,11 @@ class PackedSimT {
   std::vector<std::uint32_t> flop_stamp_;     // per flop index
   std::uint32_t flop_epoch_ = 1;
   bool all_flops_dirty_ = true;
+
+  // Every net holds its settled value for the current held inputs,
+  // injections and flop state. Set by each eval(); cleared by a changed
+  // held input word, an injection change, power_on() and clock().
+  bool settled_ = false;
 
   PackedActivity activity_;
   SettleLog* settle_log_ = nullptr;

@@ -94,6 +94,14 @@ inline bool lane_test(const Word& v, int lane) {
   return (word_of(v, lane / 64) >> (lane % 64)) & 1ULL;
 }
 
+/// Calls f(lane) for every set lane of `mask`, in ascending order.
+template <class Word, class F>
+inline void for_each_lane(const Word& mask, F&& f) {
+  for (int k = 0; k < static_cast<int>(sizeof(Word) / 8); ++k)
+    for (std::uint64_t w = word_of(mask, k); w != 0; w &= w - 1)
+      f(k * 64 + __builtin_ctzll(w));
+}
+
 /// Per-batch detection mask: bit i set = fault i of the batch detected.
 /// Storage is fixed at the widest kernel's size (2 x 64 bits, enough for
 /// a 128-lane batch's 127 faults) no matter the runner's width, so the

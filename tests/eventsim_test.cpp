@@ -297,6 +297,134 @@ TEST(EventSim, IncrementalClockingMatchesOraclesAt128Lanes) {
 }
 
 // ---------------------------------------------------------------------------
+// Settled-eval skip. An event-mode eval() with nothing changed since the
+// last settle returns at once. A second simulator in full-sweep mode
+// mirrors every operation, and after each invalidation point the event
+// sim's next eval() must match that oracle's fresh full_eval() on every
+// net and observed output; a repeated eval() must then evaluate nothing.
+
+template <int W>
+LaneWord<W> random_lanes(Rng& rng) {
+  LaneWord<W> w{};
+  for (int k = 0; k < W / 64; ++k) set_word_of(w, k, rng.next_u64());
+  return w;
+}
+
+template <int W>
+void settled_eval_lockstep(std::uint64_t seed) {
+  Rng rng(seed);
+  RandomDesign d = random_design(rng, 8, 16, 150);
+  const auto topo = PackedTopology::build(d.nl);
+  PackedSimT<W> evt(topo);
+  PackedSimT<W> oracle(topo);
+  oracle.set_eval_mode(PackedEvalMode::kFullSweep);
+  PackedSimT<W>* const sims[] = {&evt, &oracle};
+
+  const auto compare_all = [&](const std::string& what) {
+    for (NetId n = 0; n < d.nl.num_nets(); ++n)
+      ASSERT_FALSE(lane_neq(evt.value(n), oracle.value(n)))
+          << "W=" << W << " seed " << seed << ": net " << d.nl.net(n).name
+          << " diverged after " << what;
+    for (CellId oc : d.output_cells)
+      ASSERT_FALSE(lane_neq(evt.observed(oc), oracle.observed(oc)))
+          << "W=" << W << " seed " << seed << ": output "
+          << d.nl.cell(oc).name << " diverged after " << what;
+  };
+  // A repeated eval() on a settled sim counts the call and nothing else.
+  const auto expect_skip = [&](const std::string& what) {
+    const PackedActivity before = evt.activity();
+    evt.eval();
+    EXPECT_EQ(evt.activity().evals, before.evals + 1) << what;
+    EXPECT_EQ(evt.activity().cells_evaluated, before.cells_evaluated)
+        << "W=" << W << " seed " << seed << ": eval after " << what
+        << " was not skipped";
+    EXPECT_EQ(evt.activity().full_sweeps, before.full_sweeps) << what;
+  };
+  // The event sim settles; the oracle recomputes everything from scratch.
+  const auto settle = [&](const std::string& what) {
+    evt.eval();
+    oracle.full_eval();
+    compare_all(what);
+    expect_skip(what);
+    compare_all(what + " (repeated eval)");
+  };
+  const auto drive_inputs = [&] {
+    for (NetId in : d.input_nets) {
+      if (rng.next_below(3) == 0) continue;  // leave some inputs unchanged
+      const LaneWord<W> w = random_lanes<W>(rng);
+      for (auto* s : sims) s->set_input_lanes(in, w);
+    }
+  };
+
+  for (auto* s : sims) s->power_on();
+  drive_inputs();
+  settle("power-on");
+  for (int i = 0; i < 4; ++i) {
+    drive_inputs();
+    settle("input change " + std::to_string(i));
+    for (auto* s : sims) s->clock();
+    oracle.full_eval();
+    compare_all("clock " + std::to_string(i));
+    expect_skip("clock " + std::to_string(i));
+  }
+  // Re-driving the held words leaves nothing to settle.
+  for (NetId in : d.input_nets) evt.set_input_lanes(in, evt.value(in));
+  expect_skip("re-driving unchanged inputs");
+
+  // One injection of each kind set_injection_lanes treats differently:
+  // combinational cell, flop Q, primary input and output port.
+  const auto pick = [&](auto&& accept) {
+    std::vector<CellId> cells;
+    for (CellId c = 0; c < d.nl.num_cells(); ++c)
+      if (accept(d.nl.cell(c).type)) cells.push_back(c);
+    return cells[rng.next_below(cells.size())];
+  };
+  const CellId sites[] = {
+      pick([](CellType t) {
+        return t != CellType::kInput && t != CellType::kOutput &&
+               !is_tie(t) && !is_sequential(t);
+      }),
+      pick([](CellType t) { return is_sequential(t); }),
+      pick([](CellType t) { return t == CellType::kInput; }),
+      pick([](CellType t) { return t == CellType::kOutput; })};
+  for (const CellId c : sites) {
+    const std::uint8_t pin = d.nl.cell(c).type == CellType::kOutput ? 1 : 0;
+    const PackedInjectionT<W> inj{c, pin, rng.next_bool(), random_lanes<W>(rng)};
+    for (auto* s : sims) s->add_injection(inj);
+  }
+  settle("add_injection");
+  const char* const kinds[] = {"comb", "flop Q", "PI", "PO"};
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < std::size(sites); ++i) {
+      const LaneWord<W> lanes = random_lanes<W>(rng);
+      for (auto* s : sims) s->set_injection_lanes(i, lanes);
+      settle(std::string("set_injection_lanes on ") + kinds[i]);
+      // Re-arming the same mask leaves nothing to settle.
+      evt.set_injection_lanes(i, lanes);
+      expect_skip(std::string("unchanged set_injection_lanes on ") + kinds[i]);
+    }
+    for (auto* s : sims) s->clock();
+    oracle.full_eval();
+    compare_all("clock with injections");
+    expect_skip("clock with injections");
+  }
+  for (auto* s : sims) s->clear_injections();
+  settle("clear_injections");
+  drive_inputs();
+  for (auto* s : sims) s->power_on();
+  drive_inputs();
+  settle("mid-run power-on");
+}
+
+TEST(EventSim, SettledEvalIsSkippedAndExact) {
+  for (std::uint64_t seed = 61; seed <= 64; ++seed) {
+    settled_eval_lockstep<64>(seed);
+    settled_eval_lockstep<128>(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Transition-delay batches vs a naive two-cycle oracle. The oracle runs
 // one fault at a time through two plain simulators: a good run recording
 // the site's value and every observed output per cycle, then a faulty run

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
@@ -9,20 +11,6 @@
 
 namespace olfui {
 namespace {
-
-TEST(LaneTranspose, RoundTrip) {
-  Netlist nl("t");
-  Bus bus(8);
-  for (int i = 0; i < 8; ++i) bus[i] = nl.add_input("b" + std::to_string(i));
-  nl.add_output("o", bus[0]);
-  PackedSim sim(nl);
-  std::array<std::uint64_t, 64> lanes{};
-  for (int l = 0; l < 64; ++l) lanes[l] = static_cast<std::uint64_t>(l * 3 % 256);
-  drive_bus_lanes(sim, bus, lanes);
-  sim.eval();
-  const auto back = read_bus_lanes(sim, bus);
-  for (int l = 0; l < 64; ++l) EXPECT_EQ(back[l], lanes[l]) << l;
-}
 
 /// Environment driving a 2-bit counter circuit with an enable input; the
 /// counter value is the observed "bus".
@@ -268,6 +256,41 @@ TEST(ReferenceTraceFingerprint, StableAcrossLaneWidthsAndClockingModes) {
   // and therefore the cache key built from it — is width-invariant.
   EXPECT_EQ(record_counter_trace<128>(rig, u, true).fingerprint(), fp);
   EXPECT_EQ(record_counter_trace<128>(rig, u, false).fingerprint(), fp);
+}
+
+/// Fault i rides lane i + 1, so W faults would need a lane the word does
+/// not have: both batch models refuse them, naming the size and width.
+template <int W>
+void expect_oversized_batch_throws() {
+  CounterRig rig;
+  const FaultUniverse u(rig.nl);
+  SequentialFaultSimulatorT<W> fsim(rig.nl, u, {.max_cycles = 20});
+  fsim.set_observed(rig.outputs);
+  CounterEnvT<W> env(rig.en);
+  std::vector<FaultId> faults(W, u.id_of({rig.cnt.flops[1], 0}, false));
+  const std::string size = std::to_string(W) + " faults";
+  const std::string width = std::to_string(W) + "-lane";
+  for (const bool tdf : {false, true}) {
+    try {
+      tdf ? fsim.run_tdf_batch(faults, env) : fsim.run_batch(faults, env);
+      ADD_FAILURE() << "W=" << W << " tdf=" << tdf << ": no throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(size), std::string::npos) << what;
+      EXPECT_NE(what.find(width), std::string::npos) << what;
+    }
+  }
+  // W - 1 faults fill the pass exactly; the last lane grades like the first.
+  faults.pop_back();
+  const LaneMask det = fsim.run_batch(faults, env);
+  EXPECT_TRUE(det.bit(0)) << "W=" << W;
+  EXPECT_TRUE(det.bit(W - 2)) << "W=" << W;
+  EXPECT_NO_THROW(fsim.run_tdf_batch(faults, env)) << "W=" << W;
+}
+
+TEST(SeqFsim, OversizedBatchThrows) {
+  expect_oversized_batch_throws<64>();
+  expect_oversized_batch_throws<128>();
 }
 
 }  // namespace

@@ -161,6 +161,26 @@ std::vector<bool> grade_all(const RandomDesign& d, const FaultUniverse& u,
   return verdicts;
 }
 
+template <int W>
+void check_for_each_lane(std::uint64_t seed) {
+  Rng rng(seed);
+  for (int round = 0; round < 8; ++round) {
+    LaneWord<W> mask{};
+    for (int k = 0; k < W / 64; ++k)
+      set_word_of(mask, k, round == 0 ? 0 : rng.next_u64() & rng.next_u64());
+    std::vector<int> want, got;
+    for (int l = 0; l < W; ++l)
+      if (lane_test(mask, l)) want.push_back(l);
+    for_each_lane(mask, [&](int l) { got.push_back(l); });
+    EXPECT_EQ(got, want) << "W=" << W << " round " << round;
+  }
+}
+
+TEST(LaneWidth, ForEachLaneVisitsSetLanesInOrder) {
+  check_for_each_lane<64>(41);
+  check_for_each_lane<128>(42);
+}
+
 TEST(LaneWidth, AllWidthsMatchScalarBaselineAndSweepOracle) {
   for (std::uint64_t seed = 31; seed <= 33; ++seed) {
     Rng rng(seed);

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
 #include "sbst/sbst.hpp"
+#include "util/strings.hpp"
 
 namespace olfui {
 namespace {
@@ -241,6 +247,190 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
   const auto rsa = run_sbst_campaign(*soc, suite, sa, {});
   EXPECT_EQ(rsa.campaign.fault_model, FaultModel::kStuckAt);
   EXPECT_LE(r1.total_detected, rsa.total_detected);
+}
+
+// ---------------------------------------------------------------------------
+// SocFsimEnvironment serves each bus once for lane 0 and answers only the
+// lanes whose bus differs, with RAM forked per lane on its first write
+// that lane 0 does not make. The reference below serves every lane
+// separately: each lane's fetch, write and read from its own RAM map, with
+// buses moved between lane words and per-lane values by plain bit loops.
+// Both must drive every net to the same word on every cycle.
+
+class PerLaneSocEnv : public FsimEnvironmentT<128> {
+ public:
+  static constexpr int W = 128;
+  using Word = LaneWord<W>;
+  using Values = std::array<std::uint64_t, W>;
+
+  PerLaneSocEnv(const Soc& soc, const FlashImage& flash, int run_cycles)
+      : soc_(&soc), flash_(&flash), run_cycles_(run_cycles) {
+    const Netlist& nl = soc.netlist;
+    for (int i = 0; i < 32; ++i) {
+      iaddr_.push_back(nl.find_output(format("iaddr_o%d", i)));
+      baddr_.push_back(nl.find_output(format("baddr_o%d", i)));
+      bwdata_.push_back(nl.find_output(format("bwdata_o%d", i)));
+    }
+  }
+
+  void reset(PackedSimT<W>& sim) override {
+    for (auto& r : ram_) r.clear();
+    halt_seen_ = false;
+    drive_mission_inputs(sim, false);
+    sim.set_input_word(soc_->cpu.instr_in, 0);
+    sim.set_input_word(soc_->cpu.rdata_in, 0);
+    sim.eval();
+    sim.clock();
+    sim.clock();
+  }
+
+  bool step(PackedSimT<W>& sim, int cycle) override {
+    if (cycle >= run_cycles_ || halt_seen_) return false;
+    drive_mission_inputs(sim, true);
+    sim.eval();
+    const Values iaddr = read_lanes(sim, iaddr_);
+    Values instr{};
+    for (int l = 0; l < W; ++l) instr[l] = flash_->read(iaddr[l]);
+    drive_lanes(sim, soc_->cpu.instr_in, instr);
+    sim.eval();
+    const Values baddr = read_lanes(sim, baddr_);
+    const Values bwdata = read_lanes(sim, bwdata_);
+    const Word wr = sim.observed(soc_->netlist.find_output("bwr_o"));
+    const Word rd = sim.observed(soc_->netlist.find_output("brd_o"));
+    Values rdata{};
+    for (int l = 0; l < W; ++l) {
+      auto& ram = ram_[static_cast<std::size_t>(l)];
+      if (lane_test(wr, l) && soc_->map.contains(baddr[l]))
+        ram[baddr[l] & ~3ULL] = static_cast<std::uint32_t>(bwdata[l]);
+      if (lane_test(rd, l)) {
+        const auto it = ram.find(baddr[l] & ~3ULL);
+        rdata[l] = it != ram.end() ? it->second : flash_->read(baddr[l]);
+      }
+    }
+    drive_lanes(sim, soc_->cpu.rdata_in, rdata);
+    sim.eval();
+    if (lane_test(sim.observed(soc_->netlist.find_output("halted_o")), 0))
+      halt_seen_ = true;
+    return true;
+  }
+
+ private:
+  void drive_mission_inputs(PackedSimT<W>& sim, bool rstn) {
+    sim.set_input_all(soc_->cpu.rstn, rstn);
+    sim.set_input_all(soc_->scan.se_net, soc_->scan.se_functional_value);
+    for (const ScanChain& c : soc_->scan.chains)
+      sim.set_input_all(c.scan_in_net, false);
+    for (std::size_t i = 0; i < soc_->debug.control_inputs.size(); ++i)
+      sim.set_input_all(soc_->debug.control_inputs[i],
+                        soc_->debug.control_values[i]);
+  }
+  static Values read_lanes(const PackedSimT<W>& sim,
+                           const std::vector<CellId>& cells) {
+    Values out{};
+    for (std::size_t b = 0; b < cells.size(); ++b) {
+      const Word w = sim.observed(cells[b]);
+      for (int l = 0; l < W; ++l)
+        out[l] |= static_cast<std::uint64_t>(lane_test(w, l)) << b;
+    }
+    return out;
+  }
+  static void drive_lanes(PackedSimT<W>& sim, const Bus& bus,
+                          const Values& values) {
+    for (std::size_t b = 0; b < bus.size(); ++b) {
+      Word w{};
+      for (int l = 0; l < W; ++l)
+        if ((values[l] >> b) & 1ULL) w |= lane_bit<Word>(l);
+      sim.set_input_lanes(bus[b], w);
+    }
+  }
+
+  const Soc* soc_;
+  const FlashImage* flash_;
+  int run_cycles_;
+  bool halt_seen_ = false;
+  std::array<std::unordered_map<std::uint64_t, std::uint32_t>, W> ram_;
+  std::vector<CellId> iaddr_, baddr_, bwdata_;
+};
+
+TEST(SocFsim, LaneZeroServiceMatchesPerLaneReference) {
+  constexpr int W = 128;
+  const SocConfig cfg = lean_config();
+  auto soc = build_soc(cfg);
+  auto suite = build_sbst_suite(cfg);
+  const FaultUniverse u(soc->netlist);
+  const auto topo = PackedTopology::build(soc->netlist);
+  const Netlist& nl = soc->netlist;
+
+  // Faults that move the data bus (so lanes fork their RAM and read other
+  // words), the load strobe (so lanes read when lane 0 does not) and the
+  // PC (so lanes fetch other instructions), both polarities.
+  std::vector<FaultId> faults;
+  const auto both = [&](Pin pin) {
+    faults.push_back(u.id_of(pin, false));
+    faults.push_back(u.id_of(pin, true));
+  };
+  for (const int b : {0, 2, 3, 4, 5, 6, 8, 12, 16, 17, 30, 31}) {
+    both({nl.find_output(format("baddr_o%d", b)), 1});
+    both({nl.find_output(format("bwdata_o%d", b)), 1});
+  }
+  both({nl.find_output("bwr_o"), 1});
+  both({nl.find_output("brd_o"), 1});
+  for (const int b : {2, 3, 4, 5, 6, 7, 9, 15}) both({soc->cpu.pc.flops[b], 0});
+  ASSERT_LT(faults.size(), static_cast<std::size_t>(W));
+
+  for (const char* name : {"loadstore", "branch_btb"}) {
+    SCOPED_TRACE(name);
+    SbstProgram* prog = nullptr;
+    for (SbstProgram& sp : suite)
+      if (sp.name == name) prog = &sp;
+    ASSERT_NE(prog, nullptr);
+    FlashImage flash(cfg.flash_base, cfg.flash_size);
+    flash.load(prog->program.base(), prog->program.words());
+    const int cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin;
+
+    PerLaneSocEnv ref(*soc, flash, cycles);
+    SocFsimEnvironmentT<W> env(*soc, flash, cycles);
+    PackedSimT<W> a(topo), b(topo);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const Fault& f = u.fault(faults[i]);
+      const LaneWord<W> lane = lane_bit<LaneWord<W>>(static_cast<int>(i) + 1);
+      a.add_injection({f.pin.cell, f.pin.pin, f.sa1, lane});
+      b.add_injection({f.pin.cell, f.pin.pin, f.sa1, lane});
+    }
+    const auto compare_all = [&](int cycle, const char* when) {
+      for (NetId n = 0; n < nl.num_nets(); ++n)
+        ASSERT_FALSE(lane_neq(a.value(n), b.value(n)))
+            << "net " << nl.net(n).name << " diverged " << when
+            << " of cycle " << cycle;
+    };
+    a.power_on();
+    b.power_on();
+    ref.reset(a);
+    env.reset(b);
+    compare_all(-1, "after reset");
+    int steps = 0;
+    for (int cycle = 0; cycle < cycles; ++cycle) {
+      const bool more = ref.step(a, cycle);
+      ASSERT_EQ(env.step(b, cycle), more) << "cycle " << cycle;
+      if (!more) break;
+      compare_all(cycle, "after the step");
+      a.clock();
+      b.clock();
+      compare_all(cycle, "after the clock");
+      if (::testing::Test::HasFatalFailure()) return;
+      ++steps;
+    }
+    EXPECT_LT(steps, cycles);  // the good machine halted
+    EXPECT_TRUE(lane_any(env.private_lanes())) << "no lane forked its RAM";
+
+    // The batch verdicts agree too, under both fault models.
+    SequentialFaultSimulatorT<W> fsim(nl, u, {.max_cycles = cycles}, topo);
+    fsim.set_observed(soc->cpu.bus_output_cells);
+    const LaneMask sa = fsim.run_batch(faults, env);
+    EXPECT_EQ(fsim.run_batch(faults, ref), sa);
+    EXPECT_TRUE(sa.any());
+    EXPECT_EQ(fsim.run_tdf_batch(faults, ref), fsim.run_tdf_batch(faults, env));
+  }
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "util/bits.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -136,79 +135,6 @@ TEST(Strings, WithCommas) {
   EXPECT_EQ(with_commas(1000), "1,000");
   EXPECT_EQ(with_commas(214930), "214,930");
   EXPECT_EQ(with_commas(1234567890), "1,234,567,890");
-}
-
-TEST(Bits, Transpose64MatchesBitLoop) {
-  std::uint64_t m[64], expect[64] = {};
-  std::uint64_t x = 0x243F6A8885A308D3ULL;  // splitmix-ish fill
-  for (auto& w : m) {
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    w = z ^ (z >> 27);
-  }
-  for (int i = 0; i < 64; ++i)
-    for (int j = 0; j < 64; ++j)
-      if ((m[i] >> j) & 1ULL) expect[j] |= 1ULL << i;
-  std::uint64_t t[64];
-  std::copy(std::begin(m), std::end(m), std::begin(t));
-  transpose64(t);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(t[i], expect[i]) << i;
-  // Involution: transposing twice restores the original.
-  transpose64(t);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(t[i], m[i]) << i;
-}
-
-/// Deterministic splitmix-ish word stream shared by the transpose tests.
-std::vector<std::uint64_t> splitmix_words(std::size_t n, std::uint64_t seed) {
-  std::vector<std::uint64_t> out(n);
-  std::uint64_t x = seed;
-  for (auto& w : out) {
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    w = z ^ (z >> 27);
-  }
-  return out;
-}
-
-/// Bit (row r, column c) of a row-major W x W matrix stored K = W/64
-/// words per row.
-template <int W>
-bool matrix_bit(const std::uint64_t* a, int r, int c) {
-  constexpr int K = W / 64;
-  return (a[r * K + c / 64] >> (c % 64)) & 1ULL;
-}
-
-template <int W>
-void check_transpose_bits(std::uint64_t seed) {
-  constexpr int K = W / 64;
-  const std::vector<std::uint64_t> m =
-      splitmix_words(static_cast<std::size_t>(W) * K, seed);
-  std::vector<std::uint64_t> t = m;
-  transpose_bits<W>(t.data());
-  // Every bit lands mirrored across the diagonal: (r, c) -> (c, r).
-  for (int r = 0; r < W; ++r)
-    for (int c = 0; c < W; ++c)
-      ASSERT_EQ(matrix_bit<W>(t.data(), c, r), matrix_bit<W>(m.data(), r, c))
-          << "W=" << W << " r=" << r << " c=" << c;
-  // Involution: transposing twice restores the original words.
-  transpose_bits<W>(t.data());
-  EXPECT_EQ(t, m) << "W=" << W;
-}
-
-TEST(Bits, TransposeBitsMirrorsAndInverts) {
-  check_transpose_bits<64>(0x243F6A8885A308D3ULL);
-  check_transpose_bits<128>(0x13198A2E03707344ULL);
-  check_transpose_bits<256>(0xA4093822299F31D0ULL);
-}
-
-TEST(Bits, TransposeBits64MatchesTranspose64) {
-  const std::vector<std::uint64_t> m = splitmix_words(64, 0x082EFA98EC4E6C89ULL);
-  std::vector<std::uint64_t> a = m, b = m;
-  transpose_bits<64>(a.data());
-  transpose64(b.data());
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace
