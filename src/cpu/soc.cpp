@@ -1,6 +1,8 @@
 #include "cpu/soc.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "util/strings.hpp"
 
@@ -136,6 +138,21 @@ SocFsimEnvironmentT<W>::SocFsimEnvironmentT(const Soc& soc,
   bwr_cell_ = nl.find_output("bwr_o");
   brd_cell_ = nl.find_output("brd_o");
   halted_cell_ = nl.find_output("halted_o");
+  // step() reads the bus before the cycle settles, which is exact only
+  // for ports a flop drives: nothing this cycle drives can reach them.
+  std::string combinational;
+  const auto check = [&](CellId port) {
+    const CellId drv = nl.net(nl.cell(port).ins[0]).driver;
+    if (drv != kInvalidId && is_sequential(nl.cell(drv).type)) return;
+    if (!combinational.empty()) combinational += ", ";
+    combinational += nl.cell(port).name;
+  };
+  for (const auto* cells : {&iaddr_cells_, &baddr_cells_, &bwdata_cells_})
+    for (const CellId port : *cells) check(port);
+  for (const CellId port : {bwr_cell_, brd_cell_, halted_cell_}) check(port);
+  if (!combinational.empty())
+    throw std::invalid_argument(
+        "SocFsimEnvironment: bus ports not driven by a flop: " + combinational);
 }
 
 template <int W>
@@ -222,8 +239,10 @@ void SocFsimEnvironmentT<W>::reset(PackedSimT<W>& sim) {
 template <int W>
 bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
   if (cycle >= run_cycles_ || halt_seen_) return false;
-  drive_mission_inputs(sim, true);
-  sim.eval();
+  // Every bus port is flop-driven (checked at construction), so right
+  // after the latch it already shows this cycle's value. Let the
+  // comparison see the halting cycle, then stop on the next one.
+  if (lane_test(sim.observed(halted_cell_), 0)) halt_seen_ = true;
   // Instruction fetch: a faulty machine that wanders to a wrong address
   // fetches whatever the flash holds there (NOP outside).
   const BusRead iaddr = read_bus(sim, iaddr_cells_);
@@ -234,7 +253,6 @@ bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
     if (instr != instr0) patches_.push_back({l, instr});
   });
   drive_bus(sim, soc_->cpu.instr_in, instr0, patches_);
-  sim.eval();
   // Bus transactions.
   const BusRead baddr = read_bus(sim, baddr_cells_);
   const BusRead bwdata = read_bus(sim, bwdata_cells_);
@@ -271,9 +289,7 @@ bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
                   if (rdata != rdata0) patches_.push_back({l, rdata});
                 });
   drive_bus(sim, soc_->cpu.rdata_in, rdata0, patches_);
-  sim.eval();
-  // Let the comparison see the halting cycle, then stop on the next one.
-  if (lane_test(sim.observed(halted_cell_), 0)) halt_seen_ = true;
+  drive_mission_inputs(sim, true);
   return true;
 }
 

@@ -21,7 +21,11 @@
 //    most cycles, so each bus is served once for lane 0 and answered
 //    separately only for the lanes whose bus differs; a faulty lane's RAM
 //    is lane 0's until its first write that lane 0 does not make, when it
-//    forks a private copy.
+//    forks a private copy. Every bus port is flop-driven (the constructor
+//    checks), so step() reads the whole bus right after the latch and
+//    drives the answers without settling: the fault simulator settles
+//    each cycle exactly once, which lets it replay the good machine from
+//    the reference trace.
 #pragma once
 
 #include <array>
@@ -112,10 +116,12 @@ class SocSimulator {
 /// Packed fault-simulation environment with per-lane data memory, served
 /// from lane 0 (the good machine).
 ///
-/// Each step reads every observed bus once as lane 0's value plus the
-/// lanes whose bus differs from it, answers lane 0 once, broadcasts that
-/// answer, and patches only the differing lanes whose own answer differs
-/// — every lane gets exactly the words a per-lane service would drive.
+/// Each step reads every observed bus once, right after the latch, as
+/// lane 0's value plus the lanes whose bus differs from it, answers lane 0
+/// once, broadcasts that answer, and patches only the differing lanes
+/// whose own answer differs — every lane gets exactly the words a
+/// per-lane service would drive. It drives instr_in, rdata_in and the
+/// mission inputs and leaves the settle to the caller.
 /// RAM is copy-on-diverge: ram_[0] is lane 0's, and a faulty lane shares
 /// it until the first cycle its write differs from lane 0's (strobe,
 /// address or data), when it takes a copy of ram_[0] as it stood before
@@ -126,6 +132,9 @@ class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
  public:
   using Word = LaneWord<W>;
 
+  /// Throws std::invalid_argument naming every bus port (iaddr, baddr,
+  /// bwdata, bwr, brd, halted) whose net no flop drives: step() reads them
+  /// before the cycle settles.
   SocFsimEnvironmentT(const Soc& soc, const FlashImage& flash, int run_cycles);
 
   void reset(PackedSimT<W>& sim) override;

@@ -1,6 +1,8 @@
 #include "fsim/fsim.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -27,6 +29,58 @@ void check_batch_size(const char* what, std::size_t faults, int lanes) {
         " faults exceed the " + std::to_string(lanes - 1) +
         " faulty lanes of a " + std::to_string(lanes) + "-lane pass");
 }
+
+/// Streams a ReferenceTrace's frames in cycle order: one run cursor per
+/// 64-net column yields each cycle's lane-0 words and the bits that changed
+/// since the previous cycle. Nothing per cycle is stored.
+class FrameStream {
+ public:
+  explicit FrameStream(const ReferenceTrace& trace)
+      : trace_(&trace),
+        run_(trace.columns.size(), 0),
+        next_(trace.columns.size()),
+        value_(trace.columns.size()),
+        changed_(trace.columns.size(), 0) {
+    for (std::size_t o = 0; o < run_.size(); ++o) {
+      const ReferenceTrace::Column& col = trace.columns[o];
+      value_[o] = col.value.empty() ? 0 : col.value[0];
+      next_[o] = next_start(col, 0);
+    }
+    frame_.value = value_.data();
+    frame_.changed = changed_.data();
+  }
+
+  /// The frame of `cycle`; calls must step through 0, 1, 2, ... in order.
+  const NetFrame& at(int cycle) {
+    const auto c = static_cast<std::uint32_t>(cycle);
+    for (std::size_t o = 0; o < run_.size(); ++o) {
+      if (next_[o] != c) {
+        changed_[o] = 0;
+        continue;
+      }
+      const ReferenceTrace::Column& col = trace_->columns[o];
+      const std::size_t r = ++run_[o];
+      changed_[o] = value_[o] ^ col.value[r];
+      value_[o] = col.value[r];
+      next_[o] = next_start(col, r);
+    }
+    frame_.cycle = cycle;
+    return frame_;
+  }
+
+ private:
+  /// Start cycle of the run after run `r`, or never.
+  static std::uint32_t next_start(const ReferenceTrace::Column& col,
+                                  std::size_t r) {
+    return r + 1 < col.cycle.size() ? col.cycle[r + 1] : UINT32_MAX;
+  }
+
+  const ReferenceTrace* trace_;
+  std::vector<std::size_t> run_;
+  std::vector<std::uint32_t> next_;  // start cycle of each column's next run
+  std::vector<std::uint64_t> value_, changed_;
+  NetFrame frame_;
+};
 
 }  // namespace
 
@@ -170,11 +224,18 @@ ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
   }
   for (int cycle = 0; cycle < opts_.max_cycles; ++cycle) {
     if (!env.step(sim_, cycle)) break;
-    std::fill(words.begin(), words.end(), 0);
-    for (NetId n = 0; n < nets; ++n)
-      words[n / 64] |= (word_of(sim_.value(n), 0) & 1ULL) << (n % 64);
+    sim_.eval();
+    // One register per column: OR-ing into words[] directly would reload
+    // and store it for every net.
+    for (std::size_t o = 0; o < words.size(); ++o) {
+      const NetId end = static_cast<NetId>(std::min(nets, (o + 1) * 64));
+      std::uint64_t w = 0;
+      for (auto n = static_cast<NetId>(o * 64); n < end; ++n)
+        w |= (word_of(sim_.value(n), 0) & 1ULL) << (n % 64);
+      words[o] = w;
+    }
     trace.append_cycle(words.data());
-    sim_.clock();
+    sim_.latch();
   }
   if (activation) {
     *activation = trace.activation();
@@ -188,6 +249,12 @@ ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
 
 template <int W>
 void SequentialFaultSimulatorT<W>::prepare_trace(const ReferenceTrace* trace) {
+  // The frame settle reads one frame bit per net of this netlist.
+  if (trace && trace->num_nets != nl_->num_nets())
+    throw std::invalid_argument(
+        "SequentialFaultSimulator: the trace covers " +
+        std::to_string(trace->num_nets) + " nets, the netlist has " +
+        std::to_string(nl_->num_nets()));
   if (trace == prepared_trace_ &&
       (!trace || (trace->cycles == prepared_cycles_ &&
                   trace->num_nets == prepared_nets_ &&
@@ -260,12 +327,15 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
   env.reset(sim_);
 
   const int bound = trace ? trace->cycles : opts_.max_cycles;
+  std::optional<FrameStream> frames;
+  if (trace) frames.emplace(*trace);
   Word diverged{};
   for (int cycle = 0; cycle < bound; ++cycle) {
     if (!env.step(sim_, cycle)) break;
+    sim_.eval(frames ? &frames->at(cycle) : nullptr);
     diverged = (diverged | observe_divergence(cycle, trace)) & fault_lanes;
     if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
-    sim_.clock();
+    sim_.latch();
   }
   publish_activity();
   return unpack_detected(diverged, faults.size());
@@ -310,11 +380,12 @@ LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
     site_good.reserve(static_cast<std::size_t>(std::max(bound, 0)));
     for (int cycle = 0; cycle < bound; ++cycle) {
       if (!env.step(sim_, cycle)) break;
+      sim_.eval();
       LaneMask w;
       for (std::size_t i = 0; i < faults.size(); ++i)
         if (word_of(sim_.value(site[i]), 0) & 1ULL) w.set_bit(i);
       site_good.push_back(w);
-      sim_.clock();
+      sim_.latch();
     }
   }
   const int cycles = static_cast<int>(site_good.size());
@@ -333,6 +404,8 @@ LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
   sim_.power_on();
   env.reset(sim_);
 
+  std::optional<FrameStream> frames;
+  if (trace) frames.emplace(*trace);
   Word diverged{};
   for (int cycle = 0; cycle < cycles; ++cycle) {
     // Launch detection needs a previous clocked cycle, so cycle 0 never
@@ -347,9 +420,10 @@ LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
       sim_.set_injection_lanes(
           i, launched.bit(i) ? lane_bit<Word>(static_cast<int>(i) + 1) : Word{});
     if (!env.step(sim_, cycle)) break;
+    sim_.eval(frames ? &frames->at(cycle) : nullptr);
     diverged = (diverged | observe_divergence(cycle, trace)) & fault_lanes;
     if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
-    sim_.clock();
+    sim_.latch();
   }
   publish_activity();
   return unpack_detected(diverged, faults.size());
@@ -370,6 +444,8 @@ void SequentialFaultSimulatorT<W>::publish_activity() {
       .add(a.cells_evaluated - base.cells_evaluated);
   obs::metrics().counter("kernel.events_drained")
       .add(a.events_drained - base.events_drained);
+  obs::metrics().counter("kernel.frame_fills")
+      .add(a.frame_fills - base.frame_fills);
   obs::metrics().counter("kernel.levels_touched")
       .add(a.levels_touched - base.levels_touched);
   obs::metrics().counter("kernel.quiet_cells")

@@ -15,7 +15,12 @@
 //    reads wrong data, exactly as on silicon. Environments drive whole
 //    lane words (PackedSim::set_input_lanes); SocFsimEnvironment builds
 //    them from lane 0's answer, patched only on the lanes whose bus
-//    differs, and the kernel skips any eval() that has nothing to settle.
+//    differs.
+//    Every cycle is env.step -> one settle -> observe -> latch. With a
+//    ReferenceTrace the settle replays the good machine: the trace's
+//    frames stream through one run cursor per 64-net column, and the
+//    kernel fills every lane-uniform net from the frame and evaluates only
+//    where a faulty lane diverges (PackedSimT::eval(const NetFrame*)).
 //
 //  * parallel-pattern combinational simulation (PPSF) — 64 patterns per
 //    pass for one fault; used for ATPG validation and property tests.
@@ -36,17 +41,22 @@
 
 namespace olfui {
 
-/// Drives the design-under-test's inputs each cycle. Implementations may
-/// call sim.eval() internally (e.g. to serve combinational memory reads
-/// that depend on freshly computed addresses).
+/// Drives the design-under-test's inputs each cycle.
 template <int W>
 class FsimEnvironmentT {
  public:
   virtual ~FsimEnvironmentT() = default;
-  /// Called once per batch after power_on(); applies the reset sequence.
+  /// Called once per batch after power_on(); applies the reset sequence
+  /// and leaves the logic settled.
   virtual void reset(PackedSimT<W>& sim) = 0;
-  /// Drives inputs for one cycle and settles the logic. Returns false to
-  /// end the run early (e.g. the good machine executed HALT).
+  /// Drives this cycle's inputs; the caller settles afterwards. It is
+  /// called right after reset() or the previous cycle's latch(), when every
+  /// flop Q net already holds this cycle's value, so it may read
+  /// flop-driven outputs without settling. Lane 0 must see the stimulus
+  /// the good machine sees. An implementation may still eval() itself (to
+  /// read a combinational output); the caller's settle then has nothing
+  /// left to do. Returns false to end the run early (e.g. the good machine
+  /// executed HALT).
   virtual bool step(PackedSimT<W>& sim, int cycle) = 0;
 };
 
@@ -173,24 +183,25 @@ class SequentialFaultSimulatorT {
   /// trace's activation() with every settle inside env.reset() folded into
   /// seen0/seen1. The reset phase matters — a fault active only while the
   /// reset input is asserted never shows in the end-of-cycle trace, yet its
-  /// faulty machine leaves reset in a different state. Settles inside
-  /// env.step() before the last one are not sampled: they differ from the
-  /// recorded values only on nets fed combinationally by inputs the
-  /// environment drives mid-step, which is sound as long as no value the
-  /// environment samples mid-step depends combinationally on those inputs
-  /// (true of SocFsimEnvironment; tests/campaign_test.cpp checks it).
+  /// faulty machine leaves reset in a different state. Each cycle settles
+  /// once, after env.step(), so the trace samples every settle after reset
+  /// (an environment that settles inside step() too leaves those extra
+  /// settles unsampled; SocFsimEnvironment does not).
   ReferenceTrace record_reference_trace(Environment& env,
                                         NetActivation* activation = nullptr);
 
   /// Simulates one batch of up to W-1 faults against the good machine.
   /// Returns a bit per batch entry: detected or not. With `trace`, the
   /// reference values come from the checkpoint (recorded by
-  /// record_reference_trace) instead of lane 0, and the run is bounded by
-  /// the checkpoint's cycle count. The trace must stay alive (and
-  /// unmodified) across the batches that pass it: the simulator caches
-  /// per-observed-output history columns keyed on the trace pointer.
+  /// record_reference_trace) instead of lane 0, the run is bounded by
+  /// the checkpoint's cycle count, and each cycle's settle replays the
+  /// checkpoint's frame (throwing std::logic_error if lane 0 departs from
+  /// it: the trace belongs to another environment). The trace must stay
+  /// alive (and unmodified) across the batches that pass it: the simulator
+  /// caches per-observed-output history columns keyed on the trace pointer.
   /// Throws std::invalid_argument, naming the size and the width, for W
-  /// or more faults.
+  /// or more faults, and, naming both counts, for a trace whose net count
+  /// is not the netlist's.
   LaneMask run_batch(std::span<const FaultId> faults, Environment& env,
                      const ReferenceTrace* trace = nullptr);
 
@@ -213,7 +224,7 @@ class SequentialFaultSimulatorT {
   /// trace; the env must replay identical stimulus across passes (true of
   /// every FsimEnvironment whose reset() fully rewinds it, which reuse
   /// across batches already requires). Throws std::invalid_argument like
-  /// run_batch for W or more faults.
+  /// run_batch for W or more faults or a trace of another netlist.
   LaneMask run_tdf_batch(std::span<const FaultId> faults, Environment& env,
                          const ReferenceTrace* trace = nullptr);
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace olfui {
 
@@ -44,6 +45,9 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
     max_level = std::max(max_level, lvl);
   }
   topo->num_levels = max_level + 1;
+  topo->comb_nets.assign((nl.num_nets() + 63) / 64, 0);
+  for (const FlatCell& fc : topo->order)
+    topo->comb_nets[fc.out / 64] |= 1ULL << (fc.out % 64);
 
   // Flat event-arena offsets: a cell is pending at most once, so each
   // level's segment capacity is exactly its population.
@@ -53,7 +57,7 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
     topo->level_start[l + 1] += topo->level_start[l];
 
   // CSR fanout graph: for each net, the order indexes of its combinational
-  // readers (kOutput ports are read through observed(), flops at clock()).
+  // readers (kOutput ports are read through observed(), flops at latch()).
   topo->fanout_start.assign(nl.num_nets() + 1, 0);
   for (const FlatCell& fc : topo->order)
     for (int k = 0; k < fc.n; ++k) ++topo->fanout_start[fc.in[k] + 1];
@@ -69,6 +73,7 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
   }
 
   topo->flop_index.assign(nl.num_cells(), kInvalidId);
+  topo->net_input.assign(nl.num_nets(), kInvalidId);
   for (CellId id = 0; id < nl.num_cells(); ++id) {
     const CellType t = nl.cell(id).type;
     if (is_sequential(t)) {
@@ -77,6 +82,7 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
     } else if (t == CellType::kInput) {
       topo->source_cells.push_back(id);
       topo->input_cells.push_back(id);
+      topo->net_input[nl.cell(id).out] = id;
     } else if (is_tie(t)) {
       topo->source_cells.push_back(id);
     }
@@ -116,6 +122,7 @@ PackedSimT<W>::PackedSimT(std::shared_ptr<const PackedTopology> topo)
   arena_.assign(topo_->order.size(), 0);
   level_count_.assign(topo_->num_levels, 0);
   event_stamp_.assign(topo_->order.size(), 0);
+  frontier_.assign(topo_->order.size(), 0);
   flop_stamp_.assign(topo_->flop_cells.size(), 0);
 }
 
@@ -129,6 +136,7 @@ void PackedSimT<W>::clear_injections() {
   inj_dirty_ = false;
   needs_full_ = true;
   settled_ = false;
+  frame_synced_ = false;
 }
 
 template <int W>
@@ -138,11 +146,15 @@ void PackedSimT<W>::add_injection(const Injection& inj) {
   inj_dirty_ = true;
   needs_full_ = true;
   settled_ = false;
+  frame_synced_ = false;
 }
 
 template <int W>
 void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
-  assert(index < inj_pos_.size());
+  if (index >= inj_pos_.size())
+    throw std::out_of_range("PackedSim: injection " + std::to_string(index) +
+                            " out of range (" +
+                            std::to_string(inj_pos_.size()) + " injections)");
   Injection& inj = inj_flat_[inj_pos_[index]];
   if (!lane_neq(inj.lanes, lanes)) return;
   inj.lanes = lanes;
@@ -162,15 +174,12 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
       break;
   }
   if (is_sequential(c.type)) {
-    // D/reset-pin faults apply at the next clock(); a Q-pin fault changes
-    // the exposed value mid-cycle, so mirror clock()'s pass 2 for this one
+    // D/reset-pin faults apply at the next latch(); a Q-pin fault changes
+    // the exposed value mid-cycle, so mirror latch()'s pass 2 for this one
     // flop: re-apply injections over the latched state and seed fanout.
     Word v = flop_state_[inj.cell];
     v = apply_inj(inj.cell, nullptr, v, true);
-    if (lane_neq(v, values_[c.out])) {
-      values_[c.out] = v;
-      propagate_change(c.out);
-    }
+    if (lane_neq(v, values_[c.out])) set_value(c.out, v);
     return;
   }
   // Ties (and any future source kind) are not re-scanned per eval; fall
@@ -225,20 +234,34 @@ void PackedSimT<W>::power_on() {
   needs_full_ = true;
   all_flops_dirty_ = true;
   settled_ = false;
+  frame_synced_ = false;
+}
+
+template <int W>
+CellId PackedSimT<W>::input_driver(NetId net) const {
+  if (net < topo_->net_input.size() && topo_->net_input[net] != kInvalidId)
+    return topo_->net_input[net];
+  const Netlist& nl = *topo_->nl;
+  if (net >= nl.num_nets())
+    throw std::invalid_argument("PackedSim: net " + std::to_string(net) +
+                                " out of range (" +
+                                std::to_string(nl.num_nets()) + " nets)");
+  const CellId drv = nl.net(net).driver;
+  throw std::invalid_argument(
+      "PackedSim: net " + nl.net(net).name +
+      (drv == kInvalidId ? " is undriven"
+                         : " is driven by " + nl.cell(drv).name) +
+      ", not a primary input");
 }
 
 template <int W>
 void PackedSimT<W>::set_input_all(NetId net, bool v) {
-  const CellId drv = topo_->nl->net(net).driver;
-  assert(drv != kInvalidId && topo_->nl->cell(drv).type == CellType::kInput);
-  set_held(drv, lane_broadcast<Word>(v));
+  set_held(input_driver(net), lane_broadcast<Word>(v));
 }
 
 template <int W>
 void PackedSimT<W>::set_input_lanes(NetId net, Word lanes) {
-  const CellId drv = topo_->nl->net(net).driver;
-  assert(drv != kInvalidId && topo_->nl->cell(drv).type == CellType::kInput);
-  set_held(drv, lanes);
+  set_held(input_driver(net), lanes);
 }
 
 template <int W>
@@ -273,7 +296,7 @@ typename PackedSimT<W>::Word PackedSimT<W>::apply_inj(
 }
 
 template <int W>
-typename PackedSimT<W>::Word PackedSimT<W>::compute_cell(
+inline typename PackedSimT<W>::Word PackedSimT<W>::compute_cell(
     const PackedTopology::FlatCell& fc) const {
   const Word* vals = values_.data();
   if (__builtin_expect(has_inj_[fc.id], 0)) {
@@ -324,13 +347,85 @@ void PackedSimT<W>::mark_flop_dirty(std::uint32_t flop_idx) {
 }
 
 template <int W>
-void PackedSimT<W>::propagate_change(NetId net) {
+void PackedSimT<W>::rebuild_frontier() {
   const PackedTopology& t = *topo_;
-  for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1]; ++j)
-    push_event(t.fanout[j]);
+  const Word* vals = values_.data();
+  for (std::size_t k = 0; k < t.order.size(); ++k) {
+    const PackedTopology::FlatCell& fc = t.order[k];
+    std::uint8_t n = (has_inj_[fc.id] ? 1 : 0) + !lane_uniform(vals[fc.out]);
+    for (int i = 0; i < fc.n; ++i) n += !lane_uniform(vals[fc.in[i]]);
+    frontier_[k] = n;
+  }
+}
+
+template <int W>
+inline void PackedSimT<W>::mark_flop_readers(NetId net) {
+  const PackedTopology& t = *topo_;
   for (std::uint32_t j = t.flop_fanout_start[net];
        j < t.flop_fanout_start[net + 1]; ++j)
     mark_flop_dirty(t.flop_fanout[j]);
+}
+
+template <int W>
+void PackedSimT<W>::uniform_change(NetId net) {
+  const PackedTopology& t = *topo_;
+  // A cell off the frontier computes the good machine's value, which the
+  // next frame settle fills in, so a lane-uniform change need not wake it.
+  for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1]; ++j)
+    if (frontier_[t.fanout[j]] != 0) push_event(t.fanout[j]);
+  mark_flop_readers(net);
+}
+
+template <int W>
+void PackedSimT<W>::set_value(NetId net, const Word& v, std::uint32_t driver) {
+  Word& cur = values_[net];
+  const bool was_uniform = lane_uniform(cur);
+  const bool uniform = lane_uniform(v);
+  cur = v;
+  if (frame_synced_ && was_uniform && uniform) {
+    uniform_change(net);
+    if (!replaying_) deferred_.push_back(net);
+    return;
+  }
+  const PackedTopology& t = *topo_;
+  const std::uint32_t* const begin = t.fanout.data() + t.fanout_start[net];
+  const std::uint32_t* const end = t.fanout.data() + t.fanout_start[net + 1];
+  if (frame_synced_ && was_uniform != uniform) {
+    const std::uint8_t delta = uniform ? 0xFF : 1;  // -1 or +1, mod 256
+    for (const std::uint32_t* j = begin; j != end; ++j) {
+      frontier_[*j] += delta;
+      push_event(*j);
+    }
+    if (driver != kInvalidId) frontier_[driver] += delta;
+  } else {
+    for (const std::uint32_t* j = begin; j != end; ++j) push_event(*j);
+  }
+  mark_flop_readers(net);
+}
+
+template <int W>
+void PackedSimT<W>::flush_deferred() {
+  const PackedTopology& t = *topo_;
+  for (const NetId net : deferred_)
+    for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1];
+         ++j)
+      push_event(t.fanout[j]);
+  deferred_.clear();
+}
+
+template <int W>
+void PackedSimT<W>::frame_mismatch(NetId net, const NetFrame& frame) {
+  // The throw leaves a drain half done: resettle from scratch next time.
+  needs_full_ = true;
+  settled_ = false;
+  frame_synced_ = false;
+  replaying_ = false;
+  const bool want = (frame.value[net / 64] >> (net % 64)) & 1ULL;
+  throw std::logic_error("PackedSim: net " + topo_->nl->net(net).name +
+                         " settles lane 0 to " + (want ? "0" : "1") +
+                         " but the frame of cycle " +
+                         std::to_string(frame.cycle) + " holds " +
+                         (want ? "1" : "0"));
 }
 
 template <int W>
@@ -380,25 +475,52 @@ void PackedSimT<W>::run_full_sweep() {
   bump_event_epoch();
   dirty_flops_.clear();
   all_flops_dirty_ = true;
+  deferred_.clear();
   needs_full_ = false;
   ++activity_.full_sweeps;
   activity_.cells_evaluated += t.order.size();
 }
 
 template <int W>
-void PackedSimT<W>::run_event_sweep() {
+void PackedSimT<W>::run_event_sweep(const NetFrame* frame, bool replay) {
   const PackedTopology& t = *topo_;
+  const auto frame_bit = [frame](NetId n) {
+    return (frame->value[n / 64] >> (n % 64)) & 1ULL;
+  };
+  // A replay covers every reader the frontier rule skipped since the last
+  // frame settle: the fills below give each of them its good value.
+  replaying_ = replay;
+  if (replay) deferred_.clear();
   // Seed: primary inputs whose held word changed since the last eval.
-  // (Ties are constant and flop Qs are seeded by clock(), so neither needs
+  // (Ties are constant and flop Qs are seeded by latch(), so neither needs
   // a per-eval scan.)
   for (CellId id : t.input_cells) {
     Word v = input_hold_[id];
     if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
     const NetId out = t.nl->cell(id).out;
-    if (lane_neq(v, values_[out])) {
-      values_[out] = v;
-      propagate_change(out);
+    if (frame && (word_of(v, 0) & 1ULL) != frame_bit(out))
+      frame_mismatch(out, *frame);
+    if (lane_neq(v, values_[out])) set_value(out, v);
+  }
+  if (replay) {
+    // The frame's changed nets whose word is lane-uniform take the good
+    // value; a non-uniform one is its frontier driver's to settle.
+    std::uint64_t fills = 0;
+    for (std::size_t o = 0; o < t.comb_nets.size(); ++o) {
+      for (std::uint64_t bits = frame->changed[o] & t.comb_nets[o]; bits != 0;
+           bits &= bits - 1) {
+        const auto n = static_cast<NetId>(
+            o * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
+        Word& cur = values_[n];
+        if (!lane_uniform(cur)) continue;
+        const Word v = lane_broadcast<Word>(frame_bit(n));
+        if (!lane_neq(v, cur)) continue;
+        cur = v;
+        uniform_change(n);
+        ++fills;
+      }
     }
+    activity_.frame_fills += fills;
   }
   // Injected cells are permanently active, so fault effects propagate even
   // when no input event reaches them this eval.
@@ -407,7 +529,8 @@ void PackedSimT<W>::run_event_sweep() {
   // strictly increases the level, so a cell processed here cannot be
   // re-scheduled within the same eval, and a segment cannot grow while it
   // drains.
-  std::uint64_t touched = 0;
+  std::uint64_t drained = 0;
+  std::uint64_t evaluated = 0;
   std::uint64_t quiet = 0;
   for (std::uint32_t lvl = 1; lvl < t.num_levels; ++lvl) {
     const std::uint32_t n = level_count_[lvl];
@@ -417,36 +540,53 @@ void PackedSimT<W>::run_event_sweep() {
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint32_t k = seg[i];
       const PackedTopology::FlatCell& fc = t.order[k];
+      // Off the frontier by now: the value is the good one, filled above.
+      if (replay && frontier_[k] == 0) continue;
       const Word out = compute_cell(fc);
-      if (lane_neq(out, values_[fc.out])) {
-        values_[fc.out] = out;
-        propagate_change(fc.out);
-      } else {
+      ++evaluated;
+      if (frame && (word_of(out, 0) & 1ULL) != frame_bit(fc.out))
+        frame_mismatch(fc.out, *frame);
+      if (lane_neq(out, values_[fc.out]))
+        set_value(fc.out, out, k);
+      else
         ++quiet;
-      }
     }
     level_count_[lvl] = 0;
-    touched += n;
+    drained += n;
   }
+  replaying_ = false;
   // Retire membership stamps so the next eval's pushes start clean.
   bump_event_epoch();
-  activity_.cells_evaluated += touched;
-  activity_.events_drained += touched;
+  activity_.cells_evaluated += evaluated;
+  activity_.events_drained += drained;
   activity_.quiet_cells += quiet;
 }
 
 template <int W>
-void PackedSimT<W>::eval() {
+void PackedSimT<W>::eval(const NetFrame* frame) {
   ++activity_.evals;
+  if (mode_ == PackedEvalMode::kFullSweep) frame = nullptr;
+  const bool replay = frame && frame_synced_ && !needs_full_ &&
+                      frame->cycle == synced_cycle_ + 1;
+  if (!replay) {
+    // A plain settle schedules every reader the frontier rule skipped.
+    flush_deferred();
+    frame_synced_ = false;
+  }
   // A settled event-mode sim skips the drain: nothing changed since the
   // last settle, so every net already holds the value it would recompute.
-  if (!settled_ || mode_ == PackedEvalMode::kFullSweep) {
+  if (!settled_ || replay || mode_ == PackedEvalMode::kFullSweep) {
     if (inj_dirty_) prepare_injections();
     if (mode_ == PackedEvalMode::kFullSweep || needs_full_)
       run_full_sweep();
     else
-      run_event_sweep();
+      run_event_sweep(frame, replay);
     settled_ = true;
+  }
+  if (frame) {
+    if (!replay) rebuild_frontier();
+    frame_synced_ = true;
+    synced_cycle_ = frame->cycle;
   }
   if (settle_log_) sample_settle();
 }
@@ -457,6 +597,7 @@ void PackedSimT<W>::full_eval() {
   if (inj_dirty_) prepare_injections();
   run_full_sweep();
   settled_ = true;
+  frame_synced_ = false;
   if (settle_log_) sample_settle();
 }
 
@@ -480,7 +621,7 @@ void PackedSimT<W>::sample_settle() {
 }
 
 template <int W>
-void PackedSimT<W>::clock() {
+void PackedSimT<W>::latch() {
   settled_ = false;
   if (inj_dirty_) prepare_injections();
   const PackedTopology& t = *topo_;
@@ -521,21 +662,17 @@ void PackedSimT<W>::clock() {
       Word v = flop_state_[id];
       if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
       const NetId out = t.nl->cell(id).out;
-      if (lane_neq(v, values_[out])) {
-        values_[out] = v;
-        propagate_change(out);
-      }
+      if (lane_neq(v, values_[out])) set_value(out, v);
     }
-    eval();
     return;
   }
   // Full latch: the oracle path, and the re-arming edge after any
   // untracked state (full sweep, power-on, injection change).
   dirty_flops_.clear();
   bump_flop_epoch();
-  // Re-arm dirty-D tracking before eval(): pass 2 and the event drain
-  // below mark against the fresh epoch; if eval() falls back to a full
-  // sweep it re-invalidates, keeping this edge's writes conservative.
+  // Re-arm dirty-D tracking before the next eval(): pass 2 and the event
+  // drain mark against the fresh epoch; if that eval() falls back to a
+  // full sweep it re-invalidates, keeping this edge's writes conservative.
   all_flops_dirty_ = false;
   // Pass 1: latch every flop from the settled net values. flop_state_ is
   // never read here, so flop-to-flop paths latch pre-edge values.
@@ -549,19 +686,25 @@ void PackedSimT<W>::clock() {
         c.type == CellType::kDff ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
   }
   activity_.flops_latched += t.flop_cells.size();
-  // Pass 2 (event mode): expose changed Q values (with Q-pin faults) and
-  // seed their fanout, replacing the per-eval scan over every flop.
-  if (mode_ == PackedEvalMode::kEventDriven && !needs_full_) {
-    for (CellId id : t.flop_cells) {
-      Word v = flop_state_[id];
-      if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
-      const NetId out = t.nl->cell(id).out;
-      if (lane_neq(v, values_[out])) {
-        values_[out] = v;
-        propagate_change(out);
-      }
-    }
+  // Pass 2: expose changed Q values (with Q-pin faults). In event mode
+  // they seed their fanout, replacing a per-eval scan over every flop;
+  // when the next eval() is a full sweep anyway they are written untracked.
+  const bool tracked = mode_ == PackedEvalMode::kEventDriven && !needs_full_;
+  for (CellId id : t.flop_cells) {
+    Word v = flop_state_[id];
+    if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
+    const NetId out = t.nl->cell(id).out;
+    if (!lane_neq(v, values_[out])) continue;
+    if (tracked)
+      set_value(out, v);
+    else
+      values_[out] = v;
   }
+}
+
+template <int W>
+void PackedSimT<W>::clock() {
+  latch();
   eval();
 }
 
@@ -571,7 +714,7 @@ typename PackedSimT<W>::Word PackedSimT<W>::observed(
   const Cell& c = topo_->nl->cell(output_cell);
   assert(c.type == CellType::kOutput);
   // Injections are grouped lazily; observing between add_injection() and
-  // the next eval()/clock() would silently miss port faults.
+  // the next eval()/latch() would silently miss port faults.
   assert(!inj_dirty_ && "call eval() after changing injections");
   Word v = values_[c.ins[0]];
   if (has_inj_[output_cell]) {

@@ -20,13 +20,25 @@
 // values (the event path is a pure work-skipping optimisation, never an
 // approximation). Events flow through a flat preallocated arena (per-level
 // segments of one index array, epoch-stamped membership) rather than
-// per-level vectors, and clock() is incremental by default: only flops
-// whose D input changed since their last latch — the dirty-D set seeded
-// by the same event drain — are latched, with the full two-pass latch
-// retained as the oracle (PackedClockMode). An event-mode eval() with
-// nothing to settle — no held input word, injection or flop changed since
-// the last settle — returns at once; environments that re-drive unchanged
-// inputs and re-settle pay only the call.
+// per-level vectors, and the clock edge is incremental by default: only
+// flops whose D input changed since their last latch — the dirty-D set
+// seeded by the same event drain — are latched, with the full two-pass
+// latch retained as the oracle (PackedClockMode). An event-mode eval()
+// with nothing to settle — no held input word, injection or flop changed
+// since the last settle — returns at once.
+//
+// The clock edge is latch(): it leaves every flop Q net current, so a
+// registered output is readable before the next settle; clock() is
+// latch() then eval(). Sequential fault simulation settles once per cycle
+// and, when lane 0 is the good machine and its per-cycle values are known
+// (a NetFrame streamed from the reference trace), replays them: eval(frame)
+// fills every changed net whose word is lane-uniform straight from the
+// frame and evaluates only the divergence frontier — cells with an
+// injection, a non-uniform input or a non-uniform output. A cell with
+// uniform inputs, a uniform output and no injection computes the good
+// machine's value, which the frame already holds. The replay is exact and
+// checked: an evaluated cell whose lane-0 output disagrees with the frame
+// throws.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +106,12 @@ struct PackedTopology {
   std::vector<CellId> flop_cells;
   std::vector<CellId> source_cells;  ///< kInput + ties (full-sweep order)
   std::vector<CellId> input_cells;   ///< kInput only (per-eval change scan)
+  /// The kInput cell driving each net, or kInvalidId: the input setters'
+  /// argument check.
+  std::vector<CellId> net_input;
+  /// Nets driven by a cell of `order`, one bit per net (bit n % 64 of
+  /// word n / 64): the nets a frame settle may fill from the frame.
+  std::vector<std::uint64_t> comb_nets;
 
   /// Throws std::runtime_error on a combinational loop.
   static std::shared_ptr<const PackedTopology> build(const Netlist& nl);
@@ -105,7 +123,7 @@ enum class PackedEvalMode : std::uint8_t {
   kFullSweep,    ///< levelized sweep over every cell (the oracle/baseline)
 };
 
-/// clock() strategy; both produce bit-identical values.
+/// Clock-edge (latch()) strategy; both produce bit-identical values.
 enum class PackedClockMode : std::uint8_t {
   /// Latch only flops whose D/reset input changed since their last latch
   /// (the dirty-D set seeded by the event drain) plus flops carrying
@@ -125,13 +143,18 @@ struct PackedActivity {
   std::uint64_t evals = 0;            ///< eval() calls
   std::uint64_t full_sweeps = 0;      ///< evals resolved by a full sweep
   std::uint64_t cells_evaluated = 0;  ///< combinational cells computed
-  std::uint64_t events_drained = 0;   ///< cells drained from the event arena
+  /// Cells drained from the event arena, evaluated or (frame settle, off
+  /// the frontier by the time they drain) skipped.
+  std::uint64_t events_drained = 0;
+  /// Nets a frame settle wrote straight from the frame (lane-uniform
+  /// words whose good value changed) instead of evaluating their driver.
+  std::uint64_t frame_fills = 0;
   std::uint64_t levels_touched = 0;   ///< non-empty level segments drained
   /// Drained cells whose output word was unchanged — their fanout was
   /// never scheduled (the event path's work-skipping payoff).
   std::uint64_t quiet_cells = 0;
   std::uint64_t sched_pushes = 0;     ///< cells pushed into the event arena
-  std::uint64_t flops_latched = 0;    ///< flops latched across clock() edges
+  std::uint64_t flops_latched = 0;    ///< flops latched across clock edges
   /// Flops skipped by incremental clocking (their D input provably
   /// unchanged since their last latch) — the dirty-D payoff.
   std::uint64_t flops_skipped = 0;
@@ -145,6 +168,17 @@ struct PackedActivity {
 struct SettleLog {
   std::vector<std::uint64_t> seen0;
   std::vector<std::uint64_t> seen1;
+};
+
+/// One cycle of the good machine's settled net values, for a frame settle
+/// (PackedSimT::eval). Both arrays hold one bit per net, bit n % 64 of word
+/// n / 64, over ceil(nets / 64) words.
+struct NetFrame {
+  int cycle = 0;
+  /// Lane-0 value of every net at the end of `cycle`.
+  const std::uint64_t* value = nullptr;
+  /// Nets whose value differs from the frame of `cycle - 1`.
+  const std::uint64_t* changed = nullptr;
 };
 
 template <int W>
@@ -167,18 +201,21 @@ class PackedSimT {
   /// event state: the injected cell set is unchanged, injected
   /// combinational cells are permanently event-active, source cells are
   /// re-scanned every eval, port faults apply at observed(), flop D/reset
-  /// faults apply at clock() — only a flop Q fault needs (and gets) an
+  /// faults apply at latch() — only a flop Q fault needs (and gets) an
   /// explicit re-expose. This is the per-cycle arming primitive of the
   /// transition-delay flow, where a fault is live only on capture cycles.
+  /// Throws std::out_of_range unless `index` names an injection.
   void set_injection_lanes(std::size_t index, Word lanes);
 
   /// Zeroes all state (flops and nets). 2-valued power-on; drive a reset
   /// sequence afterwards for circuits that need one.
   void power_on();
 
-  /// Drives the same value on all W lanes of a primary input.
+  /// Drives the same value on all W lanes of a primary input. Throws
+  /// std::invalid_argument, naming the net, unless a kInput cell drives it.
   void set_input_all(NetId net, bool v);
-  /// Drives an explicit per-lane word on a primary input.
+  /// Drives an explicit per-lane word on a primary input (throws like
+  /// set_input_all).
   void set_input_lanes(NetId net, Word lanes);
   /// Drives bit i of `value` on all lanes of bus[i].
   void set_input_word(const Bus& bus, std::uint64_t value);
@@ -188,10 +225,25 @@ class PackedSimT {
   /// injection change), in which case it falls back to one full sweep.
   /// In event mode, a call with nothing changed since the last settle
   /// (see settled_) only counts the call and samples the settle log.
-  void eval();
+  ///
+  /// With a `frame` (ignored in kFullSweep mode, so the sweep oracle never
+  /// reads the trace), lane 0 must be the good machine and `frame` its
+  /// values for this settle. If the previous settle was the frame of
+  /// `frame->cycle - 1` with only latch(), input drives and
+  /// set_injection_lanes since, the settle replays: changed lane-uniform
+  /// nets are filled from the frame and only frontier cells are evaluated.
+  /// Otherwise it settles as without a frame. Either way, when the settle
+  /// drains events, every evaluated cell's lane-0 output and every primary
+  /// input's lane-0 value is checked against the frame: a mismatch throws
+  /// std::logic_error naming the net and the cycle.
+  void eval(const NetFrame* frame = nullptr);
   /// Unconditional levelized sweep over every cell — the reference kernel.
   void full_eval();
-  /// Clock edge then eval.
+  /// Clock edge without the settle: latches the flops and leaves every
+  /// flop Q net current in value() (also when a full sweep is pending), so
+  /// registered outputs are readable before the next eval().
+  void latch();
+  /// latch() then eval().
   void clock();
 
   void set_eval_mode(PackedEvalMode mode) { mode_ = mode; }
@@ -219,21 +271,46 @@ class PackedSimT {
 
  private:
   Word apply_inj(CellId id, Word* tmp, Word out_val, bool apply_output) const;
+  /// The kInput cell driving `net`; throws std::invalid_argument, naming
+  /// the net, if there is none.
+  CellId input_driver(NetId net) const;
   /// Holds `lanes` on a primary input; a changed word unsettles the sim.
   void set_held(CellId input_cell, const Word& lanes);
   void prepare_injections();
   void run_full_sweep();
-  void run_event_sweep();
+  /// The event drain; `frame` checks lane 0, `replay` applies the frame
+  /// fills and the frontier rule.
+  void run_event_sweep(const NetFrame* frame, bool replay);
   void push_event(std::uint32_t order_idx);
   void mark_flop_dirty(std::uint32_t flop_idx);
-  /// A net's settled value changed: schedule its combinational readers
-  /// and mark its flop readers dirty for the next clock edge. The single
-  /// change-tracking entry point — every values_[] write outside a full
-  /// sweep routes through it, so the dirty-D set can never miss a flop.
-  void propagate_change(NetId net);
+  /// Recounts frontier_ from the settled values (on entering frame sync).
+  void rebuild_frontier();
+  /// Marks the flops reading `net` dirty for the next latch().
+  [[gnu::always_inline]] void mark_flop_readers(NetId net);
+  /// A frame-synced net changed between two lane-uniform words: schedules
+  /// its frontier readers and marks its flop readers dirty.
+  void uniform_change(NetId net);
+  /// Writes a net's changed settled value, schedules its combinational
+  /// readers and marks its flop readers dirty for the next clock edge. The
+  /// single change-tracking entry point — every values_[] write outside a
+  /// full sweep routes through it, so the dirty-D set can never miss a
+  /// flop. While frame-synced, a change whose old and new words are both
+  /// lane-uniform schedules frontier readers only (outside a replay drain
+  /// the net is remembered in deferred_), and a change of uniformity
+  /// updates frontier_ of the readers and of `driver`, the order index of
+  /// the net's combinational driver (kInvalidId for a source or flop).
+  void set_value(NetId net, const Word& v, std::uint32_t driver = kInvalidId);
+  /// Schedules every reader the frontier rule skipped since the last
+  /// frame settle, so a plain settle stays exact.
+  void flush_deferred();
+  /// Throws the frame-mismatch std::logic_error, leaving the sim to settle
+  /// with a full sweep next.
+  [[noreturn]] void frame_mismatch(NetId net, const NetFrame& frame);
   void bump_event_epoch();
   void bump_flop_epoch();
-  Word compute_cell(const PackedTopology::FlatCell& fc) const;
+  /// Inlined into both sweeps: it is the innermost call of the drain.
+  [[gnu::always_inline]] Word compute_cell(
+      const PackedTopology::FlatCell& fc) const;
   /// ORs the settled lane-0 net values into settle_log_.
   void sample_settle();
 
@@ -275,15 +352,30 @@ class PackedSimT {
   // rewrites nets without change tracking, so the next edge must latch
   // everything before incremental clocking can resume.
   std::vector<std::uint32_t> dirty_flops_;
-  std::vector<std::uint32_t> dirty_scratch_;  // swap target during clock()
+  std::vector<std::uint32_t> dirty_scratch_;  // swap target during latch()
   std::vector<std::uint32_t> flop_stamp_;     // per flop index
   std::uint32_t flop_epoch_ = 1;
   bool all_flops_dirty_ = true;
 
   // Every net holds its settled value for the current held inputs,
   // injections and flop state. Set by each eval(); cleared by a changed
-  // held input word, an injection change, power_on() and clock().
+  // held input word, an injection change, power_on() and latch().
   bool settled_ = false;
+
+  // The last settle was the frame of synced_cycle_: every net's lane 0
+  // holds that frame's value, or will once the held inputs and latched
+  // flops settle. Set by a frame settle; kept by latch(), input drives and
+  // set_injection_lanes; dropped by a plain eval(), full_eval(),
+  // power_on() and any injection add or clear. deferred_ lists the nets
+  // whose lane-uniform change scheduled only frontier readers since.
+  bool frame_synced_ = false;
+  int synced_cycle_ = 0;
+  // Per order index while frame-synced: the cell's non-uniform pins
+  // (inputs, counted per pin, and output) plus one if it is injected. A
+  // cell is on the divergence frontier iff its count is nonzero.
+  std::vector<std::uint8_t> frontier_;
+  bool replaying_ = false;  // inside a replay drain
+  std::vector<NetId> deferred_;
 
   PackedActivity activity_;
   SettleLog* settle_log_ = nullptr;

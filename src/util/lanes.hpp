@@ -80,6 +80,18 @@ inline Word lane_broadcast(bool bit) {
   return bit ? ~Word{} : Word{};
 }
 
+/// Every lane holds the same bit (all clear or all set).
+inline constexpr bool lane_uniform(std::uint64_t v) { return v + 1 <= 1; }
+
+template <class Word>
+inline bool lane_uniform(const Word& v) {
+  const std::uint64_t w0 = v[0];
+  std::uint64_t acc = w0 + 1 <= 1 ? 0 : 1;
+  for (int k = 1; k < static_cast<int>(sizeof(Word) / 8); ++k)
+    acc |= v[k] ^ w0;
+  return acc == 0;
+}
+
 /// A word with only `lane` set.
 template <class Word>
 inline Word lane_bit(int lane) {

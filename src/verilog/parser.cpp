@@ -228,6 +228,9 @@ class Parser {
       fail("instance '" + inst + "' missing output pin");
     for (NetId n : ins)
       if (n == kInvalidId) fail("instance '" + inst + "' has unconnected input");
+    if (out != kInvalidId && nl.net(out).driver != kInvalidId)
+      fail("instance '" + inst + "' drives net '" + nl.net(out).name +
+           "', which already has a driver");
     const CellId cell = nl.add_cell(type, inst, out, std::move(ins));
     if (lex_.peek().kind == Token::kTag) nl.set_tag(cell, lex_.take().text);
   }

@@ -308,6 +308,23 @@ TEST(ReferenceTrace, TracedBatchesMatchUntracedForBothModels) {
             fsim.run_tdf_batch(batch, env, &trace));
 }
 
+TEST(ReferenceTrace, BatchesRejectATraceOfAnotherNetlist) {
+  CounterRig rig;
+  const FaultUniverse u(rig.nl);
+  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = kCycles});
+  fsim.set_observed(rig.outputs);
+  CounterEnv env(rig.en);
+  // Frame settles read one bit per net of the netlist: a trace of fewer
+  // nets would be read past its end.
+  ReferenceTrace other;
+  other.reset(rig.nl.num_nets() / 2);
+  const std::vector<std::uint64_t> words(other.columns.size(), 0);
+  for (int c = 0; c < kCycles; ++c) other.append_cycle(words.data());
+  const std::vector<FaultId> batch = {0, 1, 2};
+  EXPECT_THROW(fsim.run_batch(batch, env, &other), std::invalid_argument);
+  EXPECT_THROW(fsim.run_tdf_batch(batch, env, &other), std::invalid_argument);
+}
+
 TEST(ReferenceTrace, ColumnRleMatchesReplayOnEveryNet) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);

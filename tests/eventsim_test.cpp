@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -422,6 +423,268 @@ TEST(EventSim, SettledEvalIsSkippedAndExact) {
     settled_eval_lockstep<128>(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Frame replay. A frame settle fills every changed lane-uniform net from
+// the good machine's recorded values and evaluates only the divergence
+// frontier. Frames are recorded from an uninjected run; an injected event
+// sim then settles once per cycle with them (with incremental clocking
+// and with the full latch), and after every settle and every latch it
+// must match a full-sweep oracle on every net and observed output.
+// Faulty lanes see their own input words, injections are re-armed per
+// cycle on a comb, flop-Q, PI and PO site, and some cycles settle plainly
+// between the latch and the frame settle.
+
+/// Per-cycle lane-0 frames: the value and changed-bit words of NetFrame.
+struct Frames {
+  std::vector<std::vector<std::uint64_t>> value, changed;
+  NetFrame at(int cycle) const {
+    const auto c = static_cast<std::size_t>(cycle);
+    return {cycle, value[c].data(), changed[c].data()};
+  }
+};
+
+template <int W>
+void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& fills) {
+  using Word = LaneWord<W>;
+  Rng rng(seed);
+  RandomDesign d = random_design(rng, 8, 16, 150);
+  const auto topo = PackedTopology::build(d.nl);
+  const std::size_t words = (d.nl.num_nets() + 63) / 64;
+  constexpr int kCycles = 40;
+  const Word lane0 = lane_bit<Word>(0);
+
+  // The good machine's stimulus, then its frames.
+  std::vector<std::vector<bool>> stim(kCycles);
+  for (auto& bits : stim)
+    for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+      bits.push_back(rng.next_bool());
+  const auto reset = [&](PackedSimT<W>& sim) {
+    sim.power_on();
+    for (const NetId in : d.input_nets) sim.set_input_all(in, false);
+    sim.eval();
+  };
+  Frames frames;
+  {
+    PackedSimT<W> good(topo);
+    reset(good);
+    std::vector<std::uint64_t> prev(words, 0);
+    for (int c = 0; c < kCycles; ++c) {
+      for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+        good.set_input_all(d.input_nets[i],
+                           stim[static_cast<std::size_t>(c)][i]);
+      good.eval();
+      std::vector<std::uint64_t> v(words, 0);
+      for (NetId n = 0; n < d.nl.num_nets(); ++n)
+        v[n / 64] |= static_cast<std::uint64_t>(lane_test(good.value(n), 0))
+                     << (n % 64);
+      std::vector<std::uint64_t> changed(words, 0);
+      for (std::size_t o = 0; c > 0 && o < words; ++o)
+        changed[o] = v[o] ^ prev[o];
+      prev = v;
+      frames.value.push_back(std::move(v));
+      frames.changed.push_back(std::move(changed));
+      good.latch();
+    }
+  }
+
+  PackedSimT<W> evt(topo);
+  PackedSimT<W> full_latch(topo);
+  PackedSimT<W> oracle(topo);
+  full_latch.set_clock_mode(PackedClockMode::kFullLatch);
+  oracle.set_eval_mode(PackedEvalMode::kFullSweep);
+  PackedSimT<W>* const sims[] = {&evt, &full_latch, &oracle};
+  const auto faulty_lanes = [&] { return random_lanes<W>(rng) & ~lane0; };
+  const auto pick = [&](auto&& accept) {
+    std::vector<CellId> cells;
+    for (CellId c = 0; c < d.nl.num_cells(); ++c)
+      if (accept(d.nl.cell(c).type)) cells.push_back(c);
+    return cells[rng.next_below(cells.size())];
+  };
+  // Injections 0-3 are re-armed every cycle; the rest stay as added.
+  const CellId sites[] = {
+      pick([](CellType t) {
+        return t != CellType::kInput && t != CellType::kOutput &&
+               !is_tie(t) && !is_sequential(t);
+      }),
+      pick([](CellType t) { return is_sequential(t); }),
+      pick([](CellType t) { return t == CellType::kInput; }),
+      pick([](CellType t) { return t == CellType::kOutput; })};
+  for (const CellId c : sites) {
+    const std::uint8_t pin = d.nl.cell(c).type == CellType::kOutput ? 1 : 0;
+    const PackedInjectionT<W> inj{c, pin, rng.next_bool(), faulty_lanes()};
+    for (auto* s : sims) s->add_injection(inj);
+  }
+  for (int i = 0; i < 10; ++i) {
+    const CellId cell = static_cast<CellId>(rng.next_below(d.nl.num_cells()));
+    const CellType t = d.nl.cell(cell).type;
+    int pin = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(num_inputs(t)) + 1));
+    if (t == CellType::kOutput) pin = 1;  // kOutput has no output pin
+    const PackedInjectionT<W> inj{cell, static_cast<std::uint8_t>(pin),
+                                  rng.next_bool(), faulty_lanes()};
+    for (auto* s : sims) s->add_injection(inj);
+  }
+
+  const auto compare_all = [&](int cycle, const char* when) {
+    for (const PackedSimT<W>* s : {&evt, &full_latch}) {
+      const char* clocking = s == &evt ? "incremental" : "full latch";
+      for (NetId n = 0; n < d.nl.num_nets(); ++n)
+        ASSERT_FALSE(lane_neq(s->value(n), oracle.value(n)))
+            << "W=" << W << " seed " << seed << " (" << clocking << "): net "
+            << d.nl.net(n).name << " diverged " << when << " of cycle "
+            << cycle;
+      for (CellId oc : d.output_cells)
+        ASSERT_FALSE(lane_neq(s->observed(oc), oracle.observed(oc)))
+            << "W=" << W << " seed " << seed << " (" << clocking
+            << "): output " << d.nl.cell(oc).name << " diverged " << when
+            << " of cycle " << cycle;
+    }
+  };
+  // Flop Qs only: latch() leaves them current, the comb nets stay stale.
+  const auto compare_flops = [&](int cycle) {
+    for (const PackedSimT<W>* s : {&evt, &full_latch})
+      for (const CellId f : topo->flop_cells) {
+        const NetId q = d.nl.cell(f).out;
+        ASSERT_FALSE(lane_neq(s->value(q), oracle.value(q)))
+            << "W=" << W << " seed " << seed << ": flop " << d.nl.net(q).name
+            << " diverged after the latch of cycle " << cycle;
+      }
+  };
+
+  for (auto* s : sims) reset(*s);
+  const std::uint64_t fills_before = evt.activity().frame_fills;
+  for (int c = 0; c < kCycles; ++c) {
+    for (std::size_t i = 0; i < std::size(sites); ++i) {
+      if (rng.next_below(2) == 0) continue;
+      const Word lanes = faulty_lanes();
+      for (auto* s : sims) s->set_injection_lanes(i, lanes);
+    }
+    for (std::size_t i = 0; i < d.input_nets.size(); ++i) {
+      // Lane 0 sees the good stimulus; faulty lanes sometimes their own.
+      Word w = lane_broadcast<Word>(stim[static_cast<std::size_t>(c)][i]);
+      if (rng.next_below(4) == 0) w ^= faulty_lanes();
+      for (auto* s : sims) s->set_input_lanes(d.input_nets[i], w);
+    }
+    if (c % 7 == 3) {
+      // A plain settle on a sim holding frontier-only schedules.
+      for (auto* s : sims) s->eval();
+      compare_all(c, "after a plain settle");
+    }
+    const NetFrame frame = frames.at(c);
+    for (auto* s : sims) s->eval(&frame);
+    compare_all(c, "after the frame settle");
+    for (auto* s : sims) s->latch();
+    compare_flops(c);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  fills += evt.activity().frame_fills - fills_before;
+
+  // A frame that disagrees with the sim's good machine throws, naming the
+  // net and the cycle: on a primary input, and on an evaluated cell (the
+  // injected comb site is evaluated on every settle).
+  const auto corrupted_settle_throws = [&](NetId net) {
+    PackedSimT<W> sim(topo);
+    reset(sim);
+    Frames bad = frames;
+    bad.value[2][net / 64] ^= 1ULL << (net % 64);
+    const PackedInjectionT<W> inj{sites[0], 0, false, faulty_lanes()};
+    sim.add_injection(inj);
+    for (int c = 0; c < 3; ++c) {
+      for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+        sim.set_input_all(d.input_nets[i],
+                          stim[static_cast<std::size_t>(c)][i]);
+      const NetFrame frame = bad.at(c);
+      if (c < 2) {
+        sim.eval(&frame);
+        sim.latch();
+        continue;
+      }
+      try {
+        sim.eval(&frame);
+        ADD_FAILURE() << "W=" << W << " seed " << seed
+                      << ": corrupted frame bit of net " << d.nl.net(net).name
+                      << " accepted";
+      } catch (const std::logic_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(d.nl.net(net).name), std::string::npos) << what;
+        EXPECT_NE(what.find("cycle 2"), std::string::npos) << what;
+      }
+    }
+    // The throw left the drain half done; the next settle starts over.
+    PackedSimT<W> sweep(topo);
+    sweep.set_eval_mode(PackedEvalMode::kFullSweep);
+    reset(sweep);
+    for (int c = 0; c < 3; ++c) {
+      for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+        sweep.set_input_all(d.input_nets[i],
+                            stim[static_cast<std::size_t>(c)][i]);
+      if (c == 0) sweep.add_injection(inj);
+      sweep.eval();
+      if (c < 2) sweep.latch();
+    }
+    sim.eval();
+    for (NetId n = 0; n < d.nl.num_nets(); ++n)
+      ASSERT_FALSE(lane_neq(sim.value(n), sweep.value(n)))
+          << "W=" << W << " seed " << seed << ": net " << d.nl.net(n).name
+          << " stale after a frame mismatch";
+  };
+  corrupted_settle_throws(d.input_nets[1]);
+  corrupted_settle_throws(d.nl.cell(sites[0]).out);
+}
+
+TEST(EventSim, FrameReplayMatchesFullSweep) {
+  std::uint64_t fills64 = 0, fills128 = 0;
+  for (std::uint64_t seed = 81; seed <= 86; ++seed) {
+    frame_replay_lockstep<64>(seed, fills64);
+    frame_replay_lockstep<128>(seed, fills128);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(fills64, 0u) << "no frame settle filled a net";
+  EXPECT_GT(fills128, 0u) << "no frame settle filled a net";
+}
+
+// ---------------------------------------------------------------------------
+// Release-safe argument checks: the input setters accept only nets a
+// primary input drives, and set_injection_lanes only existing handles.
+
+template <int W>
+void expect_setters_reject_bad_arguments() {
+  Rng rng(91);
+  RandomDesign d = random_design(rng, 4, 4, 30);
+  const NetId floating = d.nl.add_net("floating");
+  PackedSimT<W> sim(d.nl);
+  const auto rejects = [&](NetId net, const std::string& name) {
+    for (const bool lanes : {false, true}) {
+      try {
+        if (lanes)
+          sim.set_input_lanes(net, LaneWord<W>{});
+        else
+          sim.set_input_all(net, true);
+        ADD_FAILURE() << "W=" << W << ": drove " << name;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  rejects(floating, "floating");
+  rejects(d.nl.find_net("g0"), "g0");  // gate-driven
+  rejects(d.nl.find_net("q0"), "q0");  // flop-driven
+  rejects(static_cast<NetId>(d.nl.num_nets()), std::to_string(d.nl.num_nets()));
+  EXPECT_NO_THROW(sim.set_input_all(d.input_nets[0], true));
+
+  EXPECT_THROW(sim.set_injection_lanes(0, LaneWord<W>{}), std::out_of_range);
+  sim.add_injection({d.nl.net(d.nl.find_net("g0")).driver, 0, true,
+                     lane_bit<LaneWord<W>>(1)});
+  EXPECT_NO_THROW(sim.set_injection_lanes(0, lane_bit<LaneWord<W>>(2)));
+  EXPECT_THROW(sim.set_injection_lanes(1, LaneWord<W>{}), std::out_of_range);
+}
+
+TEST(EventSim, SettersRejectBadArguments) {
+  expect_setters_reject_bad_arguments<64>();
+  expect_setters_reject_bad_arguments<128>();
 }
 
 // ---------------------------------------------------------------------------

@@ -181,6 +181,24 @@ TEST(LaneWidth, ForEachLaneVisitsSetLanesInOrder) {
   check_for_each_lane<128>(42);
 }
 
+/// lane_uniform holds exactly for the two broadcast words: one differing
+/// lane in any 64-bit word of the vector breaks it.
+template <int W>
+void check_lane_uniform() {
+  using Word = LaneWord<W>;
+  EXPECT_TRUE(lane_uniform(Word{}));
+  EXPECT_TRUE(lane_uniform(~Word{}));
+  for (const int lane : {0, 1, 63, W - 1}) {
+    EXPECT_FALSE(lane_uniform(lane_bit<Word>(lane))) << W << ": " << lane;
+    EXPECT_FALSE(lane_uniform(~lane_bit<Word>(lane))) << W << ": " << lane;
+  }
+}
+
+TEST(LaneWidth, LaneUniformAcceptsOnlyBroadcastWords) {
+  check_lane_uniform<64>();
+  check_lane_uniform<128>();
+}
+
 TEST(LaneWidth, AllWidthsMatchScalarBaselineAndSweepOracle) {
   for (std::uint64_t seed = 31; seed <= 33; ++seed) {
     Rng rng(seed);

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -252,10 +254,13 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
 // ---------------------------------------------------------------------------
 // SocFsimEnvironment serves each bus once for lane 0 and answers only the
 // lanes whose bus differs, with RAM forked per lane on its first write
-// that lane 0 does not make. The reference below serves every lane
-// separately: each lane's fetch, write and read from its own RAM map, with
-// buses moved between lane words and per-lane values by plain bit loops.
-// Both must drive every net to the same word on every cycle.
+// that lane 0 does not make, and it reads the bus right after the latch,
+// leaving the cycle's one settle to the caller. The reference below
+// serves every lane separately and settles three times per step, reading
+// each bus after a settle: each lane's fetch, write and read from its own
+// RAM map, with buses moved between lane words and per-lane values by
+// plain bit loops. Both must drive every net to the same word on every
+// cycle.
 
 class PerLaneSocEnv : public FsimEnvironmentT<128> {
  public:
@@ -413,23 +418,58 @@ TEST(SocFsim, LaneZeroServiceMatchesPerLaneReference) {
       const bool more = ref.step(a, cycle);
       ASSERT_EQ(env.step(b, cycle), more) << "cycle " << cycle;
       if (!more) break;
-      compare_all(cycle, "after the step");
-      a.clock();
-      b.clock();
-      compare_all(cycle, "after the clock");
+      a.eval();
+      b.eval();
+      compare_all(cycle, "after the settle");
+      a.latch();
+      b.latch();
+      compare_all(cycle, "after the latch");
       if (::testing::Test::HasFatalFailure()) return;
       ++steps;
     }
     EXPECT_LT(steps, cycles);  // the good machine halted
     EXPECT_TRUE(lane_any(env.private_lanes())) << "no lane forked its RAM";
 
-    // The batch verdicts agree too, under both fault models.
+    // Both record the same good machine, and the batch verdicts agree
+    // under both fault models, with frame replay from that trace and
+    // without.
     SequentialFaultSimulatorT<W> fsim(nl, u, {.max_cycles = cycles}, topo);
     fsim.set_observed(soc->cpu.bus_output_cells);
+    const ReferenceTrace trace = fsim.record_reference_trace(env);
+    EXPECT_EQ(fsim.record_reference_trace(ref).fingerprint(),
+              trace.fingerprint());
     const LaneMask sa = fsim.run_batch(faults, env);
-    EXPECT_EQ(fsim.run_batch(faults, ref), sa);
     EXPECT_TRUE(sa.any());
-    EXPECT_EQ(fsim.run_tdf_batch(faults, ref), fsim.run_tdf_batch(faults, env));
+    EXPECT_EQ(fsim.run_batch(faults, ref), sa);
+    EXPECT_EQ(fsim.run_batch(faults, env, &trace), sa);
+    EXPECT_EQ(fsim.run_batch(faults, ref, &trace), sa);
+    const LaneMask tdf = fsim.run_tdf_batch(faults, env);
+    EXPECT_EQ(fsim.run_tdf_batch(faults, ref), tdf);
+    EXPECT_EQ(fsim.run_tdf_batch(faults, env, &trace), tdf);
+    EXPECT_EQ(fsim.run_tdf_batch(faults, ref, &trace), tdf);
+  }
+}
+
+TEST(SocFsim, RejectsCombinationalBusPort) {
+  const SocConfig cfg = lean_config();
+  auto soc = build_soc(cfg);
+  const FlashImage flash(cfg.flash_base, cfg.flash_size);
+  // The stock SoC registers every bus port.
+  EXPECT_NO_THROW(SocFsimEnvironmentT<128>(*soc, flash, 10));
+
+  // A buffer between a bus flop and its port makes the port
+  // combinational: read before the settle, it would show a stale value.
+  Netlist& nl = soc->netlist;
+  const CellId port = nl.find_output("baddr_o3");
+  const NetId buffered = nl.add_net("baddr3_buffered");
+  nl.add_cell(CellType::kBuf, "u_baddr3_buf", buffered, {nl.cell(port).ins[0]});
+  nl.rewire_input(port, 0, buffered);
+  try {
+    SocFsimEnvironmentT<128> env(*soc, flash, 10);
+    FAIL() << "a combinational bus port was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("baddr_o3"), std::string::npos)
+        << e.what();
   }
 }
 
