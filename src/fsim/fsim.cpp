@@ -200,6 +200,17 @@ SequentialFaultSimulatorT<W>::SequentialFaultSimulatorT(
 
 template <int W>
 void SequentialFaultSimulatorT<W>::set_observed(std::vector<CellId> output_cells) {
+  // observed() and prepare_trace read each port's input net.
+  for (const CellId c : output_cells) {
+    if (c >= nl_->num_cells())
+      throw std::invalid_argument(
+          "SequentialFaultSimulator: observed cell " + std::to_string(c) +
+          " out of range (" + std::to_string(nl_->num_cells()) + " cells)");
+    if (nl_->cell(c).type != CellType::kOutput)
+      throw std::invalid_argument("SequentialFaultSimulator: observed cell " +
+                                  nl_->cell(c).name +
+                                  " is not an output port");
+  }
   observed_ = std::move(output_cells);
   prepared_trace_ = nullptr;  // cached columns follow the observed set
 }
@@ -333,9 +344,12 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
   for (int cycle = 0; cycle < bound; ++cycle) {
     if (!env.step(sim_, cycle)) break;
     sim_.eval(frames ? &frames->at(cycle) : nullptr);
+    const Word seen = diverged;
     diverged = (diverged | observe_divergence(cycle, trace)) & fault_lanes;
     if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
     sim_.latch();
+    // A detected lane's verdict is final: hand it back to the good machine.
+    sim_.retire_lanes(diverged & ~seen);
   }
   publish_activity();
   return unpack_detected(diverged, faults.size());
@@ -410,7 +424,8 @@ LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
   for (int cycle = 0; cycle < cycles; ++cycle) {
     // Launch detection needs a previous clocked cycle, so cycle 0 never
     // captures; afterwards fault i is live iff its site made the
-    // transition across the edge into this cycle.
+    // transition across the edge into this cycle. A detected (retired)
+    // lane is never armed again.
     const LaneMask cur = site_good[static_cast<std::size_t>(cycle)];
     const LaneMask prev =
         cycle > 0 ? site_good[static_cast<std::size_t>(cycle) - 1] : cur;
@@ -418,12 +433,16 @@ LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
         ((~prev & cur) & rise) | ((prev & ~cur) & ~rise);
     for (std::size_t i = 0; i < faults.size(); ++i)
       sim_.set_injection_lanes(
-          i, launched.bit(i) ? lane_bit<Word>(static_cast<int>(i) + 1) : Word{});
+          i, launched.bit(i) ? lane_bit<Word>(static_cast<int>(i) + 1) &
+                                   ~diverged
+                             : Word{});
     if (!env.step(sim_, cycle)) break;
     sim_.eval(frames ? &frames->at(cycle) : nullptr);
+    const Word seen = diverged;
     diverged = (diverged | observe_divergence(cycle, trace)) & fault_lanes;
     if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
     sim_.latch();
+    sim_.retire_lanes(diverged & ~seen);
   }
   publish_activity();
   return unpack_detected(diverged, faults.size());
@@ -456,6 +475,8 @@ void SequentialFaultSimulatorT<W>::publish_activity() {
       .add(a.flops_latched - base.flops_latched);
   obs::metrics().counter("kernel.flops_skipped")
       .add(a.flops_skipped - base.flops_skipped);
+  obs::metrics().counter("kernel.lanes_retired")
+      .add(a.lanes_retired - base.lanes_retired);
   base = a;
 }
 

@@ -16,11 +16,16 @@
 //    lane words (PackedSim::set_input_lanes); SocFsimEnvironment builds
 //    them from lane 0's answer, patched only on the lanes whose bus
 //    differs.
-//    Every cycle is env.step -> one settle -> observe -> latch. With a
+//    Every cycle is env.step -> eval -> observe -> latch -> retire. With a
 //    ReferenceTrace the settle replays the good machine: the trace's
 //    frames stream through one run cursor per 64-net column, and the
 //    kernel fills every lane-uniform net from the frame and evaluates only
 //    where a faulty lane diverges (PackedSimT::eval(const NetFrame*)).
+//    Detection is sticky, so a lane that diverged this cycle is done: the
+//    retire step hands it back to the good machine
+//    (PackedSimT::retire_lanes), its injections disarmed and its flops
+//    copied from lane 0, and it stops costing evaluations. The verdicts
+//    are those of grading each fault alone.
 //
 //  * parallel-pattern combinational simulation (PPSF) — 64 patterns per
 //    pass for one fault; used for ATPG validation and property tests.
@@ -171,6 +176,9 @@ class SequentialFaultSimulatorT {
                             std::shared_ptr<const PackedTopology> topo = nullptr);
 
   /// Observed output ports (system bus). Detection compares these only.
+  /// Throws std::invalid_argument, naming the cell, for a cell id out of
+  /// range or a cell that is not a kOutput port; the observed set is then
+  /// unchanged.
   void set_observed(std::vector<CellId> output_cells);
 
   /// Runs the good machine once with no injections, recording every net

@@ -709,6 +709,46 @@ void PackedSimT<W>::clock() {
 }
 
 template <int W>
+void PackedSimT<W>::retire_lanes(Word lanes) {
+  if (lane_test(lanes, 0))
+    throw std::invalid_argument(
+        "PackedSim: lane 0 is the good machine and cannot retire");
+  if (!lane_any(lanes)) return;
+  activity_.lanes_retired += static_cast<std::uint64_t>(lane_count(lanes));
+  if (inj_dirty_) prepare_injections();
+  for (std::size_t i = 0; i < inj_pos_.size(); ++i)
+    set_injection_lanes(i, inj_flat_[inj_pos_[i]].lanes & ~lanes);
+  // Copy lane 0's state into the retired lanes. The flop latches again at
+  // the next edge: its D still reads the lanes' old comb values, so a
+  // skipped latch would not equal the full one. An injected flop's Q is
+  // re-exposed even over an unchanged state (set_injection_lanes leaves it
+  // to a pending full sweep), so every Q stays current as after latch().
+  const PackedTopology& t = *topo_;
+  const bool tracked = mode_ == PackedEvalMode::kEventDriven && !needs_full_;
+  for (std::size_t fi = 0; fi < t.flop_cells.size(); ++fi) {
+    const CellId id = t.flop_cells[fi];
+    Word& state = flop_state_[id];
+    const Word next =
+        (state & ~lanes) | (lane_broadcast<Word>(lane_test(state, 0)) & lanes);
+    if (lane_neq(next, state)) {
+      state = next;
+      settled_ = false;
+      mark_flop_dirty(static_cast<std::uint32_t>(fi));
+    } else if (!has_inj_[id]) {
+      continue;
+    }
+    Word v = next;
+    if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
+    const NetId out = t.nl->cell(id).out;
+    if (!lane_neq(v, values_[out])) continue;
+    if (tracked)
+      set_value(out, v);
+    else
+      values_[out] = v;
+  }
+}
+
+template <int W>
 typename PackedSimT<W>::Word PackedSimT<W>::observed(
     CellId output_cell) const {
   const Cell& c = topo_->nl->cell(output_cell);

@@ -39,6 +39,13 @@
 // machine's value, which the frame already holds. The replay is exact and
 // checked: an evaluated cell whose lane-0 output disagrees with the frame
 // throws.
+//
+// What the frontier still holds is faulty-lane work, and a detected fault's
+// lane has nothing left to report. retire_lanes() hands such lanes back to
+// the good machine right after a latch(): it disarms their injections and
+// copies lane 0's flop state into them, so their nets re-converge at the
+// next settle and the cells they kept on the frontier drop off it. It costs
+// one pass over the flops and injections, never a pass over the nets.
 #pragma once
 
 #include <cstdint>
@@ -158,6 +165,7 @@ struct PackedActivity {
   /// Flops skipped by incremental clocking (their D input provably
   /// unchanged since their last latch) — the dirty-D payoff.
   std::uint64_t flops_skipped = 0;
+  std::uint64_t lanes_retired = 0;    ///< lanes handed to retire_lanes()
 };
 
 /// Lane-0 settle accumulator (PackedSimT::set_settle_log): one bit per
@@ -245,6 +253,15 @@ class PackedSimT {
   void latch();
   /// latch() then eval().
   void clock();
+  /// Hands `lanes` back to the good machine: disarms their bits of every
+  /// injection (set_injection_lanes, so each site kind keeps its re-arm
+  /// semantics) and overwrites their flop state with lane 0's, exposing
+  /// each changed Q and marking its flop for the next edge. Comb nets are
+  /// left to the next settle. Meant right after latch(), for lanes whose
+  /// result is final (a detected fault); a later set_injection_lanes may
+  /// re-arm them. Lane 0 is never written: throws std::invalid_argument if
+  /// `lanes` holds it.
+  void retire_lanes(Word lanes);
 
   void set_eval_mode(PackedEvalMode mode) { mode_ = mode; }
   PackedEvalMode eval_mode() const { return mode_; }

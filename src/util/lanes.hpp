@@ -106,6 +106,15 @@ inline bool lane_test(const Word& v, int lane) {
   return (word_of(v, lane / 64) >> (lane % 64)) & 1ULL;
 }
 
+/// Number of set lanes.
+template <class Word>
+inline int lane_count(const Word& v) {
+  int n = 0;
+  for (int k = 0; k < static_cast<int>(sizeof(Word) / 8); ++k)
+    n += __builtin_popcountll(word_of(v, k));
+  return n;
+}
+
 /// Calls f(lane) for every set lane of `mask`, in ascending order.
 template <class Word, class F>
 inline void for_each_lane(const Word& mask, F&& f) {

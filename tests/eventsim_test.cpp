@@ -26,77 +26,12 @@
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/wordops.hpp"
+#include "random_design.hpp"
 #include "sim/packed.hpp"
 #include "util/rng.hpp"
 
 namespace olfui {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Random netlist generation: inputs and declared flops first (so feedback
-// paths exist), then a DAG of random gates over any existing net, then
-// outputs and the flop D connections.
-
-struct RandomDesign {
-  Netlist nl{"rand"};
-  std::vector<NetId> input_nets;
-  std::vector<CellId> output_cells;
-};
-
-RandomDesign random_design(Rng& rng, int n_inputs, int n_flops, int n_gates) {
-  RandomDesign d;
-  std::vector<NetId> nets;
-  for (int i = 0; i < n_inputs; ++i) {
-    const NetId n = d.nl.add_input("in" + std::to_string(i));
-    d.input_nets.push_back(n);
-    nets.push_back(n);
-  }
-  nets.push_back(d.nl.add_cell(CellType::kTie0, "u_t0", d.nl.add_net("t0"), {}));
-  nets.push_back(d.nl.add_cell(CellType::kTie1, "u_t1", d.nl.add_net("t1"), {}));
-  // rstn for DFFR flops is always the first input.
-  const NetId rstn = d.input_nets[0];
-
-  std::vector<CellId> flops;
-  for (int f = 0; f < n_flops; ++f) {
-    const NetId q = d.nl.add_net("q" + std::to_string(f));
-    const bool with_reset = rng.next_bool();
-    const CellId cell =
-        with_reset
-            ? d.nl.add_cell(CellType::kDffR, "u_ff" + std::to_string(f), q,
-                            {kInvalidId, rstn})
-            : d.nl.add_cell(CellType::kDff, "u_ff" + std::to_string(f), q,
-                            {kInvalidId});
-    flops.push_back(cell);
-    nets.push_back(q);
-  }
-
-  const CellType kGateTypes[] = {
-      CellType::kBuf,   CellType::kNot,   CellType::kAnd2,  CellType::kAnd3,
-      CellType::kAnd4,  CellType::kOr2,   CellType::kOr3,   CellType::kOr4,
-      CellType::kNand2, CellType::kNand3, CellType::kNand4, CellType::kNor2,
-      CellType::kNor3,  CellType::kNor4,  CellType::kXor2,  CellType::kXnor2,
-      CellType::kMux2};
-  for (int g = 0; g < n_gates; ++g) {
-    const CellType t =
-        kGateTypes[rng.next_below(sizeof kGateTypes / sizeof kGateTypes[0])];
-    std::vector<NetId> ins(static_cast<std::size_t>(num_inputs(t)));
-    for (NetId& in : ins) in = nets[rng.next_below(nets.size())];
-    const NetId out = d.nl.add_net("g" + std::to_string(g));
-    d.nl.add_cell(t, "u_g" + std::to_string(g), out, std::move(ins));
-    nets.push_back(out);
-  }
-
-  // Feedback: every flop D comes from anywhere in the design.
-  for (CellId f : flops)
-    d.nl.connect_input(f, 0, nets[rng.next_below(nets.size())]);
-
-  for (int o = 0; o < 8; ++o)
-    d.output_cells.push_back(d.nl.add_output(
-        "out" + std::to_string(o), nets[rng.next_below(nets.size())]));
-
-  EXPECT_TRUE(d.nl.validate().empty());
-  return d;
-}
 
 /// Drives identical random stimuli through both simulators and asserts
 /// every net carries the identical word after every operation. With
@@ -311,6 +246,20 @@ LaneWord<W> random_lanes(Rng& rng) {
   return w;
 }
 
+/// A random cell of `d` whose type `accept` takes.
+template <class Accept>
+CellId pick_cell(Rng& rng, const RandomDesign& d, Accept&& accept) {
+  std::vector<CellId> cells;
+  for (CellId c = 0; c < d.nl.num_cells(); ++c)
+    if (accept(d.nl.cell(c).type)) cells.push_back(c);
+  return cells[rng.next_below(cells.size())];
+}
+
+bool is_comb_gate(CellType t) {
+  return t != CellType::kInput && t != CellType::kOutput && !is_tie(t) &&
+         !is_sequential(t);
+}
+
 template <int W>
 void settled_eval_lockstep(std::uint64_t seed) {
   Rng rng(seed);
@@ -374,18 +323,9 @@ void settled_eval_lockstep(std::uint64_t seed) {
 
   // One injection of each kind set_injection_lanes treats differently:
   // combinational cell, flop Q, primary input and output port.
-  const auto pick = [&](auto&& accept) {
-    std::vector<CellId> cells;
-    for (CellId c = 0; c < d.nl.num_cells(); ++c)
-      if (accept(d.nl.cell(c).type)) cells.push_back(c);
-    return cells[rng.next_below(cells.size())];
-  };
+  const auto pick = [&](auto&& accept) { return pick_cell(rng, d, accept); };
   const CellId sites[] = {
-      pick([](CellType t) {
-        return t != CellType::kInput && t != CellType::kOutput &&
-               !is_tie(t) && !is_sequential(t);
-      }),
-      pick([](CellType t) { return is_sequential(t); }),
+      pick(is_comb_gate), pick([](CellType t) { return is_sequential(t); }),
       pick([](CellType t) { return t == CellType::kInput; }),
       pick([](CellType t) { return t == CellType::kOutput; })};
   for (const CellId c : sites) {
@@ -445,49 +385,66 @@ struct Frames {
   }
 };
 
+/// Random per-cycle stimulus, one bit per primary input.
+std::vector<std::vector<bool>> random_stimulus(Rng& rng, const RandomDesign& d,
+                                               int cycles) {
+  std::vector<std::vector<bool>> stim(static_cast<std::size_t>(cycles));
+  for (auto& bits : stim)
+    for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+      bits.push_back(rng.next_bool());
+  return stim;
+}
+
+/// Power-on and a settle with every input low: the shared reset.
+template <int W>
+void reset_sim(const RandomDesign& d, PackedSimT<W>& sim) {
+  sim.power_on();
+  for (const NetId in : d.input_nets) sim.set_input_all(in, false);
+  sim.eval();
+}
+
+/// The good machine's frames under `stim`, one settle per cycle.
+template <int W>
+Frames record_frames(const RandomDesign& d,
+                     std::shared_ptr<const PackedTopology> topo,
+                     const std::vector<std::vector<bool>>& stim) {
+  const std::size_t words = (d.nl.num_nets() + 63) / 64;
+  Frames frames;
+  PackedSimT<W> good(std::move(topo));
+  reset_sim(d, good);
+  std::vector<std::uint64_t> prev(words, 0);
+  for (std::size_t c = 0; c < stim.size(); ++c) {
+    for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+      good.set_input_all(d.input_nets[i], stim[c][i]);
+    good.eval();
+    std::vector<std::uint64_t> v(words, 0);
+    for (NetId n = 0; n < d.nl.num_nets(); ++n)
+      v[n / 64] |= static_cast<std::uint64_t>(lane_test(good.value(n), 0))
+                   << (n % 64);
+    std::vector<std::uint64_t> changed(words, 0);
+    for (std::size_t o = 0; c > 0 && o < words; ++o)
+      changed[o] = v[o] ^ prev[o];
+    prev = v;
+    frames.value.push_back(std::move(v));
+    frames.changed.push_back(std::move(changed));
+    good.latch();
+  }
+  return frames;
+}
+
 template <int W>
 void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& fills) {
   using Word = LaneWord<W>;
   Rng rng(seed);
   RandomDesign d = random_design(rng, 8, 16, 150);
   const auto topo = PackedTopology::build(d.nl);
-  const std::size_t words = (d.nl.num_nets() + 63) / 64;
   constexpr int kCycles = 40;
   const Word lane0 = lane_bit<Word>(0);
 
   // The good machine's stimulus, then its frames.
-  std::vector<std::vector<bool>> stim(kCycles);
-  for (auto& bits : stim)
-    for (std::size_t i = 0; i < d.input_nets.size(); ++i)
-      bits.push_back(rng.next_bool());
-  const auto reset = [&](PackedSimT<W>& sim) {
-    sim.power_on();
-    for (const NetId in : d.input_nets) sim.set_input_all(in, false);
-    sim.eval();
-  };
-  Frames frames;
-  {
-    PackedSimT<W> good(topo);
-    reset(good);
-    std::vector<std::uint64_t> prev(words, 0);
-    for (int c = 0; c < kCycles; ++c) {
-      for (std::size_t i = 0; i < d.input_nets.size(); ++i)
-        good.set_input_all(d.input_nets[i],
-                           stim[static_cast<std::size_t>(c)][i]);
-      good.eval();
-      std::vector<std::uint64_t> v(words, 0);
-      for (NetId n = 0; n < d.nl.num_nets(); ++n)
-        v[n / 64] |= static_cast<std::uint64_t>(lane_test(good.value(n), 0))
-                     << (n % 64);
-      std::vector<std::uint64_t> changed(words, 0);
-      for (std::size_t o = 0; c > 0 && o < words; ++o)
-        changed[o] = v[o] ^ prev[o];
-      prev = v;
-      frames.value.push_back(std::move(v));
-      frames.changed.push_back(std::move(changed));
-      good.latch();
-    }
-  }
+  const std::vector<std::vector<bool>> stim = random_stimulus(rng, d, kCycles);
+  const auto reset = [&](PackedSimT<W>& sim) { reset_sim(d, sim); };
+  const Frames frames = record_frames<W>(d, topo, stim);
 
   PackedSimT<W> evt(topo);
   PackedSimT<W> full_latch(topo);
@@ -496,19 +453,10 @@ void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& fills) {
   oracle.set_eval_mode(PackedEvalMode::kFullSweep);
   PackedSimT<W>* const sims[] = {&evt, &full_latch, &oracle};
   const auto faulty_lanes = [&] { return random_lanes<W>(rng) & ~lane0; };
-  const auto pick = [&](auto&& accept) {
-    std::vector<CellId> cells;
-    for (CellId c = 0; c < d.nl.num_cells(); ++c)
-      if (accept(d.nl.cell(c).type)) cells.push_back(c);
-    return cells[rng.next_below(cells.size())];
-  };
+  const auto pick = [&](auto&& accept) { return pick_cell(rng, d, accept); };
   // Injections 0-3 are re-armed every cycle; the rest stay as added.
   const CellId sites[] = {
-      pick([](CellType t) {
-        return t != CellType::kInput && t != CellType::kOutput &&
-               !is_tie(t) && !is_sequential(t);
-      }),
-      pick([](CellType t) { return is_sequential(t); }),
+      pick(is_comb_gate), pick([](CellType t) { return is_sequential(t); }),
       pick([](CellType t) { return t == CellType::kInput; }),
       pick([](CellType t) { return t == CellType::kOutput; })};
   for (const CellId c : sites) {
@@ -646,6 +594,180 @@ TEST(EventSim, FrameReplayMatchesFullSweep) {
 }
 
 // ---------------------------------------------------------------------------
+// Lane retirement. retire_lanes() hands faulty lanes back to the good
+// machine right after a latch: their injections are disarmed and their
+// flops take lane 0's state. Random lane sets retire on random cycles of
+// an injected run (comb, flop-Q, flop-D, PI, PO and tie sites). An event
+// sim, clocked incrementally and by the full latch and settling with
+// frames or plainly, must match a full-sweep sim given the same calls on
+// every net after every settle and on every flop Q after every latch and
+// retirement, and every lane outside the retired set must match a sim that
+// never retired. On `converge` runs nothing re-arms or re-drives a retired
+// lane, so from the next settle on each retired lane equals lane 0 on
+// every net and observed output. Otherwise re-arms reach retired lanes
+// too, and every input holds a fixed per-lane difference (like a lane's
+// forked RAM), so a retired flop can latch a D word that did not change.
+
+template <int W>
+void retired_lanes_lockstep(std::uint64_t seed, bool replay, bool converge,
+                            std::uint64_t& retired_total) {
+  using Word = LaneWord<W>;
+  Rng rng(seed);
+  RandomDesign d = random_design(rng, 8, 16, 150);
+  const auto topo = PackedTopology::build(d.nl);
+  constexpr int kCycles = 40;
+  const Word lane0 = lane_bit<Word>(0);
+  const std::vector<std::vector<bool>> stim = random_stimulus(rng, d, kCycles);
+  const Frames frames = record_frames<W>(d, topo, stim);
+
+  PackedSimT<W> evt(topo), full_latch(topo), oracle(topo), kept(topo);
+  full_latch.set_clock_mode(PackedClockMode::kFullLatch);
+  oracle.set_eval_mode(PackedEvalMode::kFullSweep);
+  oracle.set_clock_mode(PackedClockMode::kFullLatch);
+  PackedSimT<W>* const sims[] = {&evt, &full_latch, &oracle, &kept};
+  PackedSimT<W>* const retiring[] = {&evt, &full_latch, &oracle};
+  Word retired{};
+  const auto faulty_lanes = [&] {
+    return random_lanes<W>(rng) & ~lane0 & (converge ? ~retired : ~Word{});
+  };
+  const auto pick = [&](auto&& accept) { return pick_cell(rng, d, accept); };
+  const auto flop = [](CellType t) { return is_sequential(t); };
+  // Injections 0-3 are re-armed on random cycles; 4 (flop D) and 5 (tie)
+  // change only when their lanes retire.
+  const std::pair<CellId, std::uint8_t> sites[] = {
+      {pick(is_comb_gate), 0},
+      {pick(flop), 0},
+      {pick([](CellType t) { return t == CellType::kInput; }), 0},
+      {pick([](CellType t) { return t == CellType::kOutput; }), 1},
+      {pick(flop), 1},
+      {pick([](CellType t) { return is_tie(t); }), 0}};
+  for (const auto& [cell, pin] : sites) {
+    const PackedInjectionT<W> inj{cell, pin, rng.next_bool(), faulty_lanes()};
+    for (auto* s : sims) s->add_injection(inj);
+  }
+  for (int i = 0; i < 8; ++i) {
+    const CellId cell = static_cast<CellId>(rng.next_below(d.nl.num_cells()));
+    const CellType t = d.nl.cell(cell).type;
+    int pin = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(num_inputs(t)) + 1));
+    if (t == CellType::kOutput) pin = 1;  // kOutput has no output pin
+    const PackedInjectionT<W> inj{cell, static_cast<std::uint8_t>(pin),
+                                  rng.next_bool(), faulty_lanes()};
+    for (auto* s : sims) s->add_injection(inj);
+  }
+
+  const auto where = [&](int cycle, const char* when) {
+    return "W=" + std::to_string(W) + " seed " + std::to_string(seed) +
+           (replay ? " replay" : " plain") + (converge ? " converge" : "") +
+           ": " + when + " of cycle " + std::to_string(cycle);
+  };
+  // Lanes outside the retired set are the never-retired sim's.
+  const auto kept_equal = [&](const Word& a, const Word& b) {
+    return !lane_any((a ^ b) & ~retired);
+  };
+  const auto good_equal = [&](const Word& v) {
+    return !converge ||
+           !lane_any((v ^ lane_broadcast<Word>(lane_test(v, 0))) & retired);
+  };
+  const auto compare_nets = [&](int cycle, const char* when) {
+    for (NetId n = 0; n < d.nl.num_nets(); ++n) {
+      ASSERT_FALSE(lane_neq(evt.value(n), oracle.value(n)))
+          << where(cycle, when) << ": net " << d.nl.net(n).name
+          << " (incremental)";
+      ASSERT_FALSE(lane_neq(full_latch.value(n), oracle.value(n)))
+          << where(cycle, when) << ": net " << d.nl.net(n).name
+          << " (full latch)";
+      ASSERT_TRUE(kept_equal(evt.value(n), kept.value(n)))
+          << where(cycle, when) << ": net " << d.nl.net(n).name
+          << " moved outside the retired lanes";
+      ASSERT_TRUE(good_equal(evt.value(n)))
+          << where(cycle, when) << ": net " << d.nl.net(n).name
+          << " left the good machine on a retired lane";
+    }
+    for (CellId oc : d.output_cells) {
+      ASSERT_FALSE(lane_neq(evt.observed(oc), oracle.observed(oc)))
+          << where(cycle, when) << ": output " << d.nl.cell(oc).name;
+      ASSERT_FALSE(lane_neq(full_latch.observed(oc), oracle.observed(oc)))
+          << where(cycle, when) << ": output " << d.nl.cell(oc).name;
+      ASSERT_TRUE(kept_equal(evt.observed(oc), kept.observed(oc)))
+          << where(cycle, when) << ": output " << d.nl.cell(oc).name;
+      ASSERT_TRUE(good_equal(evt.observed(oc)))
+          << where(cycle, when) << ": output " << d.nl.cell(oc).name;
+    }
+  };
+  const auto compare_flops = [&](int cycle, const char* when) {
+    for (const CellId f : topo->flop_cells) {
+      const NetId q = d.nl.cell(f).out;
+      ASSERT_FALSE(lane_neq(evt.value(q), oracle.value(q)))
+          << where(cycle, when) << ": flop " << d.nl.net(q).name;
+      ASSERT_FALSE(lane_neq(full_latch.value(q), oracle.value(q)))
+          << where(cycle, when) << ": flop " << d.nl.net(q).name;
+      ASSERT_TRUE(kept_equal(evt.value(q), kept.value(q)))
+          << where(cycle, when) << ": flop " << d.nl.net(q).name;
+    }
+  };
+
+  std::vector<Word> held(d.input_nets.size());
+  for (Word& w : held)
+    if (!converge && rng.next_bool()) w = faulty_lanes();
+  for (auto* s : sims) reset_sim(d, *s);
+  std::uint64_t retired_here = 0;
+  for (int c = 0; c < kCycles; ++c) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (rng.next_below(3) != 0) continue;
+      const Word lanes = faulty_lanes();
+      for (auto* s : sims) s->set_injection_lanes(i, lanes);
+    }
+    for (std::size_t i = 0; i < d.input_nets.size(); ++i) {
+      // Lane 0 sees the good stimulus; faulty lanes sometimes their own.
+      Word w = lane_broadcast<Word>(stim[static_cast<std::size_t>(c)][i]) ^
+               held[i];
+      if (rng.next_below(4) == 0) w ^= faulty_lanes();
+      for (auto* s : sims) s->set_input_lanes(d.input_nets[i], w);
+    }
+    const NetFrame frame = frames.at(c);
+    for (auto* s : sims) {
+      if (replay)
+        ASSERT_NO_THROW(s->eval(&frame)) << where(c, "frame settle");
+      else
+        s->eval();
+    }
+    compare_nets(c, "after the settle");
+    for (auto* s : sims) s->latch();
+    compare_flops(c, "after the latch");
+    if (rng.next_below(3) == 0) {
+      const Word lanes = faulty_lanes() & random_lanes<W>(rng);
+      for (auto* s : retiring) s->retire_lanes(lanes);
+      retired |= lanes;
+      retired_here += static_cast<std::uint64_t>(lane_count(lanes));
+      compare_flops(c, "after the retirement");
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(evt.activity().lanes_retired, retired_here) << where(kCycles, "end");
+  EXPECT_EQ(kept.activity().lanes_retired, 0u);
+  if (replay) {
+    EXPECT_GT(evt.activity().frame_fills, 0u) << where(kCycles, "end");
+  }
+  retired_total += retired_here;
+  EXPECT_THROW(evt.retire_lanes(lane0), std::invalid_argument);
+  EXPECT_THROW(evt.retire_lanes(~Word{}), std::invalid_argument);
+}
+
+TEST(EventSim, RetiredLanesMatchFullSweep) {
+  std::uint64_t retired = 0;
+  for (std::uint64_t seed = 101; seed <= 106; ++seed) {
+    for (const bool replay : {true, false}) {
+      const bool converge = seed % 2 == 0;
+      retired_lanes_lockstep<64>(seed, replay, converge, retired);
+      retired_lanes_lockstep<128>(seed, replay, converge, retired);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(retired, 0u) << "no lane retired";
+}
+
+// ---------------------------------------------------------------------------
 // Release-safe argument checks: the input setters accept only nets a
 // primary input drives, and set_injection_lanes only existing handles.
 
@@ -698,30 +820,7 @@ TEST(EventSim, SettersRejectBadArguments) {
 // path reads its launch schedules out of the shared all-net trace instead
 // of running pass 1 — same verdicts, one good pass fewer).
 
-/// Replays a fixed per-cycle stimulus (identical on all lanes), so every
-/// pass of every engine sees the same test "program".
-class ScriptedEnv : public FsimEnvironment {
- public:
-  ScriptedEnv(const std::vector<NetId>& inputs,
-              const std::vector<std::vector<bool>>& words)
-      : inputs_(&inputs), words_(&words) {}
-  void reset(PackedSim& sim) override {
-    for (NetId in : *inputs_) sim.set_input_all(in, false);
-    sim.eval();
-  }
-  bool step(PackedSim& sim, int cycle) override {
-    if (cycle >= static_cast<int>(words_->size())) return false;
-    const std::vector<bool>& w = (*words_)[static_cast<std::size_t>(cycle)];
-    for (std::size_t i = 0; i < inputs_->size(); ++i)
-      sim.set_input_all((*inputs_)[i], w[i]);
-    sim.eval();
-    return true;
-  }
-
- private:
-  const std::vector<NetId>* inputs_;
-  const std::vector<std::vector<bool>>* words_;
-};
+using ScriptedEnv = ScriptedEnvT<64>;
 
 /// Single-fault TDF oracle over the scripted stimulus; returns detected.
 bool naive_tdf_detects(const RandomDesign& d, const FaultUniverse& u,

@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cpu/soc.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/wordops.hpp"
+#include "random_design.hpp"
+#include "sbst/sbst.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace olfui {
 namespace {
@@ -291,6 +300,171 @@ void expect_oversized_batch_throws() {
 TEST(SeqFsim, OversizedBatchThrows) {
   expect_oversized_batch_throws<64>();
   expect_oversized_batch_throws<128>();
+}
+
+/// observed() and the trace's per-port history read a port cell's input
+/// net, so only kOutput cells of the netlist may be observed.
+TEST(SeqFsim, SetObservedRejectsNonOutputCells) {
+  CounterRig rig;
+  const FaultUniverse u(rig.nl);
+  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
+  const auto rejects = [&](CellId cell, const std::string& name) {
+    try {
+      fsim.set_observed({rig.outputs[0], cell});
+      ADD_FAILURE() << "observed " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects(rig.cnt.flops[1], rig.nl.cell(rig.cnt.flops[1]).name);
+  rejects(rig.nl.net(rig.en).driver, "en");  // the input port's cell
+  const auto cells = static_cast<CellId>(rig.nl.num_cells());
+  rejects(cells, std::to_string(cells));
+  rejects(kInvalidId, std::to_string(kInvalidId));
+
+  // A rejected set leaves the previous one in place.
+  fsim.set_observed(rig.outputs);
+  rejects(rig.cnt.flops[0], rig.nl.cell(rig.cnt.flops[0]).name);
+  CounterEnv env(rig.en);
+  const FaultId f = u.id_of({rig.cnt.flops[3], 0}, false);
+  EXPECT_EQ(fsim.run_batch(std::span(&f, 1), env), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Lane retirement cannot move a verdict. The batch loops hand every lane
+// back to the good machine right after the cycle it is detected in
+// (PackedSimT::retire_lanes), so a full W-1 batch must grade each fault
+// exactly as a batch of that fault alone does. A lone fault's batch exits
+// early on its detection cycle, before any lane retires. Checked under
+// both fault models, with and without a ReferenceTrace, and with early
+// exit off, which retires every detected lane of the full batch.
+
+std::size_t lane_mask_count(const LaneMask& m) {
+  return static_cast<std::size_t>(__builtin_popcountll(m.word(0)) +
+                                  __builtin_popcountll(m.word(1)));
+}
+
+/// Returns the detections of the full batch summed over the four modes.
+template <int W>
+std::size_t expect_batch_matches_lone_faults(
+    const Netlist& nl, const FaultUniverse& u,
+    const std::vector<CellId>& observed, FsimEnvironmentT<W>& env,
+    std::span<const FaultId> faults, int max_cycles,
+    const std::shared_ptr<const PackedTopology>& topo,
+    const std::string& label) {
+  SequentialFaultSimulatorT<W> lone(nl, u, {.max_cycles = max_cycles}, topo);
+  SequentialFaultSimulatorT<W> full(
+      nl, u, {.max_cycles = max_cycles, .early_exit = false}, topo);
+  lone.set_observed(observed);
+  full.set_observed(observed);
+  const ReferenceTrace trace = lone.record_reference_trace(env);
+  std::size_t detected = 0;
+  for (const bool tdf : {false, true}) {
+    for (const ReferenceTrace* tr : {static_cast<const ReferenceTrace*>(nullptr),
+                                     &trace}) {
+      const std::string what = label + " W=" + std::to_string(W) +
+                               (tdf ? " tdf" : " sa") +
+                               (tr ? " traced" : " untraced");
+      const auto grade = [&](SequentialFaultSimulatorT<W>& fsim,
+                             std::span<const FaultId> batch) {
+        return tdf ? fsim.run_tdf_batch(batch, env, tr)
+                   : fsim.run_batch(batch, env, tr);
+      };
+      const std::uint64_t retired = full.sim().activity().lanes_retired;
+      const LaneMask batch = grade(full, faults);
+      const std::size_t n = lane_mask_count(batch);
+      EXPECT_EQ(full.sim().activity().lanes_retired - retired, n) << what;
+      EXPECT_EQ(grade(lone, faults), batch) << what << " with early exit";
+      detected += n;
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        const std::uint64_t before = lone.sim().activity().lanes_retired;
+        const LaneMask one = grade(lone, faults.subspan(i, 1));
+        EXPECT_EQ(lone.sim().activity().lanes_retired, before) << what;
+        EXPECT_EQ(one.bit(0), batch.bit(static_cast<int>(i)))
+            << what << ": " << u.fault_name(faults[i]);
+        if (::testing::Test::HasFailure()) return detected;
+      }
+    }
+  }
+  return detected;
+}
+
+template <int W>
+std::size_t random_batches_match_lone_faults(std::uint64_t seed) {
+  Rng rng(seed);
+  RandomDesign d = random_design(rng, 6, 10, 70);
+  const FaultUniverse u(d.nl);
+  constexpr int kCycles = 24;
+  std::vector<std::vector<bool>> words(kCycles);
+  for (auto& w : words)
+    for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+      w.push_back(rng.next_bool());
+  ScriptedEnvT<W> env(d.input_nets, words);
+  // W - 1 distinct faults spread over the universe.
+  std::vector<FaultId> ids(u.size());
+  std::iota(ids.begin(), ids.end(), FaultId{0});
+  for (std::size_t i = ids.size() - 1; i > 0; --i)
+    std::swap(ids[i], ids[rng.next_below(i + 1)]);
+  EXPECT_GE(ids.size(), static_cast<std::size_t>(W - 1));
+  ids.resize(std::min(ids.size(), static_cast<std::size_t>(W - 1)));
+  return expect_batch_matches_lone_faults<W>(
+      d.nl, u, d.output_cells, env, ids, kCycles,
+      PackedTopology::build(d.nl), "seed " + std::to_string(seed));
+}
+
+TEST(SeqFsim, FullBatchMatchesLoneFaultsOnRandomNetlists) {
+  std::size_t detected = 0;
+  for (std::uint64_t seed = 31; seed <= 33; ++seed) {
+    detected += random_batches_match_lone_faults<64>(seed);
+    detected += random_batches_match_lone_faults<128>(seed);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(detected, 0u) << "no lane was detected, so none retired";
+}
+
+TEST(SeqFsim, FullBatchMatchesLoneFaultsOnSocSlice) {
+  constexpr int W = kSbstLanes;
+  SocConfig cfg;
+  cfg.cpu.btb_entries = 2;
+  cfg.cpu.with_multiplier = false;
+  cfg.scan.num_chains = 2;
+  auto soc = build_soc(cfg);
+  const Netlist& nl = soc->netlist;
+  const FaultUniverse u(nl);
+  const auto topo = PackedTopology::build(nl);
+  std::vector<SbstProgram> suite = build_sbst_suite(cfg);
+  ASSERT_GE(suite.size(), 2u);
+  SbstProgram& prog = suite[1];
+  FlashImage flash(cfg.flash_base, cfg.flash_size);
+  flash.load(prog.program.base(), prog.program.words());
+  const int cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin;
+  SocFsimEnvironmentT<W> env(*soc, flash, cycles);
+
+  // Bus ports and PC bits (detected early, so their lanes retire while
+  // the batch runs on), topped up with a random sample of the universe.
+  std::vector<FaultId> faults;
+  const auto add = [&](FaultId f) {
+    if (std::find(faults.begin(), faults.end(), f) == faults.end())
+      faults.push_back(f);
+  };
+  for (const int b : {0, 2, 3, 5, 8, 16, 31}) {
+    for (const bool sa1 : {false, true}) {
+      add(u.id_of({nl.find_output(format("baddr_o%d", b)), 1}, sa1));
+      add(u.id_of({nl.find_output(format("bwdata_o%d", b)), 1}, sa1));
+    }
+  }
+  for (const int b : {2, 3, 4, 5, 6, 7}) {
+    add(u.id_of({soc->cpu.pc.flops[b], 0}, false));
+    add(u.id_of({soc->cpu.pc.flops[b], 0}, true));
+  }
+  Rng rng(7);
+  while (faults.size() < static_cast<std::size_t>(W - 1))
+    add(static_cast<FaultId>(rng.next_below(u.size())));
+  const std::size_t detected = expect_batch_matches_lone_faults<W>(
+      nl, u, soc->cpu.bus_output_cells, env, faults, cycles, topo,
+      prog.name);
+  EXPECT_GT(detected, 0u) << "no lane was detected, so none retired";
 }
 
 }  // namespace

@@ -173,6 +173,8 @@ void check_for_each_lane(std::uint64_t seed) {
       if (lane_test(mask, l)) want.push_back(l);
     for_each_lane(mask, [&](int l) { got.push_back(l); });
     EXPECT_EQ(got, want) << "W=" << W << " round " << round;
+    EXPECT_EQ(lane_count(mask), static_cast<int>(want.size()))
+        << "W=" << W << " round " << round;
   }
 }
 
