@@ -8,7 +8,8 @@
 //   functional  = structural + memory-map restrictions (they constrain
 //                 mission operation even with full DfT access);
 //   on-line     = functional + scan + debug restrictions.
-// The bench prints the set sizes and verifies containment fault by fault.
+// The bench prints the set sizes and verifies containment fault by fault;
+// it exits 1 if either containment is violated.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -19,7 +20,7 @@ namespace {
 
 using namespace olfui;
 
-void print_categories() {
+bool print_categories() {
   auto soc = build_soc({});
   const FaultUniverse universe(soc->netlist);
   OnlineUntestabilityAnalyzer analyzer(*soc, universe);
@@ -67,6 +68,7 @@ void print_categories() {
               universe.size() - o, 100.0 * static_cast<double>(universe.size() - o) / total);
   std::printf("containment: structural ⊆ functional: %s, functional ⊆ on-line: %s\n\n",
               s_in_f ? "HOLDS" : "VIOLATED", f_in_o ? "HOLDS" : "VIOLATED");
+  return s_in_f && f_in_o;
 }
 
 void BM_CategoryClassification(benchmark::State& state) {
@@ -83,8 +85,8 @@ BENCHMARK(BM_CategoryClassification)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_categories();
+  const bool ok = print_categories();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

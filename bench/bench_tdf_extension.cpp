@@ -5,33 +5,21 @@
 // sites, but launching a transition needs BOTH logic values at the site:
 // every mission-constant net loses both of its transition faults, so the
 // on-line untestable share for the transition model is strictly larger
-// than for stuck-at. This bench reports the side-by-side Table-I rows, and
-// then grades an SBST slice for BOTH models through the campaign
-// orchestrator — one code path (CampaignEngine + SbstBatchRunner) produces
-// the stuck-at and TDF coverage and runtime columns.
-// The ReferenceTrace extension: run_tdf_batch used to re-record the good
-// machine's site values once per batch (pass 1); with the shared all-net
-// ReferenceTrace the launch schedules are read from the checkpoint, so
-// only the capture-armed faulty pass runs. print_trace_sharing measures
-// that amortization head-to-head and writes BENCH_tdf.json (the ROADMAP
-// projected ~1.75x on the SBST workload).
+// than for stuck-at. This bench reports the side-by-side Table-I rows and
+// exits 1 if the transition model's pruning is not strictly larger.
+// Campaign throughput for both models is measured by benchmark/
+// (olfui_bench's sa_full and tdf_full workloads).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <span>
-#include <vector>
 
-#include "campaign/json.hpp"
 #include "core/analyzer.hpp"
-#include "sbst/sbst.hpp"
 
 namespace {
 
 using namespace olfui;
 
-void print_tdf_comparison() {
+bool print_tdf_comparison() {
   auto soc = build_soc({});
   const FaultUniverse universe(soc->netlist);
   OnlineUntestabilityAnalyzer analyzer(*soc, universe);
@@ -57,126 +45,11 @@ void print_tdf_comparison() {
   row("TOTAL on-line", sa_rep.total_online(), tdf_rep.total_online());
   std::printf("share of universe: %.1f%% (stuck-at) vs %.1f%% (transition)\n",
               sa_rep.online_pct(), tdf_rep.online_pct());
+  const bool larger = tdf_rep.total_online() + tdf_rep.structural_baseline >
+                     sa_rep.total_online() + sa_rep.structural_baseline;
   std::printf("transition-model pruning is strictly larger: %s\n\n",
-              tdf_rep.total_online() + tdf_rep.structural_baseline >
-                      sa_rep.total_online() + sa_rep.structural_baseline
-                  ? "CONFIRMED"
-                  : "VIOLATED");
-}
-
-/// Coverage + runtime for one model, suite and analysis pruning included —
-/// the end-to-end path the unit tests exercise piecewise.
-CampaignResult graded_campaign(FaultModel model) {
-  SocConfig cfg;
-  cfg.cpu.with_multiplier = false;  // keep the bench in seconds, not minutes
-  auto soc = build_soc(cfg);
-  auto suite = build_sbst_suite(cfg);
-  suite.erase(suite.begin() + 2, suite.end());  // alu_arith + alu_logic
-  const FaultUniverse universe(soc->netlist);
-  FaultList fl(universe);
-  OnlineUntestabilityAnalyzer analyzer(*soc, universe);
-  AnalyzerOptions aopts;
-  aopts.fault_model = model;
-  analyzer.run(fl, aopts);
-
-  CampaignOptions opts;
-  opts.fault_model = model;
-  return run_sbst_campaign(*soc, suite, fl, {}, opts).campaign;
-}
-
-void print_tdf_campaign() {
-  std::printf("== extension: SBST slice graded for both models (one engine) ====\n");
-  std::printf("%-12s %10s %12s %12s %12s %12s\n", "model", "targeted",
-              "detected", "raw cov", "pruned cov", "wall [s]");
-  for (const FaultModel model :
-       {FaultModel::kStuckAt, FaultModel::kTransition}) {
-    const CampaignResult r = graded_campaign(model);
-    std::printf("%-12s %10zu %12zu %11.1f%% %11.1f%% %12.3f\n",
-                std::string(to_string(model)).c_str(),
-                r.tests.empty() ? 0 : r.tests.front().faults_targeted,
-                r.total_new_detections, 100.0 * r.raw_coverage,
-                100.0 * r.pruned_coverage, r.stats.wall_seconds);
-  }
-  std::printf("(TDF batches run two passes — a launch-schedule recording of "
-              "the good machine, then the capture-armed faulty lanes)\n\n");
-}
-
-/// Launch-schedule sharing: identical TDF batches graded with and without
-/// the shared ReferenceTrace. The untraced path pays a full good-machine
-/// pass per batch (pass 1 never early-exits); the traced path reads the
-/// schedules out of the one checkpoint recorded per test.
-void print_trace_sharing() {
-  SocConfig cfg;
-  cfg.cpu.with_multiplier = false;
-  auto soc = build_soc(cfg);
-  auto suite = build_sbst_suite(cfg);
-  SbstProgram& program = suite[0];  // alu_arith
-  const FaultUniverse universe(soc->netlist);
-  const std::vector<int> cycles = run_suite_functional(*soc, suite);
-  const int max_cycles = cycles[0] + 8;
-
-  FlashImage flash(soc->config.flash_base, soc->config.flash_size);
-  flash.load(program.program.base(), program.program.words());
-
-  SocFsimEnvironment trace_env(*soc, flash, max_cycles);
-  SequentialFaultSimulator tracer(soc->netlist, universe,
-                                  {.max_cycles = max_cycles});
-  tracer.set_observed(soc->cpu.bus_output_cells);
-  const auto trace_t0 = std::chrono::steady_clock::now();
-  const ReferenceTrace trace = tracer.record_reference_trace(trace_env);
-  const double record_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - trace_t0)
-          .count();
-
-  std::vector<FaultId> targets;
-  for (FaultId f = 0; f < universe.size() && targets.size() < 1024; f += 7)
-    targets.push_back(f);
-
-  const auto grade = [&](const ReferenceTrace* t, double& seconds) {
-    SocFsimEnvironment env(*soc, flash, max_cycles);
-    SequentialFaultSimulator fsim(soc->netlist, universe,
-                                  {.max_cycles = max_cycles});
-    fsim.set_observed(soc->cpu.bus_output_cells);
-    std::vector<LaneMask> detections;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < targets.size(); i += 63) {
-      const std::size_t n = std::min<std::size_t>(63, targets.size() - i);
-      detections.push_back(
-          fsim.run_tdf_batch(std::span(targets).subspan(i, n), env, t));
-    }
-    seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return detections;
-  };
-
-  double untraced_seconds = 0, traced_seconds = 0;
-  const auto untraced = grade(nullptr, untraced_seconds);
-  const auto traced = grade(&trace, traced_seconds);
-  const bool identical = untraced == traced;
-  const double speedup =
-      traced_seconds > 0 ? untraced_seconds / traced_seconds : 0.0;
-
-  std::printf("== extension: TDF launch-schedule sharing (ReferenceTrace) ======\n");
-  std::printf("%-22s %10s\n", "path", "wall [s]");
-  std::printf("%-22s %10.3f   (good pass re-recorded per batch)\n",
-              "per-batch pass 1", untraced_seconds);
-  std::printf("%-22s %10.3f   (+%.3f s one-time recording per test)\n",
-              "shared trace", traced_seconds, record_seconds);
-  std::printf("speedup %.2fx, detections %s, trace: %d cycles, %zu runs\n\n",
-              speedup, identical ? "identical" : "MISMATCH!", trace.cycles,
-              trace.run_count());
-
-  Json doc = Json::object();
-  doc.set("bench", "tdf_extension");
-  doc.set("program", program.name);
-  doc.set("fault_slice", targets.size());
-  doc.set("untraced_wall_seconds", untraced_seconds);
-  doc.set("traced_wall_seconds", traced_seconds);
-  doc.set("trace_record_seconds", record_seconds);
-  doc.set("trace_sharing_speedup", speedup);
-  doc.set("detections_identical", identical);
-  std::ofstream("BENCH_tdf.json") << doc.dump(2) << "\n";
+              larger ? "CONFIRMED" : "VIOLATED");
+  return larger;
 }
 
 void BM_TransitionClassification(benchmark::State& state) {
@@ -192,21 +65,11 @@ void BM_TransitionClassification(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitionClassification)->Unit(benchmark::kMillisecond);
 
-void BM_TdfCampaign(benchmark::State& state) {
-  const FaultModel model = state.range(0) == 0 ? FaultModel::kStuckAt
-                                               : FaultModel::kTransition;
-  for (auto _ : state) benchmark::DoNotOptimize(graded_campaign(model));
-  state.SetLabel(std::string(to_string(model)));
-}
-BENCHMARK(BM_TdfCampaign)->DenseRange(0, 1)->Unit(benchmark::kSecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_tdf_comparison();
-  print_trace_sharing();
-  print_tdf_campaign();
+  const bool ok = print_tdf_comparison();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -64,7 +64,7 @@ int main() {
 
   // --- fault-simulation campaign through the orchestrator -----------------
   // Two programs keep the demo snappy; the full-suite equivalent is
-  // bench_campaign_scaling / bench_coverage_gain.
+  // `olfui_cli --sbst` (timed by benchmark/) / bench_coverage_gain.
   auto graded = suite;
   graded.erase(graded.begin() + 2, graded.end());
   const FaultUniverse universe(soc->netlist);

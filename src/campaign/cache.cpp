@@ -202,7 +202,8 @@ bool ResultCache::disk_store_locked(const CacheKey& key,
   return write_file_atomic(path, doc.dump(0));
 }
 
-std::optional<CampaignResult> ResultCache::lookup(const CacheKey& key) {
+std::optional<CampaignResult> ResultCache::lookup(const CacheKey& key,
+                                                  std::size_t universe) {
   std::lock_guard lock(mu_);
   const std::string canonical = key.canonical();
   std::string payload;
@@ -225,6 +226,8 @@ std::optional<CampaignResult> ResultCache::lookup(const CacheKey& key) {
   }
   try {
     CampaignResult result = campaign_result_from_json_string(payload);
+    if (result.universe != universe || result.detected.size() != universe)
+      throw std::runtime_error("cache entry: payload universe mismatch");
     if (from_disk) {
       insert_locked(canonical, std::move(payload));
       ++stats_.disk_hits;
@@ -234,8 +237,9 @@ std::optional<CampaignResult> ResultCache::lookup(const CacheKey& key) {
     bump("cache.hits");
     return result;
   } catch (const std::exception&) {
-    // A payload that no longer decodes (however it got damaged) must cost
-    // a re-grade, never serve garbage.
+    // A payload that no longer decodes (however it got damaged), or that
+    // describes another universe, must cost a re-grade, never serve
+    // garbage.
     if (it != index_.end()) {
       index_.erase(std::string_view(it->second->first));
       lru_.erase(it->second);

@@ -131,8 +131,12 @@ class ResultCache {
   /// path if that fails.
   explicit ResultCache(std::size_t capacity = 64, std::string dir = {});
 
-  /// Full-hit lookup: decoded result, or nullopt on miss/corruption.
-  std::optional<CampaignResult> lookup(const CacheKey& key);
+  /// Full-hit lookup over a universe of `universe` faults: decoded result,
+  /// or nullopt on miss/corruption. A payload whose universe or detection
+  /// vector has any other size counts as corrupt: replaying it would
+  /// index past the caller's fault list.
+  std::optional<CampaignResult> lookup(const CacheKey& key,
+                                       std::size_t universe);
   /// Encodes and stores (memory always; disk too when configured) —
   /// overwrites any existing entry, which is how a corrupt disk file
   /// heals after the fallback re-grade. With a disk tier, only a

@@ -242,7 +242,8 @@ CampaignResult CampaignEngine::run(FaultList& fl,
       cache_key.options_hash = result.stats.options_hash;
       cache_key.fault_model = std::string(to_string(opts_.fault_model));
       auto lookup_span = obs::tracer().span("cache_lookup", "campaign");
-      std::optional<CampaignResult> hit = opts_.cache->lookup(cache_key);
+      std::optional<CampaignResult> hit =
+          opts_.cache->lookup(cache_key, universe_->size());
       lookup_span.arg("outcome", Json(std::string(hit ? "hit" : "miss")));
       lookup_span.end();
       if (hit) {

@@ -191,9 +191,6 @@ SequentialFaultSimulatorT<W>::SequentialFaultSimulatorT(
   if (sim_.topology().nl != &nl)
     throw std::invalid_argument(
         "SequentialFaultSimulator: topology is for a different netlist");
-  if (!opts_.event_driven) sim_.set_eval_mode(PackedEvalMode::kFullSweep);
-  if (!opts_.incremental_clocking)
-    sim_.set_clock_mode(PackedClockMode::kFullLatch);
   // Default: observe every top-level output.
   observed_ = nl.output_cells();
 }

@@ -68,19 +68,13 @@ class FsimEnvironmentT {
 /// The scalar 64-lane environment interface (the pre-width-parametric name).
 using FsimEnvironment = FsimEnvironmentT<64>;
 
+/// The simulator's knobs. The kernel's oracle modes are not among them:
+/// a test that wants the full-sweep or full-latch reference selects it on
+/// sim() after construction (PackedSimT::set_eval_mode / set_clock_mode).
 struct SeqFsimOptions {
   int max_cycles = 100000;
   /// Stop a batch as soon as every faulty lane has diverged.
   bool early_exit = true;
-  /// Use the event-driven packed kernel; false forces the levelized
-  /// full-sweep oracle. Both produce bit-identical results.
-  bool event_driven = true;
-  /// Use dirty-D incremental clocking (latch only flops whose D input
-  /// changed since their last edge); false forces the full two-pass latch
-  /// oracle. Both produce bit-identical results. Tests and benches only:
-  /// the SBST test spec never carries it, so campaigns always clock
-  /// incrementally.
-  bool incremental_clocking = true;
 };
 
 /// Lane-0 activity summary of one good-machine run, one bit per net (bit
@@ -220,8 +214,7 @@ class SequentialFaultSimulatorT {
   /// slow-to-fall) comes from the shared ReferenceTrace when one is given
   /// — the trace already holds every net's good history, so the per-batch
   /// good-machine pass 1 disappears and only the capture-armed faulty
-  /// pass runs (the launch-schedule-sharing speedup measured by
-  /// bench_tdf_extension). Without a trace, a pass 1 replays the good
+  /// pass runs. Without a trace, a pass 1 replays the good
   /// machine and records the site values first (the self-contained
   /// oracle path). Either way the faulty pass arms each fault only on its
   /// capture cycles — the site held at its pre-transition value for
@@ -247,7 +240,8 @@ class SequentialFaultSimulatorT {
 
   const SeqFsimOptions& options() const { return opts_; }
 
-  /// The underlying packed simulator (activity counters, eval-mode probes).
+  /// The underlying packed simulator (activity counters; tests select the
+  /// full-sweep / full-latch oracle modes through it).
   PackedSimT<W>& sim() { return sim_; }
   const PackedSimT<W>& sim() const { return sim_; }
 

@@ -393,11 +393,9 @@ BitVec inert_faults(const FaultUniverse& universe, const NetActivation& act,
 // test's budget becomes good_cycles + kSbstCampaignMargin.
 SbstCampaignTest build_sbst_campaign_test(
     const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
-    std::shared_ptr<const PackedTopology> topo, bool event_driven,
-    FaultModel fault_model) {
-  SeqFsimOptions opts{
-      .max_cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin,
-      .event_driven = event_driven};
+    std::shared_ptr<const PackedTopology> topo, FaultModel fault_model) {
+  SeqFsimOptions opts{.max_cycles =
+                          kSbstFunctionalCycleCap + kSbstCampaignMargin};
   auto flash = std::make_shared<FlashImage>(soc.config.flash_base,
                                             soc.config.flash_size);
   flash->load(program.program.base(), program.program.words());
@@ -443,8 +441,7 @@ SbstCampaignTest build_sbst_campaign_test(
 
 std::vector<CampaignTest> build_sbst_campaign_tests(
     const Soc& soc, std::vector<SbstProgram>& suite,
-    const FaultUniverse& universe, bool event_driven, FaultModel fault_model,
-    int threads) {
+    const FaultUniverse& universe, FaultModel fault_model, int threads) {
   auto span = obs::tracer().span("build_tests", "sbst");
   // One topology (levelized order + fanout CSR) serves every tracer and
   // every worker's simulator across the whole suite.
@@ -458,9 +455,9 @@ std::vector<CampaignTest> build_sbst_campaign_tests(
   WorkerPool pool(participants - 1);
   pool.run(participants, [&](std::size_t) {
     for (std::size_t i = next++; i < suite.size(); i = next++)
-      tests[i] = build_sbst_campaign_test(soc, suite[i], universe, topo,
-                                          event_driven, fault_model)
-                     .test;
+      tests[i] =
+          build_sbst_campaign_test(soc, suite[i], universe, topo, fault_model)
+              .test;
   });
   return tests;
 }
@@ -469,12 +466,9 @@ SbstCampaignResult run_sbst_campaign(
     const Soc& soc, std::vector<SbstProgram>& suite, FaultList& fl,
     std::function<void(const std::string&, std::size_t, std::size_t)> progress,
     const CampaignOptions& opts) {
-  // Always the event kernel here (the fast path; the full-sweep oracle is
-  // reachable through build_sbst_campaign_tests for cross-checks).
   const CampaignEngine engine(fl.universe(), opts);
   const std::vector<CampaignTest> tests = build_sbst_campaign_tests(
-      soc, suite, fl.universe(), /*event_driven=*/true, opts.fault_model,
-      engine.resolved_threads());
+      soc, suite, fl.universe(), opts.fault_model, engine.resolved_threads());
   SbstCampaignResult result;
   result.campaign = engine.run(fl, tests, progress);
   for (const CampaignResult::PerTest& pt : result.campaign.tests) {

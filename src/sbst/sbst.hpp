@@ -87,12 +87,11 @@ struct SbstCampaignTest {
 /// faults whose site never leaves the stuck value, reset phase included;
 /// transition faults whose site never makes their transition). The
 /// grading kernel is wrapped in per-worker runners at kSbstLanes lanes
-/// with incremental clocking, so test.max_batch is kSbstLanes - 1.
-/// `event_driven` selects the kernel (false = full-sweep oracle; results
-/// are bit-identical either way — the switch exists for cross-checks and
-/// benches). `fault_model` selects the grading kernel: kStuckAt wraps
-/// run_batch, kTransition wraps the launch/capture run_tdf_batch over the
-/// same fault ids (fault/tdf.hpp). The returned test carries its identity
+/// with the event-driven kernel and incremental clocking, so
+/// test.max_batch is kSbstLanes - 1. `fault_model` selects the grading
+/// kernel: kStuckAt wraps run_batch, kTransition wraps the launch/capture
+/// run_tdf_batch over the same fault ids (fault/tdf.hpp). The returned
+/// test carries its identity
 /// spec ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX},
 /// state_fp being the trace fingerprint) for the result cache. `topo`
 /// must be a PackedTopology over soc.netlist (shared across the suite's
@@ -100,7 +99,7 @@ struct SbstCampaignTest {
 /// must outlive every campaign run over the returned test.
 SbstCampaignTest build_sbst_campaign_test(
     const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
-    std::shared_ptr<const PackedTopology> topo, bool event_driven = true,
+    std::shared_ptr<const PackedTopology> topo,
     FaultModel fault_model = FaultModel::kStuckAt);
 
 /// Converts the suite into orchestrator tests, one build_sbst_campaign_test
@@ -109,7 +108,7 @@ SbstCampaignTest build_sbst_campaign_test(
 /// the tests come back in suite order and are identical for any count.
 std::vector<CampaignTest> build_sbst_campaign_tests(
     const Soc& soc, std::vector<SbstProgram>& suite,
-    const FaultUniverse& universe, bool event_driven = true,
+    const FaultUniverse& universe,
     FaultModel fault_model = FaultModel::kStuckAt, int threads = 1);
 
 /// Fault-simulates the suite with system-bus observability through the

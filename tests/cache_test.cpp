@@ -8,9 +8,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/cache.hpp"
@@ -79,13 +81,13 @@ TEST(ResultCache, LruEvictsLeastRecentlyUsed) {
   cache.store(key_n(1), tiny_result(8, 1));
   cache.store(key_n(2), tiny_result(8, 2));
   // Touch 1 so 2 becomes the LRU entry, then push it out.
-  EXPECT_TRUE(cache.lookup(key_n(1)).has_value());
+  EXPECT_TRUE(cache.lookup(key_n(1), 8).has_value());
   cache.store(key_n(3), tiny_result(8, 3));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.lookup(key_n(1)).has_value());
-  EXPECT_FALSE(cache.lookup(key_n(2)).has_value());
-  const std::optional<CampaignResult> got = cache.lookup(key_n(3));
+  EXPECT_TRUE(cache.lookup(key_n(1), 8).has_value());
+  EXPECT_FALSE(cache.lookup(key_n(2), 8).has_value());
+  const std::optional<CampaignResult> got = cache.lookup(key_n(3), 8);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(got->detected == tiny_result(8, 3).detected);
   EXPECT_EQ(cache.stats().hits, 3u);
@@ -98,7 +100,7 @@ TEST(ResultCache, StoreOverwritesInPlace) {
   cache.store(key_n(1), tiny_result(8, 1));
   cache.store(key_n(1), tiny_result(8, 5));
   EXPECT_EQ(cache.size(), 1u);
-  const std::optional<CampaignResult> got = cache.lookup(key_n(1));
+  const std::optional<CampaignResult> got = cache.lookup(key_n(1), 8);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(got->detected == tiny_result(8, 5).detected);
 }
@@ -114,16 +116,16 @@ TEST(ResultCache, DiskTierSurvivesProcessBoundaries) {
   }
   // A fresh instance (cold memory tier) finds the entry on disk.
   ResultCache reader(4, dir.path);
-  const std::optional<CampaignResult> got = reader.lookup(key_n(7));
+  const std::optional<CampaignResult> got = reader.lookup(key_n(7), 16);
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(got->detected == tiny_result(16, 7).detected);
   EXPECT_EQ(reader.stats().disk_hits, 1u);
   // Promoted into memory: the second lookup never touches disk again.
-  EXPECT_TRUE(reader.lookup(key_n(7)).has_value());
+  EXPECT_TRUE(reader.lookup(key_n(7), 16).has_value());
   EXPECT_EQ(reader.stats().disk_hits, 1u);
   EXPECT_EQ(reader.stats().hits, 2u);
   // A different key stays a plain miss, not corruption.
-  EXPECT_FALSE(reader.lookup(key_n(8)).has_value());
+  EXPECT_FALSE(reader.lookup(key_n(8), 16).has_value());
   EXPECT_EQ(reader.stats().corrupt, 0u);
 }
 
@@ -142,14 +144,14 @@ TEST(ResultCache, CorruptDiskEntryCountsAndHeals) {
   ASSERT_EQ(files, 1u);
 
   ResultCache reader(4, dir.path);
-  EXPECT_FALSE(reader.lookup(key_n(9)).has_value());
+  EXPECT_FALSE(reader.lookup(key_n(9), 8).has_value());
   EXPECT_EQ(reader.stats().corrupt, 1u);
   EXPECT_EQ(reader.stats().misses, 1u);
   // The fallback re-grade's store overwrites the damaged file...
   reader.store(key_n(9), tiny_result(8, 9));
   // ...so the next cold instance reads it cleanly again.
   ResultCache healed(4, dir.path);
-  EXPECT_TRUE(healed.lookup(key_n(9)).has_value());
+  EXPECT_TRUE(healed.lookup(key_n(9), 8).has_value());
   EXPECT_EQ(healed.stats().corrupt, 0u);
 }
 
@@ -162,7 +164,7 @@ TEST(ResultCache, NestedDirectoryIsCreatedAndHits) {
     EXPECT_EQ(writer.stats().stores, 1u);
   }
   ResultCache reader(4, nested);
-  EXPECT_TRUE(reader.lookup(key_n(3)).has_value());
+  EXPECT_TRUE(reader.lookup(key_n(3), 8).has_value());
   EXPECT_EQ(reader.stats().disk_hits, 1u);
 
   // A store whose disk write fails is not counted: the directory is gone
@@ -198,9 +200,9 @@ TEST(ResultCache, DiskEntryWithMismatchedKeyIsRejected) {
       dir.path + "/" + word_to_hex(key_n(2).digest()) + ".json";
   fs::copy_file(src, dst);
   ResultCache reader(4, dir.path);
-  EXPECT_FALSE(reader.lookup(key_n(2)).has_value());
+  EXPECT_FALSE(reader.lookup(key_n(2), 8).has_value());
   EXPECT_EQ(reader.stats().corrupt, 1u);
-  EXPECT_TRUE(reader.lookup(key_n(1)).has_value());
+  EXPECT_TRUE(reader.lookup(key_n(1), 8).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -446,6 +448,68 @@ TEST(ResultCache, WarmHitExecutesZeroShardsAndIsByteIdentical) {
   FaultList fl_sliced(u);
   const CampaignResult miss = CampaignEngine(u, sliced).run(fl_sliced, tests);
   EXPECT_EQ(miss.stats.cache, "miss");
+}
+
+TEST(ResultCache, DiskPayloadOverAnotherUniverseIsRegradedAndHealed) {
+  // The disk layer checks only the stored key string, so a payload whose
+  // detection vector is longer than the universe (or whose universe field
+  // differs) would otherwise replay past the end of the fault list.
+  const TwoConeDesign d(false);
+  const FaultUniverse u(d.nl);
+  std::vector<CampaignTest> tests;
+  tests.push_back(make_pattern_test(d, u));
+  TempDir dir;
+  const auto run = [&](std::shared_ptr<ResultCache> cache) {
+    CampaignOptions opts;
+    opts.threads = 1;
+    opts.cache = std::move(cache);
+    FaultList fl(u);
+    CampaignResult r = CampaignEngine(u, opts).run(fl, tests);
+    EXPECT_EQ(fl.count_detected(), r.detected.count());
+    return r;
+  };
+  const CampaignResult cold =
+      run(std::make_shared<ResultCache>(4, dir.path));
+  ASSERT_EQ(cold.stats.cache, "miss");
+  ASSERT_GT(cold.detected.count(), 0u);
+  const std::string cold_json = campaign_result_to_json_string(cold, 2, false);
+  std::string entry;
+  for (const auto& e : fs::directory_iterator(dir.path)) entry = e.path();
+  ASSERT_FALSE(entry.empty());
+
+  // An oversized detection vector with its last bit set, and a payload
+  // claiming one more fault than the universe holds.
+  BitVec oversized(u.size() + 1000);
+  for (std::size_t f = 0; f < u.size(); ++f)
+    oversized.set(f, cold.detected.get(f));
+  oversized.set(oversized.size() - 1, true);
+  const std::vector<std::pair<std::string, Json>> tampers = {
+      {"detected_bits", Json(bitvec_to_hex(oversized))},
+      {"universe", Json(u.size() + 1)},
+  };
+  for (const auto& [field, value] : tampers) {
+    std::ifstream in(entry);
+    Json doc = Json::parse(std::string(std::istreambuf_iterator<char>(in), {}));
+    in.close();
+    Json payload = Json::parse(doc.at("payload").as_string());
+    payload.set(field, value);
+    doc.set("payload", payload.dump(2));
+    std::ofstream(entry) << doc.dump(0);
+
+    const auto reader = std::make_shared<ResultCache>(4, dir.path);
+    const CampaignResult regraded = run(reader);
+    EXPECT_EQ(regraded.stats.cache, "miss") << field;
+    EXPECT_EQ(reader->stats().corrupt, 1u) << field;
+    EXPECT_EQ(campaign_result_to_json_string(regraded, 2, false), cold_json)
+        << field;
+    // The re-grade overwrote the entry: a cold reader now hits cleanly.
+    const auto healed = std::make_shared<ResultCache>(4, dir.path);
+    const CampaignResult warm = run(healed);
+    EXPECT_EQ(warm.stats.cache, "hit") << field;
+    EXPECT_EQ(healed->stats().corrupt, 0u) << field;
+    EXPECT_EQ(campaign_result_to_json_string(warm, 2, false), cold_json)
+        << field;
+  }
 }
 
 TEST(ResultCache, SpecLessRunsBypassTheCache) {

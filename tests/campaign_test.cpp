@@ -958,8 +958,7 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
     const std::string_view model = to_string(row.model);
     // The concurrent build yields the same tests for any participant count.
     const auto build = [&](int threads) {
-      return build_sbst_campaign_tests(*soc, suite, u, /*event_driven=*/true,
-                                       row.model, threads);
+      return build_sbst_campaign_tests(*soc, suite, u, row.model, threads);
     };
     const std::vector<CampaignTest> serial = build(1), concurrent = build(4);
     EXPECT_EQ(campaign_tests_fingerprint(serial), row.tests_fp) << model;
@@ -1087,7 +1086,7 @@ TEST(ActivationScreen, InertFaultsAreNeverDetected) {
   for (const FaultModel model :
        {FaultModel::kStuckAt, FaultModel::kTransition}) {
     const std::vector<CampaignTest> tests = build_sbst_campaign_tests(
-        *soc, suite, u, true, model);
+        *soc, suite, u, model);
     for (const CampaignTest& test : tests) {
       std::vector<FaultId> inert;
       for (std::size_t f = test.inert.find_first(); f < test.inert.size();

@@ -887,12 +887,11 @@ TEST(TdfSim, BatchMatchesNaiveTwoCycleOracle) {
     }
     ScriptedEnv env(d.input_nets, words);
 
-    SeqFsimOptions opts{.max_cycles = cycles, .event_driven = true};
+    const SeqFsimOptions opts{.max_cycles = cycles};
     SequentialFaultSimulator evt(d.nl, u, opts);
     evt.set_observed(d.output_cells);
-    SeqFsimOptions sweep_opts = opts;
-    sweep_opts.event_driven = false;
-    SequentialFaultSimulator sweep(d.nl, u, sweep_opts);
+    SequentialFaultSimulator sweep(d.nl, u, opts);
+    sweep.sim().set_eval_mode(PackedEvalMode::kFullSweep);
     sweep.set_observed(d.output_cells);
     const ReferenceTrace trace = evt.record_reference_trace(env);
 
@@ -920,7 +919,7 @@ TEST(EventSim, GradingInvariantAcrossClockingModes) {
   // The fsim layer above the kernel: stuck-at batches (set_injection_lanes
   // rearming included — early exit retires lanes mid-run) and TDF batches
   // (per-cycle arming at launch edges) must grade identically whichever
-  // clocking mode the options pick, on both kernels.
+  // clocking mode the kernel runs, under both eval modes.
   for (std::uint64_t seed = 61; seed <= 63; ++seed) {
     Rng rng(seed);
     RandomDesign d = random_design(rng, 6, 10, 70);
@@ -936,10 +935,9 @@ TEST(EventSim, GradingInvariantAcrossClockingModes) {
 
     const auto grade_all = [&](bool event_driven, bool incremental,
                                bool tdf) {
-      SequentialFaultSimulator fsim(d.nl, u,
-                                    {.max_cycles = cycles,
-                                     .event_driven = event_driven,
-                                     .incremental_clocking = incremental});
+      SequentialFaultSimulator fsim(d.nl, u, {.max_cycles = cycles});
+      if (!event_driven) fsim.sim().set_eval_mode(PackedEvalMode::kFullSweep);
+      if (!incremental) fsim.sim().set_clock_mode(PackedClockMode::kFullLatch);
       fsim.set_observed(d.output_cells);
       std::vector<bool> verdicts;
       verdicts.reserve(u.size());
@@ -1017,12 +1015,11 @@ class RigBatchRunner final : public FaultBatchRunner {
                  std::shared_ptr<const ReferenceTrace> trace, bool event_driven,
                  FaultModel model, bool incremental)
       : env_(rig.en),
-        fsim_(rig.nl, u,
-              {.max_cycles = kCycles,
-               .event_driven = event_driven,
-               .incremental_clocking = incremental}),
+        fsim_(rig.nl, u, {.max_cycles = kCycles}),
         trace_(std::move(trace)),
         model_(model) {
+    if (!event_driven) fsim_.sim().set_eval_mode(PackedEvalMode::kFullSweep);
+    if (!incremental) fsim_.sim().set_clock_mode(PackedClockMode::kFullLatch);
     fsim_.set_observed(rig.outputs);
   }
   LaneMask run_batch(std::span<const FaultId> faults) override {
@@ -1043,8 +1040,8 @@ CampaignTest make_rig_test(const CounterRig& rig, const FaultUniverse& u,
                            FaultModel model = FaultModel::kStuckAt,
                            bool incremental = true) {
   CounterEnv trace_env(rig.en);
-  SequentialFaultSimulator tracer(
-      rig.nl, u, {.max_cycles = kCycles, .event_driven = event_driven});
+  SequentialFaultSimulator tracer(rig.nl, u, {.max_cycles = kCycles});
+  if (!event_driven) tracer.sim().set_eval_mode(PackedEvalMode::kFullSweep);
   tracer.set_observed(rig.outputs);
   auto trace = std::make_shared<const ReferenceTrace>(
       tracer.record_reference_trace(trace_env));
@@ -1137,7 +1134,7 @@ TEST(TdfSim, CampaignDeterministicAcrossPoolSizesAndKernels) {
 }
 
 TEST(EventSim, CampaignDeterministicAcrossClockingModes) {
-  // The campaign acceptance bar extended to the clocking knob: full-latch
+  // The campaign acceptance bar extended to the clocking mode: full-latch
   // runners at any pool size must reproduce the incremental reference
   // bit for bit, for both fault models.
   CounterRig rig;

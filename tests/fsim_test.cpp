@@ -207,8 +207,8 @@ template <int W>
 ReferenceTrace record_counter_trace(const CounterRig& rig,
                                     const FaultUniverse& u,
                                     bool event_driven) {
-  SequentialFaultSimulatorT<W> fsim(
-      rig.nl, u, {.max_cycles = 20, .event_driven = event_driven});
+  SequentialFaultSimulatorT<W> fsim(rig.nl, u, {.max_cycles = 20});
+  if (!event_driven) fsim.sim().set_eval_mode(PackedEvalMode::kFullSweep);
   fsim.set_observed(rig.outputs);
   CounterEnvT<W> env(rig.en);
   return fsim.record_reference_trace(env);

@@ -136,9 +136,8 @@ std::vector<bool> grade_all(const RandomDesign& d, const FaultUniverse& u,
                             const std::vector<std::vector<bool>>& words,
                             const GradeConfig& cfg) {
   SequentialFaultSimulatorT<W> fsim(
-      d.nl, u,
-      {.max_cycles = static_cast<int>(words.size()),
-       .event_driven = cfg.event_driven});
+      d.nl, u, {.max_cycles = static_cast<int>(words.size())});
+  if (!cfg.event_driven) fsim.sim().set_eval_mode(PackedEvalMode::kFullSweep);
   fsim.set_observed(d.output_cells);
   ScriptedEnvT<W> env(d.input_nets, words);
   ReferenceTrace trace;

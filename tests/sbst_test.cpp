@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -183,6 +186,75 @@ TEST(SbstSuite, FunctionalRunnerReportsCyclesAndActivity) {
   for (NetId n : soc->debug.control_inputs) EXPECT_EQ(rec.toggles(n), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Kernel oracles on the SoC. Production SBST tests grade on the 128-lane
+// event kernel with incremental clocking. An oracle test grades the same
+// program against the same recorded trace on a test-local kernel whose
+// width and eval/clock modes are picked here, so the reference modes
+// (full sweep, full latch, 64 lanes) never become library options.
+
+template <int W>
+class OracleRunner final : public FaultBatchRunner {
+ public:
+  OracleRunner(const Soc& soc, const FaultUniverse& u,
+               std::shared_ptr<const FlashImage> flash,
+               std::shared_ptr<const ReferenceTrace> trace, int max_cycles,
+               FaultModel model, PackedEvalMode eval, PackedClockMode clock)
+      : flash_(std::move(flash)),
+        trace_(std::move(trace)),
+        env_(soc, *flash_, max_cycles),
+        fsim_(soc.netlist, u, {.max_cycles = max_cycles}),
+        model_(model) {
+    fsim_.sim().set_eval_mode(eval);
+    fsim_.sim().set_clock_mode(clock);
+    fsim_.set_observed(soc.cpu.bus_output_cells);
+  }
+  LaneMask run_batch(std::span<const FaultId> faults) override {
+    return model_ == FaultModel::kTransition
+               ? fsim_.run_tdf_batch(faults, env_, trace_.get())
+               : fsim_.run_batch(faults, env_, trace_.get());
+  }
+
+ private:
+  std::shared_ptr<const FlashImage> flash_;
+  std::shared_ptr<const ReferenceTrace> trace_;
+  SocFsimEnvironmentT<W> env_;
+  SequentialFaultSimulatorT<W> fsim_;
+  FaultModel model_;
+};
+
+/// One kernel configuration an oracle test grades with.
+struct OracleKernel {
+  const char* label;
+  int lanes;  ///< 64 or 128
+  PackedEvalMode eval;
+  PackedClockMode clock;
+};
+
+/// `built` (the production test for `program`) with its runners replaced
+/// by OracleRunners over the same trace and cycle budget.
+CampaignTest oracle_test(const Soc& soc, const FaultUniverse& u,
+                         SbstProgram& program,
+                         const SbstCampaignTest& built, FaultModel model,
+                         const OracleKernel& k) {
+  auto flash = std::make_shared<FlashImage>(soc.config.flash_base,
+                                            soc.config.flash_size);
+  flash->load(program.program.base(), program.program.words());
+  const int max_cycles = built.test.good_cycles + kSbstCampaignMargin;
+  CampaignTest test = built.test;
+  test.max_batch = k.lanes - 1;
+  test.make_runner = [&soc, &u, flash = std::move(flash), trace = built.trace,
+                      max_cycles, model,
+                      k]() -> std::unique_ptr<FaultBatchRunner> {
+    if (k.lanes == 64)
+      return std::make_unique<OracleRunner<64>>(
+          soc, u, flash, trace, max_cycles, model, k.eval, k.clock);
+    return std::make_unique<OracleRunner<128>>(
+        soc, u, flash, trace, max_cycles, model, k.eval, k.clock);
+  };
+  return test;
+}
+
 TEST(SbstCampaign, DetectsASubstantialFractionAndDropsFaults) {
   // Lean SoC + two programs keeps this in unit-test time while still
   // exercising the whole campaign machinery.
@@ -232,9 +304,15 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
 
   // Both kernels through the engine: the full-sweep oracle grades the
   // identical TDF payload (run_sbst_campaign itself always uses the
-  // event kernel, so go through build_sbst_campaign_tests directly).
-  const auto sweep_tests = build_sbst_campaign_tests(
-      *soc, suite, u, /*event_driven=*/false, FaultModel::kTransition);
+  // event kernel, so the sweep runs in a test-local oracle test).
+  const SbstCampaignTest built =
+      build_sbst_campaign_test(*soc, suite[0], u,
+                               PackedTopology::build(soc->netlist),
+                               FaultModel::kTransition);
+  const std::vector<CampaignTest> sweep_tests = {oracle_test(
+      *soc, u, suite[0], built, FaultModel::kTransition,
+      {"sweep/128", 128, PackedEvalMode::kFullSweep,
+       PackedClockMode::kIncremental})};
   FaultList fls(u);
   const CampaignResult rs =
       CampaignEngine(u, {.threads = 2, .fault_model = FaultModel::kTransition})
@@ -249,6 +327,52 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
   const auto rsa = run_sbst_campaign(*soc, suite, sa, {});
   EXPECT_EQ(rsa.campaign.fault_model, FaultModel::kStuckAt);
   EXPECT_LE(r1.total_detected, rsa.total_detected);
+}
+
+TEST(SbstCampaign, KernelOraclesReproduceProductionDetections) {
+  // Each row grades a fixed fault slice with one oracle kernel over the
+  // production test's own trace; its per-target flags must equal the
+  // production test's, graded through the engine, bit for bit.
+  const std::vector<OracleKernel> rows = {
+      {"sweep/128", 128, PackedEvalMode::kFullSweep,
+       PackedClockMode::kIncremental},
+      {"full-latch/128", 128, PackedEvalMode::kEventDriven,
+       PackedClockMode::kFullLatch},
+      {"event/64", 64, PackedEvalMode::kEventDriven,
+       PackedClockMode::kIncremental},
+  };
+  const SocConfig cfg = lean_config();
+  auto soc = build_soc(cfg);
+  auto suite = build_sbst_suite(cfg);
+  const FaultUniverse u(soc->netlist);
+  const auto topo = PackedTopology::build(soc->netlist);
+  constexpr FaultId kStride = 37;  // 1,023 of the lean SoC's 37,834 faults
+  std::vector<FaultId> targets;
+  for (FaultId f = 0; f < u.size(); f += kStride) targets.push_back(f);
+  ASSERT_GT(targets.size(), 1000u);
+
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition}) {
+    const CampaignEngine engine(u, {.threads = 2, .fault_model = model});
+    for (const std::string name : {"alu_arith", "branch_btb"}) {
+      const auto it = std::find_if(
+          suite.begin(), suite.end(),
+          [&](const SbstProgram& p) { return p.name == name; });
+      ASSERT_NE(it, suite.end()) << name;
+      SbstProgram& program = *it;
+      const std::string ctx =
+          std::string(to_string(model)) + " " + program.name;
+      const SbstCampaignTest built =
+          build_sbst_campaign_test(*soc, program, u, topo, model);
+      const BitVec reference = engine.grade(targets, built.test);
+      EXPECT_GT(reference.count(), 0u) << ctx;
+      for (const OracleKernel& row : rows)
+        EXPECT_EQ(engine.grade(targets, oracle_test(*soc, u, program, built,
+                                                    model, row)),
+                  reference)
+            << ctx << " " << row.label;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
