@@ -91,8 +91,8 @@ struct SbstCampaignTest {
 /// test.max_batch is kSbstLanes - 1. `fault_model` selects the grading
 /// kernel: kStuckAt wraps run_batch, kTransition wraps the launch/capture
 /// run_tdf_batch over the same fault ids (fault/tdf.hpp). The returned
-/// test carries its identity
-/// spec ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX},
+/// test carries its identity spec
+/// ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX},
 /// state_fp being the trace fingerprint) for the result cache. `topo`
 /// must be a PackedTopology over soc.netlist (shared across the suite's
 /// tests and workers). `soc` and `universe` are captured by reference and

@@ -189,9 +189,11 @@ TEST(SbstSuite, FunctionalRunnerReportsCyclesAndActivity) {
 // ---------------------------------------------------------------------------
 // Kernel oracles on the SoC. Production SBST tests grade on the 128-lane
 // event kernel with incremental clocking. An oracle test grades the same
-// program against the same recorded trace on a test-local kernel whose
-// width and eval/clock modes are picked here, so the reference modes
-// (full sweep, full latch, 64 lanes) never become library options.
+// program on a test-local kernel whose width and eval/clock modes are
+// picked here, so the reference modes (full sweep, full latch, 64 lanes)
+// never become library options. It records its own reference trace and
+// activation screen on that kernel too, so a fault in the production
+// kernel's recording cannot reach both legs of a comparison.
 
 template <int W>
 class OracleRunner final : public FaultBatchRunner {
@@ -231,8 +233,42 @@ struct OracleKernel {
   PackedClockMode clock;
 };
 
-/// `built` (the production test for `program`) with its runners replaced
-/// by OracleRunners over the same trace and cycle budget.
+/// The good-machine pass of build_sbst_campaign_test, run on the oracle
+/// kernel: same budget, same environment, the row's modes.
+template <int W>
+ReferenceTrace record_oracle_trace(const Soc& soc, const FaultUniverse& u,
+                                   const FlashImage& flash,
+                                   const OracleKernel& k,
+                                   NetActivation& activation) {
+  const int budget = kSbstFunctionalCycleCap + kSbstCampaignMargin;
+  SocFsimEnvironmentT<W> env(soc, flash, budget);
+  SequentialFaultSimulatorT<W> tracer(soc.netlist, u, {.max_cycles = budget});
+  tracer.sim().set_eval_mode(k.eval);
+  tracer.sim().set_clock_mode(k.clock);
+  tracer.set_observed(soc.cpu.bus_output_cells);
+  return tracer.record_reference_trace(env, &activation);
+}
+
+/// The activation screen, restated from its definition: a stuck-at-v
+/// fault is inert if its site never held !v, a transition fault if its
+/// site never made the fault's transition.
+BitVec oracle_inert(const FaultUniverse& u, const NetActivation& act,
+                    FaultModel model) {
+  BitVec inert(u.size());
+  for (FaultId f = 0; f < u.size(); ++f) {
+    const Fault& fault = u.fault(f);
+    const std::vector<std::uint64_t>& acting =
+        model == FaultModel::kTransition ? (fault.sa1 ? act.fell : act.rose)
+                                         : (fault.sa1 ? act.seen0 : act.seen1);
+    if (!NetActivation::test(acting, u.netlist().pin_net(fault.pin)))
+      inert.set(f, true);
+  }
+  return inert;
+}
+
+/// `built` (the production test for `program`) with its trace, activation
+/// screen and runners replaced by ones recorded and graded on kernel `k`.
+/// The recorded trace and screen must equal the production test's.
 CampaignTest oracle_test(const Soc& soc, const FaultUniverse& u,
                          SbstProgram& program,
                          const SbstCampaignTest& built, FaultModel model,
@@ -240,11 +276,20 @@ CampaignTest oracle_test(const Soc& soc, const FaultUniverse& u,
   auto flash = std::make_shared<FlashImage>(soc.config.flash_base,
                                             soc.config.flash_size);
   flash->load(program.program.base(), program.program.words());
-  const int max_cycles = built.test.good_cycles + kSbstCampaignMargin;
+  NetActivation activation;
+  auto trace = std::make_shared<const ReferenceTrace>(
+      k.lanes == 64
+          ? record_oracle_trace<64>(soc, u, *flash, k, activation)
+          : record_oracle_trace<128>(soc, u, *flash, k, activation));
   CampaignTest test = built.test;
+  test.inert = oracle_inert(u, activation, model);
+  EXPECT_EQ(trace->fingerprint(), built.trace->fingerprint())
+      << program.name << " " << k.label;
+  EXPECT_EQ(test.inert, built.test.inert) << program.name << " " << k.label;
+  const int max_cycles = built.test.good_cycles + kSbstCampaignMargin;
   test.max_batch = k.lanes - 1;
-  test.make_runner = [&soc, &u, flash = std::move(flash), trace = built.trace,
-                      max_cycles, model,
+  test.make_runner = [&soc, &u, flash = std::move(flash),
+                      trace = std::move(trace), max_cycles, model,
                       k]() -> std::unique_ptr<FaultBatchRunner> {
     if (k.lanes == 64)
       return std::make_unique<OracleRunner<64>>(
@@ -302,9 +347,10 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
   EXPECT_EQ(r4.campaign, r1.campaign);
   EXPECT_EQ(r4.campaign.detected, r1.campaign.detected);
 
-  // Both kernels through the engine: the full-sweep oracle grades the
-  // identical TDF payload (run_sbst_campaign itself always uses the
-  // event kernel, so the sweep runs in a test-local oracle test).
+  // Both kernels through the engine: the full-sweep oracle, over a trace
+  // and activation screen it records itself, grades the identical TDF
+  // payload (run_sbst_campaign itself always uses the event kernel, so
+  // the sweep runs in a test-local oracle test).
   const SbstCampaignTest built =
       build_sbst_campaign_test(*soc, suite[0], u,
                                PackedTopology::build(soc->netlist),
@@ -330,8 +376,9 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
 }
 
 TEST(SbstCampaign, KernelOraclesReproduceProductionDetections) {
-  // Each row grades a fixed fault slice with one oracle kernel over the
-  // production test's own trace; its per-target flags must equal the
+  // Each row records the program's trace and activation screen on one
+  // oracle kernel, which must equal the production test's, and grades a
+  // fixed fault slice over them; its per-target flags must equal the
   // production test's, graded through the engine, bit for bit.
   const std::vector<OracleKernel> rows = {
       {"sweep/128", 128, PackedEvalMode::kFullSweep,
