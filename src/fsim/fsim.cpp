@@ -460,8 +460,8 @@ void SequentialFaultSimulatorT<W>::publish_activity() {
       .add(a.cells_evaluated - base.cells_evaluated);
   obs::metrics().counter("kernel.events_drained")
       .add(a.events_drained - base.events_drained);
-  obs::metrics().counter("kernel.frame_fills")
-      .add(a.frame_fills - base.frame_fills);
+  obs::metrics().counter("kernel.frame_replays")
+      .add(a.frame_replays - base.frame_replays);
   obs::metrics().counter("kernel.levels_touched")
       .add(a.levels_touched - base.levels_touched);
   obs::metrics().counter("kernel.quiet_cells")

@@ -18,9 +18,10 @@
 //    differs.
 //    Every cycle is env.step -> eval -> observe -> latch -> retire. With a
 //    ReferenceTrace the settle replays the good machine: the trace's
-//    frames stream through one run cursor per 64-net column, and the
-//    kernel fills every lane-uniform net from the frame and evaluates only
-//    where a faulty lane diverges (PackedSimT::eval(const NetFrame*)).
+//    frames stream through one run cursor per 64-net column, the kernel
+//    copies each frame's bits and reads every net no faulty lane diverges
+//    from out of them, and it evaluates only where a faulty lane diverges
+//    (PackedSimT::eval(const NetFrame*)).
 //    Detection is sticky, so a lane that diverged this cycle is done: the
 //    retire step hands it back to the good machine
 //    (PackedSimT::retire_lanes), its injections disarmed and its flops

@@ -45,9 +45,6 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
     max_level = std::max(max_level, lvl);
   }
   topo->num_levels = max_level + 1;
-  topo->comb_nets.assign((nl.num_nets() + 63) / 64, 0);
-  for (const FlatCell& fc : topo->order)
-    topo->comb_nets[fc.out / 64] |= 1ULL << (fc.out % 64);
 
   // Flat event-arena offsets: a cell is pending at most once, so each
   // level's segment capacity is exactly its population.
@@ -74,11 +71,16 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
 
   topo->flop_index.assign(nl.num_cells(), kInvalidId);
   topo->net_input.assign(nl.num_nets(), kInvalidId);
+  topo->flop_nets.assign((nl.num_nets() + 63) / 64, 0);
   for (CellId id = 0; id < nl.num_cells(); ++id) {
-    const CellType t = nl.cell(id).type;
+    const Cell& c = nl.cell(id);
+    const CellType t = c.type;
     if (is_sequential(t)) {
       topo->flop_index[id] = static_cast<std::uint32_t>(topo->flop_cells.size());
       topo->flop_cells.push_back(id);
+      const auto n = static_cast<std::uint8_t>(c.ins.size());
+      topo->flops.push_back({id, c.out, {c.ins[0], c.ins[n - 1]}, n});
+      topo->flop_nets[c.out / 64] |= 1ULL << (c.out % 64);
     } else if (t == CellType::kInput) {
       topo->source_cells.push_back(id);
       topo->input_cells.push_back(id);
@@ -98,6 +100,10 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
   for (std::size_t n = 0; n < nl.num_nets(); ++n)
     topo->flop_fanout_start[n + 1] += topo->flop_fanout_start[n];
   topo->flop_fanout.resize(topo->flop_fanout_start.back());
+  topo->flop_inputs.assign(topo->flop_nets.size(), 0);
+  for (std::size_t n = 0; n < nl.num_nets(); ++n)
+    if (topo->flop_fanout_start[n + 1] != topo->flop_fanout_start[n])
+      topo->flop_inputs[n / 64] |= 1ULL << (n % 64);
   std::vector<std::uint32_t> fcursor(topo->flop_fanout_start.begin(),
                                      topo->flop_fanout_start.end() - 1);
   for (std::size_t fi = 0; fi < topo->flop_cells.size(); ++fi)
@@ -123,11 +129,16 @@ PackedSimT<W>::PackedSimT(std::shared_ptr<const PackedTopology> topo)
   level_count_.assign(topo_->num_levels, 0);
   event_stamp_.assign(topo_->order.size(), 0);
   frontier_.assign(topo_->order.size(), 0);
+  listed_.assign(topo_->order.size(), 0);
   flop_stamp_.assign(topo_->flop_cells.size(), 0);
+  const std::size_t words = (nl.num_nets() + 63) / 64;
+  fbits_.assign(words, 0);
+  diverged_.assign(words, 0);
 }
 
 template <int W>
 void PackedSimT<W>::clear_injections() {
+  if (frame_synced_) leave_sync();
   inj_flat_.clear();
   inj_pos_.clear();
   active_comb_.clear();
@@ -136,17 +147,16 @@ void PackedSimT<W>::clear_injections() {
   inj_dirty_ = false;
   needs_full_ = true;
   settled_ = false;
-  frame_synced_ = false;
 }
 
 template <int W>
 void PackedSimT<W>::add_injection(const Injection& inj) {
+  if (frame_synced_) leave_sync();
   inj_pos_.push_back(static_cast<std::uint32_t>(inj_flat_.size()));
   inj_flat_.push_back(inj);
   inj_dirty_ = true;
   needs_full_ = true;
   settled_ = false;
-  frame_synced_ = false;
 }
 
 template <int W>
@@ -177,9 +187,14 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
     // D/reset-pin faults apply at the next latch(); a Q-pin fault changes
     // the exposed value mid-cycle, so mirror latch()'s pass 2 for this one
     // flop: re-apply injections over the latched state and seed fanout.
+    // (An injected flop's state is in flop_state_ also while synced.)
     Word v = flop_state_[inj.cell];
     v = apply_inj(inj.cell, nullptr, v, true);
-    if (lane_neq(v, values_[c.out])) set_value(c.out, v);
+    if (!frame_synced_) {
+      if (lane_neq(v, values_[c.out])) set_value(c.out, v);
+    } else if (lane_neq(v, load<true>(c.out))) {
+      write_synced(c.out, v, kInvalidId);
+    }
     return;
   }
   // Ties (and any future source kind) are not re-scanned per eval; fall
@@ -296,12 +311,13 @@ typename PackedSimT<W>::Word PackedSimT<W>::apply_inj(
 }
 
 template <int W>
+template <bool kSynced>
 inline typename PackedSimT<W>::Word PackedSimT<W>::compute_cell(
     const PackedTopology::FlatCell& fc) const {
-  const Word* vals = values_.data();
+  const auto in = [this, &fc](int i) { return load<kSynced>(fc.in[i]); };
   if (__builtin_expect(has_inj_[fc.id], 0)) {
     Word tmp[4];
-    for (int i = 0; i < fc.n; ++i) tmp[i] = vals[fc.in[i]];
+    for (int i = 0; i < fc.n; ++i) tmp[i] = in(i);
     apply_inj(fc.id, tmp, Word{}, false);
     const Word out = eval_packed(fc.type, tmp, fc.n);
     return apply_inj(fc.id, nullptr, out, true);
@@ -309,22 +325,22 @@ inline typename PackedSimT<W>::Word PackedSimT<W>::compute_cell(
   // Hot path: inline the common gates, fall back for the rest.
   switch (fc.type) {
     case CellType::kAnd2:
-      return vals[fc.in[0]] & vals[fc.in[1]];
+      return in(0) & in(1);
     case CellType::kOr2:
-      return vals[fc.in[0]] | vals[fc.in[1]];
+      return in(0) | in(1);
     case CellType::kXor2:
-      return vals[fc.in[0]] ^ vals[fc.in[1]];
+      return in(0) ^ in(1);
     case CellType::kMux2: {
-      const Word s = vals[fc.in[kMuxS]];
-      return (s & vals[fc.in[kMuxB]]) | (~s & vals[fc.in[kMuxA]]);
+      const Word s = in(kMuxS);
+      return (s & in(kMuxB)) | (~s & in(kMuxA));
     }
     case CellType::kNot:
-      return ~vals[fc.in[0]];
+      return ~in(0);
     case CellType::kBuf:
-      return vals[fc.in[0]];
+      return in(0);
     default: {
       Word tmp[4];
-      for (int i = 0; i < fc.n; ++i) tmp[i] = vals[fc.in[i]];
+      for (int i = 0; i < fc.n; ++i) tmp[i] = in(i);
       return eval_packed(fc.type, tmp, fc.n);
     }
   }
@@ -347,18 +363,6 @@ void PackedSimT<W>::mark_flop_dirty(std::uint32_t flop_idx) {
 }
 
 template <int W>
-void PackedSimT<W>::rebuild_frontier() {
-  const PackedTopology& t = *topo_;
-  const Word* vals = values_.data();
-  for (std::size_t k = 0; k < t.order.size(); ++k) {
-    const PackedTopology::FlatCell& fc = t.order[k];
-    std::uint8_t n = (has_inj_[fc.id] ? 1 : 0) + !lane_uniform(vals[fc.out]);
-    for (int i = 0; i < fc.n; ++i) n += !lane_uniform(vals[fc.in[i]]);
-    frontier_[k] = n;
-  }
-}
-
-template <int W>
 inline void PackedSimT<W>::mark_flop_readers(NetId net) {
   const PackedTopology& t = *topo_;
   for (std::uint32_t j = t.flop_fanout_start[net];
@@ -367,59 +371,61 @@ inline void PackedSimT<W>::mark_flop_readers(NetId net) {
 }
 
 template <int W>
-void PackedSimT<W>::uniform_change(NetId net) {
+void PackedSimT<W>::set_value(NetId net, const Word& v) {
+  values_[net] = v;
   const PackedTopology& t = *topo_;
-  // A cell off the frontier computes the good machine's value, which the
-  // next frame settle fills in, so a lane-uniform change need not wake it.
   for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1]; ++j)
-    if (frontier_[t.fanout[j]] != 0) push_event(t.fanout[j]);
+    push_event(t.fanout[j]);
   mark_flop_readers(net);
 }
 
 template <int W>
-void PackedSimT<W>::set_value(NetId net, const Word& v, std::uint32_t driver) {
-  Word& cur = values_[net];
-  const bool was_uniform = lane_uniform(cur);
-  const bool uniform = lane_uniform(v);
-  cur = v;
-  if (frame_synced_ && was_uniform && uniform) {
-    uniform_change(net);
-    if (!replaying_) deferred_.push_back(net);
-    return;
-  }
+void PackedSimT<W>::write_synced(NetId net, const Word& v,
+                                 std::uint32_t driver) {
+  const std::uint64_t bit = 1ULL << (net % 64);
+  const bool was = (diverged_[net / 64] & bit) != 0;
+  const bool now = !lane_uniform(v);
+  if (now)
+    values_[net] = v;
+  else
+    fbits_[net / 64] = (fbits_[net / 64] & ~bit) | (lane_test(v, 0) ? bit : 0);
+  // A lane-uniform change moves only the frame bit.
+  if (!was && !now) return;
   const PackedTopology& t = *topo_;
-  const std::uint32_t* const begin = t.fanout.data() + t.fanout_start[net];
-  const std::uint32_t* const end = t.fanout.data() + t.fanout_start[net + 1];
-  if (frame_synced_ && was_uniform != uniform) {
-    const std::uint8_t delta = uniform ? 0xFF : 1;  // -1 or +1, mod 256
-    for (const std::uint32_t* j = begin; j != end; ++j) {
-      frontier_[*j] += delta;
-      push_event(*j);
+  if (was != now) {
+    diverged_[net / 64] ^= bit;
+    // The driver is being evaluated, so it is listed already.
+    if (driver != kInvalidId) {
+      if (now)
+        ++frontier_[driver];
+      else
+        --frontier_[driver];
     }
-    if (driver != kInvalidId) frontier_[driver] += delta;
-  } else {
-    for (const std::uint32_t* j = begin; j != end; ++j) push_event(*j);
+  }
+  for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1];
+       ++j) {
+    const std::uint32_t k = t.fanout[j];
+    if (was != now) {
+      if (!now) {
+        --frontier_[k];
+      } else if (frontier_[k]++ == 0 && !listed_[k]) {
+        listed_[k] = 1;
+        frontier_list_.push_back(k);
+      }
+    }
+    if (frontier_[k] != 0) push_event(k);
   }
   mark_flop_readers(net);
-}
-
-template <int W>
-void PackedSimT<W>::flush_deferred() {
-  const PackedTopology& t = *topo_;
-  for (const NetId net : deferred_)
-    for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1];
-         ++j)
-      push_event(t.fanout[j]);
-  deferred_.clear();
 }
 
 template <int W>
 void PackedSimT<W>::frame_mismatch(NetId net, const NetFrame& frame) {
   // The throw leaves a drain half done: resettle from scratch next time.
+  // Every flop Q the frame bits hold is still its latched value (a replay
+  // checks them before it copies a frame word over them).
+  if (frame_synced_) leave_sync();
   needs_full_ = true;
   settled_ = false;
-  frame_synced_ = false;
-  replaying_ = false;
   const bool want = (frame.value[net / 64] >> (net % 64)) & 1ULL;
   throw std::logic_error("PackedSim: net " + topo_->nl->net(net).name +
                          " settles lane 0 to " + (want ? "0" : "1") +
@@ -466,7 +472,7 @@ void PackedSimT<W>::run_full_sweep() {
   // share compute_cell, so the sweep oracle and the event path can never
   // diverge on gate semantics.
   for (const PackedTopology::FlatCell& fc : t.order)
-    values_[fc.out] = compute_cell(fc);
+    values_[fc.out] = compute_cell<false>(fc);
   // The sweep recomputed everything: retire pending arena entries by
   // zeroing the per-level counts and bumping the membership epoch. The
   // writes above were untracked, so dirty-D state is invalid — the next
@@ -475,22 +481,17 @@ void PackedSimT<W>::run_full_sweep() {
   bump_event_epoch();
   dirty_flops_.clear();
   all_flops_dirty_ = true;
-  deferred_.clear();
   needs_full_ = false;
   ++activity_.full_sweeps;
   activity_.cells_evaluated += t.order.size();
 }
 
 template <int W>
-void PackedSimT<W>::run_event_sweep(const NetFrame* frame, bool replay) {
+void PackedSimT<W>::run_event_sweep(const NetFrame* frame) {
   const PackedTopology& t = *topo_;
   const auto frame_bit = [frame](NetId n) {
     return (frame->value[n / 64] >> (n % 64)) & 1ULL;
   };
-  // A replay covers every reader the frontier rule skipped since the last
-  // frame settle: the fills below give each of them its good value.
-  replaying_ = replay;
-  if (replay) deferred_.clear();
   // Seed: primary inputs whose held word changed since the last eval.
   // (Ties are constant and flop Qs are seeded by latch(), so neither needs
   // a per-eval scan.)
@@ -501,26 +502,6 @@ void PackedSimT<W>::run_event_sweep(const NetFrame* frame, bool replay) {
     if (frame && (word_of(v, 0) & 1ULL) != frame_bit(out))
       frame_mismatch(out, *frame);
     if (lane_neq(v, values_[out])) set_value(out, v);
-  }
-  if (replay) {
-    // The frame's changed nets whose word is lane-uniform take the good
-    // value; a non-uniform one is its frontier driver's to settle.
-    std::uint64_t fills = 0;
-    for (std::size_t o = 0; o < t.comb_nets.size(); ++o) {
-      for (std::uint64_t bits = frame->changed[o] & t.comb_nets[o]; bits != 0;
-           bits &= bits - 1) {
-        const auto n = static_cast<NetId>(
-            o * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
-        Word& cur = values_[n];
-        if (!lane_uniform(cur)) continue;
-        const Word v = lane_broadcast<Word>(frame_bit(n));
-        if (!lane_neq(v, cur)) continue;
-        cur = v;
-        uniform_change(n);
-        ++fills;
-      }
-    }
-    activity_.frame_fills += fills;
   }
   // Injected cells are permanently active, so fault effects propagate even
   // when no input event reaches them this eval.
@@ -538,23 +519,19 @@ void PackedSimT<W>::run_event_sweep(const NetFrame* frame, bool replay) {
     ++activity_.levels_touched;
     const std::uint32_t* seg = arena_.data() + t.level_start[lvl];
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t k = seg[i];
-      const PackedTopology::FlatCell& fc = t.order[k];
-      // Off the frontier by now: the value is the good one, filled above.
-      if (replay && frontier_[k] == 0) continue;
-      const Word out = compute_cell(fc);
+      const PackedTopology::FlatCell& fc = t.order[seg[i]];
+      const Word out = compute_cell<false>(fc);
       ++evaluated;
       if (frame && (word_of(out, 0) & 1ULL) != frame_bit(fc.out))
         frame_mismatch(fc.out, *frame);
       if (lane_neq(out, values_[fc.out]))
-        set_value(fc.out, out, k);
+        set_value(fc.out, out);
       else
         ++quiet;
     }
     level_count_[lvl] = 0;
     drained += n;
   }
-  replaying_ = false;
   // Retire membership stamps so the next eval's pushes start clean.
   bump_event_epoch();
   activity_.cells_evaluated += evaluated;
@@ -563,41 +540,154 @@ void PackedSimT<W>::run_event_sweep(const NetFrame* frame, bool replay) {
 }
 
 template <int W>
+void PackedSimT<W>::run_replay(const NetFrame& frame) {
+  const PackedTopology& t = *topo_;
+  const auto changed = [&frame](NetId n) {
+    return (frame.changed[n / 64] >> (n % 64)) & 1ULL;
+  };
+  // Take the frame's bits. Every non-diverged flop Q, which the last
+  // latch() advanced, must already hold the frame's value. A changed net
+  // marks the flops reading it for the next edge.
+  for (std::size_t o = 0; o < fbits_.size(); ++o) {
+    const std::uint64_t bad =
+        (fbits_[o] ^ frame.value[o]) & t.flop_nets[o] & ~diverged_[o];
+    if (bad != 0)
+      frame_mismatch(static_cast<NetId>(o * 64 + static_cast<unsigned>(
+                                                     __builtin_ctzll(bad))),
+                     frame);
+    fbits_[o] = frame.value[o];
+    for (std::uint64_t bits = frame.changed[o] & t.flop_inputs[o]; bits != 0;
+         bits &= bits - 1)
+      mark_flop_readers(static_cast<NetId>(
+          o * 64 + static_cast<unsigned>(__builtin_ctzll(bits))));
+  }
+  // Primary inputs: a diverging, changing or re-converging word schedules
+  // its frontier readers.
+  for (CellId id : t.input_cells) {
+    Word v = input_hold_[id];
+    if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
+    const NetId out = t.nl->cell(id).out;
+    if ((word_of(v, 0) & 1ULL) != frame_bit(out)) frame_mismatch(out, frame);
+    if (lane_neq(v, load<true>(out))) write_synced(out, v, kInvalidId);
+  }
+  // Schedule the frontier cells that are injected or read a net whose
+  // frame bit changed (a changed diverged word scheduled its readers when
+  // it was written), dropping the cells that left the frontier.
+  std::size_t kept = 0;
+  for (const std::uint32_t k : frontier_list_) {
+    if (frontier_[k] == 0) {
+      listed_[k] = 0;
+      continue;
+    }
+    frontier_list_[kept++] = k;
+    const PackedTopology::FlatCell& fc = t.order[k];
+    bool wake = has_inj_[fc.id] != 0;
+    for (int i = 0; i < fc.n; ++i) wake |= changed(fc.in[i]) != 0;
+    if (wake) push_event(k);
+  }
+  frontier_list_.resize(kept);
+  std::uint64_t drained = 0;
+  std::uint64_t evaluated = 0;
+  std::uint64_t quiet = 0;
+  for (std::uint32_t lvl = 1; lvl < t.num_levels; ++lvl) {
+    const std::uint32_t n = level_count_[lvl];
+    if (n == 0) continue;
+    ++activity_.levels_touched;
+    const std::uint32_t* seg = arena_.data() + t.level_start[lvl];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t k = seg[i];
+      // Off the frontier by now: every pin reads the good machine.
+      if (frontier_[k] == 0) continue;
+      const PackedTopology::FlatCell& fc = t.order[k];
+      const Word out = compute_cell<true>(fc);
+      ++evaluated;
+      if ((word_of(out, 0) & 1ULL) != frame_bit(fc.out))
+        frame_mismatch(fc.out, frame);
+      if (lane_neq(out, load<true>(fc.out)))
+        write_synced(fc.out, out, k);
+      else
+        ++quiet;
+    }
+    level_count_[lvl] = 0;
+    drained += n;
+  }
+  bump_event_epoch();
+  ++activity_.frame_replays;
+  activity_.cells_evaluated += evaluated;
+  activity_.events_drained += drained;
+  activity_.quiet_cells += quiet;
+}
+
+template <int W>
+void PackedSimT<W>::enter_sync(const NetFrame& frame) {
+  const PackedTopology& t = *topo_;
+  std::copy(frame.value, frame.value + fbits_.size(), fbits_.begin());
+  std::fill(diverged_.begin(), diverged_.end(), 0);
+  for (NetId n = 0; n < values_.size(); ++n)
+    if (lane_neq(values_[n], lane_broadcast<Word>(frame_bit(n))))
+      diverged_[n / 64] |= 1ULL << (n % 64);
+  for (const std::uint32_t k : frontier_list_) listed_[k] = 0;
+  frontier_list_.clear();
+  for (std::uint32_t k = 0; k < t.order.size(); ++k) {
+    const PackedTopology::FlatCell& fc = t.order[k];
+    std::uint8_t n = (has_inj_[fc.id] ? 1 : 0) + diverged(fc.out);
+    for (int i = 0; i < fc.n; ++i) n += diverged(fc.in[i]);
+    frontier_[k] = n;
+    if (n == 0) continue;
+    listed_[k] = 1;
+    frontier_list_.push_back(k);
+  }
+  frame_synced_ = true;
+}
+
+template <int W>
+void PackedSimT<W>::leave_sync() {
+  for (NetId n = 0; n < values_.size(); ++n)
+    if (!diverged(n)) values_[n] = lane_broadcast<Word>(frame_bit(n));
+  for (const PackedTopology::FlatFlop& f : topo_->flops)
+    if (!has_inj_[f.id] && !diverged(f.q))
+      flop_state_[f.id] = lane_broadcast<Word>(frame_bit(f.q));
+  frame_synced_ = false;
+  // The frame-synced settles tracked no events outside the frontier.
+  needs_full_ = true;
+  settled_ = false;
+}
+
+template <int W>
 void PackedSimT<W>::eval(const NetFrame* frame) {
   ++activity_.evals;
   if (mode_ == PackedEvalMode::kFullSweep) frame = nullptr;
   const bool replay = frame && frame_synced_ && !needs_full_ &&
                       frame->cycle == synced_cycle_ + 1;
-  if (!replay) {
-    // A plain settle schedules every reader the frontier rule skipped.
-    flush_deferred();
-    frame_synced_ = false;
-  }
-  // A settled event-mode sim skips the drain: nothing changed since the
-  // last settle, so every net already holds the value it would recompute.
-  if (!settled_ || replay || mode_ == PackedEvalMode::kFullSweep) {
-    if (inj_dirty_) prepare_injections();
-    if (mode_ == PackedEvalMode::kFullSweep || needs_full_)
-      run_full_sweep();
-    else
-      run_event_sweep(frame, replay);
+  if (replay) {
+    run_replay(*frame);
     settled_ = true;
+  } else {
+    if (frame_synced_) leave_sync();
+    // A settled event-mode sim skips the drain: nothing changed since the
+    // last settle, so every net already holds the value it would
+    // recompute.
+    if (!settled_ || mode_ == PackedEvalMode::kFullSweep) {
+      if (inj_dirty_) prepare_injections();
+      if (mode_ == PackedEvalMode::kFullSweep || needs_full_)
+        run_full_sweep();
+      else
+        run_event_sweep(frame);
+      settled_ = true;
+    }
+    if (frame) enter_sync(*frame);
   }
-  if (frame) {
-    if (!replay) rebuild_frontier();
-    frame_synced_ = true;
-    synced_cycle_ = frame->cycle;
-  }
+  if (frame) synced_cycle_ = frame->cycle;
   if (settle_log_) sample_settle();
 }
 
 template <int W>
 void PackedSimT<W>::full_eval() {
   ++activity_.evals;
+  if (frame_synced_) leave_sync();
   if (inj_dirty_) prepare_injections();
   run_full_sweep();
   settled_ = true;
-  frame_synced_ = false;
   if (settle_log_) sample_settle();
 }
 
@@ -612,8 +702,8 @@ void PackedSimT<W>::set_settle_log(SettleLog* log) {
 
 template <int W>
 void PackedSimT<W>::sample_settle() {
-  for (std::size_t n = 0; n < values_.size(); ++n) {
-    std::vector<std::uint64_t>& seen = (word_of(values_[n], 0) & 1ULL)
+  for (NetId n = 0; n < values_.size(); ++n) {
+    std::vector<std::uint64_t>& seen = (word_of(value(n), 0) & 1ULL)
                                            ? settle_log_->seen1
                                            : settle_log_->seen0;
     seen[n / 64] |= 1ULL << (n % 64);
@@ -624,6 +714,10 @@ template <int W>
 void PackedSimT<W>::latch() {
   settled_ = false;
   if (inj_dirty_) prepare_injections();
+  if (frame_synced_) {
+    latch_synced();
+    return;
+  }
   const PackedTopology& t = *topo_;
   Word tmp[4];
   const bool incremental = clock_mode_ == PackedClockMode::kIncremental &&
@@ -703,6 +797,61 @@ void PackedSimT<W>::latch() {
 }
 
 template <int W>
+void PackedSimT<W>::latch_synced() {
+  const PackedTopology& t = *topo_;
+  // The flops to latch are latch()'s: the dirty set (seeded while synced
+  // by diverged writes and the frame's changed bits) plus the injected
+  // flops, or every flop for the full latch and after untracked state.
+  const bool all =
+      clock_mode_ == PackedClockMode::kFullLatch || all_flops_dirty_;
+  if (all) {
+    dirty_scratch_.resize(t.flops.size());
+    std::iota(dirty_scratch_.begin(), dirty_scratch_.end(), 0u);
+    dirty_flops_.clear();
+    all_flops_dirty_ = false;
+  } else {
+    for (const std::uint32_t fi : active_flops_) mark_flop_dirty(fi);
+    dirty_scratch_.swap(dirty_flops_);
+    dirty_flops_.clear();
+  }
+  // Bump BEFORE pass 2 so its change marks seed the NEXT edge.
+  bump_flop_epoch();
+  // Pass 1 reads the pre-edge values. A flop whose pins and Q are all
+  // non-diverged and which carries no injection latches lane 0 of its
+  // D (and reset) frame bits; its Q bit flips in pass 2 if that differs.
+  // Every other flop latches its words into flop_state_.
+  edge_flips_.clear();
+  edge_flops_.clear();
+  Word tmp[2];
+  for (const std::uint32_t fi : dirty_scratch_) {
+    const PackedTopology::FlatFlop& f = t.flops[fi];
+    if (!has_inj_[f.id] &&
+        !(diverged(f.q) | diverged(f.in[0]) | diverged(f.in[1]))) {
+      if ((frame_bit(f.in[0]) & frame_bit(f.in[1])) != frame_bit(f.q))
+        edge_flips_.push_back(f.q);
+      continue;
+    }
+    tmp[0] = load<true>(f.in[0]);
+    tmp[1] = load<true>(f.in[1]);
+    if (has_inj_[f.id]) apply_inj(f.id, tmp, Word{}, false);
+    // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
+    flop_state_[f.id] = f.n == 1 ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
+    edge_flops_.push_back(fi);
+  }
+  activity_.flops_latched += dirty_scratch_.size();
+  activity_.flops_skipped += t.flops.size() - dirty_scratch_.size();
+  // Pass 2: advance the Q bits and expose the latched words. Flop readers
+  // of a flipped bit are marked by the next frame's changed bits.
+  for (const NetId q : edge_flips_) fbits_[q / 64] ^= 1ULL << (q % 64);
+  for (const std::uint32_t fi : edge_flops_) {
+    const PackedTopology::FlatFlop& f = t.flops[fi];
+    Word v = flop_state_[f.id];
+    if (has_inj_[f.id]) v = apply_inj(f.id, nullptr, v, true);
+    if (lane_neq(v, load<true>(f.q))) write_synced(f.q, v, kInvalidId);
+  }
+}
+
+template <int W>
 void PackedSimT<W>::clock() {
   latch();
   eval();
@@ -723,10 +872,14 @@ void PackedSimT<W>::retire_lanes(Word lanes) {
   // skipped latch would not equal the full one. An injected flop's Q is
   // re-exposed even over an unchanged state (set_injection_lanes leaves it
   // to a pending full sweep), so every Q stays current as after latch().
+  // While synced, an uninjected flop with a non-diverged Q holds a
+  // lane-uniform state in the frame bits, which retiring cannot change.
   const PackedTopology& t = *topo_;
   const bool tracked = mode_ == PackedEvalMode::kEventDriven && !needs_full_;
   for (std::size_t fi = 0; fi < t.flop_cells.size(); ++fi) {
     const CellId id = t.flop_cells[fi];
+    const NetId out = t.flops[fi].q;
+    if (frame_synced_ && !has_inj_[id] && !diverged(out)) continue;
     Word& state = flop_state_[id];
     const Word next =
         (state & ~lanes) | (lane_broadcast<Word>(lane_test(state, 0)) & lanes);
@@ -739,7 +892,10 @@ void PackedSimT<W>::retire_lanes(Word lanes) {
     }
     Word v = next;
     if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
-    const NetId out = t.nl->cell(id).out;
+    if (frame_synced_) {
+      if (lane_neq(v, load<true>(out))) write_synced(out, v, kInvalidId);
+      continue;
+    }
     if (!lane_neq(v, values_[out])) continue;
     if (tracked)
       set_value(out, v);
@@ -755,8 +911,11 @@ typename PackedSimT<W>::Word PackedSimT<W>::observed(
   assert(c.type == CellType::kOutput);
   // Injections are grouped lazily; observing between add_injection() and
   // the next eval()/latch() would silently miss port faults.
-  assert(!inj_dirty_ && "call eval() after changing injections");
-  Word v = values_[c.ins[0]];
+  if (inj_dirty_)
+    throw std::logic_error("PackedSim: observed(" + c.name +
+                           ") before the injections changed since the last "
+                           "eval() or latch() were applied");
+  Word v = value(c.ins[0]);
   if (has_inj_[output_cell]) {
     const Injection* j = inj_flat_.data() + inj_start_[output_cell];
     const Injection* const end = j + has_inj_[output_cell];

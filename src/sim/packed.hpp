@@ -31,14 +31,27 @@
 // registered output is readable before the next settle; clock() is
 // latch() then eval(). Sequential fault simulation settles once per cycle
 // and, when lane 0 is the good machine and its per-cycle values are known
-// (a NetFrame streamed from the reference trace), replays them: eval(frame)
-// fills every changed net whose word is lane-uniform straight from the
-// frame and evaluates only the divergence frontier — cells with an
-// injection, a non-uniform input or a non-uniform output. A cell with
-// uniform inputs, a uniform output and no injection computes the good
-// machine's value, which the frame already holds. The replay is exact and
-// checked: an evaluated cell whose lane-0 output disagrees with the frame
-// throws.
+// (a NetFrame streamed from the reference trace), replays them. While
+// frame-synced the good machine lives only in the sim's own copy of the
+// lane-0 frame bits: a net is either *diverged* (some lane differs from
+// lane 0; its word is in values_) or reads as the broadcast of its frame
+// bit, and a lane-uniform word is never written to values_. eval(frame)
+// copies the frame's bits (one word per 64 nets) and evaluates, in level
+// order, only divergence-frontier cells — cells with an injection or a
+// diverged input or output — that are injected, read a net whose frame bit
+// changed, or read a diverged net whose word changed. A cell joins the
+// frontier when one of its pins diverges and leaves it when all of them
+// re-converge; the combinational readers of a net whose frame bit merely
+// changed are never visited. The clock edge stays incremental: a changed
+// frame bit marks only the flops reading it. A marked flop whose pins and
+// Q are non-diverged and which carries no injection latches lane 0 of its
+// frame bits straight into the bit copy, so its Q reads the post-edge
+// value until the next frame replaces the copy — and that frame must
+// agree. The replay is exact and checked: an evaluated cell, a primary
+// input or a non-diverged flop Q whose lane-0 value disagrees with the
+// frame throws. Leaving sync (a plain eval(), full_eval(), power_on(), an
+// injection add or clear) writes the frame bits into values_ once and
+// settles the next eval() with a full sweep.
 //
 // What the frontier still holds is faulty-lane work, and a detected fault's
 // lane has nothing left to report. retire_lanes() hands such lanes back to
@@ -116,9 +129,23 @@ struct PackedTopology {
   /// The kInput cell driving each net, or kInvalidId: the input setters'
   /// argument check.
   std::vector<CellId> net_input;
-  /// Nets driven by a cell of `order`, one bit per net (bit n % 64 of
-  /// word n / 64): the nets a frame settle may fill from the frame.
-  std::vector<std::uint64_t> comb_nets;
+  /// Flattened flop record for the frame-synced clock edge: in[1] is the
+  /// active-low reset of a kDffR and repeats the D net of a kDff (q' =
+  /// in[0] & in[1] either way); n is the pin count.
+  struct FlatFlop {
+    CellId id;
+    NetId q;
+    NetId in[2];
+    std::uint8_t n;
+  };
+  std::vector<FlatFlop> flops;  ///< parallel to flop_cells
+  /// Nets driven by a flop, one bit per net (bit n % 64 of word n / 64):
+  /// the nets a frame-synced latch() writes into the frame bits, checked
+  /// against the next frame.
+  std::vector<std::uint64_t> flop_nets;
+  /// Nets a flop's D or reset pin reads, one bit per net: the frame bits
+  /// whose change marks flops for a frame-synced latch().
+  std::vector<std::uint64_t> flop_inputs;
 
   /// Throws std::runtime_error on a combinational loop.
   static std::shared_ptr<const PackedTopology> build(const Netlist& nl);
@@ -150,20 +177,21 @@ struct PackedActivity {
   std::uint64_t evals = 0;            ///< eval() calls
   std::uint64_t full_sweeps = 0;      ///< evals resolved by a full sweep
   std::uint64_t cells_evaluated = 0;  ///< combinational cells computed
-  /// Cells drained from the event arena, evaluated or (frame settle, off
+  /// Cells drained from the event arena, evaluated or (frame replay, off
   /// the frontier by the time they drain) skipped.
   std::uint64_t events_drained = 0;
-  /// Nets a frame settle wrote straight from the frame (lane-uniform
-  /// words whose good value changed) instead of evaluating their driver.
-  std::uint64_t frame_fills = 0;
+  /// Settles that replayed a frame: evaluated only the divergence
+  /// frontier and took every other net from the frame bits.
+  std::uint64_t frame_replays = 0;
   std::uint64_t levels_touched = 0;   ///< non-empty level segments drained
   /// Drained cells whose output word was unchanged — their fanout was
   /// never scheduled (the event path's work-skipping payoff).
   std::uint64_t quiet_cells = 0;
   std::uint64_t sched_pushes = 0;     ///< cells pushed into the event arena
   std::uint64_t flops_latched = 0;    ///< flops latched across clock edges
-  /// Flops skipped by incremental clocking (their D input provably
-  /// unchanged since their last latch) — the dirty-D payoff.
+  /// Flops skipped by incremental clocking: their D input provably
+  /// unchanged since their last latch (the dirty-D payoff) or, while
+  /// frame-synced, their next Q taken from the frame bits.
   std::uint64_t flops_skipped = 0;
   std::uint64_t lanes_retired = 0;    ///< lanes handed to retire_lanes()
 };
@@ -183,9 +211,11 @@ struct SettleLog {
 /// n / 64, over ceil(nets / 64) words.
 struct NetFrame {
   int cycle = 0;
-  /// Lane-0 value of every net at the end of `cycle`.
+  /// Lane-0 value of every net at the end of `cycle`; eval() copies it,
+  /// so the storage need only live through the call.
   const std::uint64_t* value = nullptr;
-  /// Nets whose value differs from the frame of `cycle - 1`.
+  /// Nets whose value differs from the frame of `cycle - 1`: a replay
+  /// wakes the frontier cells and marks the flops that read them.
   const std::uint64_t* changed = nullptr;
 };
 
@@ -237,13 +267,14 @@ class PackedSimT {
   /// With a `frame` (ignored in kFullSweep mode, so the sweep oracle never
   /// reads the trace), lane 0 must be the good machine and `frame` its
   /// values for this settle. If the previous settle was the frame of
-  /// `frame->cycle - 1` with only latch(), input drives and
-  /// set_injection_lanes since, the settle replays: changed lane-uniform
-  /// nets are filled from the frame and only frontier cells are evaluated.
-  /// Otherwise it settles as without a frame. Either way, when the settle
-  /// drains events, every evaluated cell's lane-0 output and every primary
-  /// input's lane-0 value is checked against the frame: a mismatch throws
-  /// std::logic_error naming the net and the cycle.
+  /// `frame->cycle - 1` with only latch(), input drives,
+  /// set_injection_lanes and retire_lanes since, the settle replays: it
+  /// copies the frame bits and evaluates only the frontier cells whose
+  /// inputs changed. Otherwise it settles as without a frame and enters
+  /// sync. Either way, when the settle drains events, every evaluated
+  /// cell's lane-0 output and every primary input's lane-0 value is checked
+  /// against the frame, and a replay also checks every non-diverged flop
+  /// Q: a mismatch throws std::logic_error naming the net and the cycle.
   void eval(const NetFrame* frame = nullptr);
   /// Unconditional levelized sweep over every cell — the reference kernel.
   void full_eval();
@@ -278,9 +309,13 @@ class PackedSimT {
   void reset_activity() { activity_ = {}; }
   std::size_t comb_cell_count() const { return topo_->order.size(); }
 
-  Word value(NetId net) const { return values_[net]; }
+  Word value(NetId net) const {
+    return frame_synced_ ? load<true>(net) : values_[net];
+  }
   /// Value seen by a top-level output port, including any injection on the
-  /// port cell's input pin (PO stuck-at faults).
+  /// port cell's input pin (PO stuck-at faults). Throws std::logic_error
+  /// between an injection change and the next eval() or latch(), which
+  /// would silently miss port faults.
   Word observed(CellId output_cell) const;
 
   const Netlist& netlist() const { return *topo_->nl; }
@@ -295,37 +330,65 @@ class PackedSimT {
   void set_held(CellId input_cell, const Word& lanes);
   void prepare_injections();
   void run_full_sweep();
-  /// The event drain; `frame` checks lane 0, `replay` applies the frame
-  /// fills and the frontier rule.
-  void run_event_sweep(const NetFrame* frame, bool replay);
+  /// The plain event drain; a non-null `frame` checks lane 0.
+  void run_event_sweep(const NetFrame* frame);
+  /// The frame-synced settle: copies the frame bits and drains the
+  /// divergence frontier.
+  void run_replay(const NetFrame& frame);
+  /// Enters frame sync after a plain settle of `frame`: copies its bits,
+  /// marks diverged every net whose word is not the broadcast of its
+  /// frame bit and counts the frontier. O(nets + cells), once per sync.
+  void enter_sync(const NetFrame& frame);
+  /// Leaves frame sync: writes the frame bits into values_ and into the
+  /// state of every flop that took its Q from them, and leaves the next
+  /// settle to a full sweep.
+  void leave_sync();
+  /// The frame-synced clock edge.
+  void latch_synced();
   void push_event(std::uint32_t order_idx);
   void mark_flop_dirty(std::uint32_t flop_idx);
-  /// Recounts frontier_ from the settled values (on entering frame sync).
-  void rebuild_frontier();
   /// Marks the flops reading `net` dirty for the next latch().
   [[gnu::always_inline]] void mark_flop_readers(NetId net);
-  /// A frame-synced net changed between two lane-uniform words: schedules
-  /// its frontier readers and marks its flop readers dirty.
-  void uniform_change(NetId net);
   /// Writes a net's changed settled value, schedules its combinational
   /// readers and marks its flop readers dirty for the next clock edge. The
-  /// single change-tracking entry point — every values_[] write outside a
-  /// full sweep routes through it, so the dirty-D set can never miss a
-  /// flop. While frame-synced, a change whose old and new words are both
-  /// lane-uniform schedules frontier readers only (outside a replay drain
-  /// the net is remembered in deferred_), and a change of uniformity
-  /// updates frontier_ of the readers and of `driver`, the order index of
-  /// the net's combinational driver (kInvalidId for a source or flop).
-  void set_value(NetId net, const Word& v, std::uint32_t driver = kInvalidId);
-  /// Schedules every reader the frontier rule skipped since the last
-  /// frame settle, so a plain settle stays exact.
-  void flush_deferred();
+  /// single change-tracking entry point outside frame sync — every
+  /// values_[] write outside a full sweep routes through it, so the
+  /// dirty-D set can never miss a flop.
+  void set_value(NetId net, const Word& v);
+  /// The frame-synced write of a net's changed word: a lane-uniform word
+  /// goes to the frame bits (re-converging the net), any other to values_
+  /// (diverging it). A change of divergence moves the frontier counts of
+  /// the combinational readers and of `driver`, the order index of the
+  /// net's combinational driver (kInvalidId for a source or flop). Unless
+  /// the net was and stays non-diverged, it schedules the frontier readers
+  /// and marks the flop readers dirty.
+  void write_synced(NetId net, const Word& v, std::uint32_t driver);
   /// Throws the frame-mismatch std::logic_error, leaving the sim to settle
   /// with a full sweep next.
   [[noreturn]] void frame_mismatch(NetId net, const NetFrame& frame);
   void bump_event_epoch();
   void bump_flop_epoch();
-  /// Inlined into both sweeps: it is the innermost call of the drain.
+  bool diverged(NetId net) const {
+    return (diverged_[net / 64] >> (net % 64)) & 1ULL;
+  }
+  bool frame_bit(NetId net) const {
+    return (fbits_[net / 64] >> (net % 64)) & 1ULL;
+  }
+  /// A net's word: frame-synced, a non-diverged net reads the broadcast
+  /// of its frame bit.
+  template <bool kSynced>
+  Word load(NetId net) const {
+    if constexpr (kSynced) {
+      // Branch-free: whether a frontier cell's pin is diverged does not
+      // predict well.
+      const std::uint64_t div = 0 - ((diverged_[net / 64] >> (net % 64)) & 1);
+      const std::uint64_t bit = 0 - ((fbits_[net / 64] >> (net % 64)) & 1);
+      return (values_[net] & div) | (bit & ~div);
+    }
+    return values_[net];
+  }
+  /// Inlined into every drain: it is the innermost call.
+  template <bool kSynced>
   [[gnu::always_inline]] Word compute_cell(
       const PackedTopology::FlatCell& fc) const;
   /// ORs the settled lane-0 net values into settle_log_.
@@ -379,20 +442,29 @@ class PackedSimT {
   // held input word, an injection change, power_on() and latch().
   bool settled_ = false;
 
-  // The last settle was the frame of synced_cycle_: every net's lane 0
-  // holds that frame's value, or will once the held inputs and latched
-  // flops settle. Set by a frame settle; kept by latch(), input drives and
-  // set_injection_lanes; dropped by a plain eval(), full_eval(),
-  // power_on() and any injection add or clear. deferred_ lists the nets
-  // whose lane-uniform change scheduled only frontier readers since.
+  // The last settle was the frame of synced_cycle_. Set by a frame settle;
+  // kept by latch(), input drives, set_injection_lanes and retire_lanes;
+  // dropped by a plain eval(), full_eval(), power_on(), any injection add
+  // or clear, and a frame mismatch. While synced, a net's word is values_
+  // if its diverged_ bit is set and the broadcast of its fbits_ bit
+  // otherwise (one bit per net, bit n % 64 of word n / 64). fbits_ holds
+  // the last frame's bits, except the flop Qs latch() has advanced past
+  // it; the flop state of an uninjected flop with a non-diverged Q is its
+  // fbits_ bit, and flop_state_ holds every other flop's.
   bool frame_synced_ = false;
   int synced_cycle_ = 0;
-  // Per order index while frame-synced: the cell's non-uniform pins
-  // (inputs, counted per pin, and output) plus one if it is injected. A
-  // cell is on the divergence frontier iff its count is nonzero.
+  std::vector<std::uint64_t> fbits_;
+  std::vector<std::uint64_t> diverged_;
+  std::vector<NetId> edge_flips_;           // latch_synced() scratch
+  std::vector<std::uint32_t> edge_flops_;   // latch_synced() scratch
+  // Per order index while frame-synced: the cell's diverged pins (inputs,
+  // counted per pin, and output) plus one if it is injected. A cell is on
+  // the divergence frontier iff its count is nonzero. frontier_list_ holds
+  // every frontier cell (and cells that left since the last replay, which
+  // it drops lazily); listed_ marks its members.
   std::vector<std::uint8_t> frontier_;
-  bool replaying_ = false;  // inside a replay drain
-  std::vector<NetId> deferred_;
+  std::vector<std::uint32_t> frontier_list_;
+  std::vector<std::uint8_t> listed_;
 
   PackedActivity activity_;
   SettleLog* settle_log_ = nullptr;

@@ -366,9 +366,9 @@ TEST(EventSim, SettledEvalIsSkippedAndExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame replay. A frame settle fills every changed lane-uniform net from
-// the good machine's recorded values and evaluates only the divergence
-// frontier. Frames are recorded from an uninjected run; an injected event
+// Frame replay. A frame settle reads every net no faulty lane diverges
+// from out of the good machine's recorded values and evaluates only the
+// divergence frontier. Frames are recorded from an uninjected run; an injected event
 // sim then settles once per cycle with them (with incremental clocking
 // and with the full latch), and after every settle and every latch it
 // must match a full-sweep oracle on every net and observed output.
@@ -433,7 +433,7 @@ Frames record_frames(const RandomDesign& d,
 }
 
 template <int W>
-void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& fills) {
+void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& replays) {
   using Word = LaneWord<W>;
   Rng rng(seed);
   RandomDesign d = random_design(rng, 8, 16, 150);
@@ -502,7 +502,7 @@ void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& fills) {
   };
 
   for (auto* s : sims) reset(*s);
-  const std::uint64_t fills_before = evt.activity().frame_fills;
+  const std::uint64_t replays_before = evt.activity().frame_replays;
   for (int c = 0; c < kCycles; ++c) {
     for (std::size_t i = 0; i < std::size(sites); ++i) {
       if (rng.next_below(2) == 0) continue;
@@ -527,7 +527,7 @@ void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& fills) {
     compare_flops(c);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  fills += evt.activity().frame_fills - fills_before;
+  replays += evt.activity().frame_replays - replays_before;
 
   // A frame that disagrees with the sim's good machine throws, naming the
   // net and the cycle: on a primary input, and on an evaluated cell (the
@@ -583,14 +583,14 @@ void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& fills) {
 }
 
 TEST(EventSim, FrameReplayMatchesFullSweep) {
-  std::uint64_t fills64 = 0, fills128 = 0;
+  std::uint64_t replays64 = 0, replays128 = 0;
   for (std::uint64_t seed = 81; seed <= 86; ++seed) {
-    frame_replay_lockstep<64>(seed, fills64);
-    frame_replay_lockstep<128>(seed, fills128);
+    frame_replay_lockstep<64>(seed, replays64);
+    frame_replay_lockstep<128>(seed, replays128);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  EXPECT_GT(fills64, 0u) << "no frame settle filled a net";
-  EXPECT_GT(fills128, 0u) << "no frame settle filled a net";
+  EXPECT_GT(replays64, 0u) << "no frame settle replayed";
+  EXPECT_GT(replays128, 0u) << "no frame settle replayed";
 }
 
 // ---------------------------------------------------------------------------
@@ -747,7 +747,7 @@ void retired_lanes_lockstep(std::uint64_t seed, bool replay, bool converge,
   EXPECT_EQ(evt.activity().lanes_retired, retired_here) << where(kCycles, "end");
   EXPECT_EQ(kept.activity().lanes_retired, 0u);
   if (replay) {
-    EXPECT_GT(evt.activity().frame_fills, 0u) << where(kCycles, "end");
+    EXPECT_GT(evt.activity().frame_replays, 0u) << where(kCycles, "end");
   }
   retired_total += retired_here;
   EXPECT_THROW(evt.retire_lanes(lane0), std::invalid_argument);
@@ -768,8 +768,168 @@ TEST(EventSim, RetiredLanesMatchFullSweep) {
 }
 
 // ---------------------------------------------------------------------------
+// Reads of a replaying sim. While frame-synced, a net that no faulty lane
+// diverges from lies only in the sim's copy of the frame bits, so every
+// read goes through them: value(), observed() and the settle log. An
+// injected event sim replays frames whose storage is overwritten and
+// freed right after each settle; a full-sweep sim gets the same calls.
+// Their reads must agree after every settle, after every latch followed by
+// a re-arm of a flop-Q injection, after every retirement and after leaving
+// sync, and a settle log attached across replayed settles must record the
+// same values. A frame whose flop Q disagrees with the latch throws.
+
+template <int W>
+void replay_reads_lockstep(std::uint64_t seed, std::uint64_t& replays) {
+  using Word = LaneWord<W>;
+  Rng rng(seed);
+  RandomDesign d = random_design(rng, 8, 16, 150);
+  const auto topo = PackedTopology::build(d.nl);
+  constexpr int kCycles = 40;
+  const Word lane0 = lane_bit<Word>(0);
+  const std::vector<std::vector<bool>> stim = random_stimulus(rng, d, kCycles);
+  const Frames frames = record_frames<W>(d, topo, stim);
+
+  PackedSimT<W> evt(topo), oracle(topo);
+  oracle.set_eval_mode(PackedEvalMode::kFullSweep);
+  PackedSimT<W>* const sims[] = {&evt, &oracle};
+  Word retired{};
+  const auto faulty_lanes = [&] {
+    return random_lanes<W>(rng) & ~lane0 & ~retired;
+  };
+  const auto pick = [&](auto&& accept) { return pick_cell(rng, d, accept); };
+  // Injection 0 sits on a flop Q and is re-armed after every latch.
+  const std::pair<CellId, std::uint8_t> sites[] = {
+      {pick([](CellType t) { return is_sequential(t); }), 0},
+      {pick(is_comb_gate), 0},
+      {pick([](CellType t) { return t == CellType::kOutput; }), 1}};
+  for (const auto& [cell, pin] : sites) {
+    const PackedInjectionT<W> inj{cell, pin, rng.next_bool(), faulty_lanes()};
+    for (auto* s : sims) s->add_injection(inj);
+  }
+
+  const auto compare = [&](int cycle, const char* when) {
+    for (NetId n = 0; n < d.nl.num_nets(); ++n)
+      ASSERT_FALSE(lane_neq(evt.value(n), oracle.value(n)))
+          << "W=" << W << " seed " << seed << ": net " << d.nl.net(n).name
+          << " diverged " << when << " of cycle " << cycle;
+    for (CellId oc : d.output_cells)
+      ASSERT_FALSE(lane_neq(evt.observed(oc), oracle.observed(oc)))
+          << "W=" << W << " seed " << seed << ": output "
+          << d.nl.cell(oc).name << " diverged " << when << " of cycle "
+          << cycle;
+  };
+
+  for (auto* s : sims) reset_sim(d, *s);
+  SettleLog evt_log, oracle_log;
+  const std::uint64_t replays_before = evt.activity().frame_replays;
+  for (int c = 0; c < kCycles; ++c) {
+    if (c == 5) {
+      evt.set_settle_log(&evt_log);
+      oracle.set_settle_log(&oracle_log);
+    }
+    for (std::size_t i = 0; i < d.input_nets.size(); ++i) {
+      // Lane 0 sees the good stimulus; faulty lanes sometimes their own.
+      Word w = lane_broadcast<Word>(stim[static_cast<std::size_t>(c)][i]);
+      if (rng.next_below(4) == 0) w ^= faulty_lanes();
+      for (auto* s : sims) s->set_input_lanes(d.input_nets[i], w);
+    }
+    {
+      // The frame's storage lives only through the settle.
+      const auto cc = static_cast<std::size_t>(c);
+      auto value = std::make_unique<std::vector<std::uint64_t>>(frames.value[cc]);
+      auto changed =
+          std::make_unique<std::vector<std::uint64_t>>(frames.changed[cc]);
+      const NetFrame frame{c, value->data(), changed->data()};
+      for (auto* s : sims) s->eval(&frame);
+      for (std::uint64_t& w : *value) w = ~w;
+      for (std::uint64_t& w : *changed) w = ~w;
+      value.reset();
+      changed.reset();
+    }
+    compare(c, "after the settle");
+    // A full-sweep sim re-applies a re-armed injection only when it
+    // settles or latches, so it takes the re-arm just before its latch; a
+    // Q-pin fault does not change what any flop latches.
+    const Word lanes = faulty_lanes();
+    oracle.set_injection_lanes(0, lanes);
+    for (auto* s : sims) s->latch();
+    evt.set_injection_lanes(0, lanes);
+    compare(c, "after the latch and the flop-Q re-arm");
+    if (rng.next_below(3) == 0) {
+      const Word gone = faulty_lanes() & random_lanes<W>(rng);
+      for (auto* s : sims) s->retire_lanes(gone);
+      retired |= gone;
+      compare(c, "after the retirement");
+    }
+    if (c == 30) {
+      evt.set_settle_log(nullptr);
+      oracle.set_settle_log(nullptr);
+      EXPECT_EQ(evt_log.seen0, oracle_log.seen0)
+          << "W=" << W << " seed " << seed;
+      EXPECT_EQ(evt_log.seen1, oracle_log.seen1)
+          << "W=" << W << " seed " << seed;
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  replays += evt.activity().frame_replays - replays_before;
+
+  // Leaving sync writes the frame bits back: reads before the next settle,
+  // a latch without one, and that settle stay exact.
+  const PackedInjectionT<W> late{pick(is_comb_gate), 0, true, faulty_lanes()};
+  for (auto* s : sims) s->add_injection(late);
+  for (NetId n = 0; n < d.nl.num_nets(); ++n)
+    ASSERT_FALSE(lane_neq(evt.value(n), oracle.value(n)))
+        << "W=" << W << " seed " << seed << ": net " << d.nl.net(n).name
+        << " diverged on leaving sync";
+  for (auto* s : sims) s->latch();
+  compare(kCycles, "after a latch out of sync");
+  for (auto* s : sims) s->eval();
+  compare(kCycles, "after a settle out of sync");
+
+  // A flop takes its next Q from the frame bits only if the next frame
+  // agrees: a corrupted Q bit throws, naming the net and the cycle.
+  PackedSimT<W> sim(topo);
+  reset_sim(d, sim);
+  const NetId q = d.nl.cell(sites[0].first).out;
+  Frames bad = frames;
+  bad.value[2][q / 64] ^= 1ULL << (q % 64);
+  for (int c = 0; c < 3; ++c) {
+    for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+      sim.set_input_all(d.input_nets[i], stim[static_cast<std::size_t>(c)][i]);
+    const NetFrame frame = bad.at(c);
+    if (c < 2) {
+      sim.eval(&frame);
+      sim.latch();
+      continue;
+    }
+    try {
+      sim.eval(&frame);
+      ADD_FAILURE() << "W=" << W << " seed " << seed
+                    << ": corrupted frame bit of flop " << d.nl.net(q).name
+                    << " accepted";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(d.nl.net(q).name), std::string::npos) << what;
+      EXPECT_NE(what.find("cycle 2"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(EventSim, ReplayKeepsEveryReadExact) {
+  std::uint64_t replays64 = 0, replays128 = 0;
+  for (std::uint64_t seed = 121; seed <= 126; ++seed) {
+    replay_reads_lockstep<64>(seed, replays64);
+    replay_reads_lockstep<128>(seed, replays128);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(replays64, 0u) << "no frame settle replayed";
+  EXPECT_GT(replays128, 0u) << "no frame settle replayed";
+}
+
+// ---------------------------------------------------------------------------
 // Release-safe argument checks: the input setters accept only nets a
-// primary input drives, and set_injection_lanes only existing handles.
+// primary input drives, set_injection_lanes only existing handles, and
+// observed() only an applied injection set.
 
 template <int W>
 void expect_setters_reject_bad_arguments() {
@@ -802,6 +962,24 @@ void expect_setters_reject_bad_arguments() {
                      lane_bit<LaneWord<W>>(1)});
   EXPECT_NO_THROW(sim.set_injection_lanes(0, lane_bit<LaneWord<W>>(2)));
   EXPECT_THROW(sim.set_injection_lanes(1, LaneWord<W>{}), std::out_of_range);
+
+  // observed() before a changed injection set is applied would miss a port
+  // fault, in every build.
+  const CellId port = d.output_cells[0];
+  EXPECT_THROW(sim.observed(port), std::logic_error);
+  sim.eval();
+  EXPECT_NO_THROW(sim.observed(port));
+  sim.add_injection({port, 1, true, lane_bit<LaneWord<W>>(1)});
+  try {
+    sim.observed(port);
+    ADD_FAILURE() << "W=" << W << ": observed() missed a pending port fault";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(d.nl.cell(port).name),
+              std::string::npos)
+        << e.what();
+  }
+  sim.latch();
+  EXPECT_TRUE(lane_test(sim.observed(port), 1));
 }
 
 TEST(EventSim, SettersRejectBadArguments) {
