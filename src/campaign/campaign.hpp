@@ -21,9 +21,10 @@
 //    never activates (CampaignTest::inert) leave that test's target list
 //    before batching and cost no simulation;
 //  * good-machine checkpointing — each test's fault-free run is recorded
-//    once (fsim::ReferenceTrace, all nets) and every batch replays the
-//    checkpoint as its reference instead of re-deriving good values from
-//    lane 0 (TDF batches also read their launch schedules from it);
+//    once (fsim::ReferenceTrace, all nets), and every batch grades against
+//    it: the trace is the only good machine, supplying the observed
+//    outputs' good bits, the settle's replay and, under TDF, each site's
+//    launches;
 //  * deterministic merge — batch boundaries depend only on the target
 //    list, each worker writes its batches' detection masks to dedicated
 //    slots, and the merge walks shards in index order, so the

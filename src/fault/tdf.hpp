@@ -11,12 +11,15 @@
 // cannot launch (a mission constant of either polarity kills both
 // transition faults of its pin).
 //
-// Simulation semantics (the launch/capture pair graded by
-// SequentialFaultSimulator::run_tdf_batch): a slow-to-rise fault misses
-// the capture clock edge after the good machine launches a 0->1 at the
-// site, so during that capture cycle the site still carries the
-// pre-transition value 0 — which is exactly the stuck value of the fault's
-// shared stuck-at slot. Slow-to-fall is the 1->0 dual.
+// Simulation semantics (the launch/capture pair that
+// SequentialFaultSimulator::run_batch grades under kTransition, in the same
+// batch loop as stuck-at): a slow-to-rise fault misses the capture clock
+// edge after the good machine launches a 0->1 at the site, so during that
+// capture cycle the site still carries the pre-transition value 0 — which
+// is exactly the stuck value of the fault's shared stuck-at slot, so the
+// batch injects that stuck-at record on the capture cycle only. The
+// launches come from the recorded good machine (the reference trace's
+// frame of each cycle). Slow-to-fall is the 1->0 dual.
 #pragma once
 
 #include <string>

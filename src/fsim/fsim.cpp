@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -13,21 +12,19 @@ namespace olfui {
 
 namespace {
 
-void check_net(const ReferenceTrace& trace, NetId net) {
-  if (net >= trace.num_nets)
-    throw std::out_of_range("ReferenceTrace: net " + std::to_string(net) +
-                            " out of range (" +
-                            std::to_string(trace.num_nets) + " nets)");
-}
-
 /// Fault i rides lane i + 1, so a W-lane pass holds at most W - 1 faults;
 /// one more would shift past the lane word.
-void check_batch_size(const char* what, std::size_t faults, int lanes) {
+void check_batch_size(std::size_t faults, int lanes) {
   if (faults >= static_cast<std::size_t>(lanes))
     throw std::invalid_argument(
-        std::string(what) + ": " + std::to_string(faults) +
+        "run_batch: " + std::to_string(faults) +
         " faults exceed the " + std::to_string(lanes - 1) +
         " faulty lanes of a " + std::to_string(lanes) + "-lane pass");
+}
+
+/// Lane-0 bit of `net` in a frame's packed words.
+bool frame_bit(const std::uint64_t* words, NetId net) {
+  return (words[net / 64] >> (net % 64)) & 1ULL;
 }
 
 /// Streams a ReferenceTrace's frames in cycle order: one run cursor per
@@ -85,7 +82,10 @@ class FrameStream {
 }  // namespace
 
 bool ReferenceTrace::net_bit(int cycle, NetId net) const {
-  check_net(*this, net);
+  if (net >= num_nets)
+    throw std::out_of_range("ReferenceTrace: net " + std::to_string(net) +
+                            " out of range (" + std::to_string(num_nets) +
+                            " nets)");
   if (cycle < 0 || cycle >= cycles)
     throw std::out_of_range("ReferenceTrace: cycle " + std::to_string(cycle) +
                             " of net " + std::to_string(net) +
@@ -97,21 +97,6 @@ bool ReferenceTrace::net_bit(int cycle, NetId net) const {
                                    static_cast<std::uint32_t>(cycle));
   const std::size_t r = static_cast<std::size_t>(it - col.cycle.begin()) - 1;
   return (col.value[r] >> (net % 64)) & 1ULL;
-}
-
-void ReferenceTrace::net_history(NetId net,
-                                 std::vector<std::uint64_t>& packed) const {
-  check_net(*this, net);
-  const std::size_t n = static_cast<std::size_t>(cycles);
-  packed.assign((n + 63) / 64, 0);
-  const Column& col = columns[net / 64];
-  const int bit = static_cast<int>(net % 64);
-  for (std::size_t r = 0; r < col.cycle.size(); ++r) {
-    if (!((col.value[r] >> bit) & 1ULL)) continue;
-    const std::size_t hi = r + 1 < col.cycle.size() ? col.cycle[r + 1] : n;
-    for (std::size_t c = col.cycle[r]; c < hi; ++c)
-      packed[c / 64] |= 1ULL << (c % 64);
-  }
 }
 
 NetActivation ReferenceTrace::activation() const {
@@ -197,7 +182,7 @@ SequentialFaultSimulatorT<W>::SequentialFaultSimulatorT(
 
 template <int W>
 void SequentialFaultSimulatorT<W>::set_observed(std::vector<CellId> output_cells) {
-  // observed() and prepare_trace read each port's input net.
+  // observed() and the frame's good bit read each port's input net.
   for (const CellId c : output_cells) {
     if (c >= nl_->num_cells())
       throw std::invalid_argument(
@@ -209,7 +194,6 @@ void SequentialFaultSimulatorT<W>::set_observed(std::vector<CellId> output_cells
                                   " is not an output port");
   }
   observed_ = std::move(output_cells);
-  prepared_trace_ = nullptr;  // cached columns follow the observed set
 }
 
 template <int W>
@@ -256,53 +240,15 @@ ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
 }
 
 template <int W>
-void SequentialFaultSimulatorT<W>::prepare_trace(const ReferenceTrace* trace) {
-  // The frame settle reads one frame bit per net of this netlist.
-  if (trace && trace->num_nets != nl_->num_nets())
-    throw std::invalid_argument(
-        "SequentialFaultSimulator: the trace covers " +
-        std::to_string(trace->num_nets) + " nets, the netlist has " +
-        std::to_string(nl_->num_nets()));
-  if (trace == prepared_trace_ &&
-      (!trace || (trace->cycles == prepared_cycles_ &&
-                  trace->num_nets == prepared_nets_ &&
-                  trace->run_count() == prepared_runs_))) {
-    if (trace && obs::metrics().enabled())
-      obs::metrics().counter("fsim.trace_cache_hits").add();
-    return;
-  }
-  prepared_trace_ = trace;
-  observed_history_.clear();
-  if (!trace) return;
-  if (obs::metrics().enabled())
-    obs::metrics().counter("fsim.trace_cache_misses").add();
-  prepared_cycles_ = trace->cycles;
-  prepared_nets_ = trace->num_nets;
-  prepared_runs_ = trace->run_count();
-  observed_history_.resize(observed_.size());
-  for (std::size_t k = 0; k < observed_.size(); ++k) {
+typename SequentialFaultSimulatorT<W>::Word
+SequentialFaultSimulatorT<W>::observe_divergence(const NetFrame& frame) const {
+  Word diverged{};
+  for (const CellId port : observed_) {
     // The good machine runs without injections, so an output port's
     // observed value is exactly the value of the net it reads.
-    const Cell& c = nl_->cell(observed_[k]);
-    trace->net_history(c.ins[0], observed_history_[k]);
-  }
-}
-
-template <int W>
-typename SequentialFaultSimulatorT<W>::Word
-SequentialFaultSimulatorT<W>::observe_divergence(
-    int cycle, const ReferenceTrace* trace) const {
-  Word diverged{};
-  const std::size_t c = static_cast<std::size_t>(cycle);
-  for (std::size_t k = 0; k < observed_.size(); ++k) {
-    const Word w = sim_.observed(observed_[k]);
-    // Reference value: the checkpoint column if we have one, else a
-    // broadcast of the good machine's (lane 0) bit.
-    const bool good_bit =
-        trace ? ((observed_history_[k][c / 64] >> (c % 64)) & 1ULL) != 0
-              : (word_of(w, 0) & 1ULL) != 0;
-    const Word good = lane_broadcast<Word>(good_bit);
-    diverged |= (w ^ good);
+    const Word good =
+        lane_broadcast<Word>(frame_bit(frame.value, nl_->cell(port).ins[0]));
+    diverged |= sim_.observed(port) ^ good;
   }
   return diverged;
 }
@@ -319,126 +265,62 @@ LaneMask SequentialFaultSimulatorT<W>::unpack_detected(const Word& diverged,
 template <int W>
 LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults,
                                                  Environment& env,
-                                                 const ReferenceTrace* trace) {
-  check_batch_size("run_batch", faults.size(), W);
-  prepare_trace(trace);
+                                                 const ReferenceTrace& trace,
+                                                 FaultModel model) {
+  check_batch_size(faults.size(), W);
+  // The frame settle reads one frame bit per net of this netlist.
+  if (trace.num_nets != nl_->num_nets())
+    throw std::invalid_argument(
+        "SequentialFaultSimulator: the trace covers " +
+        std::to_string(trace.num_nets) + " nets, the netlist has " +
+        std::to_string(nl_->num_nets()));
+  const bool tdf = model == FaultModel::kTransition;
+
+  // Fault i rides lane i + 1. A transition fault's capture value is its
+  // shared stuck-at slot's polarity (slow-to-rise holds the site at 0), so
+  // both models inject the stuck-at record: stuck-at armed for the whole
+  // run, transition unarmed until a capture cycle.
+  struct Site {
+    NetId net;
+    bool capture;  // the value the site holds on a capture cycle
+  };
+  std::vector<Site> sites;  // per transition fault
   sim_.clear_injections();
   Word fault_lanes{};
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const Fault& f = universe_->fault(faults[i]);
     const Word lane = lane_bit<Word>(static_cast<int>(i) + 1);
     fault_lanes |= lane;
-    sim_.add_injection({f.pin.cell, f.pin.pin, f.sa1, lane});
+    sim_.add_injection({f.pin.cell, f.pin.pin, f.sa1, tdf ? Word{} : lane});
+    if (tdf) sites.push_back({tdf_site_net(*nl_, f), tdf_capture_value(f)});
   }
 
   sim_.power_on();
   env.reset(sim_);
 
-  const int bound = trace ? trace->cycles : opts_.max_cycles;
-  std::optional<FrameStream> frames;
-  if (trace) frames.emplace(*trace);
+  FrameStream frames(trace);
   Word diverged{};
-  for (int cycle = 0; cycle < bound; ++cycle) {
+  for (int cycle = 0; cycle < trace.cycles; ++cycle) {
+    const NetFrame& frame = frames.at(cycle);
+    // A transition fault is live iff its site made the fault's transition
+    // across the edge into this cycle: the site changed and now differs
+    // from the capture value. A detected (retired) lane is never armed
+    // again.
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      const bool launched = frame_bit(frame.changed, sites[i].net) &&
+                            frame_bit(frame.value, sites[i].net) !=
+                                sites[i].capture;
+      sim_.set_injection_lanes(
+          i, launched ? lane_bit<Word>(static_cast<int>(i) + 1) & ~diverged
+                      : Word{});
+    }
     if (!env.step(sim_, cycle)) break;
-    sim_.eval(frames ? &frames->at(cycle) : nullptr);
+    sim_.eval(&frame);
     const Word seen = diverged;
-    diverged = (diverged | observe_divergence(cycle, trace)) & fault_lanes;
+    diverged = (diverged | observe_divergence(frame)) & fault_lanes;
     if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
     sim_.latch();
     // A detected lane's verdict is final: hand it back to the good machine.
-    sim_.retire_lanes(diverged & ~seen);
-  }
-  publish_activity();
-  return unpack_detected(diverged, faults.size());
-}
-
-template <int W>
-LaneMask SequentialFaultSimulatorT<W>::run_tdf_batch(
-    std::span<const FaultId> faults, Environment& env,
-    const ReferenceTrace* trace) {
-  check_batch_size("run_tdf_batch", faults.size(), W);
-  prepare_trace(trace);
-  const int bound = trace ? trace->cycles : opts_.max_cycles;
-
-  std::vector<NetId> site(faults.size());
-  LaneMask rise;  // bit i: faults[i] is slow-to-rise
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    const Fault& f = universe_->fault(faults[i]);
-    site[i] = tdf_site_net(*nl_, f);
-    if (tdf_slow_to_rise(f)) rise.set_bit(i);
-  }
-
-  // Launch schedules — bit i of site_good[c] is faults[i]'s site value
-  // during cycle c. With a checkpoint they come straight out of the
-  // shared all-net trace (no good-machine pass per batch); without one, a
-  // pass 1 replays the good machine and records them (lane 0 carries the
-  // good machine; no injections exist). Both paths read the identical
-  // values, so detection cannot depend on which one ran.
-  std::vector<LaneMask> site_good;
-  if (trace) {
-    site_good.assign(static_cast<std::size_t>(std::max(bound, 0)), LaneMask{});
-    std::vector<std::uint64_t> hist;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      trace->net_history(site[i], hist);
-      for (int c = 0; c < bound; ++c)
-        if ((hist[static_cast<std::size_t>(c) / 64] >> (c % 64)) & 1ULL)
-          site_good[static_cast<std::size_t>(c)].set_bit(i);
-    }
-  } else {
-    sim_.clear_injections();
-    sim_.power_on();
-    env.reset(sim_);
-    site_good.reserve(static_cast<std::size_t>(std::max(bound, 0)));
-    for (int cycle = 0; cycle < bound; ++cycle) {
-      if (!env.step(sim_, cycle)) break;
-      sim_.eval();
-      LaneMask w;
-      for (std::size_t i = 0; i < faults.size(); ++i)
-        if (word_of(sim_.value(site[i]), 0) & 1ULL) w.set_bit(i);
-      site_good.push_back(w);
-      sim_.latch();
-    }
-  }
-  const int cycles = static_cast<int>(site_good.size());
-
-  // Pass 2 — faulty machines: fault i rides lane i+1, armed per capture
-  // cycle. The capture value coincides with the shared stuck-at slot's
-  // polarity (slow-to-rise holds the site at 0), so the injection record
-  // is the stuck-at one with a cycle-varying lane mask.
-  sim_.clear_injections();
-  Word fault_lanes{};
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    const Fault& f = universe_->fault(faults[i]);
-    fault_lanes |= lane_bit<Word>(static_cast<int>(i) + 1);
-    sim_.add_injection({f.pin.cell, f.pin.pin, f.sa1, Word{}});
-  }
-  sim_.power_on();
-  env.reset(sim_);
-
-  std::optional<FrameStream> frames;
-  if (trace) frames.emplace(*trace);
-  Word diverged{};
-  for (int cycle = 0; cycle < cycles; ++cycle) {
-    // Launch detection needs a previous clocked cycle, so cycle 0 never
-    // captures; afterwards fault i is live iff its site made the
-    // transition across the edge into this cycle. A detected (retired)
-    // lane is never armed again.
-    const LaneMask cur = site_good[static_cast<std::size_t>(cycle)];
-    const LaneMask prev =
-        cycle > 0 ? site_good[static_cast<std::size_t>(cycle) - 1] : cur;
-    const LaneMask launched =
-        ((~prev & cur) & rise) | ((prev & ~cur) & ~rise);
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      sim_.set_injection_lanes(
-          i, launched.bit(i) ? lane_bit<Word>(static_cast<int>(i) + 1) &
-                                   ~diverged
-                             : Word{});
-    if (!env.step(sim_, cycle)) break;
-    sim_.eval(frames ? &frames->at(cycle) : nullptr);
-    const Word seen = diverged;
-    diverged = (diverged | observe_divergence(cycle, trace)) & fault_lanes;
-    if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
-    sim_.latch();
     sim_.retire_lanes(diverged & ~seen);
   }
   publish_activity();
@@ -475,32 +357,6 @@ void SequentialFaultSimulatorT<W>::publish_activity() {
   obs::metrics().counter("kernel.lanes_retired")
       .add(a.lanes_retired - base.lanes_retired);
   base = a;
-}
-
-template <int W>
-std::size_t SequentialFaultSimulatorT<W>::run_campaign(
-    FaultList& fl, Environment& env,
-    std::function<void(std::size_t, std::size_t)> progress) {
-  std::vector<FaultId> targets;
-  for (FaultId f = 0; f < fl.size(); ++f) {
-    if (fl.detect_state(f) == DetectState::kUndetected &&
-        fl.untestable_kind(f) == UntestableKind::kNone)
-      targets.push_back(f);
-  }
-  constexpr std::size_t kBatch = W - 1;
-  std::size_t new_detections = 0;
-  for (std::size_t i = 0; i < targets.size(); i += kBatch) {
-    const std::size_t n = std::min<std::size_t>(kBatch, targets.size() - i);
-    const LaneMask det = run_batch(std::span(targets).subspan(i, n), env);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (det.bit(j)) {
-        fl.set_detected(targets[i + j]);
-        ++new_detections;
-      }
-    }
-    if (progress) progress(i + n, targets.size());
-  }
-  return new_detections;
 }
 
 template class SequentialFaultSimulatorT<64>;

@@ -1,4 +1,4 @@
-// olfui/fsim: stuck-at fault simulation.
+// olfui/fsim: stuck-at and transition-delay fault simulation.
 //
 // Two engines share the W-lane packed kernel (W = 64 scalar or 128 over
 // vector extensions — see util/lanes.hpp):
@@ -6,22 +6,28 @@
 //  * SequentialFaultSimulator — parallel-fault: lane 0 runs the good
 //    machine, lanes 1..W-1 run faulty machines, the whole test program is
 //    simulated cycle by cycle, and a fault counts as DETECTED only when a
-//    faulty lane diverges from the good lane on one of the *observed*
+//    faulty lane diverges from the good machine on one of the *observed*
 //    outputs. Matching the paper's rule, the SBST flow observes only the
 //    system-bus ports ("the evaluation of the fault coverage ... is
 //    obtained by only observing the system bus").
+//    The good machine is recorded once per test program as a
+//    ReferenceTrace (record_reference_trace), and every batch grades
+//    against it: the trace's frames stream through one run cursor per
+//    64-net column, and each cycle's frame supplies the observed ports'
+//    good bits, the transition-delay launches, and the settle's replay
+//    (PackedSimT::eval(const NetFrame*): the kernel copies the frame's
+//    bits, reads every net no faulty lane diverges from out of them, and
+//    evaluates only where a faulty lane diverges).
 //    The environment callback makes stimuli reactive: the memory model
 //    answers per-lane, so a faulty machine that issues a wrong address
 //    reads wrong data, exactly as on silicon. Environments drive whole
 //    lane words (PackedSim::set_input_lanes); SocFsimEnvironment builds
 //    them from lane 0's answer, patched only on the lanes whose bus
 //    differs.
-//    Every cycle is env.step -> eval -> observe -> latch -> retire. With a
-//    ReferenceTrace the settle replays the good machine: the trace's
-//    frames stream through one run cursor per 64-net column, the kernel
-//    copies each frame's bits and reads every net no faulty lane diverges
-//    from out of them, and it evaluates only where a faulty lane diverges
-//    (PackedSimT::eval(const NetFrame*)).
+//    Every cycle is arm -> env.step -> eval(frame) -> observe -> latch ->
+//    retire, in one batch loop for both fault models; only the arming
+//    differs (a stuck-at fault is armed for the whole run, a transition
+//    fault on its capture cycles — fault/tdf.hpp).
 //    Detection is sticky, so a lane that diverged this cycle is done: the
 //    retire step hands it back to the good machine
 //    (PackedSimT::retire_lanes), its injections disarmed and its flops
@@ -33,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -73,6 +78,8 @@ using FsimEnvironment = FsimEnvironmentT<64>;
 /// a test that wants the full-sweep or full-latch reference selects it on
 /// sim() after construction (PackedSimT::set_eval_mode / set_clock_mode).
 struct SeqFsimOptions {
+  /// Cycle budget of record_reference_trace; a batch runs the trace's
+  /// cycles.
   int max_cycles = 100000;
   /// Stop a batch as soon as every faulty lane has diverged.
   bool early_exit = true;
@@ -99,11 +106,9 @@ struct NetActivation {
 /// Checkpoint of one fault-free run: the executed cycle count plus the
 /// per-cycle lane-0 value of EVERY net. A campaign records the good
 /// machine once per test program; every batch of every worker then reads
-/// its reference from the checkpoint instead of re-deriving good values —
-/// the stuck-at path replays the observed-output columns, the TDF path
-/// reads each fault site's launch schedule straight out of the trace
-/// (eliminating the per-batch good-machine pass 1), and an incremental
-/// re-grade can diff any net's history against a previous run.
+/// its reference from the checkpoint instead of re-deriving good values:
+/// the observed outputs' good bits, each transition fault site's launches,
+/// and the frame each settle replays.
 ///
 /// Storage is column-oriented RLE: nets are packed 64 to a word column,
 /// and each column stores (start cycle, word value) runs — a cycle that
@@ -128,12 +133,6 @@ struct ReferenceTrace {
   /// Throws std::out_of_range, naming both, unless cycle is in
   /// [0, cycles) and net < num_nets.
   bool net_bit(int cycle, NetId net) const;
-
-  /// One net's whole history, packed by cycle (bit c of packed[c / 64]).
-  /// Walks the net's column once — the bulk form every per-batch consumer
-  /// uses instead of per-cycle net_bit() scans. Throws std::out_of_range
-  /// unless net < num_nets.
-  void net_history(NetId net, std::vector<std::uint64_t>& packed) const;
 
   /// Every net's activity over the traced cycles, derived from the column
   /// runs in O(runs): seen0/seen1 from the run values, rose/fell from the
@@ -179,7 +178,7 @@ class SequentialFaultSimulatorT {
   /// Runs the good machine once with no injections, recording every net
   /// each cycle. The returned checkpoint is tied to `env`'s stimulus (not
   /// to the observed set — it carries all nets, so one recording serves
-  /// stuck-at references, TDF launch schedules, and future re-grades).
+  /// both fault models and any observed set).
   /// Lane-0-only, so checkpoints are identical across widths.
   ///
   /// With `activation`, it also receives the run's NetActivation: the
@@ -193,51 +192,27 @@ class SequentialFaultSimulatorT {
   ReferenceTrace record_reference_trace(Environment& env,
                                         NetActivation* activation = nullptr);
 
-  /// Simulates one batch of up to W-1 faults against the good machine.
-  /// Returns a bit per batch entry: detected or not. With `trace`, the
-  /// reference values come from the checkpoint (recorded by
-  /// record_reference_trace) instead of lane 0, the run is bounded by
-  /// the checkpoint's cycle count, and each cycle's settle replays the
-  /// checkpoint's frame (throwing std::logic_error if lane 0 departs from
-  /// it: the trace belongs to another environment). The trace must stay
-  /// alive (and unmodified) across the batches that pass it: the simulator
-  /// caches per-observed-output history columns keyed on the trace pointer.
-  /// Throws std::invalid_argument, naming the size and the width, for W
-  /// or more faults, and, naming both counts, for a trace whose net count
-  /// is not the netlist's.
+  /// Grades one batch of up to W-1 faults against the good machine
+  /// `trace` recorded (record_reference_trace over the same stimulus).
+  /// Returns a bit per batch entry: detected or not. The run lasts the
+  /// trace's cycles (or until env.step() returns false); each cycle's
+  /// settle replays the trace's frame, throwing std::logic_error if lane 0
+  /// departs from it (the trace belongs to another environment), and a
+  /// fault is detected once its lane differs from the frame's good bit on
+  /// an observed output. `model` selects the injection: kStuckAt arms
+  /// every fault for the whole run; kTransition (the TDF reading of the
+  /// same fault ids — fault/tdf.hpp) arms a fault only on its capture
+  /// cycles, the cycles whose frame shows its site just made the fault's
+  /// transition (0->1 for slow-to-rise, 1->0 for slow-to-fall), holding
+  /// the site at its pre-transition value. Cycle 0 has no previous cycle,
+  /// so it never captures. Launches are read from the good machine (the
+  /// standard parallel-TDF approximation), so verdicts are deterministic
+  /// and kernel-independent. Throws std::invalid_argument, naming the
+  /// size and the width, for W or more faults, and, naming both counts,
+  /// for a trace whose net count is not the netlist's.
   LaneMask run_batch(std::span<const FaultId> faults, Environment& env,
-                     const ReferenceTrace* trace = nullptr);
-
-  /// Transition-delay batch (the TDF reading of the same fault ids — see
-  /// fault/tdf.hpp): launch/capture over the test program. The launch
-  /// schedule of each fault site (the cycles where the site's good value
-  /// makes the fault's transition, 0->1 for slow-to-rise, 1->0 for
-  /// slow-to-fall) comes from the shared ReferenceTrace when one is given
-  /// — the trace already holds every net's good history, so the per-batch
-  /// good-machine pass 1 disappears and only the capture-armed faulty
-  /// pass runs. Without a trace, a pass 1 replays the good
-  /// machine and records the site values first (the self-contained
-  /// oracle path). Either way the faulty pass arms each fault only on its
-  /// capture cycles — the site held at its pre-transition value for
-  /// exactly the cycle after each launch — and grades divergence on the
-  /// observed outputs like run_batch. Launches are read from the good
-  /// machine (the standard parallel-TDF approximation), so results are
-  /// deterministic, kernel-independent, and identical with or without the
-  /// trace; the env must replay identical stimulus across passes (true of
-  /// every FsimEnvironment whose reset() fully rewinds it, which reuse
-  /// across batches already requires). Throws std::invalid_argument like
-  /// run_batch for W or more faults or a trace of another netlist.
-  LaneMask run_tdf_batch(std::span<const FaultId> faults, Environment& env,
-                         const ReferenceTrace* trace = nullptr);
-
-  /// Runs all faults of `fl` that are neither detected nor untestable,
-  /// marking newly detected faults. Returns the number of new detections.
-  /// `progress`, if set, is called after each batch with (done, total).
-  /// This is the single-threaded kernel-level loop; campaign-shaped
-  /// workloads should go through campaign::CampaignEngine, which shards
-  /// batches across a worker pool with identical results.
-  std::size_t run_campaign(FaultList& fl, Environment& env,
-                           std::function<void(std::size_t, std::size_t)> progress = {});
+                     const ReferenceTrace& trace,
+                     FaultModel model = FaultModel::kStuckAt);
 
   const SeqFsimOptions& options() const { return opts_; }
 
@@ -247,17 +222,11 @@ class SequentialFaultSimulatorT {
   const PackedSimT<W>& sim() const { return sim_; }
 
  private:
-  /// One cycle's observed-output divergence word against the reference
-  /// (checkpoint bit when `trace` is given, else a lane-0 broadcast).
-  /// Shared by the stuck-at and TDF batch loops so the two models can
-  /// never drift on observation semantics.
-  Word observe_divergence(int cycle, const ReferenceTrace* trace) const;
+  /// One cycle's observed-output divergence word against the frame's
+  /// good bits.
+  Word observe_divergence(const NetFrame& frame) const;
   /// Repacks per-lane divergence (lane i+1 = faults[i]) into per-fault bits.
   static LaneMask unpack_detected(const Word& diverged, std::size_t n);
-  /// Extracts each observed output's history column from `trace` once per
-  /// trace (cached on the pointer), so observe_divergence is a packed-bit
-  /// read per output instead of a per-cycle run scan.
-  void prepare_trace(const ReferenceTrace* trace);
   /// Side-band metrics bridge (obs): publishes the PackedSim activity
   /// accumulated since the last publish as kernel.* counter deltas. Called
   /// once per batch (cold path); a branch when metrics are disabled.
@@ -268,15 +237,6 @@ class SequentialFaultSimulatorT {
   SeqFsimOptions opts_;
   PackedSimT<W> sim_;
   std::vector<CellId> observed_;
-  /// prepare_trace cache: per observed output, cycle-packed good bits.
-  /// Keyed on the trace pointer plus a shape fingerprint (cycles, nets,
-  /// run count), so a different trace that happens to land at a freed
-  /// trace's address still triggers a rebuild.
-  const ReferenceTrace* prepared_trace_ = nullptr;
-  int prepared_cycles_ = -1;
-  std::size_t prepared_nets_ = 0;
-  std::size_t prepared_runs_ = 0;
-  std::vector<std::vector<std::uint64_t>> observed_history_;
   /// Activity already published to the metrics registry (delta base).
   PackedActivity published_activity_;
 };

@@ -15,8 +15,7 @@
 // the values themselves.
 //
 // Metric names use dotted "<subsystem>.<what>" (see the README
-// catalogue): e.g. campaign.shard_steals, kernel.events_drained,
-// fsim.trace_cache_hits.
+// catalogue): e.g. campaign.shard_steals, kernel.events_drained.
 #pragma once
 
 #include <atomic>

@@ -344,9 +344,7 @@ class SbstBatchRunnerT final : public FaultBatchRunner {
   }
 
   LaneMask run_batch(std::span<const FaultId> faults) override {
-    return fault_model_ == FaultModel::kTransition
-               ? fsim_.run_tdf_batch(faults, env_, trace_.get())
-               : fsim_.run_batch(faults, env_, trace_.get());
+    return fsim_.run_batch(faults, env_, *trace_, fault_model_);
   }
 
  private:
@@ -364,9 +362,9 @@ namespace {
 /// The activation screen (CampaignTest::inert): the faults whose faulty
 /// machine provably equals the good machine for the whole run. A
 /// stuck-at-v fault acts only while its site holds !v — at any settle,
-/// reset phase included. run_tdf_batch arms a transition fault only on
-/// the capture cycle after its site makes the fault's transition, so a
-/// site that never does leaves the fault unarmed throughout.
+/// reset phase included. A transition batch arms a fault only on the
+/// capture cycle after its site makes the fault's transition, so a site
+/// that never does leaves the fault unarmed throughout.
 BitVec inert_faults(const FaultUniverse& universe, const NetActivation& act,
                     FaultModel fault_model) {
   const Netlist& nl = universe.netlist();

@@ -68,8 +68,9 @@ struct SbstCampaignResult {
 inline constexpr int kSbstCampaignMargin = 8;
 
 /// The packed width of every SBST grading runner. 128 lanes grade the
-/// full campaign ~1.3x faster than 64; 256 is no faster and costs more
-/// memory (README "Kernel width").
+/// full campaign ~1.3x faster than 64. Since fill-free replay, 256 lanes
+/// measured ~18% faster still at ~2.3 MB more peak memory (ROADMAP 1a,
+/// which tracks re-adding that width; README "Kernel width").
 inline constexpr int kSbstLanes = 128;
 
 /// One program's campaign test plus the recorded good-machine checkpoint
@@ -88,9 +89,10 @@ struct SbstCampaignTest {
 /// transition faults whose site never makes their transition). The
 /// grading kernel is wrapped in per-worker runners at kSbstLanes lanes
 /// with the event-driven kernel and incremental clocking, so
-/// test.max_batch is kSbstLanes - 1. `fault_model` selects the grading
-/// kernel: kStuckAt wraps run_batch, kTransition wraps the launch/capture
-/// run_tdf_batch over the same fault ids (fault/tdf.hpp). The returned
+/// test.max_batch is kSbstLanes - 1. The runners grade every batch
+/// against the recorded trace, under `fault_model`: kTransition reads the
+/// same fault ids as launch/capture transition faults (fault/tdf.hpp).
+/// The returned
 /// test carries its identity spec
 /// ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX},
 /// state_fp being the trace fingerprint) for the result cache. `topo`

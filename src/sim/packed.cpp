@@ -1,7 +1,6 @@
 #include "sim/packed.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -907,8 +906,15 @@ void PackedSimT<W>::retire_lanes(Word lanes) {
 template <int W>
 typename PackedSimT<W>::Word PackedSimT<W>::observed(
     CellId output_cell) const {
-  const Cell& c = topo_->nl->cell(output_cell);
-  assert(c.type == CellType::kOutput);
+  const Netlist& nl = *topo_->nl;
+  if (output_cell >= nl.num_cells())
+    throw std::invalid_argument(
+        "PackedSim: observed cell " + std::to_string(output_cell) +
+        " out of range (" + std::to_string(nl.num_cells()) + " cells)");
+  const Cell& c = nl.cell(output_cell);
+  if (c.type != CellType::kOutput)
+    throw std::invalid_argument("PackedSim: observed cell " + c.name +
+                                " is not an output port");
   // Injections are grouped lazily; observing between add_injection() and
   // the next eval()/latch() would silently miss port faults.
   if (inj_dirty_)

@@ -313,9 +313,11 @@ class PackedSimT {
     return frame_synced_ ? load<true>(net) : values_[net];
   }
   /// Value seen by a top-level output port, including any injection on the
-  /// port cell's input pin (PO stuck-at faults). Throws std::logic_error
-  /// between an injection change and the next eval() or latch(), which
-  /// would silently miss port faults.
+  /// port cell's input pin (PO stuck-at faults). Throws
+  /// std::invalid_argument, naming the cell, for a cell id out of range or
+  /// a cell that is not a kOutput port, and std::logic_error between an
+  /// injection change and the next eval() or latch(), which would silently
+  /// miss port faults.
   Word observed(CellId output_cell) const;
 
   const Netlist& netlist() const { return *topo_->nl; }

@@ -334,14 +334,16 @@ class PatternRunner final : public FaultBatchRunner {
   PatternRunner(const TwoConeDesign& d, const FaultUniverse& u)
       : env_(d.inputs), fsim_(d.nl, u, {.max_cycles = kPatternCycles}) {
     fsim_.set_observed(d.outputs);
+    trace_ = fsim_.record_reference_trace(env_);
   }
   LaneMask run_batch(std::span<const FaultId> faults) override {
-    return fsim_.run_batch(faults, env_, nullptr);
+    return fsim_.run_batch(faults, env_, trace_);
   }
 
  private:
   PatternEnv env_;
   SequentialFaultSimulator fsim_;
+  ReferenceTrace trace_;
 };
 
 /// `d` and `u` must outlive every run over the returned test. The spec is

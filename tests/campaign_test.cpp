@@ -37,9 +37,10 @@ class CounterEnv : public FsimEnvironment {
     sim.set_input_all(en_, false);
     sim.eval();
   }
+  /// Drives only: the caller settles, so a batch replays the trace's
+  /// frames.
   bool step(PackedSim& sim, int) override {
     sim.set_input_all(en_, true);
-    sim.eval();
     return true;
   }
 
@@ -82,9 +83,7 @@ class RigBatchRunner final : public FaultBatchRunner {
     fsim_.set_observed(std::move(observed));
   }
   LaneMask run_batch(std::span<const FaultId> faults) override {
-    return model_ == FaultModel::kTransition
-               ? fsim_.run_tdf_batch(faults, env_, trace_.get())
-               : fsim_.run_batch(faults, env_, trace_.get());
+    return fsim_.run_batch(faults, env_, *trace_, model_);
   }
 
  private:
@@ -288,26 +287,6 @@ TEST(BitVecHex, RoundTrips) {
 // ---------------------------------------------------------------------------
 // ReferenceTrace checkpoint
 
-TEST(ReferenceTrace, TracedBatchesMatchUntracedForBothModels) {
-  CounterRig rig;
-  const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = kCycles});
-  fsim.set_observed(rig.outputs);
-  CounterEnv env(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
-  EXPECT_EQ(trace.cycles, kCycles);
-  EXPECT_EQ(trace.num_nets, rig.nl.num_nets());
-  ASSERT_EQ(trace.columns.size(), (rig.nl.num_nets() + 63) / 64);
-
-  std::vector<FaultId> batch(63);
-  std::iota(batch.begin(), batch.end(), 0u);
-  EXPECT_EQ(fsim.run_batch(batch, env), fsim.run_batch(batch, env, &trace));
-  // TDF: the traced path reads launch schedules from the checkpoint (no
-  // pass 1); it must grade exactly like the self-contained two-pass path.
-  EXPECT_EQ(fsim.run_tdf_batch(batch, env),
-            fsim.run_tdf_batch(batch, env, &trace));
-}
-
 TEST(ReferenceTrace, BatchesRejectATraceOfAnotherNetlist) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
@@ -321,8 +300,9 @@ TEST(ReferenceTrace, BatchesRejectATraceOfAnotherNetlist) {
   const std::vector<std::uint64_t> words(other.columns.size(), 0);
   for (int c = 0; c < kCycles; ++c) other.append_cycle(words.data());
   const std::vector<FaultId> batch = {0, 1, 2};
-  EXPECT_THROW(fsim.run_batch(batch, env, &other), std::invalid_argument);
-  EXPECT_THROW(fsim.run_tdf_batch(batch, env, &other), std::invalid_argument);
+  EXPECT_THROW(fsim.run_batch(batch, env, other), std::invalid_argument);
+  EXPECT_THROW(fsim.run_batch(batch, env, other, FaultModel::kTransition),
+               std::invalid_argument);
 }
 
 TEST(ReferenceTrace, ColumnRleMatchesReplayOnEveryNet) {
@@ -332,6 +312,9 @@ TEST(ReferenceTrace, ColumnRleMatchesReplayOnEveryNet) {
   fsim.set_observed(rig.outputs);
   CounterEnv env(rig.en);
   const ReferenceTrace trace = fsim.record_reference_trace(env);
+  EXPECT_EQ(trace.cycles, kCycles);
+  EXPECT_EQ(trace.num_nets, rig.nl.num_nets());
+  ASSERT_EQ(trace.columns.size(), (rig.nl.num_nets() + 63) / 64);
 
   // Reference: replay the good machine and compare every net_bit readback.
   PackedSim sim(rig.nl);
@@ -339,22 +322,11 @@ TEST(ReferenceTrace, ColumnRleMatchesReplayOnEveryNet) {
   env.reset(sim);
   for (int cycle = 0; cycle < trace.cycles; ++cycle) {
     ASSERT_TRUE(env.step(sim, cycle));
+    sim.eval();
     for (NetId n = 0; n < rig.nl.num_nets(); ++n)
       ASSERT_EQ(trace.net_bit(cycle, n), (sim.value(n) & 1ULL) != 0)
           << "cycle " << cycle << " net " << n;
     sim.clock();
-  }
-  // net_history is the bulk form of net_bit — bit-for-bit the same view.
-  std::vector<std::uint64_t> packed;
-  for (NetId n = 0; n < rig.nl.num_nets(); ++n) {
-    trace.net_history(n, packed);
-    ASSERT_EQ(packed.size(),
-              (static_cast<std::size_t>(trace.cycles) + 63) / 64);
-    for (int cycle = 0; cycle < trace.cycles; ++cycle)
-      ASSERT_EQ((packed[static_cast<std::size_t>(cycle) / 64] >>
-                 (cycle % 64)) & 1ULL,
-                trace.net_bit(cycle, n) ? 1ULL : 0ULL)
-          << "net " << n << " cycle " << cycle;
   }
   // Column RLE: a column never stores more runs than cycles, and the
   // quiet columns (high counter bits, constant nets) collapse.
@@ -382,6 +354,9 @@ TEST(ReferenceTrace, NetBitRejectsCyclesOutsideTheTrace) {
   const std::string msg = out_of_range_message([&] { empty.net_bit(0, 7); });
   EXPECT_NE(msg.find("cycle 0"), std::string::npos) << msg;
   EXPECT_NE(msg.find("net 7"), std::string::npos) << msg;
+  const std::string net_msg =
+      out_of_range_message([&] { empty.net_bit(0, 128); });
+  EXPECT_NE(net_msg.find("net 128"), std::string::npos) << net_msg;
 
   CounterRig rig;
   const FaultUniverse u(rig.nl);
@@ -393,16 +368,6 @@ TEST(ReferenceTrace, NetBitRejectsCyclesOutsideTheTrace) {
   EXPECT_THROW(trace.net_bit(-1, 0), std::out_of_range);
   EXPECT_THROW(trace.net_bit(0, static_cast<NetId>(trace.num_nets)),
                std::out_of_range);
-}
-
-TEST(ReferenceTrace, NetHistoryRejectsNetsOutsideTheTrace) {
-  ReferenceTrace trace;
-  trace.reset(100);
-  std::vector<std::uint64_t> packed;
-  EXPECT_NO_THROW(trace.net_history(99, packed));
-  const std::string msg =
-      out_of_range_message([&] { trace.net_history(128, packed); });
-  EXPECT_NE(msg.find("net 128"), std::string::npos) << msg;
 }
 
 TEST(ReferenceTrace, ActivationMatchesReplayAndFoldsInTheResetPhase) {
@@ -790,7 +755,7 @@ TEST(Campaign, TracingOnLeavesResultsByteIdentical) {
     // The run was actually observed, not silently skipped.
     EXPECT_GT(obs::tracer().event_count(), 0u);
     EXPECT_GT(obs::metrics().counter("kernel.evals").value(), 0u);
-    EXPECT_GT(obs::metrics().counter("fsim.trace_cache_hits").value(), 0u);
+    EXPECT_GT(obs::metrics().counter("kernel.frame_replays").value(), 0u);
   }
   EXPECT_EQ(on, off);
   EXPECT_EQ(on.detected, off.detected);
@@ -905,28 +870,6 @@ TEST(Campaign, TinyUniverseRunsIdenticallyAtEveryThreadCount) {
       EXPECT_EQ(r.detected, first.detected);
     }
   }
-}
-
-TEST(Campaign, GradeMatchesLegacySequentialCampaign) {
-  CounterRig rig;
-  const FaultUniverse u(rig.nl);
-
-  // Legacy path: SequentialFaultSimulator::run_campaign, one thread.
-  FaultList legacy(u);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = kCycles});
-  fsim.set_observed(rig.outputs);
-  CounterEnv env(rig.en);
-  const std::size_t legacy_found = fsim.run_campaign(legacy, env);
-
-  // Orchestrated path, multithreaded.
-  FaultList fl(u);
-  std::vector<CampaignTest> tests;
-  tests.push_back(make_rig_test(rig, u, rig.outputs, "all_bits"));
-  const CampaignResult r = CampaignEngine(u, {.threads = 4}).run(fl, tests);
-
-  EXPECT_EQ(r.total_new_detections, legacy_found);
-  for (FaultId f = 0; f < u.size(); ++f)
-    ASSERT_EQ(fl.detect_state(f), legacy.detect_state(f)) << f;
 }
 
 TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {

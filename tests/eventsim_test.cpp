@@ -929,7 +929,7 @@ TEST(EventSim, ReplayKeepsEveryReadExact) {
 // ---------------------------------------------------------------------------
 // Release-safe argument checks: the input setters accept only nets a
 // primary input drives, set_injection_lanes only existing handles, and
-// observed() only an applied injection set.
+// observed() only output port cells and an applied injection set.
 
 template <int W>
 void expect_setters_reject_bad_arguments() {
@@ -963,6 +963,22 @@ void expect_setters_reject_bad_arguments() {
   EXPECT_NO_THROW(sim.set_injection_lanes(0, lane_bit<LaneWord<W>>(2)));
   EXPECT_THROW(sim.set_injection_lanes(1, LaneWord<W>{}), std::out_of_range);
 
+  // observed() reads a port cell's input net: an id past the cells, or a
+  // cell with no input such as an input port, is refused by name.
+  const auto rejects_observed = [&](CellId cell, const std::string& name) {
+    try {
+      sim.observed(cell);
+      ADD_FAILURE() << "W=" << W << ": observed " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  const auto cells = static_cast<CellId>(d.nl.num_cells());
+  rejects_observed(cells, std::to_string(cells));
+  const CellId input_port = d.nl.net(d.input_nets[0]).driver;
+  rejects_observed(input_port, d.nl.cell(input_port).name);
+
   // observed() before a changed injection set is applied would miss a port
   // fault, in every build.
   const CellId port = d.output_cells[0];
@@ -988,21 +1004,22 @@ TEST(EventSim, SettersRejectBadArguments) {
 }
 
 // ---------------------------------------------------------------------------
-// Transition-delay batches vs a naive two-cycle oracle. The oracle runs
-// one fault at a time through two plain simulators: a good run recording
-// the site's value and every observed output per cycle, then a faulty run
-// that re-injects the full stuck record from scratch (clear + add, the
-// always-full-sweep path) on exactly the capture cycles the good run
-// launched. run_tdf_batch must reproduce its verdict fault-for-fault with
-// either kernel, with and without a ReferenceTrace checkpoint (the traced
-// path reads its launch schedules out of the shared all-net trace instead
-// of running pass 1 — same verdicts, one good pass fewer).
+// Batches vs a naive single-fault oracle, under both fault models. The
+// oracle runs one fault at a time through two plain simulators: a good
+// run recording the site's value and every observed output per cycle,
+// then a faulty run that re-injects the full stuck record from scratch
+// (clear + add, the always-full-sweep path) on every cycle it is armed:
+// every cycle for stuck-at, and for a transition fault exactly the
+// capture cycles the good run launched. The traced run_batch must
+// reproduce its verdict fault-for-fault with either kernel, each grading
+// against a trace recorded on itself.
 
 using ScriptedEnv = ScriptedEnvT<64>;
 
-/// Single-fault TDF oracle over the scripted stimulus; returns detected.
-bool naive_tdf_detects(const RandomDesign& d, const FaultUniverse& u,
-                       FaultId id, const std::vector<std::vector<bool>>& words) {
+/// Single-fault oracle over the scripted stimulus; returns detected.
+bool naive_detects(const RandomDesign& d, const FaultUniverse& u, FaultId id,
+                   const std::vector<std::vector<bool>>& words,
+                   FaultModel model) {
   const Fault& f = u.fault(id);
   const NetId site = tdf_site_net(d.nl, f);
   const bool rise = tdf_slow_to_rise(f);
@@ -1036,11 +1053,12 @@ bool naive_tdf_detects(const RandomDesign& d, const FaultUniverse& u,
   for (NetId in : d.input_nets) bad.set_input_all(in, false);
   bad.eval();
   for (std::size_t c = 0; c < words.size(); ++c) {
-    const bool launched =
-        c > 0 && (rise ? (!site_good[c - 1] && site_good[c])
-                       : (site_good[c - 1] && !site_good[c]));
+    const bool armed =
+        model == FaultModel::kStuckAt ||
+        (c > 0 && (rise ? (!site_good[c - 1] && site_good[c])
+                        : (site_good[c - 1] && !site_good[c])));
     bad.clear_injections();
-    if (launched) bad.add_injection({f.pin.cell, f.pin.pin, f.sa1, ~0ULL});
+    if (armed) bad.add_injection({f.pin.cell, f.pin.pin, f.sa1, ~0ULL});
     drive(bad, words[c]);
     bad.eval();
     for (std::size_t k = 0; k < d.output_cells.size(); ++k)
@@ -1051,7 +1069,7 @@ bool naive_tdf_detects(const RandomDesign& d, const FaultUniverse& u,
   return false;
 }
 
-TEST(TdfSim, BatchMatchesNaiveTwoCycleOracle) {
+TEST(SeqFsim, BatchMatchesNaiveSingleFaultOracle) {
   for (std::uint64_t seed = 21; seed <= 24; ++seed) {
     Rng rng(seed);
     RandomDesign d = random_design(rng, 6, 10, 70);
@@ -1071,23 +1089,31 @@ TEST(TdfSim, BatchMatchesNaiveTwoCycleOracle) {
     SequentialFaultSimulator sweep(d.nl, u, opts);
     sweep.sim().set_eval_mode(PackedEvalMode::kFullSweep);
     sweep.set_observed(d.output_cells);
-    const ReferenceTrace trace = evt.record_reference_trace(env);
+    const ReferenceTrace evt_trace = evt.record_reference_trace(env);
+    const ReferenceTrace sweep_trace = sweep.record_reference_trace(env);
 
-    for (FaultId base = 0; base < u.size(); base += 63) {
-      const std::size_t n = std::min<std::size_t>(63, u.size() - base);
-      std::vector<FaultId> batch(n);
-      std::iota(batch.begin(), batch.end(), base);
+    for (const FaultModel model :
+         {FaultModel::kStuckAt, FaultModel::kTransition}) {
+      for (FaultId base = 0; base < u.size(); base += 63) {
+        const std::size_t n = std::min<std::size_t>(63, u.size() - base);
+        std::vector<FaultId> batch(n);
+        std::iota(batch.begin(), batch.end(), base);
+        const std::string ctx = "seed " + std::to_string(seed) + " " +
+                                std::string(to_string(model));
 
-      const LaneMask det_evt = evt.run_tdf_batch(batch, env);
-      const LaneMask det_sweep = sweep.run_tdf_batch(batch, env);
-      const LaneMask det_traced = evt.run_tdf_batch(batch, env, &trace);
-      ASSERT_EQ(det_evt, det_sweep) << "seed " << seed << " base " << base;
-      ASSERT_EQ(det_evt, det_traced) << "seed " << seed << " base " << base;
+        const LaneMask det_evt = evt.run_batch(batch, env, evt_trace, model);
+        const LaneMask det_sweep =
+            sweep.run_batch(batch, env, sweep_trace, model);
+        ASSERT_EQ(det_evt, det_sweep) << ctx << " base " << base;
 
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool oracle = naive_tdf_detects(d, u, batch[i], words);
-        ASSERT_EQ(det_evt.bit(static_cast<int>(i)), oracle)
-            << "seed " << seed << " " << tdf_fault_name(u, batch[i]);
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool oracle = naive_detects(d, u, batch[i], words, model);
+          ASSERT_EQ(det_evt.bit(static_cast<int>(i)), oracle)
+              << ctx << " "
+              << (model == FaultModel::kTransition
+                      ? tdf_fault_name(u, batch[i])
+                      : u.fault_name(batch[i]));
+        }
       }
     }
   }
@@ -1117,14 +1143,16 @@ TEST(EventSim, GradingInvariantAcrossClockingModes) {
       if (!event_driven) fsim.sim().set_eval_mode(PackedEvalMode::kFullSweep);
       if (!incremental) fsim.sim().set_clock_mode(PackedClockMode::kFullLatch);
       fsim.set_observed(d.output_cells);
+      const ReferenceTrace trace = fsim.record_reference_trace(env);
       std::vector<bool> verdicts;
       verdicts.reserve(u.size());
       for (FaultId base = 0; base < u.size(); base += 63) {
         const std::size_t n = std::min<std::size_t>(63, u.size() - base);
         std::vector<FaultId> batch(n);
         std::iota(batch.begin(), batch.end(), base);
-        const LaneMask det = tdf ? fsim.run_tdf_batch(batch, env)
-                                 : fsim.run_batch(batch, env);
+        const LaneMask det = fsim.run_batch(
+            batch, env, trace,
+            tdf ? FaultModel::kTransition : FaultModel::kStuckAt);
         for (std::size_t i = 0; i < n; ++i)
           verdicts.push_back(det.bit(static_cast<int>(i)));
       }
@@ -1201,9 +1229,7 @@ class RigBatchRunner final : public FaultBatchRunner {
     fsim_.set_observed(rig.outputs);
   }
   LaneMask run_batch(std::span<const FaultId> faults) override {
-    return model_ == FaultModel::kTransition
-               ? fsim_.run_tdf_batch(faults, env_, trace_.get())
-               : fsim_.run_batch(faults, env_, trace_.get());
+    return fsim_.run_batch(faults, env_, *trace_, model_);
   }
 
  private:
@@ -1220,6 +1246,7 @@ CampaignTest make_rig_test(const CounterRig& rig, const FaultUniverse& u,
   CounterEnv trace_env(rig.en);
   SequentialFaultSimulator tracer(rig.nl, u, {.max_cycles = kCycles});
   if (!event_driven) tracer.sim().set_eval_mode(PackedEvalMode::kFullSweep);
+  if (!incremental) tracer.sim().set_clock_mode(PackedClockMode::kFullLatch);
   tracer.set_observed(rig.outputs);
   auto trace = std::make_shared<const ReferenceTrace>(
       tracer.record_reference_trace(trace_env));

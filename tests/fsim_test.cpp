@@ -64,9 +64,10 @@ TEST(SeqFsim, DetectsStuckCounterBit) {
   SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
   fsim.set_observed(rig.outputs);
   CounterEnv env(rig.en);
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
   // s-a-0 on counter bit 1 output: wrong count value after a few cycles.
   const FaultId f = u.id_of({rig.cnt.flops[1], 0}, false);
-  const LaneMask det = fsim.run_batch(std::span(&f, 1), env);
+  const LaneMask det = fsim.run_batch(std::span(&f, 1), env, trace);
   EXPECT_EQ(det, 1u);
 }
 
@@ -76,10 +77,11 @@ TEST(SeqFsim, MissesFaultWhenOutputsNotObserved) {
   SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
   fsim.set_observed({rig.outputs[0]});  // only bit 0 visible
   CounterEnv env(rig.en);
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
   // A stuck bit-3 never shows on bit 0 within 20 cycles... bit3 influences
   // nothing else in this circuit, so it must go undetected.
   const FaultId f = u.id_of({rig.cnt.flops[3], 0}, false);
-  const LaneMask det = fsim.run_batch(std::span(&f, 1), env);
+  const LaneMask det = fsim.run_batch(std::span(&f, 1), env, trace);
   EXPECT_EQ(det, 0u);
 }
 
@@ -89,6 +91,7 @@ TEST(SeqFsim, BatchesAreIndependent) {
   SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
   fsim.set_observed(rig.outputs);
   CounterEnv env(rig.en);
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
   // Fill a batch with all flop output faults; every stuck counter bit is
   // detectable when the full count is observed.
   std::vector<FaultId> faults;
@@ -96,29 +99,8 @@ TEST(SeqFsim, BatchesAreIndependent) {
     faults.push_back(u.id_of({rig.cnt.flops[b], 0}, false));
     faults.push_back(u.id_of({rig.cnt.flops[b], 0}, true));
   }
-  const LaneMask det = fsim.run_batch(faults, env);
+  const LaneMask det = fsim.run_batch(faults, env, trace);
   EXPECT_EQ(det, (1ULL << faults.size()) - 1);
-}
-
-TEST(SeqFsim, CampaignMarksDetectedAndSkipsUntestable) {
-  CounterRig rig;
-  const FaultUniverse u(rig.nl);
-  FaultList fl(u);
-  // Pretend one fault is already proven untestable: it must be skipped.
-  const FaultId skip = u.id_of({rig.cnt.flops[0], 0}, false);
-  fl.mark_untestable(skip, UntestableKind::kTied, OnlineSource::kMemoryMap);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
-  fsim.set_observed(rig.outputs);
-  CounterEnv env(rig.en);
-  std::size_t calls = 0;
-  const std::size_t detected = fsim.run_campaign(
-      fl, env, [&](std::size_t, std::size_t) { ++calls; });
-  EXPECT_GT(detected, 0u);
-  EXPECT_GT(calls, 0u);
-  EXPECT_EQ(fl.detect_state(skip), DetectState::kUndetected);
-  EXPECT_EQ(fl.count_detected(), detected);
-  // Campaign is idempotent: a second run detects nothing new.
-  EXPECT_EQ(fsim.run_campaign(fl, env), 0u);
 }
 
 TEST(SeqFsim, EnvironmentEndsRunEarly) {
@@ -135,11 +117,14 @@ TEST(SeqFsim, EnvironmentEndsRunEarly) {
   };
   SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 50});
   fsim.set_observed(rig.outputs);
+  CounterEnv full(rig.en);
+  const ReferenceTrace trace = fsim.record_reference_trace(full);
   OneCycleEnv env(rig.en);
   // A fault needing two increments to show (bit 1 stuck at 0) escapes a
-  // one-cycle run.
+  // one-cycle run, though the trace runs on for 50 cycles.
   const FaultId f = u.id_of({rig.cnt.flops[1], 0}, false);
-  EXPECT_EQ(fsim.run_batch(std::span(&f, 1), env), 0u);
+  EXPECT_EQ(fsim.run_batch(std::span(&f, 1), env, trace), 0u);
+  EXPECT_EQ(fsim.run_batch(std::span(&f, 1), full, trace), 1u);
 }
 
 TEST(CombDetect, MatchesTruthTableForAndGate) {
@@ -276,13 +261,15 @@ void expect_oversized_batch_throws() {
   SequentialFaultSimulatorT<W> fsim(rig.nl, u, {.max_cycles = 20});
   fsim.set_observed(rig.outputs);
   CounterEnvT<W> env(rig.en);
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
   std::vector<FaultId> faults(W, u.id_of({rig.cnt.flops[1], 0}, false));
   const std::string size = std::to_string(W) + " faults";
   const std::string width = std::to_string(W) + "-lane";
-  for (const bool tdf : {false, true}) {
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition}) {
     try {
-      tdf ? fsim.run_tdf_batch(faults, env) : fsim.run_batch(faults, env);
-      ADD_FAILURE() << "W=" << W << " tdf=" << tdf << ": no throw";
+      fsim.run_batch(faults, env, trace, model);
+      ADD_FAILURE() << "W=" << W << " " << to_string(model) << ": no throw";
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(size), std::string::npos) << what;
@@ -291,10 +278,11 @@ void expect_oversized_batch_throws() {
   }
   // W - 1 faults fill the pass exactly; the last lane grades like the first.
   faults.pop_back();
-  const LaneMask det = fsim.run_batch(faults, env);
+  const LaneMask det = fsim.run_batch(faults, env, trace);
   EXPECT_TRUE(det.bit(0)) << "W=" << W;
   EXPECT_TRUE(det.bit(W - 2)) << "W=" << W;
-  EXPECT_NO_THROW(fsim.run_tdf_batch(faults, env)) << "W=" << W;
+  EXPECT_NO_THROW(fsim.run_batch(faults, env, trace, FaultModel::kTransition))
+      << "W=" << W;
 }
 
 TEST(SeqFsim, OversizedBatchThrows) {
@@ -302,8 +290,8 @@ TEST(SeqFsim, OversizedBatchThrows) {
   expect_oversized_batch_throws<128>();
 }
 
-/// observed() and the trace's per-port history read a port cell's input
-/// net, so only kOutput cells of the netlist may be observed.
+/// observed() and the frame's good bit read a port cell's input net, so
+/// only kOutput cells of the netlist may be observed.
 TEST(SeqFsim, SetObservedRejectsNonOutputCells) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
@@ -327,8 +315,9 @@ TEST(SeqFsim, SetObservedRejectsNonOutputCells) {
   fsim.set_observed(rig.outputs);
   rejects(rig.cnt.flops[0], rig.nl.cell(rig.cnt.flops[0]).name);
   CounterEnv env(rig.en);
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
   const FaultId f = u.id_of({rig.cnt.flops[3], 0}, false);
-  EXPECT_EQ(fsim.run_batch(std::span(&f, 1), env), 1u);
+  EXPECT_EQ(fsim.run_batch(std::span(&f, 1), env, trace), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,15 +326,15 @@ TEST(SeqFsim, SetObservedRejectsNonOutputCells) {
 // (PackedSimT::retire_lanes), so a full W-1 batch must grade each fault
 // exactly as a batch of that fault alone does. A lone fault's batch exits
 // early on its detection cycle, before any lane retires. Checked under
-// both fault models, with and without a ReferenceTrace, and with early
-// exit off, which retires every detected lane of the full batch.
+// both fault models, and with early exit off, which retires every
+// detected lane of the full batch.
 
 std::size_t lane_mask_count(const LaneMask& m) {
   return static_cast<std::size_t>(__builtin_popcountll(m.word(0)) +
                                   __builtin_popcountll(m.word(1)));
 }
 
-/// Returns the detections of the full batch summed over the four modes.
+/// Returns the detections of the full batch summed over both models.
 template <int W>
 std::size_t expect_batch_matches_lone_faults(
     const Netlist& nl, const FaultUniverse& u,
@@ -360,31 +349,27 @@ std::size_t expect_batch_matches_lone_faults(
   full.set_observed(observed);
   const ReferenceTrace trace = lone.record_reference_trace(env);
   std::size_t detected = 0;
-  for (const bool tdf : {false, true}) {
-    for (const ReferenceTrace* tr : {static_cast<const ReferenceTrace*>(nullptr),
-                                     &trace}) {
-      const std::string what = label + " W=" + std::to_string(W) +
-                               (tdf ? " tdf" : " sa") +
-                               (tr ? " traced" : " untraced");
-      const auto grade = [&](SequentialFaultSimulatorT<W>& fsim,
-                             std::span<const FaultId> batch) {
-        return tdf ? fsim.run_tdf_batch(batch, env, tr)
-                   : fsim.run_batch(batch, env, tr);
-      };
-      const std::uint64_t retired = full.sim().activity().lanes_retired;
-      const LaneMask batch = grade(full, faults);
-      const std::size_t n = lane_mask_count(batch);
-      EXPECT_EQ(full.sim().activity().lanes_retired - retired, n) << what;
-      EXPECT_EQ(grade(lone, faults), batch) << what << " with early exit";
-      detected += n;
-      for (std::size_t i = 0; i < faults.size(); ++i) {
-        const std::uint64_t before = lone.sim().activity().lanes_retired;
-        const LaneMask one = grade(lone, faults.subspan(i, 1));
-        EXPECT_EQ(lone.sim().activity().lanes_retired, before) << what;
-        EXPECT_EQ(one.bit(0), batch.bit(static_cast<int>(i)))
-            << what << ": " << u.fault_name(faults[i]);
-        if (::testing::Test::HasFailure()) return detected;
-      }
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition}) {
+    const std::string what =
+        label + " W=" + std::to_string(W) + " " + std::string(to_string(model));
+    const auto grade = [&](SequentialFaultSimulatorT<W>& fsim,
+                           std::span<const FaultId> batch) {
+      return fsim.run_batch(batch, env, trace, model);
+    };
+    const std::uint64_t retired = full.sim().activity().lanes_retired;
+    const LaneMask batch = grade(full, faults);
+    const std::size_t n = lane_mask_count(batch);
+    EXPECT_EQ(full.sim().activity().lanes_retired - retired, n) << what;
+    EXPECT_EQ(grade(lone, faults), batch) << what << " with early exit";
+    detected += n;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const std::uint64_t before = lone.sim().activity().lanes_retired;
+      const LaneMask one = grade(lone, faults.subspan(i, 1));
+      EXPECT_EQ(lone.sim().activity().lanes_retired, before) << what;
+      EXPECT_EQ(one.bit(0), batch.bit(static_cast<int>(i)))
+          << what << ": " << u.fault_name(faults[i]);
+      if (::testing::Test::HasFailure()) return detected;
     }
   }
   return detected;

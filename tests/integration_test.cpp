@@ -38,20 +38,19 @@ class IntegrationFixture : public ::testing::Test {
   /// set of batch-local indices that some program detected.
   static std::vector<bool> simulate(const std::vector<FaultId>& faults) {
     std::vector<bool> detected(faults.size(), false);
+    const int budget = kSbstFunctionalCycleCap + kSbstCampaignMargin;
     for (SbstProgram& sp : suite_) {
-      SocSimulator good(*soc_);
-      good.load_program(sp.program);
-      const int cycles = good.run(5000);
       FlashImage flash(soc_->config.flash_base, soc_->config.flash_size);
       flash.load(sp.program.base(), sp.program.words());
-      SocFsimEnvironment env(*soc_, flash, cycles + 8);
+      SocFsimEnvironment env(*soc_, flash, budget);
       SequentialFaultSimulator fsim(soc_->netlist, *universe_,
-                                    {.max_cycles = cycles + 8});
+                                    {.max_cycles = budget});
       fsim.set_observed(soc_->cpu.bus_output_cells);
+      const ReferenceTrace trace = fsim.record_reference_trace(env);
       for (std::size_t i = 0; i < faults.size(); i += 63) {
         const std::size_t n = std::min<std::size_t>(63, faults.size() - i);
         const LaneMask det =
-            fsim.run_batch(std::span(faults).subspan(i, n), env);
+            fsim.run_batch(std::span(faults).subspan(i, n), env, trace);
         for (std::size_t j = 0; j < n; ++j)
           if (det.bit(static_cast<int>(j))) detected[i + j] = true;
       }

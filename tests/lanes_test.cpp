@@ -120,17 +120,16 @@ class ScriptedEnvT : public FsimEnvironmentT<W> {
 struct GradeConfig {
   bool event_driven = true;
   bool tdf = false;
-  bool traced = false;
 };
 
 std::string describe(const GradeConfig& c) {
   return std::string(c.tdf ? "tdf" : "sa") +
-         (c.event_driven ? "/event" : "/sweep") +
-         (c.traced ? "/traced" : "/untraced");
+         (c.event_driven ? "/event" : "/sweep");
 }
 
-/// Grades the whole universe in (W-1)-fault batches and flattens the
-/// masks into one per-fault verdict vector.
+/// Grades the whole universe in (W-1)-fault batches, against a trace
+/// recorded on the same kernel, and flattens the masks into one per-fault
+/// verdict vector.
 template <int W>
 std::vector<bool> grade_all(const RandomDesign& d, const FaultUniverse& u,
                             const std::vector<std::vector<bool>>& words,
@@ -140,9 +139,9 @@ std::vector<bool> grade_all(const RandomDesign& d, const FaultUniverse& u,
   if (!cfg.event_driven) fsim.sim().set_eval_mode(PackedEvalMode::kFullSweep);
   fsim.set_observed(d.output_cells);
   ScriptedEnvT<W> env(d.input_nets, words);
-  ReferenceTrace trace;
-  if (cfg.traced) trace = fsim.record_reference_trace(env);
-  const ReferenceTrace* tp = cfg.traced ? &trace : nullptr;
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const FaultModel model =
+      cfg.tdf ? FaultModel::kTransition : FaultModel::kStuckAt;
 
   std::vector<bool> verdicts;
   verdicts.reserve(u.size());
@@ -152,8 +151,7 @@ std::vector<bool> grade_all(const RandomDesign& d, const FaultUniverse& u,
     const std::size_t n = std::min<std::size_t>(kBatch, u.size() - base);
     std::vector<FaultId> batch(n);
     std::iota(batch.begin(), batch.end(), base);
-    const LaneMask det = cfg.tdf ? fsim.run_tdf_batch(batch, env, tp)
-                                 : fsim.run_batch(batch, env, tp);
+    const LaneMask det = fsim.run_batch(batch, env, trace, model);
     for (std::size_t i = 0; i < n; ++i)
       verdicts.push_back(det.bit(static_cast<int>(i)));
   }
@@ -214,19 +212,17 @@ TEST(LaneWidth, AllWidthsMatchScalarBaselineAndSweepOracle) {
     }
 
     for (const bool tdf : {false, true}) {
-      // The scalar event kernel is the baseline every (width, kernel,
-      // trace) combination must reproduce; the full-sweep oracle guards
-      // the baseline itself.
-      const std::vector<bool> baseline = grade_all<64>(
-          d, u, words, {.event_driven = true, .tdf = tdf, .traced = false});
+      // The scalar event kernel is the baseline every (width, kernel)
+      // combination must reproduce; the full-sweep oracle guards the
+      // baseline itself.
+      const std::vector<bool> baseline =
+          grade_all<64>(d, u, words, {.event_driven = true, .tdf = tdf});
       for (const bool event_driven : {true, false}) {
-        for (const bool traced : {false, true}) {
-          const GradeConfig cfg{event_driven, tdf, traced};
-          EXPECT_EQ(grade_all<64>(d, u, words, cfg), baseline)
-              << "seed " << seed << " W=64 " << describe(cfg);
-          EXPECT_EQ(grade_all<128>(d, u, words, cfg), baseline)
-              << "seed " << seed << " W=128 " << describe(cfg);
-        }
+        const GradeConfig cfg{event_driven, tdf};
+        EXPECT_EQ(grade_all<64>(d, u, words, cfg), baseline)
+            << "seed " << seed << " W=64 " << describe(cfg);
+        EXPECT_EQ(grade_all<128>(d, u, words, cfg), baseline)
+            << "seed " << seed << " W=128 " << describe(cfg);
       }
     }
   }
@@ -246,14 +242,16 @@ class DesignBatchRunner final : public FaultBatchRunner {
       : env_(d.input_nets, words),
         fsim_(d.nl, u, {.max_cycles = static_cast<int>(words.size())}) {
     fsim_.set_observed(d.output_cells);
+    trace_ = fsim_.record_reference_trace(env_);
   }
   LaneMask run_batch(std::span<const FaultId> faults) override {
-    return fsim_.run_batch(faults, env_);
+    return fsim_.run_batch(faults, env_, trace_);
   }
 
  private:
   ScriptedEnvT<W> env_;
   SequentialFaultSimulatorT<W> fsim_;
+  ReferenceTrace trace_;
 };
 
 CampaignTest make_design_test(const RandomDesign& d, const FaultUniverse& u,

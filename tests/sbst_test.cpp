@@ -212,9 +212,7 @@ class OracleRunner final : public FaultBatchRunner {
     fsim_.set_observed(soc.cpu.bus_output_cells);
   }
   LaneMask run_batch(std::span<const FaultId> faults) override {
-    return model_ == FaultModel::kTransition
-               ? fsim_.run_tdf_batch(faults, env_, trace_.get())
-               : fsim_.run_batch(faults, env_, trace_.get());
+    return fsim_.run_batch(faults, env_, *trace_, model_);
   }
 
  private:
@@ -323,7 +321,7 @@ TEST(SbstCampaign, DetectsASubstantialFractionAndDropsFaults) {
 TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
   // The §5 extension end-to-end: the same suite, graded for TDF coverage
   // through the same engine. One short program on the lean SoC keeps the
-  // two-pass TDF batches in unit-test time.
+  // TDF batches in unit-test time.
   SocConfig cfg = lean_config();
   cfg.scan.num_chains = 1;
   auto soc = build_soc(cfg);
@@ -602,22 +600,19 @@ TEST(SocFsim, LaneZeroServiceMatchesPerLaneReference) {
     EXPECT_TRUE(lane_any(env.private_lanes())) << "no lane forked its RAM";
 
     // Both record the same good machine, and the batch verdicts agree
-    // under both fault models, with frame replay from that trace and
-    // without.
+    // under both fault models.
     SequentialFaultSimulatorT<W> fsim(nl, u, {.max_cycles = cycles}, topo);
     fsim.set_observed(soc->cpu.bus_output_cells);
     const ReferenceTrace trace = fsim.record_reference_trace(env);
     EXPECT_EQ(fsim.record_reference_trace(ref).fingerprint(),
               trace.fingerprint());
-    const LaneMask sa = fsim.run_batch(faults, env);
+    const LaneMask sa = fsim.run_batch(faults, env, trace);
     EXPECT_TRUE(sa.any());
-    EXPECT_EQ(fsim.run_batch(faults, ref), sa);
-    EXPECT_EQ(fsim.run_batch(faults, env, &trace), sa);
-    EXPECT_EQ(fsim.run_batch(faults, ref, &trace), sa);
-    const LaneMask tdf = fsim.run_tdf_batch(faults, env);
-    EXPECT_EQ(fsim.run_tdf_batch(faults, ref), tdf);
-    EXPECT_EQ(fsim.run_tdf_batch(faults, env, &trace), tdf);
-    EXPECT_EQ(fsim.run_tdf_batch(faults, ref, &trace), tdf);
+    EXPECT_EQ(fsim.run_batch(faults, ref, trace), sa);
+    const LaneMask tdf =
+        fsim.run_batch(faults, env, trace, FaultModel::kTransition);
+    EXPECT_EQ(fsim.run_batch(faults, ref, trace, FaultModel::kTransition),
+              tdf);
   }
 }
 
