@@ -31,8 +31,8 @@
 //                            the tid lane of the participant that graded
 //                            it (side-band: the grading payload is
 //                            byte-identical with or without it)
-//       --metrics FILE       deterministic-ordered counters/gauges/
-//                            histograms JSON (obs/metrics.hpp catalogue)
+//       --metrics FILE       deterministic-ordered counters/histograms
+//                            JSON (obs/metrics.hpp catalogue)
 //       --progress           stderr heartbeat per shard batch: shards
 //                            done/estimated, faults graded, faults/s, ETA
 //
@@ -53,6 +53,9 @@
 //                          most INT_MAX)
 //     --trace FILE         campaign span trace (see --sbst above)
 //     --metrics FILE       campaign metrics export (see --sbst above)
+//
+// An output FILE that cannot be written (open, write or close fails) is
+// reported as "error: cannot write 'FILE'" with exit status 1.
 //
 // Example:
 //   olfui_cli periph.v --tie test_mode=0 --unobserve dbg_tap --csv out.csv
@@ -120,9 +123,16 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
+/// Writes `content` to `path`, or exits 1 if the open, the write or the
+/// close fails: an output flag never reports a file it did not write.
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   out << content;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
+    std::exit(1);
+  }
   std::printf("wrote %s (%zu bytes)\n", path.c_str(), content.size());
 }
 

@@ -5,8 +5,8 @@
 // repeat run needs to prove "this is the same work" already exists: the
 // universe/netlist structure, each test's identity (CampaignTest::spec,
 // which carries its ReferenceTrace fingerprint, next to each test's
-// max_batch), and a canonical options hash (which covers
-// batch_size; with max_batch the only inputs of batch formation).
+// max_batch, the only input of batch formation), and a canonical options
+// hash over the payload-affecting options.
 // ResultCache keys the deterministic CampaignResult JSON payload on
 // exactly those:
 //
@@ -60,7 +60,9 @@ std::uint64_t fnv1a64_word(std::uint64_t v, std::uint64_t h);
 /// changed default changes the hash and field declaration order never
 /// matters. Payload-NEUTRAL knobs (threads, the cache itself,
 /// observability) are deliberately absent: they never change the
-/// deterministic payload, so they must not fragment the cache.
+/// deterministic payload, so they must not fragment the cache. Two fields,
+/// batch_size=0 and fault_dropping=1, are literals kept so that keys
+/// written by earlier builds stay valid.
 std::string campaign_options_canonical(const CampaignOptions& opts);
 /// fnv1a64 of campaign_options_canonical().
 std::uint64_t campaign_options_hash(const CampaignOptions& opts);

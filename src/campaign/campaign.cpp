@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <mutex>
@@ -8,7 +9,6 @@
 #include <thread>
 
 #include "campaign/cache.hpp"
-#include "campaign/shard_queue.hpp"
 #include "fault/tdf.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
@@ -18,14 +18,13 @@ namespace olfui {
 
 namespace {
 
-/// Undetected (unless dropping is off), testable faults in id order,
-/// truncated to `limit` when nonzero (the smoke-slicing knob).
-std::vector<FaultId> campaign_targets(const FaultList& fl, bool drop_detected,
-                                      std::size_t limit) {
+/// Undetected, testable faults in id order, truncated to `limit` when
+/// nonzero (the smoke-slicing knob).
+std::vector<FaultId> campaign_targets(const FaultList& fl, std::size_t limit) {
   std::vector<FaultId> targets;
   for (FaultId f = 0; f < fl.size(); ++f) {
     if (fl.untestable_kind(f) != UntestableKind::kNone) continue;
-    if (drop_detected && fl.detect_state(f) == DetectState::kDetected) continue;
+    if (fl.detect_state(f) == DetectState::kDetected) continue;
     targets.push_back(f);
     if (limit && targets.size() == limit) break;
   }
@@ -84,15 +83,34 @@ CampaignEngine::CampaignEngine(const FaultUniverse& universe,
 
 std::size_t CampaignEngine::batch_size(const CampaignTest& test) const {
   // A span wider than the detection mask could not be merged back.
-  const int bound = std::clamp(test.max_batch, 1, LaneMask::kWords * 64 - 1);
   return static_cast<std::size_t>(
-      opts_.batch_size == 0 ? bound : std::clamp(opts_.batch_size, 1, bound));
+      std::clamp(test.max_batch, 1, LaneMask::kWords * 64 - 1));
 }
 
 int CampaignEngine::resolved_threads() const {
   if (opts_.threads > 0) return opts_.threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? static_cast<int>(hw) : 1;
+}
+
+void CampaignEngine::parallel_for(
+    std::size_t n,
+    const std::function<void(std::size_t, std::size_t)>& body) const {
+  const std::size_t threads = static_cast<std::size_t>(resolved_threads());
+  const std::size_t participants = std::min(threads, n);
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&](std::size_t p) {
+    for (std::size_t i = next++; i < n; i = next++) body(i, p);
+  };
+  if (participants <= 1) {
+    drain(0);
+    return;
+  }
+  // The pool captures a throw from any participant and rethrows the first
+  // one here, matching the 1-participant path.
+  std::lock_guard lock(pool_mu_);
+  if (!pool_) pool_ = std::make_unique<WorkerPool>(threads - 1);
+  pool_->run(participants, drain);
 }
 
 BitVec CampaignEngine::grade(std::span<const FaultId> targets,
@@ -128,73 +146,62 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   // the merge.
   std::vector<LaneMask> masks(shards);
   std::vector<double> seconds(shards);
+  // One runner per participant, created on its first shard.
+  std::vector<std::unique_ptr<FaultBatchRunner>> runners(
+      static_cast<std::size_t>(resolved_threads()));
   std::mutex progress_mu;
   std::size_t graded = 0;
   const bool tracing = obs::tracer().enabled();
-  const auto worker = [&](ShardQueue& queue, std::size_t w) {
-    std::unique_ptr<FaultBatchRunner> runner;  // created on first shard
-    std::size_t shard;
-    while (queue.pop(w, shard)) {
-      const std::span<const FaultId> faults =
-          shard_span(targets, batch, static_cast<std::uint32_t>(shard));
-      try {
-        // Runner construction stays outside the timed span: shard_seconds
-        // reports grading cost, not one-time per-worker setup.
-        if (!runner) runner = test.make_runner();
-        const std::int64_t s0 = tracing ? obs::tracer().now_us() : 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        masks[shard] = runner->run_batch(faults);
-        seconds[shard] = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-        if (obs::metrics().enabled())
-          obs::metrics()
-              .histogram("campaign.shard_seconds",
-                         {0.001, 0.01, 0.1, 1.0, 10.0})
-              .observe(seconds[shard]);
-        if (tracing) {
-          // tid = participant index, so the trace lane matches the worker
-          // that actually ran the shard (steals included).
-          obs::TraceEvent ev;
-          ev.name = "shard";
-          ev.cat = "campaign";
-          ev.ts_us = s0;
-          ev.dur_us = obs::tracer().now_us() - s0;
-          ev.tid = static_cast<std::int64_t>(w);
-          ev.args.emplace_back("shard", Json(shard));
-          ev.args.emplace_back("test", Json(test.name));
-          ev.args.emplace_back("faults", Json(faults.size()));
-          obs::tracer().record(std::move(ev));
-        }
-      } catch (const std::exception& e) {
-        // The runner knows neither which shard it was grading nor for
-        // which test — attach both before the pool rethrows on the
-        // caller, so a campaign failure names the work item that died.
-        throw std::runtime_error("campaign test '" + test.name + "' shard " +
-                                 std::to_string(shard) + ": " + e.what());
+  const auto grade_shard = [&](std::size_t shard, std::size_t w) {
+    const std::span<const FaultId> faults =
+        shard_span(targets, batch, static_cast<std::uint32_t>(shard));
+    try {
+      // Runner construction stays outside the timed span: shard_seconds
+      // reports grading cost, not one-time per-worker setup.
+      std::unique_ptr<FaultBatchRunner>& runner = runners[w];
+      if (!runner) runner = test.make_runner();
+      const std::int64_t s0 = tracing ? obs::tracer().now_us() : 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      masks[shard] = runner->run_batch(faults);
+      seconds[shard] = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+      if (obs::metrics().enabled())
+        obs::metrics()
+            .histogram("campaign.shard_seconds",
+                       {0.001, 0.01, 0.1, 1.0, 10.0})
+            .observe(seconds[shard]);
+      if (tracing) {
+        // tid = participant index, so the trace lane matches the worker
+        // that actually ran the shard.
+        obs::TraceEvent ev;
+        ev.name = "shard";
+        ev.cat = "campaign";
+        ev.ts_us = s0;
+        ev.dur_us = obs::tracer().now_us() - s0;
+        ev.tid = static_cast<std::int64_t>(w);
+        ev.args.emplace_back("shard", Json(shard));
+        ev.args.emplace_back("test", Json(test.name));
+        ev.args.emplace_back("faults", Json(faults.size()));
+        obs::tracer().record(std::move(ev));
       }
-      if (progress) {
-        std::lock_guard lock(progress_mu);
-        graded += faults.size();
-        progress(test.name, graded, targets.size());
-      }
+    } catch (const std::exception& e) {
+      // The runner knows neither which shard it was grading nor for
+      // which test — attach both before the pool rethrows on the
+      // caller, so a campaign failure names the work item that died.
+      throw std::runtime_error("campaign test '" + test.name + "' shard " +
+                               std::to_string(shard) + ": " + e.what());
+    }
+    if (progress) {
+      std::lock_guard lock(progress_mu);
+      graded += faults.size();
+      progress(test.name, graded, targets.size());
     }
   };
   auto exec_span = obs::tracer().span("execute", "campaign");
   exec_span.arg("test", Json(test.name));
   exec_span.arg("shards", Json(shards));
-  const std::size_t threads = static_cast<std::size_t>(resolved_threads());
-  const std::size_t workers = std::min(threads, shards);
-  ShardQueue queue(shards, workers);
-  if (workers <= 1) {
-    worker(queue, 0);
-  } else {
-    // The pool captures a throw from any participant and rethrows the
-    // first one here, matching the 1-thread path.
-    std::lock_guard lock(pool_mu_);
-    if (!pool_) pool_ = std::make_unique<WorkerPool>(threads - 1);
-    pool_->run(workers, [&](std::size_t w) { worker(queue, w); });
-  }
+  parallel_for(shards, grade_shard);
   exec_span.end();
 
   // --- merge --------------------------------------------------------------
@@ -268,7 +275,7 @@ CampaignResult CampaignEngine::run(FaultList& fl,
 
   for (const CampaignTest& test : tests) {
     const std::vector<FaultId> targets =
-        campaign_targets(fl, opts_.fault_dropping, opts_.target_limit);
+        campaign_targets(fl, opts_.target_limit);
     // Activation screen, after the target_limit slice so a sliced run
     // covers the same faults with or without it: an inert fault's faulty
     // machine equals the good one for the whole test, so simulating it

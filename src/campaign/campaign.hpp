@@ -9,12 +9,12 @@
 // them:
 //
 //  * batching — the target fault list is cut into contiguous spans of
-//    batch_size faults in target order (one parallel-fault simulator pass
-//    each, at most the test's max_batch: 127 for SBST, 63 for 64-lane
-//    runners): shard s grades targets[s*B, min(n, (s+1)*B));
+//    the test's max_batch faults in target order (one parallel-fault
+//    simulator pass each: 127 for SBST, 63 for 64-lane runners): shard s
+//    grades targets[s*B, min(n, (s+1)*B));
 //  * execution — the shards run on the engine's persistent worker pool
-//    (worker_pool.hpp), drained through a work-stealing ShardQueue
-//    (shard_queue.hpp);
+//    (worker_pool.hpp), each participant taking the next shard index from
+//    one atomic cursor (parallel_for);
 //  * fault dropping — a fault detected by test k leaves the queue before
 //    test k+1, so late tests grade ever-shrinking target lists;
 //  * activation screening — faults a test's good-machine run proves it
@@ -95,12 +95,6 @@ struct CampaignTest {
 struct CampaignOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   int threads = 0;
-  /// Faults per shard; clamped per test to [1, CampaignTest::max_batch].
-  /// 0 = each test's max_batch.
-  int batch_size = 0;
-  /// Detected faults leave the target queue before the next test. Off, every
-  /// test grades the full testable universe (the regression baseline).
-  bool fault_dropping = true;
   /// How the shared fault ids are read (fault/tdf.hpp): labels the result's
   /// polarity classes (sa0/sa1 vs str/stf) and the JSON report. The tests'
   /// runners must grade the matching model — the engine only shards and
@@ -121,9 +115,9 @@ struct CampaignOptions {
 };
 
 /// Campaign-wide outcome. Everything except `stats` is a pure function of
-/// (universe, fault list, tests, batch_size) — thread count never shows
-/// through, which operator== checks (it deliberately ignores the
-/// nondeterministic runtime stats). The batch size shows through only via
+/// (universe, fault list, tests) — thread count never shows through,
+/// which operator== checks (it deliberately ignores the nondeterministic
+/// runtime stats). The tests' max_batch shows through only via
 /// tests[].batches; the detection payload (`detected`, classes, coverage)
 /// is invariant under it.
 struct CampaignResult {
@@ -225,9 +219,23 @@ class CampaignEngine {
   const CampaignOptions& options() const { return opts_; }
   /// Worker count after resolving threads == 0.
   int resolved_threads() const;
-  /// Faults per shard for `test`: options().batch_size clamped to
-  /// [1, test.max_batch], or test.max_batch when batch_size is 0.
+  /// Faults per shard for `test`: test.max_batch clamped to [1, 127], the
+  /// widest span a LaneMask can merge back.
   std::size_t batch_size(const CampaignTest& test) const;
+
+  /// The engine's one parallel loop: calls body(item, participant) exactly
+  /// once for every item in [0, n), on min(resolved_threads(), n)
+  /// participants of the engine's worker pool (the caller is participant
+  /// 0). Each participant takes the next item from one shared atomic
+  /// cursor, so items start in index order. The first exception a body
+  /// throws is rethrown here once every participant has stopped (through
+  /// the pool, prefixed with the participant index). Concurrent calls
+  /// serialize onto the one pool; a body must not call back into the
+  /// engine's parallel_for, grade or run.
+  void parallel_for(
+      std::size_t n,
+      const std::function<void(std::size_t item, std::size_t participant)>&
+          body) const;
 
   /// The deterministic parallel grading primitive, an explicit
   /// plan -> execute -> merge pipeline: cuts `targets` into
@@ -243,8 +251,8 @@ class CampaignEngine {
                const CampaignProgress& progress = {},
                std::vector<double>* shard_seconds = nullptr) const;
 
-  /// Runs the full campaign: for each test in order, takes the remaining
-  /// targets (fault dropping and target_limit permitting), drops the
+  /// Runs the full campaign: for each test in order, takes the testable
+  /// faults no earlier test detected (target_limit permitting), drops the
   /// test's inert faults, grades the rest, marks detections in `fl`, and
   /// accumulates the result.
   CampaignResult run(FaultList& fl, std::span<const CampaignTest> tests,
@@ -261,10 +269,10 @@ class CampaignEngine {
   const FaultUniverse* universe_;
   CampaignOptions opts_;
   /// resolved_threads() - 1 parked workers (the caller is the extra
-  /// participant), created on the first multi-threaded grade and parked
-  /// between grades. pool_mu_ guards the creation and serializes
-  /// concurrent grades onto the one pool, so a const engine stays safe to
-  /// share across threads.
+  /// participant), created on the first multi-participant parallel_for
+  /// and parked between calls. pool_mu_ guards the creation and
+  /// serializes concurrent calls onto the one pool, so a const engine
+  /// stays safe to share across threads.
   mutable std::mutex pool_mu_;
   mutable std::unique_ptr<WorkerPool> pool_;
 };

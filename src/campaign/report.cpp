@@ -211,9 +211,10 @@ CampaignResult campaign_result_from_json_string(std::string_view text) {
 Json seq_fsim_options_to_json(const SeqFsimOptions& opts) {
   Json doc = Json::object();
   doc.set("max_cycles", opts.max_cycles);
-  doc.set("early_exit", opts.early_exit);
-  // A literal: keeps SBST specs, and so cache keys from earlier builds,
-  // unchanged.
+  // Literals: batches always exit early and campaigns always grade on the
+  // event kernel; both keep SBST specs, and so cache keys from earlier
+  // builds, unchanged.
+  doc.set("early_exit", true);
   doc.set("event_driven", true);
   return doc;
 }

@@ -318,7 +318,7 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
     sim_.eval(&frame);
     const Word seen = diverged;
     diverged = (diverged | observe_divergence(frame)) & fault_lanes;
-    if (opts_.early_exit && !lane_neq(diverged, fault_lanes)) break;
+    if (!lane_neq(diverged, fault_lanes)) break;
     sim_.latch();
     // A detected lane's verdict is final: hand it back to the good machine.
     sim_.retire_lanes(diverged & ~seen);

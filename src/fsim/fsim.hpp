@@ -74,15 +74,14 @@ class FsimEnvironmentT {
 /// The scalar 64-lane environment interface (the pre-width-parametric name).
 using FsimEnvironment = FsimEnvironmentT<64>;
 
-/// The simulator's knobs. The kernel's oracle modes are not among them:
-/// a test that wants the full-sweep or full-latch reference selects it on
+/// The simulator's one knob. A batch always stops as soon as every faulty
+/// lane has diverged. The kernel's oracle modes are not knobs either: a
+/// test that wants the full-sweep or full-latch reference selects it on
 /// sim() after construction (PackedSimT::set_eval_mode / set_clock_mode).
 struct SeqFsimOptions {
   /// Cycle budget of record_reference_trace; a batch runs the trace's
   /// cycles.
   int max_cycles = 100000;
-  /// Stop a batch as soon as every faulty lane has diverged.
-  bool early_exit = true;
 };
 
 /// Lane-0 activity summary of one good-machine run, one bit per net (bit

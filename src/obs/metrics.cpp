@@ -34,14 +34,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end())
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  return *it->second;
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -59,13 +51,6 @@ Json MetricsRegistry::to_json() const {
   Json counters = Json::object();
   for (const auto& [name, c] : counters_)
     counters.set(name, static_cast<double>(c->value()));
-  Json gauges = Json::object();
-  for (const auto& [name, g] : gauges_) {
-    Json entry = Json::object();
-    entry.set("value", static_cast<double>(g->value()));
-    entry.set("high_water", static_cast<double>(g->high_water()));
-    gauges.set(name, std::move(entry));
-  }
   Json histograms = Json::object();
   for (const auto& [name, h] : histograms_) {
     Json entry = Json::object();
@@ -82,7 +67,6 @@ Json MetricsRegistry::to_json() const {
   }
   Json doc = Json::object();
   doc.set("counters", std::move(counters));
-  doc.set("gauges", std::move(gauges));
   doc.set("histograms", std::move(histograms));
   return doc;
 }
@@ -90,7 +74,6 @@ Json MetricsRegistry::to_json() const {
 void MetricsRegistry::reset_values() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 

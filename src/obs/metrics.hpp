@@ -1,5 +1,5 @@
-// olfui/obs: process-wide metrics registry — counters, gauges and
-// fixed-bucket histograms with deterministic-ordered JSON export.
+// olfui/obs: process-wide metrics registry — counters and fixed-bucket
+// histograms with deterministic-ordered JSON export.
 //
 // Like the tracer (obs/trace.hpp) the registry is a singleton that is OFF
 // by default; instrumentation sites guard on `enabled()` (one relaxed
@@ -15,7 +15,7 @@
 // the values themselves.
 //
 // Metric names use dotted "<subsystem>.<what>" (see the README
-// catalogue): e.g. campaign.shard_steals, kernel.events_drained.
+// catalogue): e.g. campaign.pool_parks, kernel.events_drained.
 #pragma once
 
 #include <atomic>
@@ -42,31 +42,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-write-wins instantaneous value (queue depth, active workers). Also
-/// tracks the high-water mark seen across set() calls.
-class Gauge {
- public:
-  void set(std::int64_t v) {
-    value_.store(v, std::memory_order_relaxed);
-    std::int64_t hw = high_water_.load(std::memory_order_relaxed);
-    while (v > hw &&
-           !high_water_.compare_exchange_weak(hw, v, std::memory_order_relaxed))
-      ;
-  }
-  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  std::int64_t high_water() const {
-    return high_water_.load(std::memory_order_relaxed);
-  }
-  void reset() {
-    value_.store(0, std::memory_order_relaxed);
-    high_water_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-  std::atomic<std::int64_t> high_water_{0};
 };
 
 /// Fixed-bucket histogram: observe(v) lands in the first bucket whose
@@ -103,10 +78,9 @@ class MetricsRegistry {
   /// Finds or creates; the returned reference stays valid for the
   /// registry's lifetime (instruments never move or vanish).
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name, std::vector<double> bounds);
 
-  /// {"counters":{...},"gauges":{...},"histograms":{...}} — every section
+  /// {"counters":{...},"histograms":{...}} — every section
   /// sorted by metric name, so exports are deterministic documents.
   Json to_json() const;
 
@@ -118,7 +92,6 @@ class MetricsRegistry {
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;  // registration/export only; updates are atomic
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 

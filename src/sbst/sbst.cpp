@@ -1,13 +1,11 @@
 #include "sbst/sbst.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <memory>
 #include <utility>
 
 #include "campaign/report.hpp"
-#include "campaign/worker_pool.hpp"
 #include "fault/tdf.hpp"
 #include "obs/trace.hpp"
 
@@ -439,23 +437,17 @@ SbstCampaignTest build_sbst_campaign_test(
 
 std::vector<CampaignTest> build_sbst_campaign_tests(
     const Soc& soc, std::vector<SbstProgram>& suite,
-    const FaultUniverse& universe, FaultModel fault_model, int threads) {
+    const FaultUniverse& universe, const CampaignEngine& engine) {
   auto span = obs::tracer().span("build_tests", "sbst");
   // One topology (levelized order + fanout CSR) serves every tracer and
   // every worker's simulator across the whole suite.
   const auto topo = PackedTopology::build(soc.netlist);
   std::vector<CampaignTest> tests(suite.size());
-  const std::size_t participants = std::min<std::size_t>(
-      std::max(threads, 1), std::max<std::size_t>(suite.size(), 1));
-  span.arg("participants", Json(participants));
-  // Programs are handed out in any order; each lands in its suite slot.
-  std::atomic<std::size_t> next{0};
-  WorkerPool pool(participants - 1);
-  pool.run(participants, [&](std::size_t) {
-    for (std::size_t i = next++; i < suite.size(); i = next++)
-      tests[i] =
-          build_sbst_campaign_test(soc, suite[i], universe, topo, fault_model)
-              .test;
+  // Each program lands in its suite slot, whichever participant builds it.
+  engine.parallel_for(suite.size(), [&](std::size_t i, std::size_t) {
+    tests[i] = build_sbst_campaign_test(soc, suite[i], universe, topo,
+                                        engine.options().fault_model)
+                   .test;
   });
   return tests;
 }
@@ -465,8 +457,8 @@ SbstCampaignResult run_sbst_campaign(
     std::function<void(const std::string&, std::size_t, std::size_t)> progress,
     const CampaignOptions& opts) {
   const CampaignEngine engine(fl.universe(), opts);
-  const std::vector<CampaignTest> tests = build_sbst_campaign_tests(
-      soc, suite, fl.universe(), opts.fault_model, engine.resolved_threads());
+  const std::vector<CampaignTest> tests =
+      build_sbst_campaign_tests(soc, suite, fl.universe(), engine);
   SbstCampaignResult result;
   result.campaign = engine.run(fl, tests, progress);
   for (const CampaignResult::PerTest& pt : result.campaign.tests) {

@@ -105,21 +105,21 @@ SbstCampaignTest build_sbst_campaign_test(
     FaultModel fault_model = FaultModel::kStuckAt);
 
 /// Converts the suite into orchestrator tests, one build_sbst_campaign_test
-/// per program over one shared PackedTopology. The programs are built
-/// concurrently by `threads` participants (clamped to [1, suite size]);
-/// the tests come back in suite order and are identical for any count.
+/// per program over one shared PackedTopology, under
+/// engine.options().fault_model. The programs are built concurrently on
+/// the engine's worker pool (CampaignEngine::parallel_for); the tests come
+/// back in suite order and are identical for any thread count.
 std::vector<CampaignTest> build_sbst_campaign_tests(
     const Soc& soc, std::vector<SbstProgram>& suite,
-    const FaultUniverse& universe,
-    FaultModel fault_model = FaultModel::kStuckAt, int threads = 1);
+    const FaultUniverse& universe, const CampaignEngine& engine);
 
 /// Fault-simulates the suite with system-bus observability through the
 /// campaign orchestrator, updating `fl` (already-detected and untestable
 /// faults are skipped — fault dropping). `opts` controls threading,
-/// sharding, dropping, and the fault model (opts.fault_model ==
+/// slicing, caching and the fault model (opts.fault_model ==
 /// kTransition grades the suite for TDF coverage; pair it with
 /// classify_transition_faults-based pruning in `fl` for the pruned
-/// figures). The tests are built with the engine's resolved thread count.
+/// figures). One engine builds the tests and grades them, on one pool.
 SbstCampaignResult run_sbst_campaign(
     const Soc& soc, std::vector<SbstProgram>& suite, FaultList& fl,
     std::function<void(const std::string&, std::size_t, std::size_t)> progress = {},

@@ -234,12 +234,6 @@ TEST(CacheKey, OptionsHashTracksPayloadAffectingFieldsOnly) {
 
   // Every payload-affecting field moves the hash...
   CampaignOptions o = base;
-  o.batch_size = 17;
-  EXPECT_NE(campaign_options_hash(o), h);
-  o = base;
-  o.fault_dropping = false;
-  EXPECT_NE(campaign_options_hash(o), h);
-  o = base;
   o.fault_model = FaultModel::kTransition;
   EXPECT_NE(campaign_options_hash(o), h);
   o = base;

@@ -12,7 +12,6 @@
 #include "campaign/campaign.hpp"
 #include "campaign/json.hpp"
 #include "campaign/report.hpp"
-#include "campaign/shard_queue.hpp"
 #include "campaign/worker_pool.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
@@ -27,8 +26,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Rig: a 12-bit enabled counter. Big enough for a few dozen 63-fault
-// shards (so the work-stealing pool actually distributes work), small
-// enough for unit-test time.
+// shards (so the pool's participants actually share work), small enough
+// for unit-test time.
 
 class CounterEnv : public FsimEnvironment {
  public:
@@ -139,36 +138,6 @@ struct ScopedObservability {
     obs::metrics().reset_values();
   }
 };
-
-// ---------------------------------------------------------------------------
-// ShardQueue
-
-TEST(ShardQueue, EveryShardHandedOutExactlyOnce) {
-  ShardQueue queue(101, 4);
-  std::multiset<std::size_t> seen;
-  std::size_t shard;
-  // Workers drain in a round-robin of pops; worker 3 exercises stealing
-  // once its own stripe is dry.
-  bool any = true;
-  while (any) {
-    any = false;
-    for (std::size_t w = 0; w < 4; ++w) {
-      if (queue.pop(w, shard)) {
-        seen.insert(shard);
-        any = true;
-      }
-    }
-  }
-  ASSERT_EQ(seen.size(), 101u);
-  for (std::size_t s = 0; s < 101; ++s) EXPECT_EQ(seen.count(s), 1u) << s;
-}
-
-TEST(ShardQueue, EmptyQueueReportsDry) {
-  ShardQueue queue(0, 2);
-  std::size_t shard;
-  EXPECT_FALSE(queue.pop(0, shard));
-  EXPECT_FALSE(queue.pop(1, shard));
-}
 
 // ---------------------------------------------------------------------------
 // WorkerPool
@@ -430,12 +399,51 @@ TEST(Campaign, SingleAndMultiThreadResultsAreIdentical) {
   for (FaultId f = 0; f < u.size(); ++f)
     ASSERT_EQ(fl1.detect_state(f), fl4.detect_state(f)) << f;
 
-  // Odd batch size exercises the tail-shard path.
+  // An odd batch width exercises the tail-shard path.
+  std::vector<CampaignTest> narrow = tests;
+  for (CampaignTest& t : narrow) t.max_batch = 17;
   FaultList fl3(u);
   const CampaignResult r3 =
-      CampaignEngine(u, {.threads = 3, .batch_size = 17}).run(fl3, tests);
+      CampaignEngine(u, {.threads = 3}).run(fl3, narrow);
   EXPECT_EQ(r3.detected, r1.detected);
   EXPECT_GT(r3.stats.batches, r1.stats.batches);
+}
+
+TEST(Campaign, EveryShardGradedExactlyOnce) {
+  // 703 targets in 7-fault spans: 101 shards, the last holding 3 faults.
+  // The kernel counts its calls by each span's first target, so a shard
+  // graded twice or never shows at every participant count, the uneven
+  // last round of 3 participants included. grade() hands the ids to the
+  // kernel only, so they need not be the universe's.
+  CounterRig rig;
+  const FaultUniverse u(rig.nl);
+  std::vector<FaultId> targets(703);
+  std::iota(targets.begin(), targets.end(), 0u);
+  std::vector<std::atomic<int>> calls(targets.size());
+  CampaignTest test = make_function_test(
+      "counted", [&calls](std::span<const FaultId> faults) {
+        calls[faults.front()].fetch_add(1, std::memory_order_relaxed);
+        std::uint64_t mask = 0;
+        for (std::size_t i = 0; i < faults.size(); ++i)
+          if (faults[i] % 3 == 0) mask |= 1ULL << i;
+        return mask;
+      });
+  test.max_batch = 7;
+  BitVec first;
+  for (const int threads : {1, 3, 4}) {
+    for (std::atomic<int>& c : calls) c.store(0);
+    const BitVec det =
+        CampaignEngine(u, {.threads = threads}).grade(targets, test);
+    for (std::size_t f = 0; f < calls.size(); ++f)
+      ASSERT_EQ(calls[f].load(), f % 7 == 0 ? 1 : 0)
+          << "target " << f << " at " << threads << " threads";
+    if (threads == 1) {
+      first = det;
+      EXPECT_EQ(first.count(), (703u + 2) / 3);
+    } else {
+      EXPECT_EQ(det, first) << threads << " threads";
+    }
+  }
 }
 
 TEST(Campaign, SharedEngineGradesConcurrently) {
@@ -473,25 +481,39 @@ TEST(Campaign, FaultDroppingMatchesNoDropBaseline) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
   const std::vector<CampaignTest> tests = make_rig_suite(rig, u);
+  const CampaignEngine engine(u, {.threads = 2});
 
   FaultList drop(u);
-  const CampaignResult rd =
-      CampaignEngine(u, {.threads = 2}).run(drop, tests);
-  FaultList keep(u);
-  const CampaignResult rk =
-      CampaignEngine(u, {.threads = 2, .fault_dropping = false})
-          .run(keep, tests);
+  const CampaignResult rd = engine.run(drop, tests);
+
+  // The no-drop baseline: every test grades every testable fault (all of
+  // them, on a fresh list); a test's new detections are the ones no
+  // earlier test made.
+  std::vector<FaultId> all(u.size());
+  std::iota(all.begin(), all.end(), 0u);
+  BitVec keep(u.size());
+  std::vector<std::size_t> keep_new;
+  for (const CampaignTest& test : tests) {
+    const BitVec det = engine.grade(all, test);
+    std::size_t fresh = 0;
+    for (std::size_t f = det.find_first(); f < det.size();
+         f = det.find_next(f + 1)) {
+      if (!keep.get(f)) ++fresh;
+      keep.set(f, true);
+    }
+    keep_new.push_back(fresh);
+  }
 
   // Dropping changes only how much work is done, never the outcome.
-  EXPECT_EQ(rd.detected, rk.detected);
-  EXPECT_EQ(rd.total_new_detections, rk.total_new_detections);
-  ASSERT_EQ(rd.tests.size(), rk.tests.size());
+  EXPECT_EQ(rd.detected, keep);
+  EXPECT_EQ(rd.total_new_detections, keep.count());
+  ASSERT_EQ(rd.tests.size(), keep_new.size());
   for (std::size_t i = 0; i < rd.tests.size(); ++i)
-    EXPECT_EQ(rd.tests[i].new_detections, rk.tests[i].new_detections) << i;
+    EXPECT_EQ(rd.tests[i].new_detections, keep_new[i]) << i;
   // The second test's queue shrank by the first test's detections.
   EXPECT_EQ(rd.tests[1].faults_targeted,
-            rk.tests[1].faults_targeted - rd.tests[0].new_detections);
-  EXPECT_LT(rd.stats.faults_simulated, rk.stats.faults_simulated);
+            all.size() - rd.tests[0].new_detections);
+  EXPECT_LT(rd.stats.faults_simulated, tests.size() * all.size());
 }
 
 TEST(Campaign, MarksFaultListAndSkipsUntestable) {
@@ -901,7 +923,9 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
     const std::string_view model = to_string(row.model);
     // The concurrent build yields the same tests for any participant count.
     const auto build = [&](int threads) {
-      return build_sbst_campaign_tests(*soc, suite, u, row.model, threads);
+      return build_sbst_campaign_tests(
+          *soc, suite, u,
+          CampaignEngine(u, {.threads = threads, .fault_model = row.model}));
     };
     const std::vector<CampaignTest> serial = build(1), concurrent = build(4);
     EXPECT_EQ(campaign_tests_fingerprint(serial), row.tests_fp) << model;
@@ -1025,11 +1049,11 @@ TEST(ActivationScreen, InertFaultsAreNeverDetected) {
   auto suite = build_sbst_suite(soc->config);
   suite.erase(suite.begin() + 2, suite.end());  // alu_arith, alu_logic
   const FaultUniverse u(soc->netlist);
-  const CampaignEngine engine(u, {.threads = 2});
   for (const FaultModel model :
        {FaultModel::kStuckAt, FaultModel::kTransition}) {
-    const std::vector<CampaignTest> tests = build_sbst_campaign_tests(
-        *soc, suite, u, model);
+    const CampaignEngine engine(u, {.threads = 2, .fault_model = model});
+    const std::vector<CampaignTest> tests =
+        build_sbst_campaign_tests(*soc, suite, u, engine);
     for (const CampaignTest& test : tests) {
       std::vector<FaultId> inert;
       for (std::size_t f = test.inert.find_first(); f < test.inert.size();

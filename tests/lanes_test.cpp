@@ -304,8 +304,9 @@ TEST(LaneWidth, CampaignDetectionsInvariantAcrossWidthsAndThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// The batch bound belongs to the test: the engine clamps batch_size to
-// each test's max_batch, so a 64-lane kernel never sees a 127-fault span.
+// The batch bound belongs to the test: the engine cuts spans of each
+// test's max_batch (clamped to LaneMask's 127 faults), so a 64-lane kernel
+// never sees a 127-fault span.
 
 /// The span sizes a test's runners were handed, across worker threads.
 struct SpanLog {
@@ -347,23 +348,25 @@ TEST(BatchBound, EngineClampsARequestToTheTestsBound) {
   const std::vector<std::vector<bool>> words(
       8, std::vector<bool>(d.input_nets.size(), true));
 
-  // A 64-lane test asked for 127-fault spans still gets at most 63.
+  // A 64-lane test gets at most 63-fault spans.
   auto log = std::make_shared<SpanLog>();
   const std::vector<CampaignTest> tests{
       recording(make_design_test(d, u, words, 64), log)};
   FaultList fl(u);
-  const CampaignResult r =
-      CampaignEngine(u, {.threads = 2, .batch_size = 127}).run(fl, tests);
+  const CampaignEngine engine(u, {.threads = 2});
+  const CampaignResult r = engine.run(fl, tests);
   EXPECT_EQ(r.tests.at(0).batches, (u.size() + 62) / 63);
   ASSERT_FALSE(log->sizes.empty());
   EXPECT_EQ(*std::max_element(log->sizes.begin(), log->sizes.end()), 63u);
 
-  // batch_size = 0 means the test's bound; smaller requests are honored.
-  const CampaignTest wide = make_design_test(d, u, words, 128);
-  EXPECT_EQ(CampaignEngine(u).batch_size(tests[0]), 63u);
-  EXPECT_EQ(CampaignEngine(u).batch_size(wide), 127u);
-  EXPECT_EQ(CampaignEngine(u, {.batch_size = 17}).batch_size(wide), 17u);
-  EXPECT_EQ(CampaignEngine(u, {.batch_size = 500}).batch_size(wide), 127u);
+  // The span width is the test's max_batch, clamped to 127.
+  CampaignTest wide = make_design_test(d, u, words, 128);
+  EXPECT_EQ(engine.batch_size(tests[0]), 63u);
+  EXPECT_EQ(engine.batch_size(wide), 127u);
+  wide.max_batch = 17;
+  EXPECT_EQ(engine.batch_size(wide), 17u);
+  wide.max_batch = 500;
+  EXPECT_EQ(engine.batch_size(wide), 127u);
 }
 
 TEST(BatchBound, SbstTestsGradeInFullWidthSpans) {
@@ -371,7 +374,9 @@ TEST(BatchBound, SbstTestsGradeInFullWidthSpans) {
   auto suite = build_sbst_suite(soc->config);
   suite.erase(suite.begin() + 1, suite.end());  // alu_arith
   const FaultUniverse u(soc->netlist);
-  std::vector<CampaignTest> tests = build_sbst_campaign_tests(*soc, suite, u);
+  const CampaignEngine engine(u, {.threads = 2, .target_limit = 600});
+  std::vector<CampaignTest> tests =
+      build_sbst_campaign_tests(*soc, suite, u, engine);
   ASSERT_EQ(tests.size(), 1u);
   EXPECT_EQ(tests[0].max_batch, kSbstLanes - 1);
   EXPECT_EQ(tests[0].max_batch, 127);
@@ -379,8 +384,7 @@ TEST(BatchBound, SbstTestsGradeInFullWidthSpans) {
   auto log = std::make_shared<SpanLog>();
   tests[0] = recording(std::move(tests[0]), log);
   FaultList fl(u);
-  const CampaignResult r =
-      CampaignEngine(u, {.threads = 2, .target_limit = 600}).run(fl, tests);
+  const CampaignResult r = engine.run(fl, tests);
   const std::size_t graded = r.stats.faults_simulated;
   ASSERT_GT(graded, 127u);
   EXPECT_EQ(r.tests.at(0).batches, (graded + 126) / 127);

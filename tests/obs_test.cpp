@@ -150,8 +150,6 @@ TEST(Metrics, ExportIsSortedAndDeterministic) {
   // Register deliberately out of name order.
   reg.counter("z.last").add(3);
   reg.counter("a.first").add(1);
-  reg.gauge("m.depth").set(5);
-  reg.gauge("m.depth").set(2);
   reg.histogram("h.lat", {1.0}).observe(0.5);
 
   const Json doc = reg.to_json();
@@ -160,9 +158,6 @@ TEST(Metrics, ExportIsSortedAndDeterministic) {
   EXPECT_EQ(counters.key(0), "a.first");
   EXPECT_EQ(counters.key(1), "z.last");
   EXPECT_EQ(counters.value(1).as_size(), 3u);
-  const Json& g = doc.at("gauges").at("m.depth");
-  EXPECT_EQ(g.at("value").as_int(), 2);
-  EXPECT_EQ(g.at("high_water").as_int(), 5);
   const Json& h = doc.at("histograms").at("h.lat");
   EXPECT_EQ(h.at("count").as_size(), 1u);
   EXPECT_EQ(h.at("buckets").at(0).as_size(), 1u);
@@ -175,14 +170,10 @@ TEST(Metrics, ResetValuesKeepsRegistrationsValid) {
   MetricsRegistry reg;
   Counter& c = reg.counter("test.n");
   c.add(9);
-  Gauge& g = reg.gauge("test.g");
-  g.set(4);
   Histogram& h = reg.histogram("test.h", {1.0});
   h.observe(0.5);
   reg.reset_values();
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(g.high_water(), 0);
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.bucket_count(0), 0u);
   // The instruments survive: the cached references keep working.
