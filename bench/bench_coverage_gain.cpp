@@ -8,8 +8,6 @@
 // is the gap between the two. The campaign grades the pruned faults too,
 // since a pruned fault the suite detects was wrongly pruned. The bench
 // exits 1 if the gain is under 10 points or any pruned fault is detected.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/analyzer.hpp"
@@ -76,34 +74,6 @@ bool print_coverage_gain() {
   return holds;
 }
 
-// Timing series: cost of one fault-simulation batch per program (the unit
-// of the campaign) so throughput regressions show up without re-running
-// the full campaign.
-void BM_FsimBatch(benchmark::State& state) {
-  auto soc = build_soc({});
-  const FaultUniverse universe(soc->netlist);
-  auto suite = build_sbst_suite(soc->config);
-  SbstProgram& sp = suite[0];
-  FlashImage flash(soc->config.flash_base, soc->config.flash_size);
-  flash.load(sp.program.base(), sp.program.words());
-  const int budget = kSbstFunctionalCycleCap + kSbstCampaignMargin;
-  SequentialFaultSimulator fsim(soc->netlist, universe, {.max_cycles = budget});
-  fsim.set_observed(soc->cpu.bus_output_cells);
-  SocFsimEnvironment env(*soc, flash, budget);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
-  std::vector<FaultId> batch;
-  for (FaultId f = 0; f < 63; ++f) batch.push_back(f * 97 % universe.size());
-  for (auto _ : state)
-    benchmark::DoNotOptimize(fsim.run_batch(batch, env, trace));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 63);
-}
-BENCHMARK(BM_FsimBatch)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool ok = print_coverage_gain();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return ok ? 0 : 1;
-}
+int main() { return print_coverage_gain() ? 0 : 1; }

@@ -39,8 +39,9 @@
 //   olfui_cli <netlist.v> [options]
 //     --tie NET=0|1        mission-constant net (repeatable)
 //     --unobserve PORT     output port unread in mission mode (repeatable)
-//     --memmap BASE:SIZE   mapped address range (repeatable; enables the
-//                          §3.3 pass over "addr:<class>:<bit>"-tagged flops)
+//     --memmap BASE:SIZE   mapped address range, SIZE > 0 (repeatable;
+//                          enables the §3.3 pass over
+//                          "addr:<class>:<bit>"-tagged flops)
 //     --model sa|tdf       fault model (default sa)
 //     --csv FILE           write the untestable-fault dossier as CSV
 //     --json FILE          write the summary as JSON
@@ -330,8 +331,10 @@ int main(int argc, char** argv) {
     if (arg == "--tie") {
       const std::string spec = next();
       const auto eq = spec.find('=');
-      if (eq == std::string::npos || eq + 1 >= spec.size()) usage(argv[0]);
-      ties.emplace_back(spec.substr(0, eq), spec[eq + 1] == '1');
+      if (eq == std::string::npos) usage(argv[0]);
+      const std::string value = spec.substr(eq + 1);
+      if (value != "0" && value != "1") usage(argv[0]);
+      ties.emplace_back(spec.substr(0, eq), value == "1");
     } else if (arg == "--unobserve") {
       unobserved.push_back(next());
     } else if (arg == "--memmap") {
@@ -339,7 +342,11 @@ int main(int argc, char** argv) {
       const auto colon = spec.find(':');
       const auto base = parse_uint(spec.substr(0, colon));
       const auto size = parse_uint(spec.substr(colon + 1));
-      if (colon == std::string::npos || !base || !size) usage(argv[0]);
+      // MemoryMap skips an empty range, which would leave every address
+      // bit tied to 0; a range past 2^64 has no end address.
+      if (colon == std::string::npos || !base || !size || *size == 0 ||
+          *base + *size < *base)
+        usage(argv[0]);
       map.add_range("range" + std::to_string(map.ranges().size()), *base, *size);
       use_memmap = true;
     } else if (arg == "--model") {

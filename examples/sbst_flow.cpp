@@ -2,7 +2,7 @@
 //
 // Shows the SBST side of the toolkit: assemble test programs with the
 // Program builder, execute them on the gate-level SoC, inspect signatures
-// and toggle activity, find which input ports the suite never exercises
+// and net activity, find which input ports the suite never exercises
 // (the paper's §4 screening step), and grade part of the suite against
 // the stuck-at universe through the parallel campaign orchestrator,
 // exporting the result as JSON.
@@ -47,27 +47,33 @@ int main() {
   std::printf("  signature @RAM[0] = 0x%08x\n\n", sim.ram_word(ram));
 
   // --- the shipped suite -------------------------------------------------
+  // Each program's good machine is recorded once, as a campaign records
+  // it; the trace yields both its cycle count and its net activity.
   auto suite = build_sbst_suite(cfg);
-  ToggleRecorder recorder(soc->netlist);
-  const auto suite_cycles = run_suite_functional(*soc, suite, 5000, &recorder);
+  const FaultUniverse universe(soc->netlist);
+  const auto topo = PackedTopology::build(soc->netlist);
+  NetActivation activity;
   std::printf("%-12s %8s\n", "program", "cycles");
-  for (std::size_t i = 0; i < suite.size(); ++i)
-    std::printf("%-12s %8d\n", suite[i].name.c_str(), suite_cycles[i]);
+  for (SbstProgram& sp : suite) {
+    const SbstCampaignTest t =
+        build_sbst_campaign_test(*soc, sp, universe, topo);
+    std::printf("%-12s %8d\n", sp.name.c_str(), t.test.good_cycles);
+    activity |= t.trace->activation();
+  }
 
   // --- activity screening --------------------------------------------------
-  const auto quiet = find_quiet_inputs(soc->netlist, recorder);
+  const auto quiet = find_quiet_inputs(soc->netlist, activity);
   std::printf("\ninput ports never exercised by the suite (%zu):\n", quiet.size());
   for (NetId n : quiet)
     std::printf("  %s\n", soc->netlist.net(n).name.c_str());
   std::printf("\nthese are the candidates the DATE'13 flow ties off before the\n"
-              "structural untestability analysis (see bench_signal_activity).\n");
+              "structural untestability analysis.\n");
 
   // --- fault-simulation campaign through the orchestrator -----------------
   // Two programs keep the demo snappy; the full-suite equivalent is
   // `olfui_cli --sbst` (timed by benchmark/) / bench_coverage_gain.
   auto graded = suite;
   graded.erase(graded.begin() + 2, graded.end());
-  const FaultUniverse universe(soc->netlist);
   FaultList fl(universe);
   std::printf("\ngrading %zu programs against %zu faults "
               "(system-bus observability)...\n",

@@ -68,7 +68,7 @@ void SocSimulator::drive_mission_inputs(bool rstn_value) {
   }
 }
 
-int SocSimulator::run(int max_cycles, ToggleRecorder* recorder) {
+int SocSimulator::run(int max_cycles) {
   sim_.power_on();
   // Reset sequence: two cycles with rstn low; data inputs quiet.
   drive_mission_inputs(false);
@@ -100,7 +100,6 @@ int SocSimulator::run(int max_cycles, ToggleRecorder* recorder) {
     }
     sim_.set_input_word(soc_->cpu.rdata_in, rdata);
     sim_.eval();
-    if (recorder) recorder->sample(sim_);
     if (sim_.value(soc_->cpu.halted) == Logic::V1) break;
     sim_.clock();
   }

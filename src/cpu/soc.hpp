@@ -10,9 +10,10 @@
 //
 // Two execution environments drive the netlist:
 //  * SocSimulator — 4-valued single-machine functional runner (program
-//    bring-up, architectural tests, toggle-activity recording). It does
-//    not feed fault-simulation campaigns: those take each program's cycle
-//    count from the packed lane-0 pass that records their checkpoint;
+//    bring-up, architectural tests). It does not feed fault-simulation
+//    campaigns: those take each program's cycle count (and the §4 input
+//    activity screen) from the packed lane-0 pass that records their
+//    checkpoint;
 //  * SocFsimEnvironment — the packed W-lane environment for the fault
 //    simulator (64 scalar, or 128 over vector extensions for grading).
 //    Every lane's memory answers for that lane alone, so a faulty machine
@@ -92,8 +93,8 @@ class SocSimulator {
   void load_program(Program& p);
 
   /// Applies reset and runs until HALT or `max_cycles`. Returns the number
-  /// of executed cycles. An optional recorder samples toggle activity.
-  int run(int max_cycles, ToggleRecorder* recorder = nullptr);
+  /// of executed cycles.
+  int run(int max_cycles);
 
   bool halted() const;
   std::uint32_t gpr(int r) const;

@@ -138,11 +138,14 @@ DebugPorts insert_debug(Netlist& nl, const DebugSpec& spec) {
   return ports;
 }
 
-std::vector<NetId> find_quiet_inputs(const Netlist& nl, const ToggleRecorder& rec) {
+std::vector<NetId> find_quiet_inputs(const Netlist& nl,
+                                     const NetActivation& activity) {
   std::vector<NetId> out;
   for (CellId c : nl.input_cells()) {
     const NetId n = nl.cell(c).out;
-    if (rec.toggles(n) == 0) out.push_back(n);
+    if (!NetActivation::test(activity.seen0, n) ||
+        !NetActivation::test(activity.seen1, n))
+      out.push_back(n);
   }
   return out;
 }

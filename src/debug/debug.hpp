@@ -13,16 +13,16 @@
 // In mission mode the external debugger is absent: the control inputs are
 // tied to constants and the observation ports float. debug_control_config()
 // and debug_observe_config() express exactly those two manipulations; the
-// quiet-input finder reproduces the paper's toggle-activity screening that
+// quiet-input finder reproduces the paper's activity screening that
 // selected the "17 signals" of the case study.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "fsim/fsim.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/wordops.hpp"
-#include "sim/sim.hpp"
 #include "sta/sta.hpp"
 
 namespace olfui {
@@ -54,9 +54,11 @@ struct DebugPorts {
 
 DebugPorts insert_debug(Netlist& nl, const DebugSpec& spec);
 
-/// Toggle-activity screening (§4): input-port nets that never toggled
-/// during the reference SBST run — the suspects for debug-only controls.
-std::vector<NetId> find_quiet_inputs(const Netlist& nl, const ToggleRecorder& rec);
+/// Activity screening (§4): input-port nets that held one value
+/// throughout `activity` — the suspects for debug-only controls. Pass the
+/// ReferenceTrace::activation() of every SBST program's trace, OR-ed.
+std::vector<NetId> find_quiet_inputs(const Netlist& nl,
+                                     const NetActivation& activity);
 
 /// §3.2.1 manipulation: "connect to ground or Vdd all CPU inputs related
 /// to debug and showing a constant value".

@@ -120,6 +120,19 @@ NetActivation ReferenceTrace::activation() const {
   return a;
 }
 
+NetActivation& NetActivation::operator|=(const NetActivation& other) {
+  if (seen0.empty()) return *this = other;
+  if (seen0.size() != other.seen0.size())
+    throw std::invalid_argument("NetActivation: net counts differ");
+  for (std::size_t w = 0; w < seen0.size(); ++w) {
+    seen0[w] |= other.seen0[w];
+    seen1[w] |= other.seen1[w];
+    rose[w] |= other.rose[w];
+    fell[w] |= other.fell[w];
+  }
+  return *this;
+}
+
 void ReferenceTrace::reset(std::size_t nets) {
   cycles = 0;
   num_nets = nets;

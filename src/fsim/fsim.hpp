@@ -100,6 +100,12 @@ struct NetActivation {
   static bool test(const std::vector<std::uint64_t>& words, NetId net) {
     return (words[net / 64] >> (net % 64)) & 1ULL;
   }
+
+  /// ORs `other` into this summary: the activity of both runs, e.g. of
+  /// every program of a suite. An empty (default) summary becomes a copy
+  /// of `other`; otherwise both must cover the same nets, or it throws
+  /// std::invalid_argument.
+  NetActivation& operator|=(const NetActivation& other);
 };
 
 /// Checkpoint of one fault-free run: the executed cycle count plus the

@@ -10,7 +10,9 @@
 // constant logic that synthesis would remove; on-line functionally
 // untestable faults live in logic the chip NEEDS (scan, debug, address
 // handling) that mission mode merely cannot reach. Sweeping makes that
-// distinction measurable — see bench_sweep_ablation.
+// distinction measurable: on the case-study SoC it shrinks the structural
+// class 1,443 -> 161 and leaves the scan and debug rows unchanged
+// (Sweep.SocSweepRemovesStructuralUntestablesOnly).
 #pragma once
 
 #include <cstddef>

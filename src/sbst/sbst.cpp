@@ -306,13 +306,12 @@ std::vector<SbstProgram> build_sbst_suite(const SocConfig& cfg) {
 
 std::vector<int> run_suite_functional(const Soc& soc,
                                       std::vector<SbstProgram>& suite,
-                                      int max_cycles_per_program,
-                                      ToggleRecorder* recorder) {
+                                      int max_cycles_per_program) {
   std::vector<int> cycles;
   for (SbstProgram& sp : suite) {
     SocSimulator runner(soc);
     runner.load_program(sp.program);
-    cycles.push_back(runner.run(max_cycles_per_program, recorder));
+    cycles.push_back(runner.run(max_cycles_per_program));
   }
   return cycles;
 }

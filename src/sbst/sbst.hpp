@@ -5,11 +5,12 @@
 // observed on the system bus. This module provides the equivalent for
 // MiniRISC32: a suite of self-test programs (ALU arithmetic/logic,
 // shifter, register-file march, branch/BTB exercisers, load/store walks),
-// a functional runner that measures each program's cycle count and toggle
-// activity, and the fault-simulation campaign that grades the suite
-// against the stuck-at universe. The campaign takes its cycle counts from
-// the packed good-machine pass that records each test's checkpoint, not
-// from the functional runner.
+// a functional runner that measures each program's cycle count, and the
+// fault-simulation campaign that grades the suite against the stuck-at
+// universe. The campaign takes its cycle counts from the packed
+// good-machine pass that records each test's checkpoint, not from the
+// functional runner; that checkpoint's activation() is also the §4
+// input-activity screen (find_quiet_inputs).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,6 @@
 #include "cpu/soc.hpp"
 #include "fault/fault_list.hpp"
 #include "fsim/fsim.hpp"
-#include "sim/sim.hpp"
 
 namespace olfui {
 
@@ -42,12 +42,10 @@ std::vector<SbstProgram> build_sbst_suite(const SocConfig& cfg);
 inline constexpr int kSbstFunctionalCycleCap = 5000;
 
 /// Functionally runs every program (good machine), returning per-program
-/// cycle counts. If `recorder` is given it accumulates toggle activity
-/// across the whole suite (the §4 signal-activity screening input).
+/// cycle counts.
 std::vector<int> run_suite_functional(
     const Soc& soc, std::vector<SbstProgram>& suite,
-    int max_cycles_per_program = kSbstFunctionalCycleCap,
-    ToggleRecorder* recorder = nullptr);
+    int max_cycles_per_program = kSbstFunctionalCycleCap);
 
 struct SbstCampaignResult {
   struct PerProgram {

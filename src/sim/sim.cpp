@@ -74,23 +74,4 @@ std::uint64_t Simulator::read_word(const Bus& bus, bool* any_x) const {
   return v;
 }
 
-ToggleRecorder::ToggleRecorder(const Netlist& nl)
-    : toggles_(nl.num_nets(), 0), last_(nl.num_nets(), Logic::VX) {}
-
-void ToggleRecorder::sample(const Simulator& sim) {
-  for (NetId n = 0; n < toggles_.size(); ++n) {
-    const Logic v = sim.value(n);
-    if (is_known(v) && is_known(last_[n]) && v != last_[n]) ++toggles_[n];
-    last_[n] = v;
-  }
-  ++cycles_;
-}
-
-std::vector<NetId> ToggleRecorder::quiet_nets() const {
-  std::vector<NetId> out;
-  for (NetId n = 0; n < toggles_.size(); ++n)
-    if (toggles_[n] == 0) out.push_back(n);
-  return out;
-}
-
 }  // namespace olfui

@@ -1,6 +1,4 @@
-// olfui/sim: cycle-accurate 4-valued good-machine simulator, plus a
-// toggle-activity recorder used by the debug-suspect finder (paper §4:
-// "signals still showing no activity" under the mature SBST suite).
+// olfui/sim: cycle-accurate 4-valued good-machine simulator.
 #pragma once
 
 #include <cstdint>
@@ -45,27 +43,6 @@ class Simulator {
   std::vector<Logic> values_;       // per net
   std::vector<Logic> flop_state_;   // per cell (only flop entries used)
   std::vector<CellId> flop_cells_;
-};
-
-/// Counts 0->1 / 1->0 transitions per net across sampled cycles.
-/// sample() is expected once per clock after eval(); X/Z-involved changes
-/// are not counted as toggles (matching gate-level toggle coverage tools).
-class ToggleRecorder {
- public:
-  explicit ToggleRecorder(const Netlist& nl);
-
-  void sample(const Simulator& sim);
-
-  std::uint64_t toggles(NetId net) const { return toggles_[net]; }
-  std::uint64_t cycles() const { return cycles_; }
-  /// Nets with zero recorded activity (never changed between known values
-  /// and, if `include_constant_known`, also never left a single value).
-  std::vector<NetId> quiet_nets() const;
-
- private:
-  std::vector<std::uint64_t> toggles_;
-  std::vector<Logic> last_;
-  std::uint64_t cycles_ = 0;
 };
 
 }  // namespace olfui

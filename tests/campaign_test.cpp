@@ -373,6 +373,21 @@ TEST(ReferenceTrace, ActivationMatchesReplayAndFoldsInTheResetPhase) {
   // samples see it at 0.
   EXPECT_FALSE(NetActivation::test(traced.seen0, rig.en));
   EXPECT_TRUE(NetActivation::test(act.seen0, rig.en));
+
+  // OR-ing two runs' summaries is per bit; an empty summary takes the
+  // first one whole, and a summary of another net count is refused.
+  NetActivation both;
+  both |= traced;
+  EXPECT_EQ(both.seen0, traced.seen0);
+  both |= act;
+  for (std::size_t w = 0; w < both.seen0.size(); ++w) {
+    EXPECT_EQ(both.seen0[w], traced.seen0[w] | act.seen0[w]) << w;
+    EXPECT_EQ(both.seen1[w], traced.seen1[w] | act.seen1[w]) << w;
+  }
+  EXPECT_TRUE(NetActivation::test(both.seen0, rig.en));
+  NetActivation wider = traced;
+  wider.seen0.push_back(0);
+  EXPECT_THROW(both |= wider, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

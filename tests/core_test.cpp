@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 
 #include "core/analyzer.hpp"
 
@@ -48,6 +49,42 @@ TEST(Analyzer, PaperShapeScanDominatesDebugThenMemory) {
   EXPECT_GT(rep.debug_control + rep.debug_observe, rep.memmap);
   EXPECT_GT(rep.online_pct(), 8.0);
   EXPECT_LT(rep.online_pct(), 25.0);
+}
+
+TEST(Analyzer, Table1RowsArePinned) {
+  // Table I on the case-study SoC, and two ablations. Scan-path buffers
+  // per link move the Scan row alone (every buffer sits on the idle shift
+  // path). BTB entries move the Memory row (each entry adds address
+  // registers), and the Scan row with it (each entry adds scanned flops).
+  struct Row {
+    const char* config;
+    int buffers_per_link;
+    int btb_entries;
+    std::size_t universe, structural, scan, debug_control, debug_observe,
+        memmap;
+  };
+  const Row rows[] = {
+      {"default", 1, 4, 60520, 1443, 5073, 2023, 1105, 1884},
+      {"scan buffers 0", 0, 4, 57624, 1443, 2177, 2023, 1105, 1884},
+      {"scan buffers 3", 3, 4, 66312, 1443, 10865, 2023, 1105, 1884},
+      {"btb entries 1", 1, 1, 53920, 1436, 3701, 2023, 1105, 1026},
+      {"btb entries 8", 1, 8, 69396, 1449, 6900, 2023, 1105, 3044},
+  };
+  for (const Row& r : rows) {
+    SocConfig cfg;
+    cfg.scan.buffers_per_link = r.buffers_per_link;
+    cfg.cpu.btb_entries = r.btb_entries;
+    Case c(cfg);
+    FaultList fl(*c.universe);
+    const AnalysisReport rep =
+        OnlineUntestabilityAnalyzer(*c.soc, *c.universe).run(fl);
+    EXPECT_EQ(rep.universe, r.universe) << r.config;
+    EXPECT_EQ(rep.structural_baseline, r.structural) << r.config;
+    EXPECT_EQ(rep.scan, r.scan) << r.config;
+    EXPECT_EQ(rep.debug_control, r.debug_control) << r.config;
+    EXPECT_EQ(rep.debug_observe, r.debug_observe) << r.config;
+    EXPECT_EQ(rep.memmap, r.memmap) << r.config;
+  }
 }
 
 TEST(Analyzer, AnalysisRecordsRuntime) {
@@ -191,6 +228,14 @@ TEST(Analyzer, TransitionModelRunsTheFullFlow) {
       ++paired;
   }
   EXPECT_GT(paired, 0u);
+  // Launching a transition needs both values at the site, so transition
+  // pruning (structural + on-line) is strictly larger than stuck-at's.
+  FaultList sa(*c.universe);
+  const AnalysisReport sa_rep = az.run(sa);
+  EXPECT_EQ(sa_rep.structural_baseline + sa_rep.total_online(), 11528u);
+  EXPECT_EQ(rep.structural_baseline + rep.total_online(), 14334u);
+  EXPECT_GT(rep.structural_baseline + rep.total_online(),
+            sa_rep.structural_baseline + sa_rep.total_online());
 }
 
 TEST(Analyzer, CoverageAccountingUsesPrunedDenominator) {
@@ -216,23 +261,34 @@ TEST(Analyzer, CoverageAccountingUsesPrunedDenominator) {
 }
 
 TEST(Analyzer, Fig1ContainmentHolds) {
-  // On-line functionally untestable ⊇ functionally untestable ⊇
-  // structurally untestable (Fig. 1). The baseline structural set must be
-  // untestable in every mission configuration too: re-running the flow
-  // can only add labels, never remove the structural ones.
+  // Fig. 1: structurally untestable ⊆ functionally untestable ⊆ on-line
+  // functionally untestable, checked fault by fault. Structural is
+  // untestable with full pin access (tie-cell redundancy); functional adds
+  // the memory-map restriction, which binds mission operation even with
+  // full DfT access; on-line adds the scan and debug restrictions.
   Case c;
-  FaultList fl(*c.universe);
   OnlineUntestabilityAnalyzer az(*c.soc, *c.universe);
-  az.run(fl);
-  FaultList base(*c.universe);
-  AnalyzerOptions only_base;
-  only_base.run_scan = only_base.run_debug_control = false;
-  only_base.run_debug_observe = only_base.run_memmap = false;
-  az.run(base, only_base);
-  for (FaultId f = 0; f < fl.size(); ++f) {
-    if (base.untestable_kind(f) != UntestableKind::kNone) {
-      EXPECT_NE(fl.untestable_kind(f), UntestableKind::kNone)
-          << c.universe->fault_name(f);
+  AnalyzerOptions structural_only;
+  structural_only.run_scan = structural_only.run_debug_control = false;
+  structural_only.run_debug_observe = structural_only.run_memmap = false;
+  AnalyzerOptions functional_only = structural_only;
+  functional_only.run_memmap = true;
+  FaultList structural(*c.universe), functional(*c.universe),
+      online(*c.universe);
+  az.run(structural, structural_only);
+  az.run(functional, functional_only);
+  az.run(online);
+  EXPECT_EQ(structural.count_untestable(), 1443u);
+  EXPECT_EQ(functional.count_untestable(), 3845u);
+  EXPECT_EQ(online.count_untestable(), 11528u);
+  const std::pair<const FaultList*, const FaultList*> inclusions[] = {
+      {&structural, &functional}, {&functional, &online}};
+  for (const auto& [inner, outer] : inclusions) {
+    for (FaultId f = 0; f < c.universe->size(); ++f) {
+      if (inner->untestable_kind(f) != UntestableKind::kNone) {
+        ASSERT_NE(outer->untestable_kind(f), UntestableKind::kNone)
+            << c.universe->fault_name(f);
+      }
     }
   }
 }

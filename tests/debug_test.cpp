@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "debug/debug.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
+#include "fsim/fsim.hpp"
 #include "netlist/wordops.hpp"
 #include "sim/packed.hpp"
 #include "sta/sta.hpp"
@@ -175,23 +178,38 @@ TEST(DebugInsert, HaltFreezesHoldRegister) {
   EXPECT_GT(pc_val(), frozen);
 }
 
+/// Mission run: debug inputs tied quiet, the functional input toggling.
+class MissionEnv final : public FsimEnvironment {
+ public:
+  MissionEnv(const Core& core, const DebugPorts& ports)
+      : core_(core), ports_(ports) {}
+  void reset(PackedSim& sim) override { drive(sim, 0); }
+  bool step(PackedSim& sim, int cycle) override {
+    drive(sim, cycle);
+    return true;
+  }
+
+ private:
+  void drive(PackedSim& sim, int cycle) const {
+    sim.set_input_all(core_.rstn, true);
+    sim.set_input_all(core_.in0, cycle % 2 == 0);
+    for (std::size_t i = 0; i < ports_.control_inputs.size(); ++i)
+      sim.set_input_all(ports_.control_inputs[i], ports_.control_values[i]);
+  }
+
+  const Core& core_;
+  const DebugPorts& ports_;
+};
+
 TEST(DebugAnalysis, QuietInputScreeningFindsDebugPorts) {
   Core core;
   const DebugPorts ports = core.attach_debug();
-  Simulator sim(core.nl);
-  ToggleRecorder rec(core.nl);
-  sim.power_on();
-  // Mission run: debug inputs tied quiet, functional inputs active.
-  for (int cyc = 0; cyc < 16; ++cyc) {
-    sim.set_input(core.rstn, true);
-    sim.set_input(core.in0, cyc % 2 == 0);
-    for (std::size_t i = 0; i < ports.control_inputs.size(); ++i)
-      sim.set_input(ports.control_inputs[i], ports.control_values[i]);
-    sim.eval();
-    rec.sample(sim);
-    sim.clock();
-  }
-  const auto quiet = find_quiet_inputs(core.nl, rec);
+  const FaultUniverse u(core.nl);
+  SequentialFaultSimulator fsim(core.nl, u, {.max_cycles = 16});
+  MissionEnv env(core, ports);
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  ASSERT_EQ(trace.cycles, 16);
+  const auto quiet = find_quiet_inputs(core.nl, trace.activation());
   // Every debug control input is quiet; the toggling functional input isn't.
   for (NetId n : ports.control_inputs)
     EXPECT_TRUE(std::find(quiet.begin(), quiet.end(), n) != quiet.end());

@@ -171,19 +171,50 @@ TEST(SbstSuite, LoadStoreWalksTheRamRange) {
   EXPECT_EQ(sim.ram_word(cfg.ram_base + 8), suite[ls_idx].program.words()[0]);
 }
 
-TEST(SbstSuite, FunctionalRunnerReportsCyclesAndActivity) {
+TEST(SbstSuite, FunctionalRunnerReportsCycles) {
   SocConfig cfg = lean_config();
   auto soc = build_soc(cfg);
   auto suite = build_sbst_suite(cfg);
-  ToggleRecorder rec(soc->netlist);
-  const auto cycles = run_suite_functional(*soc, suite, 5000, &rec);
+  const auto cycles = run_suite_functional(*soc, suite, 5000);
   ASSERT_EQ(cycles.size(), suite.size());
   for (std::size_t i = 0; i < cycles.size(); ++i)
     EXPECT_GT(cycles[i], 5) << suite[i].name;
-  EXPECT_GT(rec.cycles(), 100u);
-  // The PC low bits toggle during any run; debug inputs never do.
-  EXPECT_GT(rec.toggles(soc->cpu.pc.q[2]), 0u);
-  for (NetId n : soc->debug.control_inputs) EXPECT_EQ(rec.toggles(n), 0u);
+}
+
+TEST(SbstSuite, QuietInputsOfTheFullSocArePinned) {
+  // §4: "any signal still showing no activity was identified as suspect.
+  // The result has been the selection of 17 signals, related to the debug
+  // functionalities." The screen reads the suite's recorded traces: the
+  // input ports that held one value over every traced cycle, in port
+  // order. They are the whole debug access port, the idle scan pins, the
+  // reset held high after reset, and four bus input bits the suite never
+  // moves.
+  auto soc = build_soc({});
+  auto suite = build_sbst_suite(soc->config);
+  const FaultUniverse u(soc->netlist);
+  const auto topo = PackedTopology::build(soc->netlist);
+  NetActivation activity;
+  int traced_cycles = 0;
+  for (SbstProgram& sp : suite) {
+    const SbstCampaignTest built = build_sbst_campaign_test(*soc, sp, u, topo);
+    traced_cycles += built.trace->cycles;
+    activity |= built.trace->activation();
+  }
+  EXPECT_EQ(traced_cycles, 931);
+  EXPECT_EQ(soc->netlist.input_cells().size(), 87u);
+
+  std::vector<std::string> want = {"rstn", "instr_i16", "instr_i17",
+                                   "rdata_i22", "rdata_i24"};
+  ASSERT_EQ(soc->debug.control_inputs.size(), 17u);
+  for (NetId n : soc->debug.control_inputs)
+    want.push_back(soc->netlist.net(n).name);
+  for (const char* pin :
+       {"scan_en", "scan_in0", "scan_in1", "scan_in2", "scan_in3"})
+    want.push_back(pin);
+  std::vector<std::string> got;
+  for (NetId n : find_quiet_inputs(soc->netlist, activity))
+    got.push_back(soc->netlist.net(n).name);
+  EXPECT_EQ(got, want);
 }
 
 // ---------------------------------------------------------------------------

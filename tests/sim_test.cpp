@@ -156,46 +156,6 @@ TEST(Simulator, ReadWordReportsX) {
   EXPECT_TRUE(any_x);
 }
 
-TEST(ToggleRecorder, CountsKnownTransitionsOnly) {
-  Netlist nl("t");
-  const NetId a = nl.add_input("a");
-  nl.add_output("o", a);
-  Simulator sim(nl);
-  ToggleRecorder rec(nl);
-  const Logic seq[] = {Logic::VX, Logic::V0, Logic::V1, Logic::V1, Logic::V0};
-  for (Logic v : seq) {
-    sim.set_input(a, v);
-    sim.eval();
-    rec.sample(sim);
-  }
-  // Transitions: X->0 (not counted), 0->1, 1->1 (no), 1->0 => 2 toggles.
-  EXPECT_EQ(rec.toggles(a), 2u);
-  EXPECT_EQ(rec.cycles(), 5u);
-}
-
-TEST(ToggleRecorder, QuietNetsListed) {
-  Netlist nl("t");
-  WordOps w(nl, "m");
-  const NetId a = nl.add_input("a");
-  const NetId b = nl.add_input("b");
-  const NetId y = w.and2(a, b, "y");
-  nl.add_output("o", y);
-  Simulator sim(nl);
-  ToggleRecorder rec(nl);
-  sim.set_input(a, false);
-  sim.set_input(b, false);
-  sim.eval();
-  rec.sample(sim);
-  sim.set_input(a, true);
-  sim.eval();
-  rec.sample(sim);
-  const auto quiet = rec.quiet_nets();
-  // b never toggled; y stayed 0; a toggled.
-  EXPECT_TRUE(std::find(quiet.begin(), quiet.end(), b) != quiet.end());
-  EXPECT_TRUE(std::find(quiet.begin(), quiet.end(), y) != quiet.end());
-  EXPECT_TRUE(std::find(quiet.begin(), quiet.end(), a) == quiet.end());
-}
-
 TEST(PackedSim, MatchesScalarSimulatorOnRandomLogic) {
   // Random combinational netlist, compare packed lanes against the
   // 4-valued simulator with known inputs.
