@@ -5,6 +5,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -117,11 +118,12 @@ BitVec CampaignEngine::grade(std::span<const FaultId> targets,
                              const CampaignTest& test,
                              const CampaignProgress& progress,
                              std::vector<double>* shard_seconds) const {
-  return grade_screened(targets, 0, test, progress, shard_seconds);
+  return grade_screened(targets, 0, 0, test, progress, shard_seconds);
 }
 
 BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
                                       std::size_t screened,
+                                      std::size_t collapsed,
                                       const CampaignTest& test,
                                       const CampaignProgress& progress,
                                       std::vector<double>* shard_seconds) const {
@@ -135,6 +137,7 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   plan_span.arg("test", Json(test.name));
   plan_span.arg("targets", Json(targets.size()));
   plan_span.arg("screened", Json(screened));
+  plan_span.arg("collapsed", Json(collapsed));
   const std::size_t batch = batch_size(test);
   const std::size_t shards = shard_count(targets.size(), batch);
   plan_span.arg("shards", Json(shards));
@@ -273,16 +276,51 @@ CampaignResult CampaignEngine::run(FaultList& fl,
     }
   }
 
+  // Equivalence classes, indexed by each fault's class root: structurally
+  // equivalent stuck-at faults share one faulty machine, so they share one
+  // verdict in every test and one member grades for the class. Built after
+  // the cache lookup, so a hit never pays for it. Under TDF every fault is
+  // its own class: the stuck-at map splits transition classes.
+  std::vector<FaultId> class_of;
+  if (opts_.fault_model == FaultModel::kStuckAt) {
+    class_of = universe_->collapse_map();
+  } else {
+    class_of.resize(universe_->size());
+    std::iota(class_of.begin(), class_of.end(), FaultId{0});
+  }
+  // Per class, reset after each test: its lowest-id targeted member (the
+  // one graded), and whether the activation screen or the grade hit it.
+  std::vector<FaultId> class_rep(class_of.size(), kInvalidId);
+  std::vector<std::uint8_t> class_inert(class_of.size(), 0);
+  std::vector<std::uint8_t> class_detected(class_of.size(), 0);
+
   for (const CampaignTest& test : tests) {
+    // The target_limit slice is cut over the whole target list before
+    // anything is collapsed or screened, so a sliced run covers the same
+    // faults either way.
     const std::vector<FaultId> targets =
         campaign_targets(fl, opts_.target_limit);
-    // Activation screen, after the target_limit slice so a sliced run
-    // covers the same faults with or without it: an inert fault's faulty
-    // machine equals the good one for the whole test, so simulating it
-    // cannot detect anything.
-    std::vector<FaultId> graded = targets;
-    if (!test.inert.empty())
-      std::erase_if(graded, [&](FaultId f) { return test.inert.get(f); });
+    // Activation screen: an inert fault's faulty machine equals the good
+    // one for the whole test, and so does every member of its class, so
+    // simulating the class cannot detect anything. An untestable member
+    // is no target, so a class whose lowest id the analyzer pruned grades
+    // through its next member.
+    for (const FaultId f : targets) {
+      const FaultId c = class_of[f];
+      if (class_rep[c] == kInvalidId) class_rep[c] = f;
+      if (!test.inert.empty() && test.inert.get(f)) class_inert[c] = 1;
+    }
+    std::vector<FaultId> graded;
+    std::size_t screened = 0;
+    for (const FaultId f : targets) {
+      const FaultId c = class_of[f];
+      if (class_rep[c] != f) continue;
+      if (class_inert[c])
+        ++screened;
+      else
+        graded.push_back(f);
+    }
+    const std::size_t collapsed = targets.size() - graded.size() - screened;
     CampaignResult::PerTest pt;
     pt.name = test.name;
     pt.good_cycles = test.good_cycles;
@@ -296,23 +334,32 @@ CampaignResult CampaignEngine::run(FaultList& fl,
     // shard's timing slot nests inside one bracket and bookkeeping
     // between tests (class tallies, fault-list updates) never leaks in.
     const auto g0 = std::chrono::steady_clock::now();
-    const BitVec det =
-        grade_screened(graded, targets.size() - graded.size(), test, progress,
-                       &result.stats.shard_seconds);
+    const BitVec det = grade_screened(graded, screened, collapsed, test,
+                                      progress, &result.stats.shard_seconds);
     result.stats.wall_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - g0)
             .count();
     pt.batches = result.stats.shard_seconds.size() - shards_before;
+    // A detected class detects every targeted member, and only those: a
+    // pruned or sliced-off member stays as it was.
     for (std::size_t i = det.find_first(); i < det.size();
-         i = det.find_next(i + 1)) {
-      if (fl.detect_state(graded[i]) == DetectState::kUndetected) {
-        fl.set_detected(graded[i]);
-        ++pt.new_detections;
-      }
+         i = det.find_next(i + 1))
+      class_detected[class_of[graded[i]]] = 1;
+    for (const FaultId f : targets) {
+      if (!class_detected[class_of[f]]) continue;
+      fl.set_detected(f);
+      ++pt.new_detections;
+    }
+    for (const FaultId f : targets) {
+      const FaultId c = class_of[f];
+      class_rep[c] = kInvalidId;
+      class_inert[c] = 0;
+      class_detected[c] = 0;
     }
     result.total_new_detections += pt.new_detections;
     result.stats.faults_simulated += graded.size();
-    result.stats.faults_screened += targets.size() - graded.size();
+    result.stats.faults_screened += screened;
+    result.stats.faults_collapsed += collapsed;
     result.stats.batches += pt.batches;
     result.tests.push_back(std::move(pt));
   }

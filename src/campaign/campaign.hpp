@@ -10,16 +10,20 @@
 //
 //  * batching — the target fault list is cut into contiguous spans of
 //    the test's max_batch faults in target order (one parallel-fault
-//    simulator pass each: 127 for SBST, 63 for 64-lane runners): shard s
+//    simulator pass each: 255 for SBST, 63 for 64-lane runners): shard s
 //    grades targets[s*B, min(n, (s+1)*B));
 //  * execution — the shards run on the engine's persistent worker pool
 //    (worker_pool.hpp), each participant taking the next shard index from
 //    one atomic cursor (parallel_for);
 //  * fault dropping — a fault detected by test k leaves the queue before
 //    test k+1, so late tests grade ever-shrinking target lists;
+//  * class collapsing — structurally equivalent stuck-at faults
+//    (FaultUniverse::collapse_map) share one faulty machine, so run()
+//    grades only the lowest-id targeted member of each class and marks
+//    the class's other targeted members with its verdict;
 //  * activation screening — faults a test's good-machine run proves it
-//    never activates (CampaignTest::inert) leave that test's target list
-//    before batching and cost no simulation;
+//    never activates (CampaignTest::inert) leave that test's target list,
+//    with their whole class, before batching and cost no simulation;
 //  * good-machine checkpointing — each test's fault-free run is recorded
 //    once (fsim::ReferenceTrace, all nets), and every batch grades against
 //    it: the trace is the only good machine, supplying the observed
@@ -61,7 +65,7 @@ class FaultBatchRunner {
  public:
   virtual ~FaultBatchRunner() = default;
   /// Grades up to the test's max_batch faults; bit i of the result =
-  /// faults[i] detected. The mask type holds 127 faults regardless of the
+  /// faults[i] detected. The mask type holds 255 faults regardless of the
   /// runner's actual width.
   virtual LaneMask run_batch(std::span<const FaultId> faults) = 0;
 };
@@ -76,7 +80,7 @@ struct CampaignTest {
   std::function<std::unique_ptr<FaultBatchRunner>()> make_runner;
   /// Widest span one runner pass can grade: its lane count minus the good
   /// machine's lane 0. The engine never cuts a wider shard for this test
-  /// (nor one wider than LaneMask's 127 faults).
+  /// (nor one wider than LaneMask's 255 faults).
   int max_batch = 63;
   /// Optional identity of this test for the result cache: a JSON document
   /// naming the grading state make_runner captures (program, fsim
@@ -87,8 +91,9 @@ struct CampaignTest {
   /// Activation screen over the universe: a set bit marks a fault this
   /// test provably cannot detect because its good-machine run never
   /// activates it (see build_sbst_campaign_test). CampaignEngine::run
-  /// drops these from the test's targets before batching. Empty = none
-  /// known (scan and function tests).
+  /// drops these, and under stuck-at every targeted member of their
+  /// equivalence class, from the test's targets before batching. Empty =
+  /// none known (scan and function tests).
   BitVec inert;
 };
 
@@ -150,11 +155,16 @@ struct CampaignResult {
     double wall_seconds = 0;
     /// The engine's worker count (resolved_threads).
     int threads = 0;
-    /// Fault x test pairs actually graded: targeted minus screened.
+    /// Fault x test pairs actually graded, one per equivalence class left
+    /// after the activation screen: targeted minus screened minus
+    /// collapsed.
     std::size_t faults_simulated = 0;
-    /// Targeted fault x test pairs dropped by the activation screen
+    /// Class representatives dropped by the activation screen
     /// (CampaignTest::inert) without simulation.
     std::size_t faults_screened = 0;
+    /// Targeted fault x test pairs that took the verdict of their class's
+    /// representative instead of a lane of their own (stuck-at only).
+    std::size_t faults_collapsed = 0;
     std::size_t batches = 0;
     double faults_per_second = 0;
     /// Wall time of every shard, all tests concatenated in shard index
@@ -206,8 +216,9 @@ CampaignTest make_function_test(
 
 /// Progress callback: (test name, faults graded so far, faults to grade).
 /// Both counts are over the pairs the test actually grades: run() passes
-/// the targets left after the activation screen, so a test's final call
-/// reports faults_targeted minus its screened faults.
+/// the class representatives left after the activation screen, so a
+/// test's final call reports faults_targeted minus its screened and
+/// collapsed faults.
 using CampaignProgress =
     std::function<void(const std::string&, std::size_t, std::size_t)>;
 
@@ -219,7 +230,7 @@ class CampaignEngine {
   const CampaignOptions& options() const { return opts_; }
   /// Worker count after resolving threads == 0.
   int resolved_threads() const;
-  /// Faults per shard for `test`: test.max_batch clamped to [1, 127], the
+  /// Faults per shard for `test`: test.max_batch clamped to [1, 255], the
   /// widest span a LaneMask can merge back.
   std::size_t batch_size(const CampaignTest& test) const;
 
@@ -246,23 +257,28 @@ class CampaignEngine {
   /// with their own between-test bookkeeping (e.g. scan ATPG's
   /// equivalence-class propagation) build on this directly. With
   /// `shard_seconds`, each shard's wall time is appended in shard index
-  /// order. grade() never applies test.inert: every target is simulated.
+  /// order. grade() never applies test.inert and never collapses: every
+  /// target is simulated.
   BitVec grade(std::span<const FaultId> targets, const CampaignTest& test,
                const CampaignProgress& progress = {},
                std::vector<double>* shard_seconds = nullptr) const;
 
   /// Runs the full campaign: for each test in order, takes the testable
-  /// faults no earlier test detected (target_limit permitting), drops the
-  /// test's inert faults, grades the rest, marks detections in `fl`, and
-  /// accumulates the result.
+  /// faults no earlier test detected (target_limit permitting), keeps the
+  /// lowest-id one of each stuck-at equivalence class, drops the classes
+  /// with an inert target, grades the rest, marks every targeted member of
+  /// a detected class in `fl`, and accumulates the result. The payload
+  /// equals grading every target one by one: equivalent faults have one
+  /// faulty machine.
   CampaignResult run(FaultList& fl, std::span<const CampaignTest> tests,
                      const CampaignProgress& progress = {}) const;
 
  private:
-  /// grade() with the number of targets the caller screened out
-  /// beforehand, reported on the plan span.
+  /// grade() with the number of targets the caller screened out and
+  /// collapsed beforehand, reported on the plan span.
   BitVec grade_screened(std::span<const FaultId> targets,
-                        std::size_t screened, const CampaignTest& test,
+                        std::size_t screened, std::size_t collapsed,
+                        const CampaignTest& test,
                         const CampaignProgress& progress,
                         std::vector<double>* shard_seconds) const;
 

@@ -120,6 +120,7 @@ Json campaign_result_to_json(const CampaignResult& result,
     stats.set("threads", result.stats.threads);
     stats.set("faults_simulated", result.stats.faults_simulated);
     stats.set("faults_screened", result.stats.faults_screened);
+    stats.set("faults_collapsed", result.stats.faults_collapsed);
     stats.set("batches", result.stats.batches);
     stats.set("faults_per_second", result.stats.faults_per_second);
     Json shard_seconds = Json::array();
@@ -187,6 +188,8 @@ CampaignResult campaign_result_from_json(const Json& doc) {
     result.stats.faults_simulated = stats.at("faults_simulated").as_size();
     if (stats.contains("faults_screened"))  // absent in pre-screening dumps
       result.stats.faults_screened = stats.at("faults_screened").as_size();
+    if (stats.contains("faults_collapsed"))  // absent in pre-collapsing dumps
+      result.stats.faults_collapsed = stats.at("faults_collapsed").as_size();
     result.stats.batches = stats.at("batches").as_size();
     result.stats.faults_per_second = stats.at("faults_per_second").as_number();
     if (stats.contains("shard_seconds")) {  // absent in pre-shard-stat dumps

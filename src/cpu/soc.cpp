@@ -293,6 +293,6 @@ bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
 }
 
 template class SocFsimEnvironmentT<64>;
-template class SocFsimEnvironmentT<128>;
+template class SocFsimEnvironmentT<256>;
 
 }  // namespace olfui

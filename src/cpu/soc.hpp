@@ -15,7 +15,7 @@
 //    activity screen) from the packed lane-0 pass that records their
 //    checkpoint;
 //  * SocFsimEnvironment — the packed W-lane environment for the fault
-//    simulator (64 scalar, or 128 over vector extensions for grading).
+//    simulator (64 scalar, or 256 over vector extensions for grading).
 //    Every lane's memory answers for that lane alone, so a faulty machine
 //    that strays to a wrong address reads what real silicon would read.
 //    Lane 0 is the good machine and most faulty lanes show its bus on

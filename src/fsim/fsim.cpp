@@ -373,7 +373,7 @@ void SequentialFaultSimulatorT<W>::publish_activity() {
 }
 
 template class SequentialFaultSimulatorT<64>;
-template class SequentialFaultSimulatorT<128>;
+template class SequentialFaultSimulatorT<256>;
 
 bool comb_detects(const Netlist& nl, const FaultUniverse& universe, FaultId fault,
                   std::span<const std::vector<std::pair<NetId, bool>>> patterns,

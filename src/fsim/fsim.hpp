@@ -1,6 +1,6 @@
 // olfui/fsim: stuck-at and transition-delay fault simulation.
 //
-// Two engines share the W-lane packed kernel (W = 64 scalar or 128 over
+// Two engines share the W-lane packed kernel (W = 64 scalar or 256 over
 // vector extensions — see util/lanes.hpp):
 //
 //  * SequentialFaultSimulator — parallel-fault: lane 0 runs the good

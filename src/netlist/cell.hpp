@@ -85,7 +85,7 @@ inline constexpr int kDffRstn = 1;
 
 /// Two-valued evaluation of a combinational cell given packed input words.
 /// `Word` is a lane word (util/lanes.hpp): std::uint64_t carries 64
-/// independent simulation lanes, the vector-extension word carries 128.
+/// independent simulation lanes, the vector-extension word carries 256.
 /// Pure bitwise logic, so one definition serves every width.
 /// Not valid for sequential/port cells.
 template <class Word>

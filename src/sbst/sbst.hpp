@@ -65,11 +65,9 @@ struct SbstCampaignResult {
 /// halting cycle; grading never runs past it.
 inline constexpr int kSbstCampaignMargin = 8;
 
-/// The packed width of every SBST grading runner. 128 lanes grade the
-/// full campaign ~1.3x faster than 64. Since fill-free replay, 256 lanes
-/// measured ~18% faster still at ~2.3 MB more peak memory (ROADMAP 1a,
-/// which tracks re-adding that width; README "Kernel width").
-inline constexpr int kSbstLanes = 128;
+/// The packed width of every SBST grading runner: 255 faults per batch
+/// (README "Kernel width" has the measurements behind it).
+inline constexpr int kSbstLanes = 256;
 
 /// One program's campaign test plus the recorded good-machine checkpoint
 /// (exposed so callers can inspect the trace the test grades against).

@@ -69,6 +69,7 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
   }
 
   topo->flop_index.assign(nl.num_cells(), kInvalidId);
+  topo->input_index.assign(nl.num_cells(), kInvalidId);
   topo->net_input.assign(nl.num_nets(), kInvalidId);
   topo->flop_nets.assign((nl.num_nets() + 63) / 64, 0);
   for (CellId id = 0; id < nl.num_cells(); ++id) {
@@ -82,6 +83,8 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
       topo->flop_nets[c.out / 64] |= 1ULL << (c.out % 64);
     } else if (t == CellType::kInput) {
       topo->source_cells.push_back(id);
+      topo->input_index[id] =
+          static_cast<std::uint32_t>(topo->input_cells.size());
       topo->input_cells.push_back(id);
       topo->net_input[nl.cell(id).out] = id;
     } else if (is_tie(t)) {
@@ -120,8 +123,8 @@ PackedSimT<W>::PackedSimT(std::shared_ptr<const PackedTopology> topo)
     : topo_(std::move(topo)) {
   const Netlist& nl = *topo_->nl;
   values_.assign(nl.num_nets(), Word{});
-  flop_state_.assign(nl.num_cells(), Word{});
-  input_hold_.assign(nl.num_cells(), Word{});
+  flop_state_.assign(topo_->flop_cells.size(), Word{});
+  input_hold_.assign(topo_->input_cells.size(), Word{});
   inj_start_.assign(nl.num_cells(), 0);
   has_inj_.assign(nl.num_cells(), 0);
   arena_.assign(topo_->order.size(), 0);
@@ -187,7 +190,7 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
     // the exposed value mid-cycle, so mirror latch()'s pass 2 for this one
     // flop: re-apply injections over the latched state and seed fanout.
     // (An injected flop's state is in flop_state_ also while synced.)
-    Word v = flop_state_[inj.cell];
+    Word v = flop_state_[topo_->flop_index[inj.cell]];
     v = apply_inj(inj.cell, nullptr, v, true);
     if (!frame_synced_) {
       if (lane_neq(v, values_[c.out])) set_value(c.out, v);
@@ -280,7 +283,7 @@ void PackedSimT<W>::set_input_lanes(NetId net, Word lanes) {
 
 template <int W>
 void PackedSimT<W>::set_held(CellId input_cell, const Word& lanes) {
-  Word& held = input_hold_[input_cell];
+  Word& held = input_hold_[topo_->input_index[input_cell]];
   if (!lane_neq(held, lanes)) return;
   held = lanes;
   settled_ = false;
@@ -457,15 +460,16 @@ void PackedSimT<W>::run_full_sweep() {
     const Cell& c = t.nl->cell(id);
     Word v = c.type == CellType::kTie1   ? ~Word{}
              : c.type == CellType::kTie0 ? Word{}
-                                         : input_hold_[id];
+                                         : input_hold_[t.input_index[id]];
     if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
     values_[c.out] = v;
   }
   // Expose flop state (with Q-pin faults).
-  for (CellId id : t.flop_cells) {
-    Word v = flop_state_[id];
-    if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
-    values_[t.nl->cell(id).out] = v;
+  for (std::size_t fi = 0; fi < t.flops.size(); ++fi) {
+    const PackedTopology::FlatFlop& f = t.flops[fi];
+    Word v = flop_state_[fi];
+    if (has_inj_[f.id]) v = apply_inj(f.id, nullptr, v, true);
+    values_[f.q] = v;
   }
   // Levelized sweep over the flattened combinational cells. Both kernels
   // share compute_cell, so the sweep oracle and the event path can never
@@ -494,8 +498,9 @@ void PackedSimT<W>::run_event_sweep(const NetFrame* frame) {
   // Seed: primary inputs whose held word changed since the last eval.
   // (Ties are constant and flop Qs are seeded by latch(), so neither needs
   // a per-eval scan.)
-  for (CellId id : t.input_cells) {
-    Word v = input_hold_[id];
+  for (std::size_t ii = 0; ii < t.input_cells.size(); ++ii) {
+    const CellId id = t.input_cells[ii];
+    Word v = input_hold_[ii];
     if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
     const NetId out = t.nl->cell(id).out;
     if (frame && (word_of(v, 0) & 1ULL) != frame_bit(out))
@@ -562,8 +567,9 @@ void PackedSimT<W>::run_replay(const NetFrame& frame) {
   }
   // Primary inputs: a diverging, changing or re-converging word schedules
   // its frontier readers.
-  for (CellId id : t.input_cells) {
-    Word v = input_hold_[id];
+  for (std::size_t ii = 0; ii < t.input_cells.size(); ++ii) {
+    const CellId id = t.input_cells[ii];
+    Word v = input_hold_[ii];
     if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
     const NetId out = t.nl->cell(id).out;
     if ((word_of(v, 0) & 1ULL) != frame_bit(out)) frame_mismatch(out, frame);
@@ -643,9 +649,11 @@ template <int W>
 void PackedSimT<W>::leave_sync() {
   for (NetId n = 0; n < values_.size(); ++n)
     if (!diverged(n)) values_[n] = lane_broadcast<Word>(frame_bit(n));
-  for (const PackedTopology::FlatFlop& f : topo_->flops)
+  for (std::size_t fi = 0; fi < topo_->flops.size(); ++fi) {
+    const PackedTopology::FlatFlop& f = topo_->flops[fi];
     if (!has_inj_[f.id] && !diverged(f.q))
-      flop_state_[f.id] = lane_broadcast<Word>(frame_bit(f.q));
+      flop_state_[fi] = lane_broadcast<Word>(frame_bit(f.q));
+  }
   frame_synced_ = false;
   // The frame-synced settles tracked no events outside the frontier.
   needs_full_ = true;
@@ -742,7 +750,7 @@ void PackedSimT<W>::latch() {
       for (int i = 0; i < n; ++i) tmp[i] = values_[c.ins[i]];
       if (has_inj_[id]) apply_inj(id, tmp, Word{}, false);
       // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
-      flop_state_[id] =
+      flop_state_[fi] =
           c.type == CellType::kDff ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
     }
     activity_.flops_latched += dirty_scratch_.size();
@@ -752,7 +760,7 @@ void PackedSimT<W>::latch() {
     // over an unchanged word) is unchanged too.
     for (const std::uint32_t fi : dirty_scratch_) {
       const CellId id = t.flop_cells[fi];
-      Word v = flop_state_[id];
+      Word v = flop_state_[fi];
       if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
       const NetId out = t.nl->cell(id).out;
       if (lane_neq(v, values_[out])) set_value(out, v);
@@ -769,13 +777,14 @@ void PackedSimT<W>::latch() {
   all_flops_dirty_ = false;
   // Pass 1: latch every flop from the settled net values. flop_state_ is
   // never read here, so flop-to-flop paths latch pre-edge values.
-  for (CellId id : t.flop_cells) {
+  for (std::size_t fi = 0; fi < t.flop_cells.size(); ++fi) {
+    const CellId id = t.flop_cells[fi];
     const Cell& c = t.nl->cell(id);
     const int n = static_cast<int>(c.ins.size());
     for (int i = 0; i < n; ++i) tmp[i] = values_[c.ins[i]];
     if (has_inj_[id]) apply_inj(id, tmp, Word{}, false);
     // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
-    flop_state_[id] =
+    flop_state_[fi] =
         c.type == CellType::kDff ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
   }
   activity_.flops_latched += t.flop_cells.size();
@@ -783,15 +792,15 @@ void PackedSimT<W>::latch() {
   // they seed their fanout, replacing a per-eval scan over every flop;
   // when the next eval() is a full sweep anyway they are written untracked.
   const bool tracked = mode_ == PackedEvalMode::kEventDriven && !needs_full_;
-  for (CellId id : t.flop_cells) {
-    Word v = flop_state_[id];
-    if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
-    const NetId out = t.nl->cell(id).out;
-    if (!lane_neq(v, values_[out])) continue;
+  for (std::size_t fi = 0; fi < t.flops.size(); ++fi) {
+    const PackedTopology::FlatFlop& f = t.flops[fi];
+    Word v = flop_state_[fi];
+    if (has_inj_[f.id]) v = apply_inj(f.id, nullptr, v, true);
+    if (!lane_neq(v, values_[f.q])) continue;
     if (tracked)
-      set_value(out, v);
+      set_value(f.q, v);
     else
-      values_[out] = v;
+      values_[f.q] = v;
   }
 }
 
@@ -834,7 +843,7 @@ void PackedSimT<W>::latch_synced() {
     tmp[1] = load<true>(f.in[1]);
     if (has_inj_[f.id]) apply_inj(f.id, tmp, Word{}, false);
     // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
-    flop_state_[f.id] = f.n == 1 ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
+    flop_state_[fi] = f.n == 1 ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
     edge_flops_.push_back(fi);
   }
   activity_.flops_latched += dirty_scratch_.size();
@@ -844,7 +853,7 @@ void PackedSimT<W>::latch_synced() {
   for (const NetId q : edge_flips_) fbits_[q / 64] ^= 1ULL << (q % 64);
   for (const std::uint32_t fi : edge_flops_) {
     const PackedTopology::FlatFlop& f = t.flops[fi];
-    Word v = flop_state_[f.id];
+    Word v = flop_state_[fi];
     if (has_inj_[f.id]) v = apply_inj(f.id, nullptr, v, true);
     if (lane_neq(v, load<true>(f.q))) write_synced(f.q, v, kInvalidId);
   }
@@ -879,7 +888,7 @@ void PackedSimT<W>::retire_lanes(Word lanes) {
     const CellId id = t.flop_cells[fi];
     const NetId out = t.flops[fi].q;
     if (frame_synced_ && !has_inj_[id] && !diverged(out)) continue;
-    Word& state = flop_state_[id];
+    Word& state = flop_state_[fi];
     const Word next =
         (state & ~lanes) | (lane_broadcast<Word>(lane_test(state, 0)) & lanes);
     if (lane_neq(next, state)) {
@@ -934,6 +943,6 @@ typename PackedSimT<W>::Word PackedSimT<W>::observed(
 }
 
 template class PackedSimT<64>;
-template class PackedSimT<128>;
+template class PackedSimT<256>;
 
 }  // namespace olfui

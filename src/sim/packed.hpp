@@ -2,7 +2,7 @@
 //
 // Each net carries one packed lane word (util/lanes.hpp) = W independent
 // machines; W is a compile-time parameter instantiated at 64 (scalar
-// uint64_t) and 128 (a two-word vector, the SBST grading width). The
+// uint64_t) and 256 (a four-word vector, the SBST grading width). The
 // fault simulator (olfui_fsim) packs a good machine plus
 // up to W-1 faulty machines per pass and injects stuck-at values at
 // (cell, pin) sites per lane — the classic parallel-fault scheme.
@@ -126,6 +126,8 @@ struct PackedTopology {
   std::vector<CellId> flop_cells;
   std::vector<CellId> source_cells;  ///< kInput + ties (full-sweep order)
   std::vector<CellId> input_cells;   ///< kInput only (per-eval change scan)
+  /// input_cells index of each cell, or kInvalidId for non-inputs.
+  std::vector<std::uint32_t> input_index;
   /// The kInput cell driving each net, or kInvalidId: the input setters'
   /// argument check.
   std::vector<CellId> net_input;
@@ -400,8 +402,8 @@ class PackedSimT {
   PackedEvalMode mode_ = PackedEvalMode::kEventDriven;
   PackedClockMode clock_mode_ = PackedClockMode::kIncremental;
   std::vector<Word> values_;       // per net
-  std::vector<Word> flop_state_;   // per cell (flop entries only)
-  std::vector<Word> input_hold_;   // per cell: driven PI value
+  std::vector<Word> flop_state_;   // per flop (flop_index)
+  std::vector<Word> input_hold_;   // per input (input_index): driven value
 
   // Flat injection storage: inj_flat_ grouped by cell; cell c owns
   // inj_flat_[inj_start_[c] .. inj_start_[c] + has_inj_[c]). Rebuilt

@@ -3,7 +3,7 @@
 // Parallel-pattern fault grading packs one good machine (lane 0) plus
 // W-1 faulty machines into every net value. Two widths exist: the scalar
 // uint64_t word at W=64 (scan runners, the lane-0 reference tracer, the
-// equivalence baseline) and a GCC/Clang vector of two words at W=128
+// equivalence baseline) and a GCC/Clang vector of four words at W=256
 // (SBST grading).
 #pragma once
 
@@ -12,7 +12,7 @@
 #include <ostream>
 
 #if !defined(__GNUC__) && !defined(__clang__)
-#error "olfui needs GCC/Clang vector extensions for its 128-lane kernel"
+#error "olfui needs GCC/Clang vector extensions for its 256-lane kernel"
 #endif
 
 namespace olfui {
@@ -27,9 +27,9 @@ struct LaneWordTraits<64> {
 };
 
 template <>
-struct LaneWordTraits<128> {
-  typedef std::uint64_t Word __attribute__((vector_size(16)));
-  static constexpr int kWords = 2;
+struct LaneWordTraits<256> {
+  typedef std::uint64_t Word __attribute__((vector_size(32)));
+  static constexpr int kWords = 4;
 };
 
 /// The packed word at width W: uint64_t at 64, a vector of W/64 such
@@ -124,18 +124,18 @@ inline void for_each_lane(const Word& mask, F&& f) {
 }
 
 /// Per-batch detection mask: bit i set = fault i of the batch detected.
-/// Storage is fixed at the widest kernel's size (2 x 64 bits, enough for
-/// a 128-lane batch's 127 faults) no matter the runner's width, so the
+/// Storage is fixed at the widest kernel's size (4 x 64 bits, enough for
+/// a 256-lane batch's 255 faults) no matter the runner's width, so the
 /// campaign merge and report code stay width-agnostic.
 /// The uint64 constructor is deliberately one-way: legacy 63-lane
 /// kernels (and literals like 0) widen into a mask, but a mask never
 /// narrows back implicitly.
 class LaneMask {
  public:
-  static constexpr int kWords = 2;
+  static constexpr int kWords = 4;
 
   constexpr LaneMask() = default;
-  constexpr LaneMask(std::uint64_t low) : words_{low, 0} {}
+  constexpr LaneMask(std::uint64_t low) : words_{low, 0, 0, 0} {}
 
   constexpr bool bit(int i) const { return (words_[i / 64] >> (i % 64)) & 1ULL; }
   constexpr void set_bit(int i) { words_[i / 64] |= 1ULL << (i % 64); }
@@ -143,7 +143,7 @@ class LaneMask {
   constexpr void set_word(int k, std::uint64_t v) { words_[k] = v; }
 
   constexpr bool any() const {
-    return (words_[0] | words_[1]) != 0;
+    return (words_[0] | words_[1] | words_[2] | words_[3]) != 0;
   }
   constexpr bool none() const { return !any(); }
   constexpr explicit operator bool() const { return any(); }
@@ -186,7 +186,7 @@ class LaneMask {
   }
 
  private:
-  std::uint64_t words_[kWords] = {0, 0};
+  std::uint64_t words_[kWords] = {0, 0, 0, 0};
 };
 
 }  // namespace olfui

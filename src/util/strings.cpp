@@ -50,7 +50,10 @@ std::optional<std::uint64_t> parse_uint(std::string_view s) {
       digit = c - 'A' + 10;
     else
       return std::nullopt;
-    v = v * static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(digit);
+    // A value past 2^64 - 1 is an error, not a silent wrap.
+    if (__builtin_mul_overflow(v, static_cast<std::uint64_t>(base), &v) ||
+        __builtin_add_overflow(v, static_cast<std::uint64_t>(digit), &v))
+      return std::nullopt;
   }
   return v;
 }

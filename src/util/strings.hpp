@@ -17,7 +17,8 @@ std::string_view trim(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
 
-/// Parses a decimal or 0x-prefixed hexadecimal unsigned integer.
+/// Parses a decimal or 0x-prefixed hexadecimal unsigned integer; nullopt
+/// for a malformed literal or one past 2^64 - 1.
 std::optional<std::uint64_t> parse_uint(std::string_view s);
 
 /// printf-style formatting into std::string.

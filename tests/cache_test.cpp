@@ -218,13 +218,13 @@ TEST(CacheKey, CanonicalOptionsFormIsPinned) {
 }
 
 TEST(CacheKey, CanonicalKeyFormIsPinned) {
-  // v4: SBST batch counts follow 127-fault spans and the lane width left
-  // the key, so an entry stored under an older version would replay
-  // 63-fault batch counts.
+  // v5: stuck-at batch counts follow 255-fault spans of equivalence-class
+  // representatives, so an entry stored under an older version would
+  // replay batch counts of uncollapsed 127-fault spans.
   CacheKey k = key_n(0xABCD);
   k.fault_model = "transition";
   EXPECT_EQ(k.canonical(),
-            "cache_key/v4|universe=000000000000abcd|trace=0000000000001111|"
+            "cache_key/v5|universe=000000000000abcd|trace=0000000000001111|"
             "options=0000000000003333|model=transition");
 }
 

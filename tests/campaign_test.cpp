@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sbst/sbst.hpp"
+#include "uncollapsed_campaign.hpp"
 
 namespace olfui {
 namespace {
@@ -585,16 +586,31 @@ TEST(Campaign, ProgressCoversEveryTargetedFault) {
                  totals[name] = total;
                });
   ASSERT_EQ(last_done.size(), 2u);
+  // Progress counts the graded class representatives: each test's last
+  // call reaches its total, the totals add up to the pairs graded, and
+  // the collapsed members make up the rest of the targets.
+  std::size_t graded = 0, targeted = 0;
   for (const auto& pt : r.tests) {
-    EXPECT_EQ(last_done[pt.name], pt.faults_targeted);
-    EXPECT_EQ(totals[pt.name], pt.faults_targeted);
+    EXPECT_EQ(last_done[pt.name], totals[pt.name]) << pt.name;
+    graded += totals[pt.name];
+    targeted += pt.faults_targeted;
   }
+  EXPECT_EQ(graded, r.stats.faults_simulated);
+  EXPECT_EQ(r.stats.faults_screened, 0u);  // the rig declares nothing inert
+  EXPECT_EQ(targeted, r.stats.faults_simulated + r.stats.faults_collapsed);
+  EXPECT_EQ(r.tests.at(0).faults_targeted, 534u);
+  EXPECT_EQ(r.tests.at(1).faults_targeted, 406u);
+  EXPECT_EQ(totals["low_bits"], 366u);
+  EXPECT_EQ(totals["all_bits"], 275u);
 }
 
 TEST(Campaign, RunScreensInertFaultsAfterTheTargetSlice) {
   // The engine trusts CampaignTest::inert: every third fault is declared
-  // inert, and none of them may reach a batch. The slice is taken first,
-  // so the first 100 ids stay the targets and 34 of them are screened.
+  // inert, and neither it nor any member of its equivalence class may
+  // reach a batch. The slice is taken first, so the first 100 ids stay the
+  // targets. They fall into 89 classes: 34 hold an inert target and are
+  // screened, 55 are graded through their lowest id, and the other 11
+  // targets are collapsed onto those.
   CounterRig rig;
   const FaultUniverse u(rig.nl);
   CampaignTest test = make_rig_test(rig, u, rig.outputs, "all_bits");
@@ -614,28 +630,84 @@ TEST(Campaign, RunScreensInertFaultsAfterTheTargetSlice) {
   ASSERT_EQ(r.tests.size(), 1u);
   EXPECT_EQ(r.tests[0].faults_targeted, 100u);
   EXPECT_EQ(r.stats.faults_screened, 34u);
-  EXPECT_EQ(r.stats.faults_simulated, 66u);
-  EXPECT_EQ(r.tests[0].batches, 2u);  // 66 graded pairs in spans of 63
-  EXPECT_EQ(last_done, 66u);          // progress counts graded pairs
-  EXPECT_EQ(last_total, 66u);
-  std::size_t plan_screened = 0;
+  EXPECT_EQ(r.stats.faults_simulated, 55u);
+  EXPECT_EQ(r.stats.faults_collapsed, 11u);
+  EXPECT_EQ(r.tests[0].batches, 1u);  // 55 graded pairs in spans of 63
+  EXPECT_EQ(last_done, 55u);          // progress counts graded pairs
+  EXPECT_EQ(last_total, 55u);
+  std::size_t plan_screened = 0, plan_collapsed = 0;
   for (const obs::TraceEvent& ev : obs::tracer().drain())
     if (ev.name == "plan")
-      for (const auto& [key, value] : ev.args)
+      for (const auto& [key, value] : ev.args) {
         if (key == "screened") plan_screened += value.as_size();
+        if (key == "collapsed") plan_collapsed += value.as_size();
+      }
   EXPECT_EQ(plan_screened, 34u);
+  EXPECT_EQ(plan_collapsed, 11u);
 
-  // The graded faults come out exactly as the unscreened primitive grades
-  // them; the screened ones stay undetected.
+  // The same counts, derived from the collapse map: a class is screened
+  // if any of its targets is inert.
+  const std::vector<FaultId> class_of = u.collapse_map();
+  std::set<FaultId> classes, screened;
+  for (FaultId f = 0; f < 100; ++f) {
+    classes.insert(class_of[f]);
+    if (test.inert.get(f)) screened.insert(class_of[f]);
+  }
+  EXPECT_EQ(screened.size(), r.stats.faults_screened);
+  EXPECT_EQ(classes.size() - screened.size(), r.stats.faults_simulated);
+
+  // Every target outside a screened class, graded in its own lane by the
+  // uncollapsed primitive, detects exactly what the run detected; the
+  // screened classes stay undetected.
   std::vector<FaultId> graded;
   for (FaultId f = 0; f < 100; ++f)
-    if (!test.inert.get(f)) graded.push_back(f);
+    if (!screened.contains(class_of[f])) graded.push_back(f);
   const BitVec det = CampaignEngine(u, {.threads = 2}).grade(graded, test);
   BitVec expected(u.size());
   for (std::size_t i = 0; i < graded.size(); ++i)
     if (det.get(i)) expected.set(graded[i], true);
   EXPECT_GT(expected.count(), 0u);
   EXPECT_EQ(r.detected, expected);
+}
+
+TEST(Campaign, CollapsingGradesPastPrunedMembersAndNeverMarksThem) {
+  // A class whose two lowest ids the analyzer pruned still grades, through
+  // its third member, and its detection reaches every unpruned member
+  // but neither pruned one.
+  CounterRig rig;
+  const FaultUniverse u(rig.nl);
+  const std::vector<CampaignTest> tests = make_rig_suite(rig, u);
+  const CampaignEngine engine(u, {.threads = 2});
+  FaultList reference(u);
+  const CampaignResult full = engine.run(reference, tests);
+  const std::vector<FaultId> class_of = u.collapse_map();
+  std::map<FaultId, std::vector<FaultId>> members;
+  for (FaultId f = 0; f < u.size(); ++f) members[class_of[f]].push_back(f);
+  const std::vector<FaultId>* cls = nullptr;
+  for (const auto& [root, m] : members)
+    if (m.size() >= 4 && full.detected.get(root)) {
+      cls = &m;
+      break;
+    }
+  ASSERT_NE(cls, nullptr) << "no detected class with four members";
+
+  FaultList fl(u), oracle(u);
+  for (FaultList* list : {&fl, &oracle})
+    for (const FaultId f : {(*cls)[0], (*cls)[1]})
+      list->mark_untestable(f, UntestableKind::kTied, OnlineSource::kScan);
+  const CampaignResult r = engine.run(fl, tests);
+  for (std::size_t i = 0; i < cls->size(); ++i) {
+    const FaultId f = (*cls)[i];
+    EXPECT_EQ(r.detected.get(f), i >= 2) << u.fault_name(f);
+    EXPECT_EQ(fl.untestable_kind(f) != UntestableKind::kNone, i < 2)
+        << u.fault_name(f);
+  }
+  // No pruned fault anywhere is marked, and the run matches the
+  // uncollapsed grade of the same pruned list.
+  for (FaultId f = 0; f < u.size(); ++f)
+    if (fl.untestable_kind(f) != UntestableKind::kNone)
+      EXPECT_FALSE(r.detected.get(f)) << u.fault_name(f);
+  EXPECT_EQ(r.detected, run_uncollapsed(engine, oracle, tests).detected);
 }
 
 TEST(Campaign, ResultJsonRoundTrips) {
@@ -926,9 +998,9 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
   };
   const std::vector<Row> rows = {
       {FaultModel::kStuckAt, 0x71e6ed5a089d103aULL, {200, 137}, {134, 31},
-       0x90849ee151b03b13ULL},
+       0x12b26f9ec278d413ULL},
       {FaultModel::kTransition, 0x4ba9ac3f628fbcbeULL, {139, 77}, {134, 31},
-       0x90849ee151b03b13ULL},
+       0x12b26f9ec278d413ULL},
   };
   auto soc = build_soc({});
   auto suite = build_sbst_suite(soc->config);
@@ -968,6 +1040,37 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
       EXPECT_EQ(r.tests[t].good_cycles, row.good_cycles[t])
           << model << " " << r.tests[t].name;
     }
+  }
+}
+
+TEST(Campaign, SbstSliceCollapsedRunMatchesUncollapsedGrade) {
+  // The CI slice (olfui_cli --sbst --programs 2 --limit 320): run()
+  // grades one member per stuck-at equivalence class (every fault under
+  // TDF), the test-side loop every target in its own lane, with the same
+  // inert screen and fault dropping. The detection state and every
+  // test's new detections agree.
+  auto soc = build_soc({});
+  auto suite = build_sbst_suite(soc->config);
+  suite.erase(suite.begin() + 2, suite.end());
+  const FaultUniverse u(soc->netlist);
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition}) {
+    const std::string_view name = to_string(model);
+    const CampaignEngine engine(
+        u, {.threads = 2, .fault_model = model, .target_limit = 320});
+    const std::vector<CampaignTest> tests =
+        build_sbst_campaign_tests(*soc, suite, u, engine);
+    FaultList collapsed(u), uncollapsed(u);
+    const CampaignResult r = engine.run(collapsed, tests);
+    const UncollapsedCampaign want =
+        run_uncollapsed(engine, uncollapsed, tests);
+    EXPECT_EQ(r.stats.faults_collapsed > 0, model == FaultModel::kStuckAt)
+        << name;
+    EXPECT_EQ(r.detected, want.detected) << name;
+    ASSERT_EQ(r.tests.size(), want.new_detections.size()) << name;
+    for (std::size_t t = 0; t < r.tests.size(); ++t)
+      EXPECT_EQ(r.tests[t].new_detections, want.new_detections[t])
+          << name << " " << r.tests[t].name;
   }
 }
 

@@ -6,7 +6,7 @@
 // the full-latch clock produce on every net. These tests drive
 // randomized netlists and stimuli through an event-mode simulator and a
 // forced-full-sweep oracle in lockstep and compare net-for-net (at 64
-// and 128 lanes for the clocking suite), then check campaign
+// and 256 lanes for the clocking suite), then check campaign
 // determinism across worker-pool sizes with the kernel and the clocking
 // mode switched either way.
 #include <gtest/gtest.h>
@@ -225,10 +225,10 @@ TEST(EventSim, IncrementalClockingMatchesFullLatchAndSweepOracles) {
   EXPECT_GT(skipped, 0u) << "incremental clocking never skipped a latch";
 }
 
-TEST(EventSim, IncrementalClockingMatchesOraclesAt128Lanes) {
+TEST(EventSim, IncrementalClockingMatchesOraclesAt256Lanes) {
   std::uint64_t skipped = 0;
   for (std::uint64_t seed = 55; seed <= 56; ++seed)
-    skipped += clocking_lockstep<128>(seed);
+    skipped += clocking_lockstep<256>(seed);
   EXPECT_GT(skipped, 0u) << "incremental clocking never skipped a latch";
 }
 
@@ -360,7 +360,7 @@ void settled_eval_lockstep(std::uint64_t seed) {
 TEST(EventSim, SettledEvalIsSkippedAndExact) {
   for (std::uint64_t seed = 61; seed <= 64; ++seed) {
     settled_eval_lockstep<64>(seed);
-    settled_eval_lockstep<128>(seed);
+    settled_eval_lockstep<256>(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -583,14 +583,14 @@ void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& replays) {
 }
 
 TEST(EventSim, FrameReplayMatchesFullSweep) {
-  std::uint64_t replays64 = 0, replays128 = 0;
+  std::uint64_t replays64 = 0, replays256 = 0;
   for (std::uint64_t seed = 81; seed <= 86; ++seed) {
     frame_replay_lockstep<64>(seed, replays64);
-    frame_replay_lockstep<128>(seed, replays128);
+    frame_replay_lockstep<256>(seed, replays256);
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(replays64, 0u) << "no frame settle replayed";
-  EXPECT_GT(replays128, 0u) << "no frame settle replayed";
+  EXPECT_GT(replays256, 0u) << "no frame settle replayed";
 }
 
 // ---------------------------------------------------------------------------
@@ -760,7 +760,7 @@ TEST(EventSim, RetiredLanesMatchFullSweep) {
     for (const bool replay : {true, false}) {
       const bool converge = seed % 2 == 0;
       retired_lanes_lockstep<64>(seed, replay, converge, retired);
-      retired_lanes_lockstep<128>(seed, replay, converge, retired);
+      retired_lanes_lockstep<256>(seed, replay, converge, retired);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -916,14 +916,14 @@ void replay_reads_lockstep(std::uint64_t seed, std::uint64_t& replays) {
 }
 
 TEST(EventSim, ReplayKeepsEveryReadExact) {
-  std::uint64_t replays64 = 0, replays128 = 0;
+  std::uint64_t replays64 = 0, replays256 = 0;
   for (std::uint64_t seed = 121; seed <= 126; ++seed) {
     replay_reads_lockstep<64>(seed, replays64);
-    replay_reads_lockstep<128>(seed, replays128);
+    replay_reads_lockstep<256>(seed, replays256);
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(replays64, 0u) << "no frame settle replayed";
-  EXPECT_GT(replays128, 0u) << "no frame settle replayed";
+  EXPECT_GT(replays256, 0u) << "no frame settle replayed";
 }
 
 // ---------------------------------------------------------------------------
@@ -1000,7 +1000,7 @@ void expect_setters_reject_bad_arguments() {
 
 TEST(EventSim, SettersRejectBadArguments) {
   expect_setters_reject_bad_arguments<64>();
-  expect_setters_reject_bad_arguments<128>();
+  expect_setters_reject_bad_arguments<256>();
 }
 
 // ---------------------------------------------------------------------------

@@ -248,8 +248,8 @@ TEST(ReferenceTraceFingerprint, StableAcrossLaneWidthsAndClockingModes) {
   EXPECT_EQ(record_counter_trace<64>(rig, u, false).fingerprint(), fp);
   // Lane 0 is the good machine at every width, so the recorded trace —
   // and therefore the cache key built from it — is width-invariant.
-  EXPECT_EQ(record_counter_trace<128>(rig, u, true).fingerprint(), fp);
-  EXPECT_EQ(record_counter_trace<128>(rig, u, false).fingerprint(), fp);
+  EXPECT_EQ(record_counter_trace<256>(rig, u, true).fingerprint(), fp);
+  EXPECT_EQ(record_counter_trace<256>(rig, u, false).fingerprint(), fp);
 }
 
 /// Fault i rides lane i + 1, so W faults would need a lane the word does
@@ -287,7 +287,7 @@ void expect_oversized_batch_throws() {
 
 TEST(SeqFsim, OversizedBatchThrows) {
   expect_oversized_batch_throws<64>();
-  expect_oversized_batch_throws<128>();
+  expect_oversized_batch_throws<256>();
 }
 
 /// observed() and the frame's good bit read a port cell's input net, so
@@ -330,8 +330,10 @@ TEST(SeqFsim, SetObservedRejectsNonOutputCells) {
 // exits early, so it retires every lane it detects.
 
 std::size_t lane_mask_count(const LaneMask& m) {
-  return static_cast<std::size_t>(__builtin_popcountll(m.word(0)) +
-                                  __builtin_popcountll(m.word(1)));
+  std::size_t n = 0;
+  for (int k = 0; k < LaneMask::kWords; ++k)
+    n += static_cast<std::size_t>(__builtin_popcountll(m.word(k)));
+  return n;
 }
 
 /// What the full batches of expect_batch_matches_lone_faults saw, summed
@@ -413,7 +415,7 @@ TEST(SeqFsim, FullBatchMatchesLoneFaultsOnRandomNetlists) {
   LoneFaultTally tally;
   for (std::uint64_t seed = 31; seed <= 33; ++seed) {
     tally += random_batches_match_lone_faults<64>(seed);
-    tally += random_batches_match_lone_faults<128>(seed);
+    tally += random_batches_match_lone_faults<256>(seed);
     if (::testing::Test::HasFailure()) return;
   }
   EXPECT_GT(tally.detected, 0u) << "no lane was detected, so none retired";

@@ -1,13 +1,13 @@
 // Width-parametric kernel equivalence suite, plus the per-test batch
 // bound.
 //
-// The 128-lane packed word is pure throughput: for any netlist,
+// The 256-lane packed word is pure throughput: for any netlist,
 // stimulus, fault model, kernel, and trace mode, it must grade every
 // fault exactly as the scalar 64-lane kernel does — lane count only
 // changes how many faulty machines ride in one pass. These tests drive
 // randomized sequential netlists through both widths and compare the
 // per-fault verdict vectors bit for bit, against both the 64-lane
-// baseline and the full-sweep oracle, then push 128-lane batches through
+// baseline and the full-sweep oracle, then push 256-lane batches through
 // the campaign orchestrator across thread counts. The engine cuts each
 // test's spans to that test's CampaignTest::max_batch.
 #include <gtest/gtest.h>
@@ -177,7 +177,7 @@ void check_for_each_lane(std::uint64_t seed) {
 
 TEST(LaneWidth, ForEachLaneVisitsSetLanesInOrder) {
   check_for_each_lane<64>(41);
-  check_for_each_lane<128>(42);
+  check_for_each_lane<256>(42);
 }
 
 /// lane_uniform holds exactly for the two broadcast words: one differing
@@ -195,7 +195,7 @@ void check_lane_uniform() {
 
 TEST(LaneWidth, LaneUniformAcceptsOnlyBroadcastWords) {
   check_lane_uniform<64>();
-  check_lane_uniform<128>();
+  check_lane_uniform<256>();
 }
 
 TEST(LaneWidth, AllWidthsMatchScalarBaselineAndSweepOracle) {
@@ -221,8 +221,8 @@ TEST(LaneWidth, AllWidthsMatchScalarBaselineAndSweepOracle) {
         const GradeConfig cfg{event_driven, tdf};
         EXPECT_EQ(grade_all<64>(d, u, words, cfg), baseline)
             << "seed " << seed << " W=64 " << describe(cfg);
-        EXPECT_EQ(grade_all<128>(d, u, words, cfg), baseline)
-            << "seed " << seed << " W=128 " << describe(cfg);
+        EXPECT_EQ(grade_all<256>(d, u, words, cfg), baseline)
+            << "seed " << seed << " W=256 " << describe(cfg);
       }
     }
   }
@@ -263,8 +263,8 @@ CampaignTest make_design_test(const RandomDesign& d, const FaultUniverse& u,
   test.max_batch = lanes - 1;
   test.make_runner = [&d, &u, &words,
                       lanes]() -> std::unique_ptr<FaultBatchRunner> {
-    if (lanes == 128)
-      return std::make_unique<DesignBatchRunner<128>>(d, u, words);
+    if (lanes == 256)
+      return std::make_unique<DesignBatchRunner<256>>(d, u, words);
     return std::make_unique<DesignBatchRunner<64>>(d, u, words);
   };
   return test;
@@ -283,7 +283,7 @@ TEST(LaneWidth, CampaignDetectionsInvariantAcrossWidthsAndThreads) {
 
   BitVec expect_detected;
   bool have_expect = false;
-  for (const int lanes : {64, 128}) {
+  for (const int lanes : {64, 256}) {
     std::vector<CampaignTest> tests{make_design_test(d, u, words, lanes)};
     for (const int threads : {1, 4}) {
       FaultList fl(u);
@@ -297,16 +297,17 @@ TEST(LaneWidth, CampaignDetectionsInvariantAcrossWidthsAndThreads) {
       EXPECT_EQ(r.detected, expect_detected)
           << lanes << " lanes, " << threads << " threads";
       // One wide shard holds what several scalar shards held.
-      if (lanes > 64 && u.size() > 63)
-        EXPECT_LT(r.tests.at(0).batches, (u.size() + 62) / 63);
+      const std::size_t graded = r.stats.faults_simulated;
+      if (lanes > 64 && graded > 63)
+        EXPECT_LT(r.tests.at(0).batches, (graded + 62) / 63);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
 // The batch bound belongs to the test: the engine cuts spans of each
-// test's max_batch (clamped to LaneMask's 127 faults), so a 64-lane kernel
-// never sees a 127-fault span.
+// test's max_batch (clamped to LaneMask's 255 faults), so a 64-lane kernel
+// never sees a 255-fault span.
 
 /// The span sizes a test's runners were handed, across worker threads.
 struct SpanLog {
@@ -344,29 +345,31 @@ TEST(BatchBound, EngineClampsARequestToTheTestsBound) {
   Rng rng(47);
   RandomDesign d = random_design(rng, 4, 6, 30);
   const FaultUniverse u(d.nl);
-  ASSERT_GT(u.size(), 127u);
   const std::vector<std::vector<bool>> words(
       8, std::vector<bool>(d.input_nets.size(), true));
 
-  // A 64-lane test gets at most 63-fault spans.
+  // A 64-lane test gets at most 63-fault spans of the graded class
+  // representatives, although more than 63 are graded.
   auto log = std::make_shared<SpanLog>();
   const std::vector<CampaignTest> tests{
       recording(make_design_test(d, u, words, 64), log)};
   FaultList fl(u);
   const CampaignEngine engine(u, {.threads = 2});
   const CampaignResult r = engine.run(fl, tests);
-  EXPECT_EQ(r.tests.at(0).batches, (u.size() + 62) / 63);
+  const std::size_t graded = r.stats.faults_simulated;
+  ASSERT_GT(graded, 63u);
+  EXPECT_EQ(r.tests.at(0).batches, (graded + 62) / 63);
   ASSERT_FALSE(log->sizes.empty());
   EXPECT_EQ(*std::max_element(log->sizes.begin(), log->sizes.end()), 63u);
 
-  // The span width is the test's max_batch, clamped to 127.
-  CampaignTest wide = make_design_test(d, u, words, 128);
+  // The span width is the test's max_batch, clamped to 255.
+  CampaignTest wide = make_design_test(d, u, words, 256);
   EXPECT_EQ(engine.batch_size(tests[0]), 63u);
-  EXPECT_EQ(engine.batch_size(wide), 127u);
+  EXPECT_EQ(engine.batch_size(wide), 255u);
   wide.max_batch = 17;
   EXPECT_EQ(engine.batch_size(wide), 17u);
   wide.max_batch = 500;
-  EXPECT_EQ(engine.batch_size(wide), 127u);
+  EXPECT_EQ(engine.batch_size(wide), 255u);
 }
 
 TEST(BatchBound, SbstTestsGradeInFullWidthSpans) {
@@ -379,21 +382,21 @@ TEST(BatchBound, SbstTestsGradeInFullWidthSpans) {
       build_sbst_campaign_tests(*soc, suite, u, engine);
   ASSERT_EQ(tests.size(), 1u);
   EXPECT_EQ(tests[0].max_batch, kSbstLanes - 1);
-  EXPECT_EQ(tests[0].max_batch, 127);
+  EXPECT_EQ(tests[0].max_batch, 255);
 
   auto log = std::make_shared<SpanLog>();
   tests[0] = recording(std::move(tests[0]), log);
   FaultList fl(u);
   const CampaignResult r = engine.run(fl, tests);
   const std::size_t graded = r.stats.faults_simulated;
-  ASSERT_GT(graded, 127u);
-  EXPECT_EQ(r.tests.at(0).batches, (graded + 126) / 127);
-  // Every span but the last is a full 127-fault span.
+  ASSERT_GT(graded, 255u);
+  EXPECT_EQ(r.tests.at(0).batches, (graded + 254) / 255);
+  // Every span but the last is a full 255-fault span.
   std::vector<std::size_t>& sizes = log->sizes;
   ASSERT_EQ(sizes.size(), r.tests.at(0).batches);
-  EXPECT_EQ(*std::max_element(sizes.begin(), sizes.end()), 127u);
-  EXPECT_EQ(std::count(sizes.begin(), sizes.end(), 127u),
-            static_cast<std::ptrdiff_t>(graded / 127));
+  EXPECT_EQ(*std::max_element(sizes.begin(), sizes.end()), 255u);
+  EXPECT_EQ(std::count(sizes.begin(), sizes.end(), 255u),
+            static_cast<std::ptrdiff_t>(graded / 255));
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // pattern sets — a complete ground truth, not another heuristic.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "atpg/podem.hpp"
+#include "campaign/campaign.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
@@ -15,20 +18,22 @@
 #include "scan/scan.hpp"
 #include "util/rng.hpp"
 #include "verilog/verilog.hpp"
+#include "random_design.hpp"
+#include "uncollapsed_campaign.hpp"
 
 namespace olfui {
 namespace {
 
 constexpr int kNumInputs = 8;
 
-struct RandomDesign {
+struct RandomCombDesign {
   Netlist nl{"t"};
   std::vector<NetId> inputs;
   std::vector<CellId> outputs;
 };
 
-RandomDesign make_random_comb(std::uint64_t seed, int gates) {
-  RandomDesign d;
+RandomCombDesign make_random_comb(std::uint64_t seed, int gates) {
+  RandomCombDesign d;
   WordOps w(d.nl, "m");
   Rng rng(seed);
   std::vector<NetId> pool;
@@ -62,7 +67,7 @@ RandomDesign make_random_comb(std::uint64_t seed, int gates) {
 
 /// Exhaustive detection over all 2^kNumInputs assignments, honouring tied
 /// inputs (they keep their mission value in every pattern).
-bool exhaustively_detected(const RandomDesign& d, const FaultUniverse& u,
+bool exhaustively_detected(const RandomCombDesign& d, const FaultUniverse& u,
                            FaultId f, const MissionConfig& cfg) {
   std::vector<std::pair<NetId, bool>> tied;
   for (auto [net, v] : cfg.constants) tied.emplace_back(net, v);
@@ -92,7 +97,7 @@ bool exhaustively_detected(const RandomDesign& d, const FaultUniverse& u,
   return !block.empty() && comb_detects(d.nl, u, f, block, observed);
 }
 
-MissionConfig random_mission(const RandomDesign& d, std::uint64_t seed) {
+MissionConfig random_mission(const RandomCombDesign& d, std::uint64_t seed) {
   Rng rng(seed * 977 + 13);
   MissionConfig cfg;
   for (NetId in : d.inputs)
@@ -106,7 +111,7 @@ class StaSoundness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StaSoundness, UntestableFaultsAreUndetectableExhaustively) {
   const std::uint64_t seed = GetParam();
-  const RandomDesign d = make_random_comb(seed, 40);
+  const RandomCombDesign d = make_random_comb(seed, 40);
   const FaultUniverse u(d.nl);
   const StructuralAnalyzer sta(d.nl, u);
   const MissionConfig cfg = random_mission(d, seed);
@@ -125,7 +130,7 @@ TEST_P(StaSoundness, UntestableFaultsAreUndetectableExhaustively) {
 
 TEST_P(StaSoundness, BaselineClassificationSoundWithFullAccess) {
   const std::uint64_t seed = GetParam();
-  const RandomDesign d = make_random_comb(seed, 60);
+  const RandomCombDesign d = make_random_comb(seed, 60);
   const FaultUniverse u(d.nl);
   const StructuralAnalyzer sta(d.nl, u);
   FaultList fl(u);
@@ -140,7 +145,7 @@ TEST_P(StaSoundness, BaselineClassificationSoundWithFullAccess) {
 TEST_P(StaSoundness, MoreRestrictionsNeverShrinkTheUntestableSet) {
   // Fig. 1 containment as a property: on-line untestable ⊇ untestable.
   const std::uint64_t seed = GetParam();
-  const RandomDesign d = make_random_comb(seed, 50);
+  const RandomCombDesign d = make_random_comb(seed, 50);
   const FaultUniverse u(d.nl);
   const StructuralAnalyzer sta(d.nl, u);
   FaultList base(u), mission(u);
@@ -157,7 +162,7 @@ TEST_P(StaSoundness, MoreRestrictionsNeverShrinkTheUntestableSet) {
 
 TEST_P(StaSoundness, PodemNeverFindsTestsForStaUntestables) {
   const std::uint64_t seed = GetParam();
-  const RandomDesign d = make_random_comb(seed, 40);
+  const RandomCombDesign d = make_random_comb(seed, 40);
   const FaultUniverse u(d.nl);
   const StructuralAnalyzer sta(d.nl, u);
   const MissionConfig cfg = random_mission(d, seed);
@@ -173,7 +178,7 @@ TEST_P(StaSoundness, PodemNeverFindsTestsForStaUntestables) {
 
 TEST_P(StaSoundness, CollapsedClassesShareDetectability) {
   const std::uint64_t seed = GetParam();
-  const RandomDesign d = make_random_comb(seed, 30);
+  const RandomCombDesign d = make_random_comb(seed, 30);
   const FaultUniverse u(d.nl);
   const auto map = u.collapse_map();
   Rng rng(seed + 1);
@@ -199,7 +204,7 @@ TEST_P(PodemCompleteness, VerdictMatchesExhaustiveSimulation) {
   // PODEM's testable/untestable verdicts agree with exhaustive ground
   // truth on every sampled fault (no false proofs in either direction).
   const std::uint64_t seed = GetParam();
-  const RandomDesign d = make_random_comb(seed + 1000, 35);
+  const RandomCombDesign d = make_random_comb(seed + 1000, 35);
   const FaultUniverse u(d.nl);
   Podem podem(d.nl, u, {.backtrack_limit = 50000});
   for (FaultId f = 0; f < u.size(); f += 5) {
@@ -378,6 +383,115 @@ TEST_P(SeqProperties, TransitionUntestablesIncludeStuckAtTied) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SeqProperties,
                          ::testing::Values(31, 32, 33, 34, 35, 36, 37, 38, 39,
                                            40, 41, 42));
+
+// ---- equivalence-class collapsing ---------------------------------------------
+// CampaignEngine::run grades one member per stuck-at equivalence class.
+// On random sequential netlists, with random stimulus programs, their own
+// activation screens and a randomly pruned fault list, it must mark
+// exactly the faults the uncollapsed per-target grade marks, test by test.
+
+/// One stimulus program over a random design, graded at 64 lanes against
+/// the trace its good machine records.
+class ScriptedRunner final : public FaultBatchRunner {
+ public:
+  ScriptedRunner(const RandomDesign& d, const FaultUniverse& u,
+                 const std::vector<std::vector<bool>>& words,
+                 std::shared_ptr<const ReferenceTrace> trace)
+      : env_(d.input_nets, words),
+        fsim_(d.nl, u, {.max_cycles = static_cast<int>(words.size())}),
+        trace_(std::move(trace)) {
+    fsim_.set_observed(d.output_cells);
+  }
+  LaneMask run_batch(std::span<const FaultId> faults) override {
+    return fsim_.run_batch(faults, env_, *trace_);
+  }
+
+ private:
+  ScriptedEnvT<64> env_;
+  SequentialFaultSimulator fsim_;
+  std::shared_ptr<const ReferenceTrace> trace_;
+};
+
+/// The program as a campaign test whose inert set is the stuck-at
+/// activation screen of its good-machine run: a fault whose site never
+/// leaves the stuck value at any settle.
+CampaignTest scripted_test(const RandomDesign& d, const FaultUniverse& u,
+                           const std::vector<std::vector<bool>>& words,
+                           std::string name) {
+  ScriptedEnvT<64> env(d.input_nets, words);
+  SequentialFaultSimulator tracer(
+      d.nl, u, {.max_cycles = static_cast<int>(words.size())});
+  tracer.set_observed(d.output_cells);
+  NetActivation act;
+  auto trace = std::make_shared<const ReferenceTrace>(
+      tracer.record_reference_trace(env, &act));
+  CampaignTest test;
+  test.name = std::move(name);
+  test.inert = BitVec(u.size());
+  for (FaultId f = 0; f < u.size(); ++f) {
+    const Fault& fault = u.fault(f);
+    if (!NetActivation::test(fault.sa1 ? act.seen0 : act.seen1,
+                             d.nl.pin_net(fault.pin)))
+      test.inert.set(f, true);
+  }
+  test.make_runner = [&d, &u, &words, trace = std::move(trace)]() {
+    return std::make_unique<ScriptedRunner>(d, u, words, trace);
+  };
+  return test;
+}
+
+class CollapsedCampaign : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CollapsedCampaign, MatchesUncollapsedGrade) {
+  const std::uint64_t seed = GetParam();
+  Rng rng(seed);
+  const RandomDesign d = random_design(rng, 6, 10, 80);
+  const FaultUniverse u(d.nl);
+  const std::vector<FaultId> class_of = u.collapse_map();
+
+  // Three programs of 16 random cycles each: the later ones grade what
+  // the earlier ones left.
+  std::vector<std::vector<std::vector<bool>>> programs(3);
+  for (auto& words : programs) {
+    words.resize(16);
+    for (auto& w : words) {
+      w.resize(d.input_nets.size());
+      for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.next_bool();
+    }
+  }
+  std::vector<CampaignTest> tests;
+  for (std::size_t p = 0; p < programs.size(); ++p)
+    tests.push_back(scripted_test(d, u, programs[p], "p" + std::to_string(p)));
+
+  // Prune a third of the class roots and a tenth of the other faults, so
+  // some classes grade through a member past their lowest id.
+  FaultList pruned(u);
+  for (FaultId f = 0; f < u.size(); ++f)
+    if (rng.next_below(class_of[f] == f ? 3 : 10) == 0)
+      pruned.mark_untestable(f, UntestableKind::kTied, OnlineSource::kScan);
+
+  for (const std::size_t limit : {0u, 90u}) {
+    const CampaignEngine engine(u, {.threads = 2, .target_limit = limit});
+    FaultList collapsed = pruned, uncollapsed = pruned;
+    const CampaignResult r = engine.run(collapsed, tests);
+    const UncollapsedCampaign want = run_uncollapsed(engine, uncollapsed, tests);
+    const std::string what =
+        "seed " + std::to_string(seed) + " limit " + std::to_string(limit);
+    EXPECT_GT(r.stats.faults_collapsed, 0u) << what;
+    EXPECT_GT(r.total_new_detections, 0u) << what;
+    EXPECT_EQ(r.detected, want.detected) << what;
+    ASSERT_EQ(r.tests.size(), want.new_detections.size()) << what;
+    for (std::size_t t = 0; t < r.tests.size(); ++t)
+      EXPECT_EQ(r.tests[t].new_detections, want.new_detections[t])
+          << what << " " << r.tests[t].name;
+    for (FaultId f = 0; f < u.size(); ++f)
+      if (pruned.untestable_kind(f) != UntestableKind::kNone)
+        EXPECT_FALSE(r.detected.get(f)) << what << ": " << u.fault_name(f);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CollapsedCampaign,
+                         ::testing::Values(61, 62, 63, 64, 65, 66, 67, 68));
 
 }  // namespace
 }  // namespace olfui

@@ -36,22 +36,28 @@ TEST(CampaignStatsJson, PairCountsRoundTrip) {
   r.detected = BitVec(8);
   r.stats.faults_simulated = 5;
   r.stats.faults_screened = 3;
+  r.stats.faults_collapsed = 2;
   r.stats.batches = 1;
   const Json doc = campaign_result_to_json(r);
   EXPECT_EQ(doc.at("stats").at("faults_screened").as_size(), 3u);
+  EXPECT_EQ(doc.at("stats").at("faults_collapsed").as_size(), 2u);
   const CampaignResult back =
       campaign_result_from_json_string(doc.dump(2));
   EXPECT_EQ(back.stats.faults_simulated, 5u);
   EXPECT_EQ(back.stats.faults_screened, 3u);
-  // Dumps from before activation screening carry no screened count.
+  EXPECT_EQ(back.stats.faults_collapsed, 2u);
+  // Dumps from before activation screening and class collapsing carry
+  // neither count.
   Json old = doc;
   const Json& stats = doc.at("stats");
   Json pruned = Json::object();
   for (std::size_t i = 0; i < stats.size(); ++i)
-    if (stats.key(i) != "faults_screened")
+    if (stats.key(i) != "faults_screened" &&
+        stats.key(i) != "faults_collapsed")
       pruned.set(stats.key(i), stats.value(i));
   old.set("stats", std::move(pruned));
   EXPECT_EQ(campaign_result_from_json(old).stats.faults_screened, 0u);
+  EXPECT_EQ(campaign_result_from_json(old).stats.faults_collapsed, 0u);
   // Deterministic dumps carry no stats at all.
   EXPECT_FALSE(campaign_result_to_json(r, false).contains("stats"));
 }

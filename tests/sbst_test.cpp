@@ -218,7 +218,7 @@ TEST(SbstSuite, QuietInputsOfTheFullSocArePinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel oracles on the SoC. Production SBST tests grade on the 128-lane
+// Kernel oracles on the SoC. Production SBST tests grade on the 256-lane
 // event kernel with incremental clocking. An oracle test grades the same
 // program on a test-local kernel whose width and eval/clock modes are
 // picked here, so the reference modes (full sweep, full latch, 64 lanes)
@@ -257,7 +257,7 @@ class OracleRunner final : public FaultBatchRunner {
 /// One kernel configuration an oracle test grades with.
 struct OracleKernel {
   const char* label;
-  int lanes;  ///< 64 or 128
+  int lanes;  ///< 64 or 256
   PackedEvalMode eval;
   PackedClockMode clock;
 };
@@ -309,7 +309,7 @@ CampaignTest oracle_test(const Soc& soc, const FaultUniverse& u,
   auto trace = std::make_shared<const ReferenceTrace>(
       k.lanes == 64
           ? record_oracle_trace<64>(soc, u, *flash, k, activation)
-          : record_oracle_trace<128>(soc, u, *flash, k, activation));
+          : record_oracle_trace<256>(soc, u, *flash, k, activation));
   CampaignTest test = built.test;
   test.inert = oracle_inert(u, activation, model);
   EXPECT_EQ(trace->fingerprint(), built.trace->fingerprint())
@@ -323,7 +323,7 @@ CampaignTest oracle_test(const Soc& soc, const FaultUniverse& u,
     if (k.lanes == 64)
       return std::make_unique<OracleRunner<64>>(
           soc, u, flash, trace, max_cycles, model, k.eval, k.clock);
-    return std::make_unique<OracleRunner<128>>(
+    return std::make_unique<OracleRunner<256>>(
         soc, u, flash, trace, max_cycles, model, k.eval, k.clock);
   };
   return test;
@@ -386,7 +386,7 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
                                FaultModel::kTransition);
   const std::vector<CampaignTest> sweep_tests = {oracle_test(
       *soc, u, suite[0], built, FaultModel::kTransition,
-      {"sweep/128", 128, PackedEvalMode::kFullSweep,
+      {"sweep/256", 256, PackedEvalMode::kFullSweep,
        PackedClockMode::kIncremental})};
   FaultList fls(u);
   const CampaignResult rs =
@@ -410,9 +410,9 @@ TEST(SbstCampaign, KernelOraclesReproduceProductionDetections) {
   // fixed fault slice over them; its per-target flags must equal the
   // production test's, graded through the engine, bit for bit.
   const std::vector<OracleKernel> rows = {
-      {"sweep/128", 128, PackedEvalMode::kFullSweep,
+      {"sweep/256", 256, PackedEvalMode::kFullSweep,
        PackedClockMode::kIncremental},
-      {"full-latch/128", 128, PackedEvalMode::kEventDriven,
+      {"full-latch/256", 256, PackedEvalMode::kEventDriven,
        PackedClockMode::kFullLatch},
       {"event/64", 64, PackedEvalMode::kEventDriven,
        PackedClockMode::kIncremental},
@@ -462,9 +462,9 @@ TEST(SbstCampaign, KernelOraclesReproduceProductionDetections) {
 // plain bit loops. Both must drive every net to the same word on every
 // cycle.
 
-class PerLaneSocEnv : public FsimEnvironmentT<128> {
+class PerLaneSocEnv : public FsimEnvironmentT<256> {
  public:
-  static constexpr int W = 128;
+  static constexpr int W = 256;
   using Word = LaneWord<W>;
   using Values = std::array<std::uint64_t, W>;
 
@@ -558,7 +558,7 @@ class PerLaneSocEnv : public FsimEnvironmentT<128> {
 };
 
 TEST(SocFsim, LaneZeroServiceMatchesPerLaneReference) {
-  constexpr int W = 128;
+  constexpr int W = 256;
   const SocConfig cfg = lean_config();
   auto soc = build_soc(cfg);
   auto suite = build_sbst_suite(cfg);
@@ -652,7 +652,7 @@ TEST(SocFsim, RejectsCombinationalBusPort) {
   auto soc = build_soc(cfg);
   const FlashImage flash(cfg.flash_base, cfg.flash_size);
   // The stock SoC registers every bus port.
-  EXPECT_NO_THROW(SocFsimEnvironmentT<128>(*soc, flash, 10));
+  EXPECT_NO_THROW(SocFsimEnvironmentT<256>(*soc, flash, 10));
 
   // A buffer between a bus flop and its port makes the port
   // combinational: read before the settle, it would show a stale value.
@@ -662,7 +662,7 @@ TEST(SocFsim, RejectsCombinationalBusPort) {
   nl.add_cell(CellType::kBuf, "u_baddr3_buf", buffered, {nl.cell(port).ins[0]});
   nl.rewire_input(port, 0, buffered);
   try {
-    SocFsimEnvironmentT<128> env(*soc, flash, 10);
+    SocFsimEnvironmentT<256> env(*soc, flash, 10);
     FAIL() << "a combinational bus port was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("baddr_o3"), std::string::npos)

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "util/bitvec.hpp"
@@ -122,6 +124,26 @@ TEST(Strings, ParseUintDecimalAndHex) {
   EXPECT_FALSE(parse_uint("").has_value());
   EXPECT_FALSE(parse_uint("12z").has_value());
   EXPECT_FALSE(parse_uint("0x").has_value());
+}
+
+TEST(Strings, ParseUintRejectsValuesPast64Bits) {
+  struct Row {
+    const char* text;
+    std::optional<std::uint64_t> value;
+  };
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const Row rows[] = {
+      {"18446744073709551615", kMax},            // 2^64 - 1
+      {"0xFFFFFFFFFFFFFFFF", kMax},              // 2^64 - 1
+      {"0xffff_ffff_ffff_ffff", kMax},           // 2^64 - 1, separated
+      {"18446744073709551616", std::nullopt},    // 2^64
+      {"18446744073709551617", std::nullopt},    // 2^64 + 1
+      {"0x10000000000000000", std::nullopt},     // 2^64
+      {"0x1_0000_0000_0000_0001", std::nullopt}, // 2^64 + 1
+      {"99999999999999999999", std::nullopt},
+  };
+  for (const Row& row : rows)
+    EXPECT_EQ(parse_uint(row.text), row.value) << row.text;
 }
 
 TEST(Strings, Format) {
