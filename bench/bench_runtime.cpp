@@ -43,8 +43,8 @@ SocConfig sized_config(int size_class) {
 /// Returns true when the paper's "<1 s" structural-analysis claim holds on
 /// the full case-study configuration. The unit suite deliberately does NOT
 /// assert this (wall-clock checks flake under `ctest -j` on loaded
-/// machines — see core_test); this bench owns the claim, asserted in its
-/// own isolated process.
+/// machines); this bench owns the claim, asserted in its own isolated
+/// process.
 bool print_runtime_table() {
   bool under_one_second = true;
   std::printf("== E8: analysis runtime vs netlist size ==========================\n");

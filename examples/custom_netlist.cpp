@@ -60,18 +60,24 @@ int main() {
   mission.tie(nl.find_input("test_mode"), false);
   mission.unobserve(nl.find_output("dbg_tap"));
 
+  // Faults untestable even with full access come first: they are not
+  // on-line faults. Then the board's restrictions, labelled "mission"
+  // (they are none of the paper's CPU sources).
   FaultList faults(universe);
-  const StaResult result = sta.analyze(mission);
-  const std::size_t pruned =
-      sta.classify_faults(result, faults, OnlineSource::kDebugControl);
+  const std::size_t structural = sta.classify_faults(
+      sta.analyze(MissionConfig{}), faults, OnlineSource::kStructural);
+  const std::size_t pruned = sta.classify_faults(
+      sta.analyze(mission), faults, OnlineSource::kMission);
 
+  std::printf("pre-existing structural: %zu\n", structural);
   std::printf("on-line functionally untestable: %zu / %zu\n\n", pruned,
               universe.size());
-  std::printf("%-34s %-14s %s\n", "fault", "class", "why");
+  std::printf("%-34s %-11s %-14s %s\n", "fault", "source", "class", "why");
   for (FaultId f = 0; f < universe.size(); ++f) {
     const UntestableKind k = faults.untestable_kind(f);
     if (k == UntestableKind::kNone) continue;
-    std::printf("%-34s %-14s %s\n", universe.fault_name(f).c_str(),
+    std::printf("%-34s %-11s %-14s %s\n", universe.fault_name(f).c_str(),
+                std::string(to_string(faults.online_source(f))).c_str(),
                 std::string(to_string(k)).c_str(),
                 k == UntestableKind::kTied
                     ? "site constant in mission mode"

@@ -37,6 +37,11 @@
 //                            done/estimated, faults graded, faults/s, ETA
 //
 //   olfui_cli <netlist.v> [options]
+//     Classifies in stages, each fault labelled (CSV online_source) by the
+//     first stage that proves it untestable: "structural" for faults
+//     untestable even with full access (printed apart: they are not
+//     on-line faults), "mission" for the --tie/--unobserve restrictions,
+//     "memory-map" for --memmap on top of them.
 //     --tie NET=0|1        mission-constant net (repeatable)
 //     --unobserve PORT     output port unread in mission mode (repeatable)
 //     --memmap BASE:SIZE   mapped address range, SIZE > 0 (repeatable;
@@ -406,24 +411,42 @@ int main(int argc, char** argv) {
     }
     mission.unobserve(c);
   }
-  if (use_memmap) mission.merge(memmap_config(nl, map, 32));
 
   const FaultUniverse universe(nl);
   const StructuralAnalyzer sta(nl, universe);
   FaultList faults(universe);
-  const StaResult result = sta.analyze(mission);
-  const std::size_t pruned =
-      transition
-          ? sta.classify_transition_faults(result, faults, OnlineSource::kScan)
-          : sta.classify_faults(result, faults, OnlineSource::kScan);
+  const auto classify = [&](const MissionConfig& cfg, OnlineSource s) {
+    const StaResult r = sta.analyze(cfg);
+    return transition ? sta.classify_transition_faults(r, faults, s)
+                      : sta.classify_faults(r, faults, s);
+  };
+  // Staged like OnlineUntestabilityAnalyzer::run, each fault keeping the
+  // first stage that proves it: the faults untestable even with full
+  // access are not on-line faults; then the --tie/--unobserve
+  // restrictions; then the memory map on top of them.
+  const std::size_t structural =
+      classify(MissionConfig{}, OnlineSource::kStructural);
+  const std::size_t by_mission = classify(mission, OnlineSource::kMission);
+  std::size_t by_memmap = 0;
+  if (use_memmap) {
+    mission.merge(memmap_config(nl, map, 32));
+    by_memmap = classify(mission, OnlineSource::kMemoryMap);
+  }
+  const std::size_t pruned = by_mission + by_memmap;
 
+  const auto pct = [&](std::size_t n) {
+    return universe.size() ? 100.0 * static_cast<double>(n) /
+                                 static_cast<double>(universe.size())
+                           : 0.0;
+  };
   std::printf("fault model: %s\n", transition ? "transition-delay" : "stuck-at");
+  std::printf("pre-existing structural (untestable with full access): %zu "
+              "(%.1f%%)\n",
+              structural, pct(structural));
   std::printf("on-line functionally untestable: %zu / %zu (%.1f%%)\n", pruned,
-              universe.size(),
-              universe.size()
-                  ? 100.0 * static_cast<double>(pruned) /
-                        static_cast<double>(universe.size())
-                  : 0.0);
+              universe.size(), pct(pruned));
+  std::printf("  mission (--tie/--unobserve): %zu\n", by_mission);
+  if (use_memmap) std::printf("  memory-map (--memmap):       %zu\n", by_memmap);
   std::printf("\n%s", module_breakdown_table(faults).c_str());
 
   Json manuf_json;  // filled by --campaign, merged into --json output
@@ -474,7 +497,8 @@ int main(int argc, char** argv) {
     std::size_t gap = 0;
     for (FaultId f = 0; f < universe.size(); ++f)
       if (manuf.detect_state(f) == DetectState::kDetected &&
-          faults.untestable_kind(f) != UntestableKind::kNone)
+          faults.untestable_kind(f) != UntestableKind::kNone &&
+          faults.online_source(f) != OnlineSource::kStructural)
         ++gap;
     std::printf("  detected on the tester but on-line untestable: %zu "
                 "(%.2f%% of the universe)\n",

@@ -22,6 +22,7 @@ std::string_view to_string(OnlineSource s) {
     case OnlineSource::kDebugControl: return "debug-control";
     case OnlineSource::kDebugObserve: return "debug-observe";
     case OnlineSource::kMemoryMap: return "memory-map";
+    case OnlineSource::kMission: return "mission";
   }
   return "?";
 }
@@ -104,7 +105,8 @@ std::string FaultList::summary() const {
   out += format("fault universe: %s faults\n", with_commas(size()).c_str());
   for (OnlineSource s :
        {OnlineSource::kStructural, OnlineSource::kScan, OnlineSource::kDebugControl,
-        OnlineSource::kDebugObserve, OnlineSource::kMemoryMap}) {
+        OnlineSource::kDebugObserve, OnlineSource::kMemoryMap,
+        OnlineSource::kMission}) {
     const std::size_t n = count_source(s);
     out += format("  %-14s %8s  (%.1f%%)\n", std::string(to_string(s)).c_str(),
                   with_commas(n).c_str(), total > 0 ? 100.0 * n / total : 0.0);

@@ -7,7 +7,8 @@
 //  * OnlineSource — *which mission-mode restriction* produced it (scan,
 //    debug control, debug observation, memory map), i.e. the rows of the
 //    paper's Table I, or kStructural for faults untestable even with full
-//    access.
+//    access, or kMission for restrictions a user declares on a
+//    third-party netlist.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,8 @@ enum class OnlineSource : std::uint8_t {
   kDebugControl,  ///< §3.2.1 — unused debug control logic
   kDebugObserve,  ///< §3.2.2 — unused debug observation logic
   kMemoryMap,     ///< §3.3  — addressing resources under the mission map
+  kMission,       ///< a user-declared mission restriction (tied nets,
+                  ///< unread outputs) outside the paper's four sources
 };
 
 std::string_view to_string(UntestableKind k);

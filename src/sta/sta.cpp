@@ -17,6 +17,8 @@ StructuralAnalyzer::StructuralAnalyzer(const Netlist& nl,
     : nl_(&nl), universe_(&universe) {
   if (!nl.levelize(order_))
     throw std::runtime_error("StructuralAnalyzer: combinational loop");
+  for (CellId id = 0; id < nl.num_cells(); ++id)
+    if (is_sequential(nl.cell(id).type)) flops_.push_back(id);
 }
 
 std::uint32_t StructuralAnalyzer::pin_ordinal(Pin p) const {
@@ -28,7 +30,8 @@ StaResult StructuralAnalyzer::analyze(const MissionConfig& config) const {
   r.net_value.assign(nl_->num_nets(), Logic::VX);
   r.pin_observable.assign(num_pins(), 0);
 
-  // Assumption overlay: these nets keep their fixed fault-free value.
+  // Assumption overlay: config constants and tie cells keep their fixed
+  // fault-free value; the fixpoint never re-evaluates their drivers.
   std::vector<std::uint8_t> assumed(nl_->num_nets(), 0);
   for (auto [net, v] : config.constants) {
     assumed[net] = 1;
@@ -36,10 +39,12 @@ StaResult StructuralAnalyzer::analyze(const MissionConfig& config) const {
   }
   for (CellId id = 0; id < nl_->num_cells(); ++id) {
     const Cell& c = nl_->cell(id);
-    if (is_tie(c.type) && !assumed[c.out])
+    if (is_tie(c.type) && !assumed[c.out]) {
+      assumed[c.out] = 1;
       r.net_value[c.out] = from_bool(c.type == CellType::kTie1);
+    }
   }
-  propagate_constants(r);
+  propagate_constants(assumed, r);
 
   // Observed-port flags.
   r.port_observed.assign(nl_->num_cells(), 0);
@@ -51,15 +56,8 @@ StaResult StructuralAnalyzer::analyze(const MissionConfig& config) const {
   return r;
 }
 
-void StructuralAnalyzer::propagate_constants(StaResult& r) const {
-  std::vector<std::uint8_t> assumed(nl_->num_nets(), 0);
-  // Re-derive the assumption set from values fixed before first sweep:
-  // only nets whose value is already known and that have no evaluable
-  // driver sweep (ties and config constants) must be preserved. Simpler:
-  // remember them now.
-  for (NetId n = 0; n < nl_->num_nets(); ++n)
-    if (r.net_value[n] != Logic::VX) assumed[n] = 1;
-
+void StructuralAnalyzer::propagate_constants(
+    const std::vector<std::uint8_t>& assumed, StaResult& r) const {
   // Monotone ternary fixpoint: combinational sweep + flop steady-state
   // update, repeated until stable. Ternary evaluation is monotone in the
   // information order, so values only ever refine X -> {0,1}.
@@ -79,9 +77,9 @@ void StructuralAnalyzer::propagate_constants(StaResult& r) const {
         changed = true;
       }
     }
-    for (CellId id = 0; id < nl_->num_cells(); ++id) {
+    for (CellId id : flops_) {
       const Cell& c = nl_->cell(id);
-      if (!is_sequential(c.type) || assumed[c.out]) continue;
+      if (assumed[c.out]) continue;
       const Logic d = r.net_value[c.ins[kDffD]];
       const Logic rstn = c.type == CellType::kDffR
                              ? r.net_value[c.ins[kDffRstn]]
@@ -235,119 +233,112 @@ std::size_t StructuralAnalyzer::classify_transition_faults(
   return newly;
 }
 
+bool StructuralAnalyzer::cell_may_diverge(const Cell& c, const StaResult& r,
+                                          const std::vector<std::uint8_t>& div,
+                                          int branch) {
+  const auto in_div = [&](std::size_t i) {
+    return static_cast<int>(i) == branch || div[c.ins[i]] != 0;
+  };
+  // A side input blocks only with a controlling constant that is itself
+  // provably fault-independent (non-divergent).
+  const auto is_blocking = [&](NetId side, bool controlling) {
+    return !div[side] && r.net_const(side, controlling);
+  };
+  switch (c.type) {
+    case CellType::kAnd2:
+    case CellType::kAnd3:
+    case CellType::kAnd4:
+    case CellType::kNand2:
+    case CellType::kNand3:
+    case CellType::kNand4:
+    case CellType::kOr2:
+    case CellType::kOr3:
+    case CellType::kOr4:
+    case CellType::kNor2:
+    case CellType::kNor3:
+    case CellType::kNor4: {
+      const bool and_like =
+          c.type == CellType::kAnd2 || c.type == CellType::kAnd3 ||
+          c.type == CellType::kAnd4 || c.type == CellType::kNand2 ||
+          c.type == CellType::kNand3 || c.type == CellType::kNand4;
+      const bool ctrl = !and_like;  // OR-family controlled by 1
+      for (std::size_t i = 0; i < c.ins.size(); ++i) {
+        if (!in_div(i)) continue;
+        bool blocked = false;
+        for (std::size_t j = 0; j < c.ins.size(); ++j)
+          if (j != i && is_blocking(c.ins[j], ctrl)) blocked = true;
+        if (!blocked) return true;
+      }
+      return false;
+    }
+    case CellType::kMux2: {
+      if (in_div(kMuxA) && !is_blocking(c.ins[kMuxS], true)) return true;
+      if (in_div(kMuxB) && !is_blocking(c.ins[kMuxS], false)) return true;
+      if (in_div(kMuxS)) {
+        // Blocked only if both data inputs carry the same fault-free
+        // constant and neither can diverge.
+        const Logic a = r.net_value[c.ins[kMuxA]];
+        const Logic b = r.net_value[c.ins[kMuxB]];
+        const bool same_const = is_known(a) && a == b &&
+                                !div[c.ins[kMuxA]] && !div[c.ins[kMuxB]];
+        if (!same_const) return true;
+      }
+      return false;
+    }
+    case CellType::kDff:
+      return in_div(kDffD);
+    case CellType::kDffR: {
+      if (in_div(kDffRstn)) {
+        // A diverging reset is masked only by a constant-0 non-diverging D.
+        if (!is_blocking(c.ins[kDffD], false)) return true;
+      }
+      if (in_div(kDffD) && !is_blocking(c.ins[kDffRstn], false)) return true;
+      return false;
+    }
+    default: {  // BUF/NOT/XOR/XNOR: any diverging input passes
+      for (std::size_t i = 0; i < c.ins.size(); ++i)
+        if (in_div(i)) return true;
+      return false;
+    }
+  }
+}
+
 bool StructuralAnalyzer::fault_possibly_observable(const StaResult& r,
                                                    Pin pin) const {
   const Netlist& nl = *nl_;
   // div[n] == 1: net n may differ between the good and the faulty machine.
   std::vector<std::uint8_t> div(nl.num_nets(), 0);
 
-  // A side input blocks only with a controlling constant that is itself
-  // provably fault-independent (non-divergent).
-  const auto is_blocking = [&](NetId side, bool controlling) {
-    return !div[side] && r.net_const(side, controlling);
-  };
-  // Divergence transfer of cell `c` given per-input divergence flags.
-  const auto cell_div = [&](const Cell& c, const auto& in_div) -> bool {
-    switch (c.type) {
-      case CellType::kAnd2:
-      case CellType::kAnd3:
-      case CellType::kAnd4:
-      case CellType::kNand2:
-      case CellType::kNand3:
-      case CellType::kNand4:
-      case CellType::kOr2:
-      case CellType::kOr3:
-      case CellType::kOr4:
-      case CellType::kNor2:
-      case CellType::kNor3:
-      case CellType::kNor4: {
-        const bool and_like =
-            c.type == CellType::kAnd2 || c.type == CellType::kAnd3 ||
-            c.type == CellType::kAnd4 || c.type == CellType::kNand2 ||
-            c.type == CellType::kNand3 || c.type == CellType::kNand4;
-        const bool ctrl = !and_like;  // OR-family controlled by 1
-        for (std::size_t i = 0; i < c.ins.size(); ++i) {
-          if (!in_div(i)) continue;
-          bool blocked = false;
-          for (std::size_t j = 0; j < c.ins.size(); ++j)
-            if (j != i && is_blocking(c.ins[j], ctrl)) blocked = true;
-          if (!blocked) return true;
-        }
-        return false;
-      }
-      case CellType::kMux2: {
-        if (in_div(kMuxA) && !is_blocking(c.ins[kMuxS], true)) return true;
-        if (in_div(kMuxB) && !is_blocking(c.ins[kMuxS], false)) return true;
-        if (in_div(kMuxS)) {
-          // Blocked only if both data inputs carry the same fault-free
-          // constant and neither can diverge.
-          const Logic a = r.net_value[c.ins[kMuxA]];
-          const Logic b = r.net_value[c.ins[kMuxB]];
-          const bool same_const = is_known(a) && a == b &&
-                                  !div[c.ins[kMuxA]] && !div[c.ins[kMuxB]];
-          if (!same_const) return true;
-        }
-        return false;
-      }
-      case CellType::kDff:
-        return in_div(kDffD);
-      case CellType::kDffR: {
-        if (in_div(kDffRstn)) {
-          // A diverging reset is masked only by a constant-0 non-diverging D.
-          if (!is_blocking(c.ins[kDffD], false)) return true;
-        }
-        if (in_div(kDffD) && !is_blocking(c.ins[kDffRstn], false)) return true;
-        return false;
-      }
-      default: {  // BUF/NOT/XOR/XNOR: any diverging input passes
-        for (std::size_t i = 0; i < c.ins.size(); ++i)
-          if (in_div(i)) return true;
-        return false;
-      }
-    }
-  };
-
   // Seed. A branch fault diverges only inside its own cell's view; handle
   // the first cell specially, then net-level propagation takes over.
   const Cell& fcell = nl.cell(pin.cell);
-  if (pin.pin == 0) {
-    div[fcell.out] = 1;
-  } else {
+  if (pin.pin != 0) {
     if (fcell.type == CellType::kOutput)
       return r.port_observed[pin.cell] != 0;  // PO pin fault: directly read?
-    const std::size_t fpin = static_cast<std::size_t>(pin.pin - 1);
-    const auto seed_in = [&](std::size_t i) { return i == fpin; };
-    if (fcell.out != kInvalidId && cell_div(fcell, seed_in)) div[fcell.out] = 1;
-    if (!div[fcell.out]) return false;
+    if (!cell_may_diverge(fcell, r, div, pin.pin - 1)) return false;
   }
+  div[fcell.out] = 1;
 
-  // Monotone fixpoint: levelized combinational sweeps interleaved with
-  // flop-edge transfers until stable (flop edges make the graph cyclic).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (CellId id : order_) {
-      const Cell& c = nl.cell(id);
-      if (c.type == CellType::kOutput || div[c.out]) continue;
-      const auto in_div = [&](std::size_t i) { return div[c.ins[i]] != 0; };
-      if (cell_div(c, in_div)) {
-        div[c.out] = 1;
-        changed = true;
+  // Least fixpoint by fanout events. cell_may_diverge is monotone in
+  // `div`: a newly divergent net can only make its readers pass (as a
+  // propagating input, or as a side input that stops blocking), so
+  // re-evaluating the readers of each net as it turns divergent reaches
+  // the same fixpoint as sweeping the whole netlist until stable, flop
+  // edges included. Any observed port reading a divergent net decides.
+  std::vector<NetId> worklist{fcell.out};
+  while (!worklist.empty()) {
+    const NetId n = worklist.back();
+    worklist.pop_back();
+    for (const Pin& reader : nl.net(n).fanout) {
+      const Cell& c = nl.cell(reader.cell);
+      if (c.type == CellType::kOutput) {
+        if (r.port_observed[reader.cell]) return true;
+        continue;
       }
+      if (div[c.out] || !cell_may_diverge(c, r, div)) continue;
+      div[c.out] = 1;
+      worklist.push_back(c.out);
     }
-    for (CellId id = 0; id < nl.num_cells(); ++id) {
-      const Cell& c = nl.cell(id);
-      if (!is_sequential(c.type) || div[c.out]) continue;
-      const auto in_div = [&](std::size_t i) { return div[c.ins[i]] != 0; };
-      if (cell_div(c, in_div)) {
-        div[c.out] = 1;
-        changed = true;
-      }
-    }
-  }
-
-  for (CellId oc : nl.output_cells()) {
-    if (r.port_observed[oc] && div[nl.cell(oc).ins[0]]) return true;
   }
   return false;
 }

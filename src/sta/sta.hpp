@@ -98,11 +98,28 @@ class StructuralAnalyzer {
   /// fault-free constant AND is itself provably unaffected by the fault
   /// (otherwise reconvergent fault effects could unblock the path — the
   /// classic multi-path sensitization trap of static blocking rules).
-  /// Returns false only when no observed output can ever differ.
+  /// The marker spreads as an event-driven worklist over Net::fanout:
+  /// only the readers of a newly divergent net are re-evaluated, flop
+  /// edges included, and the first observed output port that reads a
+  /// divergent net ends the proof. Returns false only when no observed
+  /// output can ever differ. tests/divergence_oracle.hpp keeps the
+  /// whole-netlist sweep fixpoint this replaces; the sta and core suites
+  /// compare the two pin by pin.
   bool fault_possibly_observable(const StaResult& r, Pin pin) const;
 
+  /// The proof's divergence transfer: true if the output of cell `c` may
+  /// differ between the good and the faulty machine, given the per-net
+  /// marks `div` and, when `branch` >= 0, a fault on input `branch` of
+  /// `c` itself (the seed of a branch fault). Monotone in `div`.
+  static bool cell_may_diverge(const Cell& c, const StaResult& r,
+                               const std::vector<std::uint8_t>& div,
+                               int branch = -1);
+
  private:
-  void propagate_constants(StaResult& r) const;
+  /// Ternary constant fixpoint; nets flagged in `assumed` (config
+  /// constants and tie cells) keep the value analyze() gave them.
+  void propagate_constants(const std::vector<std::uint8_t>& assumed,
+                           StaResult& r) const;
   void propagate_observability(const MissionConfig& config, StaResult& r) const;
   /// True if input pin `pin` (1-based) of cell `c` is blocked by the
   /// fault-free constants on the cell's other inputs.
@@ -111,6 +128,7 @@ class StructuralAnalyzer {
   const Netlist* nl_;
   const FaultUniverse* universe_;
   std::vector<CellId> order_;  // levelized combinational order
+  std::vector<CellId> flops_;  // every kDff/kDffR cell
 };
 
 }  // namespace olfui

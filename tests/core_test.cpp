@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <iterator>
 #include <utility>
 
 #include "core/analyzer.hpp"
+#include "debug/debug.hpp"
+#include "divergence_oracle.hpp"
+#include "memmap/memmap.hpp"
+#include "scan/scan.hpp"
 
 namespace olfui {
 namespace {
@@ -97,23 +101,48 @@ TEST(Analyzer, AnalysisRecordsRuntime) {
   EXPECT_GT(rep.analysis_seconds, 0.0);
 }
 
-TEST(Analyzer, AnalysisCompletesWellUnderOneSecond) {
-  // §4: "the modified circuit is analyzed by Tetramax in less than 1
-  // second" — the structural engine must match that on the full SoC.
-  // Wall-clock assertions are load-sensitive (this one failed at ~1.9 s
-  // whenever `ctest -j` oversubscribed the 1-core container), so the claim
-  // is env-gated: skipped by default, asserted when the machine is known
-  // quiet. bench_runtime asserts the same bound unconditionally in its
-  // isolated process.
-  const char* gate = std::getenv("OLFUI_ASSERT_WALLCLOCK");
-  if (gate == nullptr || *gate == '\0' || *gate == '0')
-    GTEST_SKIP() << "set OLFUI_ASSERT_WALLCLOCK=1 on a quiet machine; "
-                    "bench_runtime checks the <1 s claim in isolation";
+TEST(Analyzer, ProofWorkloadRowsAgreeWithSweepOracle) {
+  // The pins each Table-I pass hands to the sound observability proof:
+  // under the cumulative mission configuration, the pins the fast filter
+  // flags unobservable. The proof confirms every one of them, and the
+  // sweep oracle agrees with the worklist on every one.
+  struct Row {
+    const char* pass;
+    std::size_t flagged;
+  };
+  const Row rows[] = {
+      {"baseline", 428},          {"+scan", 2604},
+      {"+debug control", 3320},   {"+debug observe", 4105},
+      {"+memory map", 4361},
+  };
   Case c;
-  FaultList fl(*c.universe);
-  OnlineUntestabilityAnalyzer az(*c.soc, *c.universe);
-  const AnalysisReport rep = az.run(fl);
-  EXPECT_LT(rep.analysis_seconds, 1.0);
+  const Netlist& nl = c.soc->netlist;
+  const StructuralAnalyzer sta(nl, *c.universe);
+  const SweepObservabilityOracle oracle(nl);
+  const MissionConfig passes[] = {
+      MissionConfig{},
+      scan_mission_config(nl, trace_scan(nl)),
+      debug_control_config(c.soc->debug),
+      debug_observe_config(c.soc->debug),
+      memmap_config(nl, c.soc->map, 32),
+  };
+  MissionConfig cfg;
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    cfg.merge(passes[i]);
+    const StaResult res = sta.analyze(cfg);
+    std::size_t flagged = 0, proven = 0, disagree = 0;
+    for (std::size_t ord = 0; ord < sta.num_pins(); ++ord) {
+      if (res.pin_observable[ord]) continue;
+      ++flagged;
+      const Pin pin = c.universe->fault(static_cast<FaultId>(2 * ord)).pin;
+      const bool worklist = sta.fault_possibly_observable(res, pin);
+      proven += !worklist;
+      disagree += worklist != oracle.possibly_observable(res, pin);
+    }
+    EXPECT_EQ(flagged, rows[i].flagged) << rows[i].pass;
+    EXPECT_EQ(proven, flagged) << rows[i].pass;
+    EXPECT_EQ(disagree, 0u) << rows[i].pass;
+  }
 }
 
 TEST(Analyzer, SourcesAreDisjoint) {

@@ -4,11 +4,15 @@
 //   Fig. 4 — debug mux with DE tied and DO floating,
 //   Fig. 5 — constant-value DFF leaving only two testable faults,
 //   Fig. 6 — constants propagating through a flop into the downstream cone.
+// The StaProof cases compare the worklist observability proof with the
+// sweep oracle of divergence_oracle.hpp, pin by pin.
 #include <gtest/gtest.h>
 
+#include "divergence_oracle.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
 #include "netlist/wordops.hpp"
+#include "random_design.hpp"
 #include "sta/sta.hpp"
 
 namespace olfui {
@@ -288,6 +292,94 @@ TEST(StaClassify, XorPathNeverBlocked) {
   const StaResult res = sta.analyze(cfg);
   const CellId g = r.nl.net(y).driver;
   EXPECT_TRUE(res.pin_observable[sta.pin_ordinal({g, 1})]);
+}
+
+TEST(StaProof, ReconvergentSideInputReopensBlockedReader) {
+  // y = AND(p, s) with p and s both two-cell copies of the
+  // mission-constant-0 net f; on the `via_flop` row, the second cell on
+  // the way to s is a flop. Each AND input is blocked by the other's
+  // constant 0, so the fast filter flags the stem of f unobservable. But
+  // a fault on f drives both inputs: whichever input the proof reaches
+  // first still sees the other blocking (its copy is one cell behind),
+  // and the reader must re-open when that side input turns divergent
+  // too. f s-a-1 is testable (y goes to 1).
+  struct Row {
+    const char* name;
+    bool via_flop;
+  };
+  const Row rows[] = {{"combinational", false}, {"via flop", true}};
+  for (const Row& row : rows) {
+    Rig r;
+    const NetId f = r.nl.add_input("f");
+    const NetId p = r.w.buf(r.w.buf(f, "p0"), "p");
+    const NetId s0 = r.w.buf(f, "s0");
+    const NetId s = row.via_flop ? r.w.reg_word({s0}, "ff").q[0]
+                                 : r.w.buf(s0, "s");
+    const NetId y = r.w.and2(p, s, "y");
+    r.nl.add_output("o", y);
+    const FaultUniverse u(r.nl);
+    const StructuralAnalyzer sta(r.nl, u);
+    const SweepObservabilityOracle oracle(r.nl);
+    MissionConfig cfg;
+    cfg.tie(f, false);
+    const StaResult res = sta.analyze(cfg);
+    const Pin stem{r.nl.net(f).driver, 0};
+    EXPECT_EQ(res.net_value[y], Logic::V0) << row.name;
+    EXPECT_FALSE(res.pin_observable[sta.pin_ordinal(stem)]) << row.name;
+    EXPECT_TRUE(sta.fault_possibly_observable(res, stem)) << row.name;
+    EXPECT_TRUE(oracle.possibly_observable(res, stem)) << row.name;
+    FaultList fl(u);
+    sta.classify_faults(res, fl, OnlineSource::kStructural);
+    EXPECT_EQ(fl.untestable_kind(u.id_of(stem, false)), UntestableKind::kTied)
+        << row.name;
+    EXPECT_EQ(fl.untestable_kind(u.id_of(stem, true)), UntestableKind::kNone)
+        << row.name;
+  }
+}
+
+TEST(StaProof, WorklistMatchesSweepOracleOnRandomDesigns) {
+  // Every pin of random sequential designs, under random mission
+  // configurations that tie random nets to random values and unobserve
+  // random outputs. Both answers of the proof must occur, so the early
+  // exit and the exhausted worklist are both compared.
+  struct Row {
+    std::uint64_t seed;
+    int inputs, flops, gates;
+  };
+  const Row rows[] = {
+      {1, 4, 4, 40}, {2, 6, 8, 80}, {3, 3, 12, 120},
+      {4, 8, 2, 60}, {5, 5, 16, 200},
+  };
+  constexpr int kConfigsPerDesign = 6;
+  std::size_t observable = 0, unobservable = 0;
+  for (const Row& row : rows) {
+    Rng rng(row.seed);
+    const RandomDesign d =
+        random_design(rng, row.inputs, row.flops, row.gates);
+    const FaultUniverse u(d.nl);
+    const StructuralAnalyzer sta(d.nl, u);
+    const SweepObservabilityOracle oracle(d.nl);
+    for (int k = 0; k < kConfigsPerDesign; ++k) {
+      MissionConfig cfg;
+      const std::uint64_t ties = rng.next_below(d.nl.num_nets() / 4 + 1);
+      for (std::uint64_t t = 0; t < ties; ++t)
+        cfg.tie(static_cast<NetId>(rng.next_below(d.nl.num_nets())),
+                rng.next_bool());
+      for (CellId oc : d.output_cells)
+        if (rng.next_below(3) == 0) cfg.unobserve(oc);
+      const StaResult res = sta.analyze(cfg);
+      for (std::size_t ord = 0; ord < sta.num_pins(); ++ord) {
+        const Pin pin = u.fault(static_cast<FaultId>(2 * ord)).pin;
+        const bool worklist = sta.fault_possibly_observable(res, pin);
+        ASSERT_EQ(worklist, oracle.possibly_observable(res, pin))
+            << "seed " << row.seed << " config " << k << " cell "
+            << d.nl.cell(pin.cell).name << " pin " << int(pin.pin);
+        ++(worklist ? observable : unobservable);
+      }
+    }
+  }
+  EXPECT_GT(observable, 0u);
+  EXPECT_GT(unobservable, 0u);
 }
 
 TEST(StaConfig, MergeAccumulates) {
