@@ -97,14 +97,15 @@ struct CacheKey {
   std::uint64_t options_hash = 0; ///< campaign_options_hash()
   std::string fault_model = "stuck_at";
 
-  /// Self-describing canonical form ("cache_key/v5|universe=..|..") —
+  /// Self-describing canonical form ("cache_key/v6|universe=..|..") —
   /// stored verbatim inside each disk entry and verified on load, so a
   /// digest collision can never serve the wrong payload. The version moves
   /// whenever the stored payload's meaning does (v3: per-test batches
   /// count only the pairs left after activation screening; v4: SBST
   /// batches are 127-fault spans and the key has no lane width; v5:
   /// stuck-at batches count 255-fault spans of equivalence-class
-  /// representatives).
+  /// representatives; v6: so do transition batches, over the transition
+  /// classes).
   std::string canonical() const;
   /// fnv1a64 of canonical(): the disk entry's file name.
   std::uint64_t digest() const;

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -277,17 +276,15 @@ CampaignResult CampaignEngine::run(FaultList& fl,
   }
 
   // Equivalence classes, indexed by each fault's class root: structurally
-  // equivalent stuck-at faults share one faulty machine, so they share one
-  // verdict in every test and one member grades for the class. Built after
-  // the cache lookup, so a hit never pays for it. Under TDF every fault is
-  // its own class: the stuck-at map splits transition classes.
-  std::vector<FaultId> class_of;
-  if (opts_.fault_model == FaultModel::kStuckAt) {
-    class_of = universe_->collapse_map();
-  } else {
-    class_of.resize(universe_->size());
-    std::iota(class_of.begin(), class_of.end(), FaultId{0});
-  }
+  // equivalent faults share one faulty machine, so they share one verdict
+  // in every test and one member grades for the class. Built after the
+  // cache lookup, so a hit never pays for it. Each model has its own map:
+  // the stuck-at controlling-input classes would merge transition faults
+  // that a test tells apart.
+  const std::vector<FaultId> class_of =
+      opts_.fault_model == FaultModel::kStuckAt
+          ? universe_->collapse_map()
+          : universe_->tdf_collapse_map();
   // Per class, reset after each test: its lowest-id targeted member (the
   // one graded), and whether the activation screen or the grade hit it.
   std::vector<FaultId> class_rep(class_of.size(), kInvalidId);

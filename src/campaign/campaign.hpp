@@ -17,10 +17,11 @@
 //    one atomic cursor (parallel_for);
 //  * fault dropping — a fault detected by test k leaves the queue before
 //    test k+1, so late tests grade ever-shrinking target lists;
-//  * class collapsing — structurally equivalent stuck-at faults
-//    (FaultUniverse::collapse_map) share one faulty machine, so run()
-//    grades only the lowest-id targeted member of each class and marks
-//    the class's other targeted members with its verdict;
+//  * class collapsing — structurally equivalent faults
+//    (FaultUniverse::collapse_map, or tdf_collapse_map under TDF) share
+//    one faulty machine, so run() grades only the lowest-id targeted
+//    member of each class and marks the class's other targeted members
+//    with its verdict;
 //  * activation screening — faults a test's good-machine run proves it
 //    never activates (CampaignTest::inert) leave that test's target list,
 //    with their whole class, before batching and cost no simulation;
@@ -163,7 +164,7 @@ struct CampaignResult {
     /// (CampaignTest::inert) without simulation.
     std::size_t faults_screened = 0;
     /// Targeted fault x test pairs that took the verdict of their class's
-    /// representative instead of a lane of their own (stuck-at only).
+    /// representative instead of a lane of their own.
     std::size_t faults_collapsed = 0;
     std::size_t batches = 0;
     double faults_per_second = 0;

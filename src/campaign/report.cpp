@@ -248,10 +248,7 @@ Json fault_summary_to_json(const FaultList& fl) {
 
   std::vector<CampaignResult::ClassCoverage> classes;
   Json by_source = Json::object();
-  for (OnlineSource s :
-       {OnlineSource::kStructural, OnlineSource::kScan,
-        OnlineSource::kDebugControl, OnlineSource::kDebugObserve,
-        OnlineSource::kMemoryMap, OnlineSource::kMission}) {
+  for (const OnlineSource s : kUntestableSources) {
     const std::size_t n = fl.count_source(s);
     by_source.set(std::string(to_string(s)), n);
     classes.push_back({"source:" + std::string(to_string(s)), n,

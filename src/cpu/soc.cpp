@@ -185,7 +185,15 @@ typename SocFsimEnvironmentT<W>::BusRead SocFsimEnvironmentT<W>::read_bus(
   assert(cells.size() == 32);
   BusRead r;
   for (int b = 0; b < 32; ++b) {
-    const Word w = sim.observed(cells[static_cast<std::size_t>(b)]);
+    const CellId port = cells[static_cast<std::size_t>(b)];
+    if (sim.port_uniform(port)) {
+      const bool bit0 =
+          lane_test(sim.value(sim.netlist().cell(port).ins[0]), 0);
+      r.bits[b] = lane_broadcast<Word>(bit0);
+      r.v0 |= static_cast<std::uint64_t>(bit0) << b;
+      continue;
+    }
+    const Word w = sim.observed(port);
     const bool bit0 = lane_test(w, 0);
     r.bits[b] = w;
     r.v0 |= static_cast<std::uint64_t>(bit0) << b;
@@ -233,6 +241,9 @@ void SocFsimEnvironmentT<W>::reset(PackedSimT<W>& sim) {
   sim.eval();
   sim.clock();
   sim.clock();
+  // Released from reset, the mission inputs hold these values for the
+  // whole run; step() drives only the buses.
+  drive_mission_inputs(sim, true);
 }
 
 template <int W>
@@ -288,7 +299,6 @@ bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
                   if (rdata != rdata0) patches_.push_back({l, rdata});
                 });
   drive_bus(sim, soc_->cpu.rdata_in, rdata0, patches_);
-  drive_mission_inputs(sim, true);
   return true;
 }
 

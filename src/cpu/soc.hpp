@@ -121,8 +121,9 @@ class SocSimulator {
 /// lane 0's value plus the lanes whose bus differs from it, answers lane 0
 /// once, broadcasts that answer, and patches only the differing lanes
 /// whose own answer differs — every lane gets exactly the words a
-/// per-lane service would drive. It drives instr_in, rdata_in and the
-/// mission inputs and leaves the settle to the caller.
+/// per-lane service would drive. It drives instr_in and rdata_in and
+/// leaves the settle to the caller; reset() drives the mission inputs
+/// once, to the values they hold for the whole run.
 /// RAM is copy-on-diverge: ram_[0] is lane 0's, and a faulty lane shares
 /// it until the first cycle its write differs from lane 0's (strobe,
 /// address or data), when it takes a copy of ram_[0] as it stood before

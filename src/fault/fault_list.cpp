@@ -103,10 +103,7 @@ std::string FaultList::summary() const {
   const double total = static_cast<double>(size());
   std::string out;
   out += format("fault universe: %s faults\n", with_commas(size()).c_str());
-  for (OnlineSource s :
-       {OnlineSource::kStructural, OnlineSource::kScan, OnlineSource::kDebugControl,
-        OnlineSource::kDebugObserve, OnlineSource::kMemoryMap,
-        OnlineSource::kMission}) {
+  for (const OnlineSource s : kUntestableSources) {
     const std::size_t n = count_source(s);
     out += format("  %-14s %8s  (%.1f%%)\n", std::string(to_string(s)).c_str(),
                   with_commas(n).c_str(), total > 0 ? 100.0 * n / total : 0.0);

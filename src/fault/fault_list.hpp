@@ -52,6 +52,13 @@ enum class OnlineSource : std::uint8_t {
                   ///< unread outputs) outside the paper's four sources
 };
 
+/// Every source an untestable fault can carry (all but kNone), in report
+/// order: the one list the summaries and reports walk.
+inline constexpr OnlineSource kUntestableSources[] = {
+    OnlineSource::kStructural,   OnlineSource::kScan,
+    OnlineSource::kDebugControl, OnlineSource::kDebugObserve,
+    OnlineSource::kMemoryMap,    OnlineSource::kMission};
+
 std::string_view to_string(UntestableKind k);
 std::string_view to_string(OnlineSource s);
 

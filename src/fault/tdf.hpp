@@ -5,11 +5,19 @@
 // transition faults on the same dense ids as its stuck-at pair — the
 // s-a-0 slot (even id within the pin) is read as slow-to-rise, the s-a-1
 // slot as slow-to-fall. Sharing ids means FaultList bookkeeping, BitVec
-// exchanges, collapse maps, and the campaign orchestrator's sharding all
-// work for either model; only injection semantics and report labels
+// exchanges and the campaign orchestrator's sharding all work for either
+// model; only injection semantics, report labels and class collapsing
 // change, and sta.hpp's classify_transition_faults prunes the sites that
 // cannot launch (a mission constant of either polarity kills both
 // transition faults of its pin).
+//
+// Collapsing (FaultUniverse::tdf_collapse_map) keeps only the stuck-at
+// rules that carry transitions: a BUF's input and output launch on the
+// same cycles and hold the same capture value, a NOT's do with the
+// polarity (slow-to-rise <-> slow-to-fall) swapped, and a fanout-free
+// stem and its sole branch watch the same net. An AND/OR-type input
+// forms no class with the output: the output also makes transitions
+// through the other inputs, so the two launch on different cycles.
 //
 // Simulation semantics (the launch/capture pair that
 // SequentialFaultSimulator::run_batch grades under kTransition, in the same

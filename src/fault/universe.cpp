@@ -73,11 +73,25 @@ class UnionFind {
 }  // namespace
 
 std::vector<FaultId> FaultUniverse::collapse_map() const {
+  return collapse(true);
+}
+
+std::vector<FaultId> FaultUniverse::tdf_collapse_map() const {
+  return collapse(false);
+}
+
+std::vector<FaultId> FaultUniverse::collapse(bool controlling_inputs) const {
   UnionFind uf(faults_.size());
   const Netlist& nl = *nl_;
   for (CellId id = 0; id < nl.num_cells(); ++id) {
     const Cell& c = nl.cell(id);
-    // Gate-local input/output equivalences.
+    // Gate-local input/output equivalences. A BUF or NOT passes every
+    // value and every transition through (a NOT swaps the polarity, which
+    // swaps s-a-0 with s-a-1 and slow-to-rise with slow-to-fall); the
+    // controlling-input classes hold for stuck-at only.
+    if (!controlling_inputs && c.type != CellType::kBuf &&
+        c.type != CellType::kNot)
+      continue;
     for (std::size_t i = 0; i < c.ins.size(); ++i) {
       const Pin in_pin{id, static_cast<std::uint8_t>(i + 1)};
       switch (c.type) {
@@ -114,7 +128,8 @@ std::vector<FaultId> FaultUniverse::collapse_map() const {
       }
     }
   }
-  // Single-fanout wire equivalence: stem fault == sole branch fault.
+  // Single-fanout wire equivalence: stem fault == sole branch fault (both
+  // watch the same net, so they launch on the same cycles too).
   for (NetId n = 0; n < nl.num_nets(); ++n) {
     const Net& net = nl.net(n);
     if (net.driver == kInvalidId || net.fanout.size() != 1) continue;

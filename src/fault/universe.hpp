@@ -44,6 +44,12 @@ class FaultUniverse {
   /// OR/NOR controlling-input classes, single-fanout wire equivalence).
   /// Returns for each fault the id of its class representative.
   std::vector<FaultId> collapse_map() const;
+  /// The same for the transition-delay reading of the ids (fault/tdf.hpp):
+  /// BUF/NOT transparency and single-fanout wire equivalence only, since a
+  /// transition on one gate input need not reach the output. Its rules
+  /// are a subset of collapse_map()'s, so every transition class lies
+  /// inside one stuck-at class.
+  std::vector<FaultId> tdf_collapse_map() const;
   /// Number of distinct representatives under collapse_map().
   std::size_t collapsed_count() const;
 
@@ -51,6 +57,10 @@ class FaultUniverse {
   void faults_of_cell(CellId cell, std::vector<FaultId>& out) const;
 
  private:
+  /// The class map both collapse_map()s share; `controlling_inputs` adds
+  /// the stuck-at-only AND/NAND/OR/NOR classes.
+  std::vector<FaultId> collapse(bool controlling_inputs) const;
+
   const Netlist* nl_;
   std::vector<Fault> faults_;
   std::vector<std::uint32_t> cell_base_;  // first fault id of each cell

@@ -257,6 +257,8 @@ typename SequentialFaultSimulatorT<W>::Word
 SequentialFaultSimulatorT<W>::observe_divergence(const NetFrame& frame) const {
   Word diverged{};
   for (const CellId port : observed_) {
+    // After the frame settle a lane-uniform port reads its frame bit.
+    if (sim_.port_uniform(port)) continue;
     // The good machine runs without injections, so an output port's
     // observed value is exactly the value of the net it reads.
     const Word good =
@@ -295,9 +297,10 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
   // run, transition unarmed until a capture cycle.
   struct Site {
     NetId net;
-    bool capture;  // the value the site holds on a capture cycle
+    bool capture;     // the value the site holds on a capture cycle
+    std::uint32_t i;  // the fault's batch entry
   };
-  std::vector<Site> sites;  // per transition fault
+  std::vector<Site> sites;  // per transition fault, by net
   sim_.clear_injections();
   Word fault_lanes{};
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -305,8 +308,22 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
     const Word lane = lane_bit<Word>(static_cast<int>(i) + 1);
     fault_lanes |= lane;
     sim_.add_injection({f.pin.cell, f.pin.pin, f.sa1, tdf ? Word{} : lane});
-    if (tdf) sites.push_back({tdf_site_net(*nl_, f), tdf_capture_value(f)});
+    if (tdf)
+      sites.push_back({tdf_site_net(*nl_, f), tdf_capture_value(f),
+                       static_cast<std::uint32_t>(i)});
   }
+  // The frame words holding a site net, with those nets' bits: a cycle
+  // visits only the sites whose net changed.
+  std::sort(sites.begin(), sites.end(),
+            [](const Site& a, const Site& b) { return a.net < b.net; });
+  std::vector<std::pair<std::size_t, std::uint64_t>> site_words;
+  for (const Site& s : sites) {
+    const std::size_t o = s.net / 64;
+    if (site_words.empty() || site_words.back().first != o)
+      site_words.push_back({o, 0});
+    site_words.back().second |= 1ULL << (s.net % 64);
+  }
+  std::vector<std::uint32_t> armed;  // batch entries armed this cycle
 
   sim_.power_on();
   env.reset(sim_);
@@ -317,15 +334,27 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
     const NetFrame& frame = frames.at(cycle);
     // A transition fault is live iff its site made the fault's transition
     // across the edge into this cycle: the site changed and now differs
-    // from the capture value. A detected (retired) lane is never armed
-    // again.
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      const bool launched = frame_bit(frame.changed, sites[i].net) &&
-                            frame_bit(frame.value, sites[i].net) !=
-                                sites[i].capture;
-      sim_.set_injection_lanes(
-          i, launched ? lane_bit<Word>(static_cast<int>(i) + 1) & ~diverged
-                      : Word{});
+    // from the capture value. Only a changed site net can launch, and no
+    // site launches on two cycles running (its net would have to change
+    // into the non-capture value twice in a row), so last cycle's sites
+    // disarm first. A detected (retired) lane is never armed again.
+    for (const std::uint32_t i : armed) sim_.set_injection_lanes(i, Word{});
+    armed.clear();
+    std::size_t s = 0;
+    for (const auto& [o, mask] : site_words) {
+      for (std::uint64_t bits = frame.changed[o] & mask; bits != 0;
+           bits &= bits - 1) {
+        const auto net = static_cast<NetId>(
+            o * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
+        while (sites[s].net < net) ++s;
+        for (; s < sites.size() && sites[s].net == net; ++s) {
+          if (frame_bit(frame.value, net) == sites[s].capture) continue;
+          const std::uint32_t i = sites[s].i;
+          sim_.set_injection_lanes(
+              i, lane_bit<Word>(static_cast<int>(i) + 1) & ~diverged);
+          armed.push_back(i);
+        }
+      }
     }
     if (!env.step(sim_, cycle)) break;
     sim_.eval(&frame);

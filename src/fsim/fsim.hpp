@@ -57,8 +57,9 @@ template <int W>
 class FsimEnvironmentT {
  public:
   virtual ~FsimEnvironmentT() = default;
-  /// Called once per batch after power_on(); applies the reset sequence
-  /// and leaves the logic settled.
+  /// Called once per batch after power_on(); applies the reset sequence.
+  /// It may end with input drives for cycle 0 (say, releasing the reset)
+  /// that the first settle after step() applies.
   virtual void reset(PackedSimT<W>& sim) = 0;
   /// Drives this cycle's inputs; the caller settles afterwards. It is
   /// called right after reset() or the previous cycle's latch(), when every

@@ -175,8 +175,13 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
   // from scratch, so nothing is stale.
   if (needs_full_ || inj_dirty_ || mode_ == PackedEvalMode::kFullSweep) return;
   const Cell& c = topo_->nl->cell(inj.cell);
-  if (topo_->order_index[inj.cell] != kInvalidId)
-    return;  // combinational: permanently event-active, next eval recomputes
+  if (const std::uint32_t oi = topo_->order_index[inj.cell]; oi != kInvalidId) {
+    // Combinational: the next settle recomputes the cell. A plain event
+    // drain wakes every injected cell anyway; a replay wakes it only for
+    // this change or a changed input.
+    push_event(oi);
+    return;
+  }
   switch (c.type) {
     case CellType::kOutput:
       return;  // applied live at observed()
@@ -507,8 +512,8 @@ void PackedSimT<W>::run_event_sweep(const NetFrame* frame) {
       frame_mismatch(out, *frame);
     if (lane_neq(v, values_[out])) set_value(out, v);
   }
-  // Injected cells are permanently active, so fault effects propagate even
-  // when no input event reaches them this eval.
+  // A plain settle evaluates every injected cell, so fault effects
+  // propagate even when no input event reaches them this eval.
   for (std::uint32_t k : active_comb_) push_event(k);
   // Drain the arena's level segments in ascending order. Every fanout edge
   // strictly increases the level, so a cell processed here cannot be
@@ -575,9 +580,11 @@ void PackedSimT<W>::run_replay(const NetFrame& frame) {
     if ((word_of(v, 0) & 1ULL) != frame_bit(out)) frame_mismatch(out, frame);
     if (lane_neq(v, load<true>(out))) write_synced(out, v, kInvalidId);
   }
-  // Schedule the frontier cells that are injected or read a net whose
-  // frame bit changed (a changed diverged word scheduled its readers when
-  // it was written), dropping the cells that left the frontier.
+  // Schedule the frontier cells that read a net whose frame bit changed,
+  // dropping the cells that left the frontier. A changed diverged word
+  // scheduled its readers when it was written, and a changed injection
+  // its cell when it was set, so an injected cell whose inputs and lanes
+  // held still keeps its output word and is not evaluated.
   std::size_t kept = 0;
   for (const std::uint32_t k : frontier_list_) {
     if (frontier_[k] == 0) {
@@ -586,7 +593,7 @@ void PackedSimT<W>::run_replay(const NetFrame& frame) {
     }
     frontier_list_[kept++] = k;
     const PackedTopology::FlatCell& fc = t.order[k];
-    bool wake = has_inj_[fc.id] != 0;
+    bool wake = false;
     for (int i = 0; i < fc.n; ++i) wake |= changed(fc.in[i]) != 0;
     if (wake) push_event(k);
   }

@@ -13,8 +13,9 @@
 // PackedTopology (levelized cells, per-cell levels, CSR fanout graph) and
 // eval() visits only cells whose input words actually changed — sources
 // and flops seed events when their value differs from the previous one, a
-// cell whose output word is unchanged schedules no fanout, and injected
-// cells are permanently active so fault effects always propagate. A
+// cell whose output word is unchanged schedules no fanout, and a plain
+// event settle evaluates every injected cell so fault effects always
+// propagate. A
 // full_eval() levelized sweep is retained for power-on/reset, injection
 // changes, and as a cross-check oracle; both paths compute bit-identical
 // values (the event path is a pure work-skipping optimisation, never an
@@ -38,8 +39,10 @@
 // bit, and a lane-uniform word is never written to values_. eval(frame)
 // copies the frame's bits (one word per 64 nets) and evaluates, in level
 // order, only divergence-frontier cells — cells with an injection or a
-// diverged input or output — that are injected, read a net whose frame bit
-// changed, or read a diverged net whose word changed. A cell joins the
+// diverged input or output — whose injection lanes changed, that read a
+// net whose frame bit changed, or that read a diverged net whose word
+// changed: an injected cell whose inputs and lanes held still is not
+// evaluated, since its output word cannot have moved. A cell joins the
 // frontier when one of its pins diverges and leaves it when all of them
 // re-converge; the combinational readers of a net whose frame bit merely
 // changed are never visited. The clock edge stays incremental: a changed
@@ -238,8 +241,8 @@ class PackedSimT {
   /// Rewrites the lane mask of an existing injection; `index` is the
   /// insertion order of add_injection calls since the last
   /// clear_injections(). Unlike add_injection this does NOT invalidate the
-  /// event state: the injected cell set is unchanged, injected
-  /// combinational cells are permanently event-active, source cells are
+  /// event state: the injected cell set is unchanged, a changed
+  /// combinational cell is scheduled for the next settle, source cells are
   /// re-scanned every eval, port faults apply at observed(), flop D/reset
   /// faults apply at latch() — only a flop Q fault needs (and gets) an
   /// explicit re-expose. This is the per-cycle arming primitive of the
@@ -321,6 +324,15 @@ class PackedSimT {
   /// injection change and the next eval() or latch(), which would silently
   /// miss port faults.
   Word observed(CellId output_cell) const;
+  /// Whether observed(output_cell) is known to be lane-uniform without
+  /// reading it: while frame-synced, a port with no injection that reads a
+  /// non-diverged net sees the broadcast of that net's lane-0 value. False
+  /// says nothing either way; read observed(). No argument checks:
+  /// `output_cell` must be a kOutput port.
+  bool port_uniform(CellId output_cell) const {
+    return frame_synced_ && has_inj_[output_cell] == 0 &&
+           !diverged(topo_->nl->cell(output_cell).ins[0]);
+  }
 
   const Netlist& netlist() const { return *topo_->nl; }
   const PackedTopology& topology() const { return *topo_; }

@@ -218,13 +218,14 @@ TEST(CacheKey, CanonicalOptionsFormIsPinned) {
 }
 
 TEST(CacheKey, CanonicalKeyFormIsPinned) {
-  // v5: stuck-at batch counts follow 255-fault spans of equivalence-class
-  // representatives, so an entry stored under an older version would
-  // replay batch counts of uncollapsed 127-fault spans.
+  // v6: transition batch counts follow 255-fault spans of transition
+  // class representatives, as stuck-at ones have since v5, so an entry
+  // stored under an older version would replay batch counts of
+  // uncollapsed spans.
   CacheKey k = key_n(0xABCD);
   k.fault_model = "transition";
   EXPECT_EQ(k.canonical(),
-            "cache_key/v5|universe=000000000000abcd|trace=0000000000001111|"
+            "cache_key/v6|universe=000000000000abcd|trace=0000000000001111|"
             "options=0000000000003333|model=transition");
 }
 

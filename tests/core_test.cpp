@@ -151,10 +151,7 @@ TEST(Analyzer, SourcesAreDisjoint) {
   OnlineUntestabilityAnalyzer az(*c.soc, *c.universe);
   az.run(fl);
   std::size_t sum = 0;
-  for (OnlineSource s : {OnlineSource::kStructural, OnlineSource::kScan,
-                         OnlineSource::kDebugControl, OnlineSource::kDebugObserve,
-                         OnlineSource::kMemoryMap})
-    sum += fl.count_source(s);
+  for (const OnlineSource s : kUntestableSources) sum += fl.count_source(s);
   EXPECT_EQ(sum, fl.count_untestable());
 }
 

@@ -531,13 +531,15 @@ void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& replays) {
 
   // A frame that disagrees with the sim's good machine throws, naming the
   // net and the cycle: on a primary input, and on an evaluated cell (the
-  // injected comb site is evaluated on every settle).
+  // injected comb site, re-armed before the corrupted settle so that the
+  // replay evaluates it).
   const auto corrupted_settle_throws = [&](NetId net) {
     PackedSimT<W> sim(topo);
     reset(sim);
     Frames bad = frames;
     bad.value[2][net / 64] ^= 1ULL << (net % 64);
     const PackedInjectionT<W> inj{sites[0], 0, false, faulty_lanes()};
+    const Word rearmed = ~inj.lanes & ~lane0;
     sim.add_injection(inj);
     for (int c = 0; c < 3; ++c) {
       for (std::size_t i = 0; i < d.input_nets.size(); ++i)
@@ -549,6 +551,7 @@ void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& replays) {
         sim.latch();
         continue;
       }
+      sim.set_injection_lanes(0, rearmed);
       try {
         sim.eval(&frame);
         ADD_FAILURE() << "W=" << W << " seed " << seed
@@ -569,6 +572,7 @@ void frame_replay_lockstep(std::uint64_t seed, std::uint64_t& replays) {
         sweep.set_input_all(d.input_nets[i],
                             stim[static_cast<std::size_t>(c)][i]);
       if (c == 0) sweep.add_injection(inj);
+      if (c == 2) sweep.set_injection_lanes(0, rearmed);
       sweep.eval();
       if (c < 2) sweep.latch();
     }
@@ -591,6 +595,83 @@ TEST(EventSim, FrameReplayMatchesFullSweep) {
   }
   EXPECT_GT(replays64, 0u) << "no frame settle replayed";
   EXPECT_GT(replays256, 0u) << "no frame settle replayed";
+}
+
+// A replay evaluates an injected comb cell only when its lanes or inputs
+// changed: on a design whose inputs hold still, the replays after the
+// fault effect settles evaluate nothing at all, and re-arming the
+// injection's lanes while synced evaluates the cell again and lands on the
+// full sweep's words.
+template <int W>
+void quiet_replay_lockstep() {
+  using Word = LaneWord<W>;
+  // a, b -> AND -> BUF -> flop -> OR(q, a) -> o; b stays 1 and a 0.
+  RandomDesign d;
+  WordOps w(d.nl, "m");
+  const NetId a = d.nl.add_input("a");
+  const NetId b = d.nl.add_input("b");
+  d.input_nets = {a, b};
+  const NetId g = w.and2(a, b, "g");
+  const NetId y = w.buf(g, "y");
+  const NetId q = w.reg_word({y}, "q").q[0];
+  const NetId z = w.or2(q, a, "z");
+  d.output_cells.push_back(d.nl.add_output("o", z));
+  const auto topo = PackedTopology::build(d.nl);
+  constexpr int kCycles = 8;
+  const std::vector<std::vector<bool>> stim(kCycles, {false, true});
+  const Frames frames = record_frames<W>(d, topo, stim);
+
+  PackedSimT<W> evt(topo), oracle(topo);
+  oracle.set_eval_mode(PackedEvalMode::kFullSweep);
+  // s-a-1 on the AND's output, on lanes 1..3, later on lanes 2..5.
+  const Word first = lane_bit<Word>(1) | lane_bit<Word>(2) | lane_bit<Word>(3);
+  const Word second = lane_bit<Word>(2) | lane_bit<Word>(3) |
+                      lane_bit<Word>(4) | lane_bit<Word>(5);
+  for (auto* s : {&evt, &oracle}) {
+    s->add_injection({d.nl.net(g).driver, 0, true, first});
+    reset_sim(d, *s);
+  }
+  constexpr int kRearm = 5;
+  for (int c = 0; c < kCycles; ++c) {
+    if (c == kRearm)
+      for (auto* s : {&evt, &oracle}) s->set_injection_lanes(0, second);
+    for (auto* s : {&evt, &oracle})
+      for (const NetId in : d.input_nets)
+        s->set_input_all(in, stim[static_cast<std::size_t>(c)][in == b]);
+    const NetFrame frame = frames.at(c);
+    const PackedActivity before = evt.activity();
+    evt.eval(&frame);
+    oracle.eval(&frame);
+    const std::uint64_t evaluated =
+        evt.activity().cells_evaluated - before.cells_evaluated;
+    // Cycle 0 enters sync, the latch of cycle 0 diverges q, and cycle 1's
+    // replay evaluates its reader; from then on nothing moves until the
+    // re-arm, which reaches the AND, the BUF and, a cycle later, the OR.
+    if (c >= 1) {
+      EXPECT_EQ(evt.activity().frame_replays - before.frame_replays, 1u)
+          << "W=" << W << " cycle " << c;
+    }
+    if (c == 2 || c == 3 || c == 4 || c == kRearm + 2) {
+      EXPECT_EQ(evaluated, 0u) << "W=" << W << " cycle " << c;
+    }
+    if (c == kRearm) EXPECT_GE(evaluated, 2u) << "W=" << W;
+    for (NetId n = 0; n < d.nl.num_nets(); ++n)
+      ASSERT_FALSE(lane_neq(evt.value(n), oracle.value(n)))
+          << "W=" << W << ": net " << d.nl.net(n).name
+          << " diverged at cycle " << c;
+    for (const CellId oc : d.output_cells)
+      ASSERT_FALSE(lane_neq(evt.observed(oc), oracle.observed(oc)))
+          << "W=" << W << ": output diverged at cycle " << c;
+    evt.latch();
+    oracle.latch();
+  }
+  // The re-armed lanes reached the flop and the output.
+  EXPECT_FALSE(lane_neq(evt.value(q), second)) << "W=" << W;
+}
+
+TEST(EventSim, QuietReplayEvaluatesNoInjectedCell) {
+  quiet_replay_lockstep<64>();
+  quiet_replay_lockstep<256>();
 }
 
 // ---------------------------------------------------------------------------
@@ -770,7 +851,9 @@ TEST(EventSim, RetiredLanesMatchFullSweep) {
 // ---------------------------------------------------------------------------
 // Reads of a replaying sim. While frame-synced, a net that no faulty lane
 // diverges from lies only in the sim's copy of the frame bits, so every
-// read goes through them: value(), observed() and the settle log. An
+// read goes through them: value(), observed() and the settle log; a port
+// the sim calls lane-uniform (port_uniform) must read lane 0's value on
+// every lane of the oracle's observed(). An
 // injected event sim replays frames whose storage is overwritten and
 // freed right after each settle; a full-sweep sim gets the same calls.
 // Their reads must agree after every settle, after every latch followed by
@@ -807,16 +890,28 @@ void replay_reads_lockstep(std::uint64_t seed, std::uint64_t& replays) {
     for (auto* s : sims) s->add_injection(inj);
   }
 
+  std::size_t uniform_reads = 0, other_reads = 0;
   const auto compare = [&](int cycle, const char* when) {
     for (NetId n = 0; n < d.nl.num_nets(); ++n)
       ASSERT_FALSE(lane_neq(evt.value(n), oracle.value(n)))
           << "W=" << W << " seed " << seed << ": net " << d.nl.net(n).name
           << " diverged " << when << " of cycle " << cycle;
-    for (CellId oc : d.output_cells)
-      ASSERT_FALSE(lane_neq(evt.observed(oc), oracle.observed(oc)))
+    for (CellId oc : d.output_cells) {
+      const Word want = oracle.observed(oc);
+      ASSERT_FALSE(lane_neq(evt.observed(oc), want))
           << "W=" << W << " seed " << seed << ": output "
           << d.nl.cell(oc).name << " diverged " << when << " of cycle "
           << cycle;
+      if (!evt.port_uniform(oc)) {
+        ++other_reads;
+        continue;
+      }
+      ++uniform_reads;
+      ASSERT_FALSE(lane_neq(want, lane_broadcast<Word>(lane_test(want, 0))))
+          << "W=" << W << " seed " << seed << ": output "
+          << d.nl.cell(oc).name << " called lane-uniform " << when
+          << " of cycle " << cycle;
+    }
   };
 
   for (auto* s : sims) reset_sim(d, *s);
@@ -872,6 +967,8 @@ void replay_reads_lockstep(std::uint64_t seed, std::uint64_t& replays) {
     if (::testing::Test::HasFatalFailure()) return;
   }
   replays += evt.activity().frame_replays - replays_before;
+  EXPECT_GT(uniform_reads, 0u) << "W=" << W << " seed " << seed;
+  EXPECT_GT(other_reads, 0u) << "W=" << W << " seed " << seed;
 
   // Leaving sync writes the frame bits back: reads before the next settle,
   // a latch without one, and that settle stay exact.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "cpu/soc.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/universe.hpp"
 #include "netlist/wordops.hpp"
@@ -105,6 +106,50 @@ TEST(FaultCollapse, FanoutStemsStayDistinct) {
   // Multi-fanout stem: branch faults do NOT merge with the stem.
   EXPECT_NE(map[u.id_of({b1, 1}, false)], map[u.id_of({src, 0}, false)]);
   EXPECT_NE(map[u.id_of({b1, 1}, false)], map[u.id_of({b2, 1}, false)]);
+}
+
+TEST(FaultCollapse, TransitionMapKeepsOnlyBufNotAndWireClasses) {
+  // a -> NOT -> AND(n, b) -> BUF -> o: the NOT and the BUF pass every
+  // transition (the NOT swapping slow-to-rise with slow-to-fall) and the
+  // wires are fanout-free, but the AND's output also rises through b.
+  Netlist nl("t");
+  WordOps w(nl, "m");
+  const NetId a = nl.add_input("a");
+  const NetId b = nl.add_input("b");
+  const NetId n = w.not_(a, "n");
+  const NetId y = w.and2(n, b, "y");
+  const NetId z = w.buf(y, "z");
+  nl.add_output("o", z);
+  const FaultUniverse u(nl);
+  const auto map = u.tdf_collapse_map();
+  const CellId inv = nl.net(n).driver, g = nl.net(y).driver,
+               buf = nl.net(z).driver;
+  // Slot s-a-0 reads slow-to-rise, s-a-1 slow-to-fall.
+  EXPECT_EQ(map[u.id_of({inv, 1}, false)], map[u.id_of({inv, 0}, true)]);
+  EXPECT_EQ(map[u.id_of({inv, 0}, true)], map[u.id_of({g, 1}, true)]);
+  EXPECT_EQ(map[u.id_of({g, 0}, false)], map[u.id_of({buf, 1}, false)]);
+  EXPECT_EQ(map[u.id_of({buf, 1}, false)], map[u.id_of({buf, 0}, false)]);
+  // No controlling-input class, unlike the stuck-at map.
+  EXPECT_NE(map[u.id_of({g, 1}, false)], map[u.id_of({g, 0}, false)]);
+  EXPECT_NE(map[u.id_of({g, 2}, false)], map[u.id_of({g, 0}, false)]);
+  const auto sa = u.collapse_map();
+  EXPECT_EQ(sa[u.id_of({g, 1}, false)], sa[u.id_of({g, 0}, false)]);
+  // Every transition class lies inside one stuck-at class.
+  for (FaultId f = 0; f < u.size(); ++f)
+    EXPECT_EQ(sa[map[f]], sa[f]) << u.fault_name(f);
+}
+
+TEST(FaultCollapse, SocClassCountsArePinned) {
+  // The full SoC's 60,520 faults: the stuck-at map's 38,531 classes and
+  // the transition map's 46,908 (a campaign grades one member of each).
+  const auto soc = build_soc({});
+  const FaultUniverse u(soc->netlist);
+  ASSERT_EQ(u.size(), 60520u);
+  EXPECT_EQ(u.collapsed_count(), 38531u);
+  const auto map = u.tdf_collapse_map();
+  std::size_t classes = 0;
+  for (FaultId f = 0; f < map.size(); ++f) classes += map[f] == f;
+  EXPECT_EQ(classes, 46908u);
 }
 
 TEST(FaultList, StatusLifecycle) {

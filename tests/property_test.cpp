@@ -11,6 +11,7 @@
 #include "atpg/podem.hpp"
 #include "campaign/campaign.hpp"
 #include "fault/fault_list.hpp"
+#include "fault/tdf.hpp"
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/wordops.hpp"
@@ -385,10 +386,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeqProperties,
                                            40, 41, 42));
 
 // ---- equivalence-class collapsing ---------------------------------------------
-// CampaignEngine::run grades one member per stuck-at equivalence class.
-// On random sequential netlists, with random stimulus programs, their own
-// activation screens and a randomly pruned fault list, it must mark
-// exactly the faults the uncollapsed per-target grade marks, test by test.
+// CampaignEngine::run grades one member per equivalence class of the fault
+// model (collapse_map for stuck-at, tdf_collapse_map for TDF). On random
+// sequential netlists, with random stimulus programs, their own activation
+// screens and a randomly pruned fault list, it must mark exactly the
+// faults the uncollapsed per-target grade marks, test by test, under
+// either model.
 
 /// One stimulus program over a random design, graded at 64 lanes against
 /// the trace its good machine records.
@@ -396,28 +399,31 @@ class ScriptedRunner final : public FaultBatchRunner {
  public:
   ScriptedRunner(const RandomDesign& d, const FaultUniverse& u,
                  const std::vector<std::vector<bool>>& words,
-                 std::shared_ptr<const ReferenceTrace> trace)
+                 std::shared_ptr<const ReferenceTrace> trace, FaultModel model)
       : env_(d.input_nets, words),
         fsim_(d.nl, u, {.max_cycles = static_cast<int>(words.size())}),
-        trace_(std::move(trace)) {
+        trace_(std::move(trace)),
+        model_(model) {
     fsim_.set_observed(d.output_cells);
   }
   LaneMask run_batch(std::span<const FaultId> faults) override {
-    return fsim_.run_batch(faults, env_, *trace_);
+    return fsim_.run_batch(faults, env_, *trace_, model_);
   }
 
  private:
   ScriptedEnvT<64> env_;
   SequentialFaultSimulator fsim_;
   std::shared_ptr<const ReferenceTrace> trace_;
+  FaultModel model_;
 };
 
-/// The program as a campaign test whose inert set is the stuck-at
-/// activation screen of its good-machine run: a fault whose site never
-/// leaves the stuck value at any settle.
+/// The program as a campaign test whose inert set is the activation
+/// screen of its good-machine run: a stuck-at fault whose site never
+/// leaves the stuck value at any settle, or a transition fault whose site
+/// never makes its transition.
 CampaignTest scripted_test(const RandomDesign& d, const FaultUniverse& u,
                            const std::vector<std::vector<bool>>& words,
-                           std::string name) {
+                           std::string name, FaultModel model) {
   ScriptedEnvT<64> env(d.input_nets, words);
   SequentialFaultSimulator tracer(
       d.nl, u, {.max_cycles = static_cast<int>(words.size())});
@@ -430,12 +436,15 @@ CampaignTest scripted_test(const RandomDesign& d, const FaultUniverse& u,
   test.inert = BitVec(u.size());
   for (FaultId f = 0; f < u.size(); ++f) {
     const Fault& fault = u.fault(f);
-    if (!NetActivation::test(fault.sa1 ? act.seen0 : act.seen1,
-                             d.nl.pin_net(fault.pin)))
+    const std::vector<std::uint64_t>& active =
+        model == FaultModel::kTransition
+            ? (tdf_slow_to_rise(fault) ? act.rose : act.fell)
+            : (fault.sa1 ? act.seen0 : act.seen1);
+    if (!NetActivation::test(active, d.nl.pin_net(fault.pin)))
       test.inert.set(f, true);
   }
-  test.make_runner = [&d, &u, &words, trace = std::move(trace)]() {
-    return std::make_unique<ScriptedRunner>(d, u, words, trace);
+  test.make_runner = [&d, &u, &words, trace = std::move(trace), model]() {
+    return std::make_unique<ScriptedRunner>(d, u, words, trace, model);
   };
   return test;
 }
@@ -447,7 +456,6 @@ TEST_P(CollapsedCampaign, MatchesUncollapsedGrade) {
   Rng rng(seed);
   const RandomDesign d = random_design(rng, 6, 10, 80);
   const FaultUniverse u(d.nl);
-  const std::vector<FaultId> class_of = u.collapse_map();
 
   // Three programs of 16 random cycles each: the later ones grade what
   // the earlier ones left.
@@ -459,34 +467,49 @@ TEST_P(CollapsedCampaign, MatchesUncollapsedGrade) {
       for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.next_bool();
     }
   }
-  std::vector<CampaignTest> tests;
-  for (std::size_t p = 0; p < programs.size(); ++p)
-    tests.push_back(scripted_test(d, u, programs[p], "p" + std::to_string(p)));
 
-  // Prune a third of the class roots and a tenth of the other faults, so
-  // some classes grade through a member past their lowest id.
-  FaultList pruned(u);
-  for (FaultId f = 0; f < u.size(); ++f)
-    if (rng.next_below(class_of[f] == f ? 3 : 10) == 0)
-      pruned.mark_untestable(f, UntestableKind::kTied, OnlineSource::kScan);
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition}) {
+    std::vector<CampaignTest> tests;
+    for (std::size_t p = 0; p < programs.size(); ++p)
+      tests.push_back(
+          scripted_test(d, u, programs[p], "p" + std::to_string(p), model));
 
-  for (const std::size_t limit : {0u, 90u}) {
-    const CampaignEngine engine(u, {.threads = 2, .target_limit = limit});
-    FaultList collapsed = pruned, uncollapsed = pruned;
-    const CampaignResult r = engine.run(collapsed, tests);
-    const UncollapsedCampaign want = run_uncollapsed(engine, uncollapsed, tests);
-    const std::string what =
-        "seed " + std::to_string(seed) + " limit " + std::to_string(limit);
-    EXPECT_GT(r.stats.faults_collapsed, 0u) << what;
-    EXPECT_GT(r.total_new_detections, 0u) << what;
-    EXPECT_EQ(r.detected, want.detected) << what;
-    ASSERT_EQ(r.tests.size(), want.new_detections.size()) << what;
-    for (std::size_t t = 0; t < r.tests.size(); ++t)
-      EXPECT_EQ(r.tests[t].new_detections, want.new_detections[t])
-          << what << " " << r.tests[t].name;
+    // Prune a third of the class roots and a tenth of the other faults, so
+    // some classes grade through a member past their lowest id.
+    const std::vector<FaultId> class_of = model == FaultModel::kStuckAt
+                                              ? u.collapse_map()
+                                              : u.tdf_collapse_map();
+    FaultList pruned(u);
     for (FaultId f = 0; f < u.size(); ++f)
-      if (pruned.untestable_kind(f) != UntestableKind::kNone)
-        EXPECT_FALSE(r.detected.get(f)) << what << ": " << u.fault_name(f);
+      if (rng.next_below(class_of[f] == f ? 3 : 10) == 0)
+        pruned.mark_untestable(f, UntestableKind::kTied, OnlineSource::kScan);
+
+    for (const std::size_t limit : {0u, 90u}) {
+      const CampaignEngine engine(
+          u, {.threads = 2, .fault_model = model, .target_limit = limit});
+      FaultList collapsed = pruned, uncollapsed = pruned;
+      const CampaignResult r = engine.run(collapsed, tests);
+      const UncollapsedCampaign want =
+          run_uncollapsed(engine, uncollapsed, tests);
+      const std::string what = std::string(to_string(model)) + " seed " +
+                               std::to_string(seed) + " limit " +
+                               std::to_string(limit);
+      // Transition classes are sparser: a 90-target slice of a design
+      // this small may hold no two members of one.
+      if (model == FaultModel::kStuckAt || limit == 0) {
+        EXPECT_GT(r.stats.faults_collapsed, 0u) << what;
+      }
+      EXPECT_GT(r.total_new_detections, 0u) << what;
+      EXPECT_EQ(r.detected, want.detected) << what;
+      ASSERT_EQ(r.tests.size(), want.new_detections.size()) << what;
+      for (std::size_t t = 0; t < r.tests.size(); ++t)
+        EXPECT_EQ(r.tests[t].new_detections, want.new_detections[t])
+            << what << " " << r.tests[t].name;
+      for (FaultId f = 0; f < u.size(); ++f)
+        if (pruned.untestable_kind(f) != UntestableKind::kNone)
+          EXPECT_FALSE(r.detected.get(f)) << what << ": " << u.fault_name(f);
+    }
   }
 }
 
