@@ -217,6 +217,42 @@ TEST(SbstSuite, QuietInputsOfTheFullSocArePinned) {
   EXPECT_EQ(got, want);
 }
 
+TEST(SbstSuite, ReferenceTracesArePinned) {
+  // Each program's recorded good machine, pinned as data. The result
+  // cache key hashes these fingerprints, so a kernel change that moved one
+  // net on one cycle would silently turn every stored result into a miss;
+  // here it fails by program name.
+  struct Row {
+    const char* name;
+    int cycles;                 ///< ReferenceTrace::cycles
+    std::uint64_t fingerprint;  ///< ReferenceTrace::fingerprint()
+  };
+  const Row rows[] = {
+      {"alu_arith", 135, 0x859d4f8149f75a41ULL},
+      {"alu_logic", 32, 0x282d8a529e288b27ULL},
+      {"shift", 237, 0x5ffee77a114aed79ULL},
+      {"regfile", 44, 0x4f19f52cfee5d587ULL},
+      {"branch_btb", 89, 0x54c7a9a34c4bb8c0ULL},
+      {"loadstore", 195, 0xdb823a2a64e04645ULL},
+      {"mul", 164, 0x4636702f12ddd3a2ULL},
+      {"decode", 35, 0xceebc2b6dbe7e039ULL},
+  };
+  auto soc = build_soc({});
+  auto suite = build_sbst_suite(soc->config);
+  ASSERT_EQ(suite.size(), std::size(rows));
+  const FaultUniverse u(soc->netlist);
+  const auto topo = PackedTopology::build(soc->netlist);
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const Row& row = rows[i];
+    EXPECT_EQ(suite[i].name, row.name);
+    const SbstCampaignTest built =
+        build_sbst_campaign_test(*soc, suite[i], u, topo);
+    EXPECT_EQ(built.trace->cycles, row.cycles) << row.name;
+    EXPECT_EQ(built.trace->fingerprint(), row.fingerprint)
+        << row.name << ": 0x" << std::hex << built.trace->fingerprint();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kernel oracles on the SoC. Production SBST tests grade on the 256-lane
 // event kernel with incremental clocking. An oracle test grades the same
