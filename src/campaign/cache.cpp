@@ -80,10 +80,6 @@ std::string campaign_options_canonical(const CampaignOptions& opts) {
     out += '=';
     out += value;
   };
-  // Literals: the batch width is each test's max_batch (a test spec
-  // concern) and dropping is always on; both keep existing keys valid.
-  field("batch_size", "0");
-  field("fault_dropping", "1");
   field("fault_model", std::string(to_string(opts.fault_model)));
   field("target_limit", std::to_string(opts.target_limit));
   return out;

@@ -60,9 +60,7 @@ std::uint64_t fnv1a64_word(std::uint64_t v, std::uint64_t h);
 /// changed default changes the hash and field declaration order never
 /// matters. Payload-NEUTRAL knobs (threads, the cache itself,
 /// observability) are deliberately absent: they never change the
-/// deterministic payload, so they must not fragment the cache. Two fields,
-/// batch_size=0 and fault_dropping=1, are literals kept so that keys
-/// written by earlier builds stay valid.
+/// deterministic payload, so they must not fragment the cache.
 std::string campaign_options_canonical(const CampaignOptions& opts);
 /// fnv1a64 of campaign_options_canonical().
 std::uint64_t campaign_options_hash(const CampaignOptions& opts);

@@ -145,15 +145,13 @@ std::string campaign_result_to_json_string(const CampaignResult& result,
 CampaignResult campaign_result_from_json(const Json& doc) {
   CampaignResult result;
   result.universe = doc.at("universe").as_size();
-  if (doc.contains("fault_model")) {  // absent in pre-TDF dumps: stuck-at
-    const Json& node = doc.at("fault_model");
-    const std::string& model = node.as_string();
-    if (model == to_string(FaultModel::kTransition))
-      result.fault_model = FaultModel::kTransition;
-    else if (model != to_string(FaultModel::kStuckAt))
-      throw JsonError("campaign: unknown fault_model '" + model + "'",
-                      node.source_offset());
-  }
+  const Json& model_node = doc.at("fault_model");
+  const std::string& model = model_node.as_string();
+  if (model == to_string(FaultModel::kTransition))
+    result.fault_model = FaultModel::kTransition;
+  else if (model != to_string(FaultModel::kStuckAt))
+    throw JsonError("campaign: unknown fault_model '" + model + "'",
+                    model_node.source_offset());
   result.total_new_detections = doc.at("total_new_detections").as_size();
   result.raw_coverage = doc.at("raw_coverage").as_number();
   result.pruned_coverage = doc.at("pruned_coverage").as_number();
@@ -214,11 +212,6 @@ CampaignResult campaign_result_from_json_string(std::string_view text) {
 Json seq_fsim_options_to_json(const SeqFsimOptions& opts) {
   Json doc = Json::object();
   doc.set("max_cycles", opts.max_cycles);
-  // Literals: batches always exit early and campaigns always grade on the
-  // event kernel; both keep SBST specs, and so cache keys from earlier
-  // builds, unchanged.
-  doc.set("early_exit", true);
-  doc.set("event_driven", true);
   return doc;
 }
 

@@ -45,10 +45,7 @@ BitVec bitvec_from_hex(std::string_view text);
 std::string word_to_hex(std::uint64_t w);
 std::uint64_t word_from_hex(std::string_view text);
 
-/// The simulator-option half of an SBST CampaignTest::spec: max_cycles
-/// plus two constant flags, early_exit and event_driven (batches always
-/// exit early and campaigns always grade on the event kernel; the flags
-/// keep specs written by earlier builds, and so their cache keys, valid).
+/// The simulator-option half of an SBST CampaignTest::spec: max_cycles.
 Json seq_fsim_options_to_json(const SeqFsimOptions& opts);
 
 /// Classification summary of a fault list — the JSON schema shared with

@@ -213,9 +213,7 @@ template <int W>
 ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
     Environment& env, NetActivation* activation) {
   ReferenceTrace trace;
-  const std::size_t nets = nl_->num_nets();
-  trace.reset(nets);
-  std::vector<std::uint64_t> words(trace.columns.size());
+  trace.reset(nl_->num_nets());
   sim_.clear_injections();
   sim_.power_on();
   SettleLog reset_log;
@@ -230,16 +228,7 @@ ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
   for (int cycle = 0; cycle < opts_.max_cycles; ++cycle) {
     if (!env.step(sim_, cycle)) break;
     sim_.eval();
-    // One register per column: OR-ing into words[] directly would reload
-    // and store it for every net.
-    for (std::size_t o = 0; o < words.size(); ++o) {
-      const NetId end = static_cast<NetId>(std::min(nets, (o + 1) * 64));
-      std::uint64_t w = 0;
-      for (auto n = static_cast<NetId>(o * 64); n < end; ++n)
-        w |= (word_of(sim_.value(n), 0) & 1ULL) << (n % 64);
-      words[o] = w;
-    }
-    trace.append_cycle(words.data());
+    trace.append_cycle(sim_.lane0_plane().data());
     sim_.latch();
   }
   if (activation) {

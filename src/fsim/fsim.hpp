@@ -11,13 +11,14 @@
 //    system-bus ports ("the evaluation of the fault coverage ... is
 //    obtained by only observing the system bus").
 //    The good machine is recorded once per test program as a
-//    ReferenceTrace (record_reference_trace), and every batch grades
-//    against it: the trace's frames stream through one run cursor per
-//    64-net column, and each cycle's frame supplies the observed ports'
-//    good bits, the transition-delay launches, and the settle's replay
-//    (PackedSimT::eval(const NetFrame*): the kernel copies the frame's
-//    bits, reads every net no faulty lane diverges from out of them, and
-//    evaluates only where a faulty lane diverges).
+//    ReferenceTrace (record_reference_trace appends the kernel's lane-0
+//    bit plane each cycle), and every batch grades against it: the
+//    trace's frames stream through one run cursor per 64-net column, and
+//    each cycle's frame supplies the observed ports' good bits, the
+//    transition-delay launches, and the settle's replay
+//    (PackedSimT::eval(const NetFrame*): the kernel copies the frame into
+//    its lane-0 plane, reads every net no faulty lane diverges from out of
+//    it, and evaluates only where a faulty lane diverges).
 //    The environment callback makes stimuli reactive: the memory model
 //    answers per-lane, so a faulty machine that issues a wrong address
 //    reads wrong data, exactly as on silicon. Environments drive whole

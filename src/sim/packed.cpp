@@ -1,6 +1,7 @@
 #include "sim/packed.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -122,6 +123,9 @@ template <int W>
 PackedSimT<W>::PackedSimT(std::shared_ptr<const PackedTopology> topo)
     : topo_(std::move(topo)) {
   const Netlist& nl = *topo_->nl;
+  const std::size_t words = (nl.num_nets() + 63) / 64;
+  plane_.assign(words, 0);
+  diverged_.assign(words, 0);
   values_.assign(nl.num_nets(), Word{});
   flop_state_.assign(topo_->flop_cells.size(), Word{});
   input_hold_.assign(topo_->input_cells.size(), Word{});
@@ -133,32 +137,25 @@ PackedSimT<W>::PackedSimT(std::shared_ptr<const PackedTopology> topo)
   frontier_.assign(topo_->order.size(), 0);
   listed_.assign(topo_->order.size(), 0);
   flop_stamp_.assign(topo_->flop_cells.size(), 0);
-  const std::size_t words = (nl.num_nets() + 63) / 64;
-  fbits_.assign(words, 0);
-  diverged_.assign(words, 0);
+  sweep_flags_.assign(words * 64, 0);
 }
 
 template <int W>
 void PackedSimT<W>::clear_injections() {
-  if (frame_synced_) leave_sync();
   inj_flat_.clear();
   inj_pos_.clear();
-  active_comb_.clear();
   active_flops_.clear();
   std::fill(has_inj_.begin(), has_inj_.end(), 0);
   inj_dirty_ = false;
   needs_full_ = true;
-  settled_ = false;
 }
 
 template <int W>
 void PackedSimT<W>::add_injection(const Injection& inj) {
-  if (frame_synced_) leave_sync();
   inj_pos_.push_back(static_cast<std::uint32_t>(inj_flat_.size()));
   inj_flat_.push_back(inj);
   inj_dirty_ = true;
   needs_full_ = true;
-  settled_ = false;
 }
 
 template <int W>
@@ -170,15 +167,13 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
   Injection& inj = inj_flat_[inj_pos_[index]];
   if (!lane_neq(inj.lanes, lanes)) return;
   inj.lanes = lanes;
-  settled_ = false;
   // A pending full sweep (or full-sweep mode) re-applies every injection
   // from scratch, so nothing is stale.
   if (needs_full_ || inj_dirty_ || mode_ == PackedEvalMode::kFullSweep) return;
   const Cell& c = topo_->nl->cell(inj.cell);
   if (const std::uint32_t oi = topo_->order_index[inj.cell]; oi != kInvalidId) {
-    // Combinational: the next settle recomputes the cell. A plain event
-    // drain wakes every injected cell anyway; a replay wakes it only for
-    // this change or a changed input.
+    // Combinational: the next settle recomputes the cell (an injected cell
+    // is on the frontier, so a replay evaluates it too).
     push_event(oi);
     return;
   }
@@ -186,22 +181,17 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
     case CellType::kOutput:
       return;  // applied live at observed()
     case CellType::kInput:
-      return;  // source scan applies injections every event eval
+      return;  // every settle re-applies the primary inputs' injections
     default:
       break;
   }
   if (is_sequential(c.type)) {
     // D/reset-pin faults apply at the next latch(); a Q-pin fault changes
-    // the exposed value mid-cycle, so mirror latch()'s pass 2 for this one
-    // flop: re-apply injections over the latched state and seed fanout.
-    // (An injected flop's state is in flop_state_ also while synced.)
-    Word v = flop_state_[topo_->flop_index[inj.cell]];
-    v = apply_inj(inj.cell, nullptr, v, true);
-    if (!frame_synced_) {
-      if (lane_neq(v, values_[c.out])) set_value(c.out, v);
-    } else if (lane_neq(v, load<true>(c.out))) {
-      write_synced(c.out, v, kInvalidId);
-    }
+    // the exposed value mid-cycle, so re-apply injections over the latched
+    // state, as latch() does, for this one flop.
+    const Word v = apply_inj(inj.cell, nullptr,
+                             flop_state_[topo_->flop_index[inj.cell]], true);
+    expose(c.out, v);
     return;
   }
   // Ties (and any future source kind) are not re-scanned per eval; fall
@@ -229,7 +219,6 @@ void PackedSimT<W>::prepare_injections() {
   }
   inj_flat_ = std::move(sorted);
   for (std::uint32_t& pos : inj_pos_) pos = inverse[pos];
-  active_comb_.clear();
   active_flops_.clear();
   for (std::size_t i = 0; i < inj_flat_.size();) {
     const CellId c = inj_flat_[i].cell;
@@ -239,8 +228,6 @@ void PackedSimT<W>::prepare_injections() {
       throw std::runtime_error("PackedSim: more than 255 injections on one cell");
     inj_start_[c] = static_cast<std::uint32_t>(i);
     has_inj_[c] = static_cast<std::uint8_t>(j - i);
-    const std::uint32_t oi = topo_->order_index[c];
-    if (oi != kInvalidId) active_comb_.push_back(oi);
     const std::uint32_t fi = topo_->flop_index[c];
     if (fi != kInvalidId) active_flops_.push_back(fi);
     i = j;
@@ -250,13 +237,14 @@ void PackedSimT<W>::prepare_injections() {
 
 template <int W>
 void PackedSimT<W>::power_on() {
-  std::fill(values_.begin(), values_.end(), Word{});
+  std::fill(plane_.begin(), plane_.end(), 0);
+  std::fill(diverged_.begin(), diverged_.end(), 0);
   std::fill(flop_state_.begin(), flop_state_.end(), Word{});
   std::fill(input_hold_.begin(), input_hold_.end(), Word{});
+  flipped_.clear();
   needs_full_ = true;
   all_flops_dirty_ = true;
-  settled_ = false;
-  frame_synced_ = false;
+  synced_ = false;
 }
 
 template <int W>
@@ -288,10 +276,7 @@ void PackedSimT<W>::set_input_lanes(NetId net, Word lanes) {
 
 template <int W>
 void PackedSimT<W>::set_held(CellId input_cell, const Word& lanes) {
-  Word& held = input_hold_[topo_->input_index[input_cell]];
-  if (!lane_neq(held, lanes)) return;
-  held = lanes;
-  settled_ = false;
+  input_hold_[topo_->input_index[input_cell]] = lanes;
 }
 
 template <int W>
@@ -318,10 +303,9 @@ typename PackedSimT<W>::Word PackedSimT<W>::apply_inj(
 }
 
 template <int W>
-template <bool kSynced>
+template <class Read>
 inline typename PackedSimT<W>::Word PackedSimT<W>::compute_cell(
-    const PackedTopology::FlatCell& fc) const {
-  const auto in = [this, &fc](int i) { return load<kSynced>(fc.in[i]); };
+    const PackedTopology::FlatCell& fc, Read in) const {
   if (__builtin_expect(has_inj_[fc.id], 0)) {
     Word tmp[4];
     for (int i = 0; i < fc.n; ++i) tmp[i] = in(i);
@@ -378,8 +362,7 @@ inline void PackedSimT<W>::mark_flop_readers(NetId net) {
 }
 
 template <int W>
-void PackedSimT<W>::set_value(NetId net, const Word& v) {
-  values_[net] = v;
+void PackedSimT<W>::schedule_readers(NetId net) {
   const PackedTopology& t = *topo_;
   for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1]; ++j)
     push_event(t.fanout[j]);
@@ -387,24 +370,29 @@ void PackedSimT<W>::set_value(NetId net, const Word& v) {
 }
 
 template <int W>
-void PackedSimT<W>::write_synced(NetId net, const Word& v,
-                                 std::uint32_t driver) {
+void PackedSimT<W>::join_frontier(std::uint32_t k) {
+  if (frontier_[k]++ != 0 || listed_[k]) return;
+  listed_[k] = 1;
+  frontier_list_.push_back(k);
+}
+
+template <int W>
+bool PackedSimT<W>::write(NetId net, const Word& v, std::uint32_t driver) {
+  const std::size_t o = net / 64;
   const std::uint64_t bit = 1ULL << (net % 64);
-  const bool was = (diverged_[net / 64] & bit) != 0;
+  const bool was = (diverged_[o] & bit) != 0;
   const bool now = !lane_uniform(v);
-  if (now)
-    values_[net] = v;
-  else
-    fbits_[net / 64] = (fbits_[net / 64] & ~bit) | (lane_test(v, 0) ? bit : 0);
-  // A lane-uniform change moves only the frame bit.
-  if (!was && !now) return;
+  const bool flip = ((plane_[o] & bit) != 0) != lane_test(v, 0);
+  if (flip) plane_[o] ^= bit;
+  if (now) values_[net] = v;
+  // A lane-uniform change moves only the plane bit.
+  if (!was && !now) return flip;
   const PackedTopology& t = *topo_;
   if (was != now) {
-    diverged_[net / 64] ^= bit;
-    // The driver is being evaluated, so it is listed already.
+    diverged_[o] ^= bit;
     if (driver != kInvalidId) {
       if (now)
-        ++frontier_[driver];
+        join_frontier(driver);
       else
         --frontier_[driver];
     }
@@ -413,26 +401,26 @@ void PackedSimT<W>::write_synced(NetId net, const Word& v,
        ++j) {
     const std::uint32_t k = t.fanout[j];
     if (was != now) {
-      if (!now) {
+      if (now)
+        join_frontier(k);
+      else
         --frontier_[k];
-      } else if (frontier_[k]++ == 0 && !listed_[k]) {
-        listed_[k] = 1;
-        frontier_list_.push_back(k);
-      }
     }
     if (frontier_[k] != 0) push_event(k);
   }
   mark_flop_readers(net);
+  return flip;
+}
+
+template <int W>
+void PackedSimT<W>::expose(NetId q, const Word& v) {
+  if (lane_neq(v, load(q)) && write(q, v, kInvalidId)) flipped_.push_back(q);
 }
 
 template <int W>
 void PackedSimT<W>::frame_mismatch(NetId net, const NetFrame& frame) {
-  // The throw leaves a drain half done: resettle from scratch next time.
-  // Every flop Q the frame bits hold is still its latched value (a replay
-  // checks them before it copies a frame word over them).
-  if (frame_synced_) leave_sync();
+  // The throw leaves a settle half done: resettle from scratch next time.
   needs_full_ = true;
-  settled_ = false;
   const bool want = (frame.value[net / 64] >> (net % 64)) & 1ULL;
   throw std::logic_error("PackedSim: net " + topo_->nl->net(net).name +
                          " settles lane 0 to " + (want ? "0" : "1") +
@@ -460,6 +448,18 @@ void PackedSimT<W>::bump_flop_epoch() {
 template <int W>
 void PackedSimT<W>::run_full_sweep() {
   const PackedTopology& t = *topo_;
+  // The sweep writes every net's word before any reader needs it
+  // (sources, flop Qs, then cells in topological order), so it reads
+  // values_ directly. Each write also leaves the net's lane-0 value (bit 0)
+  // and divergence (bit 1) in a flag byte; the plane and the diverged bits
+  // are packed from them at the end.
+  Word* const words = values_.data();
+  std::uint8_t* const flags = sweep_flags_.data();
+  const auto put = [words, flags](NetId net, const Word& v) {
+    words[net] = v;
+    flags[net] = static_cast<std::uint8_t>(lane_test(v, 0) |
+                                           (lane_uniform(v) ? 0 : 2));
+  };
   // Sources: primary inputs hold their driven value; ties their constant.
   for (CellId id : t.source_cells) {
     const Cell& c = t.nl->cell(id);
@@ -467,26 +467,60 @@ void PackedSimT<W>::run_full_sweep() {
              : c.type == CellType::kTie0 ? Word{}
                                          : input_hold_[t.input_index[id]];
     if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
-    values_[c.out] = v;
+    put(c.out, v);
   }
   // Expose flop state (with Q-pin faults).
   for (std::size_t fi = 0; fi < t.flops.size(); ++fi) {
     const PackedTopology::FlatFlop& f = t.flops[fi];
     Word v = flop_state_[fi];
     if (has_inj_[f.id]) v = apply_inj(f.id, nullptr, v, true);
-    values_[f.q] = v;
+    put(f.q, v);
   }
   // Levelized sweep over the flattened combinational cells. Both kernels
   // share compute_cell, so the sweep oracle and the event path can never
   // diverge on gate semantics.
   for (const PackedTopology::FlatCell& fc : t.order)
-    values_[fc.out] = compute_cell<false>(fc);
+    put(fc.out,
+        compute_cell(fc, [words, &fc](int i) { return words[fc.in[i]]; }));
+  // Eight flag bytes per multiply: the product gathers bit 0 of each byte
+  // into the top byte. The flags run in whole 64-net groups, zero past the
+  // last net.
+  constexpr std::uint64_t kLow = 0x0101010101010101ULL;
+  constexpr std::uint64_t kGather = 0x0102040810204080ULL;
+  for (std::size_t o = 0; o < plane_.size(); ++o) {
+    std::uint64_t bits = 0;
+    std::uint64_t div = 0;
+    for (int g = 0; g < 8; ++g) {
+      std::uint64_t x;
+      std::memcpy(&x, flags + o * 64 + static_cast<std::size_t>(g) * 8, 8);
+      bits |= (((x & kLow) * kGather) >> 56) << (g * 8);
+      div |= ((((x >> 1) & kLow) * kGather) >> 56) << (g * 8);
+    }
+    plane_[o] = bits;
+    diverged_[o] = div;
+  }
+  // The frontier, from scratch. The full-sweep oracle settles by sweeps
+  // alone and keeps none (set_eval_mode resettles on a switch).
+  for (const std::uint32_t k : frontier_list_) listed_[k] = 0;
+  frontier_list_.clear();
+  if (mode_ == PackedEvalMode::kEventDriven) {
+    for (std::uint32_t k = 0; k < t.order.size(); ++k) {
+      const PackedTopology::FlatCell& fc = t.order[k];
+      std::uint8_t n = (has_inj_[fc.id] ? 1 : 0) + diverged(fc.out);
+      for (int i = 0; i < fc.n; ++i) n += diverged(fc.in[i]);
+      frontier_[k] = n;
+      if (n == 0) continue;
+      listed_[k] = 1;
+      frontier_list_.push_back(k);
+    }
+  }
   // The sweep recomputed everything: retire pending arena entries by
   // zeroing the per-level counts and bumping the membership epoch. The
   // writes above were untracked, so dirty-D state is invalid — the next
   // edge must latch every flop before incremental clocking can resume.
   std::fill(level_count_.begin(), level_count_.end(), 0u);
   bump_event_epoch();
+  flipped_.clear();
   dirty_flops_.clear();
   all_flops_dirty_ = true;
   needs_full_ = false;
@@ -495,109 +529,69 @@ void PackedSimT<W>::run_full_sweep() {
 }
 
 template <int W>
-void PackedSimT<W>::run_event_sweep(const NetFrame* frame) {
+void PackedSimT<W>::run_settle(const NetFrame* replay) {
   const PackedTopology& t = *topo_;
-  const auto frame_bit = [frame](NetId n) {
-    return (frame->value[n / 64] >> (n % 64)) & 1ULL;
-  };
-  // Seed: primary inputs whose held word changed since the last eval.
-  // (Ties are constant and flop Qs are seeded by latch(), so neither needs
-  // a per-eval scan.)
+  if (replay) {
+    // Take the frame. Every flop Q, which the last latch() advanced, must
+    // already hold the frame's value. A changed net marks the flops
+    // reading it for the next edge; the frame covers every pending lane-0
+    // change.
+    for (std::size_t o = 0; o < plane_.size(); ++o) {
+      const std::uint64_t bad =
+          (plane_[o] ^ replay->value[o]) & t.flop_nets[o];
+      if (bad != 0)
+        frame_mismatch(static_cast<NetId>(o * 64 + static_cast<unsigned>(
+                                                       __builtin_ctzll(bad))),
+                       *replay);
+      plane_[o] = replay->value[o];
+      for (std::uint64_t bits = replay->changed[o] & t.flop_inputs[o];
+           bits != 0; bits &= bits - 1)
+        mark_flop_readers(static_cast<NetId>(
+            o * 64 + static_cast<unsigned>(__builtin_ctzll(bits))));
+    }
+  } else {
+    for (const NetId n : flipped_) schedule_readers(n);
+  }
+  flipped_.clear();
+  // Primary inputs. A replay checks each against the frame first, so
+  // there its writes never change lane 0.
   for (std::size_t ii = 0; ii < t.input_cells.size(); ++ii) {
     const CellId id = t.input_cells[ii];
     Word v = input_hold_[ii];
     if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
     const NetId out = t.nl->cell(id).out;
-    if (frame && (word_of(v, 0) & 1ULL) != frame_bit(out))
-      frame_mismatch(out, *frame);
-    if (lane_neq(v, values_[out])) set_value(out, v);
+    if (replay && lane_test(v, 0) != plane_bit(out))
+      frame_mismatch(out, *replay);
+    if (lane_neq(v, load(out)) && write(out, v, kInvalidId))
+      schedule_readers(out);
   }
-  // A plain settle evaluates every injected cell, so fault effects
-  // propagate even when no input event reaches them this eval.
-  for (std::uint32_t k : active_comb_) push_event(k);
+  if (replay) {
+    // Schedule the frontier cells that read a net whose frame bit changed,
+    // dropping the cells that left the frontier. A changed diverged word
+    // scheduled its readers when it was written, and a changed injection
+    // its cell when it was set, so an injected cell whose inputs and lanes
+    // held still keeps its output word and is not evaluated.
+    const auto changed = [replay](NetId n) {
+      return (replay->changed[n / 64] >> (n % 64)) & 1ULL;
+    };
+    std::size_t kept = 0;
+    for (const std::uint32_t k : frontier_list_) {
+      if (frontier_[k] == 0) {
+        listed_[k] = 0;
+        continue;
+      }
+      frontier_list_[kept++] = k;
+      const PackedTopology::FlatCell& fc = t.order[k];
+      bool wake = false;
+      for (int i = 0; i < fc.n; ++i) wake |= changed(fc.in[i]) != 0;
+      if (wake) push_event(k);
+    }
+    frontier_list_.resize(kept);
+  }
   // Drain the arena's level segments in ascending order. Every fanout edge
   // strictly increases the level, so a cell processed here cannot be
-  // re-scheduled within the same eval, and a segment cannot grow while it
-  // drains.
-  std::uint64_t drained = 0;
-  std::uint64_t evaluated = 0;
-  std::uint64_t quiet = 0;
-  for (std::uint32_t lvl = 1; lvl < t.num_levels; ++lvl) {
-    const std::uint32_t n = level_count_[lvl];
-    if (n == 0) continue;
-    ++activity_.levels_touched;
-    const std::uint32_t* seg = arena_.data() + t.level_start[lvl];
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const PackedTopology::FlatCell& fc = t.order[seg[i]];
-      const Word out = compute_cell<false>(fc);
-      ++evaluated;
-      if (frame && (word_of(out, 0) & 1ULL) != frame_bit(fc.out))
-        frame_mismatch(fc.out, *frame);
-      if (lane_neq(out, values_[fc.out]))
-        set_value(fc.out, out);
-      else
-        ++quiet;
-    }
-    level_count_[lvl] = 0;
-    drained += n;
-  }
-  // Retire membership stamps so the next eval's pushes start clean.
-  bump_event_epoch();
-  activity_.cells_evaluated += evaluated;
-  activity_.events_drained += drained;
-  activity_.quiet_cells += quiet;
-}
-
-template <int W>
-void PackedSimT<W>::run_replay(const NetFrame& frame) {
-  const PackedTopology& t = *topo_;
-  const auto changed = [&frame](NetId n) {
-    return (frame.changed[n / 64] >> (n % 64)) & 1ULL;
-  };
-  // Take the frame's bits. Every non-diverged flop Q, which the last
-  // latch() advanced, must already hold the frame's value. A changed net
-  // marks the flops reading it for the next edge.
-  for (std::size_t o = 0; o < fbits_.size(); ++o) {
-    const std::uint64_t bad =
-        (fbits_[o] ^ frame.value[o]) & t.flop_nets[o] & ~diverged_[o];
-    if (bad != 0)
-      frame_mismatch(static_cast<NetId>(o * 64 + static_cast<unsigned>(
-                                                     __builtin_ctzll(bad))),
-                     frame);
-    fbits_[o] = frame.value[o];
-    for (std::uint64_t bits = frame.changed[o] & t.flop_inputs[o]; bits != 0;
-         bits &= bits - 1)
-      mark_flop_readers(static_cast<NetId>(
-          o * 64 + static_cast<unsigned>(__builtin_ctzll(bits))));
-  }
-  // Primary inputs: a diverging, changing or re-converging word schedules
-  // its frontier readers.
-  for (std::size_t ii = 0; ii < t.input_cells.size(); ++ii) {
-    const CellId id = t.input_cells[ii];
-    Word v = input_hold_[ii];
-    if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
-    const NetId out = t.nl->cell(id).out;
-    if ((word_of(v, 0) & 1ULL) != frame_bit(out)) frame_mismatch(out, frame);
-    if (lane_neq(v, load<true>(out))) write_synced(out, v, kInvalidId);
-  }
-  // Schedule the frontier cells that read a net whose frame bit changed,
-  // dropping the cells that left the frontier. A changed diverged word
-  // scheduled its readers when it was written, and a changed injection
-  // its cell when it was set, so an injected cell whose inputs and lanes
-  // held still keeps its output word and is not evaluated.
-  std::size_t kept = 0;
-  for (const std::uint32_t k : frontier_list_) {
-    if (frontier_[k] == 0) {
-      listed_[k] = 0;
-      continue;
-    }
-    frontier_list_[kept++] = k;
-    const PackedTopology::FlatCell& fc = t.order[k];
-    bool wake = false;
-    for (int i = 0; i < fc.n; ++i) wake |= changed(fc.in[i]) != 0;
-    if (wake) push_event(k);
-  }
-  frontier_list_.resize(kept);
+  // re-scheduled within the same settle, and a segment cannot grow while
+  // it drains.
   std::uint64_t drained = 0;
   std::uint64_t evaluated = 0;
   std::uint64_t quiet = 0;
@@ -608,100 +602,72 @@ void PackedSimT<W>::run_replay(const NetFrame& frame) {
     const std::uint32_t* seg = arena_.data() + t.level_start[lvl];
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint32_t k = seg[i];
-      // Off the frontier by now: every pin reads the good machine.
-      if (frontier_[k] == 0) continue;
       const PackedTopology::FlatCell& fc = t.order[k];
-      const Word out = compute_cell<true>(fc);
+      Word out;
+      if (frontier_[k] != 0) {
+        out = compute_cell(fc, [this, &fc](int p) { return load(fc.in[p]); });
+      } else {
+        // Off the frontier every pin reads the good machine, and a replay
+        // took the output from the frame.
+        if (replay) continue;
+        out = compute_cell(fc, [this, &fc](int p) {
+          return lane_broadcast<Word>(plane_bit(fc.in[p]));
+        });
+      }
       ++evaluated;
-      if ((word_of(out, 0) & 1ULL) != frame_bit(fc.out))
-        frame_mismatch(fc.out, frame);
-      if (lane_neq(out, load<true>(fc.out)))
-        write_synced(fc.out, out, k);
-      else
+      if (replay && lane_test(out, 0) != plane_bit(fc.out))
+        frame_mismatch(fc.out, *replay);
+      if (!lane_neq(out, load(fc.out)))
         ++quiet;
+      else if (write(fc.out, out, k))
+        schedule_readers(fc.out);
     }
     level_count_[lvl] = 0;
     drained += n;
   }
+  // Retire membership stamps so the next settle's pushes start clean.
   bump_event_epoch();
-  ++activity_.frame_replays;
+  if (replay) ++activity_.frame_replays;
   activity_.cells_evaluated += evaluated;
   activity_.events_drained += drained;
   activity_.quiet_cells += quiet;
 }
 
 template <int W>
-void PackedSimT<W>::enter_sync(const NetFrame& frame) {
-  const PackedTopology& t = *topo_;
-  std::copy(frame.value, frame.value + fbits_.size(), fbits_.begin());
-  std::fill(diverged_.begin(), diverged_.end(), 0);
-  for (NetId n = 0; n < values_.size(); ++n)
-    if (lane_neq(values_[n], lane_broadcast<Word>(frame_bit(n))))
-      diverged_[n / 64] |= 1ULL << (n % 64);
-  for (const std::uint32_t k : frontier_list_) listed_[k] = 0;
-  frontier_list_.clear();
-  for (std::uint32_t k = 0; k < t.order.size(); ++k) {
-    const PackedTopology::FlatCell& fc = t.order[k];
-    std::uint8_t n = (has_inj_[fc.id] ? 1 : 0) + diverged(fc.out);
-    for (int i = 0; i < fc.n; ++i) n += diverged(fc.in[i]);
-    frontier_[k] = n;
-    if (n == 0) continue;
-    listed_[k] = 1;
-    frontier_list_.push_back(k);
-  }
-  frame_synced_ = true;
-}
-
-template <int W>
-void PackedSimT<W>::leave_sync() {
-  for (NetId n = 0; n < values_.size(); ++n)
-    if (!diverged(n)) values_[n] = lane_broadcast<Word>(frame_bit(n));
-  for (std::size_t fi = 0; fi < topo_->flops.size(); ++fi) {
-    const PackedTopology::FlatFlop& f = topo_->flops[fi];
-    if (!has_inj_[f.id] && !diverged(f.q))
-      flop_state_[fi] = lane_broadcast<Word>(frame_bit(f.q));
-  }
-  frame_synced_ = false;
-  // The frame-synced settles tracked no events outside the frontier.
-  needs_full_ = true;
-  settled_ = false;
+void PackedSimT<W>::check_plane(const NetFrame& frame) {
+  for (std::size_t o = 0; o < plane_.size(); ++o)
+    if (const std::uint64_t bad = plane_[o] ^ frame.value[o]; bad != 0)
+      frame_mismatch(static_cast<NetId>(o * 64 + static_cast<unsigned>(
+                                                     __builtin_ctzll(bad))),
+                     frame);
 }
 
 template <int W>
 void PackedSimT<W>::eval(const NetFrame* frame) {
   ++activity_.evals;
   if (mode_ == PackedEvalMode::kFullSweep) frame = nullptr;
-  const bool replay = frame && frame_synced_ && !needs_full_ &&
+  if (inj_dirty_) prepare_injections();
+  const bool replay = frame && synced_ && !needs_full_ &&
                       frame->cycle == synced_cycle_ + 1;
-  if (replay) {
-    run_replay(*frame);
-    settled_ = true;
-  } else {
-    if (frame_synced_) leave_sync();
-    // A settled event-mode sim skips the drain: nothing changed since the
-    // last settle, so every net already holds the value it would
-    // recompute.
-    if (!settled_ || mode_ == PackedEvalMode::kFullSweep) {
-      if (inj_dirty_) prepare_injections();
-      if (mode_ == PackedEvalMode::kFullSweep || needs_full_)
-        run_full_sweep();
-      else
-        run_event_sweep(frame);
-      settled_ = true;
-    }
-    if (frame) enter_sync(*frame);
+  synced_ = false;
+  if (mode_ == PackedEvalMode::kFullSweep || needs_full_)
+    run_full_sweep();
+  else
+    run_settle(replay ? frame : nullptr);
+  if (frame) {
+    if (!replay) check_plane(*frame);
+    synced_ = true;
+    synced_cycle_ = frame->cycle;
   }
-  if (frame) synced_cycle_ = frame->cycle;
   if (settle_log_) sample_settle();
 }
 
 template <int W>
 void PackedSimT<W>::full_eval() {
   ++activity_.evals;
-  if (frame_synced_) leave_sync();
+  synced_ = false;
   if (inj_dirty_) prepare_injections();
   run_full_sweep();
-  settled_ = true;
   if (settle_log_) sample_settle();
 }
 
@@ -709,120 +675,40 @@ template <int W>
 void PackedSimT<W>::set_settle_log(SettleLog* log) {
   settle_log_ = log;
   if (!log) return;
-  const std::size_t words = (values_.size() + 63) / 64;
-  log->seen0.resize(words, 0);
-  log->seen1.resize(words, 0);
+  log->seen0.resize(plane_.size(), 0);
+  log->seen1.resize(plane_.size(), 0);
 }
 
 template <int W>
 void PackedSimT<W>::sample_settle() {
-  for (NetId n = 0; n < values_.size(); ++n) {
-    std::vector<std::uint64_t>& seen = (word_of(value(n), 0) & 1ULL)
-                                           ? settle_log_->seen1
-                                           : settle_log_->seen0;
-    seen[n / 64] |= 1ULL << (n % 64);
+  for (std::size_t o = 0; o < plane_.size(); ++o) {
+    settle_log_->seen1[o] |= plane_[o];
+    settle_log_->seen0[o] |= ~plane_[o];
   }
+  // Padding bits of the last word never hold a net.
+  if (const std::size_t tail = values_.size() % 64; tail != 0)
+    settle_log_->seen0.back() &= (1ULL << tail) - 1;
 }
 
 template <int W>
 void PackedSimT<W>::latch() {
-  settled_ = false;
   if (inj_dirty_) prepare_injections();
-  if (frame_synced_) {
-    latch_synced();
-    return;
-  }
   const PackedTopology& t = *topo_;
-  Word tmp[4];
-  const bool incremental = clock_mode_ == PackedClockMode::kIncremental &&
-                           mode_ == PackedEvalMode::kEventDriven &&
-                           !needs_full_ && !all_flops_dirty_;
-  if (incremental) {
-    // Injected flops always latch: set_injection_lanes re-arms D/reset
-    // faults without touching any net, so the latched value can change
-    // even when the D input was provably quiet.
-    for (const std::uint32_t fi : active_flops_) mark_flop_dirty(fi);
-    dirty_scratch_.swap(dirty_flops_);
-    dirty_flops_.clear();
-    // Bump BEFORE pass 2 so its change marks seed the NEXT edge.
-    bump_flop_epoch();
-    // Pass 1: latch only the dirty flops. flop_state_ is never read here,
-    // so flop-to-flop paths latch pre-edge values; a skipped flop's D
-    // (and reset) words are unchanged since its last latch, so re-latching
-    // it would be a no-op.
-    for (const std::uint32_t fi : dirty_scratch_) {
-      const CellId id = t.flop_cells[fi];
-      const Cell& c = t.nl->cell(id);
-      const int n = static_cast<int>(c.ins.size());
-      for (int i = 0; i < n; ++i) tmp[i] = values_[c.ins[i]];
-      if (has_inj_[id]) apply_inj(id, tmp, Word{}, false);
-      // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
-      flop_state_[fi] =
-          c.type == CellType::kDff ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
-    }
-    activity_.flops_latched += dirty_scratch_.size();
-    activity_.flops_skipped += t.flop_cells.size() - dirty_scratch_.size();
-    // Pass 2: expose changed Qs of the latched flops only — a skipped
-    // flop's state is unchanged, so its exposed Q (a fixed Q-pin fault
-    // over an unchanged word) is unchanged too.
-    for (const std::uint32_t fi : dirty_scratch_) {
-      const CellId id = t.flop_cells[fi];
-      Word v = flop_state_[fi];
-      if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
-      const NetId out = t.nl->cell(id).out;
-      if (lane_neq(v, values_[out])) set_value(out, v);
-    }
-    return;
-  }
-  // Full latch: the oracle path, and the re-arming edge after any
-  // untracked state (full sweep, power-on, injection change).
-  dirty_flops_.clear();
-  bump_flop_epoch();
-  // Re-arm dirty-D tracking before the next eval(): pass 2 and the event
-  // drain mark against the fresh epoch; if that eval() falls back to a
-  // full sweep it re-invalidates, keeping this edge's writes conservative.
-  all_flops_dirty_ = false;
-  // Pass 1: latch every flop from the settled net values. flop_state_ is
-  // never read here, so flop-to-flop paths latch pre-edge values.
-  for (std::size_t fi = 0; fi < t.flop_cells.size(); ++fi) {
-    const CellId id = t.flop_cells[fi];
-    const Cell& c = t.nl->cell(id);
-    const int n = static_cast<int>(c.ins.size());
-    for (int i = 0; i < n; ++i) tmp[i] = values_[c.ins[i]];
-    if (has_inj_[id]) apply_inj(id, tmp, Word{}, false);
-    // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
-    flop_state_[fi] =
-        c.type == CellType::kDff ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
-  }
-  activity_.flops_latched += t.flop_cells.size();
-  // Pass 2: expose changed Q values (with Q-pin faults). In event mode
-  // they seed their fanout, replacing a per-eval scan over every flop;
-  // when the next eval() is a full sweep anyway they are written untracked.
-  const bool tracked = mode_ == PackedEvalMode::kEventDriven && !needs_full_;
-  for (std::size_t fi = 0; fi < t.flops.size(); ++fi) {
-    const PackedTopology::FlatFlop& f = t.flops[fi];
-    Word v = flop_state_[fi];
-    if (has_inj_[f.id]) v = apply_inj(f.id, nullptr, v, true);
-    if (!lane_neq(v, values_[f.q])) continue;
-    if (tracked)
-      set_value(f.q, v);
-    else
-      values_[f.q] = v;
-  }
-}
-
-template <int W>
-void PackedSimT<W>::latch_synced() {
-  const PackedTopology& t = *topo_;
-  // The flops to latch are latch()'s: the dirty set (seeded while synced
-  // by diverged writes and the frame's changed bits) plus the injected
-  // flops, or every flop for the full latch and after untracked state.
-  const bool all =
-      clock_mode_ == PackedClockMode::kFullLatch || all_flops_dirty_;
-  if (all) {
+  // Lane-0 flips no settle has handled since an earlier edge: their flop
+  // readers must latch on this one.
+  for (const NetId n : flipped_) mark_flop_readers(n);
+  // The flops to latch: the dirty set plus the injected flops, or every
+  // flop for the full latch and after untracked state (a full sweep,
+  // power-on, an injection change). Set_injection_lanes re-arms D/reset
+  // faults without touching any net, so an injected flop's latched value
+  // can change even when its D input was provably quiet.
+  if (clock_mode_ == PackedClockMode::kFullLatch || all_flops_dirty_ ||
+      needs_full_) {
     dirty_scratch_.resize(t.flops.size());
     std::iota(dirty_scratch_.begin(), dirty_scratch_.end(), 0u);
     dirty_flops_.clear();
+    // Re-arm dirty-D tracking; if the next eval() is a full sweep it
+    // re-invalidates, keeping this edge's marks conservative.
     all_flops_dirty_ = false;
   } else {
     for (const std::uint32_t fi : active_flops_) mark_flop_dirty(fi);
@@ -831,23 +717,25 @@ void PackedSimT<W>::latch_synced() {
   }
   // Bump BEFORE pass 2 so its change marks seed the NEXT edge.
   bump_flop_epoch();
-  // Pass 1 reads the pre-edge values. A flop whose pins and Q are all
-  // non-diverged and which carries no injection latches lane 0 of its
-  // D (and reset) frame bits; its Q bit flips in pass 2 if that differs.
-  // Every other flop latches its words into flop_state_.
-  edge_flips_.clear();
+  // Pass 1 reads the pre-edge values; a skipped flop's D (and reset) words
+  // are unchanged since its last latch, so re-latching it would be a
+  // no-op. A flop whose pins and Q are all non-diverged and which carries
+  // no injection latches lane 0 of its D (and reset) plane bits; its Q
+  // bit flips in pass 2 if that differs. Every other flop latches words.
+  const std::size_t first_flip = flipped_.size();
   edge_flops_.clear();
   Word tmp[2];
   for (const std::uint32_t fi : dirty_scratch_) {
     const PackedTopology::FlatFlop& f = t.flops[fi];
     if (!has_inj_[f.id] &&
         !(diverged(f.q) | diverged(f.in[0]) | diverged(f.in[1]))) {
-      if ((frame_bit(f.in[0]) & frame_bit(f.in[1])) != frame_bit(f.q))
-        edge_flips_.push_back(f.q);
+      const bool next = plane_bit(f.in[0]) & plane_bit(f.in[1]);
+      flop_state_[fi] = lane_broadcast<Word>(next);
+      if (next != plane_bit(f.q)) flipped_.push_back(f.q);
       continue;
     }
-    tmp[0] = load<true>(f.in[0]);
-    tmp[1] = load<true>(f.in[1]);
+    tmp[0] = load(f.in[0]);
+    tmp[1] = load(f.in[1]);
     if (has_inj_[f.id]) apply_inj(f.id, tmp, Word{}, false);
     // DFF: q' = d. DFFR (active-low reset to 0): q' = d & rstn.
     flop_state_[fi] = f.n == 1 ? tmp[kDffD] : (tmp[kDffD] & tmp[kDffRstn]);
@@ -855,14 +743,15 @@ void PackedSimT<W>::latch_synced() {
   }
   activity_.flops_latched += dirty_scratch_.size();
   activity_.flops_skipped += t.flops.size() - dirty_scratch_.size();
-  // Pass 2: advance the Q bits and expose the latched words. Flop readers
-  // of a flipped bit are marked by the next frame's changed bits.
-  for (const NetId q : edge_flips_) fbits_[q / 64] ^= 1ULL << (q % 64);
+  // Pass 2: advance the Q bits and expose the latched words (with Q-pin
+  // faults). Readers of a flipped bit wait in flipped_ for the next settle.
+  for (std::size_t i = first_flip; i < flipped_.size(); ++i)
+    plane_[flipped_[i] / 64] ^= 1ULL << (flipped_[i] % 64);
   for (const std::uint32_t fi : edge_flops_) {
     const PackedTopology::FlatFlop& f = t.flops[fi];
     Word v = flop_state_[fi];
     if (has_inj_[f.id]) v = apply_inj(f.id, nullptr, v, true);
-    if (lane_neq(v, load<true>(f.q))) write_synced(f.q, v, kInvalidId);
+    expose(f.q, v);
   }
 }
 
@@ -887,35 +776,24 @@ void PackedSimT<W>::retire_lanes(Word lanes) {
   // skipped latch would not equal the full one. An injected flop's Q is
   // re-exposed even over an unchanged state (set_injection_lanes leaves it
   // to a pending full sweep), so every Q stays current as after latch().
-  // While synced, an uninjected flop with a non-diverged Q holds a
-  // lane-uniform state in the frame bits, which retiring cannot change.
+  // An uninjected flop's Q is its state, except before the sweep that
+  // follows an injection change, so a non-diverged one holds a
+  // lane-uniform state that retiring cannot change.
   const PackedTopology& t = *topo_;
-  const bool tracked = mode_ == PackedEvalMode::kEventDriven && !needs_full_;
-  for (std::size_t fi = 0; fi < t.flop_cells.size(); ++fi) {
-    const CellId id = t.flop_cells[fi];
+  for (std::size_t fi = 0; fi < t.flops.size(); ++fi) {
+    const CellId id = t.flops[fi].id;
     const NetId out = t.flops[fi].q;
-    if (frame_synced_ && !has_inj_[id] && !diverged(out)) continue;
+    if (!needs_full_ && !has_inj_[id] && !diverged(out)) continue;
     Word& state = flop_state_[fi];
     const Word next =
         (state & ~lanes) | (lane_broadcast<Word>(lane_test(state, 0)) & lanes);
     if (lane_neq(next, state)) {
       state = next;
-      settled_ = false;
       mark_flop_dirty(static_cast<std::uint32_t>(fi));
     } else if (!has_inj_[id]) {
       continue;
     }
-    Word v = next;
-    if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
-    if (frame_synced_) {
-      if (lane_neq(v, load<true>(out))) write_synced(out, v, kInvalidId);
-      continue;
-    }
-    if (!lane_neq(v, values_[out])) continue;
-    if (tracked)
-      set_value(out, v);
-    else
-      values_[out] = v;
+    expose(out, has_inj_[id] ? apply_inj(id, nullptr, next, true) : next);
   }
 }
 
@@ -937,7 +815,7 @@ typename PackedSimT<W>::Word PackedSimT<W>::observed(
     throw std::logic_error("PackedSim: observed(" + c.name +
                            ") before the injections changed since the last "
                            "eval() or latch() were applied");
-  Word v = value(c.ins[0]);
+  Word v = load(c.ins[0]);
   if (has_inj_[output_cell]) {
     const Injection* j = inj_flat_.data() + inj_start_[output_cell];
     const Injection* const end = j + has_inj_[output_cell];

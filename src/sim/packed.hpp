@@ -3,58 +3,54 @@
 // Each net carries one packed lane word (util/lanes.hpp) = W independent
 // machines; W is a compile-time parameter instantiated at 64 (scalar
 // uint64_t) and 256 (a four-word vector, the SBST grading width). The
-// fault simulator (olfui_fsim) packs a good machine plus
-// up to W-1 faulty machines per pass and injects stuck-at values at
-// (cell, pin) sites per lane — the classic parallel-fault scheme.
-// Simulation is 2-valued: callers must apply an explicit reset sequence
-// so that no X state matters.
+// fault simulator (olfui_fsim) packs a good machine in lane 0 plus up to
+// W-1 faulty machines per pass and injects stuck-at values at (cell, pin)
+// sites per lane — the classic parallel-fault scheme. Simulation is
+// 2-valued: callers must apply an explicit reset sequence so that no X
+// state matters.
+//
+// The state is lane 0 plus the differences from it, as in PROOFS. The
+// lane-0 bit plane holds lane 0 of every net, one bit per net; a net is
+// *diverged* when some lane differs from lane 0, and only a diverged net
+// keeps its whole word. Any other net reads as the broadcast of its plane
+// bit, and a lane-uniform word is never stored. After every settle and
+// every latch() the plane is current, so lane0_plane() is the good
+// machine's settled state whenever lane 0 carries no injection.
 //
 // Evaluation is event-driven: the netlist is flattened once into a
 // PackedTopology (levelized cells, per-cell levels, CSR fanout graph) and
-// eval() visits only cells whose input words actually changed — sources
-// and flops seed events when their value differs from the previous one, a
-// cell whose output word is unchanged schedules no fanout, and a plain
-// event settle evaluates every injected cell so fault effects always
-// propagate. A
-// full_eval() levelized sweep is retained for power-on/reset, injection
-// changes, and as a cross-check oracle; both paths compute bit-identical
-// values (the event path is a pure work-skipping optimisation, never an
-// approximation). Events flow through a flat preallocated arena (per-level
-// segments of one index array, epoch-stamped membership) rather than
-// per-level vectors, and the clock edge is incremental by default: only
-// flops whose D input changed since their last latch — the dirty-D set
-// seeded by the same event drain — are latched, with the full two-pass
-// latch retained as the oracle (PackedClockMode). An event-mode eval()
-// with nothing to settle — no held input word, injection or flop changed
-// since the last settle — returns at once.
+// eval() drains, in level order, only cells scheduled since the last
+// settle. A net whose word changes schedules its readers; a cell whose
+// output word is unchanged schedules nothing. A full_eval() levelized
+// sweep serves power-on and injection changes and is the cross-check
+// oracle; both paths compute bit-identical values (the event path is a pure
+// work-skipping optimisation, never an approximation). Events flow through
+// a flat preallocated arena (per-level segments of one index array,
+// epoch-stamped membership), and the clock edge is incremental by default:
+// only flops whose D or reset input changed since their last latch (the
+// dirty-D set) or that carry an injection are latched, with the full latch
+// retained as the oracle (PackedClockMode). A flop whose pins and Q are
+// not diverged and which carries no injection latches from the plane alone.
 //
-// The clock edge is latch(): it leaves every flop Q net current, so a
-// registered output is readable before the next settle; clock() is
-// latch() then eval(). Sequential fault simulation settles once per cycle
-// and, when lane 0 is the good machine and its per-cycle values are known
-// (a NetFrame streamed from the reference trace), replays them. While
-// frame-synced the good machine lives only in the sim's own copy of the
-// lane-0 frame bits: a net is either *diverged* (some lane differs from
-// lane 0; its word is in values_) or reads as the broadcast of its frame
-// bit, and a lane-uniform word is never written to values_. eval(frame)
-// copies the frame's bits (one word per 64 nets) and evaluates, in level
-// order, only divergence-frontier cells — cells with an injection or a
-// diverged input or output — whose injection lanes changed, that read a
-// net whose frame bit changed, or that read a diverged net whose word
-// changed: an injected cell whose inputs and lanes held still is not
-// evaluated, since its output word cannot have moved. A cell joins the
-// frontier when one of its pins diverges and leaves it when all of them
-// re-converge; the combinational readers of a net whose frame bit merely
-// changed are never visited. The clock edge stays incremental: a changed
-// frame bit marks only the flops reading it. A marked flop whose pins and
-// Q are non-diverged and which carries no injection latches lane 0 of its
-// frame bits straight into the bit copy, so its Q reads the post-edge
-// value until the next frame replaces the copy — and that frame must
-// agree. The replay is exact and checked: an evaluated cell, a primary
-// input or a non-diverged flop Q whose lane-0 value disagrees with the
-// frame throws. Leaving sync (a plain eval(), full_eval(), power_on(), an
-// injection add or clear) writes the frame bits into values_ once and
-// settles the next eval() with a full sweep.
+// The divergence frontier is every combinational cell with an injection
+// or a diverged pin (input or output); a cell off it reads only lane-0
+// broadcasts, so its output is the broadcast of its lane-0 value. Settles
+// differ in two things only:
+//  * a plain settle evaluates every scheduled cell, and a lane-0 change
+//    schedules all readers of the net;
+//  * a frame settle (eval(frame)) replays the good machine's recorded
+//    values (a NetFrame streamed from the reference trace) when the last
+//    settle was the frame of the previous cycle: it copies the frame into
+//    the plane, schedules the frontier cells reading a net whose frame bit
+//    changed, and evaluates only frontier cells. An injected cell whose
+//    inputs and lanes held still is not evaluated, since its output word
+//    cannot have moved. The replay is exact and checked: an evaluated
+//    cell, a primary input or a flop Q whose lane-0 value disagrees with
+//    the frame throws. A frame settle that cannot replay settles plainly
+//    and then compares the whole plane against the frame.
+// A lane-0 change made outside a settle — a flop Q flipped at the clock
+// edge — is left to the next settle: a replay takes it from the frame's
+// changed bits, a plain settle schedules its readers first.
 //
 // What the frontier still holds is faulty-lane work, and a detected fault's
 // lane has nothing left to report. retire_lanes() hands such lanes back to
@@ -134,7 +130,7 @@ struct PackedTopology {
   /// The kInput cell driving each net, or kInvalidId: the input setters'
   /// argument check.
   std::vector<CellId> net_input;
-  /// Flattened flop record for the frame-synced clock edge: in[1] is the
+  /// Flattened flop record for the clock edge: in[1] is the
   /// active-low reset of a kDffR and repeats the D net of a kDff (q' =
   /// in[0] & in[1] either way); n is the pin count.
   struct FlatFlop {
@@ -145,11 +141,10 @@ struct PackedTopology {
   };
   std::vector<FlatFlop> flops;  ///< parallel to flop_cells
   /// Nets driven by a flop, one bit per net (bit n % 64 of word n / 64):
-  /// the nets a frame-synced latch() writes into the frame bits, checked
-  /// against the next frame.
+  /// the nets a replay checks against its frame before taking it.
   std::vector<std::uint64_t> flop_nets;
   /// Nets a flop's D or reset pin reads, one bit per net: the frame bits
-  /// whose change marks flops for a frame-synced latch().
+  /// whose change marks flops for the latch() after a replay.
   std::vector<std::uint64_t> flop_inputs;
 
   /// Throws std::runtime_error on a combinational loop.
@@ -186,7 +181,7 @@ struct PackedActivity {
   /// the frontier by the time they drain) skipped.
   std::uint64_t events_drained = 0;
   /// Settles that replayed a frame: evaluated only the divergence
-  /// frontier and took every other net from the frame bits.
+  /// frontier and took every other net from the frame.
   std::uint64_t frame_replays = 0;
   std::uint64_t levels_touched = 0;   ///< non-empty level segments drained
   /// Drained cells whose output word was unchanged — their fanout was
@@ -195,17 +190,16 @@ struct PackedActivity {
   std::uint64_t sched_pushes = 0;     ///< cells pushed into the event arena
   std::uint64_t flops_latched = 0;    ///< flops latched across clock edges
   /// Flops skipped by incremental clocking: their D input provably
-  /// unchanged since their last latch (the dirty-D payoff) or, while
-  /// frame-synced, their next Q taken from the frame bits.
+  /// unchanged since their last latch (the dirty-D payoff).
   std::uint64_t flops_skipped = 0;
   std::uint64_t lanes_retired = 0;    ///< lanes handed to retire_lanes()
 };
 
 /// Lane-0 settle accumulator (PackedSimT::set_settle_log): one bit per
-/// net, bit n % 64 of word n / 64. While attached, every eval() ORs each
-/// net's settled lane-0 value into `seen1` and its complement into
-/// `seen0`, so the log records every value the good machine's nets held
-/// at any settle, not just the end-of-cycle ones.
+/// net, bit n % 64 of word n / 64. While attached, every eval() ORs the
+/// settled lane-0 plane into `seen1` and its complement into `seen0`, so
+/// the log records every value the good machine's nets held at any
+/// settle, not just the end-of-cycle ones.
 struct SettleLog {
   std::vector<std::uint64_t> seen0;
   std::vector<std::uint64_t> seen1;
@@ -216,8 +210,8 @@ struct SettleLog {
 /// n / 64, over ceil(nets / 64) words.
 struct NetFrame {
   int cycle = 0;
-  /// Lane-0 value of every net at the end of `cycle`; eval() copies it,
-  /// so the storage need only live through the call.
+  /// Lane-0 value of every net at the end of `cycle`; eval() copies or
+  /// compares it, so the storage need only live through the call.
   const std::uint64_t* value = nullptr;
   /// Nets whose value differs from the frame of `cycle - 1`: a replay
   /// wakes the frontier cells and marks the flops that read them.
@@ -266,26 +260,25 @@ class PackedSimT {
   /// Settles combinational logic (applies injections). Event-driven unless
   /// the mode is kFullSweep or the state was invalidated (power-on,
   /// injection change), in which case it falls back to one full sweep.
-  /// In event mode, a call with nothing changed since the last settle
-  /// (see settled_) only counts the call and samples the settle log.
   ///
   /// With a `frame` (ignored in kFullSweep mode, so the sweep oracle never
   /// reads the trace), lane 0 must be the good machine and `frame` its
   /// values for this settle. If the previous settle was the frame of
   /// `frame->cycle - 1` with only latch(), input drives,
   /// set_injection_lanes and retire_lanes since, the settle replays: it
-  /// copies the frame bits and evaluates only the frontier cells whose
-  /// inputs changed. Otherwise it settles as without a frame and enters
-  /// sync. Either way, when the settle drains events, every evaluated
-  /// cell's lane-0 output and every primary input's lane-0 value is checked
-  /// against the frame, and a replay also checks every non-diverged flop
-  /// Q: a mismatch throws std::logic_error naming the net and the cycle.
+  /// copies the frame into the plane and evaluates only the frontier cells
+  /// whose inputs changed, checking every evaluated cell's lane-0 output,
+  /// every primary input and every flop Q against the frame. Otherwise it
+  /// settles as without a frame and then checks the whole plane against
+  /// the frame. A mismatch throws std::logic_error naming the net and the
+  /// cycle.
   void eval(const NetFrame* frame = nullptr);
   /// Unconditional levelized sweep over every cell — the reference kernel.
   void full_eval();
   /// Clock edge without the settle: latches the flops and leaves every
-  /// flop Q net current in value() (also when a full sweep is pending), so
-  /// registered outputs are readable before the next eval().
+  /// flop Q net current in value() and in the plane (also when a full
+  /// sweep is pending), so registered outputs are readable before the next
+  /// eval().
   void latch();
   /// latch() then eval().
   void clock();
@@ -299,24 +292,29 @@ class PackedSimT {
   /// `lanes` holds it.
   void retire_lanes(Word lanes);
 
-  void set_eval_mode(PackedEvalMode mode) { mode_ = mode; }
+  /// A switch settles the next eval() with a full sweep: the full-sweep
+  /// mode keeps no divergence frontier.
+  void set_eval_mode(PackedEvalMode mode) {
+    needs_full_ |= mode != mode_;
+    mode_ = mode;
+  }
   PackedEvalMode eval_mode() const { return mode_; }
   void set_clock_mode(PackedClockMode mode) { clock_mode_ = mode; }
   PackedClockMode clock_mode() const { return clock_mode_; }
 
   /// Attaches (or, with null, detaches) a lane-0 settle accumulator,
   /// sized here to the netlist. Costs one pointer test per eval() while
-  /// detached; attached, each eval() adds an O(nets) pass, so attach it
-  /// only around the few settles that need sampling.
+  /// detached; attached, each eval() adds a pass over the plane.
   void set_settle_log(SettleLog* log);
 
   const PackedActivity& activity() const { return activity_; }
   void reset_activity() { activity_ = {}; }
   std::size_t comb_cell_count() const { return topo_->order.size(); }
 
-  Word value(NetId net) const {
-    return frame_synced_ ? load<true>(net) : values_[net];
-  }
+  Word value(NetId net) const { return load(net); }
+  /// Lane 0 of every net, one bit per net (bit n % 64 of word n / 64) over
+  /// ceil(nets / 64) words; current after every settle and every latch().
+  const std::vector<std::uint64_t>& lane0_plane() const { return plane_; }
   /// Value seen by a top-level output port, including any injection on the
   /// port cell's input pin (PO stuck-at faults). Throws
   /// std::invalid_argument, naming the cell, for a cell id out of range or
@@ -325,12 +323,12 @@ class PackedSimT {
   /// miss port faults.
   Word observed(CellId output_cell) const;
   /// Whether observed(output_cell) is known to be lane-uniform without
-  /// reading it: while frame-synced, a port with no injection that reads a
-  /// non-diverged net sees the broadcast of that net's lane-0 value. False
-  /// says nothing either way; read observed(). No argument checks:
-  /// `output_cell` must be a kOutput port.
+  /// reading it: a port with no injection that reads a non-diverged net
+  /// sees the broadcast of that net's lane-0 value. False says nothing
+  /// either way; read observed(). No argument checks: `output_cell` must
+  /// be a kOutput port.
   bool port_uniform(CellId output_cell) const {
-    return frame_synced_ && has_inj_[output_cell] == 0 &&
+    return has_inj_[output_cell] == 0 &&
            !diverged(topo_->nl->cell(output_cell).ins[0]);
   }
 
@@ -342,43 +340,40 @@ class PackedSimT {
   /// The kInput cell driving `net`; throws std::invalid_argument, naming
   /// the net, if there is none.
   CellId input_driver(NetId net) const;
-  /// Holds `lanes` on a primary input; a changed word unsettles the sim.
+  /// Holds `lanes` on a primary input; the next settle applies it.
   void set_held(CellId input_cell, const Word& lanes);
   void prepare_injections();
+  /// Recomputes every net, sets the plane and the diverged bits, and
+  /// rebuilds the frontier counts.
   void run_full_sweep();
-  /// The plain event drain; a non-null `frame` checks lane 0.
-  void run_event_sweep(const NetFrame* frame);
-  /// The frame-synced settle: copies the frame bits and drains the
-  /// divergence frontier.
-  void run_replay(const NetFrame& frame);
-  /// Enters frame sync after a plain settle of `frame`: copies its bits,
-  /// marks diverged every net whose word is not the broadcast of its
-  /// frame bit and counts the frontier. O(nets + cells), once per sync.
-  void enter_sync(const NetFrame& frame);
-  /// Leaves frame sync: writes the frame bits into values_ and into the
-  /// state of every flop that took its Q from them, and leaves the next
-  /// settle to a full sweep.
-  void leave_sync();
-  /// The frame-synced clock edge.
-  void latch_synced();
+  /// The event settle: with a `replay` frame, copies it into the plane and
+  /// drains only frontier cells; without, schedules the pending lane-0
+  /// changes and drains every scheduled cell.
+  void run_settle(const NetFrame* replay);
+  /// Throws the mismatch of the first net whose plane bit `frame`
+  /// contradicts.
+  void check_plane(const NetFrame& frame);
   void push_event(std::uint32_t order_idx);
   void mark_flop_dirty(std::uint32_t flop_idx);
   /// Marks the flops reading `net` dirty for the next latch().
   [[gnu::always_inline]] void mark_flop_readers(NetId net);
-  /// Writes a net's changed settled value, schedules its combinational
-  /// readers and marks its flop readers dirty for the next clock edge. The
-  /// single change-tracking entry point outside frame sync — every
-  /// values_[] write outside a full sweep routes through it, so the
-  /// dirty-D set can never miss a flop.
-  void set_value(NetId net, const Word& v);
-  /// The frame-synced write of a net's changed word: a lane-uniform word
-  /// goes to the frame bits (re-converging the net), any other to values_
-  /// (diverging it). A change of divergence moves the frontier counts of
-  /// the combinational readers and of `driver`, the order index of the
-  /// net's combinational driver (kInvalidId for a source or flop). Unless
-  /// the net was and stays non-diverged, it schedules the frontier readers
-  /// and marks the flop readers dirty.
-  void write_synced(NetId net, const Word& v, std::uint32_t driver);
+  /// Schedules every combinational reader of `net` and marks its flop
+  /// readers: the plain settle's answer to a lane-0 change.
+  void schedule_readers(NetId net);
+  /// Order index `k` gained a diverged pin or an injection.
+  void join_frontier(std::uint32_t k);
+  /// Writes a net's changed word: lane 0 to the plane, and the word itself
+  /// only if it is not lane-uniform (diverging the net). A change of
+  /// divergence moves the frontier counts of the combinational readers and
+  /// of `driver`, the order index of the net's combinational driver
+  /// (kInvalidId for a source or flop). Unless the net was and stays
+  /// non-diverged, it schedules the frontier readers and marks the flop
+  /// readers dirty. Returns whether lane 0 changed; scheduling that change
+  /// is the caller's.
+  bool write(NetId net, const Word& v, std::uint32_t driver);
+  /// Writes a flop Q's exposed word outside a settle; a lane-0 change
+  /// waits in flipped_ for the next one.
+  void expose(NetId q, const Word& v);
   /// Throws the frame-mismatch std::logic_error, leaving the sim to settle
   /// with a full sweep next.
   [[noreturn]] void frame_mismatch(NetId net, const NetFrame& frame);
@@ -387,33 +382,39 @@ class PackedSimT {
   bool diverged(NetId net) const {
     return (diverged_[net / 64] >> (net % 64)) & 1ULL;
   }
-  bool frame_bit(NetId net) const {
-    return (fbits_[net / 64] >> (net % 64)) & 1ULL;
+  bool plane_bit(NetId net) const {
+    return (plane_[net / 64] >> (net % 64)) & 1ULL;
   }
-  /// A net's word: frame-synced, a non-diverged net reads the broadcast
-  /// of its frame bit.
-  template <bool kSynced>
+  /// A net's word: a non-diverged net reads the broadcast of its plane
+  /// bit. Branch-free: whether a frontier cell's pin is diverged does not
+  /// predict well.
   Word load(NetId net) const {
-    if constexpr (kSynced) {
-      // Branch-free: whether a frontier cell's pin is diverged does not
-      // predict well.
-      const std::uint64_t div = 0 - ((diverged_[net / 64] >> (net % 64)) & 1);
-      const std::uint64_t bit = 0 - ((fbits_[net / 64] >> (net % 64)) & 1);
-      return (values_[net] & div) | (bit & ~div);
-    }
-    return values_[net];
+    const std::uint64_t div = 0 - ((diverged_[net / 64] >> (net % 64)) & 1);
+    const std::uint64_t bit = 0 - ((plane_[net / 64] >> (net % 64)) & 1);
+    return (values_[net] & div) | (bit & ~div);
   }
-  /// Inlined into every drain: it is the innermost call.
-  template <bool kSynced>
-  [[gnu::always_inline]] Word compute_cell(
-      const PackedTopology::FlatCell& fc) const;
-  /// ORs the settled lane-0 net values into settle_log_.
+  /// A cell's output word; `in(i)` reads the word on input pin i: load()
+  /// in the drain, values_ in the sweep, which writes every word before it
+  /// is read. Inlined into both: it is the innermost call.
+  template <class Read>
+  [[gnu::always_inline]] Word compute_cell(const PackedTopology::FlatCell& fc,
+                                           Read in) const;
+  /// ORs the settled lane-0 plane into settle_log_.
   void sample_settle();
 
   std::shared_ptr<const PackedTopology> topo_;
   PackedEvalMode mode_ = PackedEvalMode::kEventDriven;
   PackedClockMode clock_mode_ = PackedClockMode::kIncremental;
+  // The lane-0 plane (one bit per net, bit n % 64 of word n / 64), the
+  // diverged bit of every net, and the word of each diverged net. Outside
+  // a full sweep, which writes every word before reading it, values_ is
+  // read only where diverged_ is set, and its lane 0 agrees with plane_.
+  std::vector<std::uint64_t> plane_;
+  std::vector<std::uint64_t> diverged_;
   std::vector<Word> values_;       // per net
+  // run_full_sweep() scratch: one flag byte per net, in whole 64-net
+  // groups.
+  std::vector<std::uint8_t> sweep_flags_;
   std::vector<Word> flop_state_;   // per flop (flop_index)
   std::vector<Word> input_hold_;   // per input (input_index): driven value
 
@@ -426,7 +427,6 @@ class PackedSimT {
   std::vector<std::uint32_t> inj_pos_;
   std::vector<std::uint32_t> inj_start_;  // per cell
   std::vector<std::uint8_t> has_inj_;     // per cell: injection count
-  std::vector<std::uint32_t> active_comb_;  // order indexes of injected cells
   std::vector<std::uint32_t> active_flops_; // flop indexes of injected flops
   bool inj_dirty_ = false;
 
@@ -435,12 +435,18 @@ class PackedSimT {
   // epoch-stamped membership words — a drain or full sweep retires every
   // pending entry by bumping the epoch instead of clearing per-cell
   // flags. needs_full_ marks states (power-on, injection change,
-  // construction) whose net values are stale beyond what events track.
+  // construction, a frame mismatch) whose net values are stale beyond what
+  // events track.
   std::vector<std::uint32_t> arena_;        // order.size() slots
   std::vector<std::uint32_t> level_count_;  // per level: pending entries
   std::vector<std::uint32_t> event_stamp_;  // per order index
   std::uint32_t event_epoch_ = 1;
   bool needs_full_ = true;
+  // Nets whose lane 0 changed outside a settle (flop Qs at the clock
+  // edge) and whose combinational readers no settle has scheduled yet. A
+  // replay drops them, the frame's changed bits cover them; a plain settle
+  // schedules their readers; a latch() marks their flop readers.
+  std::vector<NetId> flipped_;
 
   // Dirty-D clocking: flop indexes whose D/reset input changed since
   // their last latch, with the same epoch-stamp membership scheme.
@@ -450,34 +456,22 @@ class PackedSimT {
   std::vector<std::uint32_t> dirty_flops_;
   std::vector<std::uint32_t> dirty_scratch_;  // swap target during latch()
   std::vector<std::uint32_t> flop_stamp_;     // per flop index
+  std::vector<std::uint32_t> edge_flops_;     // latch() scratch
   std::uint32_t flop_epoch_ = 1;
   bool all_flops_dirty_ = true;
 
-  // Every net holds its settled value for the current held inputs,
-  // injections and flop state. Set by each eval(); cleared by a changed
-  // held input word, an injection change, power_on() and latch().
-  bool settled_ = false;
-
-  // The last settle was the frame of synced_cycle_. Set by a frame settle;
-  // kept by latch(), input drives, set_injection_lanes and retire_lanes;
-  // dropped by a plain eval(), full_eval(), power_on(), any injection add
-  // or clear, and a frame mismatch. While synced, a net's word is values_
-  // if its diverged_ bit is set and the broadcast of its fbits_ bit
-  // otherwise (one bit per net, bit n % 64 of word n / 64). fbits_ holds
-  // the last frame's bits, except the flop Qs latch() has advanced past
-  // it; the flop state of an uninjected flop with a non-diverged Q is its
-  // fbits_ bit, and flop_state_ holds every other flop's.
-  bool frame_synced_ = false;
+  // The last settle was the frame of synced_cycle_, so the next frame may
+  // replay. Set by a frame settle; kept by latch(), input drives,
+  // set_injection_lanes and retire_lanes; dropped by a settle without a
+  // frame and by a frame mismatch. An injection add or clear and
+  // power_on() block the replay through needs_full_.
+  bool synced_ = false;
   int synced_cycle_ = 0;
-  std::vector<std::uint64_t> fbits_;
-  std::vector<std::uint64_t> diverged_;
-  std::vector<NetId> edge_flips_;           // latch_synced() scratch
-  std::vector<std::uint32_t> edge_flops_;   // latch_synced() scratch
-  // Per order index while frame-synced: the cell's diverged pins (inputs,
+  // Per order index, in event mode: the cell's diverged pins (inputs,
   // counted per pin, and output) plus one if it is injected. A cell is on
-  // the divergence frontier iff its count is nonzero. frontier_list_ holds
-  // every frontier cell (and cells that left since the last replay, which
-  // it drops lazily); listed_ marks its members.
+  // the divergence frontier iff its count is nonzero. frontier_list_
+  // holds every frontier cell (and cells that left since the last replay,
+  // which it drops lazily); listed_ marks its members.
   std::vector<std::uint8_t> frontier_;
   std::vector<std::uint32_t> frontier_list_;
   std::vector<std::uint8_t> listed_;

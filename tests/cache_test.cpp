@@ -213,8 +213,7 @@ TEST(CacheKey, CanonicalOptionsFormIsPinned) {
   // rename, reorder, implicit default) would silently invalidate every
   // existing cache — or worse, alias two different configurations.
   EXPECT_EQ(campaign_options_canonical(CampaignOptions{}),
-            "campaign_options/v1|batch_size=0|fault_dropping=1|"
-            "fault_model=stuck_at|target_limit=0");
+            "campaign_options/v1|fault_model=stuck_at|target_limit=0");
 }
 
 TEST(CacheKey, CanonicalKeyFormIsPinned) {

@@ -764,8 +764,13 @@ TEST(Campaign, TransitionModelLabelsClassesAndRoundTrips) {
   EXPECT_EQ(back, r);
   EXPECT_EQ(back.fault_model, FaultModel::kTransition);
 
-  // Unknown model strings are a malformed document, not a silent default.
+  // Unknown model strings are a malformed document, not a silent default,
+  // and so is a document that names no model.
   Json doc = campaign_result_to_json(r);
+  Json no_model = Json::object();
+  for (std::size_t i = 0; i < doc.size(); ++i)
+    if (doc.key(i) != "fault_model") no_model.set(doc.key(i), doc.value(i));
+  EXPECT_THROW(campaign_result_from_json(no_model), JsonError);
   doc.set("fault_model", "bogus");
   EXPECT_THROW(campaign_result_from_json(doc), JsonError);
 }
@@ -998,9 +1003,9 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
   };
   const std::vector<Row> rows = {
       {FaultModel::kStuckAt, 0x71e6ed5a089d103aULL, {200, 137}, {134, 31},
-       0x12b26f9ec278d413ULL},
+       0x0bb85b5a16d7f601ULL},
       {FaultModel::kTransition, 0x4ba9ac3f628fbcbeULL, {139, 77}, {134, 31},
-       0x12b26f9ec278d413ULL},
+       0x0bb85b5a16d7f601ULL},
   };
   auto soc = build_soc({});
   auto suite = build_sbst_suite(soc->config);
