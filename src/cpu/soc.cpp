@@ -1,6 +1,6 @@
 #include "cpu/soc.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -129,26 +129,40 @@ SocFsimEnvironmentT<W>::SocFsimEnvironmentT(const Soc& soc,
                                             int run_cycles)
     : soc_(&soc), flash_(&flash), run_cycles_(run_cycles) {
   const Netlist& nl = soc.netlist;
+  const auto port = [&nl](const std::string& name) {
+    const CellId cell = nl.find_output(name);
+    return Port{cell, nl.cell(cell).ins[0]};
+  };
   for (int i = 0; i < 32; ++i) {
-    iaddr_cells_.push_back(nl.find_output(format("iaddr_o%d", i)));
-    baddr_cells_.push_back(nl.find_output(format("baddr_o%d", i)));
-    bwdata_cells_.push_back(nl.find_output(format("bwdata_o%d", i)));
+    const auto b = static_cast<std::size_t>(i);
+    iaddr_[b] = port(format("iaddr_o%d", i));
+    baddr_[b] = port(format("baddr_o%d", i));
+    bwdata_[b] = port(format("bwdata_o%d", i));
   }
-  bwr_cell_ = nl.find_output("bwr_o");
-  brd_cell_ = nl.find_output("brd_o");
-  halted_cell_ = nl.find_output("halted_o");
+  bwr_ = port("bwr_o");
+  brd_ = port("brd_o");
+  halted_ = port("halted_o");
+  // Answers are 32-bit memory words, and so are both driven buses.
+  const auto driven = [](const Bus& bus, BusDrive& drive) {
+    if (bus.size() != drive.nets.size())
+      throw std::invalid_argument(
+          "SocFsimEnvironment: a driven bus is not 32 bits wide");
+    std::copy(bus.begin(), bus.end(), drive.nets.begin());
+  };
+  driven(soc.cpu.instr_in, instr_);
+  driven(soc.cpu.rdata_in, rdata_);
   // step() reads the bus before the cycle settles, which is exact only
   // for ports a flop drives: nothing this cycle drives can reach them.
   std::string combinational;
-  const auto check = [&](CellId port) {
-    const CellId drv = nl.net(nl.cell(port).ins[0]).driver;
+  const auto check = [&](const Port& p) {
+    const CellId drv = nl.net(p.net).driver;
     if (drv != kInvalidId && is_sequential(nl.cell(drv).type)) return;
     if (!combinational.empty()) combinational += ", ";
-    combinational += nl.cell(port).name;
+    combinational += nl.cell(p.cell).name;
   };
-  for (const auto* cells : {&iaddr_cells_, &baddr_cells_, &bwdata_cells_})
-    for (const CellId port : *cells) check(port);
-  for (const CellId port : {bwr_cell_, brd_cell_, halted_cell_}) check(port);
+  for (const BusPorts* ports : {&iaddr_, &baddr_, &bwdata_})
+    for (const Port& p : *ports) check(p);
+  for (const Port& p : {bwr_, brd_, halted_}) check(p);
   if (!combinational.empty())
     throw std::invalid_argument(
         "SocFsimEnvironment: bus ports not driven by a flop: " + combinational);
@@ -173,50 +187,68 @@ void SocFsimEnvironmentT<W>::drive_mission_inputs(PackedSimT<W>& sim,
 template <int W>
 std::uint64_t SocFsimEnvironmentT<W>::BusRead::value(int lane) const {
   if (!lane_test(diff, lane)) return v0;
-  std::uint64_t v = 0;
-  for (int b = 0; b < 32; ++b)
-    v |= static_cast<std::uint64_t>(lane_test(bits[b], lane)) << b;
+  std::uint64_t v = v0;
+  for (int i = 0; i < n; ++i)
+    v ^= static_cast<std::uint64_t>(lane_test(flips[i], lane)) << bit[i];
   return v;
 }
 
 template <int W>
+typename SocFsimEnvironmentT<W>::Word SocFsimEnvironmentT<W>::read_port(
+    const PackedSimT<W>& sim, const Port& port) {
+  if (!sim.port_uniform(port.cell, port.net)) return sim.observed(port.cell);
+  const std::uint64_t* plane = sim.lane0_plane().data();
+  return lane_broadcast<Word>((plane[port.net / 64] >> (port.net % 64)) & 1ULL);
+}
+
+template <int W>
 typename SocFsimEnvironmentT<W>::BusRead SocFsimEnvironmentT<W>::read_bus(
-    const PackedSimT<W>& sim, const std::vector<CellId>& cells) {
-  assert(cells.size() == 32);
+    const PackedSimT<W>& sim, const BusPorts& ports) {
+  const std::uint64_t* plane = sim.lane0_plane().data();
   BusRead r;
   for (int b = 0; b < 32; ++b) {
-    const CellId port = cells[static_cast<std::size_t>(b)];
-    if (sim.port_uniform(port)) {
-      const bool bit0 =
-          lane_test(sim.value(sim.netlist().cell(port).ins[0]), 0);
-      r.bits[b] = lane_broadcast<Word>(bit0);
-      r.v0 |= static_cast<std::uint64_t>(bit0) << b;
+    const Port& p = ports[static_cast<std::size_t>(b)];
+    if (sim.port_uniform(p.cell, p.net)) {
+      r.v0 |= ((plane[p.net / 64] >> (p.net % 64)) & 1ULL) << b;
       continue;
     }
-    const Word w = sim.observed(port);
+    const Word w = sim.observed(p.cell);
     const bool bit0 = lane_test(w, 0);
-    r.bits[b] = w;
     r.v0 |= static_cast<std::uint64_t>(bit0) << b;
-    r.diff |= w ^ lane_broadcast<Word>(bit0);
+    const Word flips = w ^ lane_broadcast<Word>(bit0);
+    if (!lane_any(flips)) continue;
+    r.bit[static_cast<std::size_t>(r.n)] = static_cast<std::uint8_t>(b);
+    r.flips[static_cast<std::size_t>(r.n++)] = flips;
+    r.diff |= flips;
   }
   return r;
 }
 
 template <int W>
-void SocFsimEnvironmentT<W>::drive_bus(PackedSimT<W>& sim, const Bus& bus,
+void SocFsimEnvironmentT<W>::drive_bus(PackedSimT<W>& sim, BusDrive& bus,
                                        std::uint64_t v0,
                                        const std::vector<Patch>& patches) {
-  // Answers are 32-bit memory words, and so are both driven buses.
-  assert(bus.size() == 32);
-  std::array<Word, 32> bits;
-  for (int b = 0; b < 32; ++b) bits[b] = lane_broadcast<Word>((v0 >> b) & 1ULL);
+  std::uint64_t patched = 0;
+  for (const Patch& p : patches) patched |= p.value ^ v0;
+  // Only bits patched now or last time, or whose lane-0 value moved, can
+  // differ from the words the last drive left.
+  std::array<Word, 32> flips;
+  for (std::uint64_t x = patched; x != 0; x &= x - 1)
+    flips[static_cast<std::size_t>(__builtin_ctzll(x))] = Word{};
   for (const Patch& p : patches) {
     const Word lane = lane_bit<Word>(p.lane);
     for (std::uint64_t x = p.value ^ v0; x != 0; x &= x - 1)
-      bits[static_cast<std::size_t>(__builtin_ctzll(x))] ^= lane;
+      flips[static_cast<std::size_t>(__builtin_ctzll(x))] |= lane;
   }
-  for (int b = 0; b < 32; ++b)
-    sim.set_input_lanes(bus[static_cast<std::size_t>(b)], bits[b]);
+  for (std::uint64_t x = (v0 ^ bus.v0) | patched | bus.patched; x != 0;
+       x &= x - 1) {
+    const auto b = static_cast<std::size_t>(__builtin_ctzll(x));
+    Word w = lane_broadcast<Word>((v0 >> b) & 1ULL);
+    if ((patched >> b) & 1ULL) w ^= flips[b];
+    sim.set_input_lanes(bus.nets[b], w);
+  }
+  bus.v0 = v0;
+  bus.patched = patched;
 }
 
 template <int W>
@@ -238,6 +270,7 @@ void SocFsimEnvironmentT<W>::reset(PackedSimT<W>& sim) {
   drive_mission_inputs(sim, false);
   sim.set_input_word(soc_->cpu.instr_in, 0);
   sim.set_input_word(soc_->cpu.rdata_in, 0);
+  instr_.v0 = instr_.patched = rdata_.v0 = rdata_.patched = 0;
   sim.eval();
   sim.clock();
   sim.clock();
@@ -252,22 +285,23 @@ bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
   // Every bus port is flop-driven (checked at construction), so right
   // after the latch it already shows this cycle's value. Let the
   // comparison see the halting cycle, then stop on the next one.
-  if (lane_test(sim.observed(halted_cell_), 0)) halt_seen_ = true;
+  const std::uint64_t* plane = sim.lane0_plane().data();
+  if ((plane[halted_.net / 64] >> (halted_.net % 64)) & 1ULL) halt_seen_ = true;
   // Instruction fetch: a faulty machine that wanders to a wrong address
   // fetches whatever the flash holds there (NOP outside).
-  const BusRead iaddr = read_bus(sim, iaddr_cells_);
+  const BusRead iaddr = read_bus(sim, iaddr_);
   const std::uint64_t instr0 = flash_->read(iaddr.v0);
   patches_.clear();
   for_each_lane(iaddr.diff, [&](int l) {
     const std::uint64_t instr = flash_->read(iaddr.value(l));
     if (instr != instr0) patches_.push_back({l, instr});
   });
-  drive_bus(sim, soc_->cpu.instr_in, instr0, patches_);
+  drive_bus(sim, instr_, instr0, patches_);
   // Bus transactions.
-  const BusRead baddr = read_bus(sim, baddr_cells_);
-  const BusRead bwdata = read_bus(sim, bwdata_cells_);
-  const Word wr = sim.observed(bwr_cell_);
-  const Word rd = sim.observed(brd_cell_);
+  const BusRead baddr = read_bus(sim, baddr_);
+  const BusRead bwdata = read_bus(sim, bwdata_);
+  const Word wr = read_port(sim, bwr_);
+  const Word rd = read_port(sim, brd_);
   const bool wr0 = lane_test(wr, 0);
   const bool rd0 = lane_test(rd, 0);
   // A shared lane whose write differs from lane 0's forks lane 0's RAM as
@@ -298,7 +332,7 @@ bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
                       lane_test(rd, l) ? mem_read(l, baddr.value(l)) : 0;
                   if (rdata != rdata0) patches_.push_back({l, rdata});
                 });
-  drive_bus(sim, soc_->cpu.rdata_in, rdata0, patches_);
+  drive_bus(sim, rdata_, rdata0, patches_);
   return true;
 }
 

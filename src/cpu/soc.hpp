@@ -124,6 +124,10 @@ class SocSimulator {
 /// per-lane service would drive. It drives instr_in and rdata_in and
 /// leaves the settle to the caller; reset() drives the mission inputs
 /// once, to the values they hold for the whole run.
+/// Every port's net is resolved once, at construction. A read takes lane 0
+/// from the kernel's plane and builds lane words only for the ports that
+/// are not lane-uniform; a drive writes only the bits whose word differs
+/// from what the last drive since reset() left there.
 /// RAM is copy-on-diverge: ram_[0] is lane 0's, and a faulty lane shares
 /// it until the first cycle its write differs from lane 0's (strobe,
 /// address or data), when it takes a copy of ram_[0] as it stood before
@@ -146,13 +150,22 @@ class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
   const Word& private_lanes() const { return private_; }
 
  private:
-  /// One observed 32-bit bus: per-bit lane words, lane 0's value, and the
-  /// lanes whose value differs from lane 0's.
+  /// An observed output port and the net it reads.
+  struct Port {
+    CellId cell = kInvalidId;
+    NetId net = kInvalidId;
+  };
+  using BusPorts = std::array<Port, 32>;
+  /// One observed 32-bit bus: lane 0's value, the lanes whose value
+  /// differs from lane 0's, and, for the `n` bits whose port is not
+  /// lane-uniform, the lanes that read bit[i] inverted from lane 0.
   struct BusRead {
-    std::array<Word, 32> bits;
     std::uint64_t v0 = 0;
     Word diff{};
-    /// Lane `lane`'s value (a bit gather only for lanes in `diff`).
+    int n = 0;
+    std::array<std::uint8_t, 32> bit;
+    std::array<Word, 32> flips;
+    /// Lane `lane`'s value (a gather only for lanes in `diff`).
     std::uint64_t value(int lane) const;
   };
   /// A lane whose answer differs from lane 0's.
@@ -160,12 +173,21 @@ class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
     int lane;
     std::uint64_t value;
   };
+  /// A driven 32-bit input bus and what the last drive left on it: lane
+  /// 0's value on every lane, except the bits in `patched`.
+  struct BusDrive {
+    std::array<NetId, 32> nets;
+    std::uint64_t v0 = 0;
+    std::uint64_t patched = 0;
+  };
 
   void drive_mission_inputs(PackedSimT<W>& sim, bool rstn_value);
-  static BusRead read_bus(const PackedSimT<W>& sim,
-                          const std::vector<CellId>& cells);
-  /// Drives `v0` on every lane of `bus`, then each patch on its lane.
-  static void drive_bus(PackedSimT<W>& sim, const Bus& bus, std::uint64_t v0,
+  /// A port's lane word: the broadcast of its plane bit when uniform.
+  static Word read_port(const PackedSimT<W>& sim, const Port& port);
+  static BusRead read_bus(const PackedSimT<W>& sim, const BusPorts& ports);
+  /// Drives `v0` on every lane of `bus`, then each patch on its lane; only
+  /// bits whose word changed since the last drive are written.
+  static void drive_bus(PackedSimT<W>& sim, BusDrive& bus, std::uint64_t v0,
                         const std::vector<Patch>& patches);
   std::uint64_t mem_read(int lane, std::uint64_t addr) const;
 
@@ -177,9 +199,9 @@ class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
   std::array<std::unordered_map<std::uint64_t, std::uint32_t>, W> ram_;
   Word private_{};
   std::vector<Patch> patches_;  // reused across steps
-  // Cached port-cell groups for observed reads.
-  std::vector<CellId> iaddr_cells_, baddr_cells_, bwdata_cells_;
-  CellId bwr_cell_, brd_cell_, halted_cell_;
+  BusPorts iaddr_, baddr_, bwdata_;
+  Port bwr_, brd_, halted_;
+  BusDrive instr_, rdata_;
 };
 
 /// The scalar 64-lane environment every pre-width-parametric caller uses.

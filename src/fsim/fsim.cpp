@@ -137,6 +137,7 @@ void ReferenceTrace::reset(std::size_t nets) {
   cycles = 0;
   num_nets = nets;
   columns.assign((nets + 63) / 64, {});
+  power_on.clear();
 }
 
 void ReferenceTrace::append_cycle(const std::uint64_t* words) {
@@ -190,12 +191,14 @@ SequentialFaultSimulatorT<W>::SequentialFaultSimulatorT(
     throw std::invalid_argument(
         "SequentialFaultSimulator: topology is for a different netlist");
   // Default: observe every top-level output.
-  observed_ = nl.output_cells();
+  set_observed(nl.output_cells());
 }
 
 template <int W>
 void SequentialFaultSimulatorT<W>::set_observed(std::vector<CellId> output_cells) {
   // observed() and the frame's good bit read each port's input net.
+  std::vector<NetId> nets;
+  nets.reserve(output_cells.size());
   for (const CellId c : output_cells) {
     if (c >= nl_->num_cells())
       throw std::invalid_argument(
@@ -205,8 +208,10 @@ void SequentialFaultSimulatorT<W>::set_observed(std::vector<CellId> output_cells
       throw std::invalid_argument("SequentialFaultSimulator: observed cell " +
                                   nl_->cell(c).name +
                                   " is not an output port");
+    nets.push_back(nl_->cell(c).ins[0]);
   }
   observed_ = std::move(output_cells);
+  observed_nets_ = std::move(nets);
 }
 
 template <int W>
@@ -216,21 +221,26 @@ ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
   trace.reset(nl_->num_nets());
   sim_.clear_injections();
   sim_.power_on();
-  SettleLog reset_log;
-  {
-    struct Detach {
-      PackedSimT<W>& sim;
-      ~Detach() { sim.set_settle_log(nullptr); }
-    } detach{sim_};
-    if (activation) sim_.set_settle_log(&reset_log);
-    env.reset(sim_);
-  }
+  struct Detach {
+    PackedSimT<W>& sim;
+    ~Detach() { sim.set_settle_log(nullptr); }
+  } detach{sim_};
+  // The reset's settles, for the activation, and the first settle after
+  // power-on, which every batch starts from. A reset that never settles
+  // leaves that to cycle 0, whose log is kept apart from the activation.
+  SettleLog reset_log, cycle0_log;
+  sim_.set_settle_log(&reset_log);
+  env.reset(sim_);
+  sim_.set_settle_log(reset_log.first.empty() ? &cycle0_log : nullptr);
   for (int cycle = 0; cycle < opts_.max_cycles; ++cycle) {
     if (!env.step(sim_, cycle)) break;
     sim_.eval();
+    sim_.set_settle_log(nullptr);
     trace.append_cycle(sim_.lane0_plane().data());
     sim_.latch();
   }
+  trace.power_on = std::move(reset_log.first.empty() ? cycle0_log.first
+                                                     : reset_log.first);
   if (activation) {
     *activation = trace.activation();
     for (std::size_t w = 0; w < reset_log.seen0.size(); ++w) {
@@ -245,14 +255,15 @@ template <int W>
 typename SequentialFaultSimulatorT<W>::Word
 SequentialFaultSimulatorT<W>::observe_divergence(const NetFrame& frame) const {
   Word diverged{};
-  for (const CellId port : observed_) {
+  for (std::size_t i = 0; i < observed_.size(); ++i) {
+    const CellId port = observed_[i];
+    const NetId net = observed_nets_[i];
     // After the frame settle a lane-uniform port reads its frame bit.
-    if (sim_.port_uniform(port)) continue;
+    if (sim_.port_uniform(port, net)) continue;
     // The good machine runs without injections, so an output port's
     // observed value is exactly the value of the net it reads.
-    const Word good =
-        lane_broadcast<Word>(frame_bit(frame.value, nl_->cell(port).ins[0]));
-    diverged |= sim_.observed(port) ^ good;
+    diverged |= sim_.observed(port) ^
+                lane_broadcast<Word>(frame_bit(frame.value, net));
   }
   return diverged;
 }
@@ -278,6 +289,13 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
         "SequentialFaultSimulator: the trace covers " +
         std::to_string(trace.num_nets) + " nets, the netlist has " +
         std::to_string(nl_->num_nets()));
+  // The start reads one plane word per 64 nets of this netlist.
+  const std::size_t words = sim_.lane0_plane().size();
+  if (!trace.power_on.empty() && trace.power_on.size() != words)
+    throw std::invalid_argument(
+        "SequentialFaultSimulator: the trace's power-on plane holds " +
+        std::to_string(trace.power_on.size()) + " words, the netlist needs " +
+        std::to_string(words));
   const bool tdf = model == FaultModel::kTransition;
 
   // Fault i rides lane i + 1. A transition fault's capture value is its
@@ -314,7 +332,9 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
   }
   std::vector<std::uint32_t> armed;  // batch entries armed this cycle
 
-  sim_.power_on();
+  // Every batch of the trace starts from its power-on settle: the reset
+  // runs with the injections armed, but only the frontier is evaluated.
+  sim_.power_on(trace.power_on.empty() ? nullptr : trace.power_on.data());
   env.reset(sim_);
 
   FrameStream frames(trace);

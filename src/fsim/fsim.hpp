@@ -25,6 +25,10 @@
 //    lane words (PackedSim::set_input_lanes); SocFsimEnvironment builds
 //    them from lane 0's answer, patched only on the lanes whose bus
 //    differs.
+//    A batch starts from the trace's power-on plane (the good machine's
+//    first settle after power-on; PackedSimT::power_on(plane)) instead of
+//    a full sweep, and runs the environment's reset with its injections
+//    armed: stuck-at lanes can diverge before cycle 0.
 //    Every cycle is arm -> env.step -> eval(frame) -> observe -> latch ->
 //    retire, in one batch loop for both fault models; only the arming
 //    differs (a stuck-at fault is armed for the whole run, a transition
@@ -60,7 +64,9 @@ class FsimEnvironmentT {
   virtual ~FsimEnvironmentT() = default;
   /// Called once per batch after power_on(); applies the reset sequence.
   /// It may end with input drives for cycle 0 (say, releasing the reset)
-  /// that the first settle after step() applies.
+  /// that the first settle after step() applies. Lane 0's first settle
+  /// (the reset's, or cycle 0's if the reset has none) must reach the
+  /// plane it reached when the trace was recorded: a batch starts from it.
   virtual void reset(PackedSimT<W>& sim) = 0;
   /// Drives this cycle's inputs; the caller settles afterwards. It is
   /// called right after reset() or the previous cycle's latch(), when every
@@ -135,6 +141,13 @@ struct ReferenceTrace {
   int cycles = 0;
   std::size_t num_nets = 0;
   std::vector<Column> columns;  ///< ceil(num_nets / 64)
+  /// Lane-0 plane of the first settle after power-on (one bit per net,
+  /// columns.size() words; empty if the run never settled): set by the
+  /// zeroed flops and the environment's reset drive, so the same for every
+  /// batch, which starts from it (PackedSimT::power_on). It is the reset's
+  /// first settle, or cycle 0's if the reset never settles. fingerprint()
+  /// does not cover it.
+  std::vector<std::uint64_t> power_on;
 
   /// Lane-0 value of `net` during `cycle` (binary search in the column).
   /// Throws std::out_of_range, naming both, unless cycle is in
@@ -183,7 +196,8 @@ class SequentialFaultSimulatorT {
   void set_observed(std::vector<CellId> output_cells);
 
   /// Runs the good machine once with no injections, recording every net
-  /// each cycle. The returned checkpoint is tied to `env`'s stimulus (not
+  /// each cycle and the plane of its first settle (ReferenceTrace::
+  /// power_on). The returned checkpoint is tied to `env`'s stimulus (not
   /// to the observed set — it carries all nets, so one recording serves
   /// both fault models and any observed set).
   /// Lane-0-only, so checkpoints are identical across widths.
@@ -202,9 +216,10 @@ class SequentialFaultSimulatorT {
   /// Grades one batch of up to W-1 faults against the good machine
   /// `trace` recorded (record_reference_trace over the same stimulus).
   /// Returns a bit per batch entry: detected or not. The run lasts the
-  /// trace's cycles (or until env.step() returns false); each cycle's
-  /// settle replays the trace's frame, throwing std::logic_error if lane 0
-  /// departs from it (the trace belongs to another environment), and a
+  /// trace's cycles (or until env.step() returns false); its first settle
+  /// starts from the trace's power-on plane and each cycle's settle
+  /// replays the trace's frame, throwing std::logic_error if lane 0
+  /// departs from either (the trace belongs to another environment), and a
   /// fault is detected once its lane differs from the frame's good bit on
   /// an observed output. `model` selects the injection: kStuckAt arms
   /// every fault for the whole run; kTransition (the TDF reading of the
@@ -216,7 +231,8 @@ class SequentialFaultSimulatorT {
   /// standard parallel-TDF approximation), so verdicts are deterministic
   /// and kernel-independent. Throws std::invalid_argument, naming the
   /// size and the width, for W or more faults, and, naming both counts,
-  /// for a trace whose net count is not the netlist's.
+  /// for a trace whose net count is not the netlist's or whose power-on
+  /// plane is neither empty nor one word per 64 nets.
   LaneMask run_batch(std::span<const FaultId> faults, Environment& env,
                      const ReferenceTrace& trace,
                      FaultModel model = FaultModel::kStuckAt);
@@ -244,6 +260,7 @@ class SequentialFaultSimulatorT {
   SeqFsimOptions opts_;
   PackedSimT<W> sim_;
   std::vector<CellId> observed_;
+  std::vector<NetId> observed_nets_;  ///< the net each observed port reads
   /// Activity already published to the metrics registry (delta base).
   PackedActivity published_activity_;
 };

@@ -73,6 +73,7 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
   topo->input_index.assign(nl.num_cells(), kInvalidId);
   topo->net_input.assign(nl.num_nets(), kInvalidId);
   topo->flop_nets.assign((nl.num_nets() + 63) / 64, 0);
+  topo->input_nets.assign(topo->flop_nets.size(), 0);
   for (CellId id = 0; id < nl.num_cells(); ++id) {
     const Cell& c = nl.cell(id);
     const CellType t = c.type;
@@ -87,7 +88,9 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
       topo->input_index[id] =
           static_cast<std::uint32_t>(topo->input_cells.size());
       topo->input_cells.push_back(id);
-      topo->net_input[nl.cell(id).out] = id;
+      topo->input_outs.push_back(c.out);
+      topo->net_input[c.out] = id;
+      topo->input_nets[c.out / 64] |= 1ULL << (c.out % 64);
     } else if (is_tie(t)) {
       topo->source_cells.push_back(id);
     }
@@ -129,12 +132,15 @@ PackedSimT<W>::PackedSimT(std::shared_ptr<const PackedTopology> topo)
   values_.assign(nl.num_nets(), Word{});
   flop_state_.assign(topo_->flop_cells.size(), Word{});
   input_hold_.assign(topo_->input_cells.size(), Word{});
+  pending_nets_.assign(words, 0);
   inj_start_.assign(nl.num_cells(), 0);
   has_inj_.assign(nl.num_cells(), 0);
   arena_.assign(topo_->order.size(), 0);
   level_count_.assign(topo_->num_levels, 0);
   event_stamp_.assign(topo_->order.size(), 0);
   frontier_.assign(topo_->order.size(), 0);
+  frontier_reads_.assign(nl.num_nets(), 0);
+  frontier_read_.assign(words, 0);
   listed_.assign(topo_->order.size(), 0);
   flop_stamp_.assign(topo_->flop_cells.size(), 0);
   sweep_flags_.assign(words * 64, 0);
@@ -167,8 +173,8 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
   Injection& inj = inj_flat_[inj_pos_[index]];
   if (!lane_neq(inj.lanes, lanes)) return;
   inj.lanes = lanes;
-  // A pending full sweep (or full-sweep mode) re-applies every injection
-  // from scratch, so nothing is stale.
+  // A pending full sweep or start (or full-sweep mode) re-applies every
+  // injection from scratch, so nothing is stale.
   if (needs_full_ || inj_dirty_ || mode_ == PackedEvalMode::kFullSweep) return;
   const Cell& c = topo_->nl->cell(inj.cell);
   if (const std::uint32_t oi = topo_->order_index[inj.cell]; oi != kInvalidId) {
@@ -177,26 +183,21 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
     push_event(oi);
     return;
   }
-  switch (c.type) {
-    case CellType::kOutput:
-      return;  // applied live at observed()
-    case CellType::kInput:
-      return;  // every settle re-applies the primary inputs' injections
-    default:
-      break;
-  }
-  if (is_sequential(c.type)) {
-    // D/reset-pin faults apply at the next latch(); a Q-pin fault changes
-    // the exposed value mid-cycle, so re-apply injections over the latched
-    // state, as latch() does, for this one flop.
-    const Word v = apply_inj(inj.cell, nullptr,
-                             flop_state_[topo_->flop_index[inj.cell]], true);
-    expose(c.out, v);
+  // The next settle re-applies a primary input's injections, and observed()
+  // an output port's.
+  if (c.type == CellType::kInput) {
+    mark_input(topo_->input_index[inj.cell]);
     return;
   }
-  // Ties (and any future source kind) are not re-scanned per eval; fall
-  // back to one full sweep rather than risk a stale constant.
-  needs_full_ = true;
+  if (c.type == CellType::kOutput) return;
+  // The other sources change their word now. A flop's D/reset-pin faults
+  // apply at the next latch(), but a Q-pin fault changes the exposed value
+  // mid-cycle: re-apply injections over the latched state, as latch()
+  // does, for this one flop. A tie re-applies them over its constant.
+  const Word base = is_sequential(c.type)
+                        ? flop_state_[topo_->flop_index[inj.cell]]
+                        : lane_broadcast<Word>(c.type == CellType::kTie1);
+  expose(c.out, apply_inj(inj.cell, nullptr, base, true));
 }
 
 template <int W>
@@ -236,13 +237,15 @@ void PackedSimT<W>::prepare_injections() {
 }
 
 template <int W>
-void PackedSimT<W>::power_on() {
+void PackedSimT<W>::power_on(const std::uint64_t* settled) {
   std::fill(plane_.begin(), plane_.end(), 0);
   std::fill(diverged_.begin(), diverged_.end(), 0);
   std::fill(flop_state_.begin(), flop_state_.end(), Word{});
   std::fill(input_hold_.begin(), input_hold_.end(), Word{});
+  clear_pending_inputs();
   flipped_.clear();
   needs_full_ = true;
+  start_ = settled;
   all_flops_dirty_ = true;
   synced_ = false;
 }
@@ -276,7 +279,29 @@ void PackedSimT<W>::set_input_lanes(NetId net, Word lanes) {
 
 template <int W>
 void PackedSimT<W>::set_held(CellId input_cell, const Word& lanes) {
-  input_hold_[topo_->input_index[input_cell]] = lanes;
+  const std::uint32_t ii = topo_->input_index[input_cell];
+  if (!lane_neq(input_hold_[ii], lanes)) return;
+  input_hold_[ii] = lanes;
+  mark_input(ii);
+}
+
+template <int W>
+void PackedSimT<W>::mark_input(std::uint32_t ii) {
+  const NetId net = topo_->input_outs[ii];
+  std::uint64_t& word = pending_nets_[net / 64];
+  const std::uint64_t bit = 1ULL << (net % 64);
+  if (word & bit) return;
+  word |= bit;
+  pending_inputs_.push_back(ii);
+}
+
+template <int W>
+void PackedSimT<W>::clear_pending_inputs() {
+  for (const std::uint32_t ii : pending_inputs_) {
+    const NetId net = topo_->input_outs[ii];
+    pending_nets_[net / 64] &= ~(1ULL << (net % 64));
+  }
+  pending_inputs_.clear();
 }
 
 template <int W>
@@ -371,9 +396,44 @@ void PackedSimT<W>::schedule_readers(NetId net) {
 
 template <int W>
 void PackedSimT<W>::join_frontier(std::uint32_t k) {
-  if (frontier_[k]++ != 0 || listed_[k]) return;
+  if (frontier_[k]++ != 0) return;
+  const PackedTopology::FlatCell& fc = topo_->order[k];
+  for (int i = 0; i < fc.n; ++i) {
+    const NetId n = fc.in[i];
+    if (frontier_reads_[n]++ == 0) frontier_read_[n / 64] |= 1ULL << (n % 64);
+  }
+  if (listed_[k]) return;
   listed_[k] = 1;
   frontier_list_.push_back(k);
+}
+
+template <int W>
+void PackedSimT<W>::leave_frontier(std::uint32_t k) {
+  // Only the full-sweep mode, which keeps no frontier, writes a net whose
+  // reader holds no count (a flop Q at the edge re-converging).
+  if (frontier_[k] == 0 || --frontier_[k] != 0) return;
+  const PackedTopology::FlatCell& fc = topo_->order[k];
+  for (int i = 0; i < fc.n; ++i) {
+    const NetId n = fc.in[i];
+    if (--frontier_reads_[n] == 0)
+      frontier_read_[n / 64] &= ~(1ULL << (n % 64));
+  }
+}
+
+template <int W>
+void PackedSimT<W>::clear_frontier() {
+  for (const std::uint32_t k : frontier_list_) {
+    if (frontier_[k] != 0) {
+      const PackedTopology::FlatCell& fc = topo_->order[k];
+      for (int i = 0; i < fc.n; ++i) {
+        frontier_reads_[fc.in[i]] = 0;
+        frontier_read_[fc.in[i] / 64] = 0;
+      }
+    }
+    frontier_[k] = 0;
+    listed_[k] = 0;
+  }
+  frontier_list_.clear();
 }
 
 template <int W>
@@ -394,7 +454,7 @@ bool PackedSimT<W>::write(NetId net, const Word& v, std::uint32_t driver) {
       if (now)
         join_frontier(driver);
       else
-        --frontier_[driver];
+        leave_frontier(driver);
     }
   }
   for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1];
@@ -404,7 +464,7 @@ bool PackedSimT<W>::write(NetId net, const Word& v, std::uint32_t driver) {
       if (now)
         join_frontier(k);
       else
-        --frontier_[k];
+        leave_frontier(k);
     }
     if (frontier_[k] != 0) push_event(k);
   }
@@ -421,12 +481,18 @@ template <int W>
 void PackedSimT<W>::frame_mismatch(NetId net, const NetFrame& frame) {
   // The throw leaves a settle half done: resettle from scratch next time.
   needs_full_ = true;
+  start_ = nullptr;
   const bool want = (frame.value[net / 64] >> (net % 64)) & 1ULL;
+  // A start's frame is the power-on plane (it has no changed bits): the
+  // settle of `cycle`, or of the reset when `cycle` is negative.
+  std::string where = "the frame of cycle " + std::to_string(frame.cycle);
+  if (frame.changed == nullptr)
+    where = frame.cycle < 0 ? "the power-on plane (the settle before cycle 0)"
+                            : "the power-on plane (the settle of cycle " +
+                                  std::to_string(frame.cycle) + ")";
   throw std::logic_error("PackedSim: net " + topo_->nl->net(net).name +
-                         " settles lane 0 to " + (want ? "0" : "1") +
-                         " but the frame of cycle " +
-                         std::to_string(frame.cycle) + " holds " +
-                         (want ? "1" : "0"));
+                         " settles lane 0 to " + (want ? "0" : "1") + " but " +
+                         where + " holds " + (want ? "1" : "0"));
 }
 
 template <int W>
@@ -501,17 +567,15 @@ void PackedSimT<W>::run_full_sweep() {
   }
   // The frontier, from scratch. The full-sweep oracle settles by sweeps
   // alone and keeps none (set_eval_mode resettles on a switch).
-  for (const std::uint32_t k : frontier_list_) listed_[k] = 0;
-  frontier_list_.clear();
+  clear_frontier();
   if (mode_ == PackedEvalMode::kEventDriven) {
     for (std::uint32_t k = 0; k < t.order.size(); ++k) {
       const PackedTopology::FlatCell& fc = t.order[k];
       std::uint8_t n = (has_inj_[fc.id] ? 1 : 0) + diverged(fc.out);
       for (int i = 0; i < fc.n; ++i) n += diverged(fc.in[i]);
-      frontier_[k] = n;
       if (n == 0) continue;
-      listed_[k] = 1;
-      frontier_list_.push_back(k);
+      join_frontier(k);
+      frontier_[k] = n;
     }
   }
   // The sweep recomputed everything: retire pending arena entries by
@@ -521,24 +585,82 @@ void PackedSimT<W>::run_full_sweep() {
   std::fill(level_count_.begin(), level_count_.end(), 0u);
   bump_event_epoch();
   flipped_.clear();
+  clear_pending_inputs();
   dirty_flops_.clear();
   all_flops_dirty_ = true;
   needs_full_ = false;
+  start_ = nullptr;
   ++activity_.full_sweeps;
   activity_.cells_evaluated += t.order.size();
 }
 
 template <int W>
+NetFrame PackedSimT<W>::begin_start(const NetFrame* frame) {
+  const PackedTopology& t = *topo_;
+  const NetFrame start{frame ? frame->cycle : -1, start_, nullptr};
+  start_ = nullptr;
+  needs_full_ = false;
+  // The good machine's plane, no net diverged, and nothing left of the
+  // last batch: its frontier (every cell with a nonzero count is listed)
+  // and its pending events.
+  std::copy(start.value, start.value + plane_.size(), plane_.begin());
+  std::fill(diverged_.begin(), diverged_.end(), 0);
+  clear_frontier();
+  std::fill(level_count_.begin(), level_count_.end(), 0u);
+  bump_event_epoch();
+  flipped_.clear();
+  // The sources: every primary input, flop Q and tie must settle lane 0 to
+  // the plane, and a faulty lane's word diverges its net.
+  const auto expose_source = [&](NetId out, const Word& v) {
+    if (lane_test(v, 0) != plane_bit(out)) frame_mismatch(out, start);
+    if (!lane_uniform(v)) write(out, v, kInvalidId);
+  };
+  for (std::size_t ii = 0; ii < t.input_cells.size(); ++ii) {
+    const CellId id = t.input_cells[ii];
+    const Word& v = input_hold_[ii];
+    expose_source(t.input_outs[ii],
+                  has_inj_[id] ? apply_inj(id, nullptr, v, true) : v);
+  }
+  clear_pending_inputs();
+  for (std::size_t fi = 0; fi < t.flops.size(); ++fi) {
+    const PackedTopology::FlatFlop& f = t.flops[fi];
+    const Word& state = flop_state_[fi];
+    expose_source(f.q, has_inj_[f.id] ? apply_inj(f.id, nullptr, state, true)
+                                      : state);
+  }
+  for (const CellId id : t.source_cells) {
+    const Cell& c = t.nl->cell(id);
+    if (!is_tie(c.type)) continue;
+    const Word v = lane_broadcast<Word>(c.type == CellType::kTie1);
+    expose_source(c.out, has_inj_[id] ? apply_inj(id, nullptr, v, true) : v);
+  }
+  // The injected cells join the frontier; the writes above scheduled the
+  // frontier readers of every diverged source.
+  for (std::size_t i = 0; i < inj_flat_.size();) {
+    const CellId id = inj_flat_[i].cell;
+    i += has_inj_[id];
+    if (const std::uint32_t k = t.order_index[id]; k != kInvalidId) {
+      join_frontier(k);
+      push_event(k);
+    }
+  }
+  return start;
+}
+
+template <int W>
 void PackedSimT<W>::run_settle(const NetFrame* replay) {
   const PackedTopology& t = *topo_;
-  if (replay) {
+  // A start's frame is already in the plane, with nothing changed.
+  const bool changes = replay && replay->changed != nullptr;
+  if (changes) {
     // Take the frame. Every flop Q, which the last latch() advanced, must
     // already hold the frame's value. A changed net marks the flops
     // reading it for the next edge; the frame covers every pending lane-0
     // change.
     for (std::size_t o = 0; o < plane_.size(); ++o) {
       const std::uint64_t bad =
-          (plane_[o] ^ replay->value[o]) & t.flop_nets[o];
+          (plane_[o] ^ replay->value[o]) &
+          (t.flop_nets[o] | (t.input_nets[o] & ~pending_nets_[o]));
       if (bad != 0)
         frame_mismatch(static_cast<NetId>(o * 64 + static_cast<unsigned>(
                                                        __builtin_ctzll(bad))),
@@ -553,40 +675,37 @@ void PackedSimT<W>::run_settle(const NetFrame* replay) {
     for (const NetId n : flipped_) schedule_readers(n);
   }
   flipped_.clear();
-  // Primary inputs. A replay checks each against the frame first, so
-  // there its writes never change lane 0.
-  for (std::size_t ii = 0; ii < t.input_cells.size(); ++ii) {
+  // The primary inputs driven since the last settle. A replay checks each
+  // against the frame first, so there its writes never change lane 0.
+  for (const std::uint32_t ii : pending_inputs_) {
     const CellId id = t.input_cells[ii];
     Word v = input_hold_[ii];
     if (has_inj_[id]) v = apply_inj(id, nullptr, v, true);
-    const NetId out = t.nl->cell(id).out;
+    const NetId out = t.input_outs[ii];
     if (replay && lane_test(v, 0) != plane_bit(out))
       frame_mismatch(out, *replay);
+    pending_nets_[out / 64] &= ~(1ULL << (out % 64));
     if (lane_neq(v, load(out)) && write(out, v, kInvalidId))
       schedule_readers(out);
   }
-  if (replay) {
-    // Schedule the frontier cells that read a net whose frame bit changed,
-    // dropping the cells that left the frontier. A changed diverged word
-    // scheduled its readers when it was written, and a changed injection
-    // its cell when it was set, so an injected cell whose inputs and lanes
-    // held still keeps its output word and is not evaluated.
-    const auto changed = [replay](NetId n) {
-      return (replay->changed[n / 64] >> (n % 64)) & 1ULL;
-    };
-    std::size_t kept = 0;
-    for (const std::uint32_t k : frontier_list_) {
-      if (frontier_[k] == 0) {
-        listed_[k] = 0;
-        continue;
+  pending_inputs_.clear();
+  if (changes) {
+    // Schedule the frontier readers of every non-diverged net whose frame
+    // bit changed. A diverged net whose lane 0 changed was written (at the
+    // edge, or by its driver, which a change woke), and the write scheduled
+    // its frontier readers; a changed injection scheduled its cell when it
+    // was set. So an injected cell whose inputs and lanes held still keeps
+    // its output word and is not evaluated.
+    for (std::size_t o = 0; o < plane_.size(); ++o)
+      for (std::uint64_t bits =
+               replay->changed[o] & frontier_read_[o] & ~diverged_[o];
+           bits != 0; bits &= bits - 1) {
+        const auto n = static_cast<NetId>(
+            o * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
+        for (std::uint32_t j = t.fanout_start[n]; j < t.fanout_start[n + 1];
+             ++j)
+          if (frontier_[t.fanout[j]] != 0) push_event(t.fanout[j]);
       }
-      frontier_list_[kept++] = k;
-      const PackedTopology::FlatCell& fc = t.order[k];
-      bool wake = false;
-      for (int i = 0; i < fc.n; ++i) wake |= changed(fc.in[i]) != 0;
-      if (wake) push_event(k);
-    }
-    frontier_list_.resize(kept);
   }
   // Drain the arena's level segments in ascending order. Every fanout edge
   // strictly increases the level, so a cell processed here cannot be
@@ -627,7 +746,7 @@ void PackedSimT<W>::run_settle(const NetFrame* replay) {
   }
   // Retire membership stamps so the next settle's pushes start clean.
   bump_event_epoch();
-  if (replay) ++activity_.frame_replays;
+  if (changes) ++activity_.frame_replays;
   activity_.cells_evaluated += evaluated;
   activity_.events_drained += drained;
   activity_.quiet_cells += quiet;
@@ -650,10 +769,16 @@ void PackedSimT<W>::eval(const NetFrame* frame) {
   const bool replay = frame && synced_ && !needs_full_ &&
                       frame->cycle == synced_cycle_ + 1;
   synced_ = false;
-  if (mode_ == PackedEvalMode::kFullSweep || needs_full_)
+  if (mode_ == PackedEvalMode::kFullSweep) {
     run_full_sweep();
-  else
+  } else if (start_) {
+    const NetFrame start = begin_start(frame);
+    run_settle(&start);
+  } else if (needs_full_) {
+    run_full_sweep();
+  } else {
     run_settle(replay ? frame : nullptr);
+  }
   if (frame) {
     if (!replay) check_plane(*frame);
     synced_ = true;
@@ -681,6 +806,7 @@ void PackedSimT<W>::set_settle_log(SettleLog* log) {
 
 template <int W>
 void PackedSimT<W>::sample_settle() {
+  if (settle_log_->first.empty()) settle_log_->first = plane_;
   for (std::size_t o = 0; o < plane_.size(); ++o) {
     settle_log_->seen1[o] |= plane_[o];
     settle_log_->seen0[o] |= ~plane_[o];

@@ -22,15 +22,16 @@
 // eval() drains, in level order, only cells scheduled since the last
 // settle. A net whose word changes schedules its readers; a cell whose
 // output word is unchanged schedules nothing. A full_eval() levelized
-// sweep serves power-on and injection changes and is the cross-check
-// oracle; both paths compute bit-identical values (the event path is a pure
-// work-skipping optimisation, never an approximation). Events flow through
-// a flat preallocated arena (per-level segments of one index array,
-// epoch-stamped membership), and the clock edge is incremental by default:
-// only flops whose D or reset input changed since their last latch (the
-// dirty-D set) or that carry an injection are latched, with the full latch
-// retained as the oracle (PackedClockMode). A flop whose pins and Q are
-// not diverged and which carries no injection latches from the plane alone.
+// sweep serves a power-on without a plane and injection changes and is the
+// cross-check oracle; both paths compute bit-identical values (the event
+// path is a pure work-skipping optimisation, never an approximation).
+// Events flow through a flat preallocated arena (per-level segments of one
+// index array, epoch-stamped membership), and the clock edge is
+// incremental by default: only flops whose D or reset input changed since
+// their last latch (the dirty-D set) or that carry an injection are
+// latched, with the full latch retained as the oracle (PackedClockMode). A
+// flop whose pins and Q are not diverged and which carries no injection
+// latches from the plane alone.
 //
 // The divergence frontier is every combinational cell with an injection
 // or a diverged pin (input or output); a cell off it reads only lane-0
@@ -42,7 +43,9 @@
 //    values (a NetFrame streamed from the reference trace) when the last
 //    settle was the frame of the previous cycle: it copies the frame into
 //    the plane, schedules the frontier cells reading a net whose frame bit
-//    changed, and evaluates only frontier cells. An injected cell whose
+//    changed (each net counts the frontier cells reading it, so only the
+//    changed nets with such readers are visited), and evaluates only
+//    frontier cells. An injected cell whose
 //    inputs and lanes held still is not evaluated, since its output word
 //    cannot have moved. The replay is exact and checked: an evaluated
 //    cell, a primary input or a flop Q whose lane-0 value disagrees with
@@ -50,7 +53,17 @@
 //    and then compares the whole plane against the frame.
 // A lane-0 change made outside a settle — a flop Q flipped at the clock
 // edge — is left to the next settle: a replay takes it from the frame's
-// changed bits, a plain settle schedules its readers first.
+// changed bits, a plain settle schedules its readers first. A settle
+// applies only the primary inputs whose word or injection changed since
+// the last one.
+//
+// A batch starts without a sweep: power_on(plane) takes the good
+// machine's first settle after power-on, which a fault-free run recorded,
+// and the next settle loads it with no net diverged, exposes the faulty
+// lanes of the sources and evaluates only the frontier of the injections,
+// checking it as a replay checks a frame. Nothing of the previous batch
+// survives it (its frontier and pending events are cleared at O(frontier)),
+// so the work of a batch never depends on what the simulator ran before.
 //
 // What the frontier still holds is faulty-lane work, and a detected fault's
 // lane has nothing left to report. retire_lanes() hands such lanes back to
@@ -124,7 +137,8 @@ struct PackedTopology {
   std::vector<std::uint32_t> flop_index;
   std::vector<CellId> flop_cells;
   std::vector<CellId> source_cells;  ///< kInput + ties (full-sweep order)
-  std::vector<CellId> input_cells;   ///< kInput only (per-eval change scan)
+  std::vector<CellId> input_cells;   ///< kInput only
+  std::vector<NetId> input_outs;     ///< the net input_cells[i] drives
   /// input_cells index of each cell, or kInvalidId for non-inputs.
   std::vector<std::uint32_t> input_index;
   /// The kInput cell driving each net, or kInvalidId: the input setters'
@@ -143,6 +157,9 @@ struct PackedTopology {
   /// Nets driven by a flop, one bit per net (bit n % 64 of word n / 64):
   /// the nets a replay checks against its frame before taking it.
   std::vector<std::uint64_t> flop_nets;
+  /// Nets driven by a kInput cell, one bit per net: a replay checks those
+  /// not driven since the last settle against its frame the same way.
+  std::vector<std::uint64_t> input_nets;
   /// Nets a flop's D or reset pin reads, one bit per net: the frame bits
   /// whose change marks flops for the latch() after a replay.
   std::vector<std::uint64_t> flop_inputs;
@@ -203,6 +220,8 @@ struct PackedActivity {
 struct SettleLog {
   std::vector<std::uint64_t> seen0;
   std::vector<std::uint64_t> seen1;
+  /// The lane-0 plane of the first settle while attached (empty before it).
+  std::vector<std::uint64_t> first;
 };
 
 /// One cycle of the good machine's settled net values, for a frame settle
@@ -246,7 +265,18 @@ class PackedSimT {
 
   /// Zeroes all state (flops and nets). 2-valued power-on; drive a reset
   /// sequence afterwards for circuits that need one.
-  void power_on();
+  ///
+  /// Without `settled`, the next settle is a full sweep. With it, `settled`
+  /// (one bit per net, over ceil(nets / 64) words, alive until the next
+  /// settle) is the lane-0 plane lane 0 — the good machine — reaches at its
+  /// first settle after power-on, and in event mode that settle starts
+  /// from it instead of sweeping: it loads the plane with no net diverged,
+  /// exposes the faulty lanes of the sources, and evaluates only the
+  /// divergence frontier, checking every primary input, flop Q and
+  /// evaluated cell against the plane (a mismatch throws std::logic_error
+  /// naming the net and the cycle). Any injection change or retire_lanes
+  /// before it is taken in. kFullSweep mode ignores `settled`.
+  void power_on(const std::uint64_t* settled = nullptr);
 
   /// Drives the same value on all W lanes of a primary input. Throws
   /// std::invalid_argument, naming the net, unless a kInput cell drives it.
@@ -258,8 +288,10 @@ class PackedSimT {
   void set_input_word(const Bus& bus, std::uint64_t value);
 
   /// Settles combinational logic (applies injections). Event-driven unless
-  /// the mode is kFullSweep or the state was invalidated (power-on,
-  /// injection change), in which case it falls back to one full sweep.
+  /// the mode is kFullSweep or the state was invalidated (power-on without
+  /// a plane, injection change), in which case it falls back to one full
+  /// sweep; a pending power_on(plane) start takes precedence over the
+  /// latter.
   ///
   /// With a `frame` (ignored in kFullSweep mode, so the sweep oracle never
   /// reads the trace), lane 0 must be the good machine and `frame` its
@@ -324,12 +356,11 @@ class PackedSimT {
   Word observed(CellId output_cell) const;
   /// Whether observed(output_cell) is known to be lane-uniform without
   /// reading it: a port with no injection that reads a non-diverged net
-  /// sees the broadcast of that net's lane-0 value. False says nothing
+  /// sees the broadcast of that net's lane-0 plane bit. False says nothing
   /// either way; read observed(). No argument checks: `output_cell` must
-  /// be a kOutput port.
-  bool port_uniform(CellId output_cell) const {
-    return has_inj_[output_cell] == 0 &&
-           !diverged(topo_->nl->cell(output_cell).ins[0]);
+  /// be a kOutput port and `net` the net it reads (callers cache it).
+  bool port_uniform(CellId output_cell, NetId net) const {
+    return has_inj_[output_cell] == 0 && !diverged(net);
   }
 
   const Netlist& netlist() const { return *topo_->nl; }
@@ -340,15 +371,27 @@ class PackedSimT {
   /// The kInput cell driving `net`; throws std::invalid_argument, naming
   /// the net, if there is none.
   CellId input_driver(NetId net) const;
-  /// Holds `lanes` on a primary input; the next settle applies it.
+  /// Holds `lanes` on a primary input; if that changes its word, the next
+  /// settle applies it.
   void set_held(CellId input_cell, const Word& lanes);
+  /// Puts input_cells[ii] on the list the next settle applies.
+  void mark_input(std::uint32_t ii);
+  void clear_pending_inputs();
   void prepare_injections();
   /// Recomputes every net, sets the plane and the diverged bits, and
   /// rebuilds the frontier counts.
   void run_full_sweep();
-  /// The event settle: with a `replay` frame, copies it into the plane and
-  /// drains only frontier cells; without, schedules the pending lane-0
-  /// changes and drains every scheduled cell.
+  /// The first half of a start (power_on with a plane): loads the plane,
+  /// clears the last batch's frontier and pending events at O(frontier),
+  /// exposes the flop Qs and ties (checked against the plane) and
+  /// schedules the injected cells. Returns the plane as the frame
+  /// run_settle then replays: the settle of `frame`'s cycle, or of the
+  /// reset (cycle -1) without one. Its `changed` is null.
+  NetFrame begin_start(const NetFrame* frame);
+  /// The event settle: with a `replay` frame, copies it into the plane
+  /// (unless it is a start's, already there) and drains only frontier
+  /// cells; without, schedules the pending lane-0 changes and drains every
+  /// scheduled cell.
   void run_settle(const NetFrame* replay);
   /// Throws the mismatch of the first net whose plane bit `frame`
   /// contradicts.
@@ -360,8 +403,13 @@ class PackedSimT {
   /// Schedules every combinational reader of `net` and marks its flop
   /// readers: the plain settle's answer to a lane-0 change.
   void schedule_readers(NetId net);
-  /// Order index `k` gained a diverged pin or an injection.
+  /// Order index `k` gained a diverged pin or an injection; on joining
+  /// the frontier its input nets count it as a reader.
   void join_frontier(std::uint32_t k);
+  /// Order index `k` lost one; on leaving, its input nets stop counting it.
+  void leave_frontier(std::uint32_t k);
+  /// Empties the frontier and its reader counts at O(frontier).
+  void clear_frontier();
   /// Writes a net's changed word: lane 0 to the plane, and the word itself
   /// only if it is not lane-uniform (diverging the net). A change of
   /// divergence moves the frontier counts of the combinational readers and
@@ -371,8 +419,8 @@ class PackedSimT {
   /// readers dirty. Returns whether lane 0 changed; scheduling that change
   /// is the caller's.
   bool write(NetId net, const Word& v, std::uint32_t driver);
-  /// Writes a flop Q's exposed word outside a settle; a lane-0 change
-  /// waits in flipped_ for the next one.
+  /// Writes a source's word (a flop Q, a tie) outside a settle; a lane-0
+  /// change waits in flipped_ for the next one.
   void expose(NetId q, const Word& v);
   /// Throws the frame-mismatch std::logic_error, leaving the sim to settle
   /// with a full sweep next.
@@ -417,6 +465,12 @@ class PackedSimT {
   std::vector<std::uint8_t> sweep_flags_;
   std::vector<Word> flop_state_;   // per flop (flop_index)
   std::vector<Word> input_hold_;   // per input (input_index): driven value
+  // The inputs whose word or injection changed since the last settle
+  // (input indexes), with their nets' bits: a plain settle or a replay
+  // applies only these, and every other input's net already holds its
+  // word. A full sweep or a start applies every input.
+  std::vector<std::uint32_t> pending_inputs_;
+  std::vector<std::uint64_t> pending_nets_;
 
   // Flat injection storage: inj_flat_ grouped by cell; cell c owns
   // inj_flat_[inj_start_[c] .. inj_start_[c] + has_inj_[c]). Rebuilt
@@ -442,6 +496,10 @@ class PackedSimT {
   std::vector<std::uint32_t> event_stamp_;  // per order index
   std::uint32_t event_epoch_ = 1;
   bool needs_full_ = true;
+  // power_on()'s plane while its start is pending (needs_full_ is set too,
+  // so everything that defers to a full sweep defers to the start); a
+  // full sweep or a frame mismatch drops it.
+  const std::uint64_t* start_ = nullptr;
   // Nets whose lane 0 changed outside a settle (flop Qs at the clock
   // edge) and whose combinational readers no settle has scheduled yet. A
   // replay drops them, the frame's changed bits cover them; a plain settle
@@ -470,11 +528,16 @@ class PackedSimT {
   // Per order index, in event mode: the cell's diverged pins (inputs,
   // counted per pin, and output) plus one if it is injected. A cell is on
   // the divergence frontier iff its count is nonzero. frontier_list_
-  // holds every frontier cell (and cells that left since the last replay,
-  // which it drops lazily); listed_ marks its members.
+  // holds every frontier cell (and cells that left since it was last
+  // emptied); listed_ marks its members. frontier_reads_ counts, per net,
+  // the frontier cells' input pins on it, and frontier_read_ has one bit
+  // per net with a nonzero count: a replay wakes the frontier readers of
+  // the changed frame bits among these.
   std::vector<std::uint8_t> frontier_;
   std::vector<std::uint32_t> frontier_list_;
   std::vector<std::uint8_t> listed_;
+  std::vector<std::uint32_t> frontier_reads_;
+  std::vector<std::uint64_t> frontier_read_;
 
   PackedActivity activity_;
   SettleLog* settle_log_ = nullptr;

@@ -1048,6 +1048,56 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
   }
 }
 
+TEST(Campaign, SbstSliceKernelCountersRepeatAtEveryThreadCount) {
+  // The simulated work of the CI slice (olfui_cli --sbst --programs 2
+  // --limit 320) is a function of the shards alone, never of which
+  // participant ran which shard after which: every kernel.* counter and
+  // the graded pair count repeat exactly at 1, 3 and 4 threads and across
+  // two runs at 4, under both models (the invariant the benchmark's traced
+  // operations check). The CI slice grades one shard per test, so a wider
+  // one (--limit 4000, 16 stuck-at and 6 TDF shards) gives a participant
+  // several shards in a row.
+  auto soc = build_soc({});
+  auto suite = build_sbst_suite(soc->config);
+  suite.erase(suite.begin() + 2, suite.end());
+  const FaultUniverse u(soc->netlist);
+  const auto work_of = [&](FaultModel model, std::size_t limit, int threads) {
+    ScopedObservability guard;
+    FaultList fl(u);
+    const CampaignResult r =
+        run_sbst_campaign(
+            *soc, suite, fl, {},
+            {.threads = threads, .fault_model = model, .target_limit = limit})
+            .campaign;
+    std::map<std::string, double> work;
+    const Json counters = obs::metrics().to_json().at("counters");
+    for (std::size_t i = 0; i < counters.size(); ++i)
+      if (counters.key(i).starts_with("kernel."))
+        work[counters.key(i)] = counters.value(i).as_number();
+    work["faults_simulated"] = static_cast<double>(r.stats.faults_simulated);
+    return work;
+  };
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition}) {
+    for (const std::size_t limit : {320u, 4000u}) {
+      std::map<std::string, double> first;
+      for (const int threads : {1, 3, 4, 4}) {
+        const std::string ctx = std::string(to_string(model)) + " limit " +
+                                std::to_string(limit) + " at " +
+                                std::to_string(threads);
+        const std::map<std::string, double> work =
+            work_of(model, limit, threads);
+        EXPECT_GT(work.at("kernel.cells_evaluated"), 0.0) << ctx;
+        EXPECT_EQ(work.at("kernel.full_sweeps"), 0.0) << ctx;
+        if (first.empty())
+          first = work;
+        else
+          EXPECT_EQ(work, first) << ctx;
+      }
+    }
+  }
+}
+
 TEST(Campaign, SbstSliceCollapsedRunMatchesUncollapsedGrade) {
   // The CI slice (olfui_cli --sbst --programs 2 --limit 320): run()
   // grades one member per equivalence class (collapse_map for stuck-at,

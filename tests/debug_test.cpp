@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "debug/debug.hpp"
 #include "fault/fault_list.hpp"
@@ -214,6 +216,45 @@ TEST(DebugAnalysis, QuietInputScreeningFindsDebugPorts) {
   for (NetId n : ports.control_inputs)
     EXPECT_TRUE(std::find(quiet.begin(), quiet.end(), n) != quiet.end());
   EXPECT_TRUE(std::find(quiet.begin(), quiet.end(), core.in0) == quiet.end());
+}
+
+TEST(DebugAnalysis, MissionBatchesStartFromTheFrameZeroSettle) {
+  // MissionEnv's reset drives the inputs without settling, so the first
+  // settle after power-on is cycle 0's: the trace's power-on plane is frame
+  // 0, and every batch starts from it without a full sweep. Its verdicts
+  // are the full-sweep oracle's, which ignores the plane, for every fault.
+  Core core;
+  const DebugPorts ports = core.attach_debug();
+  const FaultUniverse u(core.nl);
+  SequentialFaultSimulator fsim(core.nl, u, {.max_cycles = 16}),
+      oracle(core.nl, u, {.max_cycles = 16});
+  oracle.sim().set_eval_mode(PackedEvalMode::kFullSweep);
+  MissionEnv env(core, ports);
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  ASSERT_EQ(trace.power_on.size(), trace.columns.size());
+  for (NetId n = 0; n < core.nl.num_nets(); ++n)
+    ASSERT_EQ(NetActivation::test(trace.power_on, n), trace.net_bit(0, n))
+        << core.nl.net(n).name;
+
+  std::vector<FaultId> all(u.size());
+  for (FaultId f = 0; f < u.size(); ++f) all[f] = f;
+  std::size_t detected = 0;
+  fsim.sim().reset_activity();
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition}) {
+    for (std::size_t lo = 0; lo < all.size(); lo += 63) {
+      const std::span<const FaultId> batch = std::span(all).subspan(
+          lo, std::min<std::size_t>(63, all.size() - lo));
+      const LaneMask got = fsim.run_batch(batch, env, trace, model);
+      EXPECT_EQ(got, oracle.run_batch(batch, env, trace, model))
+          << to_string(model) << " batch at " << lo;
+      for (std::size_t i = 0; i < batch.size(); ++i)
+        detected += got.bit(static_cast<int>(i));
+    }
+  }
+  EXPECT_GT(detected, 0u);
+  EXPECT_EQ(fsim.sim().activity().full_sweeps, 0u);
+  EXPECT_GT(oracle.sim().activity().full_sweeps, 0u);
 }
 
 TEST(DebugAnalysis, ControlConfigProducesUntestables) {

@@ -757,6 +757,9 @@ void retired_lanes_lockstep(std::uint64_t seed, bool replay, bool converge,
   }
   EXPECT_EQ(evt.activity().lanes_retired, retired_here) << where(kCycles, "end");
   EXPECT_EQ(kept.activity().lanes_retired, 0u);
+  // Retiring a lane rewrites a tie's word in place: the power-on settle
+  // stays the only full sweep.
+  EXPECT_EQ(evt.activity().full_sweeps, 1u) << where(kCycles, "end");
   if (replay) {
     EXPECT_GT(evt.activity().frame_replays, 0u) << where(kCycles, "end");
   }
@@ -776,6 +779,111 @@ TEST(EventSim, RetiredLanesMatchFullSweep) {
     }
   }
   EXPECT_GT(retired, 0u) << "no lane retired";
+}
+
+// ---------------------------------------------------------------------------
+// Power-on from a recorded plane. power_on(plane) skips the first settle's
+// full sweep: the sim loads the good machine's first settle and evaluates
+// only the divergence frontier of the injections (comb, flop-Q, flop-D,
+// PI, PO and tie sites, every lane but lane 0). It follows a batch of other
+// injections on the same sim, run in either mode, so nothing of that batch
+// may leak. After the start and after every later settle and latch it must
+// match a full-sweep sim given the same calls on every net and observed
+// output, with no full sweep of its own; a full-sweep sim given the plane
+// ignores it.
+
+template <int W>
+void power_on_start_lockstep(std::uint64_t seed) {
+  using Word = LaneWord<W>;
+  Rng rng(seed);
+  RandomDesign d = random_design(rng, 8, 16, 150);
+  const auto topo = PackedTopology::build(d.nl);
+  constexpr int kCycles = 12;
+  const Word lane0 = lane_bit<Word>(0);
+  const std::vector<std::vector<bool>> stim = random_stimulus(rng, d, kCycles);
+  PackedSimT<W> good(topo), evt(topo), oracle(topo);
+  oracle.set_eval_mode(PackedEvalMode::kFullSweep);
+  reset_sim(d, good);
+  const std::vector<std::uint64_t> plane = good.lane0_plane();
+
+  const auto where = [&](int cycle, const char* when) {
+    return "W=" + std::to_string(W) + " seed " + std::to_string(seed) + ": " +
+           when + " of cycle " + std::to_string(cycle);
+  };
+  const auto compare = [&](int cycle, const char* when) {
+    for (NetId n = 0; n < d.nl.num_nets(); ++n)
+      ASSERT_FALSE(lane_neq(evt.value(n), oracle.value(n)))
+          << where(cycle, when) << ": net " << d.nl.net(n).name;
+    for (CellId oc : d.output_cells)
+      ASSERT_FALSE(lane_neq(evt.observed(oc), oracle.observed(oc)))
+          << where(cycle, when) << ": output " << d.nl.cell(oc).name;
+  };
+  const auto inject = [&](int count) {
+    const auto flop = [](CellType t) { return is_sequential(t); };
+    const auto input = [](CellType t) { return t == CellType::kInput; };
+    const auto output = [](CellType t) { return t == CellType::kOutput; };
+    const std::pair<CellId, std::uint8_t> sites[] = {
+        {pick_cell(rng, d, is_comb_gate), 0},
+        {pick_cell(rng, d, flop), 0},
+        {pick_cell(rng, d, flop), 1},
+        {pick_cell(rng, d, input), 0},
+        {pick_cell(rng, d, output), 1},
+        {pick_cell(rng, d, [](CellType t) { return is_tie(t); }), 0}};
+    for (auto* s : {&evt, &oracle}) s->clear_injections();
+    for (int i = 0; i < count; ++i)
+      for (const auto& [cell, pin] : sites) {
+        const PackedInjectionT<W> inj{cell, pin, rng.next_bool(),
+                                      random_lanes<W>(rng) & ~lane0};
+        for (auto* s : {&evt, &oracle}) s->add_injection(inj);
+      }
+  };
+  // A first batch leaves a frontier and pending events behind; on odd
+  // seeds the event sim runs it as a full-sweep sim, which keeps none.
+  inject(2);
+  if (seed % 2 == 1) evt.set_eval_mode(PackedEvalMode::kFullSweep);
+  for (auto* s : {&evt, &oracle}) reset_sim(d, *s);
+  for (int c = 0; c < kCycles / 2; ++c) {
+    for (auto* s : {&evt, &oracle}) {
+      s->latch();
+      for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+        s->set_input_all(d.input_nets[i], stim[static_cast<std::size_t>(c)][i]);
+      s->eval();
+    }
+  }
+  // A re-armed comb injection leaves its cell pending in the arena.
+  const Word rearmed = random_lanes<W>(rng) & ~lane0;
+  for (auto* s : {&evt, &oracle}) s->set_injection_lanes(0, rearmed);
+
+  evt.set_eval_mode(PackedEvalMode::kEventDriven);
+  inject(3);
+  evt.reset_activity();
+  for (auto* s : {&evt, &oracle}) {
+    s->power_on(plane.data());
+    for (const NetId in : d.input_nets) s->set_input_all(in, false);
+    s->eval();
+  }
+  compare(-1, "after the start");
+  for (int c = 0; c < kCycles; ++c) {
+    for (auto* s : {&evt, &oracle}) s->latch();
+    compare(c, "after the latch");
+    for (auto* s : {&evt, &oracle}) {
+      for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+        s->set_input_all(d.input_nets[i], stim[static_cast<std::size_t>(c)][i]);
+      s->eval();
+    }
+    compare(c, "after the settle");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(evt.activity().full_sweeps, 0u) << where(kCycles, "end");
+  EXPECT_GT(evt.activity().cells_evaluated, 0u) << where(kCycles, "end");
+}
+
+TEST(EventSim, PowerOnPlaneStartMatchesFullSweep) {
+  for (std::uint64_t seed = 301; seed <= 306; ++seed) {
+    power_on_start_lockstep<64>(seed);
+    power_on_start_lockstep<256>(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -832,7 +940,7 @@ void replay_reads_lockstep(std::uint64_t seed, std::uint64_t& replays) {
           << "W=" << W << " seed " << seed << ": output "
           << d.nl.cell(oc).name << " diverged " << when << " of cycle "
           << cycle;
-      if (!evt.port_uniform(oc)) {
+      if (!evt.port_uniform(oc, d.nl.cell(oc).ins[0])) {
         ++other_reads;
         continue;
       }

@@ -36,7 +36,7 @@ class CounterEnv : public FsimEnvironment {
     return true;
   }
 
- private:
+ protected:
   NetId en_;
 };
 
@@ -125,6 +125,48 @@ TEST(SeqFsim, EnvironmentEndsRunEarly) {
   const FaultId f = u.id_of({rig.cnt.flops[1], 0}, false);
   EXPECT_EQ(fsim.run_batch(std::span(&f, 1), env, trace), 0u);
   EXPECT_EQ(fsim.run_batch(std::span(&f, 1), full, trace), 1u);
+}
+
+TEST(SeqFsim, ResetDriveContradictingThePowerOnPlaneThrows) {
+  // A batch starts from the power-on plane its trace recorded, and checks
+  // every primary input against it: an environment whose reset drives
+  // another value than the recording one is caught at that first settle,
+  // before cycle 0, and named; the simulator then grades a matching
+  // environment as before.
+  CounterRig rig;
+  const FaultUniverse u(rig.nl);
+  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
+  fsim.set_observed(rig.outputs);
+  CounterEnv env(rig.en);
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  ASSERT_EQ(trace.power_on.size(), trace.columns.size());
+  EXPECT_FALSE(NetActivation::test(trace.power_on, rig.en));
+
+  class EnabledResetEnv : public CounterEnv {
+   public:
+    using CounterEnv::CounterEnv;
+    void reset(PackedSim& sim) override {
+      sim.set_input_all(en_, true);
+      sim.eval();
+    }
+  };
+  EnabledResetEnv enabled(rig.en);
+  const FaultId f = u.id_of({rig.cnt.flops[1], 0}, false);
+  try {
+    fsim.run_batch(std::span(&f, 1), enabled, trace);
+    FAIL() << "a reset drive the power-on plane contradicts was accepted";
+  } catch (const std::logic_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("net en "), std::string::npos) << msg;
+    EXPECT_NE(msg.find("before cycle 0"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(fsim.run_batch(std::span(&f, 1), env, trace), 1u);
+
+  // A plane of the wrong size is refused before any settle.
+  ReferenceTrace wide = trace;
+  wide.power_on.push_back(0);
+  EXPECT_THROW(fsim.run_batch(std::span(&f, 1), env, wide),
+               std::invalid_argument);
 }
 
 TEST(CombDetect, MatchesTruthTableForAndGate) {

@@ -487,6 +487,78 @@ TEST(SbstCampaign, KernelOraclesReproduceProductionDetections) {
   }
 }
 
+TEST(SbstCampaign, ResetDivergingFaultsMatchTheSweepOracle) {
+  // A batch starts from the trace's power-on plane and runs the reset with
+  // its stuck-at faults armed, so a faulty lane can leave the reset with a
+  // flop state of its own. The faults below provably do, on the full-sweep
+  // kernel and on the start alike; graded from the plane, their verdicts
+  // under both models are the sweep oracle's, with no full sweep.
+  constexpr int W = 256;
+  using Word = LaneWord<W>;
+  const SocConfig cfg = lean_config();
+  auto soc = build_soc(cfg);
+  auto suite = build_sbst_suite(cfg);
+  const Netlist& nl = soc->netlist;
+  const FaultUniverse u(nl);
+  const auto topo = PackedTopology::build(nl);
+  FlashImage flash(cfg.flash_base, cfg.flash_size);
+  flash.load(suite[0].program.base(), suite[0].program.words());
+  const int cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin;
+  SocFsimEnvironmentT<W> env(*soc, flash, cycles);
+  SequentialFaultSimulatorT<W> fsim(nl, u, {.max_cycles = cycles}, topo),
+      oracle(nl, u, {.max_cycles = cycles}, topo);
+  for (auto* s : {&fsim, &oracle}) s->set_observed(soc->cpu.bus_output_cells);
+  oracle.sim().set_eval_mode(PackedEvalMode::kFullSweep);
+  const ReferenceTrace trace = fsim.record_reference_trace(env);
+
+  // The lanes whose flop state differs from lane 0's after the reset.
+  const auto diverged_after_reset = [&](std::span<const FaultId> faults,
+                                        PackedEvalMode mode) {
+    PackedSimT<W> sim(topo);
+    sim.set_eval_mode(mode);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const Fault& f = u.fault(faults[i]);
+      sim.add_injection({f.pin.cell, f.pin.pin, f.sa1,
+                         lane_bit<Word>(static_cast<int>(i) + 1)});
+    }
+    sim.power_on(trace.power_on.data());
+    env.reset(sim);
+    Word lanes{};
+    for (const CellId flop : topo->flop_cells) {
+      const Word q = sim.value(nl.cell(flop).out);
+      lanes |= q ^ lane_broadcast<Word>(lane_test(q, 0));
+    }
+    return lanes;
+  };
+  std::vector<FaultId> picked;
+  for (FaultId lo = 0; lo < u.size() && picked.size() < W - 1; lo += W - 1) {
+    std::vector<FaultId> batch;
+    for (FaultId f = lo; f < std::min<FaultId>(u.size(), lo + W - 1); ++f)
+      batch.push_back(f);
+    const Word lanes = diverged_after_reset(batch, PackedEvalMode::kFullSweep);
+    for (std::size_t i = 0; i < batch.size() && picked.size() < W - 1; ++i)
+      if (lane_test(lanes, static_cast<int>(i) + 1)) picked.push_back(batch[i]);
+  }
+  ASSERT_GE(picked.size(), 100u);
+  Word want{};
+  for (std::size_t i = 0; i < picked.size(); ++i)
+    want |= lane_bit<Word>(static_cast<int>(i) + 1);
+  for (const PackedEvalMode mode :
+       {PackedEvalMode::kFullSweep, PackedEvalMode::kEventDriven})
+    EXPECT_FALSE(lane_neq(diverged_after_reset(picked, mode), want))
+        << "a picked fault left the reset on lane 0's state";
+
+  fsim.sim().reset_activity();
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition}) {
+    const LaneMask got = fsim.run_batch(picked, env, trace, model);
+    EXPECT_EQ(got, oracle.run_batch(picked, env, trace, model))
+        << to_string(model);
+    EXPECT_TRUE(got.any()) << to_string(model);
+  }
+  EXPECT_EQ(fsim.sim().activity().full_sweeps, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // SocFsimEnvironment serves each bus once for lane 0 and answers only the
 // lanes whose bus differs, with RAM forked per lane on its first write
