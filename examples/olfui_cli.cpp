@@ -289,7 +289,8 @@ int run_sbst_mode(int argc, char** argv) {
                 pp.cycles, pp.new_detections);
   const auto& stats = result.campaign.stats;
   std::printf("campaign: %zu new detections, %zu fault-test pairs graded, "
-              "%zu screened (never activated), %zu collapsed (equivalent), "
+              "%zu screened (never activated or unobservable), "
+              "%zu collapsed (equivalent), "
               "%zu batches, %.2f s, %.0f faults/sec\n",
               result.campaign.total_new_detections, stats.faults_simulated,
               stats.faults_screened, stats.faults_collapsed, stats.batches,

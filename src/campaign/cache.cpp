@@ -130,7 +130,7 @@ std::uint64_t campaign_tests_fingerprint(std::span<const CampaignTest> tests) {
 }
 
 std::string CacheKey::canonical() const {
-  std::string out = "cache_key/v6";
+  std::string out = "cache_key/v7";
   const auto field = [&out](std::string_view key, const std::string& value) {
     out += '|';
     out += key;

@@ -95,7 +95,7 @@ struct CacheKey {
   std::uint64_t options_hash = 0; ///< campaign_options_hash()
   std::string fault_model = "stuck_at";
 
-  /// Self-describing canonical form ("cache_key/v6|universe=..|..") —
+  /// Self-describing canonical form ("cache_key/v7|universe=..|..") —
   /// stored verbatim inside each disk entry and verified on load, so a
   /// digest collision can never serve the wrong payload. The version moves
   /// whenever the stored payload's meaning does (v3: per-test batches
@@ -103,7 +103,8 @@ struct CacheKey {
   /// batches are 127-fault spans and the key has no lane width; v5:
   /// stuck-at batches count 255-fault spans of equivalence-class
   /// representatives; v6: so do transition batches, over the transition
-  /// classes).
+  /// classes; v7: SBST batches count only the pairs left after each test's
+  /// observability screen too).
   std::string canonical() const;
   /// fnv1a64 of canonical(): the disk entry's file name.
   std::uint64_t digest() const;

@@ -285,34 +285,43 @@ CampaignResult CampaignEngine::run(FaultList& fl,
       opts_.fault_model == FaultModel::kStuckAt
           ? universe_->collapse_map()
           : universe_->tdf_collapse_map();
+  // Every test's screen, evaluated once on the pool: a pure function of
+  // the test, so a cache hit never pays for it and the order in which the
+  // participants take the tests shows nowhere.
+  std::vector<BitVec> screens(tests.size());
+  parallel_for(tests.size(), [&](std::size_t t, std::size_t) {
+    if (tests[t].screen) screens[t] = tests[t].screen();
+  });
   // Per class, reset after each test: its lowest-id targeted member (the
-  // one graded), and whether the activation screen or the grade hit it.
+  // one graded), and whether the screen or the grade hit it.
   std::vector<FaultId> class_rep(class_of.size(), kInvalidId);
-  std::vector<std::uint8_t> class_inert(class_of.size(), 0);
+  std::vector<std::uint8_t> class_screened(class_of.size(), 0);
   std::vector<std::uint8_t> class_detected(class_of.size(), 0);
 
-  for (const CampaignTest& test : tests) {
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    const CampaignTest& test = tests[t];
+    const BitVec& screen = screens[t];
     // The target_limit slice is cut over the whole target list before
     // anything is collapsed or screened, so a sliced run covers the same
     // faults either way.
     const std::vector<FaultId> targets =
         campaign_targets(fl, opts_.target_limit);
-    // Activation screen: an inert fault's faulty machine equals the good
-    // one for the whole test, and so does every member of its class, so
+    // A screened fault's faulty machine shows the good one's outputs for
+    // the whole test, and so does every member of its class, so
     // simulating the class cannot detect anything. An untestable member
     // is no target, so a class whose lowest id the analyzer pruned grades
     // through its next member.
     for (const FaultId f : targets) {
       const FaultId c = class_of[f];
       if (class_rep[c] == kInvalidId) class_rep[c] = f;
-      if (!test.inert.empty() && test.inert.get(f)) class_inert[c] = 1;
+      if (!screen.empty() && screen.get(f)) class_screened[c] = 1;
     }
     std::vector<FaultId> graded;
     std::size_t screened = 0;
     for (const FaultId f : targets) {
       const FaultId c = class_of[f];
       if (class_rep[c] != f) continue;
-      if (class_inert[c])
+      if (class_screened[c])
         ++screened;
       else
         graded.push_back(f);
@@ -350,7 +359,7 @@ CampaignResult CampaignEngine::run(FaultList& fl,
     for (const FaultId f : targets) {
       const FaultId c = class_of[f];
       class_rep[c] = kInvalidId;
-      class_inert[c] = 0;
+      class_screened[c] = 0;
       class_detected[c] = 0;
     }
     result.total_new_detections += pt.new_detections;

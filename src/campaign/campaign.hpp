@@ -22,9 +22,11 @@
 //    one faulty machine, so run() grades only the lowest-id targeted
 //    member of each class and marks the class's other targeted members
 //    with its verdict;
-//  * activation screening — faults a test's good-machine run proves it
-//    never activates (CampaignTest::inert) leave that test's target list,
-//    with their whole class, before batching and cost no simulation;
+//  * screening — faults a test provably cannot detect (CampaignTest::
+//    screen: for an SBST test, the faults its good-machine run never
+//    activates plus those whose effect cannot reach an observed port
+//    under the run's constant nets) leave that test's target list, with
+//    their whole class, before batching and cost no simulation;
 //  * good-machine checkpointing — each test's fault-free run is recorded
 //    once (fsim::ReferenceTrace, all nets), and every batch grades against
 //    it: the trace is the only good machine, supplying the observed
@@ -89,13 +91,16 @@ struct CampaignTest {
   /// build_sbst_campaign_test). campaign_tests_fingerprint hashes it, so
   /// its bytes are part of every cache key. Null = not cacheable.
   Json spec;
-  /// Activation screen over the universe: a set bit marks a fault this
-  /// test provably cannot detect because its good-machine run never
-  /// activates it (see build_sbst_campaign_test). CampaignEngine::run
-  /// drops these, and under stuck-at every targeted member of their
-  /// equivalence class, from the test's targets before batching. Empty =
-  /// none known (scan and function tests).
-  BitVec inert;
+  /// Deferred screen over the universe: returns a set bit for every fault
+  /// this test provably cannot detect (for an SBST test, the faults its
+  /// good-machine run never activates or whose effect cannot reach an
+  /// observed port; see build_sbst_campaign_test). CampaignEngine::run
+  /// calls it once per run on a cache miss, before planning the first
+  /// test, and drops these faults, with every targeted member of their
+  /// equivalence class, from the test's targets. It must be a pure,
+  /// thread-safe function of state that outlives the campaign; a cache hit
+  /// never calls it. Null = none known (scan and function tests).
+  std::function<BitVec()> screen;
 };
 
 struct CampaignOptions {
@@ -157,11 +162,11 @@ struct CampaignResult {
     /// The engine's worker count (resolved_threads).
     int threads = 0;
     /// Fault x test pairs actually graded, one per equivalence class left
-    /// after the activation screen: targeted minus screened minus
-    /// collapsed.
+    /// after the test's screen: targeted minus screened minus collapsed.
     std::size_t faults_simulated = 0;
-    /// Class representatives dropped by the activation screen
-    /// (CampaignTest::inert) without simulation.
+    /// Class representatives dropped by the test's screen
+    /// (CampaignTest::screen; for SBST, never activated or unobservable
+    /// under the run's constant nets) without simulation.
     std::size_t faults_screened = 0;
     /// Targeted fault x test pairs that took the verdict of their class's
     /// representative instead of a lane of their own.
@@ -217,7 +222,7 @@ CampaignTest make_function_test(
 
 /// Progress callback: (test name, faults graded so far, faults to grade).
 /// Both counts are over the pairs the test actually grades: run() passes
-/// the class representatives left after the activation screen, so a
+/// the class representatives left after the test's screen, so a
 /// test's final call reports faults_targeted minus its screened and
 /// collapsed faults.
 using CampaignProgress =
@@ -258,17 +263,18 @@ class CampaignEngine {
   /// with their own between-test bookkeeping (e.g. scan ATPG's
   /// equivalence-class propagation) build on this directly. With
   /// `shard_seconds`, each shard's wall time is appended in shard index
-  /// order. grade() never applies test.inert and never collapses: every
+  /// order. grade() never applies test.screen and never collapses: every
   /// target is simulated.
   BitVec grade(std::span<const FaultId> targets, const CampaignTest& test,
                const CampaignProgress& progress = {},
                std::vector<double>* shard_seconds = nullptr) const;
 
-  /// Runs the full campaign: for each test in order, takes the testable
-  /// faults no earlier test detected (target_limit permitting), keeps the
-  /// lowest-id one of each stuck-at equivalence class, drops the classes
-  /// with an inert target, grades the rest, marks every targeted member of
-  /// a detected class in `fl`, and accumulates the result. The payload
+  /// Runs the full campaign. On a cache miss it first evaluates every
+  /// test's screen on the pool; then, for each test in order, it takes the
+  /// testable faults no earlier test detected (target_limit permitting),
+  /// keeps the lowest-id one of each equivalence class, drops the classes
+  /// with a screened target, grades the rest, marks every targeted member
+  /// of a detected class in `fl`, and accumulates the result. The payload
   /// equals grading every target one by one: equivalent faults have one
   /// faulty machine.
   CampaignResult run(FaultList& fl, std::span<const CampaignTest> tests,

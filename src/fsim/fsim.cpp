@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -29,19 +30,19 @@ bool frame_bit(const std::uint64_t* words, NetId net) {
 
 /// Streams a ReferenceTrace's frames in cycle order: one run cursor per
 /// 64-net column yields each cycle's lane-0 words and the bits that changed
-/// since the previous cycle. Nothing per cycle is stored.
+/// since the previous cycle. A cycle visits only the columns the trace
+/// lists for it, plus last cycle's to clear their changed words. Nothing
+/// per cycle is stored.
 class FrameStream {
  public:
   explicit FrameStream(const ReferenceTrace& trace)
       : trace_(&trace),
         run_(trace.columns.size(), 0),
-        next_(trace.columns.size()),
         value_(trace.columns.size()),
         changed_(trace.columns.size(), 0) {
     for (std::size_t o = 0; o < run_.size(); ++o) {
       const ReferenceTrace::Column& col = trace.columns[o];
       value_[o] = col.value.empty() ? 0 : col.value[0];
-      next_[o] = next_start(col, 0);
     }
     frame_.value = value_.data();
     frame_.changed = changed_.data();
@@ -49,33 +50,25 @@ class FrameStream {
 
   /// The frame of `cycle`; calls must step through 0, 1, 2, ... in order.
   const NetFrame& at(int cycle) {
-    const auto c = static_cast<std::uint32_t>(cycle);
-    for (std::size_t o = 0; o < run_.size(); ++o) {
-      if (next_[o] != c) {
-        changed_[o] = 0;
-        continue;
-      }
-      const ReferenceTrace::Column& col = trace_->columns[o];
-      const std::size_t r = ++run_[o];
-      changed_[o] = value_[o] ^ col.value[r];
-      value_[o] = col.value[r];
-      next_[o] = next_start(col, r);
+    for (const std::uint32_t o : last_) changed_[o] = 0;
+    const auto c = static_cast<std::size_t>(cycle);
+    last_ = std::span(trace_->change_columns)
+                .subspan(trace_->change_begin[c],
+                         trace_->change_begin[c + 1] - trace_->change_begin[c]);
+    for (const std::uint32_t o : last_) {
+      const std::uint64_t v = trace_->columns[o].value[++run_[o]];
+      changed_[o] = value_[o] ^ v;
+      value_[o] = v;
     }
     frame_.cycle = cycle;
     return frame_;
   }
 
  private:
-  /// Start cycle of the run after run `r`, or never.
-  static std::uint32_t next_start(const ReferenceTrace::Column& col,
-                                  std::size_t r) {
-    return r + 1 < col.cycle.size() ? col.cycle[r + 1] : UINT32_MAX;
-  }
-
   const ReferenceTrace* trace_;
   std::vector<std::size_t> run_;
-  std::vector<std::uint32_t> next_;  // start cycle of each column's next run
   std::vector<std::uint64_t> value_, changed_;
+  std::span<const std::uint32_t> last_;  // the columns the last cycle moved
   NetFrame frame_;
 };
 
@@ -138,16 +131,21 @@ void ReferenceTrace::reset(std::size_t nets) {
   num_nets = nets;
   columns.assign((nets + 63) / 64, {});
   power_on.clear();
+  change_begin.assign(1, 0);
+  change_columns.clear();
 }
 
 void ReferenceTrace::append_cycle(const std::uint64_t* words) {
   for (std::size_t o = 0; o < columns.size(); ++o) {
     Column& col = columns[o];
     if (col.value.empty() || col.value.back() != words[o]) {
+      if (!col.value.empty())
+        change_columns.push_back(static_cast<std::uint32_t>(o));
       col.cycle.push_back(static_cast<std::uint32_t>(cycles));
       col.value.push_back(words[o]);
     }
   }
+  change_begin.push_back(static_cast<std::uint32_t>(change_columns.size()));
   ++cycles;
 }
 
@@ -296,6 +294,12 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
         "SequentialFaultSimulator: the trace's power-on plane holds " +
         std::to_string(trace.power_on.size()) + " words, the netlist needs " +
         std::to_string(words));
+  // The frame stream walks one change list per cycle.
+  if (trace.change_begin.size() != static_cast<std::size_t>(trace.cycles) + 1)
+    throw std::invalid_argument(
+        "SequentialFaultSimulator: the trace's change lists cover " +
+        std::to_string(trace.change_begin.size()) + " entries for " +
+        std::to_string(trace.cycles) + " cycles");
   const bool tdf = model == FaultModel::kTransition;
 
   // Fault i rides lane i + 1. A transition fault's capture value is its

@@ -148,6 +148,13 @@ struct ReferenceTrace {
   /// first settle, or cycle 0's if the reset never settles. fingerprint()
   /// does not cover it.
   std::vector<std::uint64_t> power_on;
+  /// Per cycle, the columns whose next run starts there:
+  /// change_columns[change_begin[c], change_begin[c + 1]) for cycle c
+  /// (empty for cycle 0, where every column's first run starts). Built by
+  /// append_cycle from the run starts, so fingerprint() does not cover it;
+  /// a batch's frame stream visits only these columns.
+  std::vector<std::uint32_t> change_begin;  ///< cycles + 1 entries
+  std::vector<std::uint32_t> change_columns;
 
   /// Lane-0 value of `net` during `cycle` (binary search in the column).
   /// Throws std::out_of_range, naming both, unless cycle is in
@@ -162,7 +169,8 @@ struct ReferenceTrace {
   /// Clears and sizes the columns for a netlist with `nets` nets.
   void reset(std::size_t nets);
   /// Appends one cycle's net words (columns.size() of them). Cycles must
-  /// be appended in order; increments `cycles`.
+  /// be appended in order; increments `cycles` and extends the per-cycle
+  /// change lists.
   void append_cycle(const std::uint64_t* words);
 
   /// Total stored runs across all columns (the compression measure).
@@ -231,8 +239,9 @@ class SequentialFaultSimulatorT {
   /// standard parallel-TDF approximation), so verdicts are deterministic
   /// and kernel-independent. Throws std::invalid_argument, naming the
   /// size and the width, for W or more faults, and, naming both counts,
-  /// for a trace whose net count is not the netlist's or whose power-on
-  /// plane is neither empty nor one word per 64 nets.
+  /// for a trace whose net count is not the netlist's, whose power-on
+  /// plane is neither empty nor one word per 64 nets, or whose change
+  /// lists do not cover its cycles.
   LaneMask run_batch(std::span<const FaultId> faults, Environment& env,
                      const ReferenceTrace& trace,
                      FaultModel model = FaultModel::kStuckAt);

@@ -8,6 +8,7 @@
 #include "campaign/report.hpp"
 #include "fault/tdf.hpp"
 #include "obs/trace.hpp"
+#include "sta/sta.hpp"
 
 namespace olfui {
 
@@ -354,14 +355,6 @@ class SbstBatchRunnerT final : public FaultBatchRunner {
 
 }  // namespace
 
-namespace {
-
-/// The activation screen (CampaignTest::inert): the faults whose faulty
-/// machine provably equals the good machine for the whole run. A
-/// stuck-at-v fault acts only while its site holds !v — at any settle,
-/// reset phase included. A transition batch arms a fault only on the
-/// capture cycle after its site makes the fault's transition, so a site
-/// that never does leaves the fault unarmed throughout.
 BitVec inert_faults(const FaultUniverse& universe, const NetActivation& act,
                     FaultModel fault_model) {
   const Netlist& nl = universe.netlist();
@@ -378,7 +371,35 @@ BitVec inert_faults(const FaultUniverse& universe, const NetActivation& act,
   return inert;
 }
 
-}  // namespace
+std::vector<Logic> trace_constants(const NetActivation& act,
+                                   std::size_t nets) {
+  std::vector<Logic> value(nets, Logic::VX);
+  for (NetId n = 0; n < nets; ++n) {
+    const bool seen1 = NetActivation::test(act.seen1, n);
+    if (seen1 != NetActivation::test(act.seen0, n)) value[n] = from_bool(seen1);
+  }
+  return value;
+}
+
+BitVec unobservable_faults(const FaultUniverse& universe,
+                           const NetActivation& act,
+                           std::span<const CellId> observed) {
+  const Netlist& nl = universe.netlist();
+  // Only the trace says which nets are constant: a ternary fixpoint would
+  // call a flop's Q constant once its D is, yet Q held its power-on 0.
+  const StructuralAnalyzer sta(nl, universe);
+  const StaResult r =
+      sta.analyze_values(trace_constants(act, nl.num_nets()), observed);
+  ObservabilityProver prover(sta, r);
+  // The two faults of a pin are adjacent ids, s-a-0 first.
+  BitVec unobservable(universe.size());
+  for (FaultId f = 0; f + 1 < universe.size(); f += 2) {
+    if (prover.possibly_observable(universe.fault(f).pin)) continue;
+    unobservable.set(f, true);
+    unobservable.set(f + 1, true);
+  }
+  return unobservable;
+}
 
 // The trace is recorded here exactly once per program, and the same pass
 // yields the cycle count. The environment stops one cycle after lane 0
@@ -402,23 +423,34 @@ SbstCampaignTest build_sbst_campaign_test(
   SocFsimEnvironment trace_env(soc, *flash, opts.max_cycles);
   SequentialFaultSimulator tracer(soc.netlist, universe, opts, topo);
   tracer.set_observed(soc.cpu.bus_output_cells);
-  // The same good run yields the activation screen.
+  // The same good run yields the activation the screen reads.
   auto trace_span = obs::tracer().span("record_trace", "campaign");
   trace_span.arg("program", Json(program.name));
-  NetActivation activation;
+  auto activation = std::make_shared<NetActivation>();
   auto trace = std::make_shared<const ReferenceTrace>(
-      tracer.record_reference_trace(trace_env, &activation));
-  BitVec inert = inert_faults(universe, activation, fault_model);
-  trace_span.arg("inert", Json(inert.count()));
+      tracer.record_reference_trace(trace_env, activation.get()));
   trace_span.end();
 
   const int good_cycles = std::min(trace->cycles - 1, kSbstFunctionalCycleCap);
   opts.max_cycles = good_cycles + kSbstCampaignMargin;
   SbstCampaignTest out;
   out.trace = trace;
+  out.activation = activation;
   out.test.name = program.name;
   out.test.good_cycles = good_cycles;
-  out.test.inert = std::move(inert);
+  // Deferred: a campaign that hits the result cache never needs it.
+  out.test.screen = [&soc, &universe, activation, fault_model,
+                     name = program.name]() {
+    auto span = obs::tracer().span("screen", "campaign");
+    span.arg("test", Json(name));
+    BitVec screen = inert_faults(universe, *activation, fault_model);
+    const std::size_t inert = screen.count();
+    screen |= unobservable_faults(universe, *activation,
+                                  soc.cpu.bus_output_cells);
+    span.arg("inert", Json(inert));
+    span.arg("unobservable", Json(screen.count() - inert));
+    return screen;
+  };
   out.test.max_batch = kSbstLanes - 1;
   Json spec = Json::object();
   spec.set("workload", "sbst");

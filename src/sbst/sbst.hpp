@@ -10,11 +10,15 @@
 // universe. The campaign takes its cycle counts from the packed
 // good-machine pass that records each test's checkpoint, not from the
 // functional runner; that checkpoint's activation() is also the §4
-// input-activity screen (find_quiet_inputs).
+// input-activity screen (find_quiet_inputs). The same pass yields each
+// test's screen: the faults the run never activates, plus those the
+// paper's structural proof (sta.hpp), run under the nets the program
+// holds at one value, shows can never reach the system bus.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "cpu/soc.hpp"
 #include "fault/fault_list.hpp"
 #include "fsim/fsim.hpp"
+#include "sim/logic.hpp"
 
 namespace olfui {
 
@@ -69,21 +74,52 @@ inline constexpr int kSbstCampaignMargin = 8;
 /// (README "Kernel width" has the measurements behind it).
 inline constexpr int kSbstLanes = 256;
 
+/// The activation half of an SBST test's screen: the faults whose faulty
+/// machine provably equals the good machine for the whole run. A
+/// stuck-at-v fault acts only while its site holds !v — at any settle,
+/// reset phase included. A transition batch arms a fault only on the
+/// capture cycle after its site makes the fault's transition, so a site
+/// that never does leaves the fault unarmed throughout.
+BitVec inert_faults(const FaultUniverse& universe, const NetActivation& act,
+                    FaultModel fault_model);
+
+/// The fault-free constants of one run over `nets` nets: V0 or V1 for
+/// every net the run held at one value (exactly one of act.seen0 /
+/// act.seen1), VX elsewhere.
+std::vector<Logic> trace_constants(const NetActivation& act,
+                                   std::size_t nets);
+
+/// The observability half: the faults on every pin whose effect provably
+/// reaches none of the `observed` output cells while every net keeps its
+/// trace_constants value. It is StructuralAnalyzer's sound proof, one
+/// ObservabilityProver over analyze_values, with the constants taken
+/// from the trace alone. Both
+/// models read the same set: a stuck-at fault, and a transition fault on
+/// whichever cycles it is armed, makes only its own pin differ. Sound for
+/// a run whose environment reads no other port of a faulty lane.
+BitVec unobservable_faults(const FaultUniverse& universe,
+                           const NetActivation& act,
+                           std::span<const CellId> observed);
+
 /// One program's campaign test plus the recorded good-machine checkpoint
-/// (exposed so callers can inspect the trace the test grades against).
+/// and its activation (exposed so callers can inspect what the test
+/// grades against and what its screen reads).
 struct SbstCampaignTest {
   CampaignTest test;
   std::shared_ptr<const ReferenceTrace> trace;
+  /// The run's NetActivation, reset settles included: the input of both
+  /// halves of test.screen.
+  std::shared_ptr<const NetActivation> activation;
 };
 
 /// Builds one program's campaign test from one packed good-machine pass
 /// (the lane-0 tracer, budget kSbstFunctionalCycleCap +
 /// kSbstCampaignMargin). That pass records the reference trace, yields
 /// the cycle count (test.good_cycles; the budget is good_cycles +
-/// kSbstCampaignMargin) and the activation screen (test.inert: stuck-at
-/// faults whose site never leaves the stuck value, reset phase included;
-/// transition faults whose site never makes their transition). The
-/// grading kernel is wrapped in per-worker runners at kSbstLanes lanes
+/// kSbstCampaignMargin) and the activation the deferred test.screen reads:
+/// inert_faults under `fault_model` plus unobservable_faults at the
+/// system-bus ports, evaluated only when a campaign run misses the cache
+/// (a "screen" span names both counts). The grading kernel is wrapped in per-worker runners at kSbstLanes lanes
 /// with the event-driven kernel and incremental clocking, so
 /// test.max_batch is kSbstLanes - 1. The runners grade every batch
 /// against the recorded trace, under `fault_model`: kTransition reads the

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace olfui {
 
@@ -52,7 +53,29 @@ StaResult StructuralAnalyzer::analyze(const MissionConfig& config) const {
   for (CellId c : config.unobserved_outputs) r.port_observed[c] = 0;
 
   // Observability.
-  propagate_observability(config, r);
+  propagate_observability(r);
+  return r;
+}
+
+StaResult StructuralAnalyzer::analyze_values(
+    std::vector<Logic> net_value, std::span<const CellId> observed) const {
+  if (net_value.size() != nl_->num_nets())
+    throw std::invalid_argument(
+        "StructuralAnalyzer::analyze_values: " +
+        std::to_string(net_value.size()) + " values for " +
+        std::to_string(nl_->num_nets()) + " nets");
+  StaResult r;
+  r.net_value = std::move(net_value);
+  r.pin_observable.assign(num_pins(), 0);
+  r.port_observed.assign(nl_->num_cells(), 0);
+  for (const CellId c : observed) {
+    if (c >= nl_->num_cells() || nl_->cell(c).type != CellType::kOutput)
+      throw std::invalid_argument(
+          "StructuralAnalyzer::analyze_values: observed cell " +
+          std::to_string(c) + " is not an output port");
+    r.port_observed[c] = 1;
+  }
+  propagate_observability(r);
   return r;
 }
 
@@ -138,16 +161,12 @@ bool StructuralAnalyzer::pin_blocked(const Cell& c, int pin,
   }
 }
 
-void StructuralAnalyzer::propagate_observability(const MissionConfig& config,
-                                                 StaResult& r) const {
-  std::vector<std::uint8_t> unobserved(nl_->num_cells(), 0);
-  for (CellId c : config.unobserved_outputs) unobserved[c] = 1;
-
+void StructuralAnalyzer::propagate_observability(StaResult& r) const {
   std::vector<std::uint8_t> net_obs(nl_->num_nets(), 0);
   std::vector<NetId> worklist;
 
   for (CellId oc : nl_->output_cells()) {
-    if (unobserved[oc]) continue;
+    if (!r.port_observed[oc]) continue;
     const Cell& c = nl_->cell(oc);
     r.pin_observable[pin_ordinal({oc, 1})] = 1;
     if (!net_obs[c.ins[0]]) {
@@ -179,9 +198,10 @@ void StructuralAnalyzer::propagate_observability(const MissionConfig& config,
 std::size_t StructuralAnalyzer::classify_faults(const StaResult& r, FaultList& fl,
                                                 OnlineSource s) const {
   std::size_t newly = 0;
-  // Per-pin verification results are shared between the two stuck-at
-  // polarities of a pin (observability does not depend on polarity).
-  std::vector<std::int8_t> verified(num_pins(), -1);
+  // The prover's memo serves both stuck-at polarities of a pin
+  // (observability does not depend on polarity) and every pin whose
+  // effect passes through an already proven net.
+  ObservabilityProver prover(*this, r);
   for (FaultId f = 0; f < universe_->size(); ++f) {
     if (fl.untestable_kind(f) != UntestableKind::kNone) continue;
     const Fault& fault = universe_->fault(f);
@@ -194,11 +214,7 @@ std::size_t StructuralAnalyzer::classify_faults(const StaResult& r, FaultList& f
       ++newly;
       continue;
     }
-    const std::uint32_t ord = pin_ordinal(fault.pin);
-    if (r.pin_observable[ord]) continue;  // fast filter: maybe testable
-    if (verified[ord] < 0)
-      verified[ord] = fault_possibly_observable(r, fault.pin) ? 1 : 0;
-    if (verified[ord] == 0) {
+    if (!prover.possibly_observable(fault.pin)) {
       fl.mark_untestable(f, UntestableKind::kUnobservable, s);
       ++newly;
     }
@@ -209,7 +225,7 @@ std::size_t StructuralAnalyzer::classify_faults(const StaResult& r, FaultList& f
 std::size_t StructuralAnalyzer::classify_transition_faults(
     const StaResult& r, FaultList& fl, OnlineSource s) const {
   std::size_t newly = 0;
-  std::vector<std::int8_t> verified(num_pins(), -1);
+  ObservabilityProver prover(*this, r);
   for (FaultId f = 0; f < universe_->size(); ++f) {
     if (fl.untestable_kind(f) != UntestableKind::kNone) continue;
     const Fault& fault = universe_->fault(f);
@@ -221,11 +237,7 @@ std::size_t StructuralAnalyzer::classify_transition_faults(
       ++newly;
       continue;
     }
-    const std::uint32_t ord = pin_ordinal(fault.pin);
-    if (r.pin_observable[ord]) continue;
-    if (verified[ord] < 0)
-      verified[ord] = fault_possibly_observable(r, fault.pin) ? 1 : 0;
-    if (verified[ord] == 0) {
+    if (!prover.possibly_observable(fault.pin)) {
       fl.mark_untestable(f, UntestableKind::kUnobservable, s);
       ++newly;
     }
@@ -305,42 +317,81 @@ bool StructuralAnalyzer::cell_may_diverge(const Cell& c, const StaResult& r,
 
 bool StructuralAnalyzer::fault_possibly_observable(const StaResult& r,
                                                    Pin pin) const {
-  const Netlist& nl = *nl_;
-  // div[n] == 1: net n may differ between the good and the faulty machine.
-  std::vector<std::uint8_t> div(nl.num_nets(), 0);
+  return ObservabilityProver(*this, r).possibly_observable(pin);
+}
 
+ObservabilityProver::ObservabilityProver(const StructuralAnalyzer& sta,
+                                         const StaResult& r)
+    : sta_(&sta),
+      r_(&r),
+      verdict_(sta.netlist().num_nets(), kUnknown),
+      div_(sta.netlist().num_nets(), 0) {
+  const Netlist& nl = sta.netlist();
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    const CellId drv = nl.net(n).driver;
+    if (drv != kInvalidId && r.pin_observable[sta.pin_ordinal({drv, 0})])
+      verdict_[n] = kObservable;
+  }
+}
+
+bool ObservabilityProver::possibly_observable(Pin pin) {
+  const StaResult& r = *r_;
+  if (r.pin_observable[sta_->pin_ordinal(pin)]) return true;
   // Seed. A branch fault diverges only inside its own cell's view; handle
   // the first cell specially, then net-level propagation takes over.
-  const Cell& fcell = nl.cell(pin.cell);
+  const Cell& fcell = sta_->netlist().cell(pin.cell);
   if (pin.pin != 0) {
     if (fcell.type == CellType::kOutput)
       return r.port_observed[pin.cell] != 0;  // PO pin fault: directly read?
-    if (!cell_may_diverge(fcell, r, div, pin.pin - 1)) return false;
+    if (!StructuralAnalyzer::cell_may_diverge(fcell, r, div_, pin.pin - 1))
+      return false;
   }
-  div[fcell.out] = 1;
+  return net_observable(fcell.out);
+}
 
+bool ObservabilityProver::net_observable(NetId seed) {
+  if (verdict_[seed] != kUnknown) return verdict_[seed] == kObservable;
+  ++proofs_;
+  const Netlist& nl = sta_->netlist();
+  const StaResult& r = *r_;
   // Least fixpoint by fanout events. cell_may_diverge is monotone in
-  // `div`: a newly divergent net can only make its readers pass (as a
+  // `div_`: a newly divergent net can only make its readers pass (as a
   // propagating input, or as a side input that stops blocking), so
   // re-evaluating the readers of each net as it turns divergent reaches
   // the same fixpoint as sweeping the whole netlist until stable, flop
-  // edges included. Any observed port reading a divergent net decides.
-  std::vector<NetId> worklist{fcell.out};
-  while (!worklist.empty()) {
-    const NetId n = worklist.back();
-    worklist.pop_back();
-    for (const Pin& reader : nl.net(n).fanout) {
+  // edges included. Any observed port reading a divergent net decides,
+  // and so does any divergent net already known to be observable.
+  div_[seed] = 1;
+  marked_.assign(1, seed);
+  bool observable = false;
+  for (std::size_t next = 0; next < marked_.size() && !observable; ++next) {
+    for (const Pin& reader : nl.net(marked_[next]).fanout) {
       const Cell& c = nl.cell(reader.cell);
       if (c.type == CellType::kOutput) {
-        if (r.port_observed[reader.cell]) return true;
+        if (r.port_observed[reader.cell]) {
+          observable = true;
+          break;
+        }
         continue;
       }
-      if (div[c.out] || !cell_may_diverge(c, r, div)) continue;
-      div[c.out] = 1;
-      worklist.push_back(c.out);
+      if (div_[c.out] || !StructuralAnalyzer::cell_may_diverge(c, r, div_))
+        continue;
+      if (verdict_[c.out] == kObservable) {
+        observable = true;
+        break;
+      }
+      div_[c.out] = 1;
+      marked_.push_back(c.out);
     }
   }
-  return false;
+  // Seeding any marked net instead reaches a subset of these marks, so an
+  // exhausted proof settles all of them.
+  for (const NetId n : marked_) {
+    div_[n] = 0;
+    if (!observable) verdict_[n] = kUnobservable;
+  }
+  if (observable) verdict_[seed] = kObservable;
+  return observable;
 }
 
 }  // namespace olfui

@@ -20,10 +20,14 @@
 // workaround of Figs. 5/6) and a backward observability pass with
 // controlling-side-input blocking. classify_faults() then labels each
 // fault UT (tied/unexcitable) or UO (unobservable), the two structural
-// untestability classes the flow prunes.
+// untestability classes the flow prunes. analyze_values() runs the same
+// backward pass over fault-free values known from elsewhere (a recorded
+// good-machine run), and an ObservabilityProver answers the sound
+// per-fault proof over either result, memoized per net.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fault/fault_list.hpp"
@@ -72,11 +76,23 @@ class StructuralAnalyzer {
   std::uint32_t pin_ordinal(Pin p) const;
   std::size_t num_pins() const { return universe_->size() / 2; }
 
+  const Netlist& netlist() const { return *nl_; }
+
   StaResult analyze(const MissionConfig& config) const;
+
+  /// The observability half of analyze() over fault-free net values known
+  /// from elsewhere, e.g. the nets one recorded good-machine run held at a
+  /// single value. `net_value` (one entry per net) is taken as is: no
+  /// constant propagation runs over it, since its flop steady-state rule
+  /// would call a flop's Q constant as soon as its D is, although Q holds
+  /// its power-on 0 first. Only the `observed` output cells are read.
+  StaResult analyze_values(std::vector<Logic> net_value,
+                           std::span<const CellId> observed) const;
 
   /// Marks faults proven untestable by `r` into `fl` with source label `s`:
   /// fault s-a-v at a pin whose fault-free value is v  -> kTied;
-  /// fault at a pin with no sensitizable path to an observed output -> kUnobservable.
+  /// fault at a pin with no sensitizable path to an observed output ->
+  /// kUnobservable (one ObservabilityProver over `r` decides).
   /// Returns the number of *newly* marked faults.
   std::size_t classify_faults(const StaResult& r, FaultList& fl,
                               OnlineSource s) const;
@@ -104,7 +120,8 @@ class StructuralAnalyzer {
   /// divergent net ends the proof. Returns false only when no observed
   /// output can ever differ. tests/divergence_oracle.hpp keeps the
   /// whole-netlist sweep fixpoint this replaces; the sta and core suites
-  /// compare the two pin by pin.
+  /// compare the two pin by pin. One-shot: a caller with many pins to
+  /// prove over one result keeps an ObservabilityProver instead.
   bool fault_possibly_observable(const StaResult& r, Pin pin) const;
 
   /// The proof's divergence transfer: true if the output of cell `c` may
@@ -120,7 +137,8 @@ class StructuralAnalyzer {
   /// constants and tie cells) keep the value analyze() gave them.
   void propagate_constants(const std::vector<std::uint8_t>& assumed,
                            StaResult& r) const;
-  void propagate_observability(const MissionConfig& config, StaResult& r) const;
+  /// Backward pass from the output cells r.port_observed flags.
+  void propagate_observability(StaResult& r) const;
   /// True if input pin `pin` (1-based) of cell `c` is blocked by the
   /// fault-free constants on the cell's other inputs.
   bool pin_blocked(const Cell& c, int pin, const StaResult& r) const;
@@ -129,6 +147,44 @@ class StructuralAnalyzer {
   const FaultUniverse* universe_;
   std::vector<CellId> order_;  // levelized combinational order
   std::vector<CellId> flops_;  // every kDff/kDffR cell
+};
+
+/// StructuralAnalyzer::fault_possibly_observable over one StaResult,
+/// memoized per net, for callers that prove many pins (classify_faults,
+/// the per-test screen of an SBST campaign). Every verdict equals the
+/// one-shot proof's:
+///  * a pin the backward filter (r.pin_observable) passes is observable:
+///    the filter blocks at every controlling side input, the proof only at
+///    non-divergent ones, so the filter passes fewer pins. A net whose
+///    stem the filter passes starts out known observable;
+///  * a branch fault first checks cell_may_diverge at its own cell, then
+///    proves that cell's output net;
+///  * a proof seeded at net n that reaches no observed port also proves
+///    every net it marked unobservable (the fixpoint is monotone in the
+///    seed set), and one that marks a net known observable stops there.
+/// The prover holds two bytes per net plus the last proof's marks; it is
+/// not thread-safe. `sta` and `r` must outlive it.
+class ObservabilityProver {
+ public:
+  ObservabilityProver(const StructuralAnalyzer& sta, const StaResult& r);
+
+  /// True unless a fault at `pin` provably changes no observed output.
+  bool possibly_observable(Pin pin);
+  /// Worklist proofs run so far (memo and filter answers excluded).
+  std::size_t proofs() const { return proofs_; }
+
+ private:
+  enum Verdict : std::uint8_t { kUnknown, kUnobservable, kObservable };
+
+  /// The proof for a fault that makes net `seed` diverge.
+  bool net_observable(NetId seed);
+
+  const StructuralAnalyzer* sta_;
+  const StaResult* r_;
+  std::vector<std::uint8_t> verdict_;  ///< per net, a Verdict
+  std::vector<std::uint8_t> div_;      ///< per net; all 0 between proofs
+  std::vector<NetId> marked_;          ///< the current proof's marks, in order
+  std::size_t proofs_ = 0;
 };
 
 }  // namespace olfui

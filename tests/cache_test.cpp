@@ -1,11 +1,14 @@
 // Grade-result cache suite (campaign/cache.hpp): the LRU/disk tiers and
 // their corruption fallbacks, disk-tier directory creation, the canonical
 // options hash and cache-key sensitivity properties, and the engine-level
-// guarantee that a warm full hit executes ZERO shards (asserted against
-// kernel counters and a test whose runner factory throws).
+// guarantee that a warm full hit executes ZERO shards and evaluates no
+// test's screen (asserted against kernel counters, a screen that counts
+// its calls and a test whose runner factory throws).
 #include <gtest/gtest.h>
+
 #include <stdlib.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -217,14 +220,13 @@ TEST(CacheKey, CanonicalOptionsFormIsPinned) {
 }
 
 TEST(CacheKey, CanonicalKeyFormIsPinned) {
-  // v6: transition batch counts follow 255-fault spans of transition
-  // class representatives, as stuck-at ones have since v5, so an entry
-  // stored under an older version would replay batch counts of
-  // uncollapsed spans.
+  // v7: SBST batch counts cover only the pairs left after each test's
+  // observability screen, so an entry stored under an older version would
+  // replay the batch counts of the activation screen alone.
   CacheKey k = key_n(0xABCD);
   k.fault_model = "transition";
   EXPECT_EQ(k.canonical(),
-            "cache_key/v6|universe=000000000000abcd|trace=0000000000001111|"
+            "cache_key/v7|universe=000000000000abcd|trace=0000000000001111|"
             "options=0000000000003333|model=transition");
 }
 
@@ -394,6 +396,12 @@ TEST(ResultCache, WarmHitExecutesZeroShardsAndIsByteIdentical) {
   const FaultUniverse u(d.nl);
   std::vector<CampaignTest> tests;
   tests.push_back(make_pattern_test(d, u));
+  // The screen is deferred past the lookup: count its evaluations.
+  auto screens = std::make_shared<std::atomic<int>>(0);
+  tests[0].screen = [&u, screens] {
+    ++*screens;
+    return BitVec(u.size());
+  };
 
   CampaignOptions opts;
   opts.threads = 1;
@@ -406,6 +414,7 @@ TEST(ResultCache, WarmHitExecutesZeroShardsAndIsByteIdentical) {
   EXPECT_GT(cold.total_new_detections, 0u);
   EXPECT_EQ(opts.cache->stats().stores, 1u);
   EXPECT_NE(cold.stats.options_hash, 0u);
+  EXPECT_EQ(*screens, 1);  // once per miss, before the first plan
 
   // The warm run's test has the same identity (name, spec, batch bound)
   // but a runner factory that throws: if the hit path ever executed a
@@ -427,6 +436,7 @@ TEST(ResultCache, WarmHitExecutesZeroShardsAndIsByteIdentical) {
   obs::metrics().reset_values();
 
   EXPECT_EQ(warm.stats.cache, "hit");
+  EXPECT_EQ(*screens, 1);  // a full hit never evaluates a screen
   EXPECT_EQ(kernel_evals, 0u);
   EXPECT_EQ(cache_hits, 1u);
   EXPECT_EQ(warm.stats.batches, 0u);
@@ -444,6 +454,7 @@ TEST(ResultCache, WarmHitExecutesZeroShardsAndIsByteIdentical) {
   FaultList fl_sliced(u);
   const CampaignResult miss = CampaignEngine(u, sliced).run(fl_sliced, tests);
   EXPECT_EQ(miss.stats.cache, "miss");
+  EXPECT_EQ(*screens, 2);
 }
 
 TEST(ResultCache, DiskPayloadOverAnotherUniverseIsRegradedAndHealed) {

@@ -596,7 +596,7 @@ TEST(Campaign, ProgressCoversEveryTargetedFault) {
     targeted += pt.faults_targeted;
   }
   EXPECT_EQ(graded, r.stats.faults_simulated);
-  EXPECT_EQ(r.stats.faults_screened, 0u);  // the rig declares nothing inert
+  EXPECT_EQ(r.stats.faults_screened, 0u);  // the rig has no screen
   EXPECT_EQ(targeted, r.stats.faults_simulated + r.stats.faults_collapsed);
   EXPECT_EQ(r.tests.at(0).faults_targeted, 534u);
   EXPECT_EQ(r.tests.at(1).faults_targeted, 406u);
@@ -605,17 +605,18 @@ TEST(Campaign, ProgressCoversEveryTargetedFault) {
 }
 
 TEST(Campaign, RunScreensInertFaultsAfterTheTargetSlice) {
-  // The engine trusts CampaignTest::inert: every third fault is declared
-  // inert, and neither it nor any member of its equivalence class may
+  // The engine trusts CampaignTest::screen: every third fault is
+  // screened, and neither it nor any member of its equivalence class may
   // reach a batch. The slice is taken first, so the first 100 ids stay the
-  // targets. They fall into 89 classes: 34 hold an inert target and are
-  // screened, 55 are graded through their lowest id, and the other 11
+  // targets. They fall into 89 classes: 34 hold a screened target and are
+  // dropped, 55 are graded through their lowest id, and the other 11
   // targets are collapsed onto those.
   CounterRig rig;
   const FaultUniverse u(rig.nl);
   CampaignTest test = make_rig_test(rig, u, rig.outputs, "all_bits");
-  test.inert = BitVec(u.size());
-  for (FaultId f = 0; f < u.size(); f += 3) test.inert.set(f, true);
+  BitVec inert(u.size());
+  for (FaultId f = 0; f < u.size(); f += 3) inert.set(f, true);
+  test.screen = [inert] { return inert; };
 
   ScopedObservability guard;
   FaultList fl(u);
@@ -646,12 +647,12 @@ TEST(Campaign, RunScreensInertFaultsAfterTheTargetSlice) {
   EXPECT_EQ(plan_collapsed, 11u);
 
   // The same counts, derived from the collapse map: a class is screened
-  // if any of its targets is inert.
+  // if any of its targets is.
   const std::vector<FaultId> class_of = u.collapse_map();
   std::set<FaultId> classes, screened;
   for (FaultId f = 0; f < 100; ++f) {
     classes.insert(class_of[f]);
-    if (test.inert.get(f)) screened.insert(class_of[f]);
+    if (inert.get(f)) screened.insert(class_of[f]);
   }
   EXPECT_EQ(screened.size(), r.stats.faults_screened);
   EXPECT_EQ(classes.size() - screened.size(), r.stats.faults_simulated);
@@ -1027,7 +1028,7 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
     for (std::size_t t = 0; t < serial.size(); ++t) {
       EXPECT_EQ(serial[t].good_cycles, row.good_cycles[t])
           << model << " " << serial[t].name;
-      EXPECT_EQ(concurrent[t].inert, serial[t].inert)
+      EXPECT_EQ(concurrent[t].screen(), serial[t].screen())
           << model << " " << serial[t].name;
     }
     FaultList fl(u);
@@ -1162,6 +1163,7 @@ TEST(ActivationScreen, ResetPhaseFaultsStayGradedAndDetected) {
   const SbstCampaignTest built = build_sbst_campaign_test(
       *soc, suite.front(), u, PackedTopology::build(soc->netlist));
   const NetActivation trace_only = built.trace->activation();
+  const BitVec screen = built.test.screen();
 
   std::vector<FaultId> ids;
   for (const char* name : kResetOnly) {
@@ -1172,7 +1174,7 @@ TEST(ActivationScreen, ResetPhaseFaultsStayGradedAndDetected) {
     EXPECT_FALSE(NetActivation::test(
         fault.sa1 ? trace_only.seen0 : trace_only.seen1, site))
         << name << " is active in the end-of-cycle trace";
-    EXPECT_FALSE(built.test.inert.get(f)) << name;
+    EXPECT_FALSE(screen.get(f)) << name;
     ids.push_back(f);
   }
   const BitVec det = CampaignEngine(u, {.threads = 2}).grade(ids, built.test);
@@ -1215,26 +1217,72 @@ TEST(ActivationScreen, MidStepSampledPortsIgnoreLateInputs) {
   }
 }
 
+/// The ids of the set bits of `set`, in order.
+std::vector<FaultId> ids_of(const BitVec& set) {
+  std::vector<FaultId> ids;
+  for (std::size_t f = set.find_first(); f < set.size();
+       f = set.find_next(f + 1))
+    ids.push_back(static_cast<FaultId>(f));
+  return ids;
+}
+
+/// The suite's program named `name` (the SoC's stock suite has each once).
+SbstProgram& program_named(std::vector<SbstProgram>& suite,
+                           const std::string& name) {
+  for (SbstProgram& p : suite)
+    if (p.name == name) return p;
+  throw std::invalid_argument("no program " + name);
+}
+
 TEST(ActivationScreen, InertFaultsAreNeverDetected) {
-  // The screen's soundness, checked the expensive way: grade every fault
-  // each test calls inert through the unscreened primitive.
+  // The activation half's soundness, checked the expensive way: grade
+  // every fault each test calls inert through the unscreened primitive.
   auto soc = build_soc({});
   auto suite = build_sbst_suite(soc->config);
-  suite.erase(suite.begin() + 2, suite.end());  // alu_arith, alu_logic
   const FaultUniverse u(soc->netlist);
+  const auto topo = PackedTopology::build(soc->netlist);
   for (const FaultModel model :
        {FaultModel::kStuckAt, FaultModel::kTransition}) {
     const CampaignEngine engine(u, {.threads = 2, .fault_model = model});
-    const std::vector<CampaignTest> tests =
-        build_sbst_campaign_tests(*soc, suite, u, engine);
-    for (const CampaignTest& test : tests) {
-      std::vector<FaultId> inert;
-      for (std::size_t f = test.inert.find_first(); f < test.inert.size();
-           f = test.inert.find_next(f + 1))
-        inert.push_back(static_cast<FaultId>(f));
-      EXPECT_GT(inert.size(), u.size() / 10) << test.name;
-      EXPECT_EQ(engine.grade(inert, test).count(), 0u)
-          << to_string(model) << " " << test.name;
+    for (const char* name : {"alu_arith", "alu_logic"}) {
+      const SbstCampaignTest built = build_sbst_campaign_test(
+          *soc, program_named(suite, name), u, topo, model);
+      const std::vector<FaultId> inert =
+          ids_of(inert_faults(u, *built.activation, model));
+      EXPECT_GT(inert.size(), u.size() / 10) << name;
+      EXPECT_EQ(engine.grade(inert, built.test).count(), 0u)
+          << to_string(model) << " " << name;
+    }
+  }
+}
+
+TEST(ObservabilityScreen, UnobservableFaultsAreNeverDetected) {
+  // The observability half's soundness, the same way: every fault whose
+  // effect the proof keeps from the bus under a program's trace constants,
+  // graded without a screen, stays undetected. Most of them are active in
+  // the run, so only the proof (not the activation half) drops them.
+  auto soc = build_soc({});
+  auto suite = build_sbst_suite(soc->config);
+  const FaultUniverse u(soc->netlist);
+  const auto topo = PackedTopology::build(soc->netlist);
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransition}) {
+    const CampaignEngine engine(u, {.threads = 2, .fault_model = model});
+    for (const char* name : {"alu_logic", "decode"}) {
+      const std::string ctx = std::string(to_string(model)) + " " + name;
+      const SbstCampaignTest built = build_sbst_campaign_test(
+          *soc, program_named(suite, name), u, topo, model);
+      const BitVec unobservable = unobservable_faults(
+          u, *built.activation, soc->cpu.bus_output_cells);
+      BitVec activated = unobservable;
+      activated.subtract(inert_faults(u, *built.activation, model));
+      EXPECT_GT(activated.count(), u.size() / 10) << ctx;
+      EXPECT_EQ(engine.grade(ids_of(unobservable), built.test).count(), 0u)
+          << ctx;
+      // The test's screen is both halves.
+      BitVec both = inert_faults(u, *built.activation, model);
+      both |= unobservable;
+      EXPECT_EQ(built.test.screen(), both) << ctx;
     }
   }
 }

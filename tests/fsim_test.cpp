@@ -10,6 +10,7 @@
 
 #include "cpu/soc.hpp"
 #include "fault/fault_list.hpp"
+#include "fault/tdf.hpp"
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/wordops.hpp"
@@ -167,6 +168,50 @@ TEST(SeqFsim, ResetDriveContradictingThePowerOnPlaneThrows) {
   wide.power_on.push_back(0);
   EXPECT_THROW(fsim.run_batch(std::span(&f, 1), env, wide),
                std::invalid_argument);
+}
+
+TEST(SeqFsim, TransitionArmsOnlyOnTheCycleAfterItsLaunch) {
+  // y = a & b, observed. `a` rises into cycle 1 and then holds, and `b`
+  // sits in another trace column, so a's column changes on cycle 1 only.
+  // a's slow-to-rise fault holds a at 0 on its capture cycle alone: with
+  // b = 0 there, y is 0 either way, and from cycle 2 on (b = 1) the fault
+  // is no longer armed, so it goes undetected. With b = 1 on cycle 1 it is
+  // detected. A frame stream that kept a's changed bit past cycle 1 would
+  // re-arm the fault and detect it in the first program too.
+  Netlist nl("t");
+  WordOps w(nl, "m");
+  const NetId a = nl.add_input("a");
+  const NetId zero = w.lit(false);
+  for (int i = 0; i < 64; ++i) w.buf(zero, "pad" + std::to_string(i));
+  const NetId b = nl.add_input("b");
+  ASSERT_NE(a / 64, b / 64);
+  const NetId y = w.and2(a, b, "y");
+  const std::vector<CellId> observed{nl.add_output("o", y)};
+  const FaultUniverse u(nl);
+  const FaultId a_str = u.id_of({nl.net(a).driver, 0}, false);
+  ASSERT_TRUE(tdf_slow_to_rise(u.fault(a_str)));
+  const std::vector<NetId> inputs{a, b};
+  const struct {
+    bool b_at_launch;
+    bool detected;
+  } rows[] = {{false, false}, {true, true}};
+  for (const auto& row : rows) {
+    const std::vector<std::vector<bool>> words = {
+        {false, false}, {true, row.b_at_launch}, {true, true}, {true, true}};
+    ScriptedEnvT<64> env(inputs, words);
+    SequentialFaultSimulator fsim(nl, u, {.max_cycles = 4});
+    fsim.set_observed(observed);
+    const ReferenceTrace trace = fsim.record_reference_trace(env);
+    // Column 0 moves on cycle 1; column 1 (b, y) on cycle 1 or 2.
+    EXPECT_EQ(trace.change_begin,
+              (std::vector<std::uint32_t>{0, 0, row.b_at_launch ? 2u : 1u,
+                                          2, 2}));
+    EXPECT_EQ(fsim.run_batch(std::span(&a_str, 1), env, trace,
+                             FaultModel::kTransition)
+                  .bit(0),
+              row.detected)
+        << "b at launch " << row.b_at_launch;
+  }
 }
 
 TEST(CombDetect, MatchesTruthTableForAndGate) {

@@ -15,11 +15,13 @@
 #include "fault/universe.hpp"
 #include "fsim/fsim.hpp"
 #include "netlist/wordops.hpp"
+#include "sbst/sbst.hpp"
 #include "sta/sta.hpp"
 #include "scan/scan.hpp"
 #include "util/rng.hpp"
 #include "verilog/verilog.hpp"
 #include "random_design.hpp"
+#include "divergence_oracle.hpp"
 #include "uncollapsed_campaign.hpp"
 
 namespace olfui {
@@ -417,23 +419,42 @@ class ScriptedRunner final : public FaultBatchRunner {
   FaultModel model_;
 };
 
-/// The program as a campaign test whose inert set is the activation
-/// screen of its good-machine run: a stuck-at fault whose site never
-/// leaves the stuck value at any settle, or a transition fault whose site
-/// never makes its transition.
-CampaignTest scripted_test(const RandomDesign& d, const FaultUniverse& u,
-                           const std::vector<std::vector<bool>>& words,
-                           std::string name, FaultModel model) {
+/// Records the good machine of program `words` over `d` on the 64-lane
+/// tracer, with its activation in `act`.
+std::shared_ptr<const ReferenceTrace> record_scripted(
+    const RandomDesign& d, const FaultUniverse& u,
+    const std::vector<std::vector<bool>>& words, NetActivation& act) {
   ScriptedEnvT<64> env(d.input_nets, words);
   SequentialFaultSimulator tracer(
       d.nl, u, {.max_cycles = static_cast<int>(words.size())});
   tracer.set_observed(d.output_cells);
-  NetActivation act;
-  auto trace = std::make_shared<const ReferenceTrace>(
+  return std::make_shared<const ReferenceTrace>(
       tracer.record_reference_trace(env, &act));
+}
+
+/// The program as a campaign test graded against `trace`, with no screen.
+CampaignTest scripted_grader(const RandomDesign& d, const FaultUniverse& u,
+                             const std::vector<std::vector<bool>>& words,
+                             std::shared_ptr<const ReferenceTrace> trace,
+                             std::string name, FaultModel model) {
   CampaignTest test;
   test.name = std::move(name);
-  test.inert = BitVec(u.size());
+  test.make_runner = [&d, &u, &words, trace = std::move(trace), model]() {
+    return std::make_unique<ScriptedRunner>(d, u, words, trace, model);
+  };
+  return test;
+}
+
+/// The program as a campaign test whose screen is the activation screen
+/// of its good-machine run: a stuck-at fault whose site never leaves the
+/// stuck value at any settle, or a transition fault whose site never
+/// makes its transition.
+CampaignTest scripted_test(const RandomDesign& d, const FaultUniverse& u,
+                           const std::vector<std::vector<bool>>& words,
+                           std::string name, FaultModel model) {
+  NetActivation act;
+  auto trace = record_scripted(d, u, words, act);
+  BitVec inert(u.size());
   for (FaultId f = 0; f < u.size(); ++f) {
     const Fault& fault = u.fault(f);
     const std::vector<std::uint64_t>& active =
@@ -441,11 +462,11 @@ CampaignTest scripted_test(const RandomDesign& d, const FaultUniverse& u,
             ? (tdf_slow_to_rise(fault) ? act.rose : act.fell)
             : (fault.sa1 ? act.seen0 : act.seen1);
     if (!NetActivation::test(active, d.nl.pin_net(fault.pin)))
-      test.inert.set(f, true);
+      inert.set(f, true);
   }
-  test.make_runner = [&d, &u, &words, trace = std::move(trace), model]() {
-    return std::make_unique<ScriptedRunner>(d, u, words, trace, model);
-  };
+  CampaignTest test =
+      scripted_grader(d, u, words, std::move(trace), std::move(name), model);
+  test.screen = [inert = std::move(inert)] { return inert; };
   return test;
 }
 
@@ -515,6 +536,118 @@ TEST_P(CollapsedCampaign, MatchesUncollapsedGrade) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CollapsedCampaign,
                          ::testing::Values(61, 62, 63, 64, 65, 66, 67, 68));
+
+// ---- the trace-constant observability screen ----------------------------------
+// unobservable_faults proves, under the nets one run held at a single value,
+// that a fault's effect reaches no observed output. On random sequential
+// netlists whose programs hold some inputs fixed, with only some outputs
+// observed, each of its pin verdicts equals the sweep oracle's under the
+// same constants, and no fault it drops is detected by the run under
+// either model.
+
+class TraceScreen : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TraceScreen, ProofMatchesTheOracleAndDropsNoDetectableFault) {
+  const std::uint64_t seed = GetParam();
+  Rng rng(seed);
+  RandomDesign d = random_design(rng, 6, 10, 80);
+  std::erase_if(d.output_cells, [&](CellId) { return rng.next_bool(); });
+  if (d.output_cells.empty()) d.output_cells.push_back(d.nl.output_cells()[0]);
+  const FaultUniverse u(d.nl);
+  const StructuralAnalyzer sta(d.nl, u);
+  const SweepObservabilityOracle oracle(d.nl);
+
+  std::size_t dropped_active = 0;
+  for (int p = 0; p < 3; ++p) {
+    // Each input is held at a random value or toggles at random.
+    std::vector<int> held(d.input_nets.size());
+    for (int& h : held) h = static_cast<int>(rng.next_below(3)) - 1;
+    std::vector<std::vector<bool>> words(20);
+    for (auto& w : words) {
+      w.resize(d.input_nets.size());
+      for (std::size_t i = 0; i < w.size(); ++i)
+        w[i] = held[i] < 0 ? rng.next_bool() : held[i] == 1;
+    }
+    NetActivation act;
+    auto trace = record_scripted(d, u, words, act);
+    const std::string what =
+        "seed " + std::to_string(seed) + " program " + std::to_string(p);
+
+    const StaResult r = sta.analyze_values(
+        trace_constants(act, d.nl.num_nets()), d.output_cells);
+    ObservabilityProver prover(sta, r);
+    const BitVec unobservable = unobservable_faults(u, act, d.output_cells);
+    for (FaultId f = 0; f < u.size(); f += 2) {
+      const Pin pin = u.fault(f).pin;
+      const bool proved = prover.possibly_observable(pin);
+      ASSERT_EQ(proved, oracle.possibly_observable(r, pin))
+          << what << " cell " << d.nl.cell(pin.cell).name << " pin "
+          << int(pin.pin);
+      ASSERT_EQ(unobservable.get(f), !proved) << what;
+      ASSERT_EQ(unobservable.get(f + 1), !proved) << what;
+    }
+
+    for (const FaultModel model :
+         {FaultModel::kStuckAt, FaultModel::kTransition}) {
+      BitVec active = unobservable;
+      active.subtract(inert_faults(u, act, model));
+      dropped_active += active.count();
+      std::vector<FaultId> ids;
+      for (std::size_t f = unobservable.find_first(); f < unobservable.size();
+           f = unobservable.find_next(f + 1))
+        ids.push_back(static_cast<FaultId>(f));
+      const CampaignTest test = scripted_grader(d, u, words, trace, "p", model);
+      EXPECT_EQ(CampaignEngine(u, {.threads = 2}).grade(ids, test).count(), 0u)
+          << what << " " << to_string(model);
+    }
+  }
+  EXPECT_GT(dropped_active, 0u) << "seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TraceScreen,
+                         ::testing::Values(71, 72, 73, 74, 75, 76, 77, 78));
+
+TEST(TraceScreenFlop, PowerOnValueKeepsAPathOpen) {
+  // y = a | q, where q is a flop whose D is tied to 1: q shows its
+  // power-on 0 in cycle 0 and 1 ever after. The ternary fixpoint calls q
+  // constant 1 (the flop steady-state rule), which blocks the OR and makes
+  // a's faults unobservable; yet in cycle 0 the OR passes a, and a s-a-1
+  // flips y. The trace holds q at both values, so the screen keeps the
+  // fault, and the campaign detects it.
+  RandomDesign d;
+  WordOps w(d.nl, "m");
+  const NetId a = d.nl.add_input("a");
+  d.input_nets.push_back(a);
+  const NetId q = w.reg_word({w.lit(true)}, "ff").q[0];
+  const NetId y = w.or2(a, q, "y");
+  d.output_cells.push_back(d.nl.add_output("o", y));
+  const FaultUniverse u(d.nl);
+  const FaultId a_sa1 = u.id_of({d.nl.net(a).driver, 0}, true);
+
+  const StructuralAnalyzer sta(d.nl, u);
+  const StaResult ternary = sta.analyze({});
+  EXPECT_EQ(ternary.net_value[q], Logic::V1);
+  FaultList pruned(u);
+  sta.classify_faults(ternary, pruned, OnlineSource::kStructural);
+  EXPECT_EQ(pruned.untestable_kind(a_sa1), UntestableKind::kUnobservable);
+
+  const std::vector<std::vector<bool>> words(4, std::vector<bool>{false});
+  NetActivation act;
+  auto trace = record_scripted(d, u, words, act);
+  EXPECT_TRUE(NetActivation::test(act.seen0, q));
+  EXPECT_TRUE(NetActivation::test(act.seen1, q));
+  BitVec screen = inert_faults(u, act, FaultModel::kStuckAt);
+  screen |= unobservable_faults(u, act, d.output_cells);
+  EXPECT_FALSE(screen.get(a_sa1));
+
+  CampaignTest test = scripted_grader(d, u, words, std::move(trace), "p",
+                                      FaultModel::kStuckAt);
+  test.screen = [screen] { return screen; };
+  FaultList fl(u);
+  const CampaignResult r =
+      CampaignEngine(u, {.threads = 1}).run(fl, std::span(&test, 1));
+  EXPECT_TRUE(r.detected.get(a_sa1));
+}
 
 }  // namespace
 }  // namespace olfui

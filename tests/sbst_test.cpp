@@ -10,7 +10,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "divergence_oracle.hpp"
 #include "sbst/sbst.hpp"
+#include "sta/sta.hpp"
 #include "util/strings.hpp"
 
 namespace olfui {
@@ -331,9 +333,11 @@ BitVec oracle_inert(const FaultUniverse& u, const NetActivation& act,
   return inert;
 }
 
-/// `built` (the production test for `program`) with its trace, activation
-/// screen and runners replaced by ones recorded and graded on kernel `k`.
-/// The recorded trace and screen must equal the production test's.
+/// `built` (the production test for `program`) with its trace and runners
+/// replaced by ones recorded and graded on kernel `k`, and its screen by
+/// the activation screen restated over the oracle's own activation. The
+/// recorded trace and that screen must equal the production test's trace
+/// and activation half.
 CampaignTest oracle_test(const Soc& soc, const FaultUniverse& u,
                          SbstProgram& program,
                          const SbstCampaignTest& built, FaultModel model,
@@ -347,10 +351,12 @@ CampaignTest oracle_test(const Soc& soc, const FaultUniverse& u,
           ? record_oracle_trace<64>(soc, u, *flash, k, activation)
           : record_oracle_trace<256>(soc, u, *flash, k, activation));
   CampaignTest test = built.test;
-  test.inert = oracle_inert(u, activation, model);
+  const BitVec inert = oracle_inert(u, activation, model);
+  test.screen = [inert] { return inert; };
   EXPECT_EQ(trace->fingerprint(), built.trace->fingerprint())
       << program.name << " " << k.label;
-  EXPECT_EQ(test.inert, built.test.inert) << program.name << " " << k.label;
+  EXPECT_EQ(inert, inert_faults(u, *built.activation, model))
+      << program.name << " " << k.label;
   const int max_cycles = built.test.good_cycles + kSbstCampaignMargin;
   test.max_batch = k.lanes - 1;
   test.make_runner = [&soc, &u, flash = std::move(flash),
@@ -363,6 +369,50 @@ CampaignTest oracle_test(const Soc& soc, const FaultUniverse& u,
         soc, u, flash, trace, max_cycles, model, k.eval, k.clock);
   };
   return test;
+}
+
+TEST(SbstScreen, ProverMatchesTheSweepOracleUnderTraceConstants) {
+  // One program's trace constants on the lean SoC, observed at the bus:
+  // one memoized prover walks every pin in id order, and its verdict
+  // equals the screen's unobservable half on every pin and the sweep
+  // oracle's on every pin the backward filter leaves to the proof and on
+  // every 8th pin the filter passes (it passes only pins the proof passes
+  // too). Both verdicts occur, and the memo answers most proofs.
+  auto soc = build_soc(lean_config());
+  auto suite = build_sbst_suite(soc->config);
+  const FaultUniverse u(soc->netlist);
+  const Netlist& nl = soc->netlist;
+  const auto it = std::find_if(suite.begin(), suite.end(),
+                               [](const SbstProgram& p) {
+                                 return p.name == "alu_logic";
+                               });
+  ASSERT_NE(it, suite.end());
+  const SbstCampaignTest built =
+      build_sbst_campaign_test(*soc, *it, u, PackedTopology::build(nl));
+  const NetActivation& act = *built.activation;
+  const StructuralAnalyzer sta(nl, u);
+  const StaResult r = sta.analyze_values(
+      trace_constants(act, nl.num_nets()), soc->cpu.bus_output_cells);
+  const SweepObservabilityOracle oracle(nl);
+  ObservabilityProver prover(sta, r);
+  const BitVec unobservable =
+      unobservable_faults(u, act, soc->cpu.bus_output_cells);
+  std::size_t left_to_proof = 0, observable = 0, compared = 0, disagree = 0;
+  for (FaultId f = 0; f < u.size(); f += 2) {
+    const Pin pin = u.fault(f).pin;
+    const bool proved = prover.possibly_observable(pin);
+    ASSERT_EQ(unobservable.get(f), !proved) << u.fault_name(f);
+    observable += proved;
+    left_to_proof += !r.pin_observable[f / 2];
+    if (r.pin_observable[f / 2] && f % 16 != 0) continue;
+    ++compared;
+    disagree += proved != oracle.possibly_observable(r, pin);
+  }
+  EXPECT_EQ(disagree, 0u);
+  EXPECT_GT(compared, left_to_proof);
+  EXPECT_GT(observable, 0u);
+  EXPECT_GT(unobservable.count(), u.size() / 3);
+  EXPECT_LT(prover.proofs(), left_to_proof / 4);
 }
 
 TEST(SbstCampaign, DetectsASubstantialFractionAndDropsFaults) {
@@ -415,7 +465,9 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
   // Both kernels through the engine: the full-sweep oracle, over a trace
   // and activation screen it records itself, grades the identical TDF
   // payload (run_sbst_campaign itself always uses the event kernel, so
-  // the sweep runs in a test-local oracle test).
+  // the sweep runs in a test-local oracle test). The oracle test has no
+  // observability half, so the production screen drops nothing the
+  // oracle detects.
   const SbstCampaignTest built =
       build_sbst_campaign_test(*soc, suite[0], u,
                                PackedTopology::build(soc->netlist),

@@ -341,7 +341,10 @@ TEST(StaProof, WorklistMatchesSweepOracleOnRandomDesigns) {
   // Every pin of random sequential designs, under random mission
   // configurations that tie random nets to random values and unobserve
   // random outputs. Both answers of the proof must occur, so the early
-  // exit and the exhausted worklist are both compared.
+  // exit and the exhausted worklist are both compared. One memoized
+  // ObservabilityProver per configuration walks the pins in id order and
+  // another in reverse, so each verdict is also checked against memo
+  // state left by the proofs before it.
   struct Row {
     std::uint64_t seed;
     int inputs, flops, gates;
@@ -368,13 +371,24 @@ TEST(StaProof, WorklistMatchesSweepOracleOnRandomDesigns) {
       for (CellId oc : d.output_cells)
         if (rng.next_below(3) == 0) cfg.unobserve(oc);
       const StaResult res = sta.analyze(cfg);
+      ObservabilityProver forward(sta, res), backward(sta, res);
+      std::vector<bool> want(sta.num_pins());
       for (std::size_t ord = 0; ord < sta.num_pins(); ++ord) {
         const Pin pin = u.fault(static_cast<FaultId>(2 * ord)).pin;
         const bool worklist = sta.fault_possibly_observable(res, pin);
-        ASSERT_EQ(worklist, oracle.possibly_observable(res, pin))
+        want[ord] = oracle.possibly_observable(res, pin);
+        ASSERT_EQ(worklist, want[ord])
             << "seed " << row.seed << " config " << k << " cell "
             << d.nl.cell(pin.cell).name << " pin " << int(pin.pin);
+        ASSERT_EQ(forward.possibly_observable(pin), want[ord])
+            << "seed " << row.seed << " config " << k << " memo, pin " << ord;
         ++(worklist ? observable : unobservable);
+      }
+      for (std::size_t ord = sta.num_pins(); ord-- > 0;) {
+        const Pin pin = u.fault(static_cast<FaultId>(2 * ord)).pin;
+        ASSERT_EQ(backward.possibly_observable(pin), want[ord])
+            << "seed " << row.seed << " config " << k
+            << " reverse memo, pin " << ord;
       }
     }
   }

@@ -1,7 +1,7 @@
 // The campaign loop without equivalence-class collapsing, as a test-side
 // oracle for CampaignEngine::run: every target is graded in a lane of its
 // own through the uncollapsed CampaignEngine::grade() primitive, with the
-// engine's target slice, activation screen and fault dropping.
+// engine's target slice, the tests' screens and fault dropping.
 #pragma once
 
 #include <span>
@@ -19,7 +19,7 @@ struct UncollapsedCampaign {
 };
 
 /// Grades `tests` in order on `fl`: the first target_limit undetected,
-/// testable faults in id order, minus the test's inert ones, each graded
+/// testable faults in id order, minus the test's screened ones, each graded
 /// as its own target; every detection is marked before the next test.
 inline UncollapsedCampaign run_uncollapsed(
     const CampaignEngine& engine, FaultList& fl,
@@ -27,6 +27,7 @@ inline UncollapsedCampaign run_uncollapsed(
   const std::size_t limit = engine.options().target_limit;
   UncollapsedCampaign out;
   for (const CampaignTest& test : tests) {
+    const BitVec screen = test.screen ? test.screen() : BitVec();
     std::vector<FaultId> graded;
     std::size_t targeted = 0;
     for (FaultId f = 0; f < fl.size(); ++f) {
@@ -35,7 +36,7 @@ inline UncollapsedCampaign run_uncollapsed(
           fl.detect_state(f) == DetectState::kDetected)
         continue;
       ++targeted;
-      if (test.inert.empty() || !test.inert.get(f)) graded.push_back(f);
+      if (screen.empty() || !screen.get(f)) graded.push_back(f);
     }
     const BitVec det = engine.grade(graded, test);
     for (std::size_t i = det.find_first(); i < det.size();
