@@ -163,7 +163,7 @@ void write_observability(const std::string& trace_path,
 }
 
 /// Builds the opt-in stderr heartbeat: one throttled line per completed
-/// shard batch with shards done / a (kSbstLanes - 1)-per-shard estimate of
+/// shard batch with shards done / a (kLanes - 1)-per-shard estimate of
 /// the total, faults graded, rate, and ETA. Progress callbacks arrive
 /// serialized (the engine holds a mutex), so the state needs no further
 /// locking.
@@ -173,7 +173,7 @@ CampaignProgress make_progress_heartbeat() {
     std::chrono::steady_clock::time_point t0, last;
     std::size_t shards = 0;
   };
-  constexpr std::size_t batch = kSbstLanes - 1;
+  constexpr std::size_t batch = kLanes - 1;
   auto hb = std::make_shared<Heartbeat>();
   return [hb](const std::string& test, std::size_t graded,
               std::size_t targeted) {
@@ -278,7 +278,7 @@ int run_sbst_mode(int argc, char** argv) {
   std::printf("sbst campaign: %zu programs, %zu faults%s, model %s,\n"
               "  %d lanes\n",
               suite.size(), universe.size(), limit ? " (sliced)" : "",
-              transition ? "tdf" : "sa", kSbstLanes);
+              transition ? "tdf" : "sa", kLanes);
 
   const CampaignProgress heartbeat =
       progress ? make_progress_heartbeat() : CampaignProgress{};

@@ -10,7 +10,7 @@
 //
 //  * batching — the target fault list is cut into contiguous spans of
 //    the test's max_batch faults in target order (one parallel-fault
-//    simulator pass each: 255 for SBST, 63 for 64-lane runners): shard s
+//    simulator pass each: 255 for the SBST and scan runners): shard s
 //    grades targets[s*B, min(n, (s+1)*B));
 //  * execution — the shards run on the engine's persistent worker pool
 //    (worker_pool.hpp), each participant taking the next shard index from

@@ -123,10 +123,9 @@ std::uint32_t SocSimulator::ram_word(std::uint64_t addr) const {
   return it == ram_.end() ? 0u : it->second;
 }
 
-template <int W>
-SocFsimEnvironmentT<W>::SocFsimEnvironmentT(const Soc& soc,
-                                            const FlashImage& flash,
-                                            int run_cycles)
+SocFsimEnvironment::SocFsimEnvironment(const Soc& soc,
+                                       const FlashImage& flash,
+                                       int run_cycles)
     : soc_(&soc), flash_(&flash), run_cycles_(run_cycles) {
   const Netlist& nl = soc.netlist;
   const auto port = [&nl](const std::string& name) {
@@ -168,8 +167,7 @@ SocFsimEnvironmentT<W>::SocFsimEnvironmentT(const Soc& soc,
         "SocFsimEnvironment: bus ports not driven by a flop: " + combinational);
 }
 
-template <int W>
-void SocFsimEnvironmentT<W>::drive_mission_inputs(PackedSimT<W>& sim,
+void SocFsimEnvironment::drive_mission_inputs(PackedSim& sim,
                                                   bool rstn_value) {
   sim.set_input_all(soc_->cpu.rstn, rstn_value);
   if (soc_->config.with_scan) {
@@ -184,8 +182,7 @@ void SocFsimEnvironmentT<W>::drive_mission_inputs(PackedSimT<W>& sim,
   }
 }
 
-template <int W>
-std::uint64_t SocFsimEnvironmentT<W>::BusRead::value(int lane) const {
+std::uint64_t SocFsimEnvironment::BusRead::value(int lane) const {
   if (!lane_test(diff, lane)) return v0;
   std::uint64_t v = v0;
   for (int i = 0; i < n; ++i)
@@ -193,17 +190,15 @@ std::uint64_t SocFsimEnvironmentT<W>::BusRead::value(int lane) const {
   return v;
 }
 
-template <int W>
-typename SocFsimEnvironmentT<W>::Word SocFsimEnvironmentT<W>::read_port(
-    const PackedSimT<W>& sim, const Port& port) {
+LaneWord SocFsimEnvironment::read_port(const PackedSim& sim,
+                                       const Port& port) {
   if (!sim.port_uniform(port.cell, port.net)) return sim.observed(port.cell);
   const std::uint64_t* plane = sim.lane0_plane().data();
-  return lane_broadcast<Word>((plane[port.net / 64] >> (port.net % 64)) & 1ULL);
+  return lane_broadcast((plane[port.net / 64] >> (port.net % 64)) & 1ULL);
 }
 
-template <int W>
-typename SocFsimEnvironmentT<W>::BusRead SocFsimEnvironmentT<W>::read_bus(
-    const PackedSimT<W>& sim, const BusPorts& ports) {
+SocFsimEnvironment::BusRead SocFsimEnvironment::read_bus(
+    const PackedSim& sim, const BusPorts& ports) {
   const std::uint64_t* plane = sim.lane0_plane().data();
   BusRead r;
   for (int b = 0; b < 32; ++b) {
@@ -215,7 +210,7 @@ typename SocFsimEnvironmentT<W>::BusRead SocFsimEnvironmentT<W>::read_bus(
     const Word w = sim.observed(p.cell);
     const bool bit0 = lane_test(w, 0);
     r.v0 |= static_cast<std::uint64_t>(bit0) << b;
-    const Word flips = w ^ lane_broadcast<Word>(bit0);
+    const Word flips = w ^ lane_broadcast(bit0);
     if (!lane_any(flips)) continue;
     r.bit[static_cast<std::size_t>(r.n)] = static_cast<std::uint8_t>(b);
     r.flips[static_cast<std::size_t>(r.n++)] = flips;
@@ -224,8 +219,7 @@ typename SocFsimEnvironmentT<W>::BusRead SocFsimEnvironmentT<W>::read_bus(
   return r;
 }
 
-template <int W>
-void SocFsimEnvironmentT<W>::drive_bus(PackedSimT<W>& sim, BusDrive& bus,
+void SocFsimEnvironment::drive_bus(PackedSim& sim, BusDrive& bus,
                                        std::uint64_t v0,
                                        const std::vector<Patch>& patches) {
   std::uint64_t patched = 0;
@@ -236,14 +230,14 @@ void SocFsimEnvironmentT<W>::drive_bus(PackedSimT<W>& sim, BusDrive& bus,
   for (std::uint64_t x = patched; x != 0; x &= x - 1)
     flips[static_cast<std::size_t>(__builtin_ctzll(x))] = Word{};
   for (const Patch& p : patches) {
-    const Word lane = lane_bit<Word>(p.lane);
+    const Word lane = lane_bit(p.lane);
     for (std::uint64_t x = p.value ^ v0; x != 0; x &= x - 1)
       flips[static_cast<std::size_t>(__builtin_ctzll(x))] |= lane;
   }
   for (std::uint64_t x = (v0 ^ bus.v0) | patched | bus.patched; x != 0;
        x &= x - 1) {
     const auto b = static_cast<std::size_t>(__builtin_ctzll(x));
-    Word w = lane_broadcast<Word>((v0 >> b) & 1ULL);
+    Word w = lane_broadcast((v0 >> b) & 1ULL);
     if ((patched >> b) & 1ULL) w ^= flips[b];
     sim.set_input_lanes(bus.nets[b], w);
   }
@@ -251,8 +245,7 @@ void SocFsimEnvironmentT<W>::drive_bus(PackedSimT<W>& sim, BusDrive& bus,
   bus.patched = patched;
 }
 
-template <int W>
-std::uint64_t SocFsimEnvironmentT<W>::mem_read(int lane,
+std::uint64_t SocFsimEnvironment::mem_read(int lane,
                                                std::uint64_t addr) const {
   const auto& ram =
       ram_[lane_test(private_, lane) ? static_cast<std::size_t>(lane) : 0];
@@ -261,8 +254,7 @@ std::uint64_t SocFsimEnvironmentT<W>::mem_read(int lane,
   return flash_->read(addr);
 }
 
-template <int W>
-void SocFsimEnvironmentT<W>::reset(PackedSimT<W>& sim) {
+void SocFsimEnvironment::reset(PackedSim& sim) {
   // Private lanes' maps are stale from here on; a fork overwrites them.
   ram_[0].clear();
   private_ = Word{};
@@ -279,8 +271,7 @@ void SocFsimEnvironmentT<W>::reset(PackedSimT<W>& sim) {
   drive_mission_inputs(sim, true);
 }
 
-template <int W>
-bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
+bool SocFsimEnvironment::step(PackedSim& sim, int cycle) {
   if (cycle >= run_cycles_ || halt_seen_) return false;
   // Every bus port is flop-driven (checked at construction), so right
   // after the latch it already shows this cycle's value. Let the
@@ -306,7 +297,7 @@ bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
   const bool rd0 = lane_test(rd, 0);
   // A shared lane whose write differs from lane 0's forks lane 0's RAM as
   // it stands before this cycle's writes.
-  const Word fork = ((wr ^ lane_broadcast<Word>(wr0)) |
+  const Word fork = ((wr ^ lane_broadcast(wr0)) |
                      ((baddr.diff | bwdata.diff) & wr)) &
                     ~private_;
   for_each_lane(fork, [&](int l) {
@@ -326,7 +317,7 @@ bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
   if (wr0) write(0, baddr.v0, bwdata.v0);
   const std::uint64_t rdata0 = rd0 ? mem_read(0, baddr.v0) : 0;
   patches_.clear();
-  for_each_lane(baddr.diff | (rd ^ lane_broadcast<Word>(rd0)) | private_,
+  for_each_lane(baddr.diff | (rd ^ lane_broadcast(rd0)) | private_,
                 [&](int l) {
                   const std::uint64_t rdata =
                       lane_test(rd, l) ? mem_read(l, baddr.value(l)) : 0;
@@ -335,8 +326,5 @@ bool SocFsimEnvironmentT<W>::step(PackedSimT<W>& sim, int cycle) {
   drive_bus(sim, rdata_, rdata0, patches_);
   return true;
 }
-
-template class SocFsimEnvironmentT<64>;
-template class SocFsimEnvironmentT<256>;
 
 }  // namespace olfui

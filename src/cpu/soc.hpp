@@ -14,8 +14,8 @@
 //    campaigns: those take each program's cycle count (and the §4 input
 //    activity screen) from the packed lane-0 pass that records their
 //    checkpoint;
-//  * SocFsimEnvironment — the packed W-lane environment for the fault
-//    simulator (64 scalar, or 256 over vector extensions for grading).
+//  * SocFsimEnvironment — the packed 256-lane environment for the fault
+//    simulator.
 //    Every lane's memory answers for that lane alone, so a faulty machine
 //    that strays to a wrong address reads what real silicon would read.
 //    Lane 0 is the good machine and most faulty lanes show its bus on
@@ -133,18 +133,17 @@ class SocSimulator {
 /// address or data), when it takes a copy of ram_[0] as it stood before
 /// that cycle's writes. A shared lane's RAM therefore always equals lane
 /// 0's.
-template <int W>
-class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
+class SocFsimEnvironment : public FsimEnvironment {
  public:
-  using Word = LaneWord<W>;
+  using Word = LaneWord;
 
   /// Throws std::invalid_argument naming every bus port (iaddr, baddr,
   /// bwdata, bwr, brd, halted) whose net no flop drives: step() reads them
   /// before the cycle settles.
-  SocFsimEnvironmentT(const Soc& soc, const FlashImage& flash, int run_cycles);
+  SocFsimEnvironment(const Soc& soc, const FlashImage& flash, int run_cycles);
 
-  void reset(PackedSimT<W>& sim) override;
-  bool step(PackedSimT<W>& sim, int cycle) override;
+  void reset(PackedSim& sim) override;
+  bool step(PackedSim& sim, int cycle) override;
 
   /// Lanes that own a private RAM copy since the last reset().
   const Word& private_lanes() const { return private_; }
@@ -181,13 +180,13 @@ class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
     std::uint64_t patched = 0;
   };
 
-  void drive_mission_inputs(PackedSimT<W>& sim, bool rstn_value);
+  void drive_mission_inputs(PackedSim& sim, bool rstn_value);
   /// A port's lane word: the broadcast of its plane bit when uniform.
-  static Word read_port(const PackedSimT<W>& sim, const Port& port);
-  static BusRead read_bus(const PackedSimT<W>& sim, const BusPorts& ports);
+  static Word read_port(const PackedSim& sim, const Port& port);
+  static BusRead read_bus(const PackedSim& sim, const BusPorts& ports);
   /// Drives `v0` on every lane of `bus`, then each patch on its lane; only
   /// bits whose word changed since the last drive are written.
-  static void drive_bus(PackedSimT<W>& sim, BusDrive& bus, std::uint64_t v0,
+  static void drive_bus(PackedSim& sim, BusDrive& bus, std::uint64_t v0,
                         const std::vector<Patch>& patches);
   std::uint64_t mem_read(int lane, std::uint64_t addr) const;
 
@@ -196,15 +195,12 @@ class SocFsimEnvironmentT : public FsimEnvironmentT<W> {
   int run_cycles_;
   bool halt_seen_ = false;
   /// ram_[0] is lane 0's; ram_[l] is lane l's only while l is in private_.
-  std::array<std::unordered_map<std::uint64_t, std::uint32_t>, W> ram_;
+  std::array<std::unordered_map<std::uint64_t, std::uint32_t>, kLanes> ram_;
   Word private_{};
   std::vector<Patch> patches_;  // reused across steps
   BusPorts iaddr_, baddr_, bwdata_;
   Port bwr_, brd_, halted_;
   BusDrive instr_, rdata_;
 };
-
-/// The scalar 64-lane environment every pre-width-parametric caller uses.
-using SocFsimEnvironment = SocFsimEnvironmentT<64>;
 
 }  // namespace olfui

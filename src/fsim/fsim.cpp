@@ -13,14 +13,14 @@ namespace olfui {
 
 namespace {
 
-/// Fault i rides lane i + 1, so a W-lane pass holds at most W - 1 faults;
+/// Fault i rides lane i + 1, so a pass holds at most kLanes - 1 faults;
 /// one more would shift past the lane word.
-void check_batch_size(std::size_t faults, int lanes) {
-  if (faults >= static_cast<std::size_t>(lanes))
+void check_batch_size(std::size_t faults) {
+  if (faults >= static_cast<std::size_t>(kLanes))
     throw std::invalid_argument(
         "run_batch: " + std::to_string(faults) +
-        " faults exceed the " + std::to_string(lanes - 1) +
-        " faulty lanes of a " + std::to_string(lanes) + "-lane pass");
+        " faults exceed the " + std::to_string(kLanes - 1) +
+        " faulty lanes of a " + std::to_string(kLanes) + "-lane pass");
 }
 
 /// Lane-0 bit of `net` in a frame's packed words.
@@ -175,8 +175,7 @@ std::uint64_t ReferenceTrace::fingerprint() const {
   return h;
 }
 
-template <int W>
-SequentialFaultSimulatorT<W>::SequentialFaultSimulatorT(
+SequentialFaultSimulator::SequentialFaultSimulator(
     const Netlist& nl, const FaultUniverse& universe, SeqFsimOptions opts,
     std::shared_ptr<const PackedTopology> topo)
     : nl_(&nl),
@@ -192,8 +191,7 @@ SequentialFaultSimulatorT<W>::SequentialFaultSimulatorT(
   set_observed(nl.output_cells());
 }
 
-template <int W>
-void SequentialFaultSimulatorT<W>::set_observed(std::vector<CellId> output_cells) {
+void SequentialFaultSimulator::set_observed(std::vector<CellId> output_cells) {
   // observed() and the frame's good bit read each port's input net.
   std::vector<NetId> nets;
   nets.reserve(output_cells.size());
@@ -212,15 +210,14 @@ void SequentialFaultSimulatorT<W>::set_observed(std::vector<CellId> output_cells
   observed_nets_ = std::move(nets);
 }
 
-template <int W>
-ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
-    Environment& env, NetActivation* activation) {
+ReferenceTrace SequentialFaultSimulator::record_reference_trace(
+    FsimEnvironment& env, NetActivation* activation) {
   ReferenceTrace trace;
   trace.reset(nl_->num_nets());
   sim_.clear_injections();
   sim_.power_on();
   struct Detach {
-    PackedSimT<W>& sim;
+    PackedSim& sim;
     ~Detach() { sim.set_settle_log(nullptr); }
   } detach{sim_};
   // The reset's settles, for the activation, and the first settle after
@@ -249,10 +246,9 @@ ReferenceTrace SequentialFaultSimulatorT<W>::record_reference_trace(
   return trace;
 }
 
-template <int W>
-typename SequentialFaultSimulatorT<W>::Word
-SequentialFaultSimulatorT<W>::observe_divergence(const NetFrame& frame) const {
-  Word diverged{};
+LaneWord SequentialFaultSimulator::observe_divergence(
+    const NetFrame& frame) const {
+  LaneWord diverged{};
   for (std::size_t i = 0; i < observed_.size(); ++i) {
     const CellId port = observed_[i];
     const NetId net = observed_nets_[i];
@@ -261,26 +257,16 @@ SequentialFaultSimulatorT<W>::observe_divergence(const NetFrame& frame) const {
     // The good machine runs without injections, so an output port's
     // observed value is exactly the value of the net it reads.
     diverged |= sim_.observed(port) ^
-                lane_broadcast<Word>(frame_bit(frame.value, net));
+                lane_broadcast(frame_bit(frame.value, net));
   }
   return diverged;
 }
 
-template <int W>
-LaneMask SequentialFaultSimulatorT<W>::unpack_detected(const Word& diverged,
-                                                       std::size_t n) {
-  LaneMask detected;
-  for (std::size_t i = 0; i < n; ++i)
-    if (lane_test(diverged, static_cast<int>(i) + 1)) detected.set_bit(i);
-  return detected;
-}
-
-template <int W>
-LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults,
-                                                 Environment& env,
-                                                 const ReferenceTrace& trace,
-                                                 FaultModel model) {
-  check_batch_size(faults.size(), W);
+LaneMask SequentialFaultSimulator::run_batch(std::span<const FaultId> faults,
+                                             FsimEnvironment& env,
+                                             const ReferenceTrace& trace,
+                                             FaultModel model) {
+  check_batch_size(faults.size());
   // The frame settle reads one frame bit per net of this netlist.
   if (trace.num_nets != nl_->num_nets())
     throw std::invalid_argument(
@@ -313,12 +299,13 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
   };
   std::vector<Site> sites;  // per transition fault, by net
   sim_.clear_injections();
-  Word fault_lanes{};
+  LaneWord fault_lanes{};
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const Fault& f = universe_->fault(faults[i]);
-    const Word lane = lane_bit<Word>(static_cast<int>(i) + 1);
+    const LaneWord lane = lane_bit(static_cast<int>(i) + 1);
     fault_lanes |= lane;
-    sim_.add_injection({f.pin.cell, f.pin.pin, f.sa1, tdf ? Word{} : lane});
+    sim_.add_injection(
+        {f.pin.cell, f.pin.pin, f.sa1, tdf ? LaneWord{} : lane});
     if (tdf)
       sites.push_back({tdf_site_net(*nl_, f), tdf_capture_value(f),
                        static_cast<std::uint32_t>(i)});
@@ -342,7 +329,7 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
   env.reset(sim_);
 
   FrameStream frames(trace);
-  Word diverged{};
+  LaneWord diverged{};
   for (int cycle = 0; cycle < trace.cycles; ++cycle) {
     const NetFrame& frame = frames.at(cycle);
     // A transition fault is live iff its site made the fault's transition
@@ -351,7 +338,8 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
     // site launches on two cycles running (its net would have to change
     // into the non-capture value twice in a row), so last cycle's sites
     // disarm first. A detected (retired) lane is never armed again.
-    for (const std::uint32_t i : armed) sim_.set_injection_lanes(i, Word{});
+    for (const std::uint32_t i : armed)
+      sim_.set_injection_lanes(i, LaneWord{});
     armed.clear();
     std::size_t s = 0;
     for (const auto& [o, mask] : site_words) {
@@ -364,14 +352,14 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
           if (frame_bit(frame.value, net) == sites[s].capture) continue;
           const std::uint32_t i = sites[s].i;
           sim_.set_injection_lanes(
-              i, lane_bit<Word>(static_cast<int>(i) + 1) & ~diverged);
+              i, lane_bit(static_cast<int>(i) + 1) & ~diverged);
           armed.push_back(i);
         }
       }
     }
     if (!env.step(sim_, cycle)) break;
     sim_.eval(&frame);
-    const Word seen = diverged;
+    const LaneWord seen = diverged;
     diverged = (diverged | observe_divergence(frame)) & fault_lanes;
     if (!lane_neq(diverged, fault_lanes)) break;
     sim_.latch();
@@ -379,11 +367,10 @@ LaneMask SequentialFaultSimulatorT<W>::run_batch(std::span<const FaultId> faults
     sim_.retire_lanes(diverged & ~seen);
   }
   publish_activity();
-  return unpack_detected(diverged, faults.size());
+  return lanes_to_faults(diverged);
 }
 
-template <int W>
-void SequentialFaultSimulatorT<W>::publish_activity() {
+void SequentialFaultSimulator::publish_activity() {
   if (!obs::metrics().enabled()) return;
   const PackedActivity& a = sim_.activity();
   PackedActivity& base = published_activity_;
@@ -414,27 +401,28 @@ void SequentialFaultSimulatorT<W>::publish_activity() {
   base = a;
 }
 
-template class SequentialFaultSimulatorT<64>;
-template class SequentialFaultSimulatorT<256>;
-
 bool comb_detects(const Netlist& nl, const FaultUniverse& universe, FaultId fault,
                   std::span<const std::vector<std::pair<NetId, bool>>> patterns,
                   const std::vector<CellId>& observed) {
-  // One pattern per lane: a 65th would shift past the lane word (UB).
-  if (patterns.size() > 64)
-    throw std::invalid_argument("comb_detects: " +
-                                std::to_string(patterns.size()) +
-                                " patterns exceed the 64 lanes of one pass");
+  // One pattern per lane.
+  if (patterns.size() > static_cast<std::size_t>(kLanes))
+    throw std::invalid_argument(
+        "comb_detects: " + std::to_string(patterns.size()) +
+        " patterns exceed the " + std::to_string(kLanes) +
+        " lanes of one pass");
   PackedSim good(nl), bad(nl);
   const Fault& f = universe.fault(fault);
-  bad.add_injection({f.pin.cell, f.pin.pin, f.sa1, ~0ULL});
+  bad.add_injection({f.pin.cell, f.pin.pin, f.sa1, ~LaneWord{}});
 
   // Build per-net lane words; inputs not mentioned by any pattern stay 0.
-  std::unordered_map<NetId, std::uint64_t> words;
+  std::unordered_map<NetId, LaneWord> words;
+  LaneWord used{};
   for (std::size_t p = 0; p < patterns.size(); ++p) {
+    const LaneWord lane = lane_bit(static_cast<int>(p));
+    used |= lane;
     for (auto [net, v] : patterns[p]) {
-      auto [it, _] = words.try_emplace(net, 0);
-      if (v) it->second |= 1ULL << p;
+      auto [it, _] = words.try_emplace(net, LaneWord{});
+      if (v) it->second |= lane;
     }
   }
 
@@ -445,10 +433,8 @@ bool comb_detects(const Netlist& nl, const FaultUniverse& universe, FaultId faul
   good.eval();
   bad.eval();
 
-  const std::uint64_t used =
-      patterns.size() == 64 ? ~0ULL : ((1ULL << patterns.size()) - 1);
   for (CellId oc : observed) {
-    if ((good.observed(oc) ^ bad.observed(oc)) & used) return true;
+    if (lane_any((good.observed(oc) ^ bad.observed(oc)) & used)) return true;
   }
   return false;
 }

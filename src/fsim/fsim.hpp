@@ -1,10 +1,9 @@
 // olfui/fsim: stuck-at and transition-delay fault simulation.
 //
-// Two engines share the W-lane packed kernel (W = 64 scalar or 256 over
-// vector extensions — see util/lanes.hpp):
+// Two engines share the 256-lane packed kernel (util/lanes.hpp):
 //
 //  * SequentialFaultSimulator — parallel-fault: lane 0 runs the good
-//    machine, lanes 1..W-1 run faulty machines, the whole test program is
+//    machine, lanes 1..kLanes-1 run faulty machines, the whole test program is
 //    simulated cycle by cycle, and a fault counts as DETECTED only when a
 //    faulty lane diverges from the good machine on one of the *observed*
 //    outputs. Matching the paper's rule, the SBST flow observes only the
@@ -16,7 +15,7 @@
 //    trace's frames stream through one run cursor per 64-net column, and
 //    each cycle's frame supplies the observed ports' good bits, the
 //    transition-delay launches, and the settle's replay
-//    (PackedSimT::eval(const NetFrame*): the kernel copies the frame into
+//    (PackedSim::eval(const NetFrame*): the kernel copies the frame into
 //    its lane-0 plane, reads every net no faulty lane diverges from out of
 //    it, and evaluates only where a faulty lane diverges).
 //    The environment callback makes stimuli reactive: the memory model
@@ -26,7 +25,7 @@
 //    them from lane 0's answer, patched only on the lanes whose bus
 //    differs.
 //    A batch starts from the trace's power-on plane (the good machine's
-//    first settle after power-on; PackedSimT::power_on(plane)) instead of
+//    first settle after power-on; PackedSim::power_on(plane)) instead of
 //    a full sweep, and runs the environment's reset with its injections
 //    armed: stuck-at lanes can diverge before cycle 0.
 //    Every cycle is arm -> env.step -> eval(frame) -> observe -> latch ->
@@ -35,11 +34,11 @@
 //    fault on its capture cycles — fault/tdf.hpp).
 //    Detection is sticky, so a lane that diverged this cycle is done: the
 //    retire step hands it back to the good machine
-//    (PackedSimT::retire_lanes), its injections disarmed and its flops
+//    (PackedSim::retire_lanes), its injections disarmed and its flops
 //    copied from lane 0, and it stops costing evaluations. The verdicts
 //    are those of grading each fault alone.
 //
-//  * parallel-pattern combinational simulation (PPSF) — 64 patterns per
+//  * parallel-pattern combinational simulation (PPSF) — 256 patterns per
 //    pass for one fault; used for ATPG validation and property tests.
 #pragma once
 
@@ -58,16 +57,15 @@
 namespace olfui {
 
 /// Drives the design-under-test's inputs each cycle.
-template <int W>
-class FsimEnvironmentT {
+class FsimEnvironment {
  public:
-  virtual ~FsimEnvironmentT() = default;
+  virtual ~FsimEnvironment() = default;
   /// Called once per batch after power_on(); applies the reset sequence.
   /// It may end with input drives for cycle 0 (say, releasing the reset)
   /// that the first settle after step() applies. Lane 0's first settle
   /// (the reset's, or cycle 0's if the reset has none) must reach the
   /// plane it reached when the trace was recorded: a batch starts from it.
-  virtual void reset(PackedSimT<W>& sim) = 0;
+  virtual void reset(PackedSim& sim) = 0;
   /// Drives this cycle's inputs; the caller settles afterwards. It is
   /// called right after reset() or the previous cycle's latch(), when every
   /// flop Q net already holds this cycle's value, so it may read
@@ -76,16 +74,13 @@ class FsimEnvironmentT {
   /// read a combinational output); the caller's settle then has nothing
   /// left to do. Returns false to end the run early (e.g. the good machine
   /// executed HALT).
-  virtual bool step(PackedSimT<W>& sim, int cycle) = 0;
+  virtual bool step(PackedSim& sim, int cycle) = 0;
 };
 
-/// The scalar 64-lane environment interface (the pre-width-parametric name).
-using FsimEnvironment = FsimEnvironmentT<64>;
-
 /// The simulator's one knob. A batch always stops as soon as every faulty
-/// lane has diverged. The kernel's oracle modes are not knobs either: a
-/// test that wants the full-sweep or full-latch reference selects it on
-/// sim() after construction (PackedSimT::set_eval_mode / set_clock_mode).
+/// lane has diverged. The kernel's oracle mode is not a knob either: a
+/// test that wants the full-sweep reference selects it on sim() after
+/// construction (PackedSim::set_eval_mode).
 struct SeqFsimOptions {
   /// Cycle budget of record_reference_trace; a batch runs the trace's
   /// cycles.
@@ -144,7 +139,7 @@ struct ReferenceTrace {
   /// Lane-0 plane of the first settle after power-on (one bit per net,
   /// columns.size() words; empty if the run never settled): set by the
   /// zeroed flops and the environment's reset drive, so the same for every
-  /// batch, which starts from it (PackedSimT::power_on). It is the reset's
+  /// batch, which starts from it (PackedSim::power_on). It is the reset's
   /// first settle, or cycle 0's if the reset never settles. fingerprint()
   /// does not cover it.
   std::vector<std::uint64_t> power_on;
@@ -183,19 +178,15 @@ struct ReferenceTrace {
   std::uint64_t fingerprint() const;
 };
 
-template <int W>
-class SequentialFaultSimulatorT {
+class SequentialFaultSimulator {
  public:
-  using Word = LaneWord<W>;
-  using Environment = FsimEnvironmentT<W>;
-  static constexpr int kLanes = W;
-
   /// `topo`, if given, must be a PackedTopology over `nl`; campaign
   /// workers pass a shared one so per-worker construction stops re-running
   /// levelization and fanout-graph building.
-  SequentialFaultSimulatorT(const Netlist& nl, const FaultUniverse& universe,
-                            SeqFsimOptions opts = {},
-                            std::shared_ptr<const PackedTopology> topo = nullptr);
+  SequentialFaultSimulator(
+      const Netlist& nl, const FaultUniverse& universe,
+      SeqFsimOptions opts = {},
+      std::shared_ptr<const PackedTopology> topo = nullptr);
 
   /// Observed output ports (system bus). Detection compares these only.
   /// Throws std::invalid_argument, naming the cell, for a cell id out of
@@ -208,7 +199,6 @@ class SequentialFaultSimulatorT {
   /// power_on). The returned checkpoint is tied to `env`'s stimulus (not
   /// to the observed set — it carries all nets, so one recording serves
   /// both fault models and any observed set).
-  /// Lane-0-only, so checkpoints are identical across widths.
   ///
   /// With `activation`, it also receives the run's NetActivation: the
   /// trace's activation() with every settle inside env.reset() folded into
@@ -218,10 +208,10 @@ class SequentialFaultSimulatorT {
   /// once, after env.step(), so the trace samples every settle after reset
   /// (an environment that settles inside step() too leaves those extra
   /// settles unsampled; SocFsimEnvironment does not).
-  ReferenceTrace record_reference_trace(Environment& env,
+  ReferenceTrace record_reference_trace(FsimEnvironment& env,
                                         NetActivation* activation = nullptr);
 
-  /// Grades one batch of up to W-1 faults against the good machine
+  /// Grades one batch of up to kLanes-1 faults against the good machine
   /// `trace` recorded (record_reference_trace over the same stimulus).
   /// Returns a bit per batch entry: detected or not. The run lasts the
   /// trace's cycles (or until env.step() returns false); its first settle
@@ -238,27 +228,25 @@ class SequentialFaultSimulatorT {
   /// so it never captures. Launches are read from the good machine (the
   /// standard parallel-TDF approximation), so verdicts are deterministic
   /// and kernel-independent. Throws std::invalid_argument, naming the
-  /// size and the width, for W or more faults, and, naming both counts,
+  /// size and the width, for kLanes or more faults, and, naming both counts,
   /// for a trace whose net count is not the netlist's, whose power-on
   /// plane is neither empty nor one word per 64 nets, or whose change
   /// lists do not cover its cycles.
-  LaneMask run_batch(std::span<const FaultId> faults, Environment& env,
+  LaneMask run_batch(std::span<const FaultId> faults, FsimEnvironment& env,
                      const ReferenceTrace& trace,
                      FaultModel model = FaultModel::kStuckAt);
 
   const SeqFsimOptions& options() const { return opts_; }
 
   /// The underlying packed simulator (activity counters; tests select the
-  /// full-sweep / full-latch oracle modes through it).
-  PackedSimT<W>& sim() { return sim_; }
-  const PackedSimT<W>& sim() const { return sim_; }
+  /// full-sweep oracle mode through it).
+  PackedSim& sim() { return sim_; }
+  const PackedSim& sim() const { return sim_; }
 
  private:
   /// One cycle's observed-output divergence word against the frame's
   /// good bits.
-  Word observe_divergence(const NetFrame& frame) const;
-  /// Repacks per-lane divergence (lane i+1 = faults[i]) into per-fault bits.
-  static LaneMask unpack_detected(const Word& diverged, std::size_t n);
+  LaneWord observe_divergence(const NetFrame& frame) const;
   /// Side-band metrics bridge (obs): publishes the PackedSim activity
   /// accumulated since the last publish as kernel.* counter deltas. Called
   /// once per batch (cold path); a branch when metrics are disabled.
@@ -267,20 +255,17 @@ class SequentialFaultSimulatorT {
   const Netlist* nl_;
   const FaultUniverse* universe_;
   SeqFsimOptions opts_;
-  PackedSimT<W> sim_;
+  PackedSim sim_;
   std::vector<CellId> observed_;
   std::vector<NetId> observed_nets_;  ///< the net each observed port reads
   /// Activity already published to the metrics registry (delta base).
   PackedActivity published_activity_;
 };
 
-/// The scalar 64-lane fault simulator (reference tracing, tests).
-using SequentialFaultSimulator = SequentialFaultSimulatorT<64>;
-
 /// Parallel-pattern single-fault combinational simulation: returns true if
 /// any of the patterns (one per lane, values keyed by controllable net)
 /// detects `fault` on the observed outputs. For pure combinational netlists.
-/// Throws std::invalid_argument for more than 64 patterns.
+/// Throws std::invalid_argument for more than kLanes patterns.
 bool comb_detects(const Netlist& nl, const FaultUniverse& universe, FaultId fault,
                   std::span<const std::vector<std::pair<NetId, bool>>> patterns,
                   const std::vector<CellId>& observed);

@@ -84,9 +84,9 @@ inline constexpr int kDffD = 0;
 inline constexpr int kDffRstn = 1;
 
 /// Two-valued evaluation of a combinational cell given packed input words.
-/// `Word` is a lane word (util/lanes.hpp): std::uint64_t carries 64
-/// independent simulation lanes, the vector-extension word carries 256.
-/// Pure bitwise logic, so one definition serves every width.
+/// `Word` is the 256-lane word (util/lanes.hpp) or a std::uint64_t (the
+/// kernel's lane-0 evaluation off the divergence frontier). Pure bitwise
+/// logic, so one definition serves both.
 /// Not valid for sequential/port cells.
 template <class Word>
 Word eval_packed(CellType t, const Word* in, int n) {

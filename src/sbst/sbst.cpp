@@ -322,13 +322,10 @@ namespace {
 /// One worker's private kernel: a packed simulator plus a per-lane memory
 /// environment, grading batches against the program's good-trace
 /// checkpoint. Shared immutable state (flash image, checkpoint) rides on
-/// shared_ptrs so every worker's runner references one copy. Campaigns
-/// instantiate it at kSbstLanes; the checkpoint is lane-0-only and so
-/// width-independent.
-template <int W>
-class SbstBatchRunnerT final : public FaultBatchRunner {
+/// shared_ptrs so every worker's runner references one copy.
+class SbstBatchRunner final : public FaultBatchRunner {
  public:
-  SbstBatchRunnerT(const Soc& soc, const FaultUniverse& universe,
+  SbstBatchRunner(const Soc& soc, const FaultUniverse& universe,
                    std::shared_ptr<const FlashImage> flash,
                    std::shared_ptr<const ReferenceTrace> trace,
                    std::shared_ptr<const PackedTopology> topo,
@@ -348,8 +345,8 @@ class SbstBatchRunnerT final : public FaultBatchRunner {
  private:
   std::shared_ptr<const FlashImage> flash_;
   std::shared_ptr<const ReferenceTrace> trace_;
-  SocFsimEnvironmentT<W> env_;
-  SequentialFaultSimulatorT<W> fsim_;
+  SocFsimEnvironment env_;
+  SequentialFaultSimulator fsim_;
   FaultModel fault_model_;
 };
 
@@ -418,8 +415,7 @@ SbstCampaignTest build_sbst_campaign_test(
 
   // Checkpoint the good machine once; every batch of every worker then
   // replays this trace as its reference (and, under the TDF model, reads
-  // its launch schedules from it instead of re-running a good pass). The
-  // trace only sees lane 0, so the scalar tracer serves the wide runners.
+  // its launch schedules from it instead of re-running a good pass).
   SocFsimEnvironment trace_env(soc, *flash, opts.max_cycles);
   SequentialFaultSimulator tracer(soc.netlist, universe, opts, topo);
   tracer.set_observed(soc.cpu.bus_output_cells);
@@ -451,7 +447,7 @@ SbstCampaignTest build_sbst_campaign_test(
     span.arg("unobservable", Json(screen.count() - inert));
     return screen;
   };
-  out.test.max_batch = kSbstLanes - 1;
+  out.test.max_batch = kLanes - 1;
   Json spec = Json::object();
   spec.set("workload", "sbst");
   spec.set("program", program.name);
@@ -460,7 +456,7 @@ SbstCampaignTest build_sbst_campaign_test(
   out.test.spec = std::move(spec);
   out.test.make_runner = [&soc, &universe, flash = std::move(flash), trace,
                           topo = std::move(topo), opts, fault_model]() {
-    return std::make_unique<SbstBatchRunnerT<kSbstLanes>>(
+    return std::make_unique<SbstBatchRunner>(
         soc, universe, flash, trace, topo, opts, fault_model);
   };
   return out;

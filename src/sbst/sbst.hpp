@@ -70,10 +70,6 @@ struct SbstCampaignResult {
 /// halting cycle; grading never runs past it.
 inline constexpr int kSbstCampaignMargin = 8;
 
-/// The packed width of every SBST grading runner: 255 faults per batch
-/// (README "Kernel width" has the measurements behind it).
-inline constexpr int kSbstLanes = 256;
-
 /// The activation half of an SBST test's screen: the faults whose faulty
 /// machine provably equals the good machine for the whole run. A
 /// stuck-at-v fault acts only while its site holds !v — at any settle,
@@ -119,9 +115,9 @@ struct SbstCampaignTest {
 /// kSbstCampaignMargin) and the activation the deferred test.screen reads:
 /// inert_faults under `fault_model` plus unobservable_faults at the
 /// system-bus ports, evaluated only when a campaign run misses the cache
-/// (a "screen" span names both counts). The grading kernel is wrapped in per-worker runners at kSbstLanes lanes
-/// with the event-driven kernel and incremental clocking, so
-/// test.max_batch is kSbstLanes - 1. The runners grade every batch
+/// (a "screen" span names both counts). The grading kernel is wrapped in
+/// per-worker runners with the event-driven kernel and incremental
+/// clocking, so test.max_batch is kLanes - 1. The runners grade every batch
 /// against the recorded trace, under `fault_model`: kTransition reads the
 /// same fault ids as launch/capture transition faults (fault/tdf.hpp).
 /// The returned

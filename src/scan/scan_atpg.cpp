@@ -142,11 +142,11 @@ ScanAtpgResult generate_scan_tests(const Netlist& nl, const ScanChains& chains,
     if (++kept % 32 == 0) {
       got = grade(pat, result.detected_by_deterministic);
     } else {
-      const std::uint64_t det =
-          runner.run_pattern(std::span(&f, 1), universe, pat);
-      if (det & 1)
+      const bool det =
+          runner.run_pattern(std::span(&f, 1), universe, pat).bit(0);
+      if (det)
         classes.mark_class_detected(fl, f, result.detected_by_deterministic);
-      got = det & 1;
+      got = det;
     }
     if (got > 0) result.patterns.push_back(std::move(pat));
   }

@@ -30,19 +30,24 @@ ScanPattern scan_pattern_from_atpg(const Netlist& nl, const ScanChains& chains,
 ScanTestRunner::ScanTestRunner(const Netlist& nl, const ScanChains& chains)
     : nl_(&nl), chains_(&chains), topo_(PackedTopology::build(nl)) {}
 
-void ScanTestRunner::inject(PackedSim& sim, std::span<const FaultId> faults,
-                            const FaultUniverse& universe) const {
-  // Lane 0 is the good machine: a 64th fault would shift past the lane
-  // word (UB) in inject, run_pattern and run_chain_test alike.
-  if (faults.size() > 63)
-    throw std::invalid_argument("scan test: " + std::to_string(faults.size()) +
-                                " faults exceed the 63 faulty lanes of one "
-                                "pass");
+LaneWord ScanTestRunner::inject(PackedSim& sim,
+                                std::span<const FaultId> faults,
+                                const FaultUniverse& universe) const {
+  // Lane 0 is the good machine, so one more fault would shift past the
+  // lane word.
+  if (faults.size() >= static_cast<std::size_t>(kLanes))
+    throw std::invalid_argument(
+        "scan test: " + std::to_string(faults.size()) + " faults exceed the " +
+        std::to_string(kLanes - 1) + " faulty lanes of one pass");
   sim.clear_injections();
+  LaneWord fault_lanes{};
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const Fault& f = universe.fault(faults[i]);
-    sim.add_injection({f.pin.cell, f.pin.pin, f.sa1, 1ULL << (i + 1)});
+    const LaneWord lane = lane_bit(static_cast<int>(i) + 1);
+    fault_lanes |= lane;
+    sim.add_injection({f.pin.cell, f.pin.pin, f.sa1, lane});
   }
+  return fault_lanes;
 }
 
 void ScanTestRunner::set_pin_constraint(NetId net, bool value) {
@@ -60,25 +65,18 @@ std::size_t ScanTestRunner::max_chain_length() const {
   return n;
 }
 
-std::uint64_t ScanTestRunner::run_pattern(std::span<const FaultId> faults,
-                                          const FaultUniverse& universe,
-                                          const ScanPattern& pattern) const {
+LaneMask ScanTestRunner::run_pattern(std::span<const FaultId> faults,
+                                     const FaultUniverse& universe,
+                                     const ScanPattern& pattern) const {
   PackedSim sim(topo_);
   // Shifting toggles every chain flop every cycle — the whole netlist is
   // active, so dirty-set scheduling is pure overhead here. The levelized
   // sweep is the faster kernel for scan workloads.
   sim.set_eval_mode(PackedEvalMode::kFullSweep);
-  inject(sim, faults, universe);
+  const LaneWord fault_lanes = inject(sim, faults, universe);
   sim.power_on();
   drive_quiet_inputs(sim);
-
-  // Lanes 1..n carry faults; a full 63-fault batch needs all of ~1ULL,
-  // which (1 << 64) - 2 cannot express without UB on the shift.
-  const std::uint64_t fault_lanes =
-      faults.empty()       ? 0
-      : faults.size() < 63 ? ((1ULL << (faults.size() + 1)) - 2)
-                           : ~1ULL;
-  std::uint64_t diverged = 0;
+  LaneWord diverged{};
 
   // Shift-in: SE active, serial data such that after max_len cycles each
   // element k of chain c holds chain_state[c][k] (element n-1 loads first).
@@ -110,9 +108,8 @@ std::uint64_t ScanTestRunner::run_pattern(std::span<const FaultId> faults,
   for (const auto& [net, value] : pattern.pi) sim.set_input_all(net, value);
   sim.eval();
   for (CellId oc : nl_->output_cells()) {
-    const std::uint64_t w = sim.observed(oc);
-    const std::uint64_t good = (w & 1ULL) ? ~0ULL : 0ULL;
-    diverged |= (w ^ good);
+    const LaneWord w = sim.observed(oc);
+    diverged |= w ^ lane_broadcast(lane_test(w, 0));
   }
   sim.clock();  // capture
 
@@ -121,32 +118,22 @@ std::uint64_t ScanTestRunner::run_pattern(std::span<const FaultId> faults,
   for (std::size_t t = 0; t < len; ++t) {
     sim.eval();
     for (const ScanChain& chain : chains_->chains) {
-      const std::uint64_t w = sim.observed(chain.scan_out_port);
-      const std::uint64_t good = (w & 1ULL) ? ~0ULL : 0ULL;
-      diverged |= (w ^ good);
+      const LaneWord w = sim.observed(chain.scan_out_port);
+      diverged |= w ^ lane_broadcast(lane_test(w, 0));
     }
     sim.clock();
   }
-
-  diverged &= fault_lanes;
-  std::uint64_t detected = 0;
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    if (diverged & (1ULL << (i + 1))) detected |= 1ULL << i;
-  return detected;
+  return lanes_to_faults(diverged & fault_lanes);
 }
 
-std::uint64_t ScanTestRunner::run_chain_test(std::span<const FaultId> faults,
-                                             const FaultUniverse& universe) const {
+LaneMask ScanTestRunner::run_chain_test(std::span<const FaultId> faults,
+                                        const FaultUniverse& universe) const {
   PackedSim sim(topo_);
   sim.set_eval_mode(PackedEvalMode::kFullSweep);  // see run_pattern
-  inject(sim, faults, universe);
+  const LaneWord fault_lanes = inject(sim, faults, universe);
   sim.power_on();
   drive_quiet_inputs(sim);
-  const std::uint64_t fault_lanes =
-      faults.empty()       ? 0
-      : faults.size() < 63 ? ((1ULL << (faults.size() + 1)) - 2)
-                           : ~1ULL;  // see run_pattern: shift-by-64 is UB
-  std::uint64_t diverged = 0;
+  LaneWord diverged{};
 
   const bool scan_value = !chains_->se_functional_value;
   sim.set_input_all(chains_->se_net, scan_value);
@@ -159,37 +146,35 @@ std::uint64_t ScanTestRunner::run_chain_test(std::span<const FaultId> faults,
       sim.set_input_all(chain.scan_in_net, bit);
     sim.eval();
     for (const ScanChain& chain : chains_->chains) {
-      const std::uint64_t w = sim.observed(chain.scan_out_port);
-      const std::uint64_t good = (w & 1ULL) ? ~0ULL : 0ULL;
-      diverged |= (w ^ good);
+      const LaneWord w = sim.observed(chain.scan_out_port);
+      diverged |= w ^ lane_broadcast(lane_test(w, 0));
     }
     sim.clock();
   }
-
-  diverged &= fault_lanes;
-  std::uint64_t detected = 0;
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    if (diverged & (1ULL << (i + 1))) detected |= 1ULL << i;
-  return detected;
+  return lanes_to_faults(diverged & fault_lanes);
 }
 
 CampaignTest make_chain_test_campaign(const ScanTestRunner& runner,
                                       const FaultUniverse& universe) {
-  return make_function_test(
+  CampaignTest test = make_function_test(
       "chain_test", [&runner, &universe](std::span<const FaultId> faults) {
         return runner.run_chain_test(faults, universe);
       });
+  test.max_batch = kLanes - 1;
+  return test;
 }
 
 CampaignTest make_pattern_campaign(const ScanTestRunner& runner,
                                    const FaultUniverse& universe,
                                    const ScanPattern& pattern,
                                    std::string name) {
-  return make_function_test(
+  CampaignTest test = make_function_test(
       std::move(name),
       [&runner, &universe, &pattern](std::span<const FaultId> faults) {
         return runner.run_pattern(faults, universe, pattern);
       });
+  test.max_batch = kLanes - 1;
+  return test;
 }
 
 }  // namespace olfui

@@ -54,27 +54,28 @@ class ScanTestRunner {
   /// pattern's own PI assignment overrides the constraint during capture.
   void set_pin_constraint(NetId net, bool value);
 
-  /// Applies one full-scan pattern to up to 63 faults (lane 0 is the good
-  /// machine): shift-in, functional capture with PO observation, shift-out
-  /// with scan-out observation. Returns the per-fault detection mask.
-  /// Throws std::invalid_argument for more than 63 faults.
+  /// Applies one full-scan pattern to up to kLanes - 1 faults (lane 0 is
+  /// the good machine): shift-in, functional capture with PO observation,
+  /// shift-out with scan-out observation. Returns the per-fault detection
+  /// mask. Throws std::invalid_argument for more faults.
   /// Builds its own PackedSim per call (over the runner's shared
   /// topology), so concurrent calls are safe — which is what lets the
   /// campaign orchestrator fan batches out.
-  std::uint64_t run_pattern(std::span<const FaultId> faults,
-                            const FaultUniverse& universe,
-                            const ScanPattern& pattern) const;
+  LaneMask run_pattern(std::span<const FaultId> faults,
+                       const FaultUniverse& universe,
+                       const ScanPattern& pattern) const;
 
   /// Chain integrity (flush) test: shifts a 00110011... sequence through
   /// all chains with SE held active and compares scan-out streams against
   /// the good machine. Detects serial-path faults without any ATPG.
   /// Thread-safe like run_pattern.
-  std::uint64_t run_chain_test(std::span<const FaultId> faults,
-                               const FaultUniverse& universe) const;
+  LaneMask run_chain_test(std::span<const FaultId> faults,
+                          const FaultUniverse& universe) const;
 
  private:
-  void inject(PackedSim& sim, std::span<const FaultId> faults,
-              const FaultUniverse& universe) const;
+  /// Injects faults[i] on lane i + 1; returns those lanes.
+  LaneWord inject(PackedSim& sim, std::span<const FaultId> faults,
+                  const FaultUniverse& universe) const;
   void drive_quiet_inputs(PackedSim& sim) const;
   std::size_t max_chain_length() const;
 
@@ -87,8 +88,9 @@ class ScanTestRunner {
 };
 
 /// Campaign adapters: the manufacturing-test kernels as orchestrator
-/// tests. `runner`, `universe`, and (for patterns) `pattern` must outlive
-/// the campaign that grades the test.
+/// tests, graded in spans of kLanes - 1 faults. `runner`, `universe`, and
+/// (for patterns) `pattern` must outlive the campaign that grades the
+/// test.
 CampaignTest make_chain_test_campaign(const ScanTestRunner& runner,
                                       const FaultUniverse& universe);
 CampaignTest make_pattern_campaign(const ScanTestRunner& runner,

@@ -118,12 +118,10 @@ std::shared_ptr<const PackedTopology> PackedTopology::build(const Netlist& nl) {
   return topo;
 }
 
-template <int W>
-PackedSimT<W>::PackedSimT(const Netlist& nl)
-    : PackedSimT(PackedTopology::build(nl)) {}
+PackedSim::PackedSim(const Netlist& nl)
+    : PackedSim(PackedTopology::build(nl)) {}
 
-template <int W>
-PackedSimT<W>::PackedSimT(std::shared_ptr<const PackedTopology> topo)
+PackedSim::PackedSim(std::shared_ptr<const PackedTopology> topo)
     : topo_(std::move(topo)) {
   const Netlist& nl = *topo_->nl;
   const std::size_t words = (nl.num_nets() + 63) / 64;
@@ -146,8 +144,7 @@ PackedSimT<W>::PackedSimT(std::shared_ptr<const PackedTopology> topo)
   sweep_flags_.assign(words * 64, 0);
 }
 
-template <int W>
-void PackedSimT<W>::clear_injections() {
+void PackedSim::clear_injections() {
   inj_flat_.clear();
   inj_pos_.clear();
   active_flops_.clear();
@@ -156,16 +153,14 @@ void PackedSimT<W>::clear_injections() {
   needs_full_ = true;
 }
 
-template <int W>
-void PackedSimT<W>::add_injection(const Injection& inj) {
+void PackedSim::add_injection(const Injection& inj) {
   inj_pos_.push_back(static_cast<std::uint32_t>(inj_flat_.size()));
   inj_flat_.push_back(inj);
   inj_dirty_ = true;
   needs_full_ = true;
 }
 
-template <int W>
-void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
+void PackedSim::set_injection_lanes(std::size_t index, Word lanes) {
   if (index >= inj_pos_.size())
     throw std::out_of_range("PackedSim: injection " + std::to_string(index) +
                             " out of range (" +
@@ -196,12 +191,11 @@ void PackedSimT<W>::set_injection_lanes(std::size_t index, Word lanes) {
   // does, for this one flop. A tie re-applies them over its constant.
   const Word base = is_sequential(c.type)
                         ? flop_state_[topo_->flop_index[inj.cell]]
-                        : lane_broadcast<Word>(c.type == CellType::kTie1);
+                        : lane_broadcast(c.type == CellType::kTie1);
   expose(c.out, apply_inj(inj.cell, nullptr, base, true));
 }
 
-template <int W>
-void PackedSimT<W>::prepare_injections() {
+void PackedSim::prepare_injections() {
   // Group by cell; stable so per-cell application order stays insertion
   // order (masking is order-sensitive when lanes overlap). The permutation
   // is tracked so set_injection_lanes handles survive the sort.
@@ -236,8 +230,7 @@ void PackedSimT<W>::prepare_injections() {
   inj_dirty_ = false;
 }
 
-template <int W>
-void PackedSimT<W>::power_on(const std::uint64_t* settled) {
+void PackedSim::power_on(const std::uint64_t* settled) {
   std::fill(plane_.begin(), plane_.end(), 0);
   std::fill(diverged_.begin(), diverged_.end(), 0);
   std::fill(flop_state_.begin(), flop_state_.end(), Word{});
@@ -250,8 +243,7 @@ void PackedSimT<W>::power_on(const std::uint64_t* settled) {
   synced_ = false;
 }
 
-template <int W>
-CellId PackedSimT<W>::input_driver(NetId net) const {
+CellId PackedSim::input_driver(NetId net) const {
   if (net < topo_->net_input.size() && topo_->net_input[net] != kInvalidId)
     return topo_->net_input[net];
   const Netlist& nl = *topo_->nl;
@@ -267,26 +259,22 @@ CellId PackedSimT<W>::input_driver(NetId net) const {
       ", not a primary input");
 }
 
-template <int W>
-void PackedSimT<W>::set_input_all(NetId net, bool v) {
-  set_held(input_driver(net), lane_broadcast<Word>(v));
+void PackedSim::set_input_all(NetId net, bool v) {
+  set_held(input_driver(net), lane_broadcast(v));
 }
 
-template <int W>
-void PackedSimT<W>::set_input_lanes(NetId net, Word lanes) {
+void PackedSim::set_input_lanes(NetId net, Word lanes) {
   set_held(input_driver(net), lanes);
 }
 
-template <int W>
-void PackedSimT<W>::set_held(CellId input_cell, const Word& lanes) {
+void PackedSim::set_held(CellId input_cell, const Word& lanes) {
   const std::uint32_t ii = topo_->input_index[input_cell];
   if (!lane_neq(input_hold_[ii], lanes)) return;
   input_hold_[ii] = lanes;
   mark_input(ii);
 }
 
-template <int W>
-void PackedSimT<W>::mark_input(std::uint32_t ii) {
+void PackedSim::mark_input(std::uint32_t ii) {
   const NetId net = topo_->input_outs[ii];
   std::uint64_t& word = pending_nets_[net / 64];
   const std::uint64_t bit = 1ULL << (net % 64);
@@ -295,8 +283,7 @@ void PackedSimT<W>::mark_input(std::uint32_t ii) {
   pending_inputs_.push_back(ii);
 }
 
-template <int W>
-void PackedSimT<W>::clear_pending_inputs() {
+void PackedSim::clear_pending_inputs() {
   for (const std::uint32_t ii : pending_inputs_) {
     const NetId net = topo_->input_outs[ii];
     pending_nets_[net / 64] &= ~(1ULL << (net % 64));
@@ -304,15 +291,13 @@ void PackedSimT<W>::clear_pending_inputs() {
   pending_inputs_.clear();
 }
 
-template <int W>
-void PackedSimT<W>::set_input_word(const Bus& bus, std::uint64_t value) {
+void PackedSim::set_input_word(const Bus& bus, std::uint64_t value) {
   for (std::size_t i = 0; i < bus.size(); ++i)
     set_input_all(bus[i], (value >> i) & 1);
 }
 
-template <int W>
-typename PackedSimT<W>::Word PackedSimT<W>::apply_inj(
-    CellId id, Word* tmp, Word out_val, bool apply_output) const {
+LaneWord PackedSim::apply_inj(CellId id, Word* tmp, Word out_val,
+                              bool apply_output) const {
   const Injection* j = inj_flat_.data() + inj_start_[id];
   const Injection* const end = j + has_inj_[id];
   for (; j != end; ++j) {
@@ -327,17 +312,15 @@ typename PackedSimT<W>::Word PackedSimT<W>::apply_inj(
   return out_val;
 }
 
-template <int W>
-template <class Read>
-inline typename PackedSimT<W>::Word PackedSimT<W>::compute_cell(
-    const PackedTopology::FlatCell& fc, Read in) const {
-  if (__builtin_expect(has_inj_[fc.id], 0)) {
-    Word tmp[4];
-    for (int i = 0; i < fc.n; ++i) tmp[i] = in(i);
-    apply_inj(fc.id, tmp, Word{}, false);
-    const Word out = eval_packed(fc.type, tmp, fc.n);
-    return apply_inj(fc.id, nullptr, out, true);
-  }
+namespace {
+
+/// A gate's output from `in(i)`, the word on input pin i, for either word
+/// type: the lane word of compute_cell, and the one 64-bit word of lane-0
+/// broadcasts a plain settle computes off the frontier. Gate semantics
+/// live here once for the sweep, the frontier and lane 0.
+template <class Word, class Read>
+[[gnu::always_inline]] inline Word eval_gate(const PackedTopology::FlatCell& fc,
+                                             Read in) {
   // Hot path: inline the common gates, fall back for the rest.
   switch (fc.type) {
     case CellType::kAnd2:
@@ -362,8 +345,22 @@ inline typename PackedSimT<W>::Word PackedSimT<W>::compute_cell(
   }
 }
 
-template <int W>
-void PackedSimT<W>::push_event(std::uint32_t order_idx) {
+}  // namespace
+
+template <class Read>
+inline LaneWord PackedSim::compute_cell(const PackedTopology::FlatCell& fc,
+                                        Read in) const {
+  if (__builtin_expect(has_inj_[fc.id], 0)) {
+    Word tmp[4];
+    for (int i = 0; i < fc.n; ++i) tmp[i] = in(i);
+    apply_inj(fc.id, tmp, Word{}, false);
+    const Word out = eval_packed(fc.type, tmp, fc.n);
+    return apply_inj(fc.id, nullptr, out, true);
+  }
+  return eval_gate<Word>(fc, in);
+}
+
+void PackedSim::push_event(std::uint32_t order_idx) {
   if (event_stamp_[order_idx] == event_epoch_) return;
   event_stamp_[order_idx] = event_epoch_;
   const std::uint32_t lvl = topo_->level[order_idx];
@@ -371,31 +368,27 @@ void PackedSimT<W>::push_event(std::uint32_t order_idx) {
   ++activity_.sched_pushes;
 }
 
-template <int W>
-void PackedSimT<W>::mark_flop_dirty(std::uint32_t flop_idx) {
+void PackedSim::mark_flop_dirty(std::uint32_t flop_idx) {
   if (flop_stamp_[flop_idx] == flop_epoch_) return;
   flop_stamp_[flop_idx] = flop_epoch_;
   dirty_flops_.push_back(flop_idx);
 }
 
-template <int W>
-inline void PackedSimT<W>::mark_flop_readers(NetId net) {
+inline void PackedSim::mark_flop_readers(NetId net) {
   const PackedTopology& t = *topo_;
   for (std::uint32_t j = t.flop_fanout_start[net];
        j < t.flop_fanout_start[net + 1]; ++j)
     mark_flop_dirty(t.flop_fanout[j]);
 }
 
-template <int W>
-void PackedSimT<W>::schedule_readers(NetId net) {
+void PackedSim::schedule_readers(NetId net) {
   const PackedTopology& t = *topo_;
   for (std::uint32_t j = t.fanout_start[net]; j < t.fanout_start[net + 1]; ++j)
     push_event(t.fanout[j]);
   mark_flop_readers(net);
 }
 
-template <int W>
-void PackedSimT<W>::join_frontier(std::uint32_t k) {
+void PackedSim::join_frontier(std::uint32_t k) {
   if (frontier_[k]++ != 0) return;
   const PackedTopology::FlatCell& fc = topo_->order[k];
   for (int i = 0; i < fc.n; ++i) {
@@ -407,8 +400,7 @@ void PackedSimT<W>::join_frontier(std::uint32_t k) {
   frontier_list_.push_back(k);
 }
 
-template <int W>
-void PackedSimT<W>::leave_frontier(std::uint32_t k) {
+void PackedSim::leave_frontier(std::uint32_t k) {
   // Only the full-sweep mode, which keeps no frontier, writes a net whose
   // reader holds no count (a flop Q at the edge re-converging).
   if (frontier_[k] == 0 || --frontier_[k] != 0) return;
@@ -420,8 +412,7 @@ void PackedSimT<W>::leave_frontier(std::uint32_t k) {
   }
 }
 
-template <int W>
-void PackedSimT<W>::clear_frontier() {
+void PackedSim::clear_frontier() {
   for (const std::uint32_t k : frontier_list_) {
     if (frontier_[k] != 0) {
       const PackedTopology::FlatCell& fc = topo_->order[k];
@@ -436,8 +427,7 @@ void PackedSimT<W>::clear_frontier() {
   frontier_list_.clear();
 }
 
-template <int W>
-bool PackedSimT<W>::write(NetId net, const Word& v, std::uint32_t driver) {
+bool PackedSim::write(NetId net, const Word& v, std::uint32_t driver) {
   const std::size_t o = net / 64;
   const std::uint64_t bit = 1ULL << (net % 64);
   const bool was = (diverged_[o] & bit) != 0;
@@ -472,13 +462,11 @@ bool PackedSimT<W>::write(NetId net, const Word& v, std::uint32_t driver) {
   return flip;
 }
 
-template <int W>
-void PackedSimT<W>::expose(NetId q, const Word& v) {
+void PackedSim::expose(NetId q, const Word& v) {
   if (lane_neq(v, load(q)) && write(q, v, kInvalidId)) flipped_.push_back(q);
 }
 
-template <int W>
-void PackedSimT<W>::frame_mismatch(NetId net, const NetFrame& frame) {
+void PackedSim::frame_mismatch(NetId net, const NetFrame& frame) {
   // The throw leaves a settle half done: resettle from scratch next time.
   needs_full_ = true;
   start_ = nullptr;
@@ -495,24 +483,21 @@ void PackedSimT<W>::frame_mismatch(NetId net, const NetFrame& frame) {
                          where + " holds " + (want ? "1" : "0"));
 }
 
-template <int W>
-void PackedSimT<W>::bump_event_epoch() {
+void PackedSim::bump_event_epoch() {
   if (++event_epoch_ == 0) {  // wrap: stale stamps from the old era alias
     std::fill(event_stamp_.begin(), event_stamp_.end(), 0u);
     event_epoch_ = 1;
   }
 }
 
-template <int W>
-void PackedSimT<W>::bump_flop_epoch() {
+void PackedSim::bump_flop_epoch() {
   if (++flop_epoch_ == 0) {
     std::fill(flop_stamp_.begin(), flop_stamp_.end(), 0u);
     flop_epoch_ = 1;
   }
 }
 
-template <int W>
-void PackedSimT<W>::run_full_sweep() {
+void PackedSim::run_full_sweep() {
   const PackedTopology& t = *topo_;
   // The sweep writes every net's word before any reader needs it
   // (sources, flop Qs, then cells in topological order), so it reads
@@ -594,8 +579,7 @@ void PackedSimT<W>::run_full_sweep() {
   activity_.cells_evaluated += t.order.size();
 }
 
-template <int W>
-NetFrame PackedSimT<W>::begin_start(const NetFrame* frame) {
+NetFrame PackedSim::begin_start(const NetFrame* frame) {
   const PackedTopology& t = *topo_;
   const NetFrame start{frame ? frame->cycle : -1, start_, nullptr};
   start_ = nullptr;
@@ -631,7 +615,7 @@ NetFrame PackedSimT<W>::begin_start(const NetFrame* frame) {
   for (const CellId id : t.source_cells) {
     const Cell& c = t.nl->cell(id);
     if (!is_tie(c.type)) continue;
-    const Word v = lane_broadcast<Word>(c.type == CellType::kTie1);
+    const Word v = lane_broadcast(c.type == CellType::kTie1);
     expose_source(c.out, has_inj_[id] ? apply_inj(id, nullptr, v, true) : v);
   }
   // The injected cells join the frontier; the writes above scheduled the
@@ -647,8 +631,7 @@ NetFrame PackedSimT<W>::begin_start(const NetFrame* frame) {
   return start;
 }
 
-template <int W>
-void PackedSimT<W>::run_settle(const NetFrame* replay) {
+void PackedSim::run_settle(const NetFrame* replay) {
   const PackedTopology& t = *topo_;
   // A start's frame is already in the plane, with nothing changed.
   const bool changes = replay && replay->changed != nullptr;
@@ -722,17 +705,26 @@ void PackedSimT<W>::run_settle(const NetFrame* replay) {
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint32_t k = seg[i];
       const PackedTopology::FlatCell& fc = t.order[k];
-      Word out;
-      if (frontier_[k] != 0) {
-        out = compute_cell(fc, [this, &fc](int p) { return load(fc.in[p]); });
-      } else {
+      if (frontier_[k] == 0) {
         // Off the frontier every pin reads the good machine, and a replay
-        // took the output from the frame.
+        // took the output from the frame. A plain settle computes lane 0
+        // alone: no pin is diverged and nothing is injected, so the output
+        // is the broadcast of its lane-0 value.
         if (replay) continue;
-        out = compute_cell(fc, [this, &fc](int p) {
-          return lane_broadcast<Word>(plane_bit(fc.in[p]));
-        });
+        ++evaluated;
+        const bool bit = eval_gate<std::uint64_t>(fc, [this, &fc](int p) {
+                           return 0 - std::uint64_t{plane_bit(fc.in[p])};
+                         }) & 1;
+        if (bit == plane_bit(fc.out)) {
+          ++quiet;
+        } else {
+          plane_[fc.out / 64] ^= 1ULL << (fc.out % 64);
+          schedule_readers(fc.out);
+        }
+        continue;
       }
+      const Word out =
+          compute_cell(fc, [this, &fc](int p) { return load(fc.in[p]); });
       ++evaluated;
       if (replay && lane_test(out, 0) != plane_bit(fc.out))
         frame_mismatch(fc.out, *replay);
@@ -752,8 +744,7 @@ void PackedSimT<W>::run_settle(const NetFrame* replay) {
   activity_.quiet_cells += quiet;
 }
 
-template <int W>
-void PackedSimT<W>::check_plane(const NetFrame& frame) {
+void PackedSim::check_plane(const NetFrame& frame) {
   for (std::size_t o = 0; o < plane_.size(); ++o)
     if (const std::uint64_t bad = plane_[o] ^ frame.value[o]; bad != 0)
       frame_mismatch(static_cast<NetId>(o * 64 + static_cast<unsigned>(
@@ -761,8 +752,7 @@ void PackedSimT<W>::check_plane(const NetFrame& frame) {
                      frame);
 }
 
-template <int W>
-void PackedSimT<W>::eval(const NetFrame* frame) {
+void PackedSim::eval(const NetFrame* frame) {
   ++activity_.evals;
   if (mode_ == PackedEvalMode::kFullSweep) frame = nullptr;
   if (inj_dirty_) prepare_injections();
@@ -787,8 +777,7 @@ void PackedSimT<W>::eval(const NetFrame* frame) {
   if (settle_log_) sample_settle();
 }
 
-template <int W>
-void PackedSimT<W>::full_eval() {
+void PackedSim::full_eval() {
   ++activity_.evals;
   synced_ = false;
   if (inj_dirty_) prepare_injections();
@@ -796,16 +785,14 @@ void PackedSimT<W>::full_eval() {
   if (settle_log_) sample_settle();
 }
 
-template <int W>
-void PackedSimT<W>::set_settle_log(SettleLog* log) {
+void PackedSim::set_settle_log(SettleLog* log) {
   settle_log_ = log;
   if (!log) return;
   log->seen0.resize(plane_.size(), 0);
   log->seen1.resize(plane_.size(), 0);
 }
 
-template <int W>
-void PackedSimT<W>::sample_settle() {
+void PackedSim::sample_settle() {
   if (settle_log_->first.empty()) settle_log_->first = plane_;
   for (std::size_t o = 0; o < plane_.size(); ++o) {
     settle_log_->seen1[o] |= plane_[o];
@@ -816,20 +803,18 @@ void PackedSimT<W>::sample_settle() {
     settle_log_->seen0.back() &= (1ULL << tail) - 1;
 }
 
-template <int W>
-void PackedSimT<W>::latch() {
+void PackedSim::latch() {
   if (inj_dirty_) prepare_injections();
   const PackedTopology& t = *topo_;
   // Lane-0 flips no settle has handled since an earlier edge: their flop
   // readers must latch on this one.
   for (const NetId n : flipped_) mark_flop_readers(n);
   // The flops to latch: the dirty set plus the injected flops, or every
-  // flop for the full latch and after untracked state (a full sweep,
-  // power-on, an injection change). Set_injection_lanes re-arms D/reset
-  // faults without touching any net, so an injected flop's latched value
-  // can change even when its D input was provably quiet.
-  if (clock_mode_ == PackedClockMode::kFullLatch || all_flops_dirty_ ||
-      needs_full_) {
+  // flop after untracked state (a full sweep, power-on, an injection
+  // change). Set_injection_lanes re-arms D/reset faults without touching
+  // any net, so an injected flop's latched value can change even when its
+  // D input was provably quiet.
+  if (all_flops_dirty_ || needs_full_) {
     dirty_scratch_.resize(t.flops.size());
     std::iota(dirty_scratch_.begin(), dirty_scratch_.end(), 0u);
     dirty_flops_.clear();
@@ -856,7 +841,7 @@ void PackedSimT<W>::latch() {
     if (!has_inj_[f.id] &&
         !(diverged(f.q) | diverged(f.in[0]) | diverged(f.in[1]))) {
       const bool next = plane_bit(f.in[0]) & plane_bit(f.in[1]);
-      flop_state_[fi] = lane_broadcast<Word>(next);
+      flop_state_[fi] = lane_broadcast(next);
       if (next != plane_bit(f.q)) flipped_.push_back(f.q);
       continue;
     }
@@ -881,14 +866,12 @@ void PackedSimT<W>::latch() {
   }
 }
 
-template <int W>
-void PackedSimT<W>::clock() {
+void PackedSim::clock() {
   latch();
   eval();
 }
 
-template <int W>
-void PackedSimT<W>::retire_lanes(Word lanes) {
+void PackedSim::retire_lanes(Word lanes) {
   if (lane_test(lanes, 0))
     throw std::invalid_argument(
         "PackedSim: lane 0 is the good machine and cannot retire");
@@ -912,7 +895,7 @@ void PackedSimT<W>::retire_lanes(Word lanes) {
     if (!needs_full_ && !has_inj_[id] && !diverged(out)) continue;
     Word& state = flop_state_[fi];
     const Word next =
-        (state & ~lanes) | (lane_broadcast<Word>(lane_test(state, 0)) & lanes);
+        (state & ~lanes) | (lane_broadcast(lane_test(state, 0)) & lanes);
     if (lane_neq(next, state)) {
       state = next;
       mark_flop_dirty(static_cast<std::uint32_t>(fi));
@@ -923,9 +906,7 @@ void PackedSimT<W>::retire_lanes(Word lanes) {
   }
 }
 
-template <int W>
-typename PackedSimT<W>::Word PackedSimT<W>::observed(
-    CellId output_cell) const {
+LaneWord PackedSim::observed(CellId output_cell) const {
   const Netlist& nl = *topo_->nl;
   if (output_cell >= nl.num_cells())
     throw std::invalid_argument(
@@ -952,8 +933,5 @@ typename PackedSimT<W>::Word PackedSimT<W>::observed(
   }
   return v;
 }
-
-template class PackedSimT<64>;
-template class PackedSimT<256>;
 
 }  // namespace olfui

@@ -1,13 +1,11 @@
-// olfui/sim: W-lane bit-parallel 2-valued simulation kernel.
+// olfui/sim: 256-lane bit-parallel 2-valued simulation kernel.
 //
-// Each net carries one packed lane word (util/lanes.hpp) = W independent
-// machines; W is a compile-time parameter instantiated at 64 (scalar
-// uint64_t) and 256 (a four-word vector, the SBST grading width). The
-// fault simulator (olfui_fsim) packs a good machine in lane 0 plus up to
-// W-1 faulty machines per pass and injects stuck-at values at (cell, pin)
-// sites per lane — the classic parallel-fault scheme. Simulation is
-// 2-valued: callers must apply an explicit reset sequence so that no X
-// state matters.
+// Each net carries one packed lane word (util/lanes.hpp) = kLanes (256)
+// independent machines. The fault simulator (olfui_fsim) packs a good
+// machine in lane 0 plus up to kLanes-1 faulty machines per pass and
+// injects stuck-at values at (cell, pin) sites per lane — the classic
+// parallel-fault scheme. Simulation is 2-valued: callers must apply an
+// explicit reset sequence so that no X state matters.
 //
 // The state is lane 0 plus the differences from it, as in PROOFS. The
 // lane-0 bit plane holds lane 0 of every net, one bit per net; a net is
@@ -27,9 +25,9 @@
 // path is a pure work-skipping optimisation, never an approximation).
 // Events flow through a flat preallocated arena (per-level segments of one
 // index array, epoch-stamped membership), and the clock edge is
-// incremental by default: only flops whose D or reset input changed since
-// their last latch (the dirty-D set) or that carry an injection are
-// latched, with the full latch retained as the oracle (PackedClockMode). A
+// incremental: only flops whose D or reset input changed since their last
+// latch (the dirty-D set) or that carry an injection are latched; after a
+// full sweep, which tracks no changes, the next edge latches every flop. A
 // flop whose pins and Q are not diverged and which carries no injection
 // latches from the plane alone.
 //
@@ -38,7 +36,8 @@
 // broadcasts, so its output is the broadcast of its lane-0 value. Settles
 // differ in two things only:
 //  * a plain settle evaluates every scheduled cell, and a lane-0 change
-//    schedules all readers of the net;
+//    schedules all readers of the net; a cell off the frontier is computed
+//    on lane 0 alone, one 64-bit word through the same gate switch;
 //  * a frame settle (eval(frame)) replays the good machine's recorded
 //    values (a NetFrame streamed from the reference trace) when the last
 //    settle was the frame of the previous cycle: it copies the frame into
@@ -84,17 +83,12 @@
 namespace olfui {
 
 /// A stuck-at value injected at a pin for a subset of lanes.
-template <int W>
-struct PackedInjectionT {
-  using Word = LaneWord<W>;
+struct PackedInjection {
   CellId cell = kInvalidId;
   std::uint8_t pin = 0;  ///< 0 = output pin, 1.. = input pins
   bool sa1 = false;
-  Word lanes{};  ///< lane mask where the fault is active
+  LaneWord lanes{};  ///< lane mask where the fault is active
 };
-
-/// The scalar 64-lane injection every pre-width-parametric caller uses.
-using PackedInjection = PackedInjectionT<64>;
 
 /// Immutable evaluation structures shared by every PackedSim over the same
 /// netlist: the flattened levelized cell array, per-cell logic levels, and
@@ -171,19 +165,9 @@ struct PackedTopology {
 /// eval() strategy; both produce bit-identical values.
 enum class PackedEvalMode : std::uint8_t {
   kEventDriven,  ///< dirty-set scheduling over the fanout graph (default)
-  kFullSweep,    ///< levelized sweep over every cell (the oracle/baseline)
-};
-
-/// Clock-edge (latch()) strategy; both produce bit-identical values.
-enum class PackedClockMode : std::uint8_t {
-  /// Latch only flops whose D/reset input changed since their last latch
-  /// (the dirty-D set seeded by the event drain) plus flops carrying
-  /// injections. Effective only in event mode with valid tracked state;
-  /// any untracked eval (full sweep, power-on) falls back to one full
-  /// latch and re-arms the tracking. The default.
-  kIncremental,
-  /// Latch every flop on every edge (the oracle/baseline).
-  kFullLatch,
+  /// Levelized sweep over every cell, and a latch of every flop after it
+  /// (the oracle/baseline, and the scan runner's kernel).
+  kFullSweep,
 };
 
 /// Work counters for the activity benches and the obs metrics bridge
@@ -212,7 +196,7 @@ struct PackedActivity {
   std::uint64_t lanes_retired = 0;    ///< lanes handed to retire_lanes()
 };
 
-/// Lane-0 settle accumulator (PackedSimT::set_settle_log): one bit per
+/// Lane-0 settle accumulator (PackedSim::set_settle_log): one bit per
 /// net, bit n % 64 of word n / 64. While attached, every eval() ORs the
 /// settled lane-0 plane into `seen1` and its complement into `seen0`, so
 /// the log records every value the good machine's nets held at any
@@ -225,7 +209,7 @@ struct SettleLog {
 };
 
 /// One cycle of the good machine's settled net values, for a frame settle
-/// (PackedSimT::eval). Both arrays hold one bit per net, bit n % 64 of word
+/// (PackedSim::eval). Both arrays hold one bit per net, bit n % 64 of word
 /// n / 64, over ceil(nets / 64) words.
 struct NetFrame {
   int cycle = 0;
@@ -237,17 +221,15 @@ struct NetFrame {
   const std::uint64_t* changed = nullptr;
 };
 
-template <int W>
-class PackedSimT {
+class PackedSim {
  public:
-  using Word = LaneWord<W>;
-  using Injection = PackedInjectionT<W>;
-  static constexpr int kLanes = W;
+  using Word = LaneWord;
+  using Injection = PackedInjection;
 
-  explicit PackedSimT(const Netlist& nl);
+  explicit PackedSim(const Netlist& nl);
   /// Shares a prebuilt topology (cheap: only per-net/per-cell state is
   /// allocated). The netlist behind `topo` must outlive the simulator.
-  explicit PackedSimT(std::shared_ptr<const PackedTopology> topo);
+  explicit PackedSim(std::shared_ptr<const PackedTopology> topo);
 
   void clear_injections();
   void add_injection(const Injection& inj);
@@ -278,7 +260,7 @@ class PackedSimT {
   /// before it is taken in. kFullSweep mode ignores `settled`.
   void power_on(const std::uint64_t* settled = nullptr);
 
-  /// Drives the same value on all W lanes of a primary input. Throws
+  /// Drives the same value on every lane of a primary input. Throws
   /// std::invalid_argument, naming the net, unless a kInput cell drives it.
   void set_input_all(NetId net, bool v);
   /// Drives an explicit per-lane word on a primary input (throws like
@@ -331,8 +313,6 @@ class PackedSimT {
     mode_ = mode;
   }
   PackedEvalMode eval_mode() const { return mode_; }
-  void set_clock_mode(PackedClockMode mode) { clock_mode_ = mode; }
-  PackedClockMode clock_mode() const { return clock_mode_; }
 
   /// Attaches (or, with null, detaches) a lane-0 settle accumulator,
   /// sized here to the netlist. Costs one pointer test per eval() while
@@ -441,9 +421,10 @@ class PackedSimT {
     const std::uint64_t bit = 0 - ((plane_[net / 64] >> (net % 64)) & 1);
     return (values_[net] & div) | (bit & ~div);
   }
-  /// A cell's output word; `in(i)` reads the word on input pin i: load()
-  /// in the drain, values_ in the sweep, which writes every word before it
-  /// is read. Inlined into both: it is the innermost call.
+  /// A cell's output word with its injections; `in(i)` reads the word on
+  /// input pin i: load() in the drain, values_ in the sweep, which writes
+  /// every word before it is read. Inlined into both: it is the innermost
+  /// call.
   template <class Read>
   [[gnu::always_inline]] Word compute_cell(const PackedTopology::FlatCell& fc,
                                            Read in) const;
@@ -452,7 +433,6 @@ class PackedSimT {
 
   std::shared_ptr<const PackedTopology> topo_;
   PackedEvalMode mode_ = PackedEvalMode::kEventDriven;
-  PackedClockMode clock_mode_ = PackedClockMode::kIncremental;
   // The lane-0 plane (one bit per net, bit n % 64 of word n / 64), the
   // diverged bit of every net, and the word of each diverged net. Outside
   // a full sweep, which writes every word before reading it, values_ is
@@ -542,8 +522,5 @@ class PackedSimT {
   PackedActivity activity_;
   SettleLog* settle_log_ = nullptr;
 };
-
-/// The scalar 64-lane simulator (scan runners, reference tracing).
-using PackedSim = PackedSimT<64>;
 
 }  // namespace olfui

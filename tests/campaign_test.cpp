@@ -294,7 +294,7 @@ TEST(ReferenceTrace, ColumnRleMatchesReplayOnEveryNet) {
     ASSERT_TRUE(env.step(sim, cycle));
     sim.eval();
     for (NetId n = 0; n < rig.nl.num_nets(); ++n)
-      ASSERT_EQ(trace.net_bit(cycle, n), (sim.value(n) & 1ULL) != 0)
+      ASSERT_EQ(trace.net_bit(cycle, n), (lane_test(sim.value(n), 0)) != 0)
           << "cycle " << cycle << " net " << n;
     sim.clock();
   }

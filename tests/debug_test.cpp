@@ -88,8 +88,8 @@ TEST(DebugInsert, MissionModeKeepsFunctionalBehaviour) {
     }
     for (int i = 0; i < 8; ++i) {
       const std::string port = "bus" + std::to_string(i);
-      EXPECT_EQ(ps_ref.observed(ref.nl.find_output(port)) & 1,
-                ps_dut.observed(dut.nl.find_output(port)) & 1)
+      EXPECT_EQ(lane_test(ps_ref.observed(ref.nl.find_output(port)), 0),
+                lane_test(ps_dut.observed(dut.nl.find_output(port)), 0))
           << cyc << " " << port;
     }
     ps_ref.clock();
@@ -137,7 +137,8 @@ TEST(DebugInsert, DebuggerCanWriteRegisterThroughShiftChain) {
   ps.eval();
   ps.clock();
   std::uint64_t ra_val = 0;
-  for (int i = 0; i < 8; ++i) ra_val |= (ps.value(core.ra.q[i]) & 1) << i;
+  for (int i = 0; i < 8; ++i)
+    ra_val |= std::uint64_t{lane_test(ps.value(core.ra.q[i]), 0)} << i;
   EXPECT_EQ(ra_val, 0xA5u);
 }
 
@@ -153,7 +154,8 @@ TEST(DebugInsert, HaltFreezesHoldRegister) {
   ps.set_input_all(core.in0, false);
   const auto pc_val = [&] {
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= (ps.value(core.pc.q[i]) & 1) << i;
+    for (int i = 0; i < 8; ++i)
+      v |= std::uint64_t{lane_test(ps.value(core.pc.q[i]), 0)} << i;
     return v;
   };
   ps.eval();

@@ -16,6 +16,7 @@
 #include "netlist/wordops.hpp"
 #include "random_design.hpp"
 #include "sbst/sbst.hpp"
+#include "serial_oracle.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -198,7 +199,7 @@ TEST(SeqFsim, TransitionArmsOnlyOnTheCycleAfterItsLaunch) {
   for (const auto& row : rows) {
     const std::vector<std::vector<bool>> words = {
         {false, false}, {true, row.b_at_launch}, {true, true}, {true, true}};
-    ScriptedEnvT<64> env(inputs, words);
+    ScriptedEnv env(inputs, words);
     SequentialFaultSimulator fsim(nl, u, {.max_cycles = 4});
     fsim.set_observed(observed);
     const ReferenceTrace trace = fsim.record_reference_trace(env);
@@ -234,15 +235,16 @@ TEST(CombDetect, MatchesTruthTableForAndGate) {
   EXPECT_FALSE(comb_detects(nl, u, u.id_of({g, 1}, true), pat11, observed));
 }
 
-TEST(CombDetect, MoreThan64PatternsThrow) {
-  // One pattern per lane: a 65th has no lane in the word.
+TEST(CombDetect, MoreThan256PatternsThrow) {
+  // One pattern per lane: a 257th has no lane in the word.
   Netlist nl("t");
   WordOps w(nl, "m");
   const NetId a = nl.add_input("a");
   const NetId y = w.buf(a, "y");
   std::vector<CellId> observed{nl.add_output("o", y)};
   const FaultUniverse u(nl);
-  std::vector<std::vector<std::pair<NetId, bool>>> patterns(65, {{a, true}});
+  std::vector<std::vector<std::pair<NetId, bool>>> patterns(kLanes + 1,
+                                                            {{a, true}});
   EXPECT_THROW(comb_detects(nl, u, 0, patterns, observed),
                std::invalid_argument);
   patterns.pop_back();
@@ -253,43 +255,23 @@ TEST(CombDetect, MoreThan64PatternsThrow) {
 // ReferenceTrace::fingerprint — the trace component of the grade-result
 // cache key (campaign/cache.hpp). It must move on ANY single-bit
 // divergence of the recorded good machine, and must NOT move with how the
-// trace was recorded (lane width, clocking mode): those are
+// trace was recorded (event-driven or full-sweep kernel): that is
 // payload-neutral.
 
-/// CounterEnv at any lane width (the scalar CounterEnv above is 64-only).
-template <int W>
-class CounterEnvT : public FsimEnvironmentT<W> {
- public:
-  explicit CounterEnvT(NetId en) : en_(en) {}
-  void reset(PackedSimT<W>& sim) override {
-    sim.set_input_all(en_, false);
-    sim.eval();
-  }
-  bool step(PackedSimT<W>& sim, int) override {
-    sim.set_input_all(en_, true);
-    sim.eval();
-    return true;
-  }
-
- private:
-  NetId en_;
-};
-
-template <int W>
 ReferenceTrace record_counter_trace(const CounterRig& rig,
                                     const FaultUniverse& u,
                                     bool event_driven) {
-  SequentialFaultSimulatorT<W> fsim(rig.nl, u, {.max_cycles = 20});
+  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
   if (!event_driven) fsim.sim().set_eval_mode(PackedEvalMode::kFullSweep);
   fsim.set_observed(rig.outputs);
-  CounterEnvT<W> env(rig.en);
+  CounterEnv env(rig.en);
   return fsim.record_reference_trace(env);
 }
 
 TEST(ReferenceTraceFingerprint, AnySingleBitPerturbationChangesIt) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  const ReferenceTrace trace = record_counter_trace<64>(rig, u, true);
+  const ReferenceTrace trace = record_counter_trace(rig, u, true);
   const std::uint64_t fp = trace.fingerprint();
   ASSERT_NE(fp, 0u);
   EXPECT_EQ(trace.fingerprint(), fp);  // pure function of the contents
@@ -326,55 +308,45 @@ TEST(ReferenceTraceFingerprint, AnySingleBitPerturbationChangesIt) {
   }
 }
 
-TEST(ReferenceTraceFingerprint, StableAcrossLaneWidthsAndClockingModes) {
+TEST(ReferenceTraceFingerprint, StableAcrossKernels) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  const std::uint64_t fp = record_counter_trace<64>(rig, u, true).fingerprint();
-  // Clocking mode is a speed knob, not a semantic one: the event-driven
-  // and full-sweep kernels must record bit-identical good machines.
-  EXPECT_EQ(record_counter_trace<64>(rig, u, false).fingerprint(), fp);
-  // Lane 0 is the good machine at every width, so the recorded trace —
-  // and therefore the cache key built from it — is width-invariant.
-  EXPECT_EQ(record_counter_trace<256>(rig, u, true).fingerprint(), fp);
-  EXPECT_EQ(record_counter_trace<256>(rig, u, false).fingerprint(), fp);
+  // The kernel is a speed knob, not a semantic one: the event-driven and
+  // full-sweep kernels must record bit-identical good machines.
+  EXPECT_EQ(record_counter_trace(rig, u, false).fingerprint(),
+            record_counter_trace(rig, u, true).fingerprint());
 }
 
-/// Fault i rides lane i + 1, so W faults would need a lane the word does
-/// not have: both batch models refuse them, naming the size and width.
-template <int W>
-void expect_oversized_batch_throws() {
+/// Fault i rides lane i + 1, so kLanes faults would need a lane the word
+/// does not have: both batch models refuse them, naming the size and width.
+TEST(SeqFsim, OversizedBatchThrows) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulatorT<W> fsim(rig.nl, u, {.max_cycles = 20});
+  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
   fsim.set_observed(rig.outputs);
-  CounterEnvT<W> env(rig.en);
+  CounterEnv env(rig.en);
   const ReferenceTrace trace = fsim.record_reference_trace(env);
-  std::vector<FaultId> faults(W, u.id_of({rig.cnt.flops[1], 0}, false));
-  const std::string size = std::to_string(W) + " faults";
-  const std::string width = std::to_string(W) + "-lane";
+  std::vector<FaultId> faults(kLanes, u.id_of({rig.cnt.flops[1], 0}, false));
+  const std::string size = std::to_string(kLanes) + " faults";
+  const std::string width = std::to_string(kLanes) + "-lane";
   for (const FaultModel model :
        {FaultModel::kStuckAt, FaultModel::kTransition}) {
     try {
       fsim.run_batch(faults, env, trace, model);
-      ADD_FAILURE() << "W=" << W << " " << to_string(model) << ": no throw";
+      ADD_FAILURE() << "" << to_string(model) << ": no throw";
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(size), std::string::npos) << what;
       EXPECT_NE(what.find(width), std::string::npos) << what;
     }
   }
-  // W - 1 faults fill the pass exactly; the last lane grades like the first.
+  // kLanes - 1 faults fill the pass exactly; the last lane grades like the
+  // first.
   faults.pop_back();
   const LaneMask det = fsim.run_batch(faults, env, trace);
-  EXPECT_TRUE(det.bit(0)) << "W=" << W;
-  EXPECT_TRUE(det.bit(W - 2)) << "W=" << W;
-  EXPECT_NO_THROW(fsim.run_batch(faults, env, trace, FaultModel::kTransition))
-      << "W=" << W;
-}
-
-TEST(SeqFsim, OversizedBatchThrows) {
-  expect_oversized_batch_throws<64>();
-  expect_oversized_batch_throws<256>();
+  EXPECT_TRUE(det.bit(0));
+  EXPECT_TRUE(det.bit(kLanes - 2));
+  EXPECT_NO_THROW(fsim.run_batch(faults, env, trace, FaultModel::kTransition));
 }
 
 /// observed() and the frame's good bit read a port cell's input net, so
@@ -410,7 +382,7 @@ TEST(SeqFsim, SetObservedRejectsNonOutputCells) {
 // ---------------------------------------------------------------------------
 // Lane retirement cannot move a verdict. The batch loop hands every lane
 // back to the good machine right after the cycle it is detected in
-// (PackedSimT::retire_lanes), so a full W-1 batch must grade each fault
+// (PackedSim::retire_lanes), so a full kLanes-1 batch must grade each fault
 // exactly as a batch of that fault alone does. A lone fault's batch exits
 // early on its detection cycle, before any lane retires. Checked under
 // both fault models. A full batch that leaves some fault undetected never
@@ -437,21 +409,20 @@ struct LoneFaultTally {
   }
 };
 
-template <int W>
 LoneFaultTally expect_batch_matches_lone_faults(
     const Netlist& nl, const FaultUniverse& u,
-    const std::vector<CellId>& observed, FsimEnvironmentT<W>& env,
+    const std::vector<CellId>& observed, FsimEnvironment& env,
     std::span<const FaultId> faults, int max_cycles,
     const std::shared_ptr<const PackedTopology>& topo,
     const std::string& label) {
-  SequentialFaultSimulatorT<W> fsim(nl, u, {.max_cycles = max_cycles}, topo);
+  SequentialFaultSimulator fsim(nl, u, {.max_cycles = max_cycles}, topo);
   fsim.set_observed(observed);
   const ReferenceTrace trace = fsim.record_reference_trace(env);
   LoneFaultTally tally;
   for (const FaultModel model :
        {FaultModel::kStuckAt, FaultModel::kTransition}) {
     const std::string what =
-        label + " W=" + std::to_string(W) + " " + std::string(to_string(model));
+        label + " " + std::string(to_string(model));
     const auto grade = [&](std::span<const FaultId> batch) {
       return fsim.run_batch(batch, env, trace, model);
     };
@@ -475,7 +446,6 @@ LoneFaultTally expect_batch_matches_lone_faults(
   return tally;
 }
 
-template <int W>
 LoneFaultTally random_batches_match_lone_faults(std::uint64_t seed) {
   Rng rng(seed);
   RandomDesign d = random_design(rng, 6, 10, 70);
@@ -485,15 +455,15 @@ LoneFaultTally random_batches_match_lone_faults(std::uint64_t seed) {
   for (auto& w : words)
     for (std::size_t i = 0; i < d.input_nets.size(); ++i)
       w.push_back(rng.next_bool());
-  ScriptedEnvT<W> env(d.input_nets, words);
-  // W - 1 distinct faults spread over the universe.
+  ScriptedEnv env(d.input_nets, words);
+  // kLanes - 1 distinct faults spread over the universe.
   std::vector<FaultId> ids(u.size());
   std::iota(ids.begin(), ids.end(), FaultId{0});
   for (std::size_t i = ids.size() - 1; i > 0; --i)
     std::swap(ids[i], ids[rng.next_below(i + 1)]);
-  EXPECT_GE(ids.size(), static_cast<std::size_t>(W - 1));
-  ids.resize(std::min(ids.size(), static_cast<std::size_t>(W - 1)));
-  return expect_batch_matches_lone_faults<W>(
+  EXPECT_GE(ids.size(), static_cast<std::size_t>(kLanes - 1));
+  ids.resize(std::min(ids.size(), static_cast<std::size_t>(kLanes - 1)));
+  return expect_batch_matches_lone_faults(
       d.nl, u, d.output_cells, env, ids, kCycles,
       PackedTopology::build(d.nl), "seed " + std::to_string(seed));
 }
@@ -501,8 +471,7 @@ LoneFaultTally random_batches_match_lone_faults(std::uint64_t seed) {
 TEST(SeqFsim, FullBatchMatchesLoneFaultsOnRandomNetlists) {
   LoneFaultTally tally;
   for (std::uint64_t seed = 31; seed <= 33; ++seed) {
-    tally += random_batches_match_lone_faults<64>(seed);
-    tally += random_batches_match_lone_faults<256>(seed);
+    tally += random_batches_match_lone_faults(seed);
     if (::testing::Test::HasFailure()) return;
   }
   EXPECT_GT(tally.detected, 0u) << "no lane was detected, so none retired";
@@ -510,7 +479,6 @@ TEST(SeqFsim, FullBatchMatchesLoneFaultsOnRandomNetlists) {
 }
 
 TEST(SeqFsim, FullBatchMatchesLoneFaultsOnSocSlice) {
-  constexpr int W = kSbstLanes;
   SocConfig cfg;
   cfg.cpu.btb_entries = 2;
   cfg.cpu.with_multiplier = false;
@@ -525,7 +493,7 @@ TEST(SeqFsim, FullBatchMatchesLoneFaultsOnSocSlice) {
   FlashImage flash(cfg.flash_base, cfg.flash_size);
   flash.load(prog.program.base(), prog.program.words());
   const int cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin;
-  SocFsimEnvironmentT<W> env(*soc, flash, cycles);
+  SocFsimEnvironment env(*soc, flash, cycles);
 
   // Bus ports and PC bits (detected early, so their lanes retire while
   // the batch runs on), topped up with a random sample of the universe.
@@ -545,13 +513,87 @@ TEST(SeqFsim, FullBatchMatchesLoneFaultsOnSocSlice) {
     add(u.id_of({soc->cpu.pc.flops[b], 0}, true));
   }
   Rng rng(7);
-  while (faults.size() < static_cast<std::size_t>(W - 1))
+  while (faults.size() < static_cast<std::size_t>(kLanes - 1))
     add(static_cast<FaultId>(rng.next_below(u.size())));
-  const LoneFaultTally tally = expect_batch_matches_lone_faults<W>(
+  const LoneFaultTally tally = expect_batch_matches_lone_faults(
       nl, u, soc->cpu.bus_output_cells, env, faults, cycles, topo,
       prog.name);
   EXPECT_GT(tally.detected, 0u) << "no lane was detected, so none retired";
   EXPECT_GT(tally.partial_batches, 0u) << "no retired-lane count was checked";
+}
+
+// ---------------------------------------------------------------------------
+// The packed batch against the serial oracle (serial_oracle.hpp), which
+// grades one fault at a time as a netlist edit on the 4-valued Simulator
+// and shares no code with the packed kernel. Every fault of random designs
+// is graded in batches of 200-255 faults, so every lane word carries
+// faults, under both models; each verdict the oracle decides must be the
+// batch's. The designs are the first three whose reset and stimulus
+// resolve every observed port on every cycle: where the good machine shows
+// an X, the oracle cannot decide a fault the batch leaves undetected.
+
+TEST(SerialOracle, BatchesMatchSerialGradingOnRandomDesigns) {
+  struct Tally {
+    std::size_t faults = 0, decided = 0, detected = 0, stems = 0,
+                branches = 0;
+  };
+  Tally tally[2];
+  int designs = 0;
+  for (std::uint64_t seed = 161; designs < 3 && seed < 200; ++seed) {
+    Rng rng(seed);
+    RandomDesign d = random_design(rng, 8, 16, 150);
+    constexpr int kCycles = 40;
+    std::vector<std::vector<bool>> stim(kCycles);
+    for (auto& bits : stim)
+      for (std::size_t i = 0; i < d.input_nets.size(); ++i)
+        bits.push_back(rng.next_bool());
+    const FaultUniverse u(d.nl);
+    const SerialOracle oracle(d.nl, d.input_nets, d.output_cells, stim);
+    if (!oracle.resolved()) continue;
+    ++designs;
+    ResetThenScriptEnv env(d.input_nets, stim);
+    SequentialFaultSimulator fsim(d.nl, u, {.max_cycles = kCycles});
+    fsim.set_observed(d.output_cells);
+    const ReferenceTrace trace = fsim.record_reference_trace(env);
+
+    const std::size_t batches = (u.size() + kLanes - 2) / (kLanes - 1);
+    const std::size_t span = (u.size() + batches - 1) / batches;
+    for (const FaultModel model :
+         {FaultModel::kStuckAt, FaultModel::kTransition}) {
+      Tally& t = tally[model == FaultModel::kTransition];
+      for (FaultId base = 0; base < u.size(); base += span) {
+        const std::size_t n = std::min<std::size_t>(span, u.size() - base);
+        ASSERT_GE(n, 200u) << "seed " << seed;
+        std::vector<FaultId> batch(n);
+        std::iota(batch.begin(), batch.end(), base);
+        const LaneMask det = fsim.run_batch(batch, env, trace, model);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Fault& f = u.fault(batch[i]);
+          ++t.faults;
+          const SerialVerdict v = oracle.grade(f, model);
+          if (v == SerialVerdict::kUnknown) continue;
+          ++t.decided;
+          const bool detected = v == SerialVerdict::kDetected;
+          t.detected += detected;
+          ++(f.pin.pin == 0 ? t.stems : t.branches);
+          ASSERT_EQ(det.bit(static_cast<int>(i)), detected)
+              << "seed " << seed << " " << to_string(model) << " lane "
+              << i + 1 << ": "
+              << (model == FaultModel::kTransition
+                      ? tdf_fault_name(u, batch[i])
+                      : u.fault_name(batch[i]));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(designs, 3);
+  for (const Tally& t : tally) {
+    EXPECT_GE(t.decided * 10, t.faults * 9) << t.decided << "/" << t.faults;
+    EXPECT_GT(t.detected, 0u);
+    EXPECT_LT(t.detected, t.decided);
+    EXPECT_GT(t.stems, 0u);
+    EXPECT_GT(t.branches, 0u);
+  }
 }
 
 }  // namespace

@@ -1,21 +1,15 @@
-// Width-parametric kernel equivalence suite, plus the per-test batch
+// Lane-word helpers, campaign thread invariance and the per-test batch
 // bound.
 //
-// The 256-lane packed word is pure throughput: for any netlist,
-// stimulus, fault model, kernel, and trace mode, it must grade every
-// fault exactly as the scalar 64-lane kernel does — lane count only
-// changes how many faulty machines ride in one pass. These tests drive
-// randomized sequential netlists through both widths and compare the
-// per-fault verdict vectors bit for bit, against both the 64-lane
-// baseline and the full-sweep oracle, then push 256-lane batches through
-// the campaign orchestrator across thread counts. The engine cuts each
-// test's spans to that test's CampaignTest::max_batch.
+// The lane helpers must visit and count exactly the set lanes of every
+// 64-bit word of the vector. Batches pushed through the campaign
+// orchestrator must detect the same faults at any thread count, and the
+// engine cuts each test's spans to that test's CampaignTest::max_batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -91,19 +85,18 @@ RandomDesign random_design(Rng& rng, int n_inputs, int n_flops, int n_gates) {
   return d;
 }
 
-/// Replays a fixed per-cycle stimulus (identical on all lanes) at any
-/// width, so every pass of every engine sees the same test "program".
-template <int W>
-class ScriptedEnvT : public FsimEnvironmentT<W> {
+/// Replays a fixed per-cycle stimulus (identical on all lanes), so every
+/// pass of every engine sees the same test "program".
+class ScriptedEnv : public FsimEnvironment {
  public:
-  ScriptedEnvT(const std::vector<NetId>& inputs,
+  ScriptedEnv(const std::vector<NetId>& inputs,
                const std::vector<std::vector<bool>>& words)
       : inputs_(&inputs), words_(&words) {}
-  void reset(PackedSimT<W>& sim) override {
+  void reset(PackedSim& sim) override {
     for (NetId in : *inputs_) sim.set_input_all(in, false);
     sim.eval();
   }
-  bool step(PackedSimT<W>& sim, int cycle) override {
+  bool step(PackedSim& sim, int cycle) override {
     if (cycle >= static_cast<int>(words_->size())) return false;
     const std::vector<bool>& w = (*words_)[static_cast<std::size_t>(cycle)];
     for (std::size_t i = 0; i < inputs_->size(); ++i)
@@ -117,124 +110,49 @@ class ScriptedEnvT : public FsimEnvironmentT<W> {
   const std::vector<std::vector<bool>>* words_;
 };
 
-struct GradeConfig {
-  bool event_driven = true;
-  bool tdf = false;
-};
-
-std::string describe(const GradeConfig& c) {
-  return std::string(c.tdf ? "tdf" : "sa") +
-         (c.event_driven ? "/event" : "/sweep");
-}
-
-/// Grades the whole universe in (W-1)-fault batches, against a trace
-/// recorded on the same kernel, and flattens the masks into one per-fault
-/// verdict vector.
-template <int W>
-std::vector<bool> grade_all(const RandomDesign& d, const FaultUniverse& u,
-                            const std::vector<std::vector<bool>>& words,
-                            const GradeConfig& cfg) {
-  SequentialFaultSimulatorT<W> fsim(
-      d.nl, u, {.max_cycles = static_cast<int>(words.size())});
-  if (!cfg.event_driven) fsim.sim().set_eval_mode(PackedEvalMode::kFullSweep);
-  fsim.set_observed(d.output_cells);
-  ScriptedEnvT<W> env(d.input_nets, words);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
-  const FaultModel model =
-      cfg.tdf ? FaultModel::kTransition : FaultModel::kStuckAt;
-
-  std::vector<bool> verdicts;
-  verdicts.reserve(u.size());
-  constexpr std::size_t kBatch = W - 1;
-  for (FaultId base = 0; base < u.size();
-       base += static_cast<FaultId>(kBatch)) {
-    const std::size_t n = std::min<std::size_t>(kBatch, u.size() - base);
-    std::vector<FaultId> batch(n);
-    std::iota(batch.begin(), batch.end(), base);
-    const LaneMask det = fsim.run_batch(batch, env, trace, model);
-    for (std::size_t i = 0; i < n; ++i)
-      verdicts.push_back(det.bit(static_cast<int>(i)));
-  }
-  return verdicts;
-}
-
-template <int W>
-void check_for_each_lane(std::uint64_t seed) {
-  Rng rng(seed);
-  for (int round = 0; round < 8; ++round) {
-    LaneWord<W> mask{};
-    for (int k = 0; k < W / 64; ++k)
-      set_word_of(mask, k, round == 0 ? 0 : rng.next_u64() & rng.next_u64());
+TEST(LaneWidth, ForEachLaneVisitsSetLanesInOrder) {
+  Rng rng(41);
+  for (int round = 0; round < 16; ++round) {
+    LaneWord mask{};
+    for (int k = 0; k < kLaneWords; ++k)
+      mask[k] = round == 0 ? 0 : rng.next_u64() & rng.next_u64();
     std::vector<int> want, got;
-    for (int l = 0; l < W; ++l)
+    for (int l = 0; l < kLanes; ++l)
       if (lane_test(mask, l)) want.push_back(l);
     for_each_lane(mask, [&](int l) { got.push_back(l); });
-    EXPECT_EQ(got, want) << "W=" << W << " round " << round;
+    EXPECT_EQ(got, want) << "round " << round;
     EXPECT_EQ(lane_count(mask), static_cast<int>(want.size()))
-        << "W=" << W << " round " << round;
+        << "round " << round;
   }
-}
-
-TEST(LaneWidth, ForEachLaneVisitsSetLanesInOrder) {
-  check_for_each_lane<64>(41);
-  check_for_each_lane<256>(42);
 }
 
 /// lane_uniform holds exactly for the two broadcast words: one differing
 /// lane in any 64-bit word of the vector breaks it.
-template <int W>
-void check_lane_uniform() {
-  using Word = LaneWord<W>;
-  EXPECT_TRUE(lane_uniform(Word{}));
-  EXPECT_TRUE(lane_uniform(~Word{}));
-  for (const int lane : {0, 1, 63, W - 1}) {
-    EXPECT_FALSE(lane_uniform(lane_bit<Word>(lane))) << W << ": " << lane;
-    EXPECT_FALSE(lane_uniform(~lane_bit<Word>(lane))) << W << ": " << lane;
-  }
-}
-
 TEST(LaneWidth, LaneUniformAcceptsOnlyBroadcastWords) {
-  check_lane_uniform<64>();
-  check_lane_uniform<256>();
+  EXPECT_TRUE(lane_uniform(LaneWord{}));
+  EXPECT_TRUE(lane_uniform(~LaneWord{}));
+  for (const int lane : {0, 1, 63, 64, 191, kLanes - 1}) {
+    EXPECT_FALSE(lane_uniform(lane_bit(lane))) << lane;
+    EXPECT_FALSE(lane_uniform(~lane_bit(lane))) << lane;
+  }
 }
 
-TEST(LaneWidth, AllWidthsMatchScalarBaselineAndSweepOracle) {
-  for (std::uint64_t seed = 31; seed <= 33; ++seed) {
-    Rng rng(seed);
-    RandomDesign d = random_design(rng, 6, 10, 70);
-    const FaultUniverse u(d.nl);
-
-    const int cycles = 24;
-    std::vector<std::vector<bool>> words(static_cast<std::size_t>(cycles));
-    for (auto& w : words) {
-      w.resize(d.input_nets.size());
-      for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.next_bool();
-    }
-
-    for (const bool tdf : {false, true}) {
-      // The scalar event kernel is the baseline every (width, kernel)
-      // combination must reproduce; the full-sweep oracle guards the
-      // baseline itself.
-      const std::vector<bool> baseline =
-          grade_all<64>(d, u, words, {.event_driven = true, .tdf = tdf});
-      for (const bool event_driven : {true, false}) {
-        const GradeConfig cfg{event_driven, tdf};
-        EXPECT_EQ(grade_all<64>(d, u, words, cfg), baseline)
-            << "seed " << seed << " W=64 " << describe(cfg);
-        EXPECT_EQ(grade_all<256>(d, u, words, cfg), baseline)
-            << "seed " << seed << " W=256 " << describe(cfg);
-      }
-    }
-  }
+/// Lane i + 1 is fault i: lanes_to_faults drops lane 0 and carries each
+/// word's low lane into the mask word below.
+TEST(LaneWidth, LanesToFaultsShiftsAcrossWords) {
+  LaneWord lanes = lane_bit(0);
+  for (const int lane : {1, 64, 65, 128, 192, kLanes - 1})
+    lanes |= lane_bit(lane);
+  LaneMask want;
+  for (const int fault : {0, 63, 64, 127, 191, kLanes - 2})
+    want.set_bit(fault);
+  EXPECT_EQ(lanes_to_faults(lanes), want);
 }
 
 // ---------------------------------------------------------------------------
-// Campaign-level width equivalence: wide batches flow through the
-// engine's spans, its worker pool, and the multi-word mask merge. The
-// shard count legitimately shrinks with width, so the comparison is the
-// detection state and coverage, not the per-test batch totals.
+// Campaign-level thread invariance: batches flow through the engine's
+// spans, its worker pool, and the multi-word mask merge.
 
-template <int W>
 class DesignBatchRunner final : public FaultBatchRunner {
  public:
   DesignBatchRunner(const RandomDesign& d, const FaultUniverse& u,
@@ -249,28 +167,25 @@ class DesignBatchRunner final : public FaultBatchRunner {
   }
 
  private:
-  ScriptedEnvT<W> env_;
-  SequentialFaultSimulatorT<W> fsim_;
+  ScriptedEnv env_;
+  SequentialFaultSimulator fsim_;
   ReferenceTrace trace_;
 };
 
 CampaignTest make_design_test(const RandomDesign& d, const FaultUniverse& u,
                               const std::vector<std::vector<bool>>& words,
-                              int lanes) {
+                              int max_batch = kLanes - 1) {
   CampaignTest test;
   test.name = "rand";
   test.good_cycles = static_cast<int>(words.size());
-  test.max_batch = lanes - 1;
-  test.make_runner = [&d, &u, &words,
-                      lanes]() -> std::unique_ptr<FaultBatchRunner> {
-    if (lanes == 256)
-      return std::make_unique<DesignBatchRunner<256>>(d, u, words);
-    return std::make_unique<DesignBatchRunner<64>>(d, u, words);
+  test.max_batch = max_batch;
+  test.make_runner = [&d, &u, &words] {
+    return std::make_unique<DesignBatchRunner>(d, u, words);
   };
   return test;
 }
 
-TEST(LaneWidth, CampaignDetectionsInvariantAcrossWidthsAndThreads) {
+TEST(LaneWidth, CampaignDetectionsInvariantAcrossThreads) {
   Rng rng(41);
   RandomDesign d = random_design(rng, 6, 12, 90);
   const FaultUniverse u(d.nl);
@@ -281,33 +196,24 @@ TEST(LaneWidth, CampaignDetectionsInvariantAcrossWidthsAndThreads) {
     for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.next_bool();
   }
 
+  const std::vector<CampaignTest> tests{make_design_test(d, u, words)};
   BitVec expect_detected;
-  bool have_expect = false;
-  for (const int lanes : {64, 256}) {
-    std::vector<CampaignTest> tests{make_design_test(d, u, words, lanes)};
-    for (const int threads : {1, 4}) {
-      FaultList fl(u);
-      const CampaignResult r =
-          CampaignEngine(u, {.threads = threads}).run(fl, tests);
-      if (!have_expect) {
-        expect_detected = r.detected;
-        have_expect = true;
-        EXPECT_GT(r.total_new_detections, 0u);
-      }
-      EXPECT_EQ(r.detected, expect_detected)
-          << lanes << " lanes, " << threads << " threads";
-      // One wide shard holds what several scalar shards held.
-      const std::size_t graded = r.stats.faults_simulated;
-      if (lanes > 64 && graded > 63)
-        EXPECT_LT(r.tests.at(0).batches, (graded + 62) / 63);
+  for (const int threads : {1, 2, 4}) {
+    FaultList fl(u);
+    const CampaignResult r =
+        CampaignEngine(u, {.threads = threads}).run(fl, tests);
+    if (threads == 1) {
+      expect_detected = r.detected;
+      EXPECT_GT(r.total_new_detections, 0u);
     }
+    EXPECT_EQ(r.detected, expect_detected) << threads << " threads";
   }
 }
 
 // ---------------------------------------------------------------------------
 // The batch bound belongs to the test: the engine cuts spans of each
-// test's max_batch (clamped to LaneMask's 255 faults), so a 64-lane kernel
-// never sees a 255-fault span.
+// test's max_batch (clamped to LaneMask's 255 faults), so a test that asks
+// for 63-fault spans never sees a wider one.
 
 /// The span sizes a test's runners were handed, across worker threads.
 struct SpanLog {
@@ -348,11 +254,11 @@ TEST(BatchBound, EngineClampsARequestToTheTestsBound) {
   const std::vector<std::vector<bool>> words(
       8, std::vector<bool>(d.input_nets.size(), true));
 
-  // A 64-lane test gets at most 63-fault spans of the graded class
-  // representatives, although more than 63 are graded.
+  // A test bounded at 63 faults gets at most 63-fault spans of the graded
+  // class representatives, although more than 63 are graded.
   auto log = std::make_shared<SpanLog>();
   const std::vector<CampaignTest> tests{
-      recording(make_design_test(d, u, words, 64), log)};
+      recording(make_design_test(d, u, words, 63), log)};
   FaultList fl(u);
   const CampaignEngine engine(u, {.threads = 2});
   const CampaignResult r = engine.run(fl, tests);
@@ -363,7 +269,7 @@ TEST(BatchBound, EngineClampsARequestToTheTestsBound) {
   EXPECT_EQ(*std::max_element(log->sizes.begin(), log->sizes.end()), 63u);
 
   // The span width is the test's max_batch, clamped to 255.
-  CampaignTest wide = make_design_test(d, u, words, 256);
+  CampaignTest wide = make_design_test(d, u, words);
   EXPECT_EQ(engine.batch_size(tests[0]), 63u);
   EXPECT_EQ(engine.batch_size(wide), 255u);
   wide.max_batch = 17;
@@ -381,7 +287,7 @@ TEST(BatchBound, SbstTestsGradeInFullWidthSpans) {
   std::vector<CampaignTest> tests =
       build_sbst_campaign_tests(*soc, suite, u, engine);
   ASSERT_EQ(tests.size(), 1u);
-  EXPECT_EQ(tests[0].max_batch, kSbstLanes - 1);
+  EXPECT_EQ(tests[0].max_batch, kLanes - 1);
   EXPECT_EQ(tests[0].max_batch, 255);
 
   auto log = std::make_shared<SpanLog>();

@@ -379,7 +379,8 @@ TEST(WordOps, RegisterFeedbackViaDeclareConnect) {
   for (int i = 1; i <= 20; ++i) {
     ps.clock();
     std::uint64_t v = 0;
-    for (int b = 0; b < 4; ++b) v |= (ps.value(r.q[b]) & 1) << b;
+    for (int b = 0; b < 4; ++b)
+      v |= std::uint64_t{lane_test(ps.value(r.q[b]), 0)} << b;
     EXPECT_EQ(v, static_cast<std::uint64_t>(i & 0xF));
   }
 }

@@ -325,7 +325,7 @@ TEST_P(SeqProperties, ScanInsertionPreservesMissionBehaviour) {
     a.eval();
     b.eval();
     for (std::size_t o = 0; o < ref.outputs.size(); ++o) {
-      ASSERT_EQ(a.observed(ref.outputs[o]) & 1, b.observed(dut.outputs[o]) & 1)
+      ASSERT_EQ(lane_test(a.observed(ref.outputs[o]), 0), lane_test(b.observed(dut.outputs[o]), 0))
           << "seed " << seed << " cycle " << cyc << " output " << o;
     }
     a.clock();
@@ -352,8 +352,8 @@ TEST_P(SeqProperties, VerilogRoundTripPreservesSimulation) {
     a.eval();
     b.eval();
     for (CellId oc : d.nl.output_cells()) {
-      ASSERT_EQ(a.observed(oc) & 1,
-                b.observed(back.find_output(d.nl.cell(oc).name)) & 1)
+      ASSERT_EQ(lane_test(a.observed(oc), 0),
+                lane_test(b.observed(back.find_output(d.nl.cell(oc).name)), 0))
           << "seed " << seed << " cycle " << cyc;
     }
     a.clock();
@@ -395,8 +395,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeqProperties,
 // faults the uncollapsed per-target grade marks, test by test, under
 // either model.
 
-/// One stimulus program over a random design, graded at 64 lanes against
-/// the trace its good machine records.
+/// One stimulus program over a random design, graded against the trace
+/// its good machine records.
 class ScriptedRunner final : public FaultBatchRunner {
  public:
   ScriptedRunner(const RandomDesign& d, const FaultUniverse& u,
@@ -413,18 +413,18 @@ class ScriptedRunner final : public FaultBatchRunner {
   }
 
  private:
-  ScriptedEnvT<64> env_;
+  ScriptedEnv env_;
   SequentialFaultSimulator fsim_;
   std::shared_ptr<const ReferenceTrace> trace_;
   FaultModel model_;
 };
 
-/// Records the good machine of program `words` over `d` on the 64-lane
-/// tracer, with its activation in `act`.
+/// Records the good machine of program `words` over `d`, with its
+/// activation in `act`.
 std::shared_ptr<const ReferenceTrace> record_scripted(
     const RandomDesign& d, const FaultUniverse& u,
     const std::vector<std::vector<bool>>& words, NetActivation& act) {
-  ScriptedEnvT<64> env(d.input_nets, words);
+  ScriptedEnv env(d.input_nets, words);
   SequentialFaultSimulator tracer(
       d.nl, u, {.max_cycles = static_cast<int>(words.size())});
   tracer.set_observed(d.output_cells);

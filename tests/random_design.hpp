@@ -82,17 +82,16 @@ inline RandomDesign random_design(Rng& rng, int n_inputs, int n_flops,
 
 /// Replays a fixed per-cycle stimulus (identical on all lanes), so every
 /// pass of every engine sees the same test "program".
-template <int W>
-class ScriptedEnvT : public FsimEnvironmentT<W> {
+class ScriptedEnv : public FsimEnvironment {
  public:
-  ScriptedEnvT(const std::vector<NetId>& inputs,
-               const std::vector<std::vector<bool>>& words)
+  ScriptedEnv(const std::vector<NetId>& inputs,
+              const std::vector<std::vector<bool>>& words)
       : inputs_(&inputs), words_(&words) {}
-  void reset(PackedSimT<W>& sim) override {
+  void reset(PackedSim& sim) override {
     for (NetId in : *inputs_) sim.set_input_all(in, false);
     sim.eval();
   }
-  bool step(PackedSimT<W>& sim, int cycle) override {
+  bool step(PackedSim& sim, int cycle) override {
     if (cycle >= static_cast<int>(words_->size())) return false;
     const std::vector<bool>& w = (*words_)[static_cast<std::size_t>(cycle)];
     for (std::size_t i = 0; i < inputs_->size(); ++i)
@@ -104,6 +103,32 @@ class ScriptedEnvT : public FsimEnvironmentT<W> {
  private:
   const std::vector<NetId>* inputs_;
   const std::vector<std::vector<bool>>* words_;
+};
+
+/// Holds every input low across two clock edges (resetting the kDffR
+/// flops), then drives a fixed per-cycle stimulus on all lanes.
+class ResetThenScriptEnv final : public FsimEnvironment {
+ public:
+  ResetThenScriptEnv(const std::vector<NetId>& inputs,
+                     const std::vector<std::vector<bool>>& stim)
+      : inputs_(&inputs), stim_(&stim) {}
+  void reset(PackedSim& sim) override {
+    for (const NetId in : *inputs_) sim.set_input_all(in, false);
+    sim.eval();
+    sim.clock();
+    sim.clock();
+  }
+  bool step(PackedSim& sim, int cycle) override {
+    if (cycle >= static_cast<int>(stim_->size())) return false;
+    const std::vector<bool>& bits = (*stim_)[static_cast<std::size_t>(cycle)];
+    for (std::size_t i = 0; i < inputs_->size(); ++i)
+      sim.set_input_all((*inputs_)[i], bits[i]);
+    return true;
+  }
+
+ private:
+  const std::vector<NetId>* inputs_;
+  const std::vector<std::vector<bool>>* stim_;
 };
 
 }  // namespace olfui

@@ -256,28 +256,25 @@ TEST(SbstSuite, ReferenceTracesArePinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel oracles on the SoC. Production SBST tests grade on the 256-lane
-// event kernel with incremental clocking. An oracle test grades the same
-// program on a test-local kernel whose width and eval/clock modes are
-// picked here, so the reference modes (full sweep, full latch, 64 lanes)
-// never become library options. It records its own reference trace and
-// activation screen on that kernel too, so a fault in the production
-// kernel's recording cannot reach both legs of a comparison.
+// The sweep oracle on the SoC. Production SBST tests grade on the event
+// kernel with incremental clocking. An oracle test grades the same program
+// on a test-local full-sweep kernel, so the reference mode never becomes
+// a library option. It records its own reference trace and activation
+// screen on that kernel too, so a fault in the production kernel's
+// recording cannot reach both legs of a comparison.
 
-template <int W>
 class OracleRunner final : public FaultBatchRunner {
  public:
   OracleRunner(const Soc& soc, const FaultUniverse& u,
                std::shared_ptr<const FlashImage> flash,
                std::shared_ptr<const ReferenceTrace> trace, int max_cycles,
-               FaultModel model, PackedEvalMode eval, PackedClockMode clock)
+               FaultModel model)
       : flash_(std::move(flash)),
         trace_(std::move(trace)),
         env_(soc, *flash_, max_cycles),
         fsim_(soc.netlist, u, {.max_cycles = max_cycles}),
         model_(model) {
-    fsim_.sim().set_eval_mode(eval);
-    fsim_.sim().set_clock_mode(clock);
+    fsim_.sim().set_eval_mode(PackedEvalMode::kFullSweep);
     fsim_.set_observed(soc.cpu.bus_output_cells);
   }
   LaneMask run_batch(std::span<const FaultId> faults) override {
@@ -287,31 +284,20 @@ class OracleRunner final : public FaultBatchRunner {
  private:
   std::shared_ptr<const FlashImage> flash_;
   std::shared_ptr<const ReferenceTrace> trace_;
-  SocFsimEnvironmentT<W> env_;
-  SequentialFaultSimulatorT<W> fsim_;
+  SocFsimEnvironment env_;
+  SequentialFaultSimulator fsim_;
   FaultModel model_;
 };
 
-/// One kernel configuration an oracle test grades with.
-struct OracleKernel {
-  const char* label;
-  int lanes;  ///< 64 or 256
-  PackedEvalMode eval;
-  PackedClockMode clock;
-};
-
-/// The good-machine pass of build_sbst_campaign_test, run on the oracle
-/// kernel: same budget, same environment, the row's modes.
-template <int W>
+/// The good-machine pass of build_sbst_campaign_test, run on the sweep
+/// kernel: same budget, same environment.
 ReferenceTrace record_oracle_trace(const Soc& soc, const FaultUniverse& u,
                                    const FlashImage& flash,
-                                   const OracleKernel& k,
                                    NetActivation& activation) {
   const int budget = kSbstFunctionalCycleCap + kSbstCampaignMargin;
-  SocFsimEnvironmentT<W> env(soc, flash, budget);
-  SequentialFaultSimulatorT<W> tracer(soc.netlist, u, {.max_cycles = budget});
-  tracer.sim().set_eval_mode(k.eval);
-  tracer.sim().set_clock_mode(k.clock);
+  SocFsimEnvironment env(soc, flash, budget);
+  SequentialFaultSimulator tracer(soc.netlist, u, {.max_cycles = budget});
+  tracer.sim().set_eval_mode(PackedEvalMode::kFullSweep);
   tracer.set_observed(soc.cpu.bus_output_cells);
   return tracer.record_reference_trace(env, &activation);
 }
@@ -334,39 +320,29 @@ BitVec oracle_inert(const FaultUniverse& u, const NetActivation& act,
 }
 
 /// `built` (the production test for `program`) with its trace and runners
-/// replaced by ones recorded and graded on kernel `k`, and its screen by
+/// replaced by ones recorded and graded on the sweep kernel, and its screen by
 /// the activation screen restated over the oracle's own activation. The
 /// recorded trace and that screen must equal the production test's trace
 /// and activation half.
 CampaignTest oracle_test(const Soc& soc, const FaultUniverse& u,
                          SbstProgram& program,
-                         const SbstCampaignTest& built, FaultModel model,
-                         const OracleKernel& k) {
+                         const SbstCampaignTest& built, FaultModel model) {
   auto flash = std::make_shared<FlashImage>(soc.config.flash_base,
                                             soc.config.flash_size);
   flash->load(program.program.base(), program.program.words());
   NetActivation activation;
   auto trace = std::make_shared<const ReferenceTrace>(
-      k.lanes == 64
-          ? record_oracle_trace<64>(soc, u, *flash, k, activation)
-          : record_oracle_trace<256>(soc, u, *flash, k, activation));
+      record_oracle_trace(soc, u, *flash, activation));
   CampaignTest test = built.test;
   const BitVec inert = oracle_inert(u, activation, model);
   test.screen = [inert] { return inert; };
-  EXPECT_EQ(trace->fingerprint(), built.trace->fingerprint())
-      << program.name << " " << k.label;
-  EXPECT_EQ(inert, inert_faults(u, *built.activation, model))
-      << program.name << " " << k.label;
+  EXPECT_EQ(trace->fingerprint(), built.trace->fingerprint()) << program.name;
+  EXPECT_EQ(inert, inert_faults(u, *built.activation, model)) << program.name;
   const int max_cycles = built.test.good_cycles + kSbstCampaignMargin;
-  test.max_batch = k.lanes - 1;
   test.make_runner = [&soc, &u, flash = std::move(flash),
-                      trace = std::move(trace), max_cycles, model,
-                      k]() -> std::unique_ptr<FaultBatchRunner> {
-    if (k.lanes == 64)
-      return std::make_unique<OracleRunner<64>>(
-          soc, u, flash, trace, max_cycles, model, k.eval, k.clock);
-    return std::make_unique<OracleRunner<256>>(
-        soc, u, flash, trace, max_cycles, model, k.eval, k.clock);
+                      trace = std::move(trace), max_cycles, model] {
+    return std::make_unique<OracleRunner>(soc, u, flash, trace, max_cycles,
+                                          model);
   };
   return test;
 }
@@ -472,10 +448,8 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
       build_sbst_campaign_test(*soc, suite[0], u,
                                PackedTopology::build(soc->netlist),
                                FaultModel::kTransition);
-  const std::vector<CampaignTest> sweep_tests = {oracle_test(
-      *soc, u, suite[0], built, FaultModel::kTransition,
-      {"sweep/256", 256, PackedEvalMode::kFullSweep,
-       PackedClockMode::kIncremental})};
+  const std::vector<CampaignTest> sweep_tests = {
+      oracle_test(*soc, u, suite[0], built, FaultModel::kTransition)};
   FaultList fls(u);
   const CampaignResult rs =
       CampaignEngine(u, {.threads = 2, .fault_model = FaultModel::kTransition})
@@ -492,19 +466,13 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
   EXPECT_LE(r1.total_detected, rsa.total_detected);
 }
 
-TEST(SbstCampaign, KernelOraclesReproduceProductionDetections) {
-  // Each row records the program's trace and activation screen on one
-  // oracle kernel, which must equal the production test's, and grades a
-  // fixed fault slice over them; its per-target flags must equal the
-  // production test's, graded through the engine, bit for bit.
-  const std::vector<OracleKernel> rows = {
-      {"sweep/256", 256, PackedEvalMode::kFullSweep,
-       PackedClockMode::kIncremental},
-      {"full-latch/256", 256, PackedEvalMode::kEventDriven,
-       PackedClockMode::kFullLatch},
-      {"event/64", 64, PackedEvalMode::kEventDriven,
-       PackedClockMode::kIncremental},
-  };
+TEST(SbstCampaign, SweepOracleReproducesProductionDetections) {
+  // The oracle records the program's trace and activation screen on the
+  // full-sweep kernel, which must equal the production test's, and grades
+  // a fixed fault slice over them; its per-target flags must equal the
+  // production test's, graded through the engine, bit for bit. The
+  // serial oracle (serial_oracle.hpp) checks the same batches with no
+  // packed code at all, on random designs.
   const SocConfig cfg = lean_config();
   auto soc = build_soc(cfg);
   auto suite = build_sbst_suite(cfg);
@@ -530,11 +498,10 @@ TEST(SbstCampaign, KernelOraclesReproduceProductionDetections) {
           build_sbst_campaign_test(*soc, program, u, topo, model);
       const BitVec reference = engine.grade(targets, built.test);
       EXPECT_GT(reference.count(), 0u) << ctx;
-      for (const OracleKernel& row : rows)
-        EXPECT_EQ(engine.grade(targets, oracle_test(*soc, u, program, built,
-                                                    model, row)),
-                  reference)
-            << ctx << " " << row.label;
+      EXPECT_EQ(engine.grade(targets,
+                             oracle_test(*soc, u, program, built, model)),
+                reference)
+          << ctx;
     }
   }
 }
@@ -545,8 +512,6 @@ TEST(SbstCampaign, ResetDivergingFaultsMatchTheSweepOracle) {
   // flop state of its own. The faults below provably do, on the full-sweep
   // kernel and on the start alike; graded from the plane, their verdicts
   // under both models are the sweep oracle's, with no full sweep.
-  constexpr int W = 256;
-  using Word = LaneWord<W>;
   const SocConfig cfg = lean_config();
   auto soc = build_soc(cfg);
   auto suite = build_sbst_suite(cfg);
@@ -556,8 +521,8 @@ TEST(SbstCampaign, ResetDivergingFaultsMatchTheSweepOracle) {
   FlashImage flash(cfg.flash_base, cfg.flash_size);
   flash.load(suite[0].program.base(), suite[0].program.words());
   const int cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin;
-  SocFsimEnvironmentT<W> env(*soc, flash, cycles);
-  SequentialFaultSimulatorT<W> fsim(nl, u, {.max_cycles = cycles}, topo),
+  SocFsimEnvironment env(*soc, flash, cycles);
+  SequentialFaultSimulator fsim(nl, u, {.max_cycles = cycles}, topo),
       oracle(nl, u, {.max_cycles = cycles}, topo);
   for (auto* s : {&fsim, &oracle}) s->set_observed(soc->cpu.bus_output_cells);
   oracle.sim().set_eval_mode(PackedEvalMode::kFullSweep);
@@ -566,35 +531,37 @@ TEST(SbstCampaign, ResetDivergingFaultsMatchTheSweepOracle) {
   // The lanes whose flop state differs from lane 0's after the reset.
   const auto diverged_after_reset = [&](std::span<const FaultId> faults,
                                         PackedEvalMode mode) {
-    PackedSimT<W> sim(topo);
+    PackedSim sim(topo);
     sim.set_eval_mode(mode);
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const Fault& f = u.fault(faults[i]);
       sim.add_injection({f.pin.cell, f.pin.pin, f.sa1,
-                         lane_bit<Word>(static_cast<int>(i) + 1)});
+                         lane_bit(static_cast<int>(i) + 1)});
     }
     sim.power_on(trace.power_on.data());
     env.reset(sim);
-    Word lanes{};
+    LaneWord lanes{};
     for (const CellId flop : topo->flop_cells) {
-      const Word q = sim.value(nl.cell(flop).out);
-      lanes |= q ^ lane_broadcast<Word>(lane_test(q, 0));
+      const LaneWord q = sim.value(nl.cell(flop).out);
+      lanes |= q ^ lane_broadcast(lane_test(q, 0));
     }
     return lanes;
   };
   std::vector<FaultId> picked;
-  for (FaultId lo = 0; lo < u.size() && picked.size() < W - 1; lo += W - 1) {
+  constexpr FaultId kBatch = kLanes - 1;
+  for (FaultId lo = 0; lo < u.size() && picked.size() < kBatch; lo += kBatch) {
     std::vector<FaultId> batch;
-    for (FaultId f = lo; f < std::min<FaultId>(u.size(), lo + W - 1); ++f)
+    for (FaultId f = lo; f < std::min<FaultId>(u.size(), lo + kBatch); ++f)
       batch.push_back(f);
-    const Word lanes = diverged_after_reset(batch, PackedEvalMode::kFullSweep);
-    for (std::size_t i = 0; i < batch.size() && picked.size() < W - 1; ++i)
+    const LaneWord lanes =
+        diverged_after_reset(batch, PackedEvalMode::kFullSweep);
+    for (std::size_t i = 0; i < batch.size() && picked.size() < kBatch; ++i)
       if (lane_test(lanes, static_cast<int>(i) + 1)) picked.push_back(batch[i]);
   }
   ASSERT_GE(picked.size(), 100u);
-  Word want{};
+  LaneWord want{};
   for (std::size_t i = 0; i < picked.size(); ++i)
-    want |= lane_bit<Word>(static_cast<int>(i) + 1);
+    want |= lane_bit(static_cast<int>(i) + 1);
   for (const PackedEvalMode mode :
        {PackedEvalMode::kFullSweep, PackedEvalMode::kEventDriven})
     EXPECT_FALSE(lane_neq(diverged_after_reset(picked, mode), want))
@@ -622,11 +589,9 @@ TEST(SbstCampaign, ResetDivergingFaultsMatchTheSweepOracle) {
 // plain bit loops. Both must drive every net to the same word on every
 // cycle.
 
-class PerLaneSocEnv : public FsimEnvironmentT<256> {
+class PerLaneSocEnv : public FsimEnvironment {
  public:
-  static constexpr int W = 256;
-  using Word = LaneWord<W>;
-  using Values = std::array<std::uint64_t, W>;
+  using Values = std::array<std::uint64_t, kLanes>;
 
   PerLaneSocEnv(const Soc& soc, const FlashImage& flash, int run_cycles)
       : soc_(&soc), flash_(&flash), run_cycles_(run_cycles) {
@@ -638,7 +603,7 @@ class PerLaneSocEnv : public FsimEnvironmentT<256> {
     }
   }
 
-  void reset(PackedSimT<W>& sim) override {
+  void reset(PackedSim& sim) override {
     for (auto& r : ram_) r.clear();
     halt_seen_ = false;
     drive_mission_inputs(sim, false);
@@ -649,21 +614,21 @@ class PerLaneSocEnv : public FsimEnvironmentT<256> {
     sim.clock();
   }
 
-  bool step(PackedSimT<W>& sim, int cycle) override {
+  bool step(PackedSim& sim, int cycle) override {
     if (cycle >= run_cycles_ || halt_seen_) return false;
     drive_mission_inputs(sim, true);
     sim.eval();
     const Values iaddr = read_lanes(sim, iaddr_);
     Values instr{};
-    for (int l = 0; l < W; ++l) instr[l] = flash_->read(iaddr[l]);
+    for (int l = 0; l < kLanes; ++l) instr[l] = flash_->read(iaddr[l]);
     drive_lanes(sim, soc_->cpu.instr_in, instr);
     sim.eval();
     const Values baddr = read_lanes(sim, baddr_);
     const Values bwdata = read_lanes(sim, bwdata_);
-    const Word wr = sim.observed(soc_->netlist.find_output("bwr_o"));
-    const Word rd = sim.observed(soc_->netlist.find_output("brd_o"));
+    const LaneWord wr = sim.observed(soc_->netlist.find_output("bwr_o"));
+    const LaneWord rd = sim.observed(soc_->netlist.find_output("brd_o"));
     Values rdata{};
-    for (int l = 0; l < W; ++l) {
+    for (int l = 0; l < kLanes; ++l) {
       auto& ram = ram_[static_cast<std::size_t>(l)];
       if (lane_test(wr, l) && soc_->map.contains(baddr[l]))
         ram[baddr[l] & ~3ULL] = static_cast<std::uint32_t>(bwdata[l]);
@@ -680,7 +645,7 @@ class PerLaneSocEnv : public FsimEnvironmentT<256> {
   }
 
  private:
-  void drive_mission_inputs(PackedSimT<W>& sim, bool rstn) {
+  void drive_mission_inputs(PackedSim& sim, bool rstn) {
     sim.set_input_all(soc_->cpu.rstn, rstn);
     sim.set_input_all(soc_->scan.se_net, soc_->scan.se_functional_value);
     for (const ScanChain& c : soc_->scan.chains)
@@ -689,22 +654,22 @@ class PerLaneSocEnv : public FsimEnvironmentT<256> {
       sim.set_input_all(soc_->debug.control_inputs[i],
                         soc_->debug.control_values[i]);
   }
-  static Values read_lanes(const PackedSimT<W>& sim,
+  static Values read_lanes(const PackedSim& sim,
                            const std::vector<CellId>& cells) {
     Values out{};
     for (std::size_t b = 0; b < cells.size(); ++b) {
-      const Word w = sim.observed(cells[b]);
-      for (int l = 0; l < W; ++l)
+      const LaneWord w = sim.observed(cells[b]);
+      for (int l = 0; l < kLanes; ++l)
         out[l] |= static_cast<std::uint64_t>(lane_test(w, l)) << b;
     }
     return out;
   }
-  static void drive_lanes(PackedSimT<W>& sim, const Bus& bus,
+  static void drive_lanes(PackedSim& sim, const Bus& bus,
                           const Values& values) {
     for (std::size_t b = 0; b < bus.size(); ++b) {
-      Word w{};
-      for (int l = 0; l < W; ++l)
-        if ((values[l] >> b) & 1ULL) w |= lane_bit<Word>(l);
+      LaneWord w{};
+      for (int l = 0; l < kLanes; ++l)
+        if ((values[l] >> b) & 1ULL) w |= lane_bit(l);
       sim.set_input_lanes(bus[b], w);
     }
   }
@@ -713,12 +678,11 @@ class PerLaneSocEnv : public FsimEnvironmentT<256> {
   const FlashImage* flash_;
   int run_cycles_;
   bool halt_seen_ = false;
-  std::array<std::unordered_map<std::uint64_t, std::uint32_t>, W> ram_;
+  std::array<std::unordered_map<std::uint64_t, std::uint32_t>, kLanes> ram_;
   std::vector<CellId> iaddr_, baddr_, bwdata_;
 };
 
 TEST(SocFsim, LaneZeroServiceMatchesPerLaneReference) {
-  constexpr int W = 256;
   const SocConfig cfg = lean_config();
   auto soc = build_soc(cfg);
   auto suite = build_sbst_suite(cfg);
@@ -741,7 +705,7 @@ TEST(SocFsim, LaneZeroServiceMatchesPerLaneReference) {
   both({nl.find_output("bwr_o"), 1});
   both({nl.find_output("brd_o"), 1});
   for (const int b : {2, 3, 4, 5, 6, 7, 9, 15}) both({soc->cpu.pc.flops[b], 0});
-  ASSERT_LT(faults.size(), static_cast<std::size_t>(W));
+  ASSERT_LT(faults.size(), static_cast<std::size_t>(kLanes));
 
   for (const char* name : {"loadstore", "branch_btb"}) {
     SCOPED_TRACE(name);
@@ -754,11 +718,11 @@ TEST(SocFsim, LaneZeroServiceMatchesPerLaneReference) {
     const int cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin;
 
     PerLaneSocEnv ref(*soc, flash, cycles);
-    SocFsimEnvironmentT<W> env(*soc, flash, cycles);
-    PackedSimT<W> a(topo), b(topo);
+    SocFsimEnvironment env(*soc, flash, cycles);
+    PackedSim a(topo), b(topo);
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const Fault& f = u.fault(faults[i]);
-      const LaneWord<W> lane = lane_bit<LaneWord<W>>(static_cast<int>(i) + 1);
+      const LaneWord lane = lane_bit(static_cast<int>(i) + 1);
       a.add_injection({f.pin.cell, f.pin.pin, f.sa1, lane});
       b.add_injection({f.pin.cell, f.pin.pin, f.sa1, lane});
     }
@@ -792,7 +756,7 @@ TEST(SocFsim, LaneZeroServiceMatchesPerLaneReference) {
 
     // Both record the same good machine, and the batch verdicts agree
     // under both fault models.
-    SequentialFaultSimulatorT<W> fsim(nl, u, {.max_cycles = cycles}, topo);
+    SequentialFaultSimulator fsim(nl, u, {.max_cycles = cycles}, topo);
     fsim.set_observed(soc->cpu.bus_output_cells);
     const ReferenceTrace trace = fsim.record_reference_trace(env);
     EXPECT_EQ(fsim.record_reference_trace(ref).fingerprint(),
@@ -812,7 +776,7 @@ TEST(SocFsim, RejectsCombinationalBusPort) {
   auto soc = build_soc(cfg);
   const FlashImage flash(cfg.flash_base, cfg.flash_size);
   // The stock SoC registers every bus port.
-  EXPECT_NO_THROW(SocFsimEnvironmentT<256>(*soc, flash, 10));
+  EXPECT_NO_THROW(SocFsimEnvironment(*soc, flash, 10));
 
   // A buffer between a bus flop and its port makes the port
   // combinational: read before the settle, it would show a stale value.
@@ -822,7 +786,7 @@ TEST(SocFsim, RejectsCombinationalBusPort) {
   nl.add_cell(CellType::kBuf, "u_baddr3_buf", buffered, {nl.cell(port).ins[0]});
   nl.rewire_input(port, 0, buffered);
   try {
-    SocFsimEnvironmentT<256> env(*soc, flash, 10);
+    SocFsimEnvironment env(*soc, flash, 10);
     FAIL() << "a combinational bus port was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("baddr_o3"), std::string::npos)

@@ -72,7 +72,7 @@ TEST(ScanInsert, FunctionalBehaviourUnchangedInMissionMode) {
     }
     const CellId oref = ref.nl.find_output("o");
     const CellId odut = dut.nl.find_output("o");
-    EXPECT_EQ(ps_ref.observed(oref) & 1, ps_dut.observed(odut) & 1) << cyc;
+    EXPECT_EQ(lane_test(ps_ref.observed(oref), 0), lane_test(ps_dut.observed(odut), 0)) << cyc;
     ps_ref.clock();
     ps_dut.clock();
   }
@@ -101,7 +101,7 @@ TEST(ScanInsert, ShiftModeMovesDataThroughChain) {
   // After n shifts flop k holds pattern[n-1-k].
   for (int k = 0; k < n; ++k) {
     const CellId flop = chain.elements[static_cast<std::size_t>(k)].flop;
-    EXPECT_EQ(ps.value(d.nl.cell(flop).out) & 1,
+    EXPECT_EQ(lane_test(ps.value(d.nl.cell(flop).out), 0),
               static_cast<std::uint64_t>(pattern[static_cast<std::size_t>(n - 1 - k)]))
         << k;
   }
@@ -198,7 +198,7 @@ TEST(ScanPrune, SeStuckAtScanValueRemainsDetectable) {
   const FaultUniverse u(d.nl);
   const ScanElement& e = chains.chains[0].elements[1];
   PackedSim good(d.nl), bad(d.nl);
-  bad.add_injection({e.mux, kMuxS + 1, true, ~0ULL});
+  bad.add_injection({e.mux, kMuxS + 1, true, ~LaneWord{}});
   bool diverged = false;
   for (PackedSim* s : {&good, &bad}) {
     s->power_on();
@@ -213,7 +213,7 @@ TEST(ScanPrune, SeStuckAtScanValueRemainsDetectable) {
       s->eval();
     }
     const CellId o = d.nl.find_output("o");
-    if ((good.observed(o) ^ bad.observed(o)) & 1) diverged = true;
+    if (lane_test(good.observed(o) ^ bad.observed(o), 0)) diverged = true;
     good.clock();
     bad.clock();
   }

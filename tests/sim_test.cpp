@@ -191,7 +191,7 @@ TEST(PackedSim, MatchesScalarSimulatorOnRandomLogic) {
     for (NetId n : pool) {
       const Logic sv = ss.value(n);
       ASSERT_TRUE(is_known(sv));
-      EXPECT_EQ(ps.value(n) & 1, sv == Logic::V1 ? 1u : 0u) << nl.net(n).name;
+      EXPECT_EQ(lane_test(ps.value(n), 0), sv == Logic::V1) << nl.net(n).name;
     }
   }
 }
@@ -203,9 +203,11 @@ TEST(PackedSim, LanesAreIndependent) {
   const NetId y = w.not_(a, "y");
   nl.add_output("o", y);
   PackedSim ps(nl);
-  ps.set_input_lanes(a, 0xF0F0F0F0F0F0F0F0ULL);
+  LaneWord in{};
+  for (int k = 0; k < kLaneWords; ++k) in[k] = 0xF0F0F0F0F0F0F0F0ULL >> k;
+  ps.set_input_lanes(a, in);
   ps.eval();
-  EXPECT_EQ(ps.value(y), ~0xF0F0F0F0F0F0F0F0ULL);
+  EXPECT_FALSE(lane_neq(ps.value(y), ~in));
 }
 
 TEST(PackedSim, OutputPinInjectionVisibleOnlyViaObserved) {
@@ -213,11 +215,11 @@ TEST(PackedSim, OutputPinInjectionVisibleOnlyViaObserved) {
   const NetId a = nl.add_input("a");
   const CellId port = nl.add_output("o", a);
   PackedSim ps(nl);
-  ps.add_injection({port, 1, /*sa1=*/true, /*lanes=*/0b10});
+  ps.add_injection({port, 1, /*sa1=*/true, /*lanes=*/lane_bit(1)});
   ps.set_input_all(a, false);
   ps.eval();
-  EXPECT_EQ(ps.value(a), 0u);            // net itself unaffected
-  EXPECT_EQ(ps.observed(port), 0b10u);   // PO pin fault applied
+  EXPECT_FALSE(lane_any(ps.value(a)));                   // net unaffected
+  EXPECT_FALSE(lane_neq(ps.observed(port), lane_bit(1)));  // PO fault
 }
 
 TEST(PackedSim, GateInputInjectionAffectsSingleBranch) {
@@ -230,11 +232,11 @@ TEST(PackedSim, GateInputInjectionAffectsSingleBranch) {
   nl.add_output("o2", y2);
   PackedSim ps(nl);
   const CellId b1 = nl.net(y1).driver;
-  ps.add_injection({b1, 1, true, ~0ULL});  // s-a-1 on one buffer's input
+  ps.add_injection({b1, 1, true, ~LaneWord{}});  // s-a-1 on one input
   ps.set_input_all(a, false);
   ps.eval();
-  EXPECT_EQ(ps.value(y1), ~0ULL);  // faulty branch
-  EXPECT_EQ(ps.value(y2), 0u);     // sibling branch clean
+  EXPECT_FALSE(lane_neq(ps.value(y1), ~LaneWord{}));  // faulty branch
+  EXPECT_FALSE(lane_any(ps.value(y2)));               // sibling clean
 }
 
 TEST(PackedSim, FlopOutputInjectionForcesQNet) {
@@ -244,12 +246,13 @@ TEST(PackedSim, FlopOutputInjectionForcesQNet) {
   w.reg_connect(r, {w.lit(false)});
   nl.add_output("q", r.q[0]);
   PackedSim ps(nl);
-  ps.add_injection({r.flops[0], 0, true, 0b100});
+  ps.add_injection({r.flops[0], 0, true, lane_bit(2)});
   ps.power_on();
   ps.eval();
-  EXPECT_EQ(ps.value(r.q[0]), 0b100u);
+  EXPECT_FALSE(lane_neq(ps.value(r.q[0]), lane_bit(2)));
   ps.clock();
-  EXPECT_EQ(ps.value(r.q[0]), 0b100u);  // still forced after the edge
+  // still forced after the edge
+  EXPECT_FALSE(lane_neq(ps.value(r.q[0]), lane_bit(2)));
 }
 
 TEST(PackedSim, DffrPackedResetSemantics) {
@@ -264,11 +267,12 @@ TEST(PackedSim, DffrPackedResetSemantics) {
   ps.set_input_all(rstn, false);
   ps.eval();
   ps.clock();
-  EXPECT_EQ(ps.value(r.q[0]), 0u);  // held in reset
+  EXPECT_FALSE(lane_any(ps.value(r.q[0])));  // held in reset
   ps.set_input_all(rstn, true);
   ps.eval();
   ps.clock();
-  EXPECT_EQ(ps.value(r.q[0]), ~0ULL);  // captures D=1 on all lanes
+  // captures D=1 on all lanes
+  EXPECT_FALSE(lane_neq(ps.value(r.q[0]), ~LaneWord{}));
 }
 
 }  // namespace

@@ -76,8 +76,8 @@ TEST(VerilogRoundTrip, SimulationEquivalent) {
     p1.eval();
     p2.eval();
     for (const char* port : {"q", "comb"}) {
-      EXPECT_EQ(p1.observed(orig.find_output(port)) & 1,
-                p2.observed(back.find_output(port)) & 1)
+      EXPECT_EQ(lane_test(p1.observed(orig.find_output(port)), 0),
+                lane_test(p2.observed(back.find_output(port)), 0))
           << port << " cycle " << cyc;
     }
     p1.clock();
