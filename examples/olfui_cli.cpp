@@ -6,6 +6,7 @@
 //     TDF) universe through the campaign orchestrator's in-process worker
 //     pool:
 //       --programs N         grade only the first N suite programs
+//                            (N >= 1; 0 is a usage error)
 //       --limit N            grade only the first N eligible faults per
 //                            test (the CI smoke slice; 0 = all)
 //       --threads N          worker threads (0 = all cores; at most
@@ -226,7 +227,10 @@ int run_sbst_mode(int argc, char** argv) {
       return static_cast<std::size_t>(*n);
     };
     if (arg == "--programs") {
+      // Unset (0) grades the whole suite; an explicit 0 would too, so it
+      // is refused rather than silently widened.
       programs = next_uint();
+      if (programs == 0) usage(argv[0]);
     } else if (arg == "--limit") {
       limit = next_uint();
     } else if (arg == "--threads") {

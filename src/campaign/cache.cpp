@@ -123,7 +123,6 @@ std::uint64_t campaign_tests_fingerprint(std::span<const CampaignTest> tests) {
     if (test.spec.is_null()) return 0;
     h = fnv1a64(test.name, h);
     h = fnv1a64_word(static_cast<std::uint64_t>(test.good_cycles), h);
-    h = fnv1a64_word(static_cast<std::uint64_t>(test.max_batch), h);
     h = fnv1a64(test.spec.dump(), h);
   }
   return h;
@@ -204,30 +203,29 @@ std::optional<CampaignResult> ResultCache::lookup(const CacheKey& key,
                                                   std::size_t universe) {
   std::lock_guard lock(mu_);
   const std::string canonical = key.canonical();
-  std::string payload;
+  // An entry whose payload is empty is still an entry: it decodes below
+  // and counts as corrupt, never as a plain miss.
+  std::optional<std::string> payload;
   bool from_disk = false;
   const auto it = index_.find(std::string_view(canonical));
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
     payload = it->second->second;
   } else if (!dir_.empty()) {
-    std::optional<std::string> disk = disk_load_locked(key);
-    if (disk) {
-      payload = std::move(*disk);
-      from_disk = true;
-    }
+    payload = disk_load_locked(key);
+    from_disk = payload.has_value();
   }
-  if (payload.empty()) {
+  if (!payload) {
     ++stats_.misses;
     bump("cache.misses");
     return std::nullopt;
   }
   try {
-    CampaignResult result = campaign_result_from_json_string(payload);
+    CampaignResult result = campaign_result_from_json_string(*payload);
     if (result.universe != universe || result.detected.size() != universe)
       throw std::runtime_error("cache entry: payload universe mismatch");
     if (from_disk) {
-      insert_locked(canonical, std::move(payload));
+      insert_locked(canonical, std::move(*payload));
       ++stats_.disk_hits;
       bump("cache.disk_hits");
     }

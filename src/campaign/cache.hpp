@@ -4,9 +4,9 @@
 // programs, same netlist, tweaked options — and every fingerprint a
 // repeat run needs to prove "this is the same work" already exists: the
 // universe/netlist structure, each test's identity (CampaignTest::spec,
-// which carries its ReferenceTrace fingerprint, next to each test's
-// max_batch, the only input of batch formation), and a canonical options
-// hash over the payload-affecting options.
+// which carries its ReferenceTrace fingerprint; batch formation is the
+// engine's fixed kLanes - 1 fault spans and needs no key), and a canonical
+// options hash over the payload-affecting options.
 // ResultCache keys the deterministic CampaignResult JSON payload on
 // exactly those:
 //
@@ -79,7 +79,7 @@ std::uint64_t universe_fingerprint(const FaultUniverse& universe);
 /// of the universe component of the key.
 std::uint64_t fault_list_fingerprint(const FaultList& fl);
 
-/// Folds every test's (name, good_cycles, max_batch, spec) — the spec
+/// Folds every test's (name, good_cycles, spec) — the spec
 /// carries the fsim options and the ReferenceTrace state fingerprint, so
 /// this is the key's trace component. Returns 0 (not cacheable) if any
 /// test has a null spec: without one the grading kernel a make_runner

@@ -18,6 +18,11 @@ namespace olfui {
 
 namespace {
 
+/// Faults per shard: one packed pass, every lane but the good machine's.
+constexpr std::size_t kSpan = kLanes - 1;
+static_assert(kSpan == LaneMask::kWords * 64 - 1,
+              "a shard's span must fill exactly the faults a LaneMask holds");
+
 /// Undetected, testable faults in id order, truncated to `limit` when
 /// nonzero (the smoke-slicing knob).
 std::vector<FaultId> campaign_targets(const FaultList& fl, std::size_t limit) {
@@ -81,12 +86,6 @@ CampaignEngine::CampaignEngine(const FaultUniverse& universe,
                                CampaignOptions opts)
     : universe_(&universe), opts_(std::move(opts)) {}
 
-std::size_t CampaignEngine::batch_size(const CampaignTest& test) const {
-  // A span wider than the detection mask could not be merged back.
-  return static_cast<std::size_t>(
-      std::clamp(test.max_batch, 1, LaneMask::kWords * 64 - 1));
-}
-
 int CampaignEngine::resolved_threads() const {
   if (opts_.threads > 0) return opts_.threads;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -130,15 +129,14 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   if (targets.empty()) return detected;
 
   // --- plan ---------------------------------------------------------------
-  // Contiguous batch_size spans in target order: shard s grades
+  // Contiguous spans of B = kSpan faults in target order: shard s grades
   // targets[s*B, min(n, (s+1)*B)), so the plan is just the shard count.
   auto plan_span = obs::tracer().span("plan", "campaign");
   plan_span.arg("test", Json(test.name));
   plan_span.arg("targets", Json(targets.size()));
   plan_span.arg("screened", Json(screened));
   plan_span.arg("collapsed", Json(collapsed));
-  const std::size_t batch = batch_size(test);
-  const std::size_t shards = shard_count(targets.size(), batch);
+  const std::size_t shards = shard_count(targets.size(), kSpan);
   plan_span.arg("shards", Json(shards));
   plan_span.end();
 
@@ -156,7 +154,7 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   const bool tracing = obs::tracer().enabled();
   const auto grade_shard = [&](std::size_t shard, std::size_t w) {
     const std::span<const FaultId> faults =
-        shard_span(targets, batch, static_cast<std::uint32_t>(shard));
+        shard_span(targets, kSpan, static_cast<std::uint32_t>(shard));
     try {
       // Runner construction stays outside the timed span: shard_seconds
       // reports grading cost, not one-time per-worker setup.
@@ -214,8 +212,8 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   auto merge_span = obs::tracer().span("merge", "campaign");
   merge_span.arg("test", Json(test.name));
   for (std::size_t shard = 0; shard < shards; ++shard) {
-    const std::size_t lo = shard * batch;
-    const std::size_t n = std::min(batch, targets.size() - lo);
+    const std::size_t lo = shard * kSpan;
+    const std::size_t n = std::min(kSpan, targets.size() - lo);
     for (std::size_t j = 0; j < n; ++j)
       if (masks[shard].bit(static_cast<int>(j))) detected.set(lo + j, true);
   }

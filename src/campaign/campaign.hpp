@@ -3,14 +3,12 @@
 // The paper's core experiment — grade a test suite against the full
 // stuck-at universe under a mission observation policy — is a *campaign*:
 // an embarrassingly parallel sweep of (test, fault-batch) work items with
-// bookkeeping between tests. Before this subsystem every caller (sbst,
-// scan ATPG, the fig benches) hand-rolled its own single-threaded loop
-// over 63-fault batches; this engine is the single entry point for all of
-// them:
+// bookkeeping between tests. This engine is the single entry point for
+// every such sweep (sbst, scan ATPG, the fig benches):
 //
 //  * batching — the target fault list is cut into contiguous spans of
-//    the test's max_batch faults in target order (one parallel-fault
-//    simulator pass each: 255 for the SBST and scan runners): shard s
+//    B = kLanes - 1 = 255 faults in target order (one parallel-fault
+//    simulator pass each, every lane but the good machine's): shard s
 //    grades targets[s*B, min(n, (s+1)*B));
 //  * execution — the shards run on the engine's persistent worker pool
 //    (worker_pool.hpp), each participant taking the next shard index from
@@ -40,7 +38,7 @@
 // Workloads plug in through FaultBatchRunner: the SBST campaign wraps
 // SequentialFaultSimulator + SocFsimEnvironment, the scan flow wraps
 // ScanTestRunner, and ad-hoc sweeps can wrap anything that grades a
-// span of up to max_batch faults.
+// span of up to kLanes - 1 faults.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +65,8 @@ class ResultCache;  // campaign/cache.hpp
 class FaultBatchRunner {
  public:
   virtual ~FaultBatchRunner() = default;
-  /// Grades up to the test's max_batch faults; bit i of the result =
-  /// faults[i] detected. The mask type holds 255 faults regardless of the
-  /// runner's actual width.
+  /// Grades up to kLanes - 1 faults (one packed pass); bit i of the
+  /// result = faults[i] detected.
   virtual LaneMask run_batch(std::span<const FaultId> faults) = 0;
 };
 
@@ -81,10 +78,6 @@ struct CampaignTest {
   std::string name;
   int good_cycles = 0;
   std::function<std::unique_ptr<FaultBatchRunner>()> make_runner;
-  /// Widest span one runner pass can grade: its lane count minus the good
-  /// machine's lane 0. The engine never cuts a wider shard for this test
-  /// (nor one wider than LaneMask's 255 faults).
-  int max_batch = 63;
   /// Optional identity of this test for the result cache: a JSON document
   /// naming the grading state make_runner captures (program, fsim
   /// options, good-machine trace fingerprint — see
@@ -128,9 +121,8 @@ struct CampaignOptions {
 /// Campaign-wide outcome. Everything except `stats` is a pure function of
 /// (universe, fault list, tests) — thread count never shows through,
 /// which operator== checks (it deliberately ignores the nondeterministic
-/// runtime stats). The tests' max_batch shows through only via
-/// tests[].batches; the detection payload (`detected`, classes, coverage)
-/// is invariant under it.
+/// runtime stats). tests[].batches counts the test's kLanes - 1 fault
+/// spans.
 struct CampaignResult {
   struct PerTest {
     std::string name;
@@ -236,9 +228,6 @@ class CampaignEngine {
   const CampaignOptions& options() const { return opts_; }
   /// Worker count after resolving threads == 0.
   int resolved_threads() const;
-  /// Faults per shard for `test`: test.max_batch clamped to [1, 255], the
-  /// widest span a LaneMask can merge back.
-  std::size_t batch_size(const CampaignTest& test) const;
 
   /// The engine's one parallel loop: calls body(item, participant) exactly
   /// once for every item in [0, n), on min(resolved_threads(), n)
@@ -256,7 +245,7 @@ class CampaignEngine {
 
   /// The deterministic parallel grading primitive, an explicit
   /// plan -> execute -> merge pipeline: cuts `targets` into
-  /// batch_size(test) spans in target order, grades every span on the
+  /// kLanes - 1 fault spans in target order, grades every span on the
   /// engine's worker pool, and merges the per-shard masks back, returning
   /// per-target detection flags (aligned with `targets`). A caller that
   /// wants batch-mates grouped by some key sorts `targets` first. Flows

@@ -15,7 +15,7 @@ namespace {
 
 /// Fault i rides lane i + 1, so a pass holds at most kLanes - 1 faults;
 /// one more would shift past the lane word.
-void check_batch_size(std::size_t faults) {
+void check_lane_capacity(std::size_t faults) {
   if (faults >= static_cast<std::size_t>(kLanes))
     throw std::invalid_argument(
         "run_batch: " + std::to_string(faults) +
@@ -266,7 +266,7 @@ LaneMask SequentialFaultSimulator::run_batch(std::span<const FaultId> faults,
                                              FsimEnvironment& env,
                                              const ReferenceTrace& trace,
                                              FaultModel model) {
-  check_batch_size(faults.size());
+  check_lane_capacity(faults.size());
   // The frame settle reads one frame bit per net of this netlist.
   if (trace.num_nets != nl_->num_nets())
     throw std::invalid_argument(

@@ -447,7 +447,6 @@ SbstCampaignTest build_sbst_campaign_test(
     span.arg("unobservable", Json(screen.count() - inert));
     return screen;
   };
-  out.test.max_batch = kLanes - 1;
   Json spec = Json::object();
   spec.set("workload", "sbst");
   spec.set("program", program.name);

@@ -117,10 +117,9 @@ struct SbstCampaignTest {
 /// system-bus ports, evaluated only when a campaign run misses the cache
 /// (a "screen" span names both counts). The grading kernel is wrapped in
 /// per-worker runners with the event-driven kernel and incremental
-/// clocking, so test.max_batch is kLanes - 1. The runners grade every batch
-/// against the recorded trace, under `fault_model`: kTransition reads the
-/// same fault ids as launch/capture transition faults (fault/tdf.hpp).
-/// The returned
+/// clocking. The runners grade every kLanes - 1 fault span against the
+/// recorded trace, under `fault_model`: kTransition reads the same fault
+/// ids as launch/capture transition faults (fault/tdf.hpp). The returned
 /// test carries its identity spec
 /// ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX},
 /// state_fp being the trace fingerprint) for the result cache. `topo`

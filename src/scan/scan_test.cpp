@@ -69,10 +69,6 @@ LaneMask ScanTestRunner::run_pattern(std::span<const FaultId> faults,
                                      const FaultUniverse& universe,
                                      const ScanPattern& pattern) const {
   PackedSim sim(topo_);
-  // Shifting toggles every chain flop every cycle — the whole netlist is
-  // active, so dirty-set scheduling is pure overhead here. The levelized
-  // sweep is the faster kernel for scan workloads.
-  sim.set_eval_mode(PackedEvalMode::kFullSweep);
   const LaneWord fault_lanes = inject(sim, faults, universe);
   sim.power_on();
   drive_quiet_inputs(sim);
@@ -129,7 +125,6 @@ LaneMask ScanTestRunner::run_pattern(std::span<const FaultId> faults,
 LaneMask ScanTestRunner::run_chain_test(std::span<const FaultId> faults,
                                         const FaultUniverse& universe) const {
   PackedSim sim(topo_);
-  sim.set_eval_mode(PackedEvalMode::kFullSweep);  // see run_pattern
   const LaneWord fault_lanes = inject(sim, faults, universe);
   sim.power_on();
   drive_quiet_inputs(sim);
@@ -156,25 +151,21 @@ LaneMask ScanTestRunner::run_chain_test(std::span<const FaultId> faults,
 
 CampaignTest make_chain_test_campaign(const ScanTestRunner& runner,
                                       const FaultUniverse& universe) {
-  CampaignTest test = make_function_test(
+  return make_function_test(
       "chain_test", [&runner, &universe](std::span<const FaultId> faults) {
         return runner.run_chain_test(faults, universe);
       });
-  test.max_batch = kLanes - 1;
-  return test;
 }
 
 CampaignTest make_pattern_campaign(const ScanTestRunner& runner,
                                    const FaultUniverse& universe,
                                    const ScanPattern& pattern,
                                    std::string name) {
-  CampaignTest test = make_function_test(
+  return make_function_test(
       std::move(name),
       [&runner, &universe, &pattern](std::span<const FaultId> faults) {
         return runner.run_pattern(faults, universe, pattern);
       });
-  test.max_batch = kLanes - 1;
-  return test;
 }
 
 }  // namespace olfui

@@ -777,14 +777,6 @@ void PackedSim::eval(const NetFrame* frame) {
   if (settle_log_) sample_settle();
 }
 
-void PackedSim::full_eval() {
-  ++activity_.evals;
-  synced_ = false;
-  if (inj_dirty_) prepare_injections();
-  run_full_sweep();
-  if (settle_log_) sample_settle();
-}
-
 void PackedSim::set_settle_log(SettleLog* log) {
   settle_log_ = log;
   if (!log) return;

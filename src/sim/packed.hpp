@@ -19,10 +19,11 @@
 // PackedTopology (levelized cells, per-cell levels, CSR fanout graph) and
 // eval() drains, in level order, only cells scheduled since the last
 // settle. A net whose word changes schedules its readers; a cell whose
-// output word is unchanged schedules nothing. A full_eval() levelized
-// sweep serves a power-on without a plane and injection changes and is the
-// cross-check oracle; both paths compute bit-identical values (the event
-// path is a pure work-skipping optimisation, never an approximation).
+// output word is unchanged schedules nothing. A levelized full sweep
+// serves a power-on without a plane and injection changes, and
+// PackedEvalMode::kFullSweep makes it the tests' cross-check oracle; both
+// paths compute bit-identical values (the event path is a pure
+// work-skipping optimisation, never an approximation).
 // Events flow through a flat preallocated arena (per-level segments of one
 // index array, epoch-stamped membership), and the clock edge is
 // incremental: only flops whose D or reset input changed since their last
@@ -162,11 +163,12 @@ struct PackedTopology {
   static std::shared_ptr<const PackedTopology> build(const Netlist& nl);
 };
 
-/// eval() strategy; both produce bit-identical values.
+/// eval() strategy; both produce bit-identical values. Every library
+/// runner uses kEventDriven; kFullSweep is the tests' reference kernel.
 enum class PackedEvalMode : std::uint8_t {
   kEventDriven,  ///< dirty-set scheduling over the fanout graph (default)
   /// Levelized sweep over every cell, and a latch of every flop after it
-  /// (the oracle/baseline, and the scan runner's kernel).
+  /// (the oracle).
   kFullSweep,
 };
 
@@ -287,8 +289,6 @@ class PackedSim {
   /// the frame. A mismatch throws std::logic_error naming the net and the
   /// cycle.
   void eval(const NetFrame* frame = nullptr);
-  /// Unconditional levelized sweep over every cell — the reference kernel.
-  void full_eval();
   /// Clock edge without the settle: latches the flops and leaves every
   /// flop Q net current in value() and in the plane (also when a full
   /// sweep is pending), so registered outputs are readable before the next
@@ -306,8 +306,9 @@ class PackedSim {
   /// `lanes` holds it.
   void retire_lanes(Word lanes);
 
-  /// A switch settles the next eval() with a full sweep: the full-sweep
-  /// mode keeps no divergence frontier.
+  /// The tests' one way to the full-sweep oracle; no library runner
+  /// switches. A switch settles the next eval() with a full sweep: the
+  /// full-sweep mode keeps no divergence frontier.
   void set_eval_mode(PackedEvalMode mode) {
     needs_full_ |= mode != mode_;
     mode_ = mode;
@@ -321,7 +322,6 @@ class PackedSim {
 
   const PackedActivity& activity() const { return activity_; }
   void reset_activity() { activity_ = {}; }
-  std::size_t comb_cell_count() const { return topo_->order.size(); }
 
   Word value(NetId net) const { return load(net); }
   /// Lane 0 of every net, one bit per net (bit n % 64 of word n / 64) over

@@ -6,8 +6,6 @@
 // its calls and a test whose runner factory throws).
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -26,26 +24,12 @@
 #include "fsim/fsim.hpp"
 #include "netlist/wordops.hpp"
 #include "obs/metrics.hpp"
+#include "temp_dir.hpp"
 
 namespace olfui {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Fresh temp directory under the test's working directory; removed by
-/// the destructor so repeated runs stay clean.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "cache_test_XXXXXX";
-    if (!mkdtemp(tmpl)) throw std::runtime_error("mkdtemp failed");
-    path = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
 
 /// Minimal decodable CampaignResult whose payload varies with `seed`.
 CampaignResult tiny_result(std::size_t universe, std::size_t seed) {
@@ -112,7 +96,7 @@ TEST(ResultCache, StoreOverwritesInPlace) {
 // Disk tier
 
 TEST(ResultCache, DiskTierSurvivesProcessBoundaries) {
-  TempDir dir;
+  TempDir dir("cache_test_");
   {
     ResultCache writer(4, dir.path);
     writer.store(key_n(7), tiny_result(16, 7));
@@ -133,7 +117,7 @@ TEST(ResultCache, DiskTierSurvivesProcessBoundaries) {
 }
 
 TEST(ResultCache, CorruptDiskEntryCountsAndHeals) {
-  TempDir dir;
+  TempDir dir("cache_test_");
   {
     ResultCache writer(4, dir.path);
     writer.store(key_n(9), tiny_result(8, 9));
@@ -159,7 +143,7 @@ TEST(ResultCache, CorruptDiskEntryCountsAndHeals) {
 }
 
 TEST(ResultCache, NestedDirectoryIsCreatedAndHits) {
-  TempDir dir;
+  TempDir dir("cache_test_");
   const std::string nested = dir.path + "/a/b";
   {
     ResultCache writer(4, nested);
@@ -178,7 +162,7 @@ TEST(ResultCache, NestedDirectoryIsCreatedAndHits) {
 }
 
 TEST(ResultCache, DirectoryUnderARegularFileThrows) {
-  TempDir dir;
+  TempDir dir("cache_test_");
   const std::string file = dir.path + "/plain";
   std::ofstream(file) << "not a directory";
   try {
@@ -191,7 +175,7 @@ TEST(ResultCache, DirectoryUnderARegularFileThrows) {
 }
 
 TEST(ResultCache, DiskEntryWithMismatchedKeyIsRejected) {
-  TempDir dir;
+  TempDir dir("cache_test_");
   ResultCache cache(4, dir.path);
   cache.store(key_n(1), tiny_result(8, 1));
   // Masquerade key 1's entry as key 2's: copy it to key 2's digest path.
@@ -206,6 +190,22 @@ TEST(ResultCache, DiskEntryWithMismatchedKeyIsRejected) {
   EXPECT_FALSE(reader.lookup(key_n(2), 8).has_value());
   EXPECT_EQ(reader.stats().corrupt, 1u);
   EXPECT_TRUE(reader.lookup(key_n(1), 8).has_value());
+}
+
+TEST(ResultCache, DiskEntryWithEmptyPayloadCountsCorrupt) {
+  // The entry is there and its key matches, but its payload is empty: a
+  // damaged entry, so corrupt, not a plain miss.
+  TempDir dir("cache_test_");
+  ResultCache(4, dir.path).store(key_n(5), tiny_result(8, 5));
+  Json doc = Json::object();
+  doc.set("key", key_n(5).canonical());
+  doc.set("payload", std::string());
+  std::ofstream(dir.path + "/" + word_to_hex(key_n(5).digest()) + ".json")
+      << doc.dump(0);
+  ResultCache reader(4, dir.path);
+  EXPECT_FALSE(reader.lookup(key_n(5), 8).has_value());
+  EXPECT_EQ(reader.stats().corrupt, 1u);
+  EXPECT_EQ(reader.stats().misses, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,10 +376,10 @@ TEST(CacheKey, FingerprintsTrackTheirInputs) {
   tests[0].good_cycles = kPatternCycles + 1;
   EXPECT_NE(campaign_tests_fingerprint(tests), tests_fp);
   tests[0].good_cycles = kPatternCycles;
-  // The batch bound shapes the per-test batch counts of the payload.
-  tests[0].max_batch = 31;
+  // The name labels the payload's per-test rows.
+  tests[0].name = "renamed";
   EXPECT_NE(campaign_tests_fingerprint(tests), tests_fp);
-  tests[0].max_batch = 63;
+  tests[0].name = "pattern";
   EXPECT_EQ(campaign_tests_fingerprint(tests), tests_fp);
   tests[0].spec.set("state_fp", std::string("0000000000000000"));
   EXPECT_NE(campaign_tests_fingerprint(tests), tests_fp);
@@ -416,10 +416,9 @@ TEST(ResultCache, WarmHitExecutesZeroShardsAndIsByteIdentical) {
   EXPECT_NE(cold.stats.options_hash, 0u);
   EXPECT_EQ(*screens, 1);  // once per miss, before the first plan
 
-  // The warm run's test has the same identity (name, spec, batch bound)
-  // but a runner factory that throws: if the hit path ever executed a
-  // shard, the run would fail. Kernel counters prove no simulation ran
-  // either.
+  // The warm run's test has the same identity (name, spec) but a runner
+  // factory that throws: if the hit path ever executed a shard, the run
+  // would fail. Kernel counters prove no simulation ran either.
   std::vector<CampaignTest> warm_tests = tests;
   warm_tests[0].make_runner = []() -> std::unique_ptr<FaultBatchRunner> {
     throw std::logic_error("a warm cache hit executed a shard");
@@ -465,7 +464,7 @@ TEST(ResultCache, DiskPayloadOverAnotherUniverseIsRegradedAndHealed) {
   const FaultUniverse u(d.nl);
   std::vector<CampaignTest> tests;
   tests.push_back(make_pattern_test(d, u));
-  TempDir dir;
+  TempDir dir("cache_test_");
   const auto run = [&](std::shared_ptr<ResultCache> cache) {
     CampaignOptions opts;
     opts.threads = 1;

@@ -26,7 +26,7 @@ namespace olfui {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Rig: a 12-bit enabled counter. Big enough for a few dozen 63-fault
+// Rig: a 12-bit enabled counter. Big enough for several 255-fault
 // shards (so the pool's participants actually share work), small enough
 // for unit-test time.
 
@@ -397,7 +397,7 @@ TEST(ReferenceTrace, ActivationMatchesReplayAndFoldsInTheResetPhase) {
 TEST(Campaign, SingleAndMultiThreadResultsAreIdentical) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  ASSERT_GT(u.size(), 63u * 4) << "rig too small to shard meaningfully";
+  ASSERT_GT(u.size(), 2u * (kLanes - 1)) << "rig too small to shard";
   const std::vector<CampaignTest> tests = make_rig_suite(rig, u);
 
   FaultList fl1(u);
@@ -414,48 +414,40 @@ TEST(Campaign, SingleAndMultiThreadResultsAreIdentical) {
   EXPECT_EQ(r4.stats.threads, 4);
   for (FaultId f = 0; f < u.size(); ++f)
     ASSERT_EQ(fl1.detect_state(f), fl4.detect_state(f)) << f;
-
-  // An odd batch width exercises the tail-shard path.
-  std::vector<CampaignTest> narrow = tests;
-  for (CampaignTest& t : narrow) t.max_batch = 17;
-  FaultList fl3(u);
-  const CampaignResult r3 =
-      CampaignEngine(u, {.threads = 3}).run(fl3, narrow);
-  EXPECT_EQ(r3.detected, r1.detected);
-  EXPECT_GT(r3.stats.batches, r1.stats.batches);
 }
 
 TEST(Campaign, EveryShardGradedExactlyOnce) {
-  // 703 targets in 7-fault spans: 101 shards, the last holding 3 faults.
+  // 25,503 targets in 255-fault spans: 101 shards, the last holding 3
+  // faults.
   // The kernel counts its calls by each span's first target, so a shard
   // graded twice or never shows at every participant count, the uneven
   // last round of 3 participants included. grade() hands the ids to the
   // kernel only, so they need not be the universe's.
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  std::vector<FaultId> targets(703);
+  constexpr std::size_t kSpan = kLanes - 1;
+  std::vector<FaultId> targets(100 * kSpan + 3);
   std::iota(targets.begin(), targets.end(), 0u);
   std::vector<std::atomic<int>> calls(targets.size());
-  CampaignTest test = make_function_test(
+  const CampaignTest test = make_function_test(
       "counted", [&calls](std::span<const FaultId> faults) {
         calls[faults.front()].fetch_add(1, std::memory_order_relaxed);
-        std::uint64_t mask = 0;
+        LaneMask mask;
         for (std::size_t i = 0; i < faults.size(); ++i)
-          if (faults[i] % 3 == 0) mask |= 1ULL << i;
+          if (faults[i] % 3 == 0) mask.set_bit(static_cast<int>(i));
         return mask;
       });
-  test.max_batch = 7;
   BitVec first;
   for (const int threads : {1, 3, 4}) {
     for (std::atomic<int>& c : calls) c.store(0);
     const BitVec det =
         CampaignEngine(u, {.threads = threads}).grade(targets, test);
     for (std::size_t f = 0; f < calls.size(); ++f)
-      ASSERT_EQ(calls[f].load(), f % 7 == 0 ? 1 : 0)
+      ASSERT_EQ(calls[f].load(), f % kSpan == 0 ? 1 : 0)
           << "target " << f << " at " << threads << " threads";
     if (threads == 1) {
       first = det;
-      EXPECT_EQ(first.count(), (703u + 2) / 3);
+      EXPECT_EQ(first.count(), (targets.size() + 2) / 3);
     } else {
       EXPECT_EQ(det, first) << threads << " threads";
     }
@@ -633,7 +625,7 @@ TEST(Campaign, RunScreensInertFaultsAfterTheTargetSlice) {
   EXPECT_EQ(r.stats.faults_screened, 34u);
   EXPECT_EQ(r.stats.faults_simulated, 55u);
   EXPECT_EQ(r.stats.faults_collapsed, 11u);
-  EXPECT_EQ(r.tests[0].batches, 1u);  // 55 graded pairs in spans of 63
+  EXPECT_EQ(r.tests[0].batches, 1u);  // 55 graded pairs in spans of 255
   EXPECT_EQ(last_done, 55u);          // progress counts graded pairs
   EXPECT_EQ(last_total, 55u);
   std::size_t plan_screened = 0, plan_collapsed = 0;
@@ -883,12 +875,12 @@ TEST(Campaign, ExceptionsCarryTestAndShardContext) {
   // pool, the participant index) prefixed onto the original message.
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  std::vector<FaultId> targets(100);
+  std::vector<FaultId> targets(600);
   std::iota(targets.begin(), targets.end(), 0u);
   const CampaignTest bad = make_function_test(
       "explodes", [](std::span<const FaultId> faults) -> std::uint64_t {
         for (FaultId f : faults)
-          if (f == 70) throw std::runtime_error("boom");
+          if (f == 300) throw std::runtime_error("boom");
         return 0;
       });
   for (const int threads : {1, 2}) {
@@ -897,7 +889,7 @@ TEST(Campaign, ExceptionsCarryTestAndShardContext) {
       FAIL() << "runner exception swallowed at " << threads << " threads";
     } catch (const std::runtime_error& e) {
       const std::string msg = e.what();
-      // Fault 70 lands in shard 1 of the fixed 63-lane plan.
+      // Fault 300 lands in shard 1 of the fixed 255-fault spans.
       EXPECT_NE(msg.find("campaign test 'explodes'"), std::string::npos) << msg;
       EXPECT_NE(msg.find("shard 1"), std::string::npos) << msg;
       EXPECT_NE(msg.find("boom"), std::string::npos) << msg;
@@ -914,22 +906,22 @@ TEST(Campaign, GradeEdgeCases) {
   // single fault grades the same alone as inside the full batch.
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  ASSERT_GE(u.size(), 63u);
+  ASSERT_GE(u.size(), std::size_t{kLanes - 1});
   const CampaignTest test = make_rig_test(rig, u, rig.outputs, "all_bits");
-  std::vector<FaultId> batch63(63);
-  std::iota(batch63.begin(), batch63.end(), 0u);
+  std::vector<FaultId> full_batch(kLanes - 1);
+  std::iota(full_batch.begin(), full_batch.end(), 0u);
   const CampaignEngine engine(u, {.threads = 2});
 
   EXPECT_EQ(engine.grade({}, test).size(), 0u);
 
   std::vector<double> single_seconds;
   const BitVec single =
-      engine.grade(std::span(batch63).first(1), test, {}, &single_seconds);
+      engine.grade(std::span(full_batch).first(1), test, {}, &single_seconds);
   EXPECT_EQ(single_seconds.size(), 1u);
 
   std::vector<double> batch_seconds;
-  const BitVec full = engine.grade(batch63, test, {}, &batch_seconds);
-  EXPECT_EQ(batch_seconds.size(), 1u);  // 63 targets = one shard
+  const BitVec full = engine.grade(full_batch, test, {}, &batch_seconds);
+  EXPECT_EQ(batch_seconds.size(), 1u);  // 255 targets = one shard
   EXPECT_EQ(full.get(0), single.get(0));
   EXPECT_GT(full.count(), 0u);
 }
@@ -961,7 +953,7 @@ TEST(Campaign, TinyUniverseRunsIdenticallyAtEveryThreadCount) {
   const NetId en = nl.add_input("en");
   nl.add_output("o", w.and2(a, en, "y"));
   const FaultUniverse u(nl);
-  ASSERT_LT(u.size(), 63u);
+  ASSERT_LT(u.size(), std::size_t{kLanes - 1});
   std::vector<CampaignTest> tests;
   tests.push_back(make_function_test(
       "parity", [](std::span<const FaultId> faults) {
@@ -1004,9 +996,9 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
   };
   const std::vector<Row> rows = {
       {FaultModel::kStuckAt, 0x71e6ed5a089d103aULL, {200, 137}, {134, 31},
-       0x0bb85b5a16d7f601ULL},
+       0x18a6f98891867739ULL},
       {FaultModel::kTransition, 0x4ba9ac3f628fbcbeULL, {139, 77}, {134, 31},
-       0x0bb85b5a16d7f601ULL},
+       0x18a6f98891867739ULL},
   };
   auto soc = build_soc({});
   auto suite = build_sbst_suite(soc->config);

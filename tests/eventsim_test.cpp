@@ -85,8 +85,10 @@ void run_lockstep(RandomDesign& d, PackedSim& evt, PackedSim& oracle, Rng& rng,
   evt.eval();
   oracle.eval();
   compare_all(steps);
-  evt.full_eval();
+  evt.set_eval_mode(PackedEvalMode::kFullSweep);
+  evt.eval();
   compare_all(steps + 1);
+  evt.set_eval_mode(PackedEvalMode::kEventDriven);
 }
 
 TEST(EventSim, RandomNetlistsMatchFullSweepOracle) {

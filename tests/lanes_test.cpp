@@ -1,10 +1,9 @@
-// Lane-word helpers, campaign thread invariance and the per-test batch
-// bound.
+// Lane-word helpers, campaign thread invariance and the span width.
 //
 // The lane helpers must visit and count exactly the set lanes of every
 // 64-bit word of the vector. Batches pushed through the campaign
 // orchestrator must detect the same faults at any thread count, and the
-// engine cuts each test's spans to that test's CampaignTest::max_batch.
+// engine cuts every test into kLanes - 1 fault spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -173,12 +172,10 @@ class DesignBatchRunner final : public FaultBatchRunner {
 };
 
 CampaignTest make_design_test(const RandomDesign& d, const FaultUniverse& u,
-                              const std::vector<std::vector<bool>>& words,
-                              int max_batch = kLanes - 1) {
+                              const std::vector<std::vector<bool>>& words) {
   CampaignTest test;
   test.name = "rand";
   test.good_cycles = static_cast<int>(words.size());
-  test.max_batch = max_batch;
   test.make_runner = [&d, &u, &words] {
     return std::make_unique<DesignBatchRunner>(d, u, words);
   };
@@ -211,9 +208,8 @@ TEST(LaneWidth, CampaignDetectionsInvariantAcrossThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// The batch bound belongs to the test: the engine cuts spans of each
-// test's max_batch (clamped to LaneMask's 255 faults), so a test that asks
-// for 63-fault spans never sees a wider one.
+// The span width: the engine cuts every test into kLanes - 1 = 255 fault
+// spans, the faults one packed pass grades.
 
 /// The span sizes a test's runners were handed, across worker threads.
 struct SpanLog {
@@ -247,37 +243,6 @@ CampaignTest recording(CampaignTest test, std::shared_ptr<SpanLog> log) {
   return test;
 }
 
-TEST(BatchBound, EngineClampsARequestToTheTestsBound) {
-  Rng rng(47);
-  RandomDesign d = random_design(rng, 4, 6, 30);
-  const FaultUniverse u(d.nl);
-  const std::vector<std::vector<bool>> words(
-      8, std::vector<bool>(d.input_nets.size(), true));
-
-  // A test bounded at 63 faults gets at most 63-fault spans of the graded
-  // class representatives, although more than 63 are graded.
-  auto log = std::make_shared<SpanLog>();
-  const std::vector<CampaignTest> tests{
-      recording(make_design_test(d, u, words, 63), log)};
-  FaultList fl(u);
-  const CampaignEngine engine(u, {.threads = 2});
-  const CampaignResult r = engine.run(fl, tests);
-  const std::size_t graded = r.stats.faults_simulated;
-  ASSERT_GT(graded, 63u);
-  EXPECT_EQ(r.tests.at(0).batches, (graded + 62) / 63);
-  ASSERT_FALSE(log->sizes.empty());
-  EXPECT_EQ(*std::max_element(log->sizes.begin(), log->sizes.end()), 63u);
-
-  // The span width is the test's max_batch, clamped to 255.
-  CampaignTest wide = make_design_test(d, u, words);
-  EXPECT_EQ(engine.batch_size(tests[0]), 63u);
-  EXPECT_EQ(engine.batch_size(wide), 255u);
-  wide.max_batch = 17;
-  EXPECT_EQ(engine.batch_size(wide), 17u);
-  wide.max_batch = 500;
-  EXPECT_EQ(engine.batch_size(wide), 255u);
-}
-
 TEST(BatchBound, SbstTestsGradeInFullWidthSpans) {
   auto soc = build_soc({});
   auto suite = build_sbst_suite(soc->config);
@@ -287,8 +252,6 @@ TEST(BatchBound, SbstTestsGradeInFullWidthSpans) {
   std::vector<CampaignTest> tests =
       build_sbst_campaign_tests(*soc, suite, u, engine);
   ASSERT_EQ(tests.size(), 1u);
-  EXPECT_EQ(tests[0].max_batch, kLanes - 1);
-  EXPECT_EQ(tests[0].max_batch, 255);
 
   auto log = std::make_shared<SpanLog>();
   tests[0] = recording(std::move(tests[0]), log);
