@@ -48,9 +48,9 @@ bool print_coverage_gain() {
   }
 
   std::printf("%-12s %8s %14s\n", "program", "cycles", "new detections");
-  for (const auto& pp : result.programs)
-    std::printf("%-12s %8d %14zu\n", pp.name.c_str(), pp.cycles,
-                pp.new_detections);
+  for (const CampaignResult::PerTest& t : result.campaign.tests)
+    std::printf("%-12s %8d %14zu\n", t.name.c_str(), t.good_cycles,
+                t.new_detections);
   std::printf("orchestrator: %d threads, %zu batches, %.1f s, "
               "%.0f faults/sec\n",
               result.campaign.stats.threads, result.campaign.stats.batches,

@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
           std::printf("  %-12s graded (%zu faults targeted)\n", name.c_str(),
                       total);
       });
-  std::printf("total detections: %zu\n\n", campaign.total_detected);
+  std::printf("total detections: %zu\n\n",
+              campaign.campaign.total_new_detections);
 
   const double before = faults.raw_coverage();
 

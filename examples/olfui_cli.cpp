@@ -288,9 +288,9 @@ int run_sbst_mode(int argc, char** argv) {
       progress ? make_progress_heartbeat() : CampaignProgress{};
   const SbstCampaignResult result =
       run_sbst_campaign(*soc, suite, fl, heartbeat, opts);
-  for (const auto& pp : result.programs)
-    std::printf("  %-12s %6d cycles %8zu new detections\n", pp.name.c_str(),
-                pp.cycles, pp.new_detections);
+  for (const CampaignResult::PerTest& t : result.campaign.tests)
+    std::printf("  %-12s %6d cycles %8zu new detections\n", t.name.c_str(),
+                t.good_cycles, t.new_detections);
   const auto& stats = result.campaign.stats;
   std::printf("campaign: %zu new detections, %zu fault-test pairs graded, "
               "%zu screened (never activated or unobservable), "

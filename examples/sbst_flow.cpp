@@ -79,9 +79,9 @@ int main() {
               "(system-bus observability)...\n",
               graded.size(), universe.size());
   const SbstCampaignResult campaign = run_sbst_campaign(*soc, graded, fl);
-  for (const auto& pp : campaign.programs)
-    std::printf("  %-12s %6d cycles %8zu new detections\n", pp.name.c_str(),
-                pp.cycles, pp.new_detections);
+  for (const CampaignResult::PerTest& t : campaign.campaign.tests)
+    std::printf("  %-12s %6d cycles %8zu new detections\n", t.name.c_str(),
+                t.good_cycles, t.new_detections);
   const auto& stats = campaign.campaign.stats;
   std::printf("campaign: %d threads, %zu batches, %.1f s, %.0f faults/sec\n",
               stats.threads, stats.batches, stats.wall_seconds,

@@ -79,11 +79,10 @@ std::uint64_t universe_fingerprint(const FaultUniverse& universe);
 /// of the universe component of the key.
 std::uint64_t fault_list_fingerprint(const FaultList& fl);
 
-/// Folds every test's (name, good_cycles, spec) — the spec
-/// carries the fsim options and the ReferenceTrace state fingerprint, so
-/// this is the key's trace component. Returns 0 (not cacheable) if any
-/// test has a null spec: without one the grading kernel a make_runner
-/// closure captures cannot be fingerprinted.
+/// Folds every test's (name, good_cycles, spec) — the spec carries the
+/// ReferenceTrace state fingerprint, so this is the key's trace component.
+/// Returns 0 (not cacheable) if any test has a null spec: without one the
+/// grading kernel a make_runner closure captures cannot be fingerprinted.
 std::uint64_t campaign_tests_fingerprint(std::span<const CampaignTest> tests);
 
 // ---------------------------------------------------------------------------

@@ -49,18 +49,20 @@ class FunctionBatchRunner final : public FaultBatchRunner {
   std::function<LaneMask(std::span<const FaultId>)> kernel_;
 };
 
-}  // namespace
-
-std::size_t shard_count(std::size_t targets, std::size_t batch_size) {
-  return (targets + batch_size - 1) / batch_size;
+/// The engine's batch arithmetic: `targets` faults cut into spans of
+/// kSpan make ceil(targets / kSpan) shards, and shard s is
+/// targets[s*kSpan, min(n, (s+1)*kSpan)).
+std::size_t shard_count(std::size_t targets) {
+  return (targets + kSpan - 1) / kSpan;
 }
 
 std::span<const FaultId> shard_span(std::span<const FaultId> targets,
-                                    std::size_t batch_size,
-                                    std::uint32_t shard) {
-  const std::size_t lo = static_cast<std::size_t>(shard) * batch_size;
-  return targets.subspan(lo, std::min(batch_size, targets.size() - lo));
+                                    std::size_t shard) {
+  const std::size_t lo = shard * kSpan;
+  return targets.subspan(lo, std::min(kSpan, targets.size() - lo));
 }
+
+}  // namespace
 
 CampaignTest make_function_test(
     std::string name,
@@ -136,7 +138,7 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   plan_span.arg("targets", Json(targets.size()));
   plan_span.arg("screened", Json(screened));
   plan_span.arg("collapsed", Json(collapsed));
-  const std::size_t shards = shard_count(targets.size(), kSpan);
+  const std::size_t shards = shard_count(targets.size());
   plan_span.arg("shards", Json(shards));
   plan_span.end();
 
@@ -153,8 +155,7 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   std::size_t graded = 0;
   const bool tracing = obs::tracer().enabled();
   const auto grade_shard = [&](std::size_t shard, std::size_t w) {
-    const std::span<const FaultId> faults =
-        shard_span(targets, kSpan, static_cast<std::uint32_t>(shard));
+    const std::span<const FaultId> faults = shard_span(targets, shard);
     try {
       // Runner construction stays outside the timed span: shard_seconds
       // reports grading cost, not one-time per-worker setup.
@@ -212,10 +213,10 @@ BitVec CampaignEngine::grade_screened(std::span<const FaultId> targets,
   auto merge_span = obs::tracer().span("merge", "campaign");
   merge_span.arg("test", Json(test.name));
   for (std::size_t shard = 0; shard < shards; ++shard) {
-    const std::size_t lo = shard * kSpan;
-    const std::size_t n = std::min(kSpan, targets.size() - lo);
+    const std::size_t n = shard_span(targets, shard).size();
     for (std::size_t j = 0; j < n; ++j)
-      if (masks[shard].bit(static_cast<int>(j))) detected.set(lo + j, true);
+      if (masks[shard].bit(static_cast<int>(j)))
+        detected.set(shard * kSpan + j, true);
   }
   if (shard_seconds)
     shard_seconds->insert(shard_seconds->end(), seconds.begin(),

@@ -79,10 +79,10 @@ struct CampaignTest {
   int good_cycles = 0;
   std::function<std::unique_ptr<FaultBatchRunner>()> make_runner;
   /// Optional identity of this test for the result cache: a JSON document
-  /// naming the grading state make_runner captures (program, fsim
-  /// options, good-machine trace fingerprint — see
-  /// build_sbst_campaign_test). campaign_tests_fingerprint hashes it, so
-  /// its bytes are part of every cache key. Null = not cacheable.
+  /// naming the grading state make_runner captures (program and
+  /// good-machine trace fingerprint — see build_sbst_campaign_test).
+  /// campaign_tests_fingerprint hashes it, so its bytes are part of every
+  /// cache key. Null = not cacheable.
   Json spec;
   /// Deferred screen over the universe: returns a set bit for every fault
   /// this test provably cannot detect (for an SBST test, the faults its
@@ -194,14 +194,6 @@ struct CampaignResult {
 
   bool operator==(const CampaignResult& o) const;
 };
-
-/// The engine's batch arithmetic: `targets` faults cut into spans of
-/// `batch_size` make ceil(targets / batch_size) shards, and shard s is
-/// targets[s*B, min(n, (s+1)*B)).
-std::size_t shard_count(std::size_t targets, std::size_t batch_size);
-std::span<const FaultId> shard_span(std::span<const FaultId> targets,
-                                    std::size_t batch_size,
-                                    std::uint32_t shard);
 
 /// Wraps a stateless, thread-safe grading function (e.g. a const
 /// ScanTestRunner kernel) as a CampaignTest: every worker's runner calls

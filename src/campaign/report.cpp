@@ -209,12 +209,6 @@ CampaignResult campaign_result_from_json_string(std::string_view text) {
   return campaign_result_from_json(Json::parse(text));
 }
 
-Json seq_fsim_options_to_json(const SeqFsimOptions& opts) {
-  Json doc = Json::object();
-  doc.set("max_cycles", opts.max_cycles);
-  return doc;
-}
-
 Json fault_summary_to_json(const FaultList& fl) {
   Json doc = Json::object();
   doc.set("universe", fl.size());

@@ -15,7 +15,6 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/json.hpp"
-#include "fsim/fsim.hpp"
 
 namespace olfui {
 
@@ -44,9 +43,6 @@ BitVec bitvec_from_hex(std::string_view text);
 /// fingerprints throughout the campaign JSON.
 std::string word_to_hex(std::uint64_t w);
 std::uint64_t word_from_hex(std::string_view text);
-
-/// The simulator-option half of an SBST CampaignTest::spec: max_cycles.
-Json seq_fsim_options_to_json(const SeqFsimOptions& opts);
 
 /// Classification summary of a fault list — the JSON schema shared with
 /// fault/report.hpp's to_json_summary shim (one schema for both report

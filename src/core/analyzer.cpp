@@ -41,7 +41,7 @@ OnlineUntestabilityAnalyzer::OnlineUntestabilityAnalyzer(
     : soc_(&soc), universe_(&universe), sta_(soc.netlist, universe) {}
 
 AnalysisReport OnlineUntestabilityAnalyzer::run(FaultList& fl,
-                                                const AnalyzerOptions& opts) {
+                                                FaultModel model) {
   using Clock = std::chrono::steady_clock;
   AnalysisReport report;
   report.universe = universe_->size();
@@ -50,7 +50,7 @@ AnalysisReport OnlineUntestabilityAnalyzer::run(FaultList& fl,
   const auto t0 = Clock::now();
   const auto classify = [&](const StaResult& r, FaultList& list,
                             OnlineSource src) {
-    return opts.fault_model == FaultModel::kStuckAt
+    return model == FaultModel::kStuckAt
                ? sta_.classify_faults(r, list, src)
                : sta_.classify_transition_faults(r, list, src);
   };
@@ -58,18 +58,16 @@ AnalysisReport OnlineUntestabilityAnalyzer::run(FaultList& fl,
   // Baseline: structurally untestable faults of the original, fully
   // accessible circuit (Fig. 1 innermost set). These are not "on-line"
   // faults — the paper's Table I reports 0 for the original circuit.
-  if (opts.classify_structural_baseline) {
-    const StaResult base = sta_.analyze(MissionConfig{});
-    report.structural_baseline = classify(base, fl, OnlineSource::kStructural);
-  }
+  const StaResult base = sta_.analyze(MissionConfig{});
+  report.structural_baseline = classify(base, fl, OnlineSource::kStructural);
 
   // §3.1 scan circuitry: trace the chains, prune directly (for stuck-at,
   // the paper's "ad-hoc tool"); the transition model goes through the
   // structural engine, which subsumes the Fig.-2 rules.
-  if (opts.run_scan && soc_->config.with_scan) {
+  if (soc_->config.with_scan) {
     const ScanChains traced = trace_scan(soc_->netlist);
     accumulated_.merge(scan_mission_config(soc_->netlist, traced));
-    if (opts.fault_model == FaultModel::kStuckAt) {
+    if (model == FaultModel::kStuckAt) {
       report.scan = prune_scan_faults(traced, *universe_, fl);
     } else {
       const StaResult r = sta_.analyze(accumulated_);
@@ -79,25 +77,23 @@ AnalysisReport OnlineUntestabilityAnalyzer::run(FaultList& fl,
 
   // §3.2.1 unused debug control logic: tie the debug inputs, re-run the
   // structural engine, attribute newly proven faults to this source.
-  if (opts.run_debug_control && soc_->config.with_debug) {
+  if (soc_->config.with_debug) {
     accumulated_.merge(debug_control_config(soc_->debug));
     const StaResult r = sta_.analyze(accumulated_);
     report.debug_control = classify(r, fl, OnlineSource::kDebugControl);
   }
 
   // §3.2.2 unused debug observation logic: float the debug outputs.
-  if (opts.run_debug_observe && soc_->config.with_debug) {
+  if (soc_->config.with_debug) {
     accumulated_.merge(debug_observe_config(soc_->debug));
     const StaResult r = sta_.analyze(accumulated_);
     report.debug_observe = classify(r, fl, OnlineSource::kDebugObserve);
   }
 
   // §3.3 addressing resources under the mission memory map.
-  if (opts.run_memmap) {
-    accumulated_.merge(memmap_config(soc_->netlist, soc_->map, 32));
-    const StaResult r = sta_.analyze(accumulated_);
-    report.memmap = classify(r, fl, OnlineSource::kMemoryMap);
-  }
+  accumulated_.merge(memmap_config(soc_->netlist, soc_->map, 32));
+  const StaResult r = sta_.analyze(accumulated_);
+  report.memmap = classify(r, fl, OnlineSource::kMemoryMap);
 
   report.analysis_seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();

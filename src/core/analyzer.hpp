@@ -27,18 +27,6 @@
 
 namespace olfui {
 
-// FaultModel lives in fault/fault_list.hpp (shared with the campaign
-// orchestrator); it is re-exported here for the analyzer's historical users.
-
-struct AnalyzerOptions {
-  FaultModel fault_model = FaultModel::kStuckAt;
-  bool classify_structural_baseline = true;
-  bool run_scan = true;
-  bool run_debug_control = true;
-  bool run_debug_observe = true;
-  bool run_memmap = true;
-};
-
 struct AnalysisReport {
   std::size_t universe = 0;
   std::size_t structural_baseline = 0;  ///< untestable with full access
@@ -67,9 +55,12 @@ class OnlineUntestabilityAnalyzer {
 
   /// Runs the full flow, marking faults in `fl`. Each fault keeps the
   /// source of the *first* pass that proves it untestable, so the Table-I
-  /// rows are disjoint (the flow order matches the paper: scan -> debug
-  /// control -> debug observation -> memory map).
-  AnalysisReport run(FaultList& fl, const AnalyzerOptions& opts = {});
+  /// rows are disjoint (the flow order matches the paper: structural
+  /// baseline -> scan -> debug control -> debug observation -> memory
+  /// map). `model` selects the classification: stuck-at, or transition
+  /// (StructuralAnalyzer::classify_transition_faults, which prunes both
+  /// transition faults of a constant site).
+  AnalysisReport run(FaultList& fl, FaultModel model = FaultModel::kStuckAt);
 
   /// The accumulated mission configuration after run() (for cross-checks
   /// with ATPG or fault simulation).

@@ -124,9 +124,8 @@ std::uint32_t SocSimulator::ram_word(std::uint64_t addr) const {
 }
 
 SocFsimEnvironment::SocFsimEnvironment(const Soc& soc,
-                                       const FlashImage& flash,
-                                       int run_cycles)
-    : soc_(&soc), flash_(&flash), run_cycles_(run_cycles) {
+                                       const FlashImage& flash)
+    : soc_(&soc), flash_(&flash) {
   const Netlist& nl = soc.netlist;
   const auto port = [&nl](const std::string& name) {
     const CellId cell = nl.find_output(name);
@@ -271,8 +270,8 @@ void SocFsimEnvironment::reset(PackedSim& sim) {
   drive_mission_inputs(sim, true);
 }
 
-bool SocFsimEnvironment::step(PackedSim& sim, int cycle) {
-  if (cycle >= run_cycles_ || halt_seen_) return false;
+bool SocFsimEnvironment::step(PackedSim& sim, int) {
+  if (halt_seen_) return false;
   // Every bus port is flop-driven (checked at construction), so right
   // after the latch it already shows this cycle's value. Let the
   // comparison see the halting cycle, then stop on the next one.

@@ -124,6 +124,10 @@ class SocSimulator {
 /// per-lane service would drive. It drives instr_in and rdata_in and
 /// leaves the settle to the caller; reset() drives the mission inputs
 /// once, to the values they hold for the whole run.
+/// step() returns false on the cycle after lane 0 shows `halted`; it has
+/// no cycle budget of its own. The tracer's budget ends a recording of a
+/// program that never halts, and the recorded trace's length ends every
+/// batch graded against it.
 /// Every port's net is resolved once, at construction. A read takes lane 0
 /// from the kernel's plane and builds lane words only for the ports that
 /// are not lane-uniform; a drive writes only the bits whose word differs
@@ -140,10 +144,10 @@ class SocFsimEnvironment : public FsimEnvironment {
   /// Throws std::invalid_argument naming every bus port (iaddr, baddr,
   /// bwdata, bwr, brd, halted) whose net no flop drives: step() reads them
   /// before the cycle settles.
-  SocFsimEnvironment(const Soc& soc, const FlashImage& flash, int run_cycles);
+  SocFsimEnvironment(const Soc& soc, const FlashImage& flash);
 
   void reset(PackedSim& sim) override;
-  bool step(PackedSim& sim, int cycle) override;
+  bool step(PackedSim& sim, int) override;
 
   /// Lanes that own a private RAM copy since the last reset().
   const Word& private_lanes() const { return private_; }
@@ -192,7 +196,6 @@ class SocFsimEnvironment : public FsimEnvironment {
 
   const Soc* soc_;
   const FlashImage* flash_;
-  int run_cycles_;
   bool halt_seen_ = false;
   /// ram_[0] is lane 0's; ram_[l] is lane l's only while l is in private_.
   std::array<std::unordered_map<std::uint64_t, std::uint32_t>, kLanes> ram_;

@@ -176,11 +176,10 @@ std::uint64_t ReferenceTrace::fingerprint() const {
 }
 
 SequentialFaultSimulator::SequentialFaultSimulator(
-    const Netlist& nl, const FaultUniverse& universe, SeqFsimOptions opts,
+    const Netlist& nl, const FaultUniverse& universe,
     std::shared_ptr<const PackedTopology> topo)
     : nl_(&nl),
       universe_(&universe),
-      opts_(opts),
       sim_(topo ? std::move(topo) : PackedTopology::build(nl)) {
   // A topology for a different netlist is a caller bug; silently
   // rebuilding would also quietly forfeit the sharing optimisation.
@@ -211,7 +210,7 @@ void SequentialFaultSimulator::set_observed(std::vector<CellId> output_cells) {
 }
 
 ReferenceTrace SequentialFaultSimulator::record_reference_trace(
-    FsimEnvironment& env, NetActivation* activation) {
+    FsimEnvironment& env, int max_cycles, NetActivation* activation) {
   ReferenceTrace trace;
   trace.reset(nl_->num_nets());
   sim_.clear_injections();
@@ -227,7 +226,7 @@ ReferenceTrace SequentialFaultSimulator::record_reference_trace(
   sim_.set_settle_log(&reset_log);
   env.reset(sim_);
   sim_.set_settle_log(reset_log.first.empty() ? &cycle0_log : nullptr);
-  for (int cycle = 0; cycle < opts_.max_cycles; ++cycle) {
+  for (int cycle = 0; cycle < max_cycles; ++cycle) {
     if (!env.step(sim_, cycle)) break;
     sim_.eval();
     sim_.set_settle_log(nullptr);

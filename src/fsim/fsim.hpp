@@ -73,18 +73,10 @@ class FsimEnvironment {
   /// the good machine sees. An implementation may still eval() itself (to
   /// read a combinational output); the caller's settle then has nothing
   /// left to do. Returns false to end the run early (e.g. the good machine
-  /// executed HALT).
+  /// executed HALT). The environment needs no cycle budget of its own: the
+  /// tracer's max_cycles bounds the recording, and the trace's length
+  /// bounds every batch.
   virtual bool step(PackedSim& sim, int cycle) = 0;
-};
-
-/// The simulator's one knob. A batch always stops as soon as every faulty
-/// lane has diverged. The kernel's oracle mode is not a knob either: a
-/// test that wants the full-sweep reference selects it on sim() after
-/// construction (PackedSim::set_eval_mode).
-struct SeqFsimOptions {
-  /// Cycle budget of record_reference_trace; a batch runs the trace's
-  /// cycles.
-  int max_cycles = 100000;
 };
 
 /// Lane-0 activity summary of one good-machine run, one bit per net (bit
@@ -185,7 +177,6 @@ class SequentialFaultSimulator {
   /// levelization and fanout-graph building.
   SequentialFaultSimulator(
       const Netlist& nl, const FaultUniverse& universe,
-      SeqFsimOptions opts = {},
       std::shared_ptr<const PackedTopology> topo = nullptr);
 
   /// Observed output ports (system bus). Detection compares these only.
@@ -196,7 +187,9 @@ class SequentialFaultSimulator {
 
   /// Runs the good machine once with no injections, recording every net
   /// each cycle and the plane of its first settle (ReferenceTrace::
-  /// power_on). The returned checkpoint is tied to `env`'s stimulus (not
+  /// power_on), for at most `max_cycles` cycles or until env.step()
+  /// returns false. The trace's cycle count then bounds every batch graded
+  /// against it. The returned checkpoint is tied to `env`'s stimulus (not
   /// to the observed set — it carries all nets, so one recording serves
   /// both fault models and any observed set).
   ///
@@ -208,7 +201,7 @@ class SequentialFaultSimulator {
   /// once, after env.step(), so the trace samples every settle after reset
   /// (an environment that settles inside step() too leaves those extra
   /// settles unsampled; SocFsimEnvironment does not).
-  ReferenceTrace record_reference_trace(FsimEnvironment& env,
+  ReferenceTrace record_reference_trace(FsimEnvironment& env, int max_cycles,
                                         NetActivation* activation = nullptr);
 
   /// Grades one batch of up to kLanes-1 faults against the good machine
@@ -236,8 +229,6 @@ class SequentialFaultSimulator {
                      const ReferenceTrace& trace,
                      FaultModel model = FaultModel::kStuckAt);
 
-  const SeqFsimOptions& options() const { return opts_; }
-
   /// The underlying packed simulator (activity counters; tests select the
   /// full-sweep oracle mode through it).
   PackedSim& sim() { return sim_; }
@@ -254,7 +245,6 @@ class SequentialFaultSimulator {
 
   const Netlist* nl_;
   const FaultUniverse* universe_;
-  SeqFsimOptions opts_;
   PackedSim sim_;
   std::vector<CellId> observed_;
   std::vector<NetId> observed_nets_;  ///< the net each observed port reads

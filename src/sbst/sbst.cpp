@@ -1,6 +1,5 @@
 #include "sbst/sbst.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <utility>
@@ -329,11 +328,11 @@ class SbstBatchRunner final : public FaultBatchRunner {
                    std::shared_ptr<const FlashImage> flash,
                    std::shared_ptr<const ReferenceTrace> trace,
                    std::shared_ptr<const PackedTopology> topo,
-                   const SeqFsimOptions& opts, FaultModel fault_model)
+                   FaultModel fault_model)
       : flash_(std::move(flash)),
         trace_(std::move(trace)),
-        env_(soc, *flash_, opts.max_cycles),
-        fsim_(soc.netlist, universe, opts, std::move(topo)),
+        env_(soc, *flash_),
+        fsim_(soc.netlist, universe, std::move(topo)),
         fault_model_(fault_model) {
     fsim_.set_observed(soc.cpu.bus_output_cells);
   }
@@ -400,15 +399,14 @@ BitVec unobservable_faults(const FaultUniverse& universe,
 
 // The trace is recorded here exactly once per program, and the same pass
 // yields the cycle count. The environment stops one cycle after lane 0
-// shows HALT, so a program halting in cycle c records c + 1 cycles; one
-// that has not halted by kSbstFunctionalCycleCap counts as the cap,
-// exactly what SocSimulator::run(kSbstFunctionalCycleCap) returns. The
-// test's budget becomes good_cycles + kSbstCampaignMargin.
+// shows HALT, so a program halting in cycle c records c + 1 cycles, and
+// the budget of kSbstFunctionalCycleCap + 1 cycles records one that has
+// not halted by the cap as the cap: good_cycles is exactly what
+// SocSimulator::run(kSbstFunctionalCycleCap) returns. Every batch runs
+// the trace's cycles.
 SbstCampaignTest build_sbst_campaign_test(
     const Soc& soc, SbstProgram& program, const FaultUniverse& universe,
     std::shared_ptr<const PackedTopology> topo, FaultModel fault_model) {
-  SeqFsimOptions opts{.max_cycles =
-                          kSbstFunctionalCycleCap + kSbstCampaignMargin};
   auto flash = std::make_shared<FlashImage>(soc.config.flash_base,
                                             soc.config.flash_size);
   flash->load(program.program.base(), program.program.words());
@@ -416,19 +414,19 @@ SbstCampaignTest build_sbst_campaign_test(
   // Checkpoint the good machine once; every batch of every worker then
   // replays this trace as its reference (and, under the TDF model, reads
   // its launch schedules from it instead of re-running a good pass).
-  SocFsimEnvironment trace_env(soc, *flash, opts.max_cycles);
-  SequentialFaultSimulator tracer(soc.netlist, universe, opts, topo);
+  SocFsimEnvironment trace_env(soc, *flash);
+  SequentialFaultSimulator tracer(soc.netlist, universe, topo);
   tracer.set_observed(soc.cpu.bus_output_cells);
   // The same good run yields the activation the screen reads.
   auto trace_span = obs::tracer().span("record_trace", "campaign");
   trace_span.arg("program", Json(program.name));
   auto activation = std::make_shared<NetActivation>();
   auto trace = std::make_shared<const ReferenceTrace>(
-      tracer.record_reference_trace(trace_env, activation.get()));
+      tracer.record_reference_trace(trace_env, kSbstFunctionalCycleCap + 1,
+                                    activation.get()));
   trace_span.end();
 
-  const int good_cycles = std::min(trace->cycles - 1, kSbstFunctionalCycleCap);
-  opts.max_cycles = good_cycles + kSbstCampaignMargin;
+  const int good_cycles = trace->cycles - 1;
   SbstCampaignTest out;
   out.trace = trace;
   out.activation = activation;
@@ -450,13 +448,12 @@ SbstCampaignTest build_sbst_campaign_test(
   Json spec = Json::object();
   spec.set("workload", "sbst");
   spec.set("program", program.name);
-  spec.set("fsim", seq_fsim_options_to_json(opts));
   spec.set("state_fp", word_to_hex(trace->fingerprint()));
   out.test.spec = std::move(spec);
   out.test.make_runner = [&soc, &universe, flash = std::move(flash), trace,
-                          topo = std::move(topo), opts, fault_model]() {
-    return std::make_unique<SbstBatchRunner>(
-        soc, universe, flash, trace, topo, opts, fault_model);
+                          topo = std::move(topo), fault_model]() {
+    return std::make_unique<SbstBatchRunner>(soc, universe, flash, trace,
+                                             topo, fault_model);
   };
   return out;
 }
@@ -485,14 +482,7 @@ SbstCampaignResult run_sbst_campaign(
   const CampaignEngine engine(fl.universe(), opts);
   const std::vector<CampaignTest> tests =
       build_sbst_campaign_tests(soc, suite, fl.universe(), engine);
-  SbstCampaignResult result;
-  result.campaign = engine.run(fl, tests, progress);
-  for (const CampaignResult::PerTest& pt : result.campaign.tests) {
-    result.programs.push_back(
-        {pt.name, pt.good_cycles, pt.new_detections});
-    result.total_detected += pt.new_detections;
-  }
-  return result;
+  return {engine.run(fl, tests, progress)};
 }
 
 }  // namespace olfui

@@ -43,7 +43,9 @@ std::vector<SbstProgram> build_sbst_suite(const SocConfig& cfg);
 /// run_suite_functional's default and the campaign-test builders so the
 /// two paths cannot drift: a campaign test's good_cycles is the program's
 /// HALT cycle, or this cap if it has not halted by then — exactly what
-/// SocSimulator::run(kSbstFunctionalCycleCap) returns.
+/// SocSimulator::run(kSbstFunctionalCycleCap) returns. The campaign's
+/// tracer records at most kSbstFunctionalCycleCap + 1 cycles: the cap's
+/// cycles plus the one that shows whether the program halted at the cap.
 inline constexpr int kSbstFunctionalCycleCap = 5000;
 
 /// Functionally runs every program (good machine), returning per-program
@@ -52,23 +54,12 @@ std::vector<int> run_suite_functional(
     const Soc& soc, std::vector<SbstProgram>& suite,
     int max_cycles_per_program = kSbstFunctionalCycleCap);
 
+/// The result of run_sbst_campaign: per-test rows are campaign.tests, the
+/// suite's total is campaign.total_new_detections.
 struct SbstCampaignResult {
-  struct PerProgram {
-    std::string name;
-    int cycles = 0;
-    std::size_t new_detections = 0;
-  };
-  std::vector<PerProgram> programs;
-  std::size_t total_detected = 0;
   /// Full orchestrator result: per-class coverage, runtime stats, JSON-able.
   CampaignResult campaign;
 };
-
-/// Cycles a campaign test's budget runs past its good_cycles. The
-/// environment stops every lane one cycle after lane 0 (the good machine)
-/// shows HALT, so the margin only keeps the budget from cutting off the
-/// halting cycle; grading never runs past it.
-inline constexpr int kSbstCampaignMargin = 8;
 
 /// The activation half of an SBST test's screen: the faults whose faulty
 /// machine provably equals the good machine for the whole run. A
@@ -109,10 +100,10 @@ struct SbstCampaignTest {
 };
 
 /// Builds one program's campaign test from one packed good-machine pass
-/// (the lane-0 tracer, budget kSbstFunctionalCycleCap +
-/// kSbstCampaignMargin). That pass records the reference trace, yields
-/// the cycle count (test.good_cycles; the budget is good_cycles +
-/// kSbstCampaignMargin) and the activation the deferred test.screen reads:
+/// (the lane-0 tracer, budget kSbstFunctionalCycleCap + 1). That pass
+/// records the reference trace, whose length bounds every batch, and
+/// yields the cycle count (test.good_cycles) and the activation the
+/// deferred test.screen reads:
 /// inert_faults under `fault_model` plus unobservable_faults at the
 /// system-bus ports, evaluated only when a campaign run misses the cache
 /// (a "screen" span names both counts). The grading kernel is wrapped in
@@ -121,7 +112,7 @@ struct SbstCampaignTest {
 /// recorded trace, under `fault_model`: kTransition reads the same fault
 /// ids as launch/capture transition faults (fault/tdf.hpp). The returned
 /// test carries its identity spec
-/// ({"workload":"sbst","program":NAME,"fsim":{...},"state_fp":HEX},
+/// ({"workload":"sbst","program":NAME,"state_fp":HEX},
 /// state_fp being the trace fingerprint) for the result cache. `topo`
 /// must be a PackedTopology over soc.netlist (shared across the suite's
 /// tests and workers). `soc` and `universe` are captured by reference and

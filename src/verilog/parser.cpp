@@ -14,6 +14,7 @@ struct Token {
   std::string text;
   char punct = 0;
   int line = 1;
+  std::size_t offset = 0;  ///< byte offset of the token's first character
 };
 
 class Lexer {
@@ -26,7 +27,6 @@ class Lexer {
     advance();
     return t;
   }
-  int line() const { return tok_.line; }
 
  private:
   void advance() {
@@ -44,7 +44,7 @@ class Lexer {
         std::string_view body =
             trim(std::string_view(text_).substr(pos_ + 2, eol - pos_ - 2));
         if (starts_with(body, "tag: ")) {
-          tok_ = {Token::kTag, std::string(body.substr(5)), 0, line_};
+          tok_ = {Token::kTag, std::string(body.substr(5)), 0, line_, pos_};
           pos_ = eol;
           return;
         }
@@ -54,7 +54,7 @@ class Lexer {
       }
     }
     if (pos_ >= text_.size()) {
-      tok_ = {Token::kEnd, "", 0, line_};
+      tok_ = {Token::kEnd, "", 0, line_, pos_};
       return;
     }
     const char c = text_[pos_];
@@ -64,7 +64,8 @@ class Lexer {
       while (end < text_.size() &&
              !std::isspace(static_cast<unsigned char>(text_[end])))
         ++end;
-      tok_ = {Token::kIdent, text_.substr(pos_ + 1, end - pos_ - 1), 0, line_};
+      tok_ = {Token::kIdent, text_.substr(pos_ + 1, end - pos_ - 1), 0, line_,
+              pos_};
       pos_ = end;
       return;
     }
@@ -74,11 +75,11 @@ class Lexer {
              (std::isalnum(static_cast<unsigned char>(text_[end])) ||
               text_[end] == '_' || text_[end] == '$'))
         ++end;
-      tok_ = {Token::kIdent, text_.substr(pos_, end - pos_), 0, line_};
+      tok_ = {Token::kIdent, text_.substr(pos_, end - pos_), 0, line_, pos_};
       pos_ = end;
       return;
     }
-    tok_ = {Token::kPunct, std::string(1, c), c, line_};
+    tok_ = {Token::kPunct, std::string(1, c), c, line_, pos_};
     ++pos_;
   }
 
@@ -144,7 +145,7 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& msg) const {
-    throw VerilogError(msg, lex_.peek().line);
+    throw VerilogError(msg, lex_.peek().line, lex_.peek().offset);
   }
   bool at_punct(char c) const {
     return lex_.peek().kind == Token::kPunct && lex_.peek().punct == c;

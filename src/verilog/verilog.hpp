@@ -17,6 +17,7 @@
 // "// tag: ..." comment).
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -26,15 +27,21 @@ namespace olfui {
 
 std::string write_verilog(const Netlist& nl);
 
+/// A parse failure located at the token where parsing stopped: its line
+/// and its byte offset into the text (the text's size at end of input).
 class VerilogError : public std::runtime_error {
  public:
-  VerilogError(const std::string& msg, int line)
-      : std::runtime_error("verilog:" + std::to_string(line) + ": " + msg),
-        line_(line) {}
+  VerilogError(const std::string& msg, int line, std::size_t offset)
+      : std::runtime_error("verilog:" + std::to_string(line) + ": " + msg +
+                           " at offset " + std::to_string(offset)),
+        line_(line),
+        offset_(offset) {}
   int line() const { return line_; }
+  std::size_t offset() const { return offset_; }
 
  private:
   int line_;
+  std::size_t offset_;
 };
 
 /// Parses the subset; throws VerilogError on malformed input.

@@ -328,9 +328,9 @@ constexpr int kPatternCycles = 24;
 class PatternRunner final : public FaultBatchRunner {
  public:
   PatternRunner(const TwoConeDesign& d, const FaultUniverse& u)
-      : env_(d.inputs), fsim_(d.nl, u, {.max_cycles = kPatternCycles}) {
+      : env_(d.inputs), fsim_(d.nl, u) {
     fsim_.set_observed(d.outputs);
-    trace_ = fsim_.record_reference_trace(env_);
+    trace_ = fsim_.record_reference_trace(env_, kPatternCycles);
   }
   LaneMask run_batch(std::span<const FaultId> faults) override {
     return fsim_.run_batch(faults, env_, trace_);

@@ -77,7 +77,7 @@ class RigBatchRunner final : public FaultBatchRunner {
                  std::shared_ptr<const ReferenceTrace> trace,
                  FaultModel model = FaultModel::kStuckAt)
       : env_(rig.en),
-        fsim_(rig.nl, u, {.max_cycles = kCycles}),
+        fsim_(rig.nl, u),
         trace_(std::move(trace)),
         model_(model) {
     fsim_.set_observed(std::move(observed));
@@ -97,10 +97,10 @@ CampaignTest make_rig_test(const CounterRig& rig, const FaultUniverse& u,
                            std::vector<CellId> observed, std::string name,
                            FaultModel model = FaultModel::kStuckAt) {
   CounterEnv trace_env(rig.en);
-  SequentialFaultSimulator tracer(rig.nl, u, {.max_cycles = kCycles});
+  SequentialFaultSimulator tracer(rig.nl, u);
   tracer.set_observed(observed);
   auto trace = std::make_shared<const ReferenceTrace>(
-      tracer.record_reference_trace(trace_env));
+      tracer.record_reference_trace(trace_env, kCycles));
   CampaignTest test;
   test.name = std::move(name);
   test.good_cycles = kCycles;
@@ -260,7 +260,7 @@ TEST(BitVecHex, RoundTrips) {
 TEST(ReferenceTrace, BatchesRejectATraceOfAnotherNetlist) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = kCycles});
+  SequentialFaultSimulator fsim(rig.nl, u);
   fsim.set_observed(rig.outputs);
   CounterEnv env(rig.en);
   // Frame settles read one bit per net of the netlist: a trace of fewer
@@ -278,10 +278,10 @@ TEST(ReferenceTrace, BatchesRejectATraceOfAnotherNetlist) {
 TEST(ReferenceTrace, ColumnRleMatchesReplayOnEveryNet) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = kCycles});
+  SequentialFaultSimulator fsim(rig.nl, u);
   fsim.set_observed(rig.outputs);
   CounterEnv env(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, kCycles);
   EXPECT_EQ(trace.cycles, kCycles);
   EXPECT_EQ(trace.num_nets, rig.nl.num_nets());
   ASSERT_EQ(trace.columns.size(), (rig.nl.num_nets() + 63) / 64);
@@ -330,9 +330,9 @@ TEST(ReferenceTrace, NetBitRejectsCyclesOutsideTheTrace) {
 
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = kCycles});
+  SequentialFaultSimulator fsim(rig.nl, u);
   CounterEnv env(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, kCycles);
   EXPECT_NO_THROW(trace.net_bit(kCycles - 1, 0));
   EXPECT_THROW(trace.net_bit(kCycles, 0), std::out_of_range);
   EXPECT_THROW(trace.net_bit(-1, 0), std::out_of_range);
@@ -343,10 +343,10 @@ TEST(ReferenceTrace, NetBitRejectsCyclesOutsideTheTrace) {
 TEST(ReferenceTrace, ActivationMatchesReplayAndFoldsInTheResetPhase) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = kCycles});
+  SequentialFaultSimulator fsim(rig.nl, u);
   CounterEnv env(rig.en);
   NetActivation act;
-  const ReferenceTrace trace = fsim.record_reference_trace(env, &act);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, kCycles, &act);
   const NetActivation traced = trace.activation();
 
   for (NetId n = 0; n < rig.nl.num_nets(); ++n) {
@@ -419,32 +419,43 @@ TEST(Campaign, SingleAndMultiThreadResultsAreIdentical) {
 TEST(Campaign, EveryShardGradedExactlyOnce) {
   // 25,503 targets in 255-fault spans: 101 shards, the last holding 3
   // faults.
-  // The kernel counts its calls by each span's first target, so a shard
-  // graded twice or never shows at every participant count, the uneven
-  // last round of 3 participants included. grade() hands the ids to the
-  // kernel only, so they need not be the universe's.
+  // The kernel counts its calls by each span's first target and its
+  // grades by target, so a shard graded twice or never, or spans that
+  // overlap or leave a gap, show at every participant count, the uneven
+  // last round of 3 participants included. It detects every id divisible
+  // by 3, and the ids are the target positions, so the merge must put
+  // each lane's verdict back on its own target. grade() hands the ids to
+  // the kernel only, so they need not be the universe's.
   CounterRig rig;
   const FaultUniverse u(rig.nl);
   constexpr std::size_t kSpan = kLanes - 1;
   std::vector<FaultId> targets(100 * kSpan + 3);
   std::iota(targets.begin(), targets.end(), 0u);
-  std::vector<std::atomic<int>> calls(targets.size());
+  std::vector<std::atomic<int>> calls(targets.size()), graded(targets.size());
   const CampaignTest test = make_function_test(
-      "counted", [&calls](std::span<const FaultId> faults) {
+      "counted", [&calls, &graded](std::span<const FaultId> faults) {
         calls[faults.front()].fetch_add(1, std::memory_order_relaxed);
         LaneMask mask;
-        for (std::size_t i = 0; i < faults.size(); ++i)
+        for (std::size_t i = 0; i < faults.size(); ++i) {
+          graded[faults[i]].fetch_add(1, std::memory_order_relaxed);
           if (faults[i] % 3 == 0) mask.set_bit(static_cast<int>(i));
+        }
         return mask;
       });
   BitVec first;
   for (const int threads : {1, 3, 4}) {
     for (std::atomic<int>& c : calls) c.store(0);
+    for (std::atomic<int>& g : graded) g.store(0);
     const BitVec det =
         CampaignEngine(u, {.threads = threads}).grade(targets, test);
-    for (std::size_t f = 0; f < calls.size(); ++f)
+    for (std::size_t f = 0; f < calls.size(); ++f) {
       ASSERT_EQ(calls[f].load(), f % kSpan == 0 ? 1 : 0)
           << "target " << f << " at " << threads << " threads";
+      ASSERT_EQ(graded[f].load(), 1)
+          << "target " << f << " at " << threads << " threads";
+      ASSERT_EQ(det.get(f), f % 3 == 0)
+          << "target " << f << " at " << threads << " threads";
+    }
     if (threads == 1) {
       first = det;
       EXPECT_EQ(first.count(), (targets.size() + 2) / 3);
@@ -926,23 +937,6 @@ TEST(Campaign, GradeEdgeCases) {
   EXPECT_GT(full.count(), 0u);
 }
 
-TEST(Campaign, ShardSpansTileTheTargetsInOrder) {
-  // Shard s is targets[s*B, min(n, (s+1)*B)): contiguous, in target
-  // order, every span full except the last.
-  std::vector<FaultId> targets(10);
-  std::iota(targets.begin(), targets.end(), 100u);
-  EXPECT_EQ(shard_count(0, 4), 0u);
-  EXPECT_EQ(shard_count(8, 4), 2u);
-  EXPECT_EQ(shard_count(10, 4), 3u);
-  std::vector<FaultId> seen;
-  for (std::uint32_t s = 0; s < shard_count(targets.size(), 4); ++s) {
-    const std::span<const FaultId> span = shard_span(targets, 4, s);
-    EXPECT_EQ(span.size(), s < 2 ? 4u : 2u) << s;
-    seen.insert(seen.end(), span.begin(), span.end());
-  }
-  EXPECT_EQ(seen, targets);
-}
-
 TEST(Campaign, TinyUniverseRunsIdenticallyAtEveryThreadCount) {
   // A universe far smaller than one batch: run() must behave at every
   // thread count (the degenerate end of the sharding spectrum, where each
@@ -996,9 +990,9 @@ TEST(Campaign, SbstSliceDetectionPayloadIsPinned) {
   };
   const std::vector<Row> rows = {
       {FaultModel::kStuckAt, 0x71e6ed5a089d103aULL, {200, 137}, {134, 31},
-       0x18a6f98891867739ULL},
+       0xdc108f33d638acd4ULL},
       {FaultModel::kTransition, 0x4ba9ac3f628fbcbeULL, {139, 77}, {134, 31},
-       0x18a6f98891867739ULL},
+       0xdc108f33d638acd4ULL},
   };
   auto soc = build_soc({});
   auto suite = build_sbst_suite(soc->config);

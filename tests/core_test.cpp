@@ -155,31 +155,6 @@ TEST(Analyzer, SourcesAreDisjoint) {
   EXPECT_EQ(sum, fl.count_untestable());
 }
 
-TEST(Analyzer, OptionsDisableIndividualPasses) {
-  Case c;
-  OnlineUntestabilityAnalyzer az(*c.soc, *c.universe);
-  {
-    FaultList fl(*c.universe);
-    AnalyzerOptions opts;
-    opts.run_scan = false;
-    const AnalysisReport rep = az.run(fl, opts);
-    EXPECT_EQ(rep.scan, 0u);
-    EXPECT_GT(rep.debug_control, 0u);
-  }
-  {
-    FaultList fl(*c.universe);
-    AnalyzerOptions opts;
-    opts.run_debug_control = false;
-    opts.run_debug_observe = false;
-    opts.run_memmap = false;
-    const AnalysisReport rep = az.run(fl, opts);
-    EXPECT_GT(rep.scan, 0u);
-    EXPECT_EQ(rep.debug_control, 0u);
-    EXPECT_EQ(rep.debug_observe, 0u);
-    EXPECT_EQ(rep.memmap, 0u);
-  }
-}
-
 TEST(Analyzer, SocWithoutDftHasNoOnlineUntestables) {
   SocConfig cfg;
   cfg.with_debug = false;
@@ -239,9 +214,7 @@ TEST(Analyzer, TransitionModelRunsTheFullFlow) {
   Case c;
   FaultList fl(*c.universe);
   OnlineUntestabilityAnalyzer az(*c.soc, *c.universe);
-  AnalyzerOptions opts;
-  opts.fault_model = FaultModel::kTransition;
-  const AnalysisReport rep = az.run(fl, opts);
+  const AnalysisReport rep = az.run(fl, FaultModel::kTransition);
   EXPECT_GT(rep.scan, 0u);
   EXPECT_GT(rep.debug_control, 0u);
   EXPECT_GT(rep.memmap, 0u);
@@ -293,17 +266,16 @@ TEST(Analyzer, Fig1ContainmentHolds) {
   // the memory-map restriction, which binds mission operation even with
   // full DfT access; on-line adds the scan and debug restrictions.
   Case c;
-  OnlineUntestabilityAnalyzer az(*c.soc, *c.universe);
-  AnalyzerOptions structural_only;
-  structural_only.run_scan = structural_only.run_debug_control = false;
-  structural_only.run_debug_observe = structural_only.run_memmap = false;
-  AnalyzerOptions functional_only = structural_only;
-  functional_only.run_memmap = true;
+  const Netlist& nl = c.soc->netlist;
+  const StructuralAnalyzer sta(nl, *c.universe);
   FaultList structural(*c.universe), functional(*c.universe),
       online(*c.universe);
-  az.run(structural, structural_only);
-  az.run(functional, functional_only);
-  az.run(online);
+  const StaResult base = sta.analyze(MissionConfig{});
+  sta.classify_faults(base, structural, OnlineSource::kStructural);
+  sta.classify_faults(base, functional, OnlineSource::kStructural);
+  sta.classify_faults(sta.analyze(memmap_config(nl, c.soc->map, 32)),
+                      functional, OnlineSource::kMemoryMap);
+  OnlineUntestabilityAnalyzer(*c.soc, *c.universe).run(online);
   EXPECT_EQ(structural.count_untestable(), 1443u);
   EXPECT_EQ(functional.count_untestable(), 3845u);
   EXPECT_EQ(online.count_untestable(), 11528u);

@@ -209,9 +209,9 @@ TEST(DebugAnalysis, QuietInputScreeningFindsDebugPorts) {
   Core core;
   const DebugPorts ports = core.attach_debug();
   const FaultUniverse u(core.nl);
-  SequentialFaultSimulator fsim(core.nl, u, {.max_cycles = 16});
+  SequentialFaultSimulator fsim(core.nl, u);
   MissionEnv env(core, ports);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, 16);
   ASSERT_EQ(trace.cycles, 16);
   const auto quiet = find_quiet_inputs(core.nl, trace.activation());
   // Every debug control input is quiet; the toggling functional input isn't.
@@ -228,11 +228,10 @@ TEST(DebugAnalysis, MissionBatchesStartFromTheFrameZeroSettle) {
   Core core;
   const DebugPorts ports = core.attach_debug();
   const FaultUniverse u(core.nl);
-  SequentialFaultSimulator fsim(core.nl, u, {.max_cycles = 16}),
-      oracle(core.nl, u, {.max_cycles = 16});
+  SequentialFaultSimulator fsim(core.nl, u), oracle(core.nl, u);
   oracle.sim().set_eval_mode(PackedEvalMode::kFullSweep);
   MissionEnv env(core, ports);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, 16);
   ASSERT_EQ(trace.power_on.size(), trace.columns.size());
   for (NetId n = 0; n < core.nl.num_nets(); ++n)
     ASSERT_EQ(NetActivation::test(trace.power_on, n), trace.net_bit(0, n))
@@ -244,9 +243,9 @@ TEST(DebugAnalysis, MissionBatchesStartFromTheFrameZeroSettle) {
   fsim.sim().reset_activity();
   for (const FaultModel model :
        {FaultModel::kStuckAt, FaultModel::kTransition}) {
-    for (std::size_t lo = 0; lo < all.size(); lo += 63) {
+    for (std::size_t lo = 0; lo < all.size(); lo += kLanes - 1) {
       const std::span<const FaultId> batch = std::span(all).subspan(
-          lo, std::min<std::size_t>(63, all.size() - lo));
+          lo, std::min<std::size_t>(kLanes - 1, all.size() - lo));
       const LaneMask got = fsim.run_batch(batch, env, trace, model);
       EXPECT_EQ(got, oracle.run_batch(batch, env, trace, model))
           << to_string(model) << " batch at " << lo;

@@ -1019,8 +1019,8 @@ double trace_matches_four_valued(std::uint64_t seed) {
   const std::vector<std::vector<bool>> stim = random_stimulus(rng, d, kCycles);
   ResetThenScriptEnv env(d.input_nets, stim);
   const FaultUniverse u(d.nl);
-  SequentialFaultSimulator tracer(d.nl, u, {.max_cycles = kCycles});
-  const ReferenceTrace trace = tracer.record_reference_trace(env);
+  SequentialFaultSimulator tracer(d.nl, u);
+  const ReferenceTrace trace = tracer.record_reference_trace(env, kCycles);
   EXPECT_EQ(trace.cycles, kCycles) << "seed " << seed;
 
   Simulator ref(d.nl);
@@ -1213,14 +1213,14 @@ TEST(SeqFsim, BatchMatchesNaiveSingleFaultOracle) {
     }
     ScriptedEnv env(d.input_nets, words);
 
-    const SeqFsimOptions opts{.max_cycles = cycles};
-    SequentialFaultSimulator evt(d.nl, u, opts);
+    SequentialFaultSimulator evt(d.nl, u);
     evt.set_observed(d.output_cells);
-    SequentialFaultSimulator sweep(d.nl, u, opts);
+    SequentialFaultSimulator sweep(d.nl, u);
     sweep.sim().set_eval_mode(PackedEvalMode::kFullSweep);
     sweep.set_observed(d.output_cells);
-    const ReferenceTrace evt_trace = evt.record_reference_trace(env);
-    const ReferenceTrace sweep_trace = sweep.record_reference_trace(env);
+    const ReferenceTrace evt_trace = evt.record_reference_trace(env, cycles);
+    const ReferenceTrace sweep_trace =
+        sweep.record_reference_trace(env, cycles);
 
     for (const FaultModel model :
          {FaultModel::kStuckAt, FaultModel::kTransition}) {
@@ -1298,7 +1298,7 @@ class RigBatchRunner final : public FaultBatchRunner {
                  std::shared_ptr<const ReferenceTrace> trace, bool event_driven,
                  FaultModel model)
       : env_(rig.en),
-        fsim_(rig.nl, u, {.max_cycles = kCycles}),
+        fsim_(rig.nl, u),
         trace_(std::move(trace)),
         model_(model) {
     if (!event_driven) fsim_.sim().set_eval_mode(PackedEvalMode::kFullSweep);
@@ -1319,11 +1319,11 @@ CampaignTest make_rig_test(const CounterRig& rig, const FaultUniverse& u,
                            bool event_driven,
                            FaultModel model = FaultModel::kStuckAt) {
   CounterEnv trace_env(rig.en);
-  SequentialFaultSimulator tracer(rig.nl, u, {.max_cycles = kCycles});
+  SequentialFaultSimulator tracer(rig.nl, u);
   if (!event_driven) tracer.sim().set_eval_mode(PackedEvalMode::kFullSweep);
   tracer.set_observed(rig.outputs);
   auto trace = std::make_shared<const ReferenceTrace>(
-      tracer.record_reference_trace(trace_env));
+      tracer.record_reference_trace(trace_env, kCycles));
   CampaignTest test;
   test.name = event_driven ? "event" : "sweep";
   test.good_cycles = kCycles;

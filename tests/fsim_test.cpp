@@ -63,10 +63,10 @@ struct CounterRig {
 TEST(SeqFsim, DetectsStuckCounterBit) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
+  SequentialFaultSimulator fsim(rig.nl, u);
   fsim.set_observed(rig.outputs);
   CounterEnv env(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, 20);
   // s-a-0 on counter bit 1 output: wrong count value after a few cycles.
   const FaultId f = u.id_of({rig.cnt.flops[1], 0}, false);
   const LaneMask det = fsim.run_batch(std::span(&f, 1), env, trace);
@@ -76,10 +76,10 @@ TEST(SeqFsim, DetectsStuckCounterBit) {
 TEST(SeqFsim, MissesFaultWhenOutputsNotObserved) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
+  SequentialFaultSimulator fsim(rig.nl, u);
   fsim.set_observed({rig.outputs[0]});  // only bit 0 visible
   CounterEnv env(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, 20);
   // A stuck bit-3 never shows on bit 0 within 20 cycles... bit3 influences
   // nothing else in this circuit, so it must go undetected.
   const FaultId f = u.id_of({rig.cnt.flops[3], 0}, false);
@@ -90,10 +90,10 @@ TEST(SeqFsim, MissesFaultWhenOutputsNotObserved) {
 TEST(SeqFsim, BatchesAreIndependent) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
+  SequentialFaultSimulator fsim(rig.nl, u);
   fsim.set_observed(rig.outputs);
   CounterEnv env(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, 20);
   // Fill a batch with all flop output faults; every stuck counter bit is
   // detectable when the full count is observed.
   std::vector<FaultId> faults;
@@ -117,10 +117,10 @@ TEST(SeqFsim, EnvironmentEndsRunEarly) {
       return CounterEnv::step(sim, cycle);
     }
   };
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 50});
+  SequentialFaultSimulator fsim(rig.nl, u);
   fsim.set_observed(rig.outputs);
   CounterEnv full(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(full);
+  const ReferenceTrace trace = fsim.record_reference_trace(full, 50);
   OneCycleEnv env(rig.en);
   // A fault needing two increments to show (bit 1 stuck at 0) escapes a
   // one-cycle run, though the trace runs on for 50 cycles.
@@ -137,10 +137,10 @@ TEST(SeqFsim, ResetDriveContradictingThePowerOnPlaneThrows) {
   // environment as before.
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
+  SequentialFaultSimulator fsim(rig.nl, u);
   fsim.set_observed(rig.outputs);
   CounterEnv env(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, 20);
   ASSERT_EQ(trace.power_on.size(), trace.columns.size());
   EXPECT_FALSE(NetActivation::test(trace.power_on, rig.en));
 
@@ -200,9 +200,9 @@ TEST(SeqFsim, TransitionArmsOnlyOnTheCycleAfterItsLaunch) {
     const std::vector<std::vector<bool>> words = {
         {false, false}, {true, row.b_at_launch}, {true, true}, {true, true}};
     ScriptedEnv env(inputs, words);
-    SequentialFaultSimulator fsim(nl, u, {.max_cycles = 4});
+    SequentialFaultSimulator fsim(nl, u);
     fsim.set_observed(observed);
-    const ReferenceTrace trace = fsim.record_reference_trace(env);
+    const ReferenceTrace trace = fsim.record_reference_trace(env, 4);
     // Column 0 moves on cycle 1; column 1 (b, y) on cycle 1 or 2.
     EXPECT_EQ(trace.change_begin,
               (std::vector<std::uint32_t>{0, 0, row.b_at_launch ? 2u : 1u,
@@ -261,11 +261,11 @@ TEST(CombDetect, MoreThan256PatternsThrow) {
 ReferenceTrace record_counter_trace(const CounterRig& rig,
                                     const FaultUniverse& u,
                                     bool event_driven) {
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
+  SequentialFaultSimulator fsim(rig.nl, u);
   if (!event_driven) fsim.sim().set_eval_mode(PackedEvalMode::kFullSweep);
   fsim.set_observed(rig.outputs);
   CounterEnv env(rig.en);
-  return fsim.record_reference_trace(env);
+  return fsim.record_reference_trace(env, 20);
 }
 
 TEST(ReferenceTraceFingerprint, AnySingleBitPerturbationChangesIt) {
@@ -322,10 +322,10 @@ TEST(ReferenceTraceFingerprint, StableAcrossKernels) {
 TEST(SeqFsim, OversizedBatchThrows) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
+  SequentialFaultSimulator fsim(rig.nl, u);
   fsim.set_observed(rig.outputs);
   CounterEnv env(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, 20);
   std::vector<FaultId> faults(kLanes, u.id_of({rig.cnt.flops[1], 0}, false));
   const std::string size = std::to_string(kLanes) + " faults";
   const std::string width = std::to_string(kLanes) + "-lane";
@@ -354,7 +354,7 @@ TEST(SeqFsim, OversizedBatchThrows) {
 TEST(SeqFsim, SetObservedRejectsNonOutputCells) {
   CounterRig rig;
   const FaultUniverse u(rig.nl);
-  SequentialFaultSimulator fsim(rig.nl, u, {.max_cycles = 20});
+  SequentialFaultSimulator fsim(rig.nl, u);
   const auto rejects = [&](CellId cell, const std::string& name) {
     try {
       fsim.set_observed({rig.outputs[0], cell});
@@ -374,7 +374,7 @@ TEST(SeqFsim, SetObservedRejectsNonOutputCells) {
   fsim.set_observed(rig.outputs);
   rejects(rig.cnt.flops[0], rig.nl.cell(rig.cnt.flops[0]).name);
   CounterEnv env(rig.en);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, 20);
   const FaultId f = u.id_of({rig.cnt.flops[3], 0}, false);
   EXPECT_EQ(fsim.run_batch(std::span(&f, 1), env, trace), 1u);
 }
@@ -415,9 +415,9 @@ LoneFaultTally expect_batch_matches_lone_faults(
     std::span<const FaultId> faults, int max_cycles,
     const std::shared_ptr<const PackedTopology>& topo,
     const std::string& label) {
-  SequentialFaultSimulator fsim(nl, u, {.max_cycles = max_cycles}, topo);
+  SequentialFaultSimulator fsim(nl, u, topo);
   fsim.set_observed(observed);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, max_cycles);
   LoneFaultTally tally;
   for (const FaultModel model :
        {FaultModel::kStuckAt, FaultModel::kTransition}) {
@@ -492,8 +492,8 @@ TEST(SeqFsim, FullBatchMatchesLoneFaultsOnSocSlice) {
   SbstProgram& prog = suite[1];
   FlashImage flash(cfg.flash_base, cfg.flash_size);
   flash.load(prog.program.base(), prog.program.words());
-  const int cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin;
-  SocFsimEnvironment env(*soc, flash, cycles);
+  const int cycles = kSbstFunctionalCycleCap + 1;
+  SocFsimEnvironment env(*soc, flash);
 
   // Bus ports and PC bits (detected early, so their lanes retire while
   // the batch runs on), topped up with a random sample of the universe.
@@ -552,9 +552,9 @@ TEST(SerialOracle, BatchesMatchSerialGradingOnRandomDesigns) {
     if (!oracle.resolved()) continue;
     ++designs;
     ResetThenScriptEnv env(d.input_nets, stim);
-    SequentialFaultSimulator fsim(d.nl, u, {.max_cycles = kCycles});
+    SequentialFaultSimulator fsim(d.nl, u);
     fsim.set_observed(d.output_cells);
-    const ReferenceTrace trace = fsim.record_reference_trace(env);
+    const ReferenceTrace trace = fsim.record_reference_trace(env, kCycles);
 
     const std::size_t batches = (u.size() + kLanes - 2) / (kLanes - 1);
     const std::size_t span = (u.size() + batches - 1) / batches;

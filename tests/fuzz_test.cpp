@@ -180,6 +180,8 @@ TEST(Fuzz, VerilogParsesOrThrowsVerilogError) {
       // Edits add at most 4 x 16 lines; the located line stays in range.
       ASSERT_GE(e.line(), 1) << "mutant " << m << ": " << e.what();
       ASSERT_LE(e.line(), lines + 65) << "mutant " << m << ": " << e.what();
+      ASSERT_LE(e.offset(), mutant.size())
+          << "mutant " << m << ": " << e.what();
     } catch (const std::exception& e) {
       FAIL() << "mutant " << m << " threw a non-VerilogError: " << e.what();
     }

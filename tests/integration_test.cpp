@@ -34,26 +34,18 @@ class IntegrationFixture : public ::testing::Test {
     delete soc_;
   }
 
-  /// Fault-simulates `faults` against the whole SBST suite; returns the
-  /// set of batch-local indices that some program detected.
+  /// Fault-simulates `faults` against the whole SBST suite, grading each
+  /// program's campaign test through the engine; returns the set of
+  /// batch-local indices that some program detected.
   static std::vector<bool> simulate(const std::vector<FaultId>& faults) {
     std::vector<bool> detected(faults.size(), false);
-    const int budget = kSbstFunctionalCycleCap + kSbstCampaignMargin;
+    const CampaignEngine engine(*universe_);
+    const auto topo = PackedTopology::build(soc_->netlist);
     for (SbstProgram& sp : suite_) {
-      FlashImage flash(soc_->config.flash_base, soc_->config.flash_size);
-      flash.load(sp.program.base(), sp.program.words());
-      SocFsimEnvironment env(*soc_, flash, budget);
-      SequentialFaultSimulator fsim(soc_->netlist, *universe_,
-                                    {.max_cycles = budget});
-      fsim.set_observed(soc_->cpu.bus_output_cells);
-      const ReferenceTrace trace = fsim.record_reference_trace(env);
-      for (std::size_t i = 0; i < faults.size(); i += 63) {
-        const std::size_t n = std::min<std::size_t>(63, faults.size() - i);
-        const LaneMask det =
-            fsim.run_batch(std::span(faults).subspan(i, n), env, trace);
-        for (std::size_t j = 0; j < n; ++j)
-          if (det.bit(static_cast<int>(j))) detected[i + j] = true;
-      }
+      const BitVec det = engine.grade(
+          faults, build_sbst_campaign_test(*soc_, sp, *universe_, topo).test);
+      for (std::size_t i = 0; i < faults.size(); ++i)
+        if (det.get(i)) detected[i] = true;
     }
     return detected;
   }

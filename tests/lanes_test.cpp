@@ -156,10 +156,10 @@ class DesignBatchRunner final : public FaultBatchRunner {
  public:
   DesignBatchRunner(const RandomDesign& d, const FaultUniverse& u,
                     const std::vector<std::vector<bool>>& words)
-      : env_(d.input_nets, words),
-        fsim_(d.nl, u, {.max_cycles = static_cast<int>(words.size())}) {
+      : env_(d.input_nets, words), fsim_(d.nl, u) {
     fsim_.set_observed(d.output_cells);
-    trace_ = fsim_.record_reference_trace(env_);
+    trace_ =
+        fsim_.record_reference_trace(env_, static_cast<int>(words.size()));
   }
   LaneMask run_batch(std::span<const FaultId> faults) override {
     return fsim_.run_batch(faults, env_, trace_);

@@ -403,7 +403,7 @@ class ScriptedRunner final : public FaultBatchRunner {
                  const std::vector<std::vector<bool>>& words,
                  std::shared_ptr<const ReferenceTrace> trace, FaultModel model)
       : env_(d.input_nets, words),
-        fsim_(d.nl, u, {.max_cycles = static_cast<int>(words.size())}),
+        fsim_(d.nl, u),
         trace_(std::move(trace)),
         model_(model) {
     fsim_.set_observed(d.output_cells);
@@ -425,11 +425,11 @@ std::shared_ptr<const ReferenceTrace> record_scripted(
     const RandomDesign& d, const FaultUniverse& u,
     const std::vector<std::vector<bool>>& words, NetActivation& act) {
   ScriptedEnv env(d.input_nets, words);
-  SequentialFaultSimulator tracer(
-      d.nl, u, {.max_cycles = static_cast<int>(words.size())});
+  SequentialFaultSimulator tracer(d.nl, u);
   tracer.set_observed(d.output_cells);
   return std::make_shared<const ReferenceTrace>(
-      tracer.record_reference_trace(env, &act));
+      tracer.record_reference_trace(env, static_cast<int>(words.size()),
+                                    &act));
 }
 
 /// The program as a campaign test graded against `trace`, with no screen.

@@ -166,9 +166,7 @@ TEST(TransitionModel, StrictlyMorePruningThanStuckAt) {
   OnlineUntestabilityAnalyzer az(*soc, u);
   FaultList sa(u), tdf(u);
   const AnalysisReport sa_rep = az.run(sa);
-  AnalyzerOptions topts;
-  topts.fault_model = FaultModel::kTransition;
-  const AnalysisReport tdf_rep = az.run(tdf, topts);
+  const AnalysisReport tdf_rep = az.run(tdf, FaultModel::kTransition);
   EXPECT_GT(tdf_rep.total_online() + tdf_rep.structural_baseline,
             sa_rep.total_online() + sa_rep.structural_baseline);
   for (FaultId f = 0; f < u.size(); ++f) {

@@ -46,9 +46,8 @@ TEST(SbstSuite, EveryProgramHaltsOnTheFullSoc) {
 
       const SbstCampaignTest built = build_sbst_campaign_test(*soc, sp, u, topo);
       EXPECT_EQ(built.test.good_cycles, cycles) << sp.name;
-      EXPECT_EQ(built.test.spec.at("fsim").at("max_cycles").as_int(),
-                cycles + kSbstCampaignMargin)
-          << sp.name;
+      // The trace ends on the cycle after HALT shows; it bounds every batch.
+      EXPECT_EQ(built.trace->cycles, cycles + 1) << sp.name;
     }
   }
 }
@@ -64,10 +63,7 @@ TEST(SbstSuite, ProgramThatNeverHaltsCountsTheCycleCap) {
   const SbstCampaignTest built =
       build_sbst_campaign_test(*soc, suite[0], u, topo);
   EXPECT_EQ(built.test.good_cycles, kSbstFunctionalCycleCap);
-  EXPECT_EQ(built.trace->cycles,
-            kSbstFunctionalCycleCap + kSbstCampaignMargin);
-  EXPECT_EQ(built.test.spec.at("fsim").at("max_cycles").as_int(),
-            kSbstFunctionalCycleCap + kSbstCampaignMargin);
+  EXPECT_EQ(built.trace->cycles, kSbstFunctionalCycleCap + 1);
 }
 
 TEST(SbstSuite, MulProgramOnlyWithMultiplier) {
@@ -267,12 +263,11 @@ class OracleRunner final : public FaultBatchRunner {
  public:
   OracleRunner(const Soc& soc, const FaultUniverse& u,
                std::shared_ptr<const FlashImage> flash,
-               std::shared_ptr<const ReferenceTrace> trace, int max_cycles,
-               FaultModel model)
+               std::shared_ptr<const ReferenceTrace> trace, FaultModel model)
       : flash_(std::move(flash)),
         trace_(std::move(trace)),
-        env_(soc, *flash_, max_cycles),
-        fsim_(soc.netlist, u, {.max_cycles = max_cycles}),
+        env_(soc, *flash_),
+        fsim_(soc.netlist, u),
         model_(model) {
     fsim_.sim().set_eval_mode(PackedEvalMode::kFullSweep);
     fsim_.set_observed(soc.cpu.bus_output_cells);
@@ -294,12 +289,12 @@ class OracleRunner final : public FaultBatchRunner {
 ReferenceTrace record_oracle_trace(const Soc& soc, const FaultUniverse& u,
                                    const FlashImage& flash,
                                    NetActivation& activation) {
-  const int budget = kSbstFunctionalCycleCap + kSbstCampaignMargin;
-  SocFsimEnvironment env(soc, flash, budget);
-  SequentialFaultSimulator tracer(soc.netlist, u, {.max_cycles = budget});
+  SocFsimEnvironment env(soc, flash);
+  SequentialFaultSimulator tracer(soc.netlist, u);
   tracer.sim().set_eval_mode(PackedEvalMode::kFullSweep);
   tracer.set_observed(soc.cpu.bus_output_cells);
-  return tracer.record_reference_trace(env, &activation);
+  return tracer.record_reference_trace(env, kSbstFunctionalCycleCap + 1,
+                                       &activation);
 }
 
 /// The activation screen, restated from its definition: a stuck-at-v
@@ -338,11 +333,9 @@ CampaignTest oracle_test(const Soc& soc, const FaultUniverse& u,
   test.screen = [inert] { return inert; };
   EXPECT_EQ(trace->fingerprint(), built.trace->fingerprint()) << program.name;
   EXPECT_EQ(inert, inert_faults(u, *built.activation, model)) << program.name;
-  const int max_cycles = built.test.good_cycles + kSbstCampaignMargin;
   test.make_runner = [&soc, &u, flash = std::move(flash),
-                      trace = std::move(trace), max_cycles, model] {
-    return std::make_unique<OracleRunner>(soc, u, flash, trace, max_cycles,
-                                          model);
+                      trace = std::move(trace), model] {
+    return std::make_unique<OracleRunner>(soc, u, flash, trace, model);
   };
   return test;
 }
@@ -401,14 +394,13 @@ TEST(SbstCampaign, DetectsASubstantialFractionAndDropsFaults) {
   suite.erase(suite.begin() + 2, suite.end());  // alu_arith + alu_logic
   const FaultUniverse u(soc->netlist);
   FaultList fl(u);
-  const auto result = run_sbst_campaign(*soc, suite, fl);
-  ASSERT_EQ(result.programs.size(), 2u);
-  EXPECT_EQ(result.total_detected, fl.count_detected());
+  const CampaignResult result = run_sbst_campaign(*soc, suite, fl).campaign;
+  ASSERT_EQ(result.tests.size(), 2u);
+  EXPECT_EQ(result.total_new_detections, fl.count_detected());
   EXPECT_GT(fl.raw_coverage(), 0.15);
   // Fault dropping: the second program targets fewer faults, so its new
   // detections are fewer than the first's.
-  EXPECT_GT(result.programs[0].new_detections,
-            result.programs[1].new_detections);
+  EXPECT_GT(result.tests[0].new_detections, result.tests[1].new_detections);
 }
 
 TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
@@ -428,8 +420,8 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
   FaultList fl1(u);
   const auto r1 = run_sbst_campaign(*soc, suite, fl1, {}, opts);
   EXPECT_EQ(r1.campaign.fault_model, FaultModel::kTransition);
-  EXPECT_GT(r1.total_detected, 0u);
-  EXPECT_EQ(r1.total_detected, fl1.count_detected());
+  EXPECT_GT(r1.campaign.total_new_detections, 0u);
+  EXPECT_EQ(r1.campaign.total_new_detections, fl1.count_detected());
 
   // Thread count never shows through the deterministic payload.
   opts.threads = 4;
@@ -463,7 +455,8 @@ TEST(SbstCampaign, TransitionModelGradesThroughTheOrchestrator) {
   FaultList sa(u);
   const auto rsa = run_sbst_campaign(*soc, suite, sa, {});
   EXPECT_EQ(rsa.campaign.fault_model, FaultModel::kStuckAt);
-  EXPECT_LE(r1.total_detected, rsa.total_detected);
+  EXPECT_LE(r1.campaign.total_new_detections,
+            rsa.campaign.total_new_detections);
 }
 
 TEST(SbstCampaign, SweepOracleReproducesProductionDetections) {
@@ -520,13 +513,12 @@ TEST(SbstCampaign, ResetDivergingFaultsMatchTheSweepOracle) {
   const auto topo = PackedTopology::build(nl);
   FlashImage flash(cfg.flash_base, cfg.flash_size);
   flash.load(suite[0].program.base(), suite[0].program.words());
-  const int cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin;
-  SocFsimEnvironment env(*soc, flash, cycles);
-  SequentialFaultSimulator fsim(nl, u, {.max_cycles = cycles}, topo),
-      oracle(nl, u, {.max_cycles = cycles}, topo);
+  const int cycles = kSbstFunctionalCycleCap + 1;
+  SocFsimEnvironment env(*soc, flash);
+  SequentialFaultSimulator fsim(nl, u, topo), oracle(nl, u, topo);
   for (auto* s : {&fsim, &oracle}) s->set_observed(soc->cpu.bus_output_cells);
   oracle.sim().set_eval_mode(PackedEvalMode::kFullSweep);
-  const ReferenceTrace trace = fsim.record_reference_trace(env);
+  const ReferenceTrace trace = fsim.record_reference_trace(env, cycles);
 
   // The lanes whose flop state differs from lane 0's after the reset.
   const auto diverged_after_reset = [&](std::span<const FaultId> faults,
@@ -593,8 +585,8 @@ class PerLaneSocEnv : public FsimEnvironment {
  public:
   using Values = std::array<std::uint64_t, kLanes>;
 
-  PerLaneSocEnv(const Soc& soc, const FlashImage& flash, int run_cycles)
-      : soc_(&soc), flash_(&flash), run_cycles_(run_cycles) {
+  PerLaneSocEnv(const Soc& soc, const FlashImage& flash)
+      : soc_(&soc), flash_(&flash) {
     const Netlist& nl = soc.netlist;
     for (int i = 0; i < 32; ++i) {
       iaddr_.push_back(nl.find_output(format("iaddr_o%d", i)));
@@ -614,8 +606,8 @@ class PerLaneSocEnv : public FsimEnvironment {
     sim.clock();
   }
 
-  bool step(PackedSim& sim, int cycle) override {
-    if (cycle >= run_cycles_ || halt_seen_) return false;
+  bool step(PackedSim& sim, int) override {
+    if (halt_seen_) return false;
     drive_mission_inputs(sim, true);
     sim.eval();
     const Values iaddr = read_lanes(sim, iaddr_);
@@ -676,7 +668,6 @@ class PerLaneSocEnv : public FsimEnvironment {
 
   const Soc* soc_;
   const FlashImage* flash_;
-  int run_cycles_;
   bool halt_seen_ = false;
   std::array<std::unordered_map<std::uint64_t, std::uint32_t>, kLanes> ram_;
   std::vector<CellId> iaddr_, baddr_, bwdata_;
@@ -715,10 +706,10 @@ TEST(SocFsim, LaneZeroServiceMatchesPerLaneReference) {
     ASSERT_NE(prog, nullptr);
     FlashImage flash(cfg.flash_base, cfg.flash_size);
     flash.load(prog->program.base(), prog->program.words());
-    const int cycles = kSbstFunctionalCycleCap + kSbstCampaignMargin;
+    const int cycles = kSbstFunctionalCycleCap + 1;
 
-    PerLaneSocEnv ref(*soc, flash, cycles);
-    SocFsimEnvironment env(*soc, flash, cycles);
+    PerLaneSocEnv ref(*soc, flash);
+    SocFsimEnvironment env(*soc, flash);
     PackedSim a(topo), b(topo);
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const Fault& f = u.fault(faults[i]);
@@ -756,10 +747,10 @@ TEST(SocFsim, LaneZeroServiceMatchesPerLaneReference) {
 
     // Both record the same good machine, and the batch verdicts agree
     // under both fault models.
-    SequentialFaultSimulator fsim(nl, u, {.max_cycles = cycles}, topo);
+    SequentialFaultSimulator fsim(nl, u, topo);
     fsim.set_observed(soc->cpu.bus_output_cells);
-    const ReferenceTrace trace = fsim.record_reference_trace(env);
-    EXPECT_EQ(fsim.record_reference_trace(ref).fingerprint(),
+    const ReferenceTrace trace = fsim.record_reference_trace(env, cycles);
+    EXPECT_EQ(fsim.record_reference_trace(ref, cycles).fingerprint(),
               trace.fingerprint());
     const LaneMask sa = fsim.run_batch(faults, env, trace);
     EXPECT_TRUE(sa.any());
@@ -776,7 +767,7 @@ TEST(SocFsim, RejectsCombinationalBusPort) {
   auto soc = build_soc(cfg);
   const FlashImage flash(cfg.flash_base, cfg.flash_size);
   // The stock SoC registers every bus port.
-  EXPECT_NO_THROW(SocFsimEnvironment(*soc, flash, 10));
+  EXPECT_NO_THROW(SocFsimEnvironment(*soc, flash));
 
   // A buffer between a bus flop and its port makes the port
   // combinational: read before the settle, it would show a stale value.
@@ -786,7 +777,7 @@ TEST(SocFsim, RejectsCombinationalBusPort) {
   nl.add_cell(CellType::kBuf, "u_baddr3_buf", buffered, {nl.cell(port).ins[0]});
   nl.rewire_input(port, 0, buffered);
   try {
-    SocFsimEnvironment env(*soc, flash, 10);
+    SocFsimEnvironment env(*soc, flash);
     FAIL() << "a combinational bus port was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("baddr_o3"), std::string::npos)

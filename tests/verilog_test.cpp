@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "cpu/soc.hpp"
 #include "netlist/wordops.hpp"
 #include "sim/packed.hpp"
@@ -133,7 +136,12 @@ endmodule
     FAIL() << "expected VerilogError";
   } catch (const VerilogError& e) {
     EXPECT_EQ(e.line(), 4);
+    // Parsing stops at the instance name after the unknown type.
+    EXPECT_EQ(e.offset(), std::string_view(text).find("g1"));
     EXPECT_NE(std::string(e.what()).find("unknown cell type"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find(
+                  " at offset " + std::to_string(e.offset())),
               std::string::npos);
   }
 }
